@@ -16,6 +16,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -83,9 +84,10 @@ def criterion_selection_optimality() -> tuple[bool, str]:
             combos = list(itertools.combinations(range(n), min(p, n)))
             for scores in vectors:
                 got = tuple(top_p_indices(list(scores), p))
+                exact = [Fraction(v) for v in scores]  # floats can tie
                 best_sum, best_combo = None, None
                 for combo in combos:
-                    total = sum(scores[i] for i in combo)
+                    total = sum(exact[i] for i in combo)
                     if best_sum is None or total > best_sum:
                         best_sum, best_combo = total, combo
                 checked += 1

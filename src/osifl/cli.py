@@ -8,18 +8,14 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, build_run_inputs, parse_config
+from .config import FIELD_SPECS, ExperimentConfig, build_run_inputs, \
+    parse_config
 from .errors import ConfigError
-from .orchestrator import CSV_HEADER, RunReport, report_rows, rows_to_csv, \
-    run_method, write_report_csv
+from .orchestrator import CSV_HEADER, rows_to_csv, run_method, write_report_csv
 
 SEED_ENV = "OSIFL_SEED_OVERRIDE"
 
-SWEEP_AXES = {
-    "p": ("retain_per_class", int),
-    "clients_per_task": ("clients_per_task", int),
-    "w": ("guidance_w", float),
-}
+SWEEP_AXES = ("p", "clients_per_task", "w")
 
 SWEEP_HEADER = ("axis,value,method,seed,avg_acc_final,forgetting_mean,"
                 "upload_floats_total,madds_total")
@@ -39,98 +35,95 @@ def resolve_seeds(config: ExperimentConfig) -> tuple[int, ...]:
         ) from None
 
 
-def _summary_rows(config, seeds, reports: dict) -> list[list]:
-    """Seed-averaged per-task summary rows (seed column = -1)."""
-    rows = []
-    for method in config.methods:
-        done = [reports[(method, s)] for s in seeds
-                if (method, s) in reports]
-        if not done:
-            continue
-        for t_idx in range(len(done[0].avg_after)):
-            avg = float(np.mean([r.avg_after[t_idx] for r in done]))
-            forg = float(np.mean([r.forgetting_after[t_idx] for r in done]))
-            ups = float(np.mean([r.uploads_after[t_idx] for r in done]))
-            madds = float(np.mean([r.madds_after[t_idx] for r in done]))
-            rows.append([method.value, -1, t_idx + 1, -1, avg, avg, forg,
-                         ups, madds])
-    return rows
+def _seed_means(reports: list) -> list[list[float]]:
+    """Per task: seed means of accuracy, forgetting, uploads, madds."""
+    cols = ("avg_after", "forgetting_after", "uploads_after", "madds_after")
+    return [[float(np.mean([getattr(r, col)[t_idx] for r in reports]))
+             for col in cols]
+            for t_idx in range(len(reports[0].avg_after))]
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str) -> int:
-    """Run every configured (method, seed) pair; write one CSV per run
-    plus a seed-averaged summary. Nonzero exit if any run failed, with
-    whatever completed written under a 'partial' summary name."""
-    os.makedirs(out_dir, exist_ok=True)
-    seeds = resolve_seeds(config)
-    reports: dict = {}
-    failures: list[str] = []
-    for seed in seeds:
-        inputs = build_run_inputs(config, seed)
-        for method in config.methods:
-            try:
-                report = run_method(method, *inputs, config, seed)
-            except Exception as err:
-                failures.append(f"{method.value} seed={seed}: {err}")
-                continue
-            reports[(method, seed)] = report
-            path = os.path.join(out_dir,
-                                f"run_{method.value}_seed{seed}.csv")
-            write_report_csv(path, [report])
-    name = "summary.partial.csv" if failures else "summary.csv"
-    with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
-        fh.write(rows_to_csv(_summary_rows(config, seeds, reports)))
-    for failure in failures:
-        print(f"run failed: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def sweep(config: ExperimentConfig, axis: str, values, out_dir: str) -> int:
-    """Re-run the whole experiment per axis value; same world and seeds
-    across values, so comparisons are paired. One combined CSV."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(
-            f"unknown sweep axis {axis!r}; choose from "
-            f"{sorted(SWEEP_AXES)}")
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    attr, cast = SWEEP_AXES[axis]
+def _run_grid(config: ExperimentConfig, axis: str | None, values,
+              out_dir: str, stem: str, header: str, run_rows,
+              mean_rows) -> int:
+    """Run every (axis value, seed, method) cell in that order. Each
+    report's rows come from `run_rows(value, report)`, then, per value
+    and method, the seed-mean rows from `mean_rows(value, method, means)`.
+    The rows go to `<stem>.csv`, or `<stem>.partial.csv` if any run
+    failed; then the exit code is 1 and each failure is printed."""
     os.makedirs(out_dir, exist_ok=True)
     seeds = resolve_seeds(config)
     rows: list[list] = []
     failures: list[str] = []
     for value in values:
-        cfg = dataclasses.replace(config, **{attr: cast(value)})
-        per_method: dict = {}
+        cfg = config if axis is None else \
+            dataclasses.replace(config, **{FIELD_SPECS[axis][0]: value})
+        tag = "" if axis is None else f"{axis}={value} "
+        done: dict = {method: [] for method in cfg.methods}
         for seed in seeds:
             inputs = build_run_inputs(cfg, seed)
             for method in cfg.methods:
                 try:
                     report = run_method(method, *inputs, cfg, seed)
                 except Exception as err:
-                    failures.append(
-                        f"{axis}={value} {method.value} seed={seed}: {err}")
+                    failures.append(f"{tag}{method.value} seed={seed}: {err}")
                     continue
-                rows.append([axis, cast(value), method.value, seed,
-                             report.avg_after[-1], report.forgetting_mean,
-                             report.upload_floats_total, report.madds_total])
-                per_method.setdefault(method, []).append(report)
-        for method in cfg.methods:
-            done = per_method.get(method, [])
-            if not done:
-                continue
-            rows.append([axis, cast(value), method.value, -1,
-                         float(np.mean([r.avg_after[-1] for r in done])),
-                         float(np.mean([r.forgetting_mean for r in done])),
-                         float(np.mean([r.upload_floats_total
-                                        for r in done])),
-                         float(np.mean([r.madds_total for r in done]))])
-    name = f"sweep_{axis}.partial.csv" if failures else f"sweep_{axis}.csv"
+                done[method].append(report)
+                rows.extend(run_rows(value, report))
+        for method, reports in done.items():
+            if reports:
+                rows.extend(mean_rows(value, method, _seed_means(reports)))
+    name = f"{stem}.partial.csv" if failures else f"{stem}.csv"
     with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
-        fh.write(rows_to_csv(rows, header=SWEEP_HEADER))
+        fh.write(rows_to_csv(rows, header=header))
     for failure in failures:
-        print(f"sweep run failed: {failure}", file=sys.stderr)
+        print(f"{'' if axis is None else 'sweep '}run failed: {failure}",
+              file=sys.stderr)
     return 1 if failures else 0
+
+
+def run_experiment(config: ExperimentConfig, out_dir: str) -> int:
+    """Run every configured (method, seed) pair; write one CSV per run
+    plus a seed-averaged summary. Nonzero exit if any run failed, with
+    whatever completed written under a 'partial' summary name."""
+    def write_run(_value, report):
+        write_report_csv(os.path.join(
+            out_dir, f"run_{report.method}_seed{report.seed}.csv"), [report])
+        return []
+
+    def summary_rows(_value, method, means):
+        return [[method.value, -1, t_idx + 1, -1, avg, avg, forg, ups, madds]
+                for t_idx, (avg, forg, ups, madds) in enumerate(means)]
+
+    return _run_grid(config, None, [None], out_dir, "summary", CSV_HEADER,
+                     write_run, summary_rows)
+
+
+def sweep(config: ExperimentConfig, axis: str, values, out_dir: str) -> int:
+    """Re-run the whole experiment per axis value; same world and seeds
+    across values, so comparisons are paired. One combined CSV. Values
+    are checked with the config file's parser for the axis key before
+    any run starts."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(
+            f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
+    if not values:
+        raise ConfigError("sweep needs at least one value")
+    try:
+        parsed = [FIELD_SPECS[axis][1](value) for value in values]
+    except ConfigError as err:
+        raise ConfigError(f"sweep {axis}: {err}") from None
+
+    def seed_row(value, report):
+        return [[axis, value, report.method, report.seed,
+                 report.avg_after[-1], report.forgetting_mean,
+                 report.upload_floats_total, report.madds_total]]
+
+    def mean_row(value, method, means):
+        return [[axis, value, method.value, -1] + means[-1]]
+
+    return _run_grid(config, axis, parsed, out_dir, f"sweep_{axis}",
+                     SWEEP_HEADER, seed_row, mean_row)
 
 
 def _load_config(path: str) -> ExperimentConfig:

@@ -9,8 +9,10 @@ from dataclasses import dataclass
 
 from .datagen import CLASS_INCREMENTAL, DOMAIN_INCREMENTAL, build_world, \
     draw_client_shards, make_task_suite
+from .diffusion import DiffusionHP
 from .errors import ConfigError
-from .orchestrator import Method
+from .orchestrator import Method, parse_method
+from .trainer import TrainHP
 
 ALL_METHODS = tuple(Method)
 
@@ -58,6 +60,24 @@ class ExperimentConfig:
 
     def canonical(self) -> str:
         return serialize_config(self)
+
+    def train_hp(self) -> TrainHP:
+        """Head-training hyperparameters of every method."""
+        return TrainHP(learning_rate=self.learning_rate,
+                       batch_size=self.batch_size,
+                       epochs_per_task=self.epochs_per_task,
+                       weight_decay=self.weight_decay,
+                       lambda_ewc=self.lambda_ewc, mu_prox=self.mu_prox,
+                       adam_reset_per_task=self.adam_reset_per_task)
+
+    def diffusion_hp(self) -> DiffusionHP:
+        """Denoiser pretraining hyperparameters. The head's learning_rate
+        and weight_decay are not the denoiser's, so those keep defaults."""
+        return DiffusionHP(num_steps=self.diffusion_steps,
+                           beta_min=self.beta_min, beta_max=self.beta_max,
+                           hidden=self.denoiser_hidden, p_drop=self.p_drop,
+                           train_steps=self.pretrain_steps,
+                           batch_size=self.pretrain_batch)
 
 
 def _parse_int(text: str) -> int:
@@ -128,16 +148,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def _parse_methods(text: str) -> tuple[Method, ...]:
-    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
-    out = []
-    for tok in toks:
-        try:
-            out.append(Method(tok))
-        except ValueError:
-            raise ConfigError(
-                f"unknown method {tok!r}; choose from "
-                f"{sorted(m.value for m in Method)}") from None
-    return tuple(out)
+    return tuple(parse_method(tok.strip()) for tok in text.split(",")
+                 if tok.strip())
 
 
 def _fmt_value(value) -> str:

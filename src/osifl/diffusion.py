@@ -15,13 +15,15 @@ and training behaviour from generator quality.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datagen import Sample, World
-from .encoder import ClientMessage, FrozenEncoder, pair_mean_embeddings
+from .encoder import BlobReader, ClientMessage, FrozenEncoder, \
+    pair_mean_embeddings
 from .errors import ConfigError, ProtocolError
 from .rng import stream
 
@@ -467,15 +469,12 @@ def save_model(model: DiffusionModel, path: str) -> None:
 
 def load_model(path: str) -> DiffusionModel:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        reader = BlobReader(fh.read(), f"model checkpoint {path}")
     magic, version, dim_x, dim_cond, num_steps, hidden, trained = \
-        _CKPT_HEAD.unpack_from(blob, 0)
-    if magic != _CKPT_MAGIC or version != 1:
+        _CKPT_HEAD.unpack(reader.take(_CKPT_HEAD.size))
+    if magic != _CKPT_MAGIC or version != 1 or trained not in (0, 1):
         raise ProtocolError(f"not a model checkpoint: {path}")
-    offset = _CKPT_HEAD.size
-    betas = np.frombuffer(blob, dtype="<f8", count=num_steps,
-                          offset=offset).astype(float)
-    offset += 8 * num_steps
+    betas = reader.floats(num_steps)
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
     for arr in (betas, alphas, alpha_bars):
@@ -484,15 +483,9 @@ def load_model(path: str) -> DiffusionModel:
     shapes = {"w1": (hidden, d_in), "b1": (hidden,),
               "w2": (hidden, hidden), "b2": (hidden,),
               "w3": (dim_x, hidden), "b3": (dim_x,)}
-    params = {}
-    for name in PARAM_ORDER:
-        size = int(np.prod(shapes[name]))
-        params[name] = np.frombuffer(blob, dtype="<f8", count=size,
-                                     offset=offset).astype(float).reshape(
-                                         shapes[name])
-        offset += 8 * size
-    if offset != len(blob):
-        raise ProtocolError(f"checkpoint has {len(blob) - offset} stray bytes")
+    params = {name: reader.floats(math.prod(shapes[name])).reshape(
+        shapes[name]) for name in PARAM_ORDER}
+    reader.finish()
     schedule = NoiseSchedule(betas=betas, alphas=alphas,
                              alpha_bars=alpha_bars)
     denoiser = Denoiser(dim_x=dim_x, dim_cond=dim_cond, num_steps=num_steps,

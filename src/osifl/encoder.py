@@ -115,6 +115,28 @@ def build_client_message(encoder: FrozenEncoder, shard) -> ClientMessage:
                          class_means=means, class_counts=counts)
 
 
+class BlobReader:
+    """Exact-length reads of a blob: any misfit raises ProtocolError."""
+
+    def __init__(self, blob: bytes, what: str):
+        self.blob, self.what, self.offset = blob, what, 0
+
+    def take(self, n: int) -> bytes:
+        if self.offset + n > len(self.blob):
+            raise ProtocolError(f"{self.what} is truncated")
+        self.offset += n
+        return self.blob[self.offset - n:self.offset]
+
+    def floats(self, count: int) -> np.ndarray:
+        """The next `count` little-endian float64s, as a writable copy."""
+        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(float)
+
+    def finish(self) -> None:
+        if self.offset != len(self.blob):
+            raise ProtocolError(
+                f"{self.what} has {len(self.blob) - self.offset} stray bytes")
+
+
 # Wire format, all little-endian:
 #   header: client_id u32, task_id u32, dim_e u32, class_count u32
 #   per class (ascending class id): class_id u32, count u32, dim_e f64
@@ -139,23 +161,19 @@ def serialize_message(msg: ClientMessage) -> bytes:
 
 
 def parse_message(blob: bytes) -> ClientMessage:
-    if len(blob) < _HEADER.size:
-        raise ProtocolError("message blob shorter than its header")
-    client_id, task_id, dim_e, n_classes = _HEADER.unpack_from(blob, 0)
-    offset = _HEADER.size
-    record = _CLASS_HEAD.size + 8 * dim_e
-    if len(blob) != _HEADER.size + n_classes * record:
-        raise ProtocolError(
-            f"message blob has {len(blob)} bytes, expected "
-            f"{_HEADER.size + n_classes * record}")
+    reader = BlobReader(blob, "message blob")
+    client_id, task_id, dim_e, n_classes = \
+        _HEADER.unpack(reader.take(_HEADER.size))
+    if n_classes == 0:
+        raise ProtocolError("message blob covers no class")
     means: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     for _ in range(n_classes):
-        k, count = _CLASS_HEAD.unpack_from(blob, offset)
-        offset += _CLASS_HEAD.size
-        vec = np.frombuffer(blob, dtype="<f8", count=dim_e, offset=offset)
-        offset += 8 * dim_e
-        means[k] = vec.astype(float)
+        k, count = _CLASS_HEAD.unpack(reader.take(_CLASS_HEAD.size))
+        if means and k <= next(reversed(means)):
+            raise ProtocolError(f"message blob lists class {k} out of order")
+        means[k] = reader.floats(dim_e)
         counts[k] = count
+    reader.finish()
     return ClientMessage(client_id=client_id, task_id=task_id,
                          class_means=means, class_counts=counts)

@@ -17,8 +17,7 @@ import numpy as np
 
 from .datagen import ClientShard, Sample, TaskSpec, TaskSuite, World, \
     draw_base_pool
-from .diffusion import DiffusionHP, make_surrogate, pretrain, \
-    synthesize_task_data
+from .diffusion import make_surrogate, pretrain, synthesize_task_data
 from .encoder import build_client_message, make_encoder
 from .errors import ConfigError, ProtocolError
 from .ledgers import CommsLedger, ComputeLedger, encoder_forward_madds, \
@@ -290,13 +289,8 @@ def _build_generator(state: RunState, pool: list[Sample]) -> None:
     if cfg.generator == "surrogate":
         state.generator = make_surrogate(state.world, state.encoder, pool)
     elif cfg.generator == "ddpm":
-        hp = DiffusionHP(num_steps=cfg.diffusion_steps,
-                         beta_min=cfg.beta_min, beta_max=cfg.beta_max,
-                         hidden=cfg.denoiser_hidden, p_drop=cfg.p_drop,
-                         train_steps=cfg.pretrain_steps,
-                         batch_size=cfg.pretrain_batch)
-        state.generator = pretrain(pool, state.encoder, hp, state.seed,
-                                   ledger=state.compute)
+        state.generator = pretrain(pool, state.encoder, cfg.diffusion_hp(),
+                                   state.seed, ledger=state.compute)
     else:
         raise ConfigError(f"unknown generator {cfg.generator!r}")
 
@@ -310,17 +304,11 @@ def run_method(method, world: World, suite: TaskSuite,
     same inputs reproduces it bit for bit.
     """
     method = parse_method(method) if isinstance(method, str) else method
-    hp = TrainHP(learning_rate=config.learning_rate,
-                 batch_size=config.batch_size,
-                 epochs_per_task=config.epochs_per_task,
-                 weight_decay=config.weight_decay,
-                 lambda_ewc=config.lambda_ewc,
-                 mu_prox=config.mu_prox,
-                 adam_reset_per_task=config.adam_reset_per_task)
     encoder = make_encoder(config.dim_e, world.dim_x, seed)
     encoder_sum = encoder.checksum()
     state = RunState(method=method, config=config, seed=seed, world=world,
-                     encoder=encoder, classifier=Classifier(encoder), hp=hp)
+                     encoder=encoder, classifier=Classifier(encoder),
+                     hp=config.train_hp())
     if method in ONESHOT_METHODS:
         pool = draw_base_pool(world, config.base_pool_total, seed)
         _build_generator(state, pool)
@@ -352,7 +340,6 @@ def run_method(method, world: World, suite: TaskSuite,
     if encoder.checksum() != encoder_sum:
         raise ProtocolError("frozen encoder was mutated during the run")
     forgetting_final, forgetting_mean = forgetting(accuracy)
-    echo = config.canonical() if hasattr(config, "canonical") else ""
     return RunReport(
         method=method.value, seed=int(seed), accuracy=accuracy,
         avg_after=avg_after, pooled_after=pooled_after,
@@ -364,7 +351,7 @@ def run_method(method, world: World, suite: TaskSuite,
         floats_by_client=dict(state.comms.floats_by_client),
         messages_by_client=dict(state.comms.messages_by_client),
         madds_by_kind=dict(state.compute.madds_by_kind),
-        events=list(state.events), config_echo=echo)
+        events=list(state.events), config_echo=config.canonical())
 
 
 CSV_HEADER = ("method,seed,task,eval_task,accuracy,avg_acc,forgetting_mean,"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import Sample
-from .encoder import FrozenEncoder
+from .encoder import BlobReader, FrozenEncoder
 from .errors import ConfigError, ProtocolError
 from . import ledgers
 
@@ -423,23 +423,17 @@ def save_head(classifier: Classifier, path: str) -> None:
 
 def load_head(path: str, encoder: FrozenEncoder) -> Classifier:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, version, n_classes, dim_e = _HEAD_STRUCT.unpack_from(blob, 0)
+        reader = BlobReader(fh.read(), f"head checkpoint {path}")
+    magic, version, n_classes, dim_e = \
+        _HEAD_STRUCT.unpack(reader.take(_HEAD_STRUCT.size))
     if magic != _HEAD_MAGIC or version != 1:
         raise ProtocolError(f"not a head checkpoint: {path}")
     if dim_e != encoder.dim_e:
-        raise ValueError(f"checkpoint dim_e {dim_e} != encoder {encoder.dim_e}")
-    offset = _HEAD_STRUCT.size
-    classes = np.frombuffer(blob, dtype="<u4", count=n_classes,
-                            offset=offset)
-    offset += 4 * n_classes
-    weights = np.frombuffer(blob, dtype="<f8", count=n_classes * dim_e,
-                            offset=offset).astype(float).reshape(
-                                (n_classes, dim_e))
-    offset += 8 * n_classes * dim_e
-    bias = np.frombuffer(blob, dtype="<f8", count=n_classes,
-                         offset=offset).astype(float)
+        raise ProtocolError(
+            f"checkpoint dim_e {dim_e} != encoder {encoder.dim_e}")
+    classes = np.frombuffer(reader.take(4 * n_classes), dtype="<u4")
     clf = Classifier(encoder, classes=[int(c) for c in classes])
-    clf.weights = weights
-    clf.bias = bias
+    clf.weights = reader.floats(n_classes * dim_e).reshape((n_classes, dim_e))
+    clf.bias = reader.floats(n_classes)
+    reader.finish()
     return clf

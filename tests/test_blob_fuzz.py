@@ -1,0 +1,98 @@
+"""Every binary format either reads back a blob exactly or rejects it.
+
+A truncated, extended or byte-flipped blob must raise ProtocolError, or
+load into an object that writes the very same bytes again.
+"""
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from osifl.diffusion import DiffusionModel, load_model, make_denoiser, \
+    make_schedule, save_model
+from osifl.encoder import ClientMessage, make_encoder, parse_message, \
+    serialize_message
+from osifl.errors import ProtocolError
+from osifl.trainer import Classifier, load_head, save_head
+
+
+def _mutations(blob: bytes, header_size: int):
+    """Truncated, extended and byte-flipped copies of `blob`; half the
+    flips land in the header, where the sizes and tags live."""
+    def flip(at_and_mask):
+        at, mask = at_and_mask
+        return blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+
+    at = st.one_of(st.integers(0, header_size - 1),
+                   st.integers(0, len(blob) - 1))
+    return st.one_of(
+        st.integers(0, len(blob) - 1).map(lambda n: blob[:n]),
+        st.binary(min_size=1, max_size=24).map(lambda tail: blob + tail),
+        st.tuples(at, st.integers(1, 255)).map(flip))
+
+
+def _reads_back_or_rejects(load, save, blob: bytes) -> None:
+    try:
+        obj = load(blob)
+    except ProtocolError:
+        return
+    assert save(obj) == blob
+
+
+def _file_codec(path, load_path, save_path):
+    """Blob-level load and save around functions that take a path."""
+    def load(blob):
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return load_path(path)
+
+    def save(obj):
+        save_path(obj, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+    return load, save
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz"))
+
+
+_RNG = np.random.default_rng(5)
+_MESSAGE = serialize_message(ClientMessage(
+    client_id=3, task_id=2,
+    class_means={4: _RNG.normal(size=3), 9: _RNG.normal(size=3)},
+    class_counts={4: 10, 9: 12}))
+
+_ENCODER = make_encoder(3, 2, 1)
+_HEAD = Classifier(_ENCODER, classes=(5, 1))
+_HEAD.weights = _RNG.normal(size=(2, 3))
+_HEAD.bias = _RNG.normal(size=2)
+
+_MODEL = DiffusionModel(schedule=make_schedule(3, 0.01, 0.2),
+                        denoiser=make_denoiser(2, 2, 3, 2, 7), trained=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_mutations(_MESSAGE, 16))
+def test_message_blob_fuzz(blob):
+    _reads_back_or_rejects(parse_message, serialize_message, blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_head_checkpoint_fuzz(scratch, data):
+    load, save = _file_codec(os.path.join(scratch, "head.bin"),
+                             lambda p: load_head(p, _ENCODER), save_head)
+    _reads_back_or_rejects(load, save, data.draw(_mutations(save(_HEAD), 16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_model_checkpoint_fuzz(scratch, data):
+    load, save = _file_codec(os.path.join(scratch, "model.bin"),
+                             load_model, save_model)
+    _reads_back_or_rejects(load, save,
+                           data.draw(_mutations(save(_MODEL), 28)))

@@ -6,6 +6,7 @@ from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
                        run_experiment, sweep)
 from osifl.config import (ExperimentConfig, build_run_inputs, parse_config,
                           serialize_config)
+from osifl.diffusion import DiffusionHP
 from osifl.errors import ConfigError
 from osifl.orchestrator import CSV_HEADER, Method
 
@@ -95,6 +96,26 @@ def test_methods_list_parsing():
     assert parse_config("methods =\n").methods == ()
     with pytest.raises(ConfigError, match="unknown method"):
         parse_config("methods = OSIFL, BOGUS\n")
+
+
+def test_config_maps_to_train_and_diffusion_hp():
+    cfg = parse_config(
+        "learning_rate = 0.02\nbatch_size = 7\nepochs_per_task = 3\n"
+        "weight_decay = 0.5\nlambda_ewc = 12.0\nmu_prox = 0.3\n"
+        "adam_reset_per_task = false\ndiffusion_steps = 11\n"
+        "beta_min = 0.001\nbeta_max = 0.2\ndenoiser_hidden = 9\n"
+        "p_drop = 0.25\npretrain_steps = 13\npretrain_batch = 5\n")
+    train = cfg.train_hp()
+    assert (train.learning_rate, train.batch_size, train.epochs_per_task,
+            train.weight_decay, train.lambda_ewc, train.mu_prox,
+            train.adam_reset_per_task) == (0.02, 7, 3, 0.5, 12.0, 0.3, False)
+    diff = cfg.diffusion_hp()
+    assert (diff.num_steps, diff.beta_min, diff.beta_max, diff.hidden,
+            diff.p_drop, diff.train_steps, diff.batch_size) == \
+        (11, 0.001, 0.2, 9, 0.25, 13, 5)
+    # The head's optimizer settings never reach the denoiser's.
+    assert diff.learning_rate == DiffusionHP().learning_rate
+    assert diff.weight_decay == DiffusionHP().weight_decay
 
 
 def test_serialize_parse_round_trip():
@@ -190,12 +211,27 @@ def test_run_experiment_partial_failure(tmp_path, capsys):
     assert "run failed: OSIFL seed=5" in err
 
 
-def test_sweep_rejects_bad_axis_and_empty_values(tmp_path):
+def test_sweep_rejects_bad_axis_and_empty_values(tmp_path, capsys):
     cfg = _small()
     with pytest.raises(ConfigError, match="unknown sweep axis"):
         sweep(cfg, "dim_e", [1], str(tmp_path))
     with pytest.raises(ConfigError, match="at least one value"):
         sweep(cfg, "p", [], str(tmp_path))
+    # Values go through the config file's parser for the axis key, so a
+    # bad one stops the sweep before any run writes anything.
+    for axis, value in (("p", "abc"), ("p", "-1"), ("w", "0.5"),
+                        ("clients_per_task", "0")):
+        with pytest.raises(ConfigError, match=f"sweep {axis}:"):
+            sweep(cfg, axis, ["1", value], str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+    path = tmp_path / "exp.cfg"
+    path.write_text("methods = OSIFL\nseeds = 7\n")
+    for axis, values in (("p", "abc"), ("p", "-1"), ("w", "0.5")):
+        assert main(["sweep", "--config", str(path), "--axis", axis,
+                     "--values", values, "--out",
+                     str(tmp_path / "cli")]) == 2
+        assert "error: sweep" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
 
 
 def test_sweep_csv_structure(tmp_path):

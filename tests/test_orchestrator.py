@@ -16,7 +16,7 @@ from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
                                 _weighted_average)
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, importance_score
-from osifl.trainer import Classifier, TrainHP, train_local
+from osifl.trainer import Classifier, train_local
 
 
 def _small(**overrides):
@@ -28,22 +28,13 @@ def _small(**overrides):
     return ExperimentConfig(**base)
 
 
-def _hp_from(cfg):
-    return TrainHP(learning_rate=cfg.learning_rate,
-                   batch_size=cfg.batch_size,
-                   epochs_per_task=cfg.epochs_per_task,
-                   weight_decay=cfg.weight_decay,
-                   lambda_ewc=cfg.lambda_ewc, mu_prox=cfg.mu_prox,
-                   adam_reset_per_task=cfg.adam_reset_per_task)
-
-
 def _oneshot_state(cfg, world, encoder, seed, method=Method.OSIFL):
     pool = draw_base_pool(world, cfg.base_pool_total, seed)
     memory = ExemplarMemory(cfg.retain_per_class) \
         if method is Method.OSIFL else None
     return RunState(method=method, config=cfg, seed=seed, world=world,
                     encoder=encoder, classifier=Classifier(encoder),
-                    hp=_hp_from(cfg),
+                    hp=cfg.train_hp(),
                     generator=make_surrogate(world, encoder, pool),
                     memory=memory)
 
@@ -224,7 +215,7 @@ def test_federated_single_client_is_sequential_local_training():
     cfg = _small(num_tasks=1, num_classes=4, rounds=3)
     world, suite, shards, _ = build_run_inputs(cfg, 6)
     encoder = make_encoder(cfg.dim_e, world.dim_x, 6)
-    hp = _hp_from(cfg)
+    hp = cfg.train_hp()
     state = RunState(method=Method.FEDAVG, config=cfg, seed=6, world=world,
                      encoder=encoder, classifier=Classifier(encoder), hp=hp)
     task = suite.tasks[0]
@@ -251,7 +242,7 @@ def test_federated_phase_rejects_foreign_and_missing_shards():
     encoder = make_encoder(cfg.dim_e, world.dim_x, 6)
     state = RunState(method=Method.FEDAVG, config=cfg, seed=6, world=world,
                      encoder=encoder, classifier=Classifier(encoder),
-                     hp=_hp_from(cfg))
+                     hp=cfg.train_hp())
     task2_shards = [s for s in shards if s.task_id == 2]
     with pytest.raises(ProtocolError):
         federated_task_phase(state, suite.tasks[0], task2_shards)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,9 +109,11 @@ def test_top_p_optimality_property(scores, p):
     got = tuple(top_p_indices(scores, p))
     size = min(p, len(scores))
     candidates = list(itertools.combinations(range(len(scores)), size))
-    best_sum = max(sum(scores[i] for i in c) for c in candidates)
+    # Exact sums: float sums can round two different subsets to a tie.
+    exact = [Fraction(v) for v in scores]
+    best_sum = max(sum(exact[i] for i in c) for c in candidates)
     ties = [c for c in candidates
-            if sum(scores[i] for i in c) == best_sum]
+            if sum(exact[i] for i in c) == best_sum]
     assert got in ties
     assert got == min(ties)
 

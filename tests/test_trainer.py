@@ -515,5 +515,5 @@ def test_head_checkpoint_roundtrip(tmp_path):
     assert back.classes == [3, 0, 7]
     assert np.array_equal(back.weights, clf.weights)
     assert np.array_equal(back.bias, clf.bias)
-    with pytest.raises(ValueError):
+    with pytest.raises(ProtocolError, match="dim_e"):
         load_head(path, make_encoder(7, 3, 1))
