@@ -21,8 +21,8 @@ from .encoder import ClientMessage, FrozenEncoder, build_client_message, \
     class_mean_embeddings, make_encoder, parse_message, serialize_message
 from .errors import ConfigError, ProtocolError
 from .ledgers import CommsLedger, ComputeLedger
-from .orchestrator import Method, RunReport, evaluate, forgetting, \
-    report_rows, rows_to_csv, run_method, write_report_csv
+from .orchestrator import Method, RunReport, ServerMemo, evaluate, \
+    forgetting, report_rows, rows_to_csv, run_method, write_report_csv
 from .rng import stream
 from .ssr import ExemplarMemory, importance_score, select_exemplars, \
     top_p_indices
@@ -39,7 +39,8 @@ __all__ = [
     "ConfigError", "DOMAIN_INCREMENTAL", "Denoiser", "DiffusionHP",
     "ExemplarMemory", "ExperimentConfig", "FrozenEncoder",
     "GaussianSurrogate", "Method", "NoiseSchedule", "ProtocolError",
-    "RunReport", "Sample", "TaskSpec", "TaskSuite", "TrainHP", "World",
+    "RunReport", "Sample", "ServerMemo", "TaskSpec", "TaskSuite",
+    "TrainHP", "World",
     "adam_step", "ancestral_sample", "build_client_message",
     "build_run_inputs", "build_world", "ce_loss_and_grads",
     "class_mean_embeddings", "denoise_loss_and_grads", "draw_base_pool",

@@ -11,7 +11,8 @@ import numpy as np
 from .config import FIELD_SPECS, ExperimentConfig, build_run_inputs, \
     parse_config
 from .errors import ConfigError
-from .orchestrator import CSV_HEADER, rows_to_csv, run_method, write_report_csv
+from .orchestrator import CSV_HEADER, ServerMemo, rows_to_csv, run_method, \
+    write_report_csv
 
 SEED_ENV = "OSIFL_SEED_OVERRIDE"
 
@@ -22,17 +23,15 @@ SWEEP_HEADER = ("axis,value,method,seed,avg_acc_final,forgetting_mean,"
 
 
 def resolve_seeds(config: ExperimentConfig) -> tuple[int, ...]:
-    """Config seeds, unless the override environment variable is set."""
+    """Config seeds, unless the override environment variable is set;
+    its value is parsed like the config file's `seeds` key."""
     raw = os.environ.get(SEED_ENV)
     if raw is None or not raw.strip():
         return tuple(config.seeds)
     try:
-        return tuple(int(tok.strip()) for tok in raw.split(",")
-                     if tok.strip())
-    except ValueError:
-        raise ConfigError(
-            f"{SEED_ENV} must be a comma list of integers, got {raw!r}"
-        ) from None
+        return FIELD_SPECS["seeds"][1](raw)
+    except ConfigError as err:
+        raise ConfigError(f"{SEED_ENV}: {err}") from None
 
 
 def _seed_means(reports: list) -> list[list[float]]:
@@ -50,9 +49,12 @@ def _run_grid(config: ExperimentConfig, axis: str | None, values,
     report's rows come from `run_rows(value, report)`, then, per value
     and method, the seed-mean rows from `mean_rows(value, method, means)`.
     The rows go to `<stem>.csv`, or `<stem>.partial.csv` if any run
-    failed; then the exit code is 1 and each failure is printed."""
+    failed; then the exit code is 1 and each failure is printed. All
+    cells share one server memo, so each generator is pretrained and
+    each task's data synthesized once for the whole grid."""
     os.makedirs(out_dir, exist_ok=True)
     seeds = resolve_seeds(config)
+    server = ServerMemo()
     rows: list[list] = []
     failures: list[str] = []
     for value in values:
@@ -64,7 +66,8 @@ def _run_grid(config: ExperimentConfig, axis: str | None, values,
             inputs = build_run_inputs(cfg, seed)
             for method in cfg.methods:
                 try:
-                    report = run_method(method, *inputs, cfg, seed)
+                    report = run_method(method, *inputs, cfg, seed,
+                                        server=server)
                 except Exception as err:
                     failures.append(f"{tag}{method.value} seed={seed}: {err}")
                     continue

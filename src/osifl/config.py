@@ -140,16 +140,25 @@ def _parse_int_or_list(text: str):
     return _int_min(1)(text)
 
 
+def _distinct(items: tuple, what: str) -> tuple:
+    """`items`, unless one of them is listed twice."""
+    twice = [item for i, item in enumerate(items) if item in items[:i]]
+    if twice:
+        raise ConfigError(f"{what} {_fmt_value(twice[0])} is listed twice")
+    return items
+
+
 def _parse_seeds(text: str) -> tuple[int, ...]:
     toks = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not toks:
         raise ConfigError("seed list must not be empty")
-    return tuple(_parse_int(tok) for tok in toks)
+    return _distinct(tuple(_parse_int(tok) for tok in toks), "seed")
 
 
 def _parse_methods(text: str) -> tuple[Method, ...]:
-    return tuple(parse_method(tok.strip()) for tok in text.split(",")
-                 if tok.strip())
+    return _distinct(tuple(parse_method(tok.strip())
+                           for tok in text.split(",") if tok.strip()),
+                     "method")
 
 
 def _fmt_value(value) -> str:

@@ -403,9 +403,6 @@ class SynthSet:
     per_class: dict[int, list[Sample]]
     source_clients: dict[int, list[int]]
 
-    def all_samples(self) -> list[Sample]:
-        return [s for k in sorted(self.per_class) for s in self.per_class[k]]
-
 
 def synthesize_task_data(generator, messages: list[ClientMessage],
                          z_per_class: int, w: float,

@@ -10,6 +10,7 @@ matrix from which average accuracy and forgetting are derived.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -18,7 +19,8 @@ import numpy as np
 from .datagen import ClientShard, Sample, TaskSpec, TaskSuite, World, \
     draw_base_pool
 from .diffusion import make_surrogate, pretrain, synthesize_task_data
-from .encoder import build_client_message, make_encoder
+from .encoder import build_client_message, make_encoder, \
+    serialize_message
 from .errors import ConfigError, ProtocolError
 from .ledgers import CommsLedger, ComputeLedger, encoder_forward_madds, \
     head_backward_madds, head_forward_madds, softmax_madds
@@ -53,6 +55,45 @@ def parse_method(name: str) -> Method:
             f"{sorted(m.value for m in Method)}") from None
 
 
+class ServerMemo:
+    """The server's method-independent work, shared by the runs that are
+    handed the same memo: `osifl run` and `sweep` use one per grid.
+
+    An entry is computed on the first `recall` of its key and kept only
+    if that computation succeeds, so a failure is raised again by every
+    run that reaches it. Every recall, the first included, adds the
+    multiply-adds the computation charged to the caller's ledger: a
+    run's ledger reads as if the run had done the work alone.
+    """
+
+    def __init__(self):
+        self._entries: dict = {}
+
+    def recall(self, key, build, ledger: ComputeLedger):
+        """The value `build(scratch_ledger)` returns for `key`."""
+        entry = self._entries.get(key)
+        if entry is None:
+            scratch = ComputeLedger()
+            entry = (build(scratch), dict(scratch.madds_by_kind))
+            self._entries[key] = entry
+        value, madds = entry
+        for kind, n in madds.items():
+            ledger.add(kind, n)
+        return value
+
+
+def generator_key(config, world: World, seed: int) -> tuple:
+    """Everything a run's generator is a function of: the world (by its
+    `build_world` arguments) and the seed, which fix the pretraining
+    pool and the encoder, plus the pool size, the embedding width, the
+    generator kind and, for `ddpm`, the pretraining hyperparameters."""
+    hp = dataclasses.astuple(config.diffusion_hp()) \
+        if config.generator == "ddpm" else None
+    return ("generator", int(seed), world.seed, world.dim_x,
+            world.num_classes, world.num_domains, world.within_std,
+            config.base_pool_total, config.dim_e, config.generator, hp)
+
+
 @dataclass(eq=False)
 class RunState:
     method: Method
@@ -69,6 +110,39 @@ class RunState:
     comms: CommsLedger = field(default_factory=CommsLedger)
     compute: ComputeLedger = field(default_factory=ComputeLedger)
     events: list[str] = field(default_factory=list)
+    server: ServerMemo = field(default_factory=ServerMemo)
+
+
+def _synthesized_task(state: RunState, messages: list
+                      ) -> dict[int, list[Sample]]:
+    """The task's synthesized samples per class, each a row view of the
+    read-only array the server memo holds for this generator, task,
+    upload set, `z_per_class` and `w`."""
+    cfg, seed, t = state.config, state.seed, messages[0].task_id
+
+    def build(ledger):
+        synth = synthesize_task_data(state.generator, messages,
+                                     cfg.z_per_class, cfg.guidance_w,
+                                     stream(seed, "synth", t), ledger=ledger)
+        arrays = {}
+        for k, samples in synth.per_class.items():
+            xs = np.stack([s.x for s in samples]) if samples \
+                else np.empty((0, state.world.dim_x))
+            if not np.isfinite(xs).all():
+                raise ProtocolError(
+                    f"synthesis (seed {seed}, task {t}) produced non-finite "
+                    f"values for class {k}")
+            xs.flags.writeable = False
+            arrays[k] = xs
+        return arrays
+
+    # A memo hands out one generator object per generator key, so the
+    # object (hashed by identity) stands for that key.
+    key = ("synthesis", state.generator, seed, t, cfg.z_per_class,
+           cfg.guidance_w, tuple(serialize_message(m) for m in messages))
+    arrays = state.server.recall(key, build, state.compute)
+    return {k: [Sample(x=x, y=k, domain=-1, task=t) for x in xs]
+            for k, xs in arrays.items()}
 
 
 def oneshot_task_phase(state: RunState, task: TaskSpec,
@@ -91,17 +165,17 @@ def oneshot_task_phase(state: RunState, task: TaskSpec,
         state.events.append(
             f"task{t}:upload client={msg.client_id} "
             f"floats={msg.upload_floats}")
-    synth = synthesize_task_data(state.generator, messages, cfg.z_per_class,
-                                 cfg.guidance_w, stream(state.seed, "synth", t),
-                                 ledger=state.compute)
-    data = synth.all_samples()
+    per_class = _synthesized_task(state, messages)
+    data = [s for k in sorted(per_class) for s in per_class[k]]
     state.events.append(f"task{t}:synthesize n={len(data)}")
     clf = state.classifier
     clf.expand_head([c for c in task.classes if c not in clf.class_index])
     rng_t = stream(state.seed, "train", t)
     if state.method is Method.OSIFL:
-        snapshot = clf.head_params() if cfg.scoring_point == "pre_update" \
-            else None
+        # With no exemplar to keep, no class is scored or billed.
+        to_score = sorted(per_class) if cfg.retain_per_class > 0 else []
+        snapshot = clf.head_params() \
+            if to_score and cfg.scoring_point == "pre_update" else None
         if data:
             train_osifl(clf, data, state.memory, state.hp, rng_t,
                         ledger=state.compute)
@@ -111,8 +185,8 @@ def oneshot_task_phase(state: RunState, task: TaskSpec,
             scorer = clf.copy()
             scorer.load_params(snapshot)
         kept: dict[int, list] = {}
-        for k in sorted(synth.per_class):
-            pool = synth.per_class[k]
+        for k in to_score:
+            pool = per_class[k]
             kept[k] = select_exemplars(scorer, pool, cfg.retain_per_class,
                                        score_by=cfg.score_by)
             n, c_out, dim_e = len(pool), clf.num_classes, clf.encoder.dim_e
@@ -284,34 +358,57 @@ def _pooled_accuracy(classifier: Classifier,
     return float(np.mean(preds == np.array([s.y for s in pooled])))
 
 
-def _build_generator(state: RunState, pool: list[Sample]) -> None:
-    cfg = state.config
-    if cfg.generator == "surrogate":
-        state.generator = make_surrogate(state.world, state.encoder, pool)
-    elif cfg.generator == "ddpm":
-        state.generator = pretrain(pool, state.encoder, cfg.diffusion_hp(),
-                                   state.seed, ledger=state.compute)
-    else:
-        raise ConfigError(f"unknown generator {cfg.generator!r}")
+def _build_generator(state: RunState) -> None:
+    cfg, world, seed = state.config, state.world, state.seed
+
+    def build(ledger):
+        pool = draw_base_pool(world, cfg.base_pool_total, seed)
+        if cfg.generator == "surrogate":
+            return make_surrogate(world, state.encoder, pool)
+        if cfg.generator != "ddpm":
+            raise ConfigError(f"unknown generator {cfg.generator!r}")
+        model = pretrain(pool, state.encoder, cfg.diffusion_hp(), seed,
+                         ledger=ledger)
+        for name, param in model.denoiser.params.items():
+            if not np.isfinite(param).all():
+                raise ProtocolError(
+                    f"pretraining (seed {seed}) left non-finite values in "
+                    f"denoiser parameter {name}")
+        return model
+
+    state.generator = state.server.recall(generator_key(cfg, world, seed),
+                                          build, state.compute)
+
+
+def _check_head(state: RunState, task_id: int) -> None:
+    clf = state.classifier
+    for name, values in (("weights", clf.weights), ("bias", clf.bias)):
+        if not np.isfinite(values).all():
+            raise ProtocolError(
+                f"{state.method.value} task phase (seed {state.seed}, task "
+                f"{task_id}) left non-finite values in the head {name}")
 
 
 def run_method(method, world: World, suite: TaskSuite,
                shards: list[ClientShard], test_sets: dict[int, list[Sample]],
-               config, seed: int) -> RunReport:
+               config, seed: int, *, server: ServerMemo | None = None
+               ) -> RunReport:
     """Run one method over the whole suite and report every metric.
 
     The report is a pure function of (config, seed): rerunning with the
-    same inputs reproduces it bit for bit.
+    same inputs reproduces it bit for bit. Runs given the same `server`
+    memo pretrain and synthesize only once per distinct input and each
+    still bill the full cost; without one, the run keeps a private memo.
     """
     method = parse_method(method) if isinstance(method, str) else method
     encoder = make_encoder(config.dim_e, world.dim_x, seed)
     encoder_sum = encoder.checksum()
     state = RunState(method=method, config=config, seed=seed, world=world,
                      encoder=encoder, classifier=Classifier(encoder),
-                     hp=config.train_hp())
+                     hp=config.train_hp(),
+                     server=ServerMemo() if server is None else server)
     if method in ONESHOT_METHODS:
-        pool = draw_base_pool(world, config.base_pool_total, seed)
-        _build_generator(state, pool)
+        _build_generator(state)
         if method is Method.OSIFL:
             state.memory = ExemplarMemory(config.retain_per_class)
     by_task: dict[int, list[ClientShard]] = {}
@@ -328,6 +425,7 @@ def run_method(method, world: World, suite: TaskSuite,
             oneshot_task_phase(state, task, messages)
         else:
             federated_task_phase(state, task, by_task.get(t, []))
+        _check_head(state, t)
         seen = [test_sets[s.task_id] for s in suite.tasks
                 if s.task_id <= t]
         accs, avg = evaluate(state.classifier, seen)

@@ -1,7 +1,9 @@
 import os
 
+import numpy as np
 import pytest
 
+from osifl import cli, orchestrator
 from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
                        run_experiment, sweep)
 from osifl.config import (ExperimentConfig, build_run_inputs, parse_config,
@@ -96,6 +98,12 @@ def test_methods_list_parsing():
     assert parse_config("methods =\n").methods == ()
     with pytest.raises(ConfigError, match="unknown method"):
         parse_config("methods = OSIFL, BOGUS\n")
+    with pytest.raises(ConfigError,
+                       match="line 1: methods: method OSIFL is listed twice"):
+        parse_config("methods = OSIFL, FEDAVG, OSIFL\n")
+    with pytest.raises(ConfigError,
+                       match="line 2: seeds: seed 42 is listed twice"):
+        parse_config("p = 1\nseeds = 42, 7, 42\n")
 
 
 def test_config_maps_to_train_and_diffusion_hp():
@@ -148,7 +156,11 @@ def test_resolve_seeds_env_override(monkeypatch):
     monkeypatch.setenv(SEED_ENV, "")
     assert resolve_seeds(cfg) == (3, 4)
     monkeypatch.setenv(SEED_ENV, "7;9")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=SEED_ENV):
+        resolve_seeds(cfg)
+    monkeypatch.setenv(SEED_ENV, "7, 9, 7")
+    with pytest.raises(ConfigError,
+                       match=f"{SEED_ENV}: seed 7 is listed twice"):
         resolve_seeds(cfg)
 
 
@@ -321,3 +333,95 @@ def test_main_sweep_and_selftest_wiring(tmp_path, monkeypatch):
                         lambda: called.append(True) or 0)
     assert main(["selftest"]) == 0
     assert called == [True]
+
+
+_DDPM = dict(generator="ddpm", diffusion_steps=5, denoiser_hidden=8,
+             pretrain_steps=10, pretrain_batch=16,
+             methods=tuple(m for m in Method
+                           if m in orchestrator.ONESHOT_METHODS),
+             seeds=(3, 4))
+
+
+def _read_dir(path):
+    return {name: (path / name).read_bytes() for name in os.listdir(path)}
+
+
+def test_shared_server_memo_writes_what_private_memos_write(
+        tmp_path, monkeypatch):
+    cfg = _small(**_DDPM)
+    shared, private = [], []
+
+    def collect(into, strip_server):
+        def call(*args, **kwargs):
+            if strip_server:
+                kwargs.pop("server")
+            report = orchestrator.run_method(*args, **kwargs)
+            into.append(report)
+            return report
+        return call
+
+    monkeypatch.setattr(cli, "run_method", collect(shared, False))
+    assert run_experiment(cfg, str(tmp_path / "shared")) == 0
+    monkeypatch.setattr(cli, "run_method", collect(private, True))
+    assert run_experiment(cfg, str(tmp_path / "private")) == 0
+    assert len(shared) == 8 and shared == private
+    assert _read_dir(tmp_path / "shared") == _read_dir(tmp_path / "private")
+
+
+def _count_calls(monkeypatch, name, key):
+    real, seen = getattr(orchestrator, name), []
+
+    def counted(*args, **kwargs):
+        seen.append(key(args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_grid_pretrains_once_per_seed_and_samples_once_per_task(
+        tmp_path, monkeypatch, command):
+    cfg = _small(**_DDPM)
+    pretrained = _count_calls(monkeypatch, "pretrain", lambda a: a[3])
+    sampled = _count_calls(monkeypatch, "synthesize_task_data",
+                           lambda a: (id(a[0]), a[1][0].task_id))
+    out = str(tmp_path / command)
+    if command == "run":
+        assert run_experiment(cfg, out) == 0
+    else:
+        assert sweep(cfg, "p", ["0", "2"], out) == 0
+    assert pretrained == [3, 4]
+    assert len(sampled) == len(set(sampled)) == 2 * cfg.num_tasks
+
+
+def test_w_sweep_rows_match_separate_sweeps(tmp_path):
+    cfg = _small(**_DDPM)
+    assert sweep(cfg, "w", ["1", "4"], str(tmp_path / "both")) == 0
+    rows = []
+    for value in ("1", "4"):
+        out = tmp_path / f"w{value}"
+        assert sweep(cfg, "w", [value], str(out)) == 0
+        rows += (out / "sweep_w.csv").read_text().splitlines()[1:]
+    both = (tmp_path / "both" / "sweep_w.csv").read_text().splitlines()
+    assert both[1:] == rows
+    # The guidance weight reaches the ddpm sampler.
+    assert rows[:len(rows) // 2] != rows[len(rows) // 2:]
+
+
+def test_non_finite_synthesis_is_a_failed_run_not_a_nan_row(
+        tmp_path, monkeypatch, capsys):
+    class NaNGenerator:
+        def sample(self, cond, n, w, rng, ledger=None):
+            return np.full((n, cfg.dim_x), np.nan)
+
+    cfg = _small(methods=(Method.OSIFL, Method.FEDAVG), seeds=(5,))
+    monkeypatch.setattr(orchestrator, "make_surrogate",
+                        lambda *args: NaNGenerator())
+    out = tmp_path / "nan"
+    assert run_experiment(cfg, str(out)) == 1
+    assert "run failed: OSIFL seed=5: synthesis (seed 5, task 1) produced " \
+        "non-finite values" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["run_FEDAVG_seed5.csv",
+                                       "summary.partial.csv"]
+    assert "nan" not in (out / "summary.partial.csv").read_text()

@@ -273,8 +273,9 @@ def test_synthesis_counts_per_class():
     synth = synthesize_task_data(gen, [msg], 50, 2.0, stream(0, "z"))
     assert sorted(synth.per_class) == [3, 8]
     assert all(len(v) == 50 for v in synth.per_class.values())
-    assert len(synth.all_samples()) == 100
-    assert all(s.domain == -1 and s.task == 1 for s in synth.all_samples())
+    samples = [s for v in synth.per_class.values() for s in v]
+    assert len(samples) == 100
+    assert all(s.domain == -1 and s.task == 1 for s in samples)
 
 
 def test_synthesis_zero_budget():

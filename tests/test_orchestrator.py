@@ -1,19 +1,22 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from osifl import orchestrator
 from osifl.config import ExperimentConfig, build_run_inputs
-from osifl.datagen import Sample, draw_base_pool
+from osifl.datagen import Sample, build_world, draw_base_pool
 from osifl.diffusion import make_surrogate
 from osifl.encoder import build_client_message, make_encoder
 from osifl.errors import ConfigError, ProtocolError
+from osifl.ledgers import ComputeLedger
 from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
-                                ONESHOT_METHODS, RunState, evaluate,
-                                federated_task_phase, forgetting,
-                                oneshot_task_phase, parse_method,
-                                report_rows, rows_to_csv, run_method,
-                                _weighted_average)
+                                ONESHOT_METHODS, RunState, ServerMemo,
+                                evaluate, federated_task_phase, forgetting,
+                                generator_key, oneshot_task_phase,
+                                parse_method, report_rows, rows_to_csv,
+                                run_method, _weighted_average)
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, importance_score
 from osifl.trainer import Classifier, train_local
@@ -378,3 +381,155 @@ def test_run_method_covers_federated_methods():
     ewc = run_method(Method.FEDEWC, world, suite, shards, test_sets,
                      cfg, 9)
     assert any("anchor_refresh" in e for e in ewc.events)
+
+
+def test_osifl_at_p0_bills_and_scores_like_naive_training():
+    # Replay from a memory that keeps nothing is naive fine-tuning, and
+    # scoring candidates that are all thrown away costs nothing.
+    cfg = _small(retain_per_class=0)
+    inputs = build_run_inputs(cfg, 5)
+    osifl = run_method(Method.OSIFL, *inputs, cfg, 5)
+    naive = run_method(Method.OSCAR_IL, *inputs, cfg, 5)
+    assert "exemplar_scoring" not in osifl.madds_by_kind
+    assert osifl.madds_by_kind == naive.madds_by_kind
+    assert osifl.madds_after == naive.madds_after
+    assert osifl.accuracy == naive.accuracy
+    assert "task2:select params=pre_update kept=0" in osifl.events
+
+
+_DDPM = dict(generator="ddpm", diffusion_steps=5, denoiser_hidden=8,
+             pretrain_steps=10, pretrain_batch=16)
+
+
+def _key(cfg, seed):
+    world = build_world(cfg.dim_x, cfg.num_classes, cfg.num_domains,
+                        cfg.within_std, seed)
+    return generator_key(cfg, world, seed)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 8), ("dim_x", 7), ("num_classes", 9), ("num_domains", 3),
+    ("within_std", 0.6), ("base_pool_total", 321), ("dim_e", 13),
+    ("generator", "surrogate"), ("diffusion_steps", 6), ("beta_min", 2e-4),
+    ("beta_max", 0.06), ("denoiser_hidden", 9), ("p_drop", 0.2),
+    ("pretrain_steps", 11), ("pretrain_batch", 17)])
+def test_generator_key_changes_with_each_field(field, value):
+    cfg = _small(**_DDPM)
+    base = _key(cfg, 7)
+    if field == "seed":
+        assert _key(cfg, value) != base
+    else:
+        assert _key(dataclasses.replace(cfg, **{field: value}), 7) != base
+
+
+def test_generator_key_ignores_what_no_generator_reads():
+    cfg = _small(**_DDPM)
+    for field, value in (("retain_per_class", 0), ("guidance_w", 4.0),
+                         ("z_per_class", 3), ("clients_per_task", 2),
+                         ("learning_rate", 0.1), ("methods", ())):
+        changed = dataclasses.replace(cfg, **{field: value})
+        assert _key(changed, 7) == _key(cfg, 7), field
+
+
+def test_synthesized_samples_view_read_only_memo_arrays():
+    cfg = _small()
+    world, suite, shards, _ = build_run_inputs(cfg, 4)
+    encoder = make_encoder(cfg.dim_e, world.dim_x, 4)
+    state = _oneshot_state(cfg, world, encoder, 4,
+                           method=Method.OSCAR_CEILING)
+    task = suite.tasks[0]
+    oneshot_task_phase(state, task, [build_client_message(encoder, s)
+                                     for s in shards if s.task_id == 1])
+    (arrays, _madds), = state.server._entries.values()
+    assert sorted(arrays) == list(task.classes)
+    for xs in arrays.values():
+        assert xs.shape == (cfg.z_per_class, cfg.dim_x)
+        with pytest.raises(ValueError):
+            xs[0, 0] = 1.0
+    sample = state.synth_history[0][0]
+    assert np.shares_memory(sample.x, arrays[sample.y])
+    with pytest.raises(ValueError):
+        sample.x[0] = 1.0
+
+
+def test_server_memo_replays_the_cost_of_each_hit():
+    memo, built = ServerMemo(), []
+
+    def build(ledger):
+        built.append(True)
+        ledger.add("work", 7)
+        return "value"
+
+    ledgers = [ComputeLedger() for _ in range(3)]
+    assert [memo.recall("k", build, lg) for lg in ledgers] == ["value"] * 3
+    assert built == [True]
+    assert all(lg.madds_by_kind == {"work": 7} for lg in ledgers)
+
+
+def test_server_memo_never_stores_a_failure():
+    memo, calls = ServerMemo(), []
+
+    def build(_ledger):
+        calls.append(True)
+        raise ProtocolError("boom")
+
+    for _ in range(2):
+        with pytest.raises(ProtocolError, match="boom"):
+            memo.recall("k", build, ComputeLedger())
+    assert len(calls) == 2
+
+
+class _NaNGenerator:
+    def sample(self, cond, n, w, rng, ledger=None):
+        return np.full((n, 6), np.nan)
+
+
+def test_non_finite_synthesis_fails_at_synthesis(monkeypatch):
+    monkeypatch.setattr(orchestrator, "make_surrogate",
+                        lambda *args: _NaNGenerator())
+    cfg = _small()
+    inputs = build_run_inputs(cfg, 5)
+    memo = ServerMemo()
+    for method in (Method.OSIFL, Method.OSCAR_IL):
+        with pytest.raises(ProtocolError,
+                           match=r"synthesis \(seed 5, task 1\)"):
+            run_method(method, *inputs, cfg, 5, server=memo)
+
+
+def test_non_finite_denoiser_fails_at_pretraining(monkeypatch):
+    real, calls = orchestrator.pretrain, []
+
+    def broken(pool, encoder, hp, seed, ledger=None):
+        calls.append(seed)
+        model = real(pool, encoder, hp, seed, ledger=ledger)
+        model.denoiser.params["b2"][0] = np.inf
+        return model
+
+    monkeypatch.setattr(orchestrator, "pretrain", broken)
+    cfg = _small(**_DDPM)
+    inputs = build_run_inputs(cfg, 5)
+    memo = ServerMemo()
+    for _ in range(2):
+        with pytest.raises(ProtocolError,
+                           match=r"pretraining \(seed 5\).*b2"):
+            run_method(Method.OSCAR_IL, *inputs, cfg, 5, server=memo)
+    assert calls == [5, 5]
+
+
+@pytest.mark.parametrize("method, trainer", [
+    (Method.OSCAR_IL, "train_naive"), (Method.FEDAVG, "train_local")])
+def test_non_finite_head_fails_after_its_task_phase(monkeypatch, method,
+                                                    trainer):
+    real = getattr(orchestrator, trainer)
+
+    def diverging(clf, data, *args, **kwargs):
+        real(clf, data, *args, **kwargs)
+        if data[0].task == 2:
+            clf.bias[0] = np.nan
+
+    monkeypatch.setattr(orchestrator, trainer, diverging)
+    cfg = _small()
+    with pytest.raises(ProtocolError,
+                       match=rf"{method.value} task phase \(seed 5, task 2\)"
+                             r".*non-finite values in the head"):
+        run_method(method, *build_run_inputs(cfg, 5), cfg, 5)
