@@ -10,8 +10,8 @@ ledgers run alongside for comparison.
 """
 from .config import ExperimentConfig, build_run_inputs, parse_config, \
     serialize_config
-from .datagen import CLASS_INCREMENTAL, DOMAIN_INCREMENTAL, ClientShard, \
-    Sample, TaskSpec, TaskSuite, World, build_world, draw_base_pool, \
+from .datagen import CLASS_INCREMENTAL, DOMAIN_INCREMENTAL, Batch, \
+    ClientShard, TaskSpec, TaskSuite, World, build_world, draw_base_pool, \
     draw_client_shards, make_task_suite
 from .diffusion import Denoiser, DiffusionHP, GaussianSurrogate, \
     NoiseSchedule, ancestral_sample, denoise_loss_and_grads, forward_noise, \
@@ -34,12 +34,12 @@ from .trainer import AdamState, AnchorState, Classifier, TrainHP, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "AnchorState", "CLASS_INCREMENTAL", "Classifier",
+    "AdamState", "AnchorState", "Batch", "CLASS_INCREMENTAL", "Classifier",
     "ClientMessage", "ClientShard", "CommsLedger", "ComputeLedger",
     "ConfigError", "DOMAIN_INCREMENTAL", "Denoiser", "DiffusionHP",
     "ExemplarMemory", "ExperimentConfig", "FrozenEncoder",
     "GaussianSurrogate", "Method", "NoiseSchedule", "ProtocolError",
-    "RunReport", "Sample", "ServerMemo", "TaskSpec", "TaskSuite",
+    "RunReport", "ServerMemo", "TaskSpec", "TaskSuite",
     "TrainHP", "World",
     "adam_step", "ancestral_sample", "build_client_message",
     "build_run_inputs", "build_world", "ce_loss_and_grads",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cli import run_experiment
 from .config import ExperimentConfig, build_run_inputs
-from .datagen import CLASS_INCREMENTAL, Sample, build_world, \
+from .datagen import CLASS_INCREMENTAL, Batch, build_world, \
     draw_base_pool, draw_client_shards, make_task_suite
 from .diffusion import DiffusionHP, denoise_loss_fixed, guided_epsilon, \
     make_denoiser, make_schedule, make_surrogate, pretrain
@@ -113,8 +113,8 @@ def criterion_gradient_checks() -> tuple[bool, str]:
                          classes=range(n_cls))
         clf.weights = rng.normal(size=(n_cls, dim_e)) * 0.7
         clf.bias = rng.normal(size=n_cls) * 0.3
-        batch = [Sample(x=rng.normal(size=dim_x), y=int(rng.integers(n_cls)),
-                        domain=0) for _ in range(n)]
+        batch = Batch(rng.normal(size=(n, dim_x)),
+                      rng.integers(n_cls, size=n), np.zeros(n, dtype=int))
         wd = float(rng.choice([0.0, 0.01]))
         _, analytic = ce_loss_and_grads(clf, batch, weight_decay=wd)
         numeric = _fd_grads(
@@ -249,8 +249,8 @@ def criterion_reduction_chain() -> tuple[bool, str]:
     replay, and regularized loops land on identical parameters."""
     rng = np.random.default_rng(5005)
     encoder = make_encoder(8, 4, 55)
-    data = [Sample(x=rng.normal(size=4), y=int(rng.integers(2)), domain=0,
-                   task=1) for _ in range(40)]
+    data = Batch(rng.normal(size=(40, 4)), rng.integers(2, size=40),
+                 np.zeros(40, dtype=int), 1)
     init_w = rng.normal(size=(2, 8))
     init_b = rng.normal(size=2)
     hp = TrainHP(epochs_per_task=3, batch_size=8)

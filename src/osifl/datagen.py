@@ -2,17 +2,17 @@
 suites, client shards, and the server-side pretraining pool.
 
 A world places one anchor per class and one additive offset per domain.
-Sample x for (class k, domain d) is drawn from
+A point x of class k from domain d is drawn from
 N(anchor_k + offset_d, within_std^2 * I). Everything is a pure function
 of the world seed plus the draw seed, so shards regenerate bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolError
 from .rng import stream
 
 CLASS_INCREMENTAL = "class_incremental"
@@ -36,22 +36,38 @@ class World:
         return self.class_anchors[class_id] + self.domain_offsets[domain_id]
 
 
-@dataclass(eq=False)
-class Sample:
-    """One labelled point. domain is -1 for synthesized samples, which
-    have no ground-truth domain."""
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Labelled points as read-only columns. domain is -1 for synthesized
+    rows, which have no ground-truth domain; task is None for the
+    pretraining pool."""
 
-    x: np.ndarray
-    y: int
-    domain: int
+    x: np.ndarray  # (n, dim_x) float64
+    y: np.ndarray  # (n,) int64
+    domain: np.ndarray  # (n,) int64
     task: int | None = None
+
+    def __post_init__(self):
+        for name, dtype in (("x", float), ("y", int), ("domain", int)):
+            # A view, so a caller's array keeps its own flags.
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if (self.x.ndim, self.y.ndim, self.domain.ndim) != (2, 1, 1) or \
+                not len(self.x) == len(self.y) == len(self.domain):
+            raise ProtocolError(
+                f"batch columns disagree: x {self.x.shape}, y "
+                f"{self.y.shape}, domain {self.domain.shape}")
+
+    def __len__(self) -> int:
+        return len(self.y)
 
 
 @dataclass(eq=False)
 class ClientShard:
     client_id: int
     task_id: int
-    samples: list[Sample] = field(default_factory=list)
+    samples: Batch
 
 
 @dataclass(frozen=True)
@@ -153,23 +169,22 @@ def make_task_suite(world: World, mode: str, num_tasks: int,
 
 
 def _draw_task_samples(world: World, task: TaskSpec, n_per_class: int,
-                       rng: np.random.Generator) -> list[Sample]:
-    samples: list[Sample] = []
+                       rng: np.random.Generator) -> Batch:
+    xs, ds = [], []
     domains = np.asarray(task.domains)
     for k in task.classes:
         picks = domains[rng.integers(0, len(domains), size=n_per_class)]
         means = world.class_anchors[k] + world.domain_offsets[picks]
-        xs = means + world.within_std * rng.standard_normal(
-            (n_per_class, world.dim_x))
-        for d, x in zip(picks, xs):
-            samples.append(Sample(x=x, y=int(k), domain=int(d),
-                                  task=task.task_id))
-    return samples
+        xs.append(means + world.within_std * rng.standard_normal(
+            (n_per_class, world.dim_x)))
+        ds.append(picks)
+    return Batch(np.concatenate(xs), np.repeat(task.classes, n_per_class),
+                 np.concatenate(ds), task.task_id)
 
 
 def draw_client_shards(world: World, suite: TaskSuite, clients_per_task: int,
                        n_per_class: int, test_per_class: int, seed: int
-                       ) -> tuple[list[ClientShard], dict[int, list[Sample]]]:
+                       ) -> tuple[list[ClientShard], dict[int, Batch]]:
     """Draw client training shards and the per-task test sets.
 
     Each client belongs to exactly one task and holds n_per_class
@@ -185,7 +200,7 @@ def draw_client_shards(world: World, suite: TaskSuite, clients_per_task: int,
         raise ConfigError(
             f"test_per_class must be >= 1, got {test_per_class}")
     shards: list[ClientShard] = []
-    test_sets: dict[int, list[Sample]] = {}
+    test_sets: dict[int, Batch] = {}
     next_client = 0
     for task in suite.tasks:
         for _ in range(clients_per_task):
@@ -201,7 +216,7 @@ def draw_client_shards(world: World, suite: TaskSuite, clients_per_task: int,
     return shards, test_sets
 
 
-def draw_base_pool(world: World, n_total: int, seed: int) -> list[Sample]:
+def draw_base_pool(world: World, n_total: int, seed: int) -> Batch:
     """Server-side pretraining pool, uniform over (class, domain) pairs."""
     if n_total < 1:
         raise ConfigError(f"n_total must be >= 1, got {n_total}")
@@ -211,5 +226,4 @@ def draw_base_pool(world: World, n_total: int, seed: int) -> list[Sample]:
     means = world.class_anchors[ks] + world.domain_offsets[ds]
     xs = means + world.within_std * rng.standard_normal(
         (n_total, world.dim_x))
-    return [Sample(x=x, y=int(k), domain=int(d), task=None)
-            for x, k, d in zip(xs, ks, ds)]
+    return Batch(xs, ks, ds)

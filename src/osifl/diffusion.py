@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import Sample, World
+from .datagen import Batch, World
 from .encoder import BlobReader, ClientMessage, FrozenEncoder, \
     pair_mean_embeddings
 from .errors import ConfigError, ProtocolError
@@ -286,7 +286,7 @@ class DiffusionModel:
         return ancestral_sample(self, cond, w, n, rng, ledger=ledger)
 
 
-def pretrain(pool: list[Sample], encoder: FrozenEncoder, hp: DiffusionHP,
+def pretrain(pool: Batch, encoder: FrozenEncoder, hp: DiffusionHP,
              seed: int, ledger=None) -> DiffusionModel:
     """Fit the denoiser on the server pool, conditioning each sample on
     the mean embedding of its (class, domain) pair. The model is frozen
@@ -294,17 +294,17 @@ def pretrain(pool: list[Sample], encoder: FrozenEncoder, hp: DiffusionHP,
     from .trainer import AdamState, adam_step
 
     table = pair_mean_embeddings(encoder, pool)
-    x0 = np.stack([s.x for s in pool])
-    cond = np.stack([table[(s.y, s.domain)] for s in pool])
+    cond = np.stack([table[pair] for pair in zip(pool.y.tolist(),
+                                                 pool.domain.tolist())])
     schedule = make_schedule(hp.num_steps, hp.beta_min, hp.beta_max)
-    denoiser = make_denoiser(x0.shape[1], encoder.dim_e, hp.num_steps,
+    denoiser = make_denoiser(pool.x.shape[1], encoder.dim_e, hp.num_steps,
                              hp.hidden, seed)
     rng = stream(seed, "pretrain")
     state = AdamState.zeros_like(denoiser.params)
     history: list[float] = []
     for _ in range(hp.train_steps):
         idx = rng.integers(0, len(pool), size=hp.batch_size)
-        loss, grads = denoise_loss_and_grads(denoiser, schedule, x0[idx],
+        loss, grads = denoise_loss_and_grads(denoiser, schedule, pool.x[idx],
                                              cond[idx], hp.p_drop, rng)
         denoiser.params, state = adam_step(state, denoiser.params, grads, hp)
         history.append(loss)
@@ -387,7 +387,7 @@ class GaussianSurrogate:
 
 
 def make_surrogate(world: World, encoder: FrozenEncoder,
-                   pool: list[Sample]) -> GaussianSurrogate:
+                   pool: Batch) -> GaussianSurrogate:
     table = pair_mean_embeddings(encoder, pool)
     pairs = sorted(table)
     return GaussianSurrogate(world=world, pairs=pairs,
@@ -396,11 +396,11 @@ def make_surrogate(world: World, encoder: FrozenEncoder,
 
 @dataclass(eq=False)
 class SynthSet:
-    """Server-side stand-in data for one task, tracking which client's
-    uploaded means conditioned each class."""
+    """Server-side stand-in data for one task: a read-only array per
+    class, and which client's uploaded means conditioned each row."""
 
     task_id: int
-    per_class: dict[int, list[Sample]]
+    per_class: dict[int, np.ndarray]
     source_clients: dict[int, list[int]]
 
 
@@ -425,23 +425,20 @@ def synthesize_task_data(generator, messages: list[ClientMessage],
         for k in sorted(m.class_means):
             providers.setdefault(k, []).append((m.client_id,
                                                 m.class_means[k]))
-    per_class: dict[int, list[Sample]] = {}
+    per_class: dict[int, np.ndarray] = {}
     source: dict[int, list[int]] = {}
     for k in sorted(providers):
         provs = providers[k]
-        counts = [len(range(j, z_per_class, len(provs)))
-                  for j in range(len(provs))]
-        batches = [generator.sample(mean, cnt, w, rng, ledger=ledger)
-                   for (_, mean), cnt in zip(provs, counts)]
-        samples: list[Sample] = []
-        clients: list[int] = []
-        for i in range(z_per_class):
-            j = i % len(provs)
-            x = batches[j][i // len(provs)]
-            samples.append(Sample(x=x, y=k, domain=-1, task=task_id))
-            clients.append(provs[j][0])
-        per_class[k] = samples
-        source[k] = clients
+        n = len(provs)
+        batches = [generator.sample(mean, len(range(j, z_per_class, n)), w,
+                                    rng, ledger=ledger)
+                   for j, (_, mean) in enumerate(provs)]
+        xs = np.empty((z_per_class, batches[0].shape[1]))
+        for j, batch in enumerate(batches):
+            xs[j::n] = batch
+        xs.flags.writeable = False
+        per_class[k] = xs
+        source[k] = [provs[i % n][0] for i in range(z_per_class)]
     return SynthSet(task_id=task_id, per_class=per_class,
                     source_clients=source)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Sample
+from .datagen import Batch
 from .errors import ProtocolError
 from .rng import stream
 
@@ -76,41 +76,34 @@ class ClientMessage:
         return len(self.class_means) * self.dim_e
 
 
-def class_mean_embeddings(encoder: FrozenEncoder, samples: list[Sample]
+def class_mean_embeddings(encoder: FrozenEncoder, batch: Batch
                           ) -> tuple[dict[int, np.ndarray], dict[int, int]]:
     """Per-class mean of the encoded samples, keyed by ascending class id."""
-    if not samples:
+    if not batch:
         raise ProtocolError("cannot build class means from an empty shard")
-    by_class: dict[int, list[np.ndarray]] = {}
-    for s in samples:
-        by_class.setdefault(s.y, []).append(s.x)
-    means: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for k in sorted(by_class):
-        emb = encoder.encode_batch(np.stack(by_class[k]))
-        means[k] = emb.mean(axis=0)
-        counts[k] = len(by_class[k])
-    return means, counts
+    classes, counts = np.unique(batch.y, return_counts=True)
+    means = {k: encoder.encode_batch(batch.x[batch.y == k]).mean(axis=0)
+             for k in classes.tolist()}
+    return means, dict(zip(classes.tolist(), counts.tolist()))
 
 
-def pair_mean_embeddings(encoder: FrozenEncoder, samples: list[Sample]
+def pair_mean_embeddings(encoder: FrozenEncoder, batch: Batch
                          ) -> dict[tuple[int, int], np.ndarray]:
     """Mean embedding per (class, domain) pair, used as the conditioning
     vocabulary during generator pretraining."""
-    if not samples:
+    if not batch:
         raise ProtocolError("cannot build pair means from an empty pool")
-    by_pair: dict[tuple[int, int], list[np.ndarray]] = {}
-    for s in samples:
-        by_pair.setdefault((s.y, s.domain), []).append(s.x)
-    return {pair: encoder.encode_batch(np.stack(xs)).mean(axis=0)
-            for pair, xs in sorted(by_pair.items())}
+    means = {}
+    for k, d in sorted(set(zip(batch.y.tolist(), batch.domain.tolist()))):
+        rows = (batch.y == k) & (batch.domain == d)
+        means[(k, d)] = encoder.encode_batch(batch.x[rows]).mean(axis=0)
+    return means
 
 
 def build_client_message(encoder: FrozenEncoder, shard) -> ClientMessage:
-    """Summarize a shard into its one-shot upload."""
+    """Summarize a shard into its one-shot upload. A shard with no row
+    raises ProtocolError, so every message covers at least one class."""
     means, counts = class_mean_embeddings(encoder, shard.samples)
-    if not means:
-        raise ProtocolError("client message must cover at least one class")
     return ClientMessage(client_id=shard.client_id, task_id=shard.task_id,
                          class_means=means, class_counts=counts)
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .datagen import ClientShard, Sample, TaskSpec, TaskSuite, World, \
+from .datagen import Batch, ClientShard, TaskSpec, TaskSuite, World, \
     draw_base_pool
 from .diffusion import make_surrogate, pretrain, synthesize_task_data
 from .encoder import build_client_message, make_encoder, \
@@ -106,43 +106,36 @@ class RunState:
     generator: object = None
     memory: ExemplarMemory | None = None
     anchor: AnchorState | None = None
-    synth_history: list[list[Sample]] = field(default_factory=list)
+    synth_history: list[Batch] = field(default_factory=list)
     comms: CommsLedger = field(default_factory=CommsLedger)
     compute: ComputeLedger = field(default_factory=ComputeLedger)
     events: list[str] = field(default_factory=list)
     server: ServerMemo = field(default_factory=ServerMemo)
 
 
-def _synthesized_task(state: RunState, messages: list
-                      ) -> dict[int, list[Sample]]:
-    """The task's synthesized samples per class, each a row view of the
-    read-only array the server memo holds for this generator, task,
-    upload set, `z_per_class` and `w`."""
+def _synthesized_task(state: RunState, messages: list) -> dict[int, Batch]:
+    """The task's synthesized samples, one batch per class over a
+    read-only array, as the server memo holds them for this generator,
+    task, upload set, `z_per_class` and `w`."""
     cfg, seed, t = state.config, state.seed, messages[0].task_id
 
     def build(ledger):
         synth = synthesize_task_data(state.generator, messages,
                                      cfg.z_per_class, cfg.guidance_w,
                                      stream(seed, "synth", t), ledger=ledger)
-        arrays = {}
-        for k, samples in synth.per_class.items():
-            xs = np.stack([s.x for s in samples]) if samples \
-                else np.empty((0, state.world.dim_x))
+        for k, xs in synth.per_class.items():
             if not np.isfinite(xs).all():
                 raise ProtocolError(
                     f"synthesis (seed {seed}, task {t}) produced non-finite "
                     f"values for class {k}")
-            xs.flags.writeable = False
-            arrays[k] = xs
-        return arrays
+        return {k: Batch(xs, np.full(len(xs), k), np.full(len(xs), -1), t)
+                for k, xs in synth.per_class.items()}
 
     # A memo hands out one generator object per generator key, so the
     # object (hashed by identity) stands for that key.
     key = ("synthesis", state.generator, seed, t, cfg.z_per_class,
            cfg.guidance_w, tuple(serialize_message(m) for m in messages))
-    arrays = state.server.recall(key, build, state.compute)
-    return {k: [Sample(x=x, y=k, domain=-1, task=t) for x in xs]
-            for k, xs in arrays.items()}
+    return state.server.recall(key, build, state.compute)
 
 
 def oneshot_task_phase(state: RunState, task: TaskSpec,
@@ -166,7 +159,10 @@ def oneshot_task_phase(state: RunState, task: TaskSpec,
             f"task{t}:upload client={msg.client_id} "
             f"floats={msg.upload_floats}")
     per_class = _synthesized_task(state, messages)
-    data = [s for k in sorted(per_class) for s in per_class[k]]
+    classes = sorted(per_class)
+    data = Batch(np.concatenate([per_class[k].x for k in classes]),
+                 np.concatenate([per_class[k].y for k in classes]),
+                 np.concatenate([per_class[k].domain for k in classes]), t)
     state.events.append(f"task{t}:synthesize n={len(data)}")
     clf = state.classifier
     clf.expand_head([c for c in task.classes if c not in clf.class_index])
@@ -184,7 +180,7 @@ def oneshot_task_phase(state: RunState, task: TaskSpec,
         if snapshot is not None:
             scorer = clf.copy()
             scorer.load_params(snapshot)
-        kept: dict[int, list] = {}
+        kept = {}
         for k in to_score:
             pool = per_class[k]
             kept[k] = select_exemplars(scorer, pool, cfg.retain_per_class,
@@ -290,22 +286,23 @@ def federated_task_phase(state: RunState, task: TaskSpec,
     return state
 
 
-def evaluate(classifier: Classifier, test_sets: list[list[Sample]]
-             ) -> tuple[list[float], float]:
-    """Top-1 accuracy on each test set and their unweighted mean."""
+def evaluate(classifier: Classifier, test_sets: list[Batch]
+             ) -> tuple[list[float], float, float]:
+    """Top-1 accuracy on each test set, their unweighted mean, and the
+    accuracy over all their rows pooled, from one prediction per row."""
     if not test_sets:
         raise ProtocolError("evaluation needs at least one test set")
-    accs = []
+    accs, correct = [], 0
     for ts in test_sets:
         if not ts:
             raise ProtocolError("empty test set")
-        missing = sorted({s.y for s in ts} - set(classifier.class_index))
+        missing = sorted(set(ts.y.tolist()) - set(classifier.class_index))
         if missing:
             raise ProtocolError(f"head does not cover test classes {missing}")
-        preds = classifier.predict(np.stack([s.x for s in ts]))
-        truth = np.array([s.y for s in ts])
-        accs.append(float(np.mean(preds == truth)))
-    return accs, float(np.mean(accs))
+        hits = classifier.predict(ts.x) == ts.y
+        accs.append(float(np.mean(hits)))
+        correct += int(hits.sum())
+    return accs, float(np.mean(accs)), correct / sum(map(len, test_sets))
 
 
 def forgetting(matrix: list[list[float]]) -> tuple[list[float], float]:
@@ -351,13 +348,6 @@ class RunReport:
     config_echo: str
 
 
-def _pooled_accuracy(classifier: Classifier,
-                     test_sets: list[list[Sample]]) -> float:
-    pooled = [s for ts in test_sets for s in ts]
-    preds = classifier.predict(np.stack([s.x for s in pooled]))
-    return float(np.mean(preds == np.array([s.y for s in pooled])))
-
-
 def _build_generator(state: RunState) -> None:
     cfg, world, seed = state.config, state.world, state.seed
 
@@ -390,7 +380,7 @@ def _check_head(state: RunState, task_id: int) -> None:
 
 
 def run_method(method, world: World, suite: TaskSuite,
-               shards: list[ClientShard], test_sets: dict[int, list[Sample]],
+               shards: list[ClientShard], test_sets: dict[int, Batch],
                config, seed: int, *, server: ServerMemo | None = None
                ) -> RunReport:
     """Run one method over the whole suite and report every metric.
@@ -428,10 +418,10 @@ def run_method(method, world: World, suite: TaskSuite,
         _check_head(state, t)
         seen = [test_sets[s.task_id] for s in suite.tasks
                 if s.task_id <= t]
-        accs, avg = evaluate(state.classifier, seen)
+        accs, avg, pooled = evaluate(state.classifier, seen)
         accuracy.append(accs)
         avg_after.append(avg)
-        pooled_after.append(_pooled_accuracy(state.classifier, seen))
+        pooled_after.append(pooled)
         forgetting_after.append(forgetting(accuracy)[1])
         uploads_after.append(state.comms.total_floats)
         madds_after.append(state.compute.total)

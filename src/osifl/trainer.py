@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import Sample
+from .datagen import Batch
 from .encoder import BlobReader, FrozenEncoder
 from .errors import ConfigError, ProtocolError
 from . import ledgers
@@ -178,12 +178,12 @@ class Classifier:
             raise ProtocolError("classifier has no registered classes")
         emb = self.encoder.encode_batch(xs)
         rows = np.argmax(self.logits_from_embedded(emb), axis=1)
-        return np.array([self.classes[r] for r in rows])
+        return np.asarray(self.classes)[rows]
 
 
-def _rows_for(classifier: Classifier, ys) -> np.ndarray:
+def _rows_for(classifier: Classifier, ys: np.ndarray) -> np.ndarray:
     try:
-        return np.array([classifier.class_index[y] for y in ys])
+        return np.array([classifier.class_index[y] for y in ys.tolist()])
     except KeyError as err:
         raise ProtocolError(
             f"class {err.args[0]} is not registered in the head") from None
@@ -192,10 +192,15 @@ def _rows_for(classifier: Classifier, ys) -> np.ndarray:
 def _weighted_ce(weights: np.ndarray, bias: np.ndarray, emb: np.ndarray,
                  rows: np.ndarray, sample_w: np.ndarray, scale: float
                  ) -> tuple[float, dict[str, np.ndarray]]:
-    """scale * sum_i sample_w[i] * nll_i and its exact head gradients."""
-    probs = softmax(emb @ weights.T + bias)
+    """scale * sum_i sample_w[i] * nll_i and its exact head gradients.
+    nll is a log-softmax, finite where the true class's p underflows."""
+    logits = emb @ weights.T + bias
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    probs = e / total
     n = emb.shape[0]
-    nll = -np.log(probs[np.arange(n), rows])
+    nll = np.log(total[:, 0]) - shifted[np.arange(n), rows]
     loss = float(scale * (sample_w @ nll))
     d_logits = probs.copy()
     d_logits[np.arange(n), rows] -= 1.0
@@ -203,15 +208,15 @@ def _weighted_ce(weights: np.ndarray, bias: np.ndarray, emb: np.ndarray,
     return loss, {"weights": d_logits.T @ emb, "bias": d_logits.sum(axis=0)}
 
 
-def ce_loss_and_grads(classifier: Classifier, batch: list[Sample],
+def ce_loss_and_grads(classifier: Classifier, batch: Batch,
                       weight_decay: float = 0.0
                       ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch, optionally with an L2 term
     0.5 * weight_decay * ||head||^2 folded into loss and gradients."""
     if not batch:
         raise ProtocolError("cross-entropy needs a non-empty batch")
-    emb = classifier.encoder.encode_batch(np.stack([s.x for s in batch]))
-    rows = _rows_for(classifier, [s.y for s in batch])
+    emb = classifier.encoder.encode_batch(batch.x)
+    rows = _rows_for(classifier, batch.y)
     n = len(batch)
     loss, grads = _weighted_ce(classifier.weights, classifier.bias, emb,
                                rows, np.full(n, 1.0 / n), 1.0)
@@ -224,8 +229,7 @@ def ce_loss_and_grads(classifier: Classifier, batch: list[Sample],
     return loss, grads
 
 
-def full_objective(classifier: Classifier, groups: list[list[Sample]]
-                   ) -> float:
+def full_objective(classifier: Classifier, groups: list[Batch]) -> float:
     """Sum over groups of the group's mean cross-entropy (audit helper)."""
     total = 0.0
     for group in groups:
@@ -243,8 +247,7 @@ class AnchorState:
     fisher: dict[str, np.ndarray]
 
 
-def estimate_fisher(classifier: Classifier, data: list[Sample]
-                    ) -> AnchorState:
+def estimate_fisher(classifier: Classifier, data: Batch) -> AnchorState:
     """Diagonal Fisher proxy: mean of squared per-sample CE gradients.
 
     The per-sample head gradient factorizes as outer(p - onehot, e), so
@@ -253,8 +256,8 @@ def estimate_fisher(classifier: Classifier, data: list[Sample]
     """
     if not data:
         raise ProtocolError("fisher estimate needs a non-empty dataset")
-    emb = classifier.encoder.encode_batch(np.stack([s.x for s in data]))
-    rows = _rows_for(classifier, [s.y for s in data])
+    emb = classifier.encoder.encode_batch(data.x)
+    rows = _rows_for(classifier, data.y)
     probs = softmax(classifier.logits_from_embedded(emb))
     delta = probs.copy()
     delta[np.arange(len(data)), rows] -= 1.0
@@ -309,18 +312,18 @@ def proximal_penalty_and_grads(params: dict[str, np.ndarray],
     return loss, grads
 
 
-def _train_on_groups(classifier: Classifier, groups: list[list[Sample]],
+def _train_on_groups(classifier: Classifier, groups: list[Batch],
                      hp: TrainHP, rng: np.random.Generator, *,
                      epochs: int | None = None, penalty=None,
                      ledger=None) -> Classifier:
-    groups = [list(g) for g in groups if len(g) > 0]
+    groups = [g for g in groups if len(g) > 0]
     if not groups:
         raise ProtocolError("training needs at least one non-empty set")
-    flat = [s for g in groups for s in g]
     sample_w = np.concatenate([np.full(len(g), 1.0 / len(g)) for g in groups])
-    emb = classifier.encoder.encode_batch(np.stack([s.x for s in flat]))
-    rows = _rows_for(classifier, [s.y for s in flat])
-    n_total = len(flat)
+    emb = classifier.encoder.encode_batch(
+        np.concatenate([g.x for g in groups]))
+    rows = _rows_for(classifier, np.concatenate([g.y for g in groups]))
+    n_total = len(rows)
     n_out, dim_e = classifier.num_classes, classifier.encoder.dim_e
     if ledger is not None:
         ledger.add("train_encoder", ledgers.encoder_forward_madds(
@@ -356,33 +359,33 @@ def _train_on_groups(classifier: Classifier, groups: list[list[Sample]],
     return classifier
 
 
-def train_naive(classifier: Classifier, data: list[Sample], hp: TrainHP,
+def train_naive(classifier: Classifier, data: Batch, hp: TrainHP,
                 rng: np.random.Generator, ledger=None) -> Classifier:
     """Plain incremental fine-tuning on the current task's data."""
     return _train_on_groups(classifier, [data], hp, rng, ledger=ledger)
 
 
-def train_joint(classifier: Classifier, datasets: list[list[Sample]],
+def train_joint(classifier: Classifier, datasets: list[Batch],
                 hp: TrainHP, rng: np.random.Generator,
                 ledger=None) -> Classifier:
     """Minimize the sum of per-task mean losses over every dataset."""
     return _train_on_groups(classifier, datasets, hp, rng, ledger=ledger)
 
 
-def train_osifl(classifier: Classifier, data: list[Sample], memory,
+def train_osifl(classifier: Classifier, data: Batch, memory,
                 hp: TrainHP, rng: np.random.Generator,
                 ledger=None) -> Classifier:
     """Current-task mean loss plus one mean-loss term per remembered
     task. `memory` provides replay_sets(current_task)."""
     if not data:
         raise ProtocolError("training needs at least one non-empty set")
-    groups = [list(data)]
+    groups = [data]
     if memory is not None:
-        groups.extend(memory.replay_sets(data[0].task))
+        groups.extend(memory.replay_sets(data.task))
     return _train_on_groups(classifier, groups, hp, rng, ledger=ledger)
 
 
-def train_regularized(classifier: Classifier, data: list[Sample],
+def train_regularized(classifier: Classifier, data: Batch,
                       anchor: AnchorState | None, lam: float, hp: TrainHP,
                       rng: np.random.Generator, ledger=None) -> Classifier:
     """Naive objective plus the quadratic anchor penalty. lam = 0 (or no
@@ -396,7 +399,7 @@ def train_regularized(classifier: Classifier, data: list[Sample],
                             ledger=ledger)
 
 
-def train_local(classifier: Classifier, data: list[Sample], hp: TrainHP,
+def train_local(classifier: Classifier, data: Batch, hp: TrainHP,
                 rng: np.random.Generator, *, epochs: int, penalty=None,
                 ledger=None) -> Classifier:
     """A federated client's local pass: a short naive run, optionally

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osifl.datagen import (CLASS_INCREMENTAL, DOMAIN_INCREMENTAL,
+from osifl.datagen import (CLASS_INCREMENTAL, DOMAIN_INCREMENTAL, Batch,
                            build_world, draw_base_pool, draw_client_shards,
                            make_task_suite)
-from osifl.errors import ConfigError
+from osifl.errors import ConfigError, ProtocolError
 
 
 def test_world_shapes_and_bounds():
@@ -42,7 +42,7 @@ def test_world_empirical_class_means():
     shards, _ = draw_client_shards(world, suite, 1, n, 1, 11)
     se = world.within_std / np.sqrt(n)
     for k in (0, 1):
-        xs = np.stack([s.x for s in shards[0].samples if s.y == k])
+        xs = shards[0].samples.x[shards[0].samples.y == k]
         assert xs.shape[0] == n
         dev = np.abs(xs.mean(axis=0) - world.cluster_mean(k, 0)) / se
         assert dev.max() <= 3.0
@@ -140,7 +140,7 @@ def test_shard_layout_at_reference_scale():
     for shard, task in zip(shards, suite.tasks):
         assert shard.task_id == task.task_id
         assert len(shard.samples) == 500
-        per_class = {k: sum(1 for s in shard.samples if s.y == k)
+        per_class = {k: int((shard.samples.y == k).sum())
                      for k in task.classes}
         assert all(v == 50 for v in per_class.values())
     assert set(test_sets) == {1, 2, 3, 4, 5, 6}
@@ -158,8 +158,8 @@ def test_same_task_clients_draw_distinct_samples():
     world = build_world(4, 4, 2, 0.5, 3)
     suite = make_task_suite(world, CLASS_INCREMENTAL, 1, 4)
     shards, _ = draw_client_shards(world, suite, 2, 10, 3, 5)
-    xs_a = {tuple(s.x) for s in shards[0].samples}
-    xs_b = {tuple(s.x) for s in shards[1].samples}
+    xs_a = {tuple(x) for x in shards[0].samples.x}
+    xs_b = {tuple(x) for x in shards[1].samples.x}
     assert not (xs_a & xs_b)
 
 
@@ -167,8 +167,8 @@ def test_test_sets_disjoint_from_shards():
     world = build_world(4, 4, 2, 0.5, 3)
     suite = make_task_suite(world, CLASS_INCREMENTAL, 2, 2)
     shards, test_sets = draw_client_shards(world, suite, 1, 10, 10, 5)
-    train = {tuple(s.x) for sh in shards for s in sh.samples}
-    test = {tuple(s.x) for ts in test_sets.values() for s in ts}
+    train = {tuple(x) for sh in shards for x in sh.samples.x}
+    test = {tuple(x) for ts in test_sets.values() for x in ts.x}
     assert not (train & test)
 
 
@@ -178,8 +178,10 @@ def test_shards_deterministic():
     a, _ = draw_client_shards(world, suite, 2, 6, 3, 5)
     b, _ = draw_client_shards(world, suite, 2, 6, 3, 5)
     for sa, sb in zip(a, b):
-        assert all(np.array_equal(x.x, y.x)
-                   for x, y in zip(sa.samples, sb.samples))
+        for col in ("x", "y", "domain"):
+            assert np.array_equal(getattr(sa.samples, col),
+                                  getattr(sb.samples, col))
+        assert sa.samples.task == sb.samples.task == sa.task_id
 
 
 def test_base_pool_counts_near_multinomial():
@@ -193,7 +195,7 @@ def test_base_pool_counts_near_multinomial():
     sigma = np.sqrt(n_total * prob * (1 - prob))
     for k in range(3):
         for d in range(2):
-            count = sum(1 for s in pool if s.y == k and s.domain == d)
+            count = int(((pool.y == k) & (pool.domain == d)).sum())
             assert abs(count - 100) <= 3 * sigma
 
 
@@ -201,8 +203,36 @@ def test_base_pool_edges():
     world = build_world(3, 3, 2, 0.5, 6)
     pool = draw_base_pool(world, 1, 8)
     assert len(pool) == 1
-    assert 0 <= pool[0].y < 3 and 0 <= pool[0].domain < 2
+    assert 0 <= pool.y[0] < 3 and 0 <= pool.domain[0] < 2
+    assert pool.task is None
     again = draw_base_pool(world, 1, 8)
-    assert np.array_equal(pool[0].x, again[0].x)
+    assert np.array_equal(pool.x, again.x)
     with pytest.raises(ConfigError):
         draw_base_pool(world, 0, 8)
+
+
+def test_batch_columns_are_checked_and_read_only():
+    x = np.zeros((3, 2))
+    batch = Batch(x, [0, 1, 1], [-1, -1, -1], 4)
+    assert len(batch) == 3 and batch.task == 4
+    assert batch.x.dtype == np.float64 and batch.y.dtype == np.int64
+    with pytest.raises(ValueError):
+        batch.x[0, 0] = 1.0
+    x[0, 0] = 2.0  # the caller's array stays writable, and is viewed
+    assert batch.x[0, 0] == 2.0
+    for bad in (dict(y=[0, 1]), dict(domain=[0, 0, 0, 0]),
+                dict(x=np.zeros(3)), dict(y=np.zeros((3, 1)))):
+        cols = dict(x=x, y=[0, 1, 1], domain=[0, 0, 0])
+        cols.update(bad)
+        with pytest.raises(ProtocolError):
+            Batch(**cols)
+
+
+def test_drawn_batches_are_read_only():
+    world = build_world(4, 4, 2, 0.5, 3)
+    suite = make_task_suite(world, CLASS_INCREMENTAL, 2, 2)
+    shards, test_sets = draw_client_shards(world, suite, 1, 5, 3, 5)
+    pool = draw_base_pool(world, 10, 8)
+    for batch in (shards[0].samples, test_sets[2], pool):
+        for column in (batch.x, batch.y, batch.domain):
+            assert not column.flags.writeable

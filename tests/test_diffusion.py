@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osifl.datagen import Sample, build_world, draw_base_pool
+from osifl.datagen import build_world, draw_base_pool
 from osifl.diffusion import (DiffusionHP, NoiseSchedule, ancestral_sample,
                              denoise_loss_and_grads, denoise_loss_fixed,
                              forward_noise, guided_epsilon, load_model,
@@ -273,16 +273,17 @@ def test_synthesis_counts_per_class():
     synth = synthesize_task_data(gen, [msg], 50, 2.0, stream(0, "z"))
     assert sorted(synth.per_class) == [3, 8]
     assert all(len(v) == 50 for v in synth.per_class.values())
-    samples = [s for v in synth.per_class.values() for s in v]
-    assert len(samples) == 100
-    assert all(s.domain == -1 and s.task == 1 for s in samples)
+    assert all(v.shape == (50, 2) and not v.flags.writeable
+               for v in synth.per_class.values())
+    assert synth.task_id == 1
 
 
 def test_synthesis_zero_budget():
     gen = _CountingGenerator(2)
     msg = _message(0, 1, (3,), 4, 0)
     synth = synthesize_task_data(gen, [msg], 0, 2.0, stream(0, "z"))
-    assert synth.per_class == {3: []}
+    assert list(synth.per_class) == [3]
+    assert synth.per_class[3].shape == (0, 2)
 
 
 def test_synthesis_alternates_providers():
@@ -292,9 +293,36 @@ def test_synthesis_alternates_providers():
     synth = synthesize_task_data(gen, [a, b], 5, 2.0, stream(0, "z"))
     assert synth.source_clients[3] == [0, 1, 0, 1, 0]
     xs = synth.per_class[3]
-    assert np.array_equal(xs[0].x, a.class_means[3][:2])
-    assert np.array_equal(xs[1].x, b.class_means[3][:2])
-    assert np.array_equal(xs[2].x, a.class_means[3][:2])
+    assert np.array_equal(xs[0], a.class_means[3][:2])
+    assert np.array_equal(xs[1], b.class_means[3][:2])
+    assert np.array_equal(xs[2], a.class_means[3][:2])
+
+
+class _RecordingGenerator:
+    """Distinct random rows per call, kept so a test can rebuild the
+    interleaving from the raw per-provider batches."""
+
+    def __init__(self):
+        self.batches = []
+
+    def sample(self, cond, n, w, rng, ledger=None):
+        self.batches.append(rng.standard_normal((n, 3)))
+        return self.batches[-1]
+
+
+@pytest.mark.parametrize("n_providers, z", [(1, 4), (2, 5), (3, 7), (4, 2)])
+def test_synthesis_interleaving_equals_the_per_row_loop(n_providers, z):
+    gen = _RecordingGenerator()
+    msgs = [_message(c, 1, (2, 6), 4, c) for c in range(n_providers)]
+    synth = synthesize_task_data(gen, msgs, z, 2.0, stream(0, "z"))
+    for i, k in enumerate((2, 6)):
+        batches = gen.batches[i * n_providers:(i + 1) * n_providers]
+        # Sample i of a class comes from provider i mod n_providers.
+        expect = [batches[j % n_providers][j // n_providers]
+                  for j in range(z)]
+        assert np.array_equal(synth.per_class[k], np.stack(expect))
+        assert synth.source_clients[k] == [j % n_providers
+                                           for j in range(z)]
 
 
 def test_synthesis_rejects_mixed_tasks_and_empty():

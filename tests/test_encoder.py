@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osifl.datagen import Sample, build_world, draw_client_shards, \
-    make_task_suite, CLASS_INCREMENTAL
+from osifl.datagen import Batch, build_world, draw_base_pool, \
+    draw_client_shards, make_task_suite, CLASS_INCREMENTAL
 from osifl.encoder import (ClientMessage, FrozenEncoder,
                            build_client_message, class_mean_embeddings,
                            make_encoder, pair_mean_embeddings,
@@ -57,18 +57,18 @@ def test_encoder_deterministic_and_frozen():
 
 def test_class_means_single_sample_per_class():
     enc = make_encoder(4, 2, 1)
-    samples = [Sample(x=np.array([0.3, -0.2]), y=5, domain=0),
-               Sample(x=np.array([1.0, 2.0]), y=2, domain=0)]
+    samples = Batch(np.array([[0.3, -0.2], [1.0, 2.0]]), [5, 2], [0, 0])
     means, counts = class_mean_embeddings(enc, samples)
     assert list(means) == [2, 5]
-    assert np.allclose(means[5], enc.encode(samples[0].x), atol=1e-15)
+    assert all(type(k) is int for k in list(means) + list(counts))
+    assert np.allclose(means[5], enc.encode(samples.x[0]), atol=1e-15)
     assert counts == {2: 1, 5: 1}
 
 
 def test_class_means_identical_samples():
     enc = make_encoder(4, 2, 1)
     x = np.array([0.4, 0.9])
-    samples = [Sample(x=x, y=0, domain=0), Sample(x=x.copy(), y=0, domain=0)]
+    samples = Batch(np.stack([x, x.copy()]), [0, 0], [0, 0])
     means, _ = class_mean_embeddings(enc, samples)
     assert np.allclose(means[0], enc.encode(x), atol=1e-15)
 
@@ -84,9 +84,9 @@ def test_class_means_match_bruteforce_sum():
     for k in means:
         total = np.zeros(8)
         n = 0
-        for s in shards[0].samples:
-            if s.y == k:
-                total = total + enc.encode(s.x)
+        for x, y in zip(shards[0].samples.x, shards[0].samples.y):
+            if y == k:
+                total = total + enc.encode(x)
                 n += 1
         assert n == counts[k] == 50
         brute = total / n
@@ -97,16 +97,44 @@ def test_class_means_match_bruteforce_sum():
 def test_class_means_reject_empty():
     enc = make_encoder(4, 2, 1)
     with pytest.raises(ProtocolError):
-        class_mean_embeddings(enc, [])
+        class_mean_embeddings(enc, Batch(np.empty((0, 2)), [], []))
 
 
 def test_pair_means_keyed_by_class_and_domain():
     enc = make_encoder(4, 2, 1)
-    samples = [Sample(x=np.array([0.1, 0.2]), y=0, domain=0),
-               Sample(x=np.array([0.3, 0.1]), y=0, domain=1)]
+    samples = Batch(np.array([[0.1, 0.2], [0.3, 0.1]]), [0, 0], [0, 1])
     table = pair_mean_embeddings(enc, samples)
     assert set(table) == {(0, 0), (0, 1)}
-    assert np.allclose(table[(0, 0)], enc.encode(samples[0].x))
+    assert all(type(k) is int and type(d) is int for k, d in table)
+    assert np.allclose(table[(0, 0)], enc.encode(samples.x[0]))
+
+
+def _grouped_by_row(batch, key):
+    """The per-row loop the column means replace: rows appended to their
+    group in row order, groups in ascending key order."""
+    groups = {}
+    for i, x in enumerate(batch.x):
+        groups.setdefault(key(i), []).append(x)
+    return {k: np.stack(groups[k]) for k in sorted(groups)}
+
+
+def test_class_and_pair_means_equal_the_per_row_loop():
+    world = build_world(5, 4, 3, 0.5, 2)
+    pool = draw_base_pool(world, 300, 6)
+    enc = make_encoder(8, 5, 1)
+    means, counts = class_mean_embeddings(enc, pool)
+    by_class = _grouped_by_row(pool, lambda i: int(pool.y[i]))
+    assert list(means) == list(by_class)
+    for k, xs in by_class.items():
+        assert np.array_equal(means[k], enc.encode_batch(xs).mean(axis=0))
+        assert counts[k] == len(xs)
+    table = pair_mean_embeddings(enc, pool)
+    by_pair = _grouped_by_row(
+        pool, lambda i: (int(pool.y[i]), int(pool.domain[i])))
+    assert list(table) == list(by_pair)
+    for pair, xs in by_pair.items():
+        assert np.array_equal(table[pair],
+                              enc.encode_batch(xs).mean(axis=0))
 
 
 def test_upload_float_accounting():

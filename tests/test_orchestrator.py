@@ -6,7 +6,7 @@ import pytest
 
 from osifl import orchestrator
 from osifl.config import ExperimentConfig, build_run_inputs
-from osifl.datagen import Sample, build_world, draw_base_pool
+from osifl.datagen import Batch, build_world, draw_base_pool
 from osifl.diffusion import make_surrogate
 from osifl.encoder import build_client_message, make_encoder
 from osifl.errors import ConfigError, ProtocolError
@@ -149,6 +149,12 @@ def test_event_order_within_task(default_reports):
                           "memory_update"]
 
 
+def _stored_rows(memory, task_id):
+    """(x, class, score) of every exemplar the memory keeps for a task."""
+    return [(x, k, score) for k, kept in memory._store[task_id].items()
+            for x, score in zip(kept.x, kept.score.tolist())]
+
+
 def test_selection_scores_against_pre_update_snapshot():
     # In pre_update mode the stored scores must come from the head as it
     # stood before training on the arriving task (for task 1: the
@@ -163,13 +169,12 @@ def test_selection_scores_against_pre_update_snapshot():
     probe = state.classifier.copy()
     probe.expand_head(task.classes)
     oneshot_task_phase(state, task, messages)
-    stored = [sc for per_class in state.memory._store[1].values()
-              for sc in per_class]
+    stored = _stored_rows(state.memory, 1)
     assert stored
-    pre_err = max(abs(importance_score(probe, sc.sample) - sc.score)
-                  for sc in stored)
-    post_err = max(abs(importance_score(state.classifier, sc.sample)
-                       - sc.score) for sc in stored)
+    pre_err = max(abs(importance_score(probe, x, k) - score)
+                  for x, k, score in stored)
+    post_err = max(abs(importance_score(state.classifier, x, k) - score)
+                   for x, k, score in stored)
     assert pre_err < 1e-12
     assert post_err > 1e-6
 
@@ -183,10 +188,9 @@ def test_selection_scores_against_trained_head():
     messages = [build_client_message(encoder, s) for s in shards
                 if s.task_id == task.task_id]
     oneshot_task_phase(state, task, messages)
-    stored = [sc for per_class in state.memory._store[1].values()
-              for sc in per_class]
-    err = max(abs(importance_score(state.classifier, sc.sample) - sc.score)
-              for sc in stored)
+    stored = _stored_rows(state.memory, 1)
+    err = max(abs(importance_score(state.classifier, x, k) - score)
+              for x, k, score in stored)
     assert err < 1e-12
     assert any("select params=post_update" in e for e in state.events)
 
@@ -276,8 +280,8 @@ class _PassEncoder:
 
 
 def _eval_set(points):
-    return [Sample(x=np.array(p, dtype=float), y=y, domain=0)
-            for p, y in points]
+    return Batch(np.array([p for p, _ in points]).reshape(-1, 2),
+                 [y for _, y in points], np.zeros(len(points), dtype=int))
 
 
 def test_evaluate_constant_and_perfect_heads():
@@ -286,12 +290,12 @@ def test_evaluate_constant_and_perfect_heads():
     constant.bias = np.array([1.0, 0.0])
     balanced = _eval_set([((0.3, 0.1), 0), ((0.2, 0.7), 1),
                           ((0.5, 0.4), 0), ((0.1, 0.9), 1)])
-    accs, mean = evaluate(constant, [balanced])
-    assert accs == [0.5] and mean == 0.5
+    accs, mean, pooled = evaluate(constant, [balanced])
+    assert accs == [0.5] and mean == 0.5 and pooled == 0.5
     perfect = Classifier(enc, classes=(0, 1))
     perfect.weights = np.eye(2)
     split = _eval_set([((5.0, 0.0), 0), ((0.0, 5.0), 1)])
-    assert evaluate(perfect, [split]) == ([1.0], 1.0)
+    assert evaluate(perfect, [split]) == ([1.0], 1.0, 1.0)
 
 
 def test_evaluate_matches_independent_recount():
@@ -300,17 +304,23 @@ def test_evaluate_matches_independent_recount():
     clf = Classifier(enc, classes=(0, 1, 2))
     clf.weights = world_rng.normal(size=(3, 6))
     clf.bias = world_rng.normal(size=3)
-    test_sets = [[Sample(x=world_rng.normal(size=3), y=int(y), domain=0)
-                  for y in world_rng.integers(0, 3, size=40)]
-                 for _ in range(2)]
-    accs, mean = evaluate(clf, test_sets)
+    test_sets = []
+    for n in (40, 25):
+        ys = world_rng.integers(0, 3, size=n)
+        test_sets.append(Batch(world_rng.normal(size=(n, 3)), ys,
+                               np.zeros(n, dtype=int)))
+    accs, mean, pooled = evaluate(clf, test_sets)
+    all_hits = 0
     for ts, reported in zip(test_sets, accs):
         hits = 0
-        for s in ts:
-            logits = clf.weights @ enc.encode(s.x) + clf.bias
-            hits += clf.classes[int(np.argmax(logits))] == s.y
+        for x, y in zip(ts.x, ts.y.tolist()):
+            logits = clf.weights @ enc.encode(x) + clf.bias
+            hits += clf.classes[int(np.argmax(logits))] == y
         assert reported == hits / len(ts)
+        all_hits += hits
     assert mean == pytest.approx((accs[0] + accs[1]) / 2, abs=1e-15)
+    # Pooled over rows, so the larger set weighs more than in the mean.
+    assert pooled == all_hits / 65
 
 
 def test_evaluate_rejects_gaps():
@@ -319,7 +329,7 @@ def test_evaluate_rejects_gaps():
     with pytest.raises(ProtocolError):
         evaluate(clf, [])
     with pytest.raises(ProtocolError):
-        evaluate(clf, [[]])
+        evaluate(clf, [_eval_set([])])
     with pytest.raises(ProtocolError):
         evaluate(clf, [_eval_set([((0.0, 0.0), 9)])])
 
@@ -440,16 +450,24 @@ def test_synthesized_samples_view_read_only_memo_arrays():
     task = suite.tasks[0]
     oneshot_task_phase(state, task, [build_client_message(encoder, s)
                                      for s in shards if s.task_id == 1])
-    (arrays, _madds), = state.server._entries.values()
-    assert sorted(arrays) == list(task.classes)
-    for xs in arrays.values():
-        assert xs.shape == (cfg.z_per_class, cfg.dim_x)
+    (batches, _madds), = state.server._entries.values()
+    assert sorted(batches) == list(task.classes)
+    messages = [build_client_message(encoder, s) for s in shards
+                if s.task_id == 1]
+    per_class = orchestrator._synthesized_task(state, messages)
+    for k, batch in per_class.items():
+        assert batch is batches[k]
+        assert batch.x.shape == (cfg.z_per_class, cfg.dim_x)
+        assert not batch.x.base.flags.writeable
+        assert batch.y.tolist() == [k] * cfg.z_per_class
+        assert batch.domain.tolist() == [-1] * cfg.z_per_class
+        assert batch.task == 1
         with pytest.raises(ValueError):
-            xs[0, 0] = 1.0
-    sample = state.synth_history[0][0]
-    assert np.shares_memory(sample.x, arrays[sample.y])
-    with pytest.raises(ValueError):
-        sample.x[0] = 1.0
+            batch.x[0, 0] = 1.0
+    data = state.synth_history[0]
+    assert data.task == 1 and len(data) == len(task.classes) * cfg.z_per_class
+    assert np.array_equal(data.x, np.concatenate([batches[k].x
+                                                  for k in task.classes]))
 
 
 def test_server_memo_replays_the_cost_of_each_hit():
@@ -524,7 +542,7 @@ def test_non_finite_head_fails_after_its_task_phase(monkeypatch, method,
 
     def diverging(clf, data, *args, **kwargs):
         real(clf, data, *args, **kwargs)
-        if data[0].task == 2:
+        if data.task == 2:
             clf.bias[0] = np.nan
 
     monkeypatch.setattr(orchestrator, trainer, diverging)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osifl.datagen import Sample
+from osifl.datagen import Batch
 from osifl.encoder import make_encoder
 from osifl.errors import ConfigError, ProtocolError
-from osifl.ssr import (ExemplarMemory, ScoredSample, importance_score,
+from osifl.ssr import (ExemplarMemory, Exemplars, importance_score,
                        sample_loss, select_exemplars, top_p_indices)
 from osifl.trainer import Classifier, ce_loss_and_grads
 
@@ -33,16 +33,14 @@ def test_importance_score_hand_case():
     # parameter gradients are (-0.5, 0.5, 0, 0) for the weights and
     # (-0.5, 0.5) for the bias, whose overall norm is exactly 1.
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
-    score = importance_score(clf, Sample(x=np.array([1.0, 0.0]), y=0,
-                                         domain=0))
+    score = importance_score(clf, np.array([1.0, 0.0]), 0)
     assert score == pytest.approx(1.0, abs=1e-12)
 
 
 def test_importance_score_vanishes_when_confident():
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
     clf.weights = np.array([[40.0, 0.0], [-40.0, 0.0]])
-    score = importance_score(clf, Sample(x=np.array([1.0, 0.0]), y=0,
-                                         domain=0))
+    score = importance_score(clf, np.array([1.0, 0.0]), 0)
     assert score < 1e-6
 
 
@@ -52,8 +50,9 @@ def test_importance_score_matches_finite_difference_norm():
     clf = Classifier(enc, classes=(0, 1, 2))
     clf.weights = rng.normal(size=(3, 5))
     clf.bias = rng.normal(size=3)
-    sample = Sample(x=rng.normal(size=3), y=1, domain=0)
-    analytic = importance_score(clf, sample)
+    x = rng.normal(size=3)
+    sample = Batch(x[None, :], [1], [0])
+    analytic = importance_score(clf, x, 1)
     h = 1e-5
     sq = 0.0
     for arr in (clf.weights, clf.bias):
@@ -61,9 +60,9 @@ def test_importance_score_matches_finite_difference_norm():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up, _ = ce_loss_and_grads(clf, [sample])
+            up, _ = ce_loss_and_grads(clf, sample)
             flat[i] = orig - h
-            down, _ = ce_loss_and_grads(clf, [sample])
+            down, _ = ce_loss_and_grads(clf, sample)
             flat[i] = orig
             sq += ((up - down) / (2 * h)) ** 2
     numeric = np.sqrt(sq)
@@ -73,12 +72,12 @@ def test_importance_score_matches_finite_difference_norm():
 def test_importance_score_rejects_unknown_class():
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
     with pytest.raises(ProtocolError):
-        importance_score(clf, Sample(x=np.zeros(2), y=9, domain=0))
+        importance_score(clf, np.zeros(2), 9)
 
 
 def test_sample_loss_is_single_sample_ce():
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
-    loss = sample_loss(clf, Sample(x=np.array([0.3, -0.1]), y=0, domain=0))
+    loss = sample_loss(clf, np.array([0.3, -0.1]), 0)
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -121,34 +120,35 @@ def test_top_p_optimality_property(scores, p):
 def test_select_exemplars_scores_and_keeps_top():
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
     clf.weights = np.array([[2.0, 0.0], [-2.0, 0.0]])
-    samples = [Sample(x=np.array([v, 0.0]), y=0, domain=0)
-               for v in (3.0, 0.0, -3.0)]
+    samples = Batch(np.array([[3.0, 0.0], [0.0, 0.0], [-3.0, 0.0]]),
+                    [0, 0, 0], [0, 0, 0])
     chosen = select_exemplars(clf, samples, 1)
     # The sample the head gets most wrong carries the largest gradient.
     assert len(chosen) == 1
-    assert chosen[0].sample.x[0] == -3.0
-    scores = [importance_score(clf, s) for s in samples]
-    assert chosen[0].score == pytest.approx(max(scores))
+    assert chosen.x[0, 0] == -3.0
+    scores = [importance_score(clf, x, 0) for x in samples.x]
+    assert chosen.score[0] == pytest.approx(max(scores))
 
 
 def test_select_exemplars_loss_mode_and_unknown_mode():
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
-    samples = [Sample(x=np.array([1.0, 0.0]), y=0, domain=0)]
+    samples = Batch(np.array([[1.0, 0.0]]), [0], [0])
     by_loss = select_exemplars(clf, samples, 1, score_by="loss")
-    assert by_loss[0].score == pytest.approx(np.log(2.0), abs=1e-12)
+    assert by_loss.score[0] == pytest.approx(np.log(2.0), abs=1e-12)
     with pytest.raises(ConfigError):
         select_exemplars(clf, samples, 1, score_by="entropy")
 
 
-def _scored(x, y, task, score=1.0):
-    return ScoredSample(sample=Sample(x=np.asarray(x, dtype=float), y=y,
-                                      domain=-1, task=task), score=score)
+def _kept(x, times=1, score=1.0):
+    """`times` copies of the row x, each scored `score`."""
+    return Exemplars(x=np.tile(np.asarray(x, dtype=float), (times, 1)),
+                     score=np.full(times, score))
 
 
 def test_memory_growth_arithmetic():
     mem = ExemplarMemory(5)
     for t in range(1, 7):
-        per_class = {k: [_scored([k, t], k, t) for _ in range(5)]
+        per_class = {k: _kept([k, t], 5)
                      for k in range(10 * (t - 1), 10 * t)}
         mem.add_task(t, per_class)
         assert mem.size == t * 10 * 5
@@ -158,49 +158,89 @@ def test_memory_growth_arithmetic():
 
 def test_memory_rejects_rewrites_and_overfill():
     mem = ExemplarMemory(2)
-    mem.add_task(1, {0: [_scored([0.0], 0, 1)]})
+    mem.add_task(1, {0: _kept([0.0])})
     with pytest.raises(ProtocolError):
-        mem.add_task(1, {0: []})
+        mem.add_task(1, {0: _kept([0.0], 0)})
     with pytest.raises(ProtocolError):
-        mem.add_task(2, {1: [_scored([0.0], 1, 2) for _ in range(3)]})
+        mem.add_task(2, {1: _kept([0.0], 3)})
     with pytest.raises(ConfigError):
         ExemplarMemory(-1)
 
 
 def test_memory_entries_are_frozen_copies():
     mem = ExemplarMemory(1)
-    src = np.array([1.0, 2.0])
-    mem.add_task(1, {0: [_scored(src, 0, 1)]})
-    src[0] = 99.0
-    stored = mem.replay_sets()[0][0]
-    assert stored.x[0] == 1.0
+    src = np.array([[1.0, 2.0]])
+    score = np.array([3.0])
+    mem.add_task(1, {0: Exemplars(x=src, score=score)})
+    src[0, 0] = 99.0
+    score[0] = 99.0
+    stored = mem.replay_sets()[0]
+    assert stored.x[0, 0] == 1.0
+    assert mem._store[1][0].score[0] == 3.0
     with pytest.raises(ValueError):
-        stored.x[0] = 5.0
+        stored.x[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        mem._store[1][0].score[0] = 5.0
 
 
 def test_replay_sets_counts_and_exclusion():
     mem = ExemplarMemory(2)
     assert mem.replay_sets(1) == []
     for t in (1, 2):
-        per_class = {k: [_scored([k], k, t) for _ in range(2)]
-                     for k in (2 * t, 2 * t + 1)}
+        per_class = {k: _kept([k], 2) for k in (2 * t, 2 * t + 1)}
         mem.add_task(t, per_class)
     sets = mem.replay_sets(3)
     assert [len(s) for s in sets] == [4, 4]
-    assert [s[0].task for s in sets] == [1, 2]
+    assert [s.task for s in sets] == [1, 2]
     # Learning task 2 replays only task 1.
     sets = mem.replay_sets(2)
-    assert [s[0].task for s in sets] == [1]
+    assert [s.task for s in sets] == [1]
     # Order is stable across calls.
-    a = [[tuple(s.x) for s in grp] for grp in mem.replay_sets(None)]
-    b = [[tuple(s.x) for s in grp] for grp in mem.replay_sets(None)]
+    a = [grp.x.tolist() for grp in mem.replay_sets(None)]
+    b = [grp.x.tolist() for grp in mem.replay_sets(None)]
     assert a == b
 
 
 def test_memory_dump_text_layout():
     mem = ExemplarMemory(1)
-    mem.add_task(4, {7: [_scored([0.25, -1.5], 7, 4, score=2.0)]})
+    mem.add_task(4, {7: _kept([0.25, -1.5], score=2.0)})
     dump = mem.dump_text()
     lines = dump.strip().split("\n")
     assert lines[0] == "task\tclass\tslot\tscore\tvector"
     assert lines[1] == "4\t7\t0\t2.0\t0.25 -1.5"
+
+
+def test_replay_order_equals_the_per_row_loop():
+    # Reference: every kept row of every remembered task in arrival
+    # order, classes ascending within a task, slots in order.
+    rng = np.random.default_rng(5)
+    mem = ExemplarMemory(3)
+    stored = {}
+    for t, classes in ((2, (7, 1, 4)), (1, (0, 9)), (5, (3,))):
+        per_class = {k: Exemplars(x=rng.normal(size=(int(n), 4)),
+                                  score=rng.normal(size=int(n)))
+                     for k, n in zip(classes, rng.integers(0, 4, 3))}
+        mem.add_task(t, per_class)
+        stored[t] = per_class
+    for current in (None, 1, 2, 5):
+        sets = mem.replay_sets(current)
+        expect = [(t, [(x, k) for k in sorted(pc) for x in pc[k].x])
+                  for t, pc in stored.items() if t != current]
+        expect = [(t, rows) for t, rows in expect if rows]
+        assert [s.task for s in sets] == [t for t, _ in expect]
+        for batch, (_, rows) in zip(sets, expect):
+            assert np.array_equal(batch.x, np.stack([x for x, _ in rows]))
+            assert np.array_equal(batch.y, [k for _, k in rows])
+            assert np.array_equal(batch.domain, np.full(len(rows), -1))
+
+
+def test_loss_scoring_ranks_saturated_candidates():
+    # Both candidates put the true class's softmax below the smallest
+    # float, so -log(p) would tie them at inf and keep the lower index;
+    # the log-softmax keeps the one with the larger margin.
+    clf = Classifier(IdentityEncoder(2), classes=(0, 1))
+    clf.weights = np.array([[0.0, 0.0], [1000.0, 0.0]])
+    candidates = Batch(np.array([[0.8, 0.0], [0.9, 0.0]]), [0, 0], [0, 0])
+    kept = select_exemplars(clf, candidates, 1, score_by="loss")
+    assert kept.x.tolist() == [[0.9, 0.0]]
+    assert kept.score[0] == pytest.approx(900.0, rel=1e-12)

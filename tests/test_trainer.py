@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from osifl.datagen import CLASS_INCREMENTAL, Sample, build_world, \
+from osifl.datagen import CLASS_INCREMENTAL, Batch, build_world, \
     draw_client_shards, make_task_suite
 from osifl.encoder import make_encoder
 from osifl.errors import ConfigError, ProtocolError
@@ -22,9 +22,18 @@ from osifl.trainer import (AdamState, AnchorState, Classifier, TrainHP,
 
 def _toy_data(seed, n=24, classes=(0, 1), dim=4, shift=0.0, task=1):
     rng = np.random.default_rng(seed)
-    return [Sample(x=rng.normal(size=dim) + shift, y=int(k), domain=0,
-                   task=task)
-            for k in classes for _ in range(n // len(classes))]
+    y = np.repeat(classes, n // len(classes))
+    return Batch(rng.normal(size=(len(y), dim)) + shift, y,
+                 np.zeros(len(y), dtype=int), task)
+
+
+def _row(x, y):
+    """A one-row batch."""
+    return Batch(np.asarray(x, dtype=float)[None, :], [y], [0])
+
+
+def _empty(dim=3):
+    return Batch(np.empty((0, dim)), [], [])
 
 
 def test_hp_defaults_match_experiment_defaults():
@@ -54,7 +63,10 @@ def test_ce_duplicated_batch_mean_invariance():
     clf.weights = np.random.default_rng(2).normal(size=(2, 6))
     batch = _toy_data(1, n=8, dim=3)
     loss_once, grads_once = ce_loss_and_grads(clf, batch)
-    loss_twice, grads_twice = ce_loss_and_grads(clf, batch + batch)
+    twice = Batch(np.concatenate([batch.x, batch.x]),
+                  np.concatenate([batch.y, batch.y]),
+                  np.concatenate([batch.domain, batch.domain]), batch.task)
+    loss_twice, grads_twice = ce_loss_and_grads(clf, twice)
     assert loss_twice == pytest.approx(loss_once, abs=1e-12)
     for key in grads_once:
         assert np.allclose(grads_once[key], grads_twice[key], atol=1e-12)
@@ -89,9 +101,20 @@ def test_ce_rejects_empty_and_unknown_class():
     enc = make_encoder(4, 3, 5)
     clf = Classifier(enc, classes=(0,))
     with pytest.raises(ProtocolError):
-        ce_loss_and_grads(clf, [])
+        ce_loss_and_grads(clf, _empty())
     with pytest.raises(ProtocolError):
-        ce_loss_and_grads(clf, [Sample(x=np.zeros(3), y=9, domain=0)])
+        ce_loss_and_grads(clf, _row(np.zeros(3), 9))
+
+
+def test_ce_loss_stays_finite_when_the_true_class_underflows():
+    # softmax gives the true class exp(-1000), which is 0.0 in float64;
+    # the loss is still the exact margin.
+    enc = make_encoder(4, 3, 5)
+    clf = Classifier(enc, classes=(0, 1))
+    clf.bias = np.array([0.0, 1000.0])
+    loss, grads = ce_loss_and_grads(clf, _row(np.zeros(3), 0))
+    assert np.isfinite(loss) and loss == 1000.0
+    assert np.array_equal(grads["bias"], [-1.0, 1.0])
 
 
 def test_adam_zero_gradient_fixed_point():
@@ -193,9 +216,9 @@ def test_train_rejects_empty_data():
     clf = Classifier(enc, classes=(0, 1))
     hp = TrainHP()
     with pytest.raises(ProtocolError):
-        train_naive(clf, [], hp, stream(0, "t"))
+        train_naive(clf, _empty(), hp, stream(0, "t"))
     with pytest.raises(ProtocolError):
-        train_joint(clf, [[], []], hp, stream(0, "t"))
+        train_joint(clf, [_empty(), _empty()], hp, stream(0, "t"))
 
 
 def test_joint_single_dataset_equals_naive():
@@ -250,11 +273,11 @@ def _independent_objective(clf, groups):
     total = 0.0
     for group in groups:
         vals = []
-        for s in group:
-            logits = clf.weights @ clf.encoder.encode(s.x) + clf.bias
+        for x, y in zip(group.x, group.y.tolist()):
+            logits = clf.weights @ clf.encoder.encode(x) + clf.bias
             lse = np.log(np.sum(np.exp(logits - logits.max()))) \
                 + logits.max()
-            vals.append(lse - logits[clf.class_index[s.y]])
+            vals.append(lse - logits[clf.class_index[y]])
         total += float(np.mean(vals))
     return total
 
@@ -289,8 +312,11 @@ def test_replay_retention_beats_naive_by_ten_points():
             memory = ExemplarMemory(5)
             if variant == "replay":
                 per_class = {}
+                shard = shards[0].samples
                 for k in suite.tasks[0].classes:
-                    pool = [s for s in shards[0].samples if s.y == k]
+                    rows = shard.y == k
+                    pool = Batch(shard.x[rows], shard.y[rows],
+                                 shard.domain[rows], shard.task)
                     per_class[k] = select_exemplars(clf, pool, 5)
                 memory.add_task(1, per_class)
             clf.expand_head(suite.tasks[1].classes)
@@ -300,9 +326,8 @@ def test_replay_retention_beats_naive_by_ten_points():
             else:
                 train_naive(clf, shards[1].samples, hp, stream(seed, "t", 2))
             test1 = test_sets[1]
-            preds = clf.predict(np.stack([s.x for s in test1]))
-            accs[variant] = float(np.mean(
-                preds == np.array([s.y for s in test1])))
+            preds = clf.predict(test1.x)
+            accs[variant] = float(np.mean(preds == test1.y))
         gaps.append(accs["replay"] - accs["naive"])
     assert float(np.mean(gaps)) >= 0.10
 
@@ -310,8 +335,7 @@ def test_replay_retention_beats_naive_by_ten_points():
 def test_fisher_zero_for_perfectly_confident_head():
     enc = make_encoder(4, 3, 5)
     clf = Classifier(enc, classes=(0,))
-    data = [Sample(x=np.zeros(3), y=0, domain=0)]
-    anchor = estimate_fisher(clf, data)
+    anchor = estimate_fisher(clf, _row(np.zeros(3), 0))
     assert np.all(anchor.fisher["weights"] == 0.0)
     assert np.all(anchor.fisher["bias"] == 0.0)
 
@@ -321,9 +345,9 @@ def test_fisher_single_sample_is_squared_gradient():
     enc = make_encoder(4, 3, 5)
     clf = Classifier(enc, classes=(0, 1))
     clf.weights = rng.normal(size=(2, 4))
-    sample = Sample(x=rng.normal(size=3), y=1, domain=0)
-    anchor = estimate_fisher(clf, [sample])
-    _, grads = ce_loss_and_grads(clf, [sample])
+    sample = _row(rng.normal(size=3), 1)
+    anchor = estimate_fisher(clf, sample)
+    _, grads = ce_loss_and_grads(clf, sample)
     for key in ("weights", "bias"):
         rel = np.abs(anchor.fisher[key] - grads[key] ** 2) / np.maximum(
             np.abs(grads[key] ** 2), 1e-300)
@@ -340,15 +364,15 @@ def test_fisher_matches_bruteforce_accumulation():
     anchor = estimate_fisher(clf, data)
     brute = {"weights": np.zeros_like(clf.weights),
              "bias": np.zeros_like(clf.bias)}
-    for s in data:
-        _, g = ce_loss_and_grads(clf, [s])
+    for x, y in zip(data.x, data.y.tolist()):
+        _, g = ce_loss_and_grads(clf, _row(x, y))
         brute["weights"] += g["weights"] ** 2
         brute["bias"] += g["bias"] ** 2
     for key in brute:
         assert np.allclose(anchor.fisher[key], brute[key] / len(data),
                            atol=1e-10)
     with pytest.raises(ProtocolError):
-        estimate_fisher(clf, [])
+        estimate_fisher(clf, _empty())
 
 
 def test_ewc_penalty_hand_case_and_gradient():
