@@ -24,8 +24,7 @@ from .ledgers import CommsLedger, ComputeLedger
 from .orchestrator import Method, RunReport, ServerMemo, evaluate, \
     forgetting, report_rows, rows_to_csv, run_method, write_report_csv
 from .rng import stream
-from .ssr import ExemplarMemory, importance_score, select_exemplars, \
-    top_p_indices
+from .ssr import ExemplarMemory, select_exemplars, top_p_indices
 from .trainer import AdamState, AnchorState, Classifier, TrainHP, \
     adam_step, ce_loss_and_grads, estimate_fisher, ewc_penalty_and_grads, \
     full_objective, load_head, proximal_penalty_and_grads, save_head, \
@@ -46,7 +45,7 @@ __all__ = [
     "class_mean_embeddings", "denoise_loss_and_grads", "draw_base_pool",
     "draw_client_shards", "estimate_fisher", "evaluate",
     "ewc_penalty_and_grads", "forgetting", "forward_noise",
-    "full_objective", "guided_epsilon", "importance_score", "load_head",
+    "full_objective", "guided_epsilon", "load_head",
     "load_model", "make_denoiser", "make_encoder", "make_schedule",
     "make_surrogate", "make_task_suite", "parse_config", "parse_message",
     "pretrain", "proximal_penalty_and_grads", "report_rows",

@@ -71,8 +71,7 @@ class ExperimentConfig:
                        adam_reset_per_task=self.adam_reset_per_task)
 
     def diffusion_hp(self) -> DiffusionHP:
-        """Denoiser pretraining hyperparameters. The head's learning_rate
-        and weight_decay are not the denoiser's, so those keep defaults."""
+        """Denoiser pretraining hyperparameters."""
         return DiffusionHP(num_steps=self.diffusion_steps,
                            beta_min=self.beta_min, beta_max=self.beta_max,
                            hidden=self.denoiser_hidden, p_drop=self.p_drop,

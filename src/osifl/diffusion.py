@@ -26,8 +26,11 @@ from .encoder import BlobReader, ClientMessage, FrozenEncoder, \
     pair_mean_embeddings
 from .errors import ConfigError, ProtocolError
 from .rng import stream
+from .trainer import AdamState, adam_step
 
 PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
+# The denoiser's Adam step size; its weight decay is zero.
+DENOISER_LEARNING_RATE = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +66,14 @@ def make_schedule(num_steps: int, beta_min: float, beta_max: float
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise ConfigError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
-    betas = np.linspace(beta_min, beta_max, num_steps)
+    return _schedule_from_betas(np.linspace(beta_min, beta_max, num_steps))
+
+
+def _schedule_from_betas(betas: np.ndarray) -> NoiseSchedule:
+    """The read-only schedule of `betas`. Each beta must lie in (0, 1),
+    so that no alpha or alpha_bar is negative."""
+    if not ((betas > 0.0) & (betas < 1.0)).all():
+        raise ProtocolError("every noise schedule beta must lie in (0, 1)")
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
     for arr in (betas, alphas, alpha_bars):
@@ -241,7 +251,7 @@ def denoise_loss_and_grads(denoiser: Denoiser, schedule: NoiseSchedule,
 
 @dataclass
 class DiffusionHP:
-    """Pretraining knobs. Attribute names match what adam_step reads."""
+    """Denoiser pretraining knobs."""
 
     num_steps: int = 100
     beta_min: float = 1e-4
@@ -250,11 +260,6 @@ class DiffusionHP:
     p_drop: float = 0.1
     train_steps: int = 2000
     batch_size: int = 64
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.train_steps < 0:
@@ -263,9 +268,6 @@ class DiffusionHP:
         if self.batch_size < 1:
             raise ConfigError(
                 f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ConfigError(
-                f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 <= self.p_drop <= 1.0:
             raise ConfigError(f"p_drop must be in [0, 1], got {self.p_drop}")
 
@@ -291,8 +293,6 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, hp: DiffusionHP,
     """Fit the denoiser on the server pool, conditioning each sample on
     the mean embedding of its (class, domain) pair. The model is frozen
     afterwards; train_steps = 0 leaves the initialization untouched."""
-    from .trainer import AdamState, adam_step
-
     table = pair_mean_embeddings(encoder, pool)
     cond = np.stack([table[pair] for pair in zip(pool.y.tolist(),
                                                  pool.domain.tolist())])
@@ -306,7 +306,8 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, hp: DiffusionHP,
         idx = rng.integers(0, len(pool), size=hp.batch_size)
         loss, grads = denoise_loss_and_grads(denoiser, schedule, pool.x[idx],
                                              cond[idx], hp.p_drop, rng)
-        denoiser.params, state = adam_step(state, denoiser.params, grads, hp)
+        denoiser.params, state = adam_step(state, denoiser.params, grads,
+                                           DENOISER_LEARNING_RATE, 0.0)
         history.append(loss)
         if ledger is not None:
             ledger.add("diffusion_pretrain",
@@ -468,11 +469,7 @@ def load_model(path: str) -> DiffusionModel:
         _CKPT_HEAD.unpack(reader.take(_CKPT_HEAD.size))
     if magic != _CKPT_MAGIC or version != 1 or trained not in (0, 1):
         raise ProtocolError(f"not a model checkpoint: {path}")
-    betas = reader.floats(num_steps)
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    for arr in (betas, alphas, alpha_bars):
-        arr.flags.writeable = False
+    schedule = _schedule_from_betas(reader.floats(num_steps))
     d_in = dim_x + num_steps + dim_cond
     shapes = {"w1": (hidden, d_in), "b1": (hidden,),
               "w2": (hidden, hidden), "b2": (hidden,),
@@ -480,8 +477,6 @@ def load_model(path: str) -> DiffusionModel:
     params = {name: reader.floats(math.prod(shapes[name])).reshape(
         shapes[name]) for name in PARAM_ORDER}
     reader.finish()
-    schedule = NoiseSchedule(betas=betas, alphas=alphas,
-                             alpha_bars=alpha_bars)
     denoiser = Denoiser(dim_x=dim_x, dim_cond=dim_cond, num_steps=num_steps,
                         hidden=hidden, params=params)
     return DiffusionModel(schedule=schedule, denoiser=denoiser,

@@ -121,8 +121,12 @@ class BlobReader:
         return self.blob[self.offset - n:self.offset]
 
     def floats(self, count: int) -> np.ndarray:
-        """The next `count` little-endian float64s, as a writable copy."""
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(float)
+        """The next `count` little-endian float64s, as a writable copy;
+        a NaN or infinity among them raises ProtocolError."""
+        values = np.frombuffer(self.take(8 * count), dtype="<f8").astype(float)
+        if not np.isfinite(values).all():
+            raise ProtocolError(f"{self.what} holds a non-finite value")
+        return values
 
     def finish(self) -> None:
         if self.offset != len(self.blob):

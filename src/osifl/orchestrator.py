@@ -113,23 +113,31 @@ class RunState:
     server: ServerMemo = field(default_factory=ServerMemo)
 
 
-def _synthesized_task(state: RunState, messages: list) -> dict[int, Batch]:
-    """The task's synthesized samples, one batch per class over a
-    read-only array, as the server memo holds them for this generator,
-    task, upload set, `z_per_class` and `w`."""
+def _synthesized_task(state: RunState, messages: list
+                      ) -> tuple[Batch, dict[int, Batch]]:
+    """The task's synthesized samples as the server memo holds them for
+    this generator, task, upload set, `z_per_class` and `w`: one
+    read-only batch, rows grouped by ascending class, and a view of it
+    per class."""
     cfg, seed, t = state.config, state.seed, messages[0].task_id
 
     def build(ledger):
         synth = synthesize_task_data(state.generator, messages,
                                      cfg.z_per_class, cfg.guidance_w,
                                      stream(seed, "synth", t), ledger=ledger)
-        for k, xs in synth.per_class.items():
-            if not np.isfinite(xs).all():
+        classes = sorted(synth.per_class)
+        for k in classes:
+            if not np.isfinite(synth.per_class[k]).all():
                 raise ProtocolError(
                     f"synthesis (seed {seed}, task {t}) produced non-finite "
                     f"values for class {k}")
-        return {k: Batch(xs, np.full(len(xs), k), np.full(len(xs), -1), t)
-                for k, xs in synth.per_class.items()}
+        counts = [len(synth.per_class[k]) for k in classes]
+        xs = np.concatenate([synth.per_class[k] for k in classes])
+        xs.flags.writeable = False
+        data = Batch(xs, np.repeat(classes, counts), np.full(len(xs), -1), t)
+        bounds = np.cumsum([0] + counts).tolist()
+        return data, {k: Batch(data.x[a:b], data.y[a:b], data.domain[a:b], t)
+                      for k, a, b in zip(classes, bounds, bounds[1:])}
 
     # A memo hands out one generator object per generator key, so the
     # object (hashed by identity) stands for that key.
@@ -158,11 +166,7 @@ def oneshot_task_phase(state: RunState, task: TaskSpec,
         state.events.append(
             f"task{t}:upload client={msg.client_id} "
             f"floats={msg.upload_floats}")
-    per_class = _synthesized_task(state, messages)
-    classes = sorted(per_class)
-    data = Batch(np.concatenate([per_class[k].x for k in classes]),
-                 np.concatenate([per_class[k].y for k in classes]),
-                 np.concatenate([per_class[k].domain for k in classes]), t)
+    data, per_class = _synthesized_task(state, messages)
     state.events.append(f"task{t}:synthesize n={len(data)}")
     clf = state.classifier
     clf.expand_head([c for c in task.classes if c not in clf.class_index])

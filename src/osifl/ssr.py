@@ -1,9 +1,10 @@
 """Selective sample retention: score, select, remember.
 
 A sample's importance is the Euclidean norm of the cross-entropy
-gradient over all head parameters, measured at a caller-chosen
-parameter snapshot. The top-p per (task, class) survive into an
-append-only exemplar memory and are never re-scored or re-selected.
+gradient over all head parameters (or, as an ablation, the loss
+itself), measured at a caller-chosen parameter snapshot. The top-p per
+(task, class) survive into an append-only exemplar memory and are never
+re-scored or re-selected.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .datagen import Batch
 from .errors import ConfigError, ProtocolError
-from .trainer import Classifier, ce_loss_and_grads, softmax
+from .trainer import Classifier, head_pass, rows_for
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,29 +26,6 @@ class Exemplars:
 
     def __len__(self) -> int:
         return len(self.score)
-
-
-def importance_score(classifier: Classifier, x: np.ndarray, y: int) -> float:
-    """Gradient norm of the single-sample CE loss at the current head.
-
-    The head gradient is outer(p - onehot, e) for the weights and
-    (p - onehot) for the bias, so its norm factorizes as
-    ||p - onehot|| * sqrt(||e||^2 + 1).
-    """
-    if y not in classifier.class_index:
-        raise ProtocolError(f"class {y} is not registered in the head")
-    emb = classifier.encoder.encode(x)
-    probs = softmax((classifier.weights @ emb
-                     + classifier.bias)[None, :])[0]
-    delta = probs.copy()
-    delta[classifier.class_index[y]] -= 1.0
-    return float(np.linalg.norm(delta) * np.sqrt(1.0 + emb @ emb))
-
-
-def sample_loss(classifier: Classifier, x: np.ndarray, y: int) -> float:
-    """Per-sample CE loss, the ablation alternative to the gradient norm."""
-    loss, _ = ce_loss_and_grads(classifier, Batch(x[None, :], [y], [-1]))
-    return loss
 
 
 def top_p_indices(scores, p: int) -> list[int]:
@@ -65,17 +43,25 @@ def top_p_indices(scores, p: int) -> list[int]:
 
 def select_exemplars(classifier: Classifier, candidates: Batch, p: int,
                      score_by: str = "grad_norm") -> Exemplars:
-    """Score one class's candidates row by row and keep the top p."""
-    if score_by == "grad_norm":
-        scorer = importance_score
-    elif score_by == "loss":
-        scorer = sample_loss
-    else:
+    """Score one class's candidates in one head pass and keep the top p.
+
+    "loss" scores a row by its cross-entropy. "grad_norm" scores it by
+    the norm of that loss's gradient over all head parameters: the
+    gradient is outer(p - onehot, e) for the weights and p - onehot for
+    the bias, so its norm factorizes as ||p - onehot|| * sqrt(||e||^2 + 1).
+    """
+    if score_by not in ("grad_norm", "loss"):
         raise ConfigError(f"unknown score_by {score_by!r}")
-    scores = [scorer(classifier, x, y)
-              for x, y in zip(candidates.x, candidates.y.tolist())]
-    keep = top_p_indices(scores, p)
-    return Exemplars(x=candidates.x[keep], score=np.array(scores)[keep])
+    emb = classifier.encoder.encode_batch(candidates.x)
+    nll, delta = head_pass(classifier.weights, classifier.bias, emb,
+                           rows_for(classifier, candidates.y))
+    if score_by == "loss":
+        scores = nll
+    else:
+        scores = np.linalg.norm(delta, axis=1) \
+            * np.sqrt(1.0 + (emb * emb).sum(axis=1))
+    keep = top_p_indices(scores.tolist(), p)
+    return Exemplars(x=candidates.x[keep], score=scores[keep])
 
 
 class ExemplarMemory:

@@ -16,7 +16,7 @@ regularized reductions trajectory-identical under a shared RNG.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,10 @@ from .encoder import BlobReader, FrozenEncoder
 from .errors import ConfigError, ProtocolError
 from . import ledgers
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainHP:
@@ -32,9 +36,6 @@ class TrainHP:
     batch_size: int = 32
     epochs_per_task: int = 20
     weight_decay: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     lambda_ewc: float = 0.1
     mu_prox: float = 0.01
     adam_reset_per_task: bool = True
@@ -53,8 +54,6 @@ class TrainHP:
             if getattr(self, name) < 0:
                 raise ConfigError(
                     f"{name} must be >= 0, got {getattr(self, name)}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ConfigError("adam betas must lie in [0, 1)")
 
 
 @dataclass(eq=False)
@@ -71,35 +70,30 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray], hp
+              grads: dict[str, np.ndarray], learning_rate: float,
+              weight_decay: float
               ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update. Pure: inputs are not mutated.
-    hp.weight_decay is added to the gradient before the moments."""
+    weight_decay * param is added to the gradient before the moments."""
     if set(params) != set(grads):
         raise ValueError(f"param keys {sorted(params)} != grad keys "
                          f"{sorted(grads)}")
     t = state.step + 1
-    b1, b2 = hp.adam_beta1, hp.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_params, new_m, new_v = {}, {}, {}
     for k, p in params.items():
         if grads[k].shape != p.shape:
             raise ValueError(f"gradient shape {grads[k].shape} != param "
                              f"shape {p.shape} for {k!r}")
-        g = grads[k] + hp.weight_decay * p
+        g = grads[k] + weight_decay * p
         m = b1 * state.m[k] + (1.0 - b1) * g
         v = b2 * state.v[k] + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        new_params[k] = p - hp.learning_rate * m_hat / (np.sqrt(v_hat)
-                                                        + hp.adam_eps)
+        new_params[k] = p - learning_rate * m_hat / (np.sqrt(v_hat)
+                                                     + ADAM_EPS)
         new_m[k], new_v[k] = m, v
     return new_params, AdamState(step=t, m=new_m, v=new_v)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 class Classifier:
@@ -181,31 +175,38 @@ class Classifier:
         return np.asarray(self.classes)[rows]
 
 
-def _rows_for(classifier: Classifier, ys: np.ndarray) -> np.ndarray:
+def rows_for(classifier: Classifier, ys: np.ndarray) -> np.ndarray:
     try:
-        return np.array([classifier.class_index[y] for y in ys.tolist()])
+        return np.array([classifier.class_index[y] for y in ys.tolist()],
+                        dtype=np.intp)
     except KeyError as err:
         raise ProtocolError(
             f"class {err.args[0]} is not registered in the head") from None
 
 
-def _weighted_ce(weights: np.ndarray, bias: np.ndarray, emb: np.ndarray,
-                 rows: np.ndarray, sample_w: np.ndarray, scale: float
-                 ) -> tuple[float, dict[str, np.ndarray]]:
-    """scale * sum_i sample_w[i] * nll_i and its exact head gradients.
-    nll is a log-softmax, finite where the true class's p underflows."""
+def head_pass(weights: np.ndarray, bias: np.ndarray, emb: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cross-entropy of the linear head, as a log-softmax NLL
+    (finite where the true class's p underflows), and softmax - onehot,
+    the gradient of each row's NLL with respect to its logits."""
     logits = emb @ weights.T + bias
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
-    probs = e / total
-    n = emb.shape[0]
-    nll = np.log(total[:, 0]) - shifted[np.arange(n), rows]
-    loss = float(scale * (sample_w @ nll))
-    d_logits = probs.copy()
-    d_logits[np.arange(n), rows] -= 1.0
-    d_logits *= (scale * sample_w)[:, None]
-    return loss, {"weights": d_logits.T @ emb, "bias": d_logits.sum(axis=0)}
+    delta = e / total
+    at_row = (np.arange(len(rows)), rows)
+    nll = np.log(total[:, 0]) - shifted[at_row]
+    delta[at_row] -= 1.0
+    return nll, delta
+
+
+def _ce_grads(weights: np.ndarray, bias: np.ndarray, emb: np.ndarray,
+              rows: np.ndarray, coef: np.ndarray
+              ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-row NLL and the exact head gradients of sum_i coef[i] * nll_i."""
+    nll, delta = head_pass(weights, bias, emb, rows)
+    delta *= coef[:, None]
+    return nll, {"weights": delta.T @ emb, "bias": delta.sum(axis=0)}
 
 
 def ce_loss_and_grads(classifier: Classifier, batch: Batch,
@@ -216,10 +217,11 @@ def ce_loss_and_grads(classifier: Classifier, batch: Batch,
     if not batch:
         raise ProtocolError("cross-entropy needs a non-empty batch")
     emb = classifier.encoder.encode_batch(batch.x)
-    rows = _rows_for(classifier, batch.y)
-    n = len(batch)
-    loss, grads = _weighted_ce(classifier.weights, classifier.bias, emb,
-                               rows, np.full(n, 1.0 / n), 1.0)
+    rows = rows_for(classifier, batch.y)
+    sample_w = np.full(len(batch), 1.0 / len(batch))
+    nll, grads = _ce_grads(classifier.weights, classifier.bias, emb, rows,
+                           sample_w)
+    loss = float(sample_w @ nll)
     if weight_decay:
         loss += 0.5 * weight_decay * (
             float((classifier.weights ** 2).sum())
@@ -257,10 +259,8 @@ def estimate_fisher(classifier: Classifier, data: Batch) -> AnchorState:
     if not data:
         raise ProtocolError("fisher estimate needs a non-empty dataset")
     emb = classifier.encoder.encode_batch(data.x)
-    rows = _rows_for(classifier, data.y)
-    probs = softmax(classifier.logits_from_embedded(emb))
-    delta = probs.copy()
-    delta[np.arange(len(data)), rows] -= 1.0
+    _, delta = head_pass(classifier.weights, classifier.bias, emb,
+                         rows_for(classifier, data.y))
     n = len(data)
     fisher_w = (delta ** 2).T @ (emb ** 2) / n
     fisher_b = (delta ** 2).mean(axis=0)
@@ -322,7 +322,7 @@ def _train_on_groups(classifier: Classifier, groups: list[Batch],
     sample_w = np.concatenate([np.full(len(g), 1.0 / len(g)) for g in groups])
     emb = classifier.encoder.encode_batch(
         np.concatenate([g.x for g in groups]))
-    rows = _rows_for(classifier, np.concatenate([g.y for g in groups]))
+    rows = rows_for(classifier, np.concatenate([g.y for g in groups]))
     n_total = len(rows)
     n_out, dim_e = classifier.num_classes, classifier.encoder.dim_e
     if ledger is not None:
@@ -338,21 +338,22 @@ def _train_on_groups(classifier: Classifier, groups: list[Batch],
         order = rng.permutation(n_total)
         for start in range(0, n_total, hp.batch_size):
             idx = order[start:start + hp.batch_size]
-            b = len(idx)
-            _, grads = _weighted_ce(params["weights"], params["bias"],
-                                    emb[idx], rows[idx], sample_w[idx],
-                                    n_total / b)
+            _, grads = _ce_grads(params["weights"], params["bias"], emb[idx],
+                                 rows[idx], n_total / len(idx) * sample_w[idx])
             if penalty is not None:
                 _, pgrads = penalty(params)
                 grads = {k: grads[k] + pgrads[k] for k in grads}
-            params, state = adam_step(state, params, grads, hp)
-            if ledger is not None:
-                ledger.add("train_head_forward",
-                           ledgers.head_forward_madds(b, n_out, dim_e))
-                ledger.add("train_softmax",
-                           ledgers.softmax_madds(b, n_out))
-                ledger.add("train_head_backward",
-                           ledgers.head_backward_madds(b, n_out, dim_e))
+            params, state = adam_step(state, params, grads, hp.learning_rate,
+                                      hp.weight_decay)
+    if ledger is not None:
+        # The madds formulas are linear in the batch size, so one charge
+        # for every row of every epoch equals the per-step sum.
+        seen = n_epochs * n_total
+        ledger.add("train_head_forward",
+                   ledgers.head_forward_madds(seen, n_out, dim_e))
+        ledger.add("train_softmax", ledgers.softmax_madds(seen, n_out))
+        ledger.add("train_head_backward",
+                   ledgers.head_backward_madds(seen, n_out, dim_e))
     classifier.weights = params["weights"]
     classifier.bias = params["bias"]
     classifier.adam_state = None if hp.adam_reset_per_task else state

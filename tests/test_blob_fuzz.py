@@ -1,9 +1,12 @@
 """Every binary format either reads back a blob exactly or rejects it.
 
 A truncated, extended or byte-flipped blob must raise ProtocolError, or
-load into an object that writes the very same bytes again.
+load into an object that writes the very same bytes again. A well-formed
+blob carrying a NaN or an infinity, or a noise schedule beta outside
+(0, 1), raises ProtocolError too.
 """
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -96,3 +99,43 @@ def test_model_checkpoint_fuzz(scratch, data):
                              load_model, save_model)
     _reads_back_or_rejects(load, save,
                            data.draw(_mutations(save(_MODEL), 28)))
+
+
+def _with_float(blob: bytes, at: int, value: float) -> bytes:
+    """`blob` with the float64 at byte offset `at` replaced by `value`."""
+    return blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_message_blob_rejects_non_finite_means(value):
+    # Header 16 bytes, class 4's id and count, then its 3 mean entries:
+    # this replaces the second.
+    blob = _with_float(_MESSAGE, 16 + 8 + 8, value)
+    with pytest.raises(ProtocolError, match="non-finite"):
+        parse_message(blob)
+
+
+@pytest.mark.parametrize("at", [0, 7])
+def test_head_checkpoint_rejects_non_finite_values(scratch, at):
+    # Header 16 bytes and two class ids, then 6 weights and 2 biases:
+    # float `at` is the first weight at 0 and the last bias at 7.
+    load, save = _file_codec(os.path.join(scratch, "head.bin"),
+                             lambda p: load_head(p, _ENCODER), save_head)
+    with pytest.raises(ProtocolError, match="non-finite"):
+        load(_with_float(save(_HEAD), 16 + 8 + 8 * at, np.nan))
+
+
+@pytest.mark.parametrize("at, value, match", [
+    (0, np.nan, "non-finite"),
+    (1, 1.5, r"beta must lie in \(0, 1\)"),
+    (2, 0.0, r"beta must lie in \(0, 1\)"),
+    (3, np.inf, "non-finite"),
+])
+def test_model_checkpoint_rejects_bad_betas_and_weights(scratch, at, value,
+                                                        match):
+    # Header 28 bytes, then the 3 betas, then w1: float `at` is a beta
+    # for at < 3 and the first entry of w1 at 3.
+    load, save = _file_codec(os.path.join(scratch, "model.bin"),
+                             load_model, save_model)
+    with pytest.raises(ProtocolError, match=match):
+        load(_with_float(save(_MODEL), 28 + 8 * at, value))

@@ -8,7 +8,6 @@ from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
                        run_experiment, sweep)
 from osifl.config import (ExperimentConfig, build_run_inputs, parse_config,
                           serialize_config)
-from osifl.diffusion import DiffusionHP
 from osifl.errors import ConfigError
 from osifl.orchestrator import CSV_HEADER, Method
 
@@ -121,9 +120,6 @@ def test_config_maps_to_train_and_diffusion_hp():
     assert (diff.num_steps, diff.beta_min, diff.beta_max, diff.hidden,
             diff.p_drop, diff.train_steps, diff.batch_size) == \
         (11, 0.001, 0.2, 9, 0.25, 13, 5)
-    # The head's optimizer settings never reach the denoiser's.
-    assert diff.learning_rate == DiffusionHP().learning_rate
-    assert diff.weight_decay == DiffusionHP().weight_decay
 
 
 def test_serialize_parse_round_trip():

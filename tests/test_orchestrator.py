@@ -18,7 +18,7 @@ from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
                                 parse_method, report_rows, rows_to_csv,
                                 run_method, _weighted_average)
 from osifl.rng import stream
-from osifl.ssr import ExemplarMemory, importance_score
+from osifl.ssr import ExemplarMemory, select_exemplars
 from osifl.trainer import Classifier, train_local
 
 
@@ -149,10 +149,16 @@ def test_event_order_within_task(default_reports):
                           "memory_update"]
 
 
-def _stored_rows(memory, task_id):
-    """(x, class, score) of every exemplar the memory keeps for a task."""
-    return [(x, k, score) for k, kept in memory._store[task_id].items()
-            for x, score in zip(kept.x, kept.score.tolist())]
+def _rescore_error(memory, task_id, classifier):
+    """Largest gap between a task's stored exemplar scores and the
+    scores the batched scorer gives the same rows at `classifier`."""
+    err = 0.0
+    for k, kept in memory._store[task_id].items():
+        n = len(kept)
+        again = select_exemplars(
+            classifier, Batch(kept.x, np.full(n, k), np.full(n, -1)), n)
+        err = max(err, float(np.abs(again.score - kept.score).max()))
+    return err
 
 
 def test_selection_scores_against_pre_update_snapshot():
@@ -169,12 +175,9 @@ def test_selection_scores_against_pre_update_snapshot():
     probe = state.classifier.copy()
     probe.expand_head(task.classes)
     oneshot_task_phase(state, task, messages)
-    stored = _stored_rows(state.memory, 1)
-    assert stored
-    pre_err = max(abs(importance_score(probe, x, k) - score)
-                  for x, k, score in stored)
-    post_err = max(abs(importance_score(state.classifier, x, k) - score)
-                   for x, k, score in stored)
+    assert state.memory.size
+    pre_err = _rescore_error(state.memory, 1, probe)
+    post_err = _rescore_error(state.memory, 1, state.classifier)
     assert pre_err < 1e-12
     assert post_err > 1e-6
 
@@ -188,10 +191,8 @@ def test_selection_scores_against_trained_head():
     messages = [build_client_message(encoder, s) for s in shards
                 if s.task_id == task.task_id]
     oneshot_task_phase(state, task, messages)
-    stored = _stored_rows(state.memory, 1)
-    err = max(abs(importance_score(state.classifier, x, k) - score)
-              for x, k, score in stored)
-    assert err < 1e-12
+    assert state.memory.size
+    assert _rescore_error(state.memory, 1, state.classifier) < 1e-12
     assert any("select params=post_update" in e for e in state.events)
 
 
@@ -450,13 +451,21 @@ def test_synthesized_samples_view_read_only_memo_arrays():
     task = suite.tasks[0]
     oneshot_task_phase(state, task, [build_client_message(encoder, s)
                                      for s in shards if s.task_id == 1])
-    (batches, _madds), = state.server._entries.values()
+    ((data, batches), _madds), = state.server._entries.values()
     assert sorted(batches) == list(task.classes)
+    # The run trains on the memo's task batch itself, not on a copy.
+    assert state.synth_history[0] is data
+    assert data.task == 1 and len(data) == len(task.classes) * cfg.z_per_class
+    assert not data.x.base.flags.writeable
+    assert data.y.tolist() == [k for k in task.classes
+                               for _ in range(cfg.z_per_class)]
     messages = [build_client_message(encoder, s) for s in shards
                 if s.task_id == 1]
-    per_class = orchestrator._synthesized_task(state, messages)
+    again, per_class = orchestrator._synthesized_task(state, messages)
+    assert again is data
     for k, batch in per_class.items():
         assert batch is batches[k]
+        assert np.shares_memory(batch.x, data.x)
         assert batch.x.shape == (cfg.z_per_class, cfg.dim_x)
         assert not batch.x.base.flags.writeable
         assert batch.y.tolist() == [k] * cfg.z_per_class
@@ -464,8 +473,6 @@ def test_synthesized_samples_view_read_only_memo_arrays():
         assert batch.task == 1
         with pytest.raises(ValueError):
             batch.x[0, 0] = 1.0
-    data = state.synth_history[0]
-    assert data.task == 1 and len(data) == len(task.classes) * cfg.z_per_class
     assert np.array_equal(data.x, np.concatenate([batches[k].x
                                                   for k in task.classes]))
 

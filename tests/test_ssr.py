@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from osifl.datagen import Batch
 from osifl.encoder import make_encoder
 from osifl.errors import ConfigError, ProtocolError
-from osifl.ssr import (ExemplarMemory, Exemplars, importance_score,
-                       sample_loss, select_exemplars, top_p_indices)
+from osifl.ssr import (ExemplarMemory, Exemplars, select_exemplars,
+                       top_p_indices)
 from osifl.trainer import Classifier, ce_loss_and_grads
 
 
@@ -28,20 +28,48 @@ class IdentityEncoder:
         return np.asarray(xs, dtype=float)
 
 
+def _one(x, y=0):
+    """A single candidate row of class y."""
+    return Batch(np.asarray(x, dtype=float)[None, :], [y], [0])
+
+
+def _score(classifier, x, y=0, score_by="grad_norm"):
+    return select_exemplars(classifier, _one(x, y), 1,
+                            score_by=score_by).score[0]
+
+
+def _row_scores(classifier, xs, ys, score_by):
+    """Per-row oracle: one encode and one softmax per candidate, the
+    gradient norm taken over the explicit outer-product gradient."""
+    out = []
+    for x, y in zip(xs, ys):
+        emb = classifier.encoder.encode(x)
+        logits = classifier.weights @ emb + classifier.bias
+        shifted = logits - logits.max()
+        probs = np.exp(shifted) / np.exp(shifted).sum()
+        k = classifier.class_index[y]
+        if score_by == "loss":
+            out.append(np.log(np.exp(shifted).sum()) - shifted[k])
+            continue
+        delta = probs.copy()
+        delta[k] -= 1.0
+        grad = np.concatenate([np.outer(delta, emb).ravel(), delta])
+        out.append(np.sqrt(grad @ grad))
+    return np.array(out)
+
+
 def test_importance_score_hand_case():
     # Zero 2-class head, feature (1, 0): softmax is (0.5, 0.5), per
     # parameter gradients are (-0.5, 0.5, 0, 0) for the weights and
     # (-0.5, 0.5) for the bias, whose overall norm is exactly 1.
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
-    score = importance_score(clf, np.array([1.0, 0.0]), 0)
-    assert score == pytest.approx(1.0, abs=1e-12)
+    assert _score(clf, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_importance_score_vanishes_when_confident():
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
     clf.weights = np.array([[40.0, 0.0], [-40.0, 0.0]])
-    score = importance_score(clf, np.array([1.0, 0.0]), 0)
-    assert score < 1e-6
+    assert _score(clf, [1.0, 0.0]) < 1e-6
 
 
 def test_importance_score_matches_finite_difference_norm():
@@ -51,8 +79,8 @@ def test_importance_score_matches_finite_difference_norm():
     clf.weights = rng.normal(size=(3, 5))
     clf.bias = rng.normal(size=3)
     x = rng.normal(size=3)
-    sample = Batch(x[None, :], [1], [0])
-    analytic = importance_score(clf, x, 1)
+    sample = _one(x, 1)
+    analytic = _score(clf, x, 1)
     h = 1e-5
     sq = 0.0
     for arr in (clf.weights, clf.bias):
@@ -71,14 +99,50 @@ def test_importance_score_matches_finite_difference_norm():
 
 def test_importance_score_rejects_unknown_class():
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
-    with pytest.raises(ProtocolError):
-        importance_score(clf, np.zeros(2), 9)
+    candidates = Batch(np.zeros((2, 2)), [0, 9], [0, 0])
+    for score_by in ("grad_norm", "loss"):
+        with pytest.raises(ProtocolError, match="class 9"):
+            select_exemplars(clf, candidates, 1, score_by=score_by)
 
 
 def test_sample_loss_is_single_sample_ce():
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
-    loss = sample_loss(clf, np.array([0.3, -0.1]), 0)
-    assert loss == pytest.approx(np.log(2.0), abs=1e-12)
+    x = np.array([0.3, -0.1])
+    assert _score(clf, x, score_by="loss") == \
+        pytest.approx(np.log(2.0), abs=1e-12)
+    clf.weights = np.array([[0.5, -1.0], [2.0, 0.25]])
+    clf.bias = np.array([0.1, -0.3])
+    loss, _ = ce_loss_and_grads(clf, _one(x))
+    assert _score(clf, x, score_by="loss") == pytest.approx(loss, abs=1e-12)
+
+
+@pytest.mark.parametrize("score_by", ["grad_norm", "loss"])
+def test_batched_scores_match_the_per_row_oracle(score_by):
+    rng = np.random.default_rng(8)
+    compared = 0
+    for trial in range(20):
+        n_classes = int(rng.integers(2, 12))
+        enc = make_encoder(int(rng.integers(3, 20)), 4, trial)
+        clf = Classifier(enc, classes=rng.permutation(40)[:n_classes].tolist())
+        clf.weights = rng.normal(scale=3.0, size=clf.weights.shape)
+        clf.bias = rng.normal(size=n_classes)
+        n = int(rng.integers(1, 60))
+        ys = rng.choice(clf.classes, size=n)
+        candidates = Batch(rng.normal(scale=2.0, size=(n, 4)), ys,
+                           np.full(n, -1))
+        oracle = _row_scores(clf, candidates.x, ys.tolist(), score_by)
+        every = select_exemplars(clf, candidates, n, score_by=score_by)
+        assert np.array_equal(every.x, candidates.x)
+        assert np.allclose(every.score, oracle, rtol=1e-12, atol=1e-12)
+        p = int(rng.integers(0, n + 1))
+        ranked = np.sort(oracle)[::-1]
+        if 0 < p < n and ranked[p - 1] - ranked[p] < 1e-9:
+            continue  # a near-tie may reorder within rounding
+        kept = select_exemplars(clf, candidates, p, score_by=score_by)
+        keep = top_p_indices(oracle.tolist(), p)
+        assert np.array_equal(kept.x, candidates.x[keep])
+        compared += 1
+    assert compared >= 15
 
 
 def test_top_p_hand_case():
@@ -126,7 +190,7 @@ def test_select_exemplars_scores_and_keeps_top():
     # The sample the head gets most wrong carries the largest gradient.
     assert len(chosen) == 1
     assert chosen.x[0, 0] == -3.0
-    scores = [importance_score(clf, x, 0) for x in samples.x]
+    scores = _row_scores(clf, samples.x, [0, 0, 0], "grad_norm")
     assert chosen.score[0] == pytest.approx(max(scores))
 
 

@@ -118,11 +118,10 @@ def test_ce_loss_stays_finite_when_the_true_class_underflows():
 
 
 def test_adam_zero_gradient_fixed_point():
-    hp = TrainHP(weight_decay=0.0)
     params = {"w": np.array([1.0, -2.0])}
     state = AdamState.zeros_like(params)
     new_params, new_state = adam_step(state, params,
-                                      {"w": np.zeros(2)}, hp)
+                                      {"w": np.zeros(2)}, 0.001, 0.0)
     assert np.array_equal(new_params["w"], params["w"])
     assert new_state.step == 1
 
@@ -130,35 +129,32 @@ def test_adam_zero_gradient_fixed_point():
 def test_adam_first_step_magnitude():
     # Bias corrections cancel at t = 1: the step is lr * g / (|g| + eps),
     # so a unit gradient moves the parameter by about -lr.
-    hp = TrainHP(weight_decay=0.0)
     params = {"w": np.array([0.5])}
     new_params, _ = adam_step(AdamState.zeros_like(params), params,
-                              {"w": np.array([1.0])}, hp)
+                              {"w": np.array([1.0])}, 0.001, 0.0)
     delta = float(new_params["w"][0] - 0.5)
     assert delta == pytest.approx(-0.001, abs=1e-10)
 
 
 def test_adam_is_pure():
-    hp = TrainHP()
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([2.0])}
     state = AdamState.zeros_like(params)
-    adam_step(state, params, grads, hp)
+    adam_step(state, params, grads, 0.001, 1e-4)
     assert params["w"][0] == 1.0 and grads["w"][0] == 2.0
     assert state.step == 0 and state.m["w"][0] == 0.0
-    a, _ = adam_step(state, params, grads, hp)
-    b, _ = adam_step(state, params, grads, hp)
+    a, _ = adam_step(state, params, grads, 0.001, 1e-4)
+    b, _ = adam_step(state, params, grads, 0.001, 1e-4)
     assert np.array_equal(a["w"], b["w"])
 
 
 def test_adam_validates_keys_and_shapes():
-    hp = TrainHP()
     params = {"w": np.zeros(2)}
     state = AdamState.zeros_like(params)
     with pytest.raises(ValueError):
-        adam_step(state, params, {"v": np.zeros(2)}, hp)
+        adam_step(state, params, {"v": np.zeros(2)}, 0.001, 1e-4)
     with pytest.raises(ValueError):
-        adam_step(state, params, {"w": np.zeros(3)}, hp)
+        adam_step(state, params, {"w": np.zeros(3)}, 0.001, 1e-4)
 
 
 def test_train_naive_single_full_batch_is_one_adam_step():
@@ -175,7 +171,8 @@ def test_train_naive_single_full_batch_is_one_adam_step():
     clf.bias = head_rng.normal(size=2)
     manual_grads = ce_loss_and_grads(clf, data)[1]
     expect, _ = adam_step(AdamState.zeros_like(clf.head_params()),
-                          clf.head_params(), manual_grads, hp)
+                          clf.head_params(), manual_grads, hp.learning_rate,
+                          hp.weight_decay)
     train_naive(clf, data, hp, stream(0, "t"))
     assert clf.adam_state.step == 1
     assert np.allclose(clf.weights, expect["weights"], atol=1e-12)
@@ -250,7 +247,8 @@ def test_joint_weighting_sums_group_means():
     g_large = ce_loss_and_grads(clf, large)[1]
     summed = {k: g_small[k] + g_large[k] for k in g_small}
     expect, _ = adam_step(AdamState.zeros_like(clf.head_params()),
-                          clf.head_params(), summed, hp)
+                          clf.head_params(), summed, hp.learning_rate,
+                          hp.weight_decay)
     train_joint(clf, [small, large], hp, stream(3, "t"))
     assert np.allclose(clf.weights, expect["weights"], atol=1e-12)
     assert np.allclose(clf.bias, expect["bias"], atol=1e-12)
