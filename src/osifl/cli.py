@@ -8,11 +8,11 @@ import sys
 
 import numpy as np
 
-from .config import FIELD_SPECS, ExperimentConfig, build_run_inputs, \
-    parse_config
+from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
+    build_run_inputs, parse_config
 from .errors import ConfigError
-from .orchestrator import CSV_HEADER, ServerMemo, rows_to_csv, run_method, \
-    write_report_csv
+from .orchestrator import CSV_HEADER, ServerMemo, rows_to_csv, run_key, \
+    run_method, write_report_csv
 
 SEED_ENV = "OSIFL_SEED_OVERRIDE"
 
@@ -51,10 +51,18 @@ def _run_grid(config: ExperimentConfig, axis: str | None, values,
     The rows go to `<stem>.csv`, or `<stem>.partial.csv` if any run
     failed; then the exit code is 1 and each failure is printed. All
     cells share one server memo, so each generator is pretrained and
-    each task's data synthesized once for the whole grid."""
-    os.makedirs(out_dir, exist_ok=True)
+    each task's data synthesized once for the whole grid. A cell whose
+    `run_key` an earlier cell already ran reuses that report with its
+    own `config_echo`; a failed run is not kept, so every cell that
+    reaches it runs and fails again."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(
+            f"cannot create output directory {out_dir}: {err}") from None
     seeds = resolve_seeds(config)
     server = ServerMemo()
+    memo: dict = {}
     rows: list[list] = []
     failures: list[str] = []
     for value in values:
@@ -65,12 +73,19 @@ def _run_grid(config: ExperimentConfig, axis: str | None, values,
         for seed in seeds:
             inputs = build_run_inputs(cfg, seed)
             for method in cfg.methods:
-                try:
-                    report = run_method(method, *inputs, cfg, seed,
-                                        server=server)
-                except Exception as err:
-                    failures.append(f"{tag}{method.value} seed={seed}: {err}")
-                    continue
+                key = run_key(method, cfg, seed)
+                if key in memo:
+                    report = dataclasses.replace(
+                        memo[key], config_echo=cfg.canonical())
+                else:
+                    try:
+                        report = run_method(method, *inputs, cfg, seed,
+                                            server=server)
+                    except Exception as err:
+                        failures.append(
+                            f"{tag}{method.value} seed={seed}: {err}")
+                        continue
+                    memo[key] = report
                 done[method].append(report)
                 rows.extend(run_rows(value, report))
         for method, reports in done.items():
@@ -103,17 +118,20 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> int:
 
 
 def sweep(config: ExperimentConfig, axis: str, values, out_dir: str) -> int:
-    """Re-run the whole experiment per axis value; same world and seeds
+    """Run the whole experiment per axis value; same world and seeds
     across values, so comparisons are paired. One combined CSV. Values
-    are checked with the config file's parser for the axis key before
-    any run starts."""
+    are checked with the config file's parser for the axis key, and for
+    a value listed twice, before any run starts. A method that does not
+    read the axis runs once per seed and its report is reused for every
+    value."""
     if axis not in SWEEP_AXES:
         raise ConfigError(
             f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     try:
-        parsed = [FIELD_SPECS[axis][1](value) for value in values]
+        parsed = _distinct(tuple(FIELD_SPECS[axis][1](value)
+                                 for value in values), "value")
     except ConfigError as err:
         raise ConfigError(f"sweep {axis}: {err}") from None
 

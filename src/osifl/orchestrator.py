@@ -94,6 +94,22 @@ def generator_key(config, world: World, seed: int) -> tuple:
             config.base_pool_total, config.dim_e, config.generator, hp)
 
 
+def run_key(method, config, seed: int) -> tuple:
+    """Everything `run_method`'s report, `config_echo` aside, is a
+    function of: the method, the seed and the config, with the fields a
+    sweep axis can vary but this method never reads set to None. Those
+    are the retention budget `p` for every method but OSIFL, and the
+    guidance weight `w` for federated methods and under the `surrogate`
+    generator, which ignores it. Every other field stays in the key."""
+    method = parse_method(method) if isinstance(method, str) else method
+    unread = {}
+    if method is not Method.OSIFL:
+        unread["retain_per_class"] = None
+    if method in FEDERATED_METHODS or config.generator == "surrogate":
+        unread["guidance_w"] = None
+    return (method, int(seed), dataclasses.replace(config, **unread))
+
+
 @dataclass(eq=False)
 class RunState:
     method: Method

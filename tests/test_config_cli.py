@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from osifl import cli, orchestrator
 from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
                        run_experiment, sweep)
-from osifl.config import (ExperimentConfig, build_run_inputs, parse_config,
-                          serialize_config)
+from osifl.config import (FIELD_SPECS, ExperimentConfig, build_run_inputs,
+                          parse_config, serialize_config)
 from osifl.errors import ConfigError
-from osifl.orchestrator import CSV_HEADER, Method
+from osifl.orchestrator import CSV_HEADER, Method, rows_to_csv
 
 
 def _small(**overrides):
@@ -239,6 +240,13 @@ def test_sweep_rejects_bad_axis_and_empty_values(tmp_path, capsys):
                      "--values", values, "--out",
                      str(tmp_path / "cli")]) == 2
         assert "error: sweep" in capsys.readouterr().err
+    # Duplicates are found among the parsed values.
+    for axis, values, shown in (("w", "2,2.0", "2.0"), ("p", "5,05", "5")):
+        assert main(["sweep", "--config", str(path), "--axis", axis,
+                     "--values", values, "--out",
+                     str(tmp_path / "cli")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: sweep {axis}: value {shown} is listed twice\n"
     assert not (tmp_path / "cli").exists()
 
 
@@ -309,6 +317,12 @@ def test_main_error_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+    good = tmp_path / "good.cfg"
+    good.write_text("methods = OSIFL\n")
+    out = tmp_path / "good.cfg" / "out"
+    assert main(["run", "--config", str(good), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot create output directory {out}: ")
 
 
 def test_main_sweep_and_selftest_wiring(tmp_path, monkeypatch):
@@ -421,3 +435,100 @@ def test_non_finite_synthesis_is_a_failed_run_not_a_nan_row(
     assert sorted(os.listdir(out)) == ["run_FEDAVG_seed5.csv",
                                        "summary.partial.csv"]
     assert "nan" not in (out / "summary.partial.csv").read_text()
+
+
+def _direct_sweep_csv(cfg, axis, values):
+    """The sweep CSV built from one `run_method` call per cell, each
+    with a private server memo."""
+    rows = []
+    for value in values:
+        cell = dataclasses.replace(cfg, **{FIELD_SPECS[axis][0]: value})
+        done = {method: [] for method in cell.methods}
+        for seed in cell.seeds:
+            inputs = build_run_inputs(cell, seed)
+            for method in cell.methods:
+                r = orchestrator.run_method(method, *inputs, cell, seed)
+                done[method].append(r)
+                rows.append([axis, value, r.method, r.seed, r.avg_after[-1],
+                             r.forgetting_mean, r.upload_floats_total,
+                             r.madds_total])
+        for method, reports in done.items():
+            rows.append([axis, value, method.value, -1] + [
+                float(np.mean([getattr(r, col)[-1] for r in reports]))
+                for col in ("avg_after", "forgetting_after",
+                            "uploads_after", "madds_after")])
+    return rows_to_csv(rows, header=SWEEP_HEADER)
+
+
+def _count_runs(monkeypatch):
+    """Patch `cli.run_method` to record the (method, seed) of each call."""
+    calls = []
+
+    def counted(method, *args, **kwargs):
+        calls.append((method, args[-1]))
+        return orchestrator.run_method(method, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_method", counted)
+    return calls
+
+
+_THREE = (Method.OSIFL, Method.OSCAR_IL, Method.FEDAVG)
+
+
+@pytest.mark.parametrize("axis, overrides, values, runs", [
+    # Only OSIFL reads p: 3 OSIFL runs, one each for the others.
+    ("p", dict(methods=_THREE, seeds=(3,)), ("0", "2", "3"), 5),
+    # Every method reads the client count: every cell runs.
+    ("clients_per_task", dict(methods=(Method.OSIFL, Method.FEDAVG),
+                              seeds=(3,)), ("1", "2"), 4),
+    # The surrogate ignores w: one run per (method, seed).
+    ("w", dict(methods=_THREE, seeds=(3, 4)), ("1", "3"), 6),
+    # The ddpm sampler reads w, so the one-shot methods run per value.
+    ("w", dict(_DDPM, methods=_THREE, seeds=(3,)), ("1", "3"), 5),
+])
+def test_sweep_runs_each_distinct_cell_once_and_writes_direct_bytes(
+        tmp_path, monkeypatch, axis, overrides, values, runs):
+    cfg = _small(**overrides)
+    calls = _count_runs(monkeypatch)
+    assert sweep(cfg, axis, list(values), str(tmp_path)) == 0
+    assert len(calls) == runs
+    parsed = [FIELD_SPECS[axis][1](value) for value in values]
+    assert (tmp_path / f"sweep_{axis}.csv").read_text() == \
+        _direct_sweep_csv(cfg, axis, parsed)
+
+
+def test_sweep_reruns_a_failed_key_at_every_value(
+        tmp_path, monkeypatch, capsys):
+    # An untrained ddpm makes every one-shot run fail. OSCAR_IL does not
+    # read p, but a failed run is never kept, so each value runs it again.
+    cfg = _small(generator="ddpm", pretrain_steps=0, methods=_THREE,
+                 seeds=(5,))
+    calls = _count_runs(monkeypatch)
+    assert sweep(cfg, "p", ["1", "2"], str(tmp_path)) == 1
+    assert [m for m, _ in calls] == [Method.OSIFL, Method.OSCAR_IL,
+                                     Method.FEDAVG, Method.OSIFL,
+                                     Method.OSCAR_IL]
+    assert capsys.readouterr().err.splitlines() == [
+        f"sweep run failed: p={p} {m} seed=5: refusing to sample from an "
+        f"untrained model" for p in (1, 2) for m in ("OSIFL", "OSCAR_IL")]
+    assert os.listdir(tmp_path) == ["sweep_p.partial.csv"]
+    rows = (tmp_path / "sweep_p.partial.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:4] for row in rows] == [
+        ["p", p, "FEDAVG", s] for p in ("1", "2") for s in ("5", "-1")]
+
+
+def test_reused_report_carries_its_own_config_echo(tmp_path):
+    cfg = _small(methods=(Method.FEDAVG,), seeds=(3,))
+    seen = []
+    assert cli._run_grid(cfg, "p", [1, 2], str(tmp_path), "grid",
+                         SWEEP_HEADER,
+                         lambda value, report: seen.append(report) or [],
+                         lambda *args: []) == 0
+    first, second = seen
+    assert first.config_echo == dataclasses.replace(
+        cfg, retain_per_class=1).canonical()
+    assert second.config_echo == dataclasses.replace(
+        cfg, retain_per_class=2).canonical()
+    assert dataclasses.replace(first, config_echo=second.config_echo) == \
+        second
+
