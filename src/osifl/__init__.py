@@ -25,22 +25,22 @@ from .orchestrator import Method, RunReport, ServerMemo, evaluate, \
     forgetting, report_rows, rows_to_csv, run_method, write_report_csv
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars, top_p_indices
-from .trainer import AdamState, AnchorState, Classifier, TrainHP, \
-    adam_step, ce_loss_and_grads, estimate_fisher, ewc_penalty_and_grads, \
-    full_objective, load_head, proximal_penalty_and_grads, save_head, \
-    train_joint, train_local, train_naive, train_osifl, train_regularized
+from .trainer import Adam, AnchorState, Classifier, TrainHP, \
+    ce_loss_and_grads, estimate_fisher, ewc_penalty_and_grads, \
+    full_objective, load_head, save_head, train_joint, train_local, \
+    train_naive, train_osifl, train_regularized
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "AnchorState", "Batch", "CLASS_INCREMENTAL", "Classifier",
+    "Adam", "AnchorState", "Batch", "CLASS_INCREMENTAL", "Classifier",
     "ClientMessage", "ClientShard", "CommsLedger", "ComputeLedger",
     "ConfigError", "DOMAIN_INCREMENTAL", "Denoiser", "DiffusionHP",
     "ExemplarMemory", "ExperimentConfig", "FrozenEncoder",
     "GaussianSurrogate", "Method", "NoiseSchedule", "ProtocolError",
     "RunReport", "ServerMemo", "TaskSpec", "TaskSuite",
     "TrainHP", "World",
-    "adam_step", "ancestral_sample", "build_client_message",
+    "ancestral_sample", "build_client_message",
     "build_run_inputs", "build_world", "ce_loss_and_grads",
     "class_mean_embeddings", "denoise_loss_and_grads", "draw_base_pool",
     "draw_client_shards", "estimate_fisher", "evaluate",
@@ -48,7 +48,7 @@ __all__ = [
     "full_objective", "guided_epsilon", "load_head",
     "load_model", "make_denoiser", "make_encoder", "make_schedule",
     "make_surrogate", "make_task_suite", "parse_config", "parse_message",
-    "pretrain", "proximal_penalty_and_grads", "report_rows",
+    "pretrain", "report_rows",
     "rows_to_csv", "run_method", "save_head", "save_model",
     "select_exemplars", "serialize_config", "serialize_message", "stream",
     "top_p_indices", "train_joint", "train_local", "train_naive",

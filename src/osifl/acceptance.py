@@ -32,8 +32,8 @@ from .orchestrator import Method, run_method
 from .rng import stream
 from .ssr import ExemplarMemory, top_p_indices
 from .trainer import AnchorState, Classifier, TrainHP, ce_loss_and_grads, \
-    ewc_penalty_and_grads, proximal_penalty_and_grads, train_joint, \
-    train_naive, train_osifl, train_regularized
+    ewc_penalty_and_grads, train_joint, train_naive, train_osifl, \
+    train_regularized
 
 BENCH_SEEDS = (42, 18, 50)
 
@@ -122,26 +122,20 @@ def criterion_gradient_checks() -> tuple[bool, str]:
             {"weights": clf.weights, "bias": clf.bias})
         worst = max(worst, _max_rel_err(analytic, numeric))
         count += 1
-    for _ in range(25):
+    # 25 EWC anchors with random Fisher, then 25 FedProx anchors: the
+    # proximal term (mu / 2) ||theta - ref||^2 is the anchor penalty at
+    # F = 1/2 and lambda = mu.
+    for proximal in [False] * 25 + [True] * 25:
         size = int(rng.integers(1, 9))
         params = {"theta": rng.normal(size=size)}
-        anchor = AnchorState(theta={"theta": rng.normal(size=size)},
-                             fisher={"theta": rng.uniform(0.0, 2.0,
-                                                          size=size)})
+        theta = {"theta": rng.normal(size=size)}
+        fisher = np.full(size, 0.5) if proximal \
+            else rng.uniform(0.0, 2.0, size=size)
+        anchor = AnchorState(theta=theta, fisher={"theta": fisher})
         lam = float(rng.uniform(0.05, 1.5))
         _, analytic = ewc_penalty_and_grads(params, anchor, lam)
         numeric = _fd_grads(
             lambda: ewc_penalty_and_grads(params, anchor, lam)[0], params)
-        worst = max(worst, _max_rel_err(analytic, numeric))
-        count += 1
-    for _ in range(25):
-        size = int(rng.integers(1, 9))
-        params = {"theta": rng.normal(size=size)}
-        ref = {"theta": rng.normal(size=size)}
-        mu = float(rng.uniform(0.05, 1.5))
-        _, analytic = proximal_penalty_and_grads(params, ref, mu)
-        numeric = _fd_grads(
-            lambda: proximal_penalty_and_grads(params, ref, mu)[0], params)
         worst = max(worst, _max_rel_err(analytic, numeric))
         count += 1
     schedule = make_schedule(4, 0.05, 0.3)

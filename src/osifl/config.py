@@ -5,6 +5,7 @@ serialization that round-trips through the parser.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .datagen import CLASS_INCREMENTAL, DOMAIN_INCREMENTAL, build_world, \
@@ -88,9 +89,12 @@ def _parse_int(text: str) -> int:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -120,6 +124,16 @@ def _float_in(low, high, *, min_open=False, max_open=False):
                 f"{high}{')' if max_open else ']'}, got {value}")
         return value
     return parse
+
+
+def _parse_beta(text: str) -> float:
+    """A noise schedule beta: in (0, 1), and large enough that 1 - beta
+    rounds below 1, or the first alpha_bar is 1 and sampling divides
+    by 1 - alpha_bar = 0."""
+    value = _float_in(0.0, 1.0, min_open=True, max_open=True)(text)
+    if not 1.0 - value < 1.0:
+        raise ConfigError(f"1 - {value!r} rounds to 1; need a larger beta")
+    return value
 
 
 def _choice(*options):
@@ -201,10 +215,8 @@ FIELD_SPECS: dict[str, tuple[str, object]] = {
     "local_epochs": ("local_epochs", _int_min(1)),
     "reported_model_params": ("reported_model_params", _int_min(0)),
     "diffusion_steps": ("diffusion_steps", _int_min(1)),
-    "beta_min": ("beta_min", _float_in(0.0, 1.0, min_open=True,
-                                       max_open=True)),
-    "beta_max": ("beta_max", _float_in(0.0, 1.0, min_open=True,
-                                       max_open=True)),
+    "beta_min": ("beta_min", _parse_beta),
+    "beta_max": ("beta_max", _parse_beta),
     "p_drop": ("p_drop", _float_in(0.0, 1.0)),
     "w": ("guidance_w", _float_in(1.0, float("inf"))),
     "generator": ("generator", _choice("ddpm", "surrogate")),

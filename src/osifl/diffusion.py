@@ -26,7 +26,7 @@ from .encoder import BlobReader, ClientMessage, FrozenEncoder, \
     pair_mean_embeddings
 from .errors import ConfigError, ProtocolError
 from .rng import stream
-from .trainer import AdamState, adam_step
+from .trainer import Adam
 
 PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
 # The denoiser's Adam step size; its weight decay is zero.
@@ -66,14 +66,19 @@ def make_schedule(num_steps: int, beta_min: float, beta_max: float
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise ConfigError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
+    if not 1.0 - beta_min < 1.0:
+        raise ConfigError(f"beta_min {beta_min!r} is so small that "
+                          f"1 - beta_min rounds to 1")
     return _schedule_from_betas(np.linspace(beta_min, beta_max, num_steps))
 
 
 def _schedule_from_betas(betas: np.ndarray) -> NoiseSchedule:
     """The read-only schedule of `betas`. Each beta must lie in (0, 1),
-    so that no alpha or alpha_bar is negative."""
-    if not ((betas > 0.0) & (betas < 1.0)).all():
-        raise ProtocolError("every noise schedule beta must lie in (0, 1)")
+    so that no alpha or alpha_bar is negative, with 1 - beta below 1,
+    so that no 1 - alpha_bar the sampler divides by is zero."""
+    if not ((betas > 0.0) & (betas < 1.0) & (1.0 - betas < 1.0)).all():
+        raise ProtocolError("every noise schedule beta must lie in (0, 1), "
+                            "with 1 - beta < 1")
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
     for arr in (betas, alphas, alpha_bars):
@@ -300,14 +305,15 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, hp: DiffusionHP,
     denoiser = make_denoiser(pool.x.shape[1], encoder.dim_e, hp.num_steps,
                              hp.hidden, seed)
     rng = stream(seed, "pretrain")
-    state = AdamState.zeros_like(denoiser.params)
+    params = [denoiser.params[name] for name in PARAM_ORDER]
+    adam = Adam(params)
     history: list[float] = []
     for _ in range(hp.train_steps):
         idx = rng.integers(0, len(pool), size=hp.batch_size)
         loss, grads = denoise_loss_and_grads(denoiser, schedule, pool.x[idx],
                                              cond[idx], hp.p_drop, rng)
-        denoiser.params, state = adam_step(state, denoiser.params, grads,
-                                           DENOISER_LEARNING_RATE, 0.0)
+        adam.update(params, [grads[name] for name in PARAM_ORDER],
+                    DENOISER_LEARNING_RATE, 0.0)
         history.append(loss)
         if ledger is not None:
             ledger.add("diffusion_pretrain",

@@ -27,8 +27,8 @@ from .ledgers import CommsLedger, ComputeLedger, encoder_forward_madds, \
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars
 from .trainer import AnchorState, Classifier, TrainHP, align_anchor, \
-    estimate_fisher, ewc_penalty_and_grads, proximal_penalty_and_grads, \
-    train_joint, train_local, train_naive, train_osifl, train_regularized
+    estimate_fisher, train_joint, train_local, train_naive, train_osifl, \
+    train_regularized
 
 
 class Method(str, Enum):
@@ -266,26 +266,26 @@ def federated_task_phase(state: RunState, task: TaskSpec,
         raise ProtocolError(f"shard from another task handed to task {t}")
     clf = state.classifier
     clf.expand_head([c for c in task.classes if c not in clf.class_index])
-    anchor = None
+    anchor, lam = None, 0.0
     if state.method is Method.FEDEWC and state.anchor is not None:
         anchor = align_anchor(state.anchor, {"weights": clf.weights,
                                              "bias": clf.bias})
+        lam = state.hp.lambda_ewc
+    elif state.method is Method.FEDPROX:
+        lam = state.hp.mu_prox
     for rnd in range(1, cfg.rounds + 1):
         broadcast = clf.head_params()
+        if state.method is Method.FEDPROX:
+            # (mu / 2) ||theta - broadcast||^2 is the anchor penalty at
+            # F = 1/2 and lambda = mu.
+            anchor = AnchorState(theta=broadcast, fisher={
+                k: np.full_like(v, 0.5) for k, v in broadcast.items()})
         updates, counts = [], []
         for shard in task_shards:
             local = clf.copy()
-            penalty = None
-            if state.method is Method.FEDPROX and state.hp.mu_prox > 0:
-                penalty = lambda params, ref=broadcast: \
-                    proximal_penalty_and_grads(params, ref, state.hp.mu_prox)
-            elif state.method is Method.FEDEWC and anchor is not None \
-                    and state.hp.lambda_ewc > 0:
-                penalty = lambda params, anc=anchor: \
-                    ewc_penalty_and_grads(params, anc, state.hp.lambda_ewc)
             train_local(local, shard.samples, state.hp,
                         stream(state.seed, "fed", t, rnd, shard.client_id),
-                        epochs=cfg.local_epochs, penalty=penalty,
+                        epochs=cfg.local_epochs, anchor=anchor, lam=lam,
                         ledger=state.compute)
             updates.append(local.head_params())
             counts.append(len(shard.samples))

@@ -56,44 +56,38 @@ class TrainHP:
                     f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-@dataclass(eq=False)
-class AdamState:
-    step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+class Adam:
+    """Bias-corrected Adam over a fixed list of arrays, which `update`
+    changes in place together with the moments `m` and `v`. Weight
+    decay * param is added to the gradient before the moments."""
 
-    @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(step=0,
-                   m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+    def __init__(self, params: list[np.ndarray]):
+        self.step = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def update(self, params: list[np.ndarray], grads: list[np.ndarray],
+               learning_rate: float, weight_decay: float) -> None:
+        shapes = [[a.shape for a in arrays]
+                  for arrays in (params, grads, self.m)]
+        if not shapes[0] == shapes[1] == shapes[2]:
+            raise ValueError(f"param, gradient and moment shapes differ: "
+                             f"{shapes}")
+        self.step += 1
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        c1, c2 = 1.0 - b1 ** self.step, 1.0 - b2 ** self.step
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            g = g + weight_decay * p
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray], learning_rate: float,
-              weight_decay: float
-              ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update. Pure: inputs are not mutated.
-    weight_decay * param is added to the gradient before the moments."""
-    if set(params) != set(grads):
-        raise ValueError(f"param keys {sorted(params)} != grad keys "
-                         f"{sorted(grads)}")
-    t = state.step + 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    new_params, new_m, new_v = {}, {}, {}
-    for k, p in params.items():
-        if grads[k].shape != p.shape:
-            raise ValueError(f"gradient shape {grads[k].shape} != param "
-                             f"shape {p.shape} for {k!r}")
-        g = grads[k] + weight_decay * p
-        m = b1 * state.m[k] + (1.0 - b1) * g
-        v = b2 * state.v[k] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        new_params[k] = p - learning_rate * m_hat / (np.sqrt(v_hat)
-                                                     + ADAM_EPS)
-        new_m[k], new_v[k] = m, v
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+def _pad_rows(a: np.ndarray, n: int) -> np.ndarray:
+    """A copy of `a` with zero rows appended up to `n` rows."""
+    return np.concatenate([a, np.zeros((n - len(a),) + a.shape[1:])])
 
 
 class Classifier:
@@ -109,7 +103,7 @@ class Classifier:
         self.class_index: dict[int, int] = {}
         self.weights = np.zeros((0, encoder.dim_e))
         self.bias = np.zeros(0)
-        self.adam_state: AdamState | None = None
+        self.adam: Adam | None = None
         if classes:
             self.expand_head(classes)
 
@@ -132,19 +126,15 @@ class Classifier:
             raise ProtocolError(f"classes already registered: {clash}")
         if not new_classes:
             return
-        n_new = len(new_classes)
         for c in new_classes:
             self.class_index[c] = len(self.classes)
             self.classes.append(int(c))
-        self.weights = np.vstack(
-            [self.weights, np.zeros((n_new, self.encoder.dim_e))])
-        self.bias = np.concatenate([self.bias, np.zeros(n_new)])
-        if self.adam_state is not None:
-            st = self.adam_state
-            for d in (st.m, st.v):
-                d["weights"] = np.vstack(
-                    [d["weights"], np.zeros((n_new, self.encoder.dim_e))])
-                d["bias"] = np.concatenate([d["bias"], np.zeros(n_new)])
+        n = len(self.classes)
+        self.weights = _pad_rows(self.weights, n)
+        self.bias = _pad_rows(self.bias, n)
+        if self.adam is not None:
+            self.adam.m = [_pad_rows(a, n) for a in self.adam.m]
+            self.adam.v = [_pad_rows(a, n) for a in self.adam.v]
 
     def head_params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights.copy(), "bias": self.bias.copy()}
@@ -272,24 +262,18 @@ def align_anchor(anchor: AnchorState, params: dict[str, np.ndarray]
                  ) -> AnchorState:
     """Pad an anchor recorded before a head expansion with zero rows, so
     new classes stay unconstrained."""
-    theta, fisher = {}, {}
-    for k, p in params.items():
-        for src, dst in ((anchor.theta, theta), (anchor.fisher, fisher)):
-            old = src[k]
-            if old.shape == p.shape:
-                dst[k] = old.copy()
-            else:
-                grown = np.zeros_like(p)
-                grown[tuple(slice(0, s) for s in old.shape)] = old
-                dst[k] = grown
-    return AnchorState(theta=theta, fisher=fisher)
+    def pad(arrays):
+        return {k: _pad_rows(arrays[k], len(p)) for k, p in params.items()}
+    return AnchorState(theta=pad(anchor.theta), fisher=pad(anchor.fisher))
 
 
 def ewc_penalty_and_grads(params: dict[str, np.ndarray],
                           anchor: AnchorState, lam: float
                           ) -> tuple[float, dict[str, np.ndarray]]:
     """lam * sum_j F_j (theta_j - theta*_j)^2 with gradient
-    2 lam F (theta - theta*)."""
+    2 lam F (theta - theta*). With F = 1/2 and lam = mu this is the
+    FedProx term (mu / 2) ||theta - theta*||^2, gradient mu (theta -
+    theta*). Training adds the same gradient in `_train_on_groups`."""
     loss = 0.0
     grads = {}
     for k, p in params.items():
@@ -299,23 +283,13 @@ def ewc_penalty_and_grads(params: dict[str, np.ndarray],
     return loss, grads
 
 
-def proximal_penalty_and_grads(params: dict[str, np.ndarray],
-                               reference: dict[str, np.ndarray], mu: float
-                               ) -> tuple[float, dict[str, np.ndarray]]:
-    """(mu / 2) ||theta - reference||^2 with gradient mu (theta - ref)."""
-    loss = 0.0
-    grads = {}
-    for k, p in params.items():
-        diff = p - reference[k]
-        loss += 0.5 * mu * float((diff * diff).sum())
-        grads[k] = mu * diff
-    return loss, grads
-
-
 def _train_on_groups(classifier: Classifier, groups: list[Batch],
                      hp: TrainHP, rng: np.random.Generator, *,
-                     epochs: int | None = None, penalty=None,
+                     epochs: int | None = None,
+                     anchor: AnchorState | None = None, lam: float = 0.0,
                      ledger=None) -> Classifier:
+    if lam < 0:
+        raise ConfigError(f"lambda must be >= 0, got {lam}")
     groups = [g for g in groups if len(g) > 0]
     if not groups:
         raise ProtocolError("training needs at least one non-empty set")
@@ -328,23 +302,34 @@ def _train_on_groups(classifier: Classifier, groups: list[Batch],
     if ledger is not None:
         ledger.add("train_encoder", ledgers.encoder_forward_madds(
             n_total, dim_e, classifier.encoder.dim_x))
-    params = {"weights": classifier.weights, "bias": classifier.bias}
-    state = classifier.adam_state
-    if hp.adam_reset_per_task or state is None or \
-            state.m["weights"].shape != params["weights"].shape:
-        state = AdamState.zeros_like(params)
+    params = [classifier.weights, classifier.bias]
+    adam = classifier.adam
+    if hp.adam_reset_per_task or adam is None or \
+            adam.m[0].shape != classifier.weights.shape:
+        adam = Adam(params)
+    # The anchor penalty's gradient is coef * (theta - theta*), with
+    # coef = 2 lam F formed once per call. Doubling is exact, so
+    # lam * (2 F) rounds like (2 lam) F, and is mu itself at F = 1/2.
+    pulls = []
+    if anchor is not None and lam > 0:
+        for k, p in zip(("weights", "bias"), params):
+            if anchor.theta[k].shape != p.shape or \
+                    anchor.fisher[k].shape != p.shape:
+                raise ProtocolError(f"anchor {k} shape does not match the "
+                                    f"head's {p.shape}")
+            pulls.append((lam * (2.0 * anchor.fisher[k]), anchor.theta[k]))
     n_epochs = hp.epochs_per_task if epochs is None else epochs
     for _ in range(n_epochs):
         order = rng.permutation(n_total)
         for start in range(0, n_total, hp.batch_size):
             idx = order[start:start + hp.batch_size]
-            _, grads = _ce_grads(params["weights"], params["bias"], emb[idx],
-                                 rows[idx], n_total / len(idx) * sample_w[idx])
-            if penalty is not None:
-                _, pgrads = penalty(params)
-                grads = {k: grads[k] + pgrads[k] for k in grads}
-            params, state = adam_step(state, params, grads, hp.learning_rate,
-                                      hp.weight_decay)
+            _, grads = _ce_grads(classifier.weights, classifier.bias,
+                                 emb[idx], rows[idx],
+                                 n_total / len(idx) * sample_w[idx])
+            grads = [grads["weights"], grads["bias"]]
+            for g, p, (coef, theta) in zip(grads, params, pulls):
+                g += coef * (p - theta)
+            adam.update(params, grads, hp.learning_rate, hp.weight_decay)
     if ledger is not None:
         # The madds formulas are linear in the batch size, so one charge
         # for every row of every epoch equals the per-step sum.
@@ -354,9 +339,7 @@ def _train_on_groups(classifier: Classifier, groups: list[Batch],
         ledger.add("train_softmax", ledgers.softmax_madds(seen, n_out))
         ledger.add("train_head_backward",
                    ledgers.head_backward_madds(seen, n_out, dim_e))
-    classifier.weights = params["weights"]
-    classifier.bias = params["bias"]
-    classifier.adam_state = None if hp.adam_reset_per_task else state
+    classifier.adam = None if hp.adam_reset_per_task else adam
     return classifier
 
 
@@ -391,22 +374,19 @@ def train_regularized(classifier: Classifier, data: Batch,
                       rng: np.random.Generator, ledger=None) -> Classifier:
     """Naive objective plus the quadratic anchor penalty. lam = 0 (or no
     anchor) follows exactly the train_naive trajectory."""
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
-    penalty = None
-    if anchor is not None and lam > 0:
-        penalty = lambda params: ewc_penalty_and_grads(params, anchor, lam)
-    return _train_on_groups(classifier, [data], hp, rng, penalty=penalty,
-                            ledger=ledger)
+    return _train_on_groups(classifier, [data], hp, rng, anchor=anchor,
+                            lam=lam, ledger=ledger)
 
 
 def train_local(classifier: Classifier, data: Batch, hp: TrainHP,
-                rng: np.random.Generator, *, epochs: int, penalty=None,
+                rng: np.random.Generator, *, epochs: int,
+                anchor: AnchorState | None = None, lam: float = 0.0,
                 ledger=None) -> Classifier:
     """A federated client's local pass: a short naive run, optionally
-    with a proximal or anchor penalty supplied by the caller."""
+    with the anchor penalty (FedEWC's Fisher anchor, or FedProx's
+    broadcast model at F = 1/2)."""
     return _train_on_groups(classifier, [data], hp, rng, epochs=epochs,
-                            penalty=penalty, ledger=ledger)
+                            anchor=anchor, lam=lam, ledger=ledger)
 
 
 _HEAD_MAGIC = b"OSFH"

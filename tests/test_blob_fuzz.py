@@ -129,6 +129,7 @@ def test_head_checkpoint_rejects_non_finite_values(scratch, at):
     (0, np.nan, "non-finite"),
     (1, 1.5, r"beta must lie in \(0, 1\)"),
     (2, 0.0, r"beta must lie in \(0, 1\)"),
+    (2, 1e-17, r"with 1 - beta < 1"),
     (3, np.inf, "non-finite"),
 ])
 def test_model_checkpoint_rejects_bad_betas_and_weights(scratch, at, value,

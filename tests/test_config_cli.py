@@ -65,7 +65,17 @@ def test_short_keys_map_to_long_fields():
     "generator = gan",
     "suite_mode = task_incremental",
     "beta_min = 0",
+    "beta_min = 1e-17",
+    "beta_max = nan",
     "learning_rate = 0",
+    "learning_rate = inf",
+    "within_std = inf",
+    "weight_decay = inf",
+    "lambda_ewc = inf",
+    "mu_prox = 1e400",
+    "w = inf",
+    "p_drop = nan",
+    "learning_rate = -inf",
     "seeds = ",
     "num_classes = one",
 ])
@@ -229,13 +239,14 @@ def test_sweep_rejects_bad_axis_and_empty_values(tmp_path, capsys):
     # Values go through the config file's parser for the axis key, so a
     # bad one stops the sweep before any run writes anything.
     for axis, value in (("p", "abc"), ("p", "-1"), ("w", "0.5"),
-                        ("clients_per_task", "0")):
+                        ("w", "inf"), ("clients_per_task", "0")):
         with pytest.raises(ConfigError, match=f"sweep {axis}:"):
             sweep(cfg, axis, ["1", value], str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
     path = tmp_path / "exp.cfg"
     path.write_text("methods = OSIFL\nseeds = 7\n")
-    for axis, values in (("p", "abc"), ("p", "-1"), ("w", "0.5")):
+    for axis, values in (("p", "abc"), ("p", "-1"), ("w", "0.5"),
+                         ("w", "inf"), ("w", "2,nan")):
         assert main(["sweep", "--config", str(path), "--axis", axis,
                      "--values", values, "--out",
                      str(tmp_path / "cli")]) == 2
@@ -312,9 +323,17 @@ def test_main_uses_config_out_dir_when_not_overridden(tmp_path):
 
 def test_main_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("p = -1\n")
-    assert main(["run", "--config", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    # Non-finite numbers and a beta whose 1 - beta rounds to 1 stop the
+    # run at parse time, before any output exists.
+    for body in ("p = -1", "learning_rate = inf", "within_std = inf",
+                 "weight_decay = inf", "lambda_ewc = inf",
+                 "generator = surrogate\nw = inf",
+                 "generator = ddpm\nbeta_min = 1e-17"):
+        bad.write_text(body + "\nmethods = OSIFL\nseeds = 7\n")
+        out = tmp_path / "never"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
     good = tmp_path / "good.cfg"

@@ -45,6 +45,9 @@ def test_schedule_rejects_bad_betas():
     for args in ((0, 0.1, 0.2), (3, 0.2, 0.1), (3, 0.1, 1.0)):
         with pytest.raises(ConfigError):
             make_schedule(*args)
+    # 1 - 1e-17 rounds to 1: the first alpha_bar would be exactly 1.
+    with pytest.raises(ConfigError, match="beta_min"):
+        make_schedule(3, 1e-17, 0.1)
 
 
 def test_forward_noise_beta_zero_limit():

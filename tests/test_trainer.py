@@ -11,13 +11,12 @@ from osifl.ledgers import ComputeLedger, encoder_forward_madds, \
     head_backward_madds, head_forward_madds, softmax_madds
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, select_exemplars
-from osifl.trainer import (AdamState, AnchorState, Classifier, TrainHP,
-                           adam_step, align_anchor, ce_loss_and_grads,
-                           estimate_fisher, ewc_penalty_and_grads,
-                           full_objective, load_head,
-                           proximal_penalty_and_grads, save_head,
-                           train_joint, train_local, train_naive,
-                           train_osifl, train_regularized)
+from osifl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
+                           AnchorState, Classifier, TrainHP, _ce_grads,
+                           align_anchor, ce_loss_and_grads, estimate_fisher,
+                           ewc_penalty_and_grads, full_objective, load_head,
+                           rows_for, save_head, train_joint, train_local,
+                           train_naive, train_osifl, train_regularized)
 
 
 def _toy_data(seed, n=24, classes=(0, 1), dim=4, shift=0.0, task=1):
@@ -34,6 +33,53 @@ def _row(x, y):
 
 def _empty(dim=3):
     return Batch(np.empty((0, dim)), [], [])
+
+
+def _ref_zeros(params):
+    """A fresh state for `_ref_adam_step`: (step, m, v)."""
+    return (0, {k: np.zeros_like(p) for k, p in params.items()},
+            {k: np.zeros_like(p) for k, p in params.items()})
+
+
+def _ref_adam_step(state, params, grads, learning_rate, weight_decay):
+    """The pure dict-in, dict-out Adam step, kept as the bit-for-bit
+    reference for `Adam.update`. Returns new params and a new state."""
+    step, m_old, v_old = state
+    t = step + 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    new_params, new_m, new_v = {}, {}, {}
+    for k, p in params.items():
+        g = grads[k] + weight_decay * p
+        m = b1 * m_old[k] + (1.0 - b1) * g
+        v = b2 * v_old[k] + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        new_params[k] = p - learning_rate * m_hat / (np.sqrt(v_hat)
+                                                     + ADAM_EPS)
+        new_m[k], new_v[k] = m, v
+    return new_params, (t, new_m, new_v)
+
+
+def _ref_train(clf, data, hp, rng, state, *, epochs, pull=None):
+    """The trainer's minibatch loop for one group, stepped by
+    `_ref_adam_step`; `pull(params)` adds a penalty gradient. Returns
+    the final head and the reference Adam state."""
+    emb = clf.encoder.encode_batch(data.x)
+    rows = rows_for(clf, data.y)
+    n = len(rows)
+    sample_w = np.full(n, 1.0 / n)
+    params = clf.head_params()
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, hp.batch_size):
+            idx = order[start:start + hp.batch_size]
+            _, grads = _ce_grads(params["weights"], params["bias"], emb[idx],
+                                 rows[idx], n / len(idx) * sample_w[idx])
+            if pull is not None:
+                grads = {k: grads[k] + g for k, g in pull(params).items()}
+            params, state = _ref_adam_step(state, params, grads,
+                                           hp.learning_rate, hp.weight_decay)
+    return params, state
 
 
 def test_hp_defaults_match_experiment_defaults():
@@ -118,43 +164,115 @@ def test_ce_loss_stays_finite_when_the_true_class_underflows():
 
 
 def test_adam_zero_gradient_fixed_point():
-    params = {"w": np.array([1.0, -2.0])}
-    state = AdamState.zeros_like(params)
-    new_params, new_state = adam_step(state, params,
-                                      {"w": np.zeros(2)}, 0.001, 0.0)
-    assert np.array_equal(new_params["w"], params["w"])
-    assert new_state.step == 1
+    w = np.array([1.0, -2.0])
+    adam = Adam([w])
+    adam.update([w], [np.zeros(2)], 0.001, 0.0)
+    assert np.array_equal(w, [1.0, -2.0])
+    assert adam.step == 1
 
 
 def test_adam_first_step_magnitude():
     # Bias corrections cancel at t = 1: the step is lr * g / (|g| + eps),
     # so a unit gradient moves the parameter by about -lr.
-    params = {"w": np.array([0.5])}
-    new_params, _ = adam_step(AdamState.zeros_like(params), params,
-                              {"w": np.array([1.0])}, 0.001, 0.0)
-    delta = float(new_params["w"][0] - 0.5)
+    w = np.array([0.5])
+    Adam([w]).update([w], [np.array([1.0])], 0.001, 0.0)
+    delta = float(w[0] - 0.5)
     assert delta == pytest.approx(-0.001, abs=1e-10)
 
 
-def test_adam_is_pure():
-    params = {"w": np.array([1.0])}
-    grads = {"w": np.array([2.0])}
-    state = AdamState.zeros_like(params)
-    adam_step(state, params, grads, 0.001, 1e-4)
-    assert params["w"][0] == 1.0 and grads["w"][0] == 2.0
-    assert state.step == 0 and state.m["w"][0] == 0.0
-    a, _ = adam_step(state, params, grads, 0.001, 1e-4)
-    b, _ = adam_step(state, params, grads, 0.001, 1e-4)
-    assert np.array_equal(a["w"], b["w"])
+def test_adam_updates_params_in_place_and_leaves_grads():
+    w = np.array([1.0])
+    grads = [np.array([2.0])]
+    adam = Adam([w])
+    assert adam.step == 0 and adam.m[0][0] == 0.0
+    adam.update([w], grads, 0.001, 1e-4)
+    assert w[0] != 1.0 and grads[0][0] == 2.0
+    assert adam.step == 1 and adam.m[0][0] != 0.0
+    # The step is a function of its inputs alone.
+    a, b = np.array([1.0]), np.array([1.0])
+    Adam([a]).update([a], grads, 0.001, 1e-4)
+    Adam([b]).update([b], grads, 0.001, 1e-4)
+    assert np.array_equal(a, b) and np.array_equal(a, w)
 
 
-def test_adam_validates_keys_and_shapes():
-    params = {"w": np.zeros(2)}
-    state = AdamState.zeros_like(params)
+def test_adam_validates_counts_and_shapes():
+    w = np.zeros(2)
+    adam = Adam([w])
     with pytest.raises(ValueError):
-        adam_step(state, params, {"v": np.zeros(2)}, 0.001, 1e-4)
+        adam.update([w], [np.zeros(2), np.zeros(2)], 0.001, 1e-4)
     with pytest.raises(ValueError):
-        adam_step(state, params, {"w": np.zeros(3)}, 0.001, 1e-4)
+        adam.update([w, np.zeros(2)], [np.zeros(2)], 0.001, 1e-4)
+    with pytest.raises(ValueError):
+        adam.update([w], [np.zeros(3)], 0.001, 1e-4)
+    with pytest.raises(ValueError):
+        adam.update([w], [np.zeros((1, 2))], 0.001, 1e-4)
+    assert adam.step == 0 and np.array_equal(w, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_adam_matches_reference_across_head_growth(weight_decay):
+    # 24 steps on a 2-class head, then two new rows whose moments start
+    # at zero, then 24 more: bit for bit the pure reference step.
+    enc = make_encoder(6, 3, 1)
+    clf = Classifier(enc, classes=(0, 1))
+    rng = np.random.default_rng(21)
+    clf.weights = rng.normal(size=(2, 6))
+    clf.bias = rng.normal(size=2)
+    clf.adam = Adam([clf.weights, clf.bias])
+    ref_params = clf.head_params()
+    ref_state = _ref_zeros(ref_params)
+    for phase in range(2):
+        for _ in range(24):
+            grads = {"weights": rng.normal(size=clf.weights.shape),
+                     "bias": rng.normal(size=clf.bias.shape)}
+            clf.adam.update([clf.weights, clf.bias],
+                            [grads["weights"], grads["bias"]], 0.01,
+                            weight_decay)
+            ref_params, ref_state = _ref_adam_step(
+                ref_state, ref_params, grads, 0.01, weight_decay)
+            assert np.array_equal(clf.weights, ref_params["weights"])
+            assert np.array_equal(clf.bias, ref_params["bias"])
+        if phase == 0:
+            clf.expand_head([2, 3])
+            t, m, v = ref_state
+            pad = {"weights": np.zeros((2, 6)), "bias": np.zeros(2)}
+            ref_state = (t, *({k: np.concatenate([d[k], pad[k]])
+                               for k in d} for d in (m, v)))
+            ref_params = {k: np.concatenate([ref_params[k], pad[k]])
+                          for k in ref_params}
+    assert clf.adam.step == ref_state[0] == 48
+    assert np.array_equal(clf.adam.m[0], ref_state[1]["weights"])
+    assert np.array_equal(clf.adam.v[1], ref_state[2]["bias"])
+
+
+def test_persisted_moments_train_like_the_reference_across_tasks():
+    # adam_reset_per_task = false: the trainer's moments survive the
+    # head growth between two tasks, exactly as the reference's do.
+    enc = make_encoder(6, 3, 1)
+    hp = TrainHP(epochs_per_task=2, batch_size=5, adam_reset_per_task=False)
+    first = _toy_data(5, n=10, dim=3)
+    second = _toy_data(6, n=10, classes=(2, 3), dim=3, task=2)
+    clf = Classifier(enc, classes=(0, 1))
+    ref = Classifier(enc, classes=(0, 1))
+    state = _ref_zeros(ref.head_params())
+    for t, data in enumerate((first, second), start=1):
+        if t == 2:
+            clf.expand_head([2, 3])
+            ref.expand_head([2, 3])
+            step, m, v = state
+            state = (step, *({k: np.concatenate(
+                [d[k], np.zeros((2,) + d[k].shape[1:])]) for k in d}
+                for d in (m, v)))
+        train_naive(clf, data, hp, stream(0, "t", t))
+        params, state = _ref_train(ref, data, hp, stream(0, "t", t), state,
+                                   epochs=hp.epochs_per_task)
+        ref.load_params(params)
+        assert np.array_equal(clf.weights, ref.weights)
+        assert np.array_equal(clf.bias, ref.bias)
+    assert clf.adam.step == state[0] == 8
+    for i, k in enumerate(("weights", "bias")):
+        assert np.array_equal(clf.adam.m[i], state[1][k])
+        assert np.array_equal(clf.adam.v[i], state[2][k])
 
 
 def test_train_naive_single_full_batch_is_one_adam_step():
@@ -170,11 +288,11 @@ def test_train_naive_single_full_batch_is_one_adam_step():
     clf.weights = head_rng.normal(size=(2, 6))
     clf.bias = head_rng.normal(size=2)
     manual_grads = ce_loss_and_grads(clf, data)[1]
-    expect, _ = adam_step(AdamState.zeros_like(clf.head_params()),
-                          clf.head_params(), manual_grads, hp.learning_rate,
-                          hp.weight_decay)
+    expect, _ = _ref_adam_step(_ref_zeros(clf.head_params()),
+                               clf.head_params(), manual_grads,
+                               hp.learning_rate, hp.weight_decay)
     train_naive(clf, data, hp, stream(0, "t"))
-    assert clf.adam_state.step == 1
+    assert clf.adam.step == 1
     assert np.allclose(clf.weights, expect["weights"], atol=1e-12)
     assert np.allclose(clf.bias, expect["bias"], atol=1e-12)
 
@@ -246,9 +364,9 @@ def test_joint_weighting_sums_group_means():
     g_small = ce_loss_and_grads(clf, small)[1]
     g_large = ce_loss_and_grads(clf, large)[1]
     summed = {k: g_small[k] + g_large[k] for k in g_small}
-    expect, _ = adam_step(AdamState.zeros_like(clf.head_params()),
-                          clf.head_params(), summed, hp.learning_rate,
-                          hp.weight_decay)
+    expect, _ = _ref_adam_step(_ref_zeros(clf.head_params()),
+                               clf.head_params(), summed, hp.learning_rate,
+                               hp.weight_decay)
     train_joint(clf, [small, large], hp, stream(3, "t"))
     assert np.allclose(clf.weights, expect["weights"], atol=1e-12)
     assert np.allclose(clf.bias, expect["bias"], atol=1e-12)
@@ -382,12 +500,48 @@ def test_ewc_penalty_hand_case_and_gradient():
     assert grads["w"][0] == pytest.approx(6.0, abs=1e-12)
 
 
+def _prox_anchor(ref):
+    """FedProx's anchor: the reference model at a flat Fisher of 1/2."""
+    return AnchorState(theta=ref, fisher={k: np.full_like(v, 0.5)
+                                          for k, v in ref.items()})
+
+
 def test_proximal_penalty_hand_case():
+    # (mu / 2) ||theta - ref||^2 as the anchor penalty at F = 1/2.
     params = {"w": np.array([3.0, 4.0])}
-    ref = {"w": np.zeros(2)}
-    loss, grads = proximal_penalty_and_grads(params, ref, 2.0)
+    loss, grads = ewc_penalty_and_grads(params, _prox_anchor(
+        {"w": np.zeros(2)}), 2.0)
     assert loss == pytest.approx(25.0, abs=1e-12)
     assert np.allclose(grads["w"], [6.0, 8.0], atol=1e-12)
+
+
+def test_fedprox_pull_is_mu_times_the_gap_bit_for_bit():
+    rng = np.random.default_rng(31)
+    # The trainer's coefficient is lam * (2 F); at F = 1/2 it is mu
+    # itself, even where 2 mu would overflow.
+    for mu in [0.01, 1.0, 1e-300, 3.7e5, 1e308] + list(rng.uniform(0, 2, 50)):
+        theta, ref = rng.uniform(-0.5, 0.5, (2, 40))
+        pull = mu * (2.0 * np.full(40, 0.5)) * (theta - ref)
+        assert np.array_equal(pull, mu * (theta - ref))
+    # In training: a FedProx local pass equals the reference loop that
+    # adds mu * (theta - ref) to every step's gradient. The kept moments
+    # hold the gradients at full precision, so they are compared too.
+    enc = make_encoder(6, 3, 1)
+    data = _toy_data(5, n=16, dim=3)
+    hp = TrainHP(epochs_per_task=20, batch_size=6, adam_reset_per_task=False)
+    clf = Classifier(enc, classes=(0, 1))
+    clf.weights = rng.normal(size=(2, 6))
+    clf.bias = rng.normal(size=2)
+    ref = {"weights": rng.normal(size=(2, 6)), "bias": rng.normal(size=2)}
+    expect, (_, m, v) = _ref_train(
+        clf, data, hp, stream(1, "t"), _ref_zeros(ref), epochs=3,
+        pull=lambda p: {k: 0.3 * (p[k] - ref[k]) for k in p})
+    train_local(clf, data, hp, stream(1, "t"), epochs=3,
+                anchor=_prox_anchor(ref), lam=0.3)
+    for i, k in enumerate(("weights", "bias")):
+        assert np.array_equal(getattr(clf, k), expect[k])
+        assert np.array_equal(clf.adam.m[i], m[k])
+        assert np.array_equal(clf.adam.v[i], v[k])
 
 
 def test_regularized_lambda_zero_equals_naive():
@@ -476,10 +630,11 @@ def test_expand_head_rejects_duplicates_and_grows_moments():
         clf.expand_head([1])
     hp = TrainHP(epochs_per_task=1, batch_size=8, adam_reset_per_task=False)
     train_naive(clf, _toy_data(5, n=8, dim=3), hp, stream(0, "t"))
-    assert clf.adam_state is not None
+    assert clf.adam is not None
     clf.expand_head([2])
-    assert clf.adam_state.m["weights"].shape == (3, 6)
-    assert np.all(clf.adam_state.m["weights"][2] == 0.0)
+    assert clf.adam.m[0].shape == (3, 6) and clf.adam.v[1].shape == (3,)
+    assert np.all(clf.adam.m[0][2] == 0.0)
+    assert np.all(clf.adam.v[1][2] == 0.0)
 
 
 def test_train_local_epoch_override_and_penalty_pull():
@@ -491,8 +646,22 @@ def test_train_local_epoch_override_and_penalty_pull():
     pulled = Classifier(enc, classes=(0, 1))
     train_local(plain, data, hp, stream(1, "t"), epochs=1)
     train_local(pulled, data, hp, stream(1, "t"), epochs=1,
-                penalty=lambda p: proximal_penalty_and_grads(p, ref, 100.0))
+                anchor=_prox_anchor(ref), lam=100.0)
     assert np.linalg.norm(pulled.weights) < np.linalg.norm(plain.weights)
+
+
+def test_train_local_rejects_a_misaligned_anchor_and_negative_lambda():
+    enc = make_encoder(6, 3, 1)
+    data = _toy_data(5, n=16, dim=3)
+    hp = TrainHP(epochs_per_task=1, batch_size=8)
+    clf = Classifier(enc, classes=(0, 1))
+    short = _prox_anchor({"weights": np.zeros((1, 6)), "bias": np.zeros(1)})
+    with pytest.raises(ProtocolError, match="anchor weights shape"):
+        train_local(clf, data, hp, stream(1, "t"), epochs=1, anchor=short,
+                    lam=1.0)
+    with pytest.raises(ConfigError):
+        train_local(clf, data, hp, stream(1, "t"), epochs=1, lam=-1.0)
+    assert np.all(clf.weights == 0.0)
 
 
 def test_training_ledger_matches_closed_forms():
