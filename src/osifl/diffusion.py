@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .errors import ConfigError, ProtocolError
 from .rng import stream
 from .trainer import Adam
 
-PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
 # The denoiser's Adam step size; its weight decay is zero.
 DENOISER_LEARNING_RATE = 1e-3
 
@@ -99,19 +99,55 @@ def forward_noise(schedule: NoiseSchedule, x0: np.ndarray, z,
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
 
+def _param_shapes(dim_x: int, dim_cond: int, num_steps: int, hidden: int
+                  ) -> dict[str, tuple[int, ...]]:
+    d_in = dim_x + num_steps + dim_cond
+    return {"w1": (hidden, d_in), "b1": (hidden,),
+            "w2": (hidden, hidden), "b2": (hidden,),
+            "w3": (dim_x, hidden), "b3": (dim_x,)}
+
+
+def _flat_size(shapes: dict[str, tuple[int, ...]]) -> int:
+    return sum(map(math.prod, shapes.values()))
+
+
 @dataclass(eq=False)
 class Denoiser:
     """Two-hidden-layer tanh MLP noise predictor.
 
     Input is concat(x_z, one_hot(z), condition); output has dim_x
     components. The all-zeros condition is the unconditional branch.
+    `flat` holds every parameter, in the order w1, b1, w2, b2, w3, b3,
+    and `params` maps each name to its view into `flat`, which the
+    optimizer steps in place.
     """
 
     dim_x: int
     dim_cond: int
     num_steps: int
     hidden: int
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
+
+    def __post_init__(self):
+        if self.flat.shape != (self.param_count,):
+            raise ValueError(f"denoiser needs {self.param_count} parameters, "
+                             f"got shape {self.flat.shape}")
+        self.params = MappingProxyType(self.split(self.flat))
+
+    def split(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """The views of a flat vector laid out like the parameters, such
+        as a gradient, keyed by parameter name."""
+        views, start = {}, 0
+        for name, shape in self._shapes.items():
+            size = math.prod(shape)
+            views[name] = flat[start:start + size].reshape(shape)
+            start += size
+        return views
+
+    @property
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        return _param_shapes(self.dim_x, self.dim_cond, self.num_steps,
+                             self.hidden)
 
     @property
     def input_dim(self) -> int:
@@ -119,7 +155,7 @@ class Denoiser:
 
     @property
     def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return _flat_size(self._shapes)
 
     def null_condition(self) -> np.ndarray:
         return np.zeros(self.dim_cond)
@@ -153,18 +189,21 @@ class Denoiser:
         out = h2 @ p["w3"].T + p["b3"]
         return out, (a, h1, h2)
 
-    def _backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
+    def _backward(self, cache, d_out: np.ndarray,
+                  out: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """The parameter gradients, written into views of the flat
+        vector `out` (a new one by default) and keyed by name."""
         a, h1, h2 = cache
         p = self.params
-        grads = {}
-        grads["w3"] = d_out.T @ h2
-        grads["b3"] = d_out.sum(axis=0)
+        grads = self.split(np.empty_like(self.flat) if out is None else out)
+        np.matmul(d_out.T, h2, out=grads["w3"])
+        np.add.reduce(d_out, axis=0, out=grads["b3"])
         d_h2 = (d_out @ p["w3"]) * (1.0 - h2 * h2)
-        grads["w2"] = d_h2.T @ h1
-        grads["b2"] = d_h2.sum(axis=0)
+        np.matmul(d_h2.T, h1, out=grads["w2"])
+        np.add.reduce(d_h2, axis=0, out=grads["b2"])
         d_h1 = (d_h2 @ p["w2"]) * (1.0 - h1 * h1)
-        grads["w1"] = d_h1.T @ a
-        grads["b1"] = d_h1.sum(axis=0)
+        np.matmul(d_h1.T, a, out=grads["w1"])
+        np.add.reduce(d_h1, axis=0, out=grads["b1"])
         return grads
 
     def forward_madds(self, batch: int) -> int:
@@ -183,17 +222,15 @@ def make_denoiser(dim_x: int, dim_cond: int, num_steps: int, hidden: int,
     if min(dim_x, dim_cond, num_steps, hidden) < 1:
         raise ConfigError("denoiser dims must all be >= 1")
     rng = stream(seed, "denoiser", "init")
-    d_in = dim_x + num_steps + dim_cond
-    params = {
-        "w1": rng.standard_normal((hidden, d_in)) / np.sqrt(d_in),
-        "b1": np.zeros(hidden),
-        "w2": rng.standard_normal((hidden, hidden)) / np.sqrt(hidden),
-        "b2": np.zeros(hidden),
-        "w3": rng.standard_normal((dim_x, hidden)) / np.sqrt(hidden),
-        "b3": np.zeros(dim_x),
-    }
-    return Denoiser(dim_x=dim_x, dim_cond=dim_cond, num_steps=num_steps,
-                    hidden=hidden, params=params)
+    shapes = _param_shapes(dim_x, dim_cond, num_steps, hidden)
+    den = Denoiser(dim_x=dim_x, dim_cond=dim_cond, num_steps=num_steps,
+                   hidden=hidden,
+                   flat=np.zeros(_flat_size(shapes)))
+    # The weights are drawn in this order; the biases start at zero.
+    for name in ("w1", "w2", "w3"):
+        shape = shapes[name]
+        den.params[name][...] = rng.standard_normal(shape) / np.sqrt(shape[1])
+    return den
 
 
 @dataclass(eq=False)
@@ -208,12 +245,14 @@ class DenoiseBatchTrace:
 
 def denoise_loss_fixed(denoiser: Denoiser, schedule: NoiseSchedule,
                        x0: np.ndarray, z: np.ndarray, eps: np.ndarray,
-                       cond: np.ndarray
+                       cond: np.ndarray, out: np.ndarray | None = None
                        ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact gradients with the stochastic draws held fixed.
 
     Loss is the batch mean of the per-sample squared error
     ||eps - eps_hat||^2, so d loss / d eps_hat = 2 (eps_hat - eps) / n.
+    The gradients are views into `out`, a flat vector laid out like
+    `denoiser.flat`, or into a new one.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     eps = np.atleast_2d(np.asarray(eps, dtype=float))
@@ -222,14 +261,16 @@ def denoise_loss_fixed(denoiser: Denoiser, schedule: NoiseSchedule,
     resid = pred - eps
     n = x0.shape[0]
     loss = float((resid * resid).sum() / n)
-    grads = denoiser._backward(cache, 2.0 * resid / n)
+    grads = denoiser._backward(cache, 2.0 * resid / n, out)
     return loss, grads
 
 
 def denoise_loss_and_grads(denoiser: Denoiser, schedule: NoiseSchedule,
                            x0: np.ndarray, cond: np.ndarray, p_drop: float,
-                           rng: np.random.Generator, *, with_trace=False):
-    """One noise-prediction training step's loss and gradients.
+                           rng: np.random.Generator, *, with_trace=False,
+                           out: np.ndarray | None = None):
+    """One noise-prediction training step's loss and gradients, the
+    latter written into `out` as in `denoise_loss_fixed`.
 
     Draws, per sample and in this order: a uniform timestep, the target
     noise, and the condition-drop coin (dropped conditions are zeroed).
@@ -246,7 +287,7 @@ def denoise_loss_and_grads(denoiser: Denoiser, schedule: NoiseSchedule,
     drop = rng.random(n) < p_drop
     cond_used = np.where(drop[:, None], 0.0, cond)
     loss, grads = denoise_loss_fixed(denoiser, schedule, x0, z, eps,
-                                     cond_used)
+                                     cond_used, out)
     if with_trace:
         xz = forward_noise(schedule, x0, z, eps)
         return loss, grads, DenoiseBatchTrace(z=z, eps=eps,
@@ -305,15 +346,14 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, hp: DiffusionHP,
     denoiser = make_denoiser(pool.x.shape[1], encoder.dim_e, hp.num_steps,
                              hp.hidden, seed)
     rng = stream(seed, "pretrain")
-    params = [denoiser.params[name] for name in PARAM_ORDER]
-    adam = Adam(params)
+    grad = np.empty_like(denoiser.flat)
+    adam = Adam(grad.size)
     history: list[float] = []
     for _ in range(hp.train_steps):
         idx = rng.integers(0, len(pool), size=hp.batch_size)
-        loss, grads = denoise_loss_and_grads(denoiser, schedule, pool.x[idx],
-                                             cond[idx], hp.p_drop, rng)
-        adam.update(params, [grads[name] for name in PARAM_ORDER],
-                    DENOISER_LEARNING_RATE, 0.0)
+        loss, _ = denoise_loss_and_grads(denoiser, schedule, pool.x[idx],
+                                         cond[idx], hp.p_drop, rng, out=grad)
+        adam.update(denoiser.flat, grad, DENOISER_LEARNING_RATE, 0.0)
         history.append(loss)
         if ledger is not None:
             ledger.add("diffusion_pretrain",
@@ -461,9 +501,7 @@ def save_model(model: DiffusionModel, path: str) -> None:
                             den.num_steps, den.hidden, int(model.trained))]
     blob.append(np.ascontiguousarray(model.schedule.betas,
                                      dtype="<f8").tobytes())
-    for name in PARAM_ORDER:
-        blob.append(np.ascontiguousarray(den.params[name],
-                                         dtype="<f8").tobytes())
+    blob.append(np.ascontiguousarray(den.flat, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(blob))
 
@@ -476,14 +514,10 @@ def load_model(path: str) -> DiffusionModel:
     if magic != _CKPT_MAGIC or version != 1 or trained not in (0, 1):
         raise ProtocolError(f"not a model checkpoint: {path}")
     schedule = _schedule_from_betas(reader.floats(num_steps))
-    d_in = dim_x + num_steps + dim_cond
-    shapes = {"w1": (hidden, d_in), "b1": (hidden,),
-              "w2": (hidden, hidden), "b2": (hidden,),
-              "w3": (dim_x, hidden), "b3": (dim_x,)}
-    params = {name: reader.floats(math.prod(shapes[name])).reshape(
-        shapes[name]) for name in PARAM_ORDER}
+    shapes = _param_shapes(dim_x, dim_cond, num_steps, hidden)
+    flat = reader.floats(_flat_size(shapes))
     reader.finish()
     denoiser = Denoiser(dim_x=dim_x, dim_cond=dim_cond, num_steps=num_steps,
-                        hidden=hidden, params=params)
+                        hidden=hidden, flat=flat)
     return DiffusionModel(schedule=schedule, denoiser=denoiser,
                           trained=bool(trained), loss_history=[])

@@ -15,6 +15,7 @@ regularized reductions trajectory-identical under a shared RNG.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -41,6 +42,11 @@ class TrainHP:
     adam_reset_per_task: bool = True
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay", "lambda_ewc",
+                     "mu_prox"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not self.learning_rate > 0:
             raise ConfigError(
                 f"learning_rate must be > 0, got {self.learning_rate}")
@@ -57,32 +63,53 @@ class TrainHP:
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed list of arrays, which `update`
+    """Bias-corrected Adam over one flat float64 vector, which `update`
     changes in place together with the moments `m` and `v`. Weight
-    decay * param is added to the gradient before the moments."""
+    decay * param is added to the gradient before the moments.
 
-    def __init__(self, params: list[np.ndarray]):
+    A step is 16 ufunc calls into preallocated scratch, each rounding
+    like the textbook expressions g + wd * p, (1 - b2) * g * g and
+    lr * (m / c1) / (sqrt(v / c2) + eps) do on fresh arrays."""
+
+    def __init__(self, size: int):
         self.step = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._g = np.empty(size)
+        self._t = np.empty(size)
 
-    def update(self, params: list[np.ndarray], grads: list[np.ndarray],
+    def relayout(self, move) -> None:
+        """Carry the moments over to a new parameter layout; `move` maps
+        a flat vector in the old layout to a new one in the new."""
+        self.m, self.v = move(self.m), move(self.v)
+        self._g, self._t = np.empty_like(self.m), np.empty_like(self.m)
+
+    def update(self, params: np.ndarray, grads: np.ndarray,
                learning_rate: float, weight_decay: float) -> None:
-        shapes = [[a.shape for a in arrays]
-                  for arrays in (params, grads, self.m)]
-        if not shapes[0] == shapes[1] == shapes[2]:
-            raise ValueError(f"param, gradient and moment shapes differ: "
-                             f"{shapes}")
+        if params.shape != self.m.shape or grads.shape != self.m.shape:
+            raise ValueError(f"param {params.shape} and gradient "
+                             f"{grads.shape} do not match the moments' "
+                             f"{self.m.shape}")
         self.step += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1, c2 = 1.0 - b1 ** self.step, 1.0 - b2 ** self.step
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            g = g + weight_decay * p
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        g, t, m, v = self._g, self._t, self.m, self.v
+        np.multiply(params, weight_decay, out=g)
+        g += grads
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=t)
+        m += t
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=t)
+        t *= g
+        v += t
+        np.divide(v, c2, out=t)
+        np.sqrt(t, out=t)
+        t += ADAM_EPS
+        np.divide(m, c1, out=g)
+        g *= learning_rate
+        g /= t
+        params -= g
 
 
 def _pad_rows(a: np.ndarray, n: int) -> np.ndarray:
@@ -90,22 +117,55 @@ def _pad_rows(a: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([a, np.zeros((n - len(a),) + a.shape[1:])])
 
 
+def _head_views(flat: np.ndarray, n: int, dim_e: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The (weights, bias) views of a flat head vector of n rows: the
+    weights row by row, then the bias."""
+    return flat[:n * dim_e].reshape(n, dim_e), flat[n * dim_e:]
+
+
 class Classifier:
     """Frozen encoder plus an expandable linear head.
 
     Rows of `weights` follow registration order; `classes[i]` is the
-    class id decoded from row i.
+    class id decoded from row i. `weights` and `bias` are views into one
+    flat parameter vector, `flat`, which the optimizer steps in place;
+    assigning either one copies the values into a new vector.
     """
 
     def __init__(self, encoder: FrozenEncoder, classes=()):
         self.encoder = encoder
         self.classes: list[int] = []
         self.class_index: dict[int, int] = {}
-        self.weights = np.zeros((0, encoder.dim_e))
-        self.bias = np.zeros(0)
         self.adam: Adam | None = None
+        self._lay_out(np.zeros(0))
         if classes:
             self.expand_head(classes)
+
+    def _lay_out(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self._weights, self._bias = self.split(flat)
+
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (weights, bias) views of a flat vector laid out like the
+        head's parameters, such as its gradient or Adam moments."""
+        return _head_views(flat, self.num_classes, self.encoder.dim_e)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights
+
+    @weights.setter
+    def weights(self, value) -> None:
+        self.load_params({"weights": value, "bias": self._bias})
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self._bias
+
+    @bias.setter
+    def bias(self, value) -> None:
+        self.load_params({"weights": self._weights, "bias": value})
 
     @property
     def num_classes(self) -> int:
@@ -113,7 +173,7 @@ class Classifier:
 
     @property
     def param_count(self) -> int:
-        return self.weights.size + self.bias.size
+        return self.flat.size
 
     def expand_head(self, new_classes) -> None:
         """Append zero-initialized rows for new class ids. Existing rows,
@@ -126,32 +186,37 @@ class Classifier:
             raise ProtocolError(f"classes already registered: {clash}")
         if not new_classes:
             return
+        old_n, dim_e = self.num_classes, self.encoder.dim_e
         for c in new_classes:
             self.class_index[c] = len(self.classes)
             self.classes.append(int(c))
-        n = len(self.classes)
-        self.weights = _pad_rows(self.weights, n)
-        self.bias = _pad_rows(self.bias, n)
+
+        def grow(flat):
+            grown = np.zeros(self.num_classes * (dim_e + 1))
+            for new, old in zip(self.split(grown),
+                                _head_views(flat, old_n, dim_e)):
+                new[:old_n] = old
+            return grown
+
+        self._lay_out(grow(self.flat))
         if self.adam is not None:
-            self.adam.m = [_pad_rows(a, n) for a in self.adam.m]
-            self.adam.v = [_pad_rows(a, n) for a in self.adam.v]
+            self.adam.relayout(grow)
 
     def head_params(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weights.copy(), "bias": self.bias.copy()}
+        return {"weights": self._weights.copy(), "bias": self._bias.copy()}
 
     def load_params(self, params: dict[str, np.ndarray]) -> None:
-        if params["weights"].shape != self.weights.shape or \
-                params["bias"].shape != self.bias.shape:
+        if np.shape(params["weights"]) != self._weights.shape or \
+                np.shape(params["bias"]) != self._bias.shape:
             raise ValueError("head parameter shapes do not match")
-        self.weights = params["weights"].copy()
-        self.bias = params["bias"].copy()
+        self._lay_out(np.concatenate([np.ravel(params["weights"]),
+                                      np.ravel(params["bias"])], dtype=float))
 
     def copy(self) -> "Classifier":
         dup = Classifier(self.encoder)
         dup.classes = list(self.classes)
         dup.class_index = dict(self.class_index)
-        dup.weights = self.weights.copy()
-        dup.bias = self.bias.copy()
+        dup._lay_out(self.flat.copy())
         return dup
 
     def logits_from_embedded(self, emb: np.ndarray) -> np.ndarray:
@@ -175,28 +240,33 @@ def rows_for(classifier: Classifier, ys: np.ndarray) -> np.ndarray:
 
 
 def head_pass(weights: np.ndarray, bias: np.ndarray, emb: np.ndarray,
-              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              rows: np.ndarray, out: np.ndarray | None = None
+              ) -> tuple[np.ndarray | None, np.ndarray]:
     """Per-row cross-entropy of the linear head, as a log-softmax NLL
     (finite where the true class's p underflows), and softmax - onehot,
-    the gradient of each row's NLL with respect to its logits."""
-    logits = emb @ weights.T + bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    delta = e / total
-    at_row = (np.arange(len(rows)), rows)
-    nll = np.log(total[:, 0]) - shifted[at_row]
-    delta[at_row] -= 1.0
-    return nll, delta
+    the gradient of each row's NLL with respect to its logits.
 
-
-def _ce_grads(weights: np.ndarray, bias: np.ndarray, emb: np.ndarray,
-              rows: np.ndarray, coef: np.ndarray
-              ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Per-row NLL and the exact head gradients of sum_i coef[i] * nll_i."""
-    nll, delta = head_pass(weights, bias, emb, rows)
-    delta *= coef[:, None]
-    return nll, {"weights": delta.T @ emb, "bias": delta.sum(axis=0)}
+    `rows` holds each row's true class as its row in the head. A caller
+    that reuses a buffer passes it as `out`, C-contiguous and of shape
+    (len(emb), C), and `rows` as flat indices into it (i * C + class
+    row); softmax - onehot is then formed in `out` and the NLL is
+    skipped (None)."""
+    with_nll = out is None
+    if with_nll:
+        out = np.empty((len(emb), len(bias)))
+        rows = np.arange(len(rows)) * len(bias) + rows
+    np.matmul(emb, weights.T, out=out)
+    out += bias
+    out -= np.maximum.reduce(out, axis=1, keepdims=True)
+    flat = out.reshape(-1)
+    shifted_true = flat[rows] if with_nll else None
+    np.exp(out, out=out)
+    total = np.add.reduce(out, axis=1, keepdims=True)
+    out /= total
+    flat[rows] -= 1.0
+    if with_nll:
+        return np.log(total[:, 0]) - shifted_true, out
+    return None, out
 
 
 def ce_loss_and_grads(classifier: Classifier, batch: Batch,
@@ -209,8 +279,9 @@ def ce_loss_and_grads(classifier: Classifier, batch: Batch,
     emb = classifier.encoder.encode_batch(batch.x)
     rows = rows_for(classifier, batch.y)
     sample_w = np.full(len(batch), 1.0 / len(batch))
-    nll, grads = _ce_grads(classifier.weights, classifier.bias, emb, rows,
-                           sample_w)
+    nll, delta = head_pass(classifier.weights, classifier.bias, emb, rows)
+    delta *= sample_w[:, None]
+    grads = {"weights": delta.T @ emb, "bias": delta.sum(axis=0)}
     loss = float(sample_w @ nll)
     if weight_decay:
         loss += 0.5 * weight_decay * (
@@ -288,8 +359,11 @@ def _train_on_groups(classifier: Classifier, groups: list[Batch],
                      epochs: int | None = None,
                      anchor: AnchorState | None = None, lam: float = 0.0,
                      ledger=None) -> Classifier:
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
+    n_epochs = hp.epochs_per_task if epochs is None else epochs
+    if n_epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {n_epochs}")
     groups = [g for g in groups if len(g) > 0]
     if not groups:
         raise ProtocolError("training needs at least one non-empty set")
@@ -302,34 +376,60 @@ def _train_on_groups(classifier: Classifier, groups: list[Batch],
     if ledger is not None:
         ledger.add("train_encoder", ledgers.encoder_forward_madds(
             n_total, dim_e, classifier.encoder.dim_x))
-    params = [classifier.weights, classifier.bias]
+    params, weights, bias = classifier.flat, classifier.weights, \
+        classifier.bias
     adam = classifier.adam
     if hp.adam_reset_per_task or adam is None or \
-            adam.m[0].shape != classifier.weights.shape:
-        adam = Adam(params)
+            adam.m.shape != params.shape:
+        adam = Adam(params.size)
     # The anchor penalty's gradient is coef * (theta - theta*), with
     # coef = 2 lam F formed once per call. Doubling is exact, so
     # lam * (2 F) rounds like (2 lam) F, and is mu itself at F = 1/2.
-    pulls = []
+    pull = None
     if anchor is not None and lam > 0:
-        for k, p in zip(("weights", "bias"), params):
+        for k, p in (("weights", weights), ("bias", bias)):
             if anchor.theta[k].shape != p.shape or \
                     anchor.fisher[k].shape != p.shape:
                 raise ProtocolError(f"anchor {k} shape does not match the "
                                     f"head's {p.shape}")
-            pulls.append((lam * (2.0 * anchor.fisher[k]), anchor.theta[k]))
-    n_epochs = hp.epochs_per_task if epochs is None else epochs
+        fisher, theta = (np.concatenate([np.ravel(d["weights"]), d["bias"]])
+                         for d in (anchor.fisher, anchor.theta))
+        pull = (lam * (2.0 * fisher), theta, np.empty_like(params))
+    grad = np.empty_like(params)
+    grad_w, grad_b = classifier.split(grad)
+    # Each epoch gathers, in permuted order, the embeddings, each row's
+    # flat index into its batch's logits at its true class, and its
+    # coefficient n_total / |its batch| * sample_w; a step slices views.
+    batch = min(hp.batch_size, n_total)
+    at_true = np.arange(n_total) % batch * n_out
+    batch_scale = np.full(n_total, n_total / batch)
+    if n_total % batch:
+        batch_scale[-(n_total % batch):] = n_total / (n_total % batch)
+    emb_p, rows_p, coef_p = (np.empty_like(a) for a in (emb, rows, sample_w))
+    logits = np.empty((batch, n_out))
     for _ in range(n_epochs):
+        # `order` is a permutation, so mode="clip" never clips; unlike
+        # the default, it writes straight into `out` with no temporary.
         order = rng.permutation(n_total)
-        for start in range(0, n_total, hp.batch_size):
-            idx = order[start:start + hp.batch_size]
-            _, grads = _ce_grads(classifier.weights, classifier.bias,
-                                 emb[idx], rows[idx],
-                                 n_total / len(idx) * sample_w[idx])
-            grads = [grads["weights"], grads["bias"]]
-            for g, p, (coef, theta) in zip(grads, params, pulls):
-                g += coef * (p - theta)
-            adam.update(params, grads, hp.learning_rate, hp.weight_decay)
+        np.take(emb, order, axis=0, out=emb_p, mode="clip")
+        np.take(rows, order, out=rows_p, mode="clip")
+        rows_p += at_true
+        np.take(sample_w, order, out=coef_p, mode="clip")
+        coef_p *= batch_scale
+        for start in range(0, n_total, batch):
+            stop = start + batch
+            e = emb_p[start:stop]
+            _, delta = head_pass(weights, bias, e, rows_p[start:stop],
+                                 out=logits[:len(e)])
+            delta *= coef_p[start:stop, None]
+            np.matmul(delta.T, e, out=grad_w)
+            np.add.reduce(delta, axis=0, out=grad_b)
+            if pull is not None:
+                coef, theta, gap = pull
+                np.subtract(params, theta, out=gap)
+                gap *= coef
+                grad += gap
+            adam.update(params, grad, hp.learning_rate, hp.weight_decay)
     if ledger is not None:
         # The madds formulas are linear in the batch size, so one charge
         # for every row of every epoch equals the per-step sum.
@@ -398,9 +498,7 @@ def save_head(classifier: Classifier, path: str) -> None:
     blob = [_HEAD_STRUCT.pack(_HEAD_MAGIC, 1, classifier.num_classes,
                               classifier.encoder.dim_e)]
     blob.append(np.asarray(classifier.classes, dtype="<u4").tobytes())
-    blob.append(np.ascontiguousarray(classifier.weights,
-                                     dtype="<f8").tobytes())
-    blob.append(np.ascontiguousarray(classifier.bias, dtype="<f8").tobytes())
+    blob.append(np.ascontiguousarray(classifier.flat, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(blob))
 
@@ -417,7 +515,6 @@ def load_head(path: str, encoder: FrozenEncoder) -> Classifier:
             f"checkpoint dim_e {dim_e} != encoder {encoder.dim_e}")
     classes = np.frombuffer(reader.take(4 * n_classes), dtype="<u4")
     clf = Classifier(encoder, classes=[int(c) for c in classes])
-    clf.weights = reader.floats(n_classes * dim_e).reshape((n_classes, dim_e))
-    clf.bias = reader.floats(n_classes)
+    clf._lay_out(reader.floats(n_classes * (dim_e + 1)))
     reader.finish()
     return clf

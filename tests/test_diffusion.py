@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osifl.datagen import build_world, draw_base_pool
-from osifl.diffusion import (DiffusionHP, NoiseSchedule, ancestral_sample,
+from osifl.diffusion import (DENOISER_LEARNING_RATE, DiffusionHP,
+                             NoiseSchedule, ancestral_sample,
                              denoise_loss_and_grads, denoise_loss_fixed,
                              forward_noise, guided_epsilon, load_model,
                              make_denoiser, make_schedule, make_surrogate,
                              pretrain, save_model, synthesize_task_data)
-from osifl.encoder import ClientMessage, make_encoder
+from osifl.encoder import ClientMessage, make_encoder, pair_mean_embeddings
 from osifl.errors import ConfigError, ProtocolError
 from osifl.ledgers import ComputeLedger
 from osifl.rng import stream
+from test_trainer import _ref_adam_step, _ref_zeros
 
 
 def test_schedule_single_step_value():
@@ -89,7 +91,7 @@ def test_forward_noise_is_linear(scale, seed):
 def test_denoise_loss_zero_on_rigged_identity():
     den = make_denoiser(2, 3, 4, 4, 0)
     for key in den.params:
-        den.params[key] = np.zeros_like(den.params[key])
+        den.params[key][...] = 0.0
     sched = make_schedule(4, 0.05, 0.1)
     x0 = np.zeros((3, 2))
     eps = np.zeros((3, 2))
@@ -122,6 +124,34 @@ def test_denoise_gradients_match_finite_differences():
             analytic = grads[key].ravel()[i]
             denom = max(abs(numeric), abs(analytic), 1e-5)
             assert abs(numeric - analytic) / denom < 1e-4
+
+
+def test_denoise_gradients_equal_fresh_array_expressions_bit_for_bit():
+    # The backward writes into views of one flat vector; each gradient
+    # must round exactly as the textbook expression on fresh arrays.
+    den = make_denoiser(3, 4, 5, 6, 9)
+    sched = make_schedule(5, 0.05, 0.2)
+    rng = np.random.default_rng(10)
+    x0, eps = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+    z, cond = rng.integers(1, 6, size=7), rng.normal(size=(7, 4))
+    out = np.full(den.param_count, np.nan)
+    _, grads = denoise_loss_fixed(den, sched, x0, z, eps, cond, out)
+    p = den.params
+    a = den._assemble(forward_noise(sched, x0, z, eps), z, cond)
+    h1 = np.tanh(a @ p["w1"].T + p["b1"])
+    h2 = np.tanh(h1 @ p["w2"].T + p["b2"])
+    d_out = 2.0 * (h2 @ p["w3"].T + p["b3"] - eps) / 7
+    d_h2 = (d_out @ p["w3"]) * (1.0 - h2 * h2)
+    d_h1 = (d_h2 @ p["w2"]) * (1.0 - h1 * h1)
+    expect = {"w3": d_out.T @ h2, "b3": d_out.sum(axis=0),
+              "w2": d_h2.T @ h1, "b2": d_h2.sum(axis=0),
+              "w1": d_h1.T @ a, "b1": d_h1.sum(axis=0)}
+    assert list(grads) == list(p) == ["w1", "b1", "w2", "b2", "w3", "b3"]
+    for k, v in expect.items():
+        assert np.array_equal(grads[k], v)
+        assert np.shares_memory(grads[k], out)
+    assert np.array_equal(out, np.concatenate([expect[k].ravel()
+                                               for k in grads]))
 
 
 def test_condition_dropped_everywhere_at_p1():
@@ -187,6 +217,45 @@ def test_pretrain_deterministic():
     for key in a.denoiser.params:
         assert np.array_equal(a.denoiser.params[key], b.denoiser.params[key])
     assert a.loss_history == b.loss_history
+
+
+def test_pretrain_matches_a_per_array_reference_loop(tmp_path):
+    # 50 steps of the per-array loss and gradients, stepped by the pure
+    # reference Adam: bit for bit the parameters and losses of pretrain.
+    world, pool = _tiny_pool()
+    enc = make_encoder(6, 3, 4)
+    hp = DiffusionHP(num_steps=10, hidden=16, train_steps=50, batch_size=16)
+    model = pretrain(pool, enc, hp, 7)
+    ref = make_denoiser(3, 6, 10, 16, 7)
+    table = pair_mean_embeddings(enc, pool)
+    cond = np.stack([table[pair] for pair in zip(pool.y.tolist(),
+                                                 pool.domain.tolist())])
+    schedule = make_schedule(hp.num_steps, hp.beta_min, hp.beta_max)
+    rng = stream(7, "pretrain")
+    params = {k: v.copy() for k, v in ref.params.items()}
+    state = _ref_zeros(params)
+    losses = []
+    for _ in range(hp.train_steps):
+        idx = rng.integers(0, len(pool), size=hp.batch_size)
+        loss, grads = denoise_loss_and_grads(ref, schedule, pool.x[idx],
+                                             cond[idx], hp.p_drop, rng)
+        params, state = _ref_adam_step(state, params, grads,
+                                       DENOISER_LEARNING_RATE, 0.0)
+        for k, v in params.items():
+            ref.params[k][...] = v
+        losses.append(loss)
+    assert model.loss_history == losses
+    for k, v in params.items():
+        assert np.array_equal(model.denoiser.params[k], v)
+    # The checkpoint of that model samples exactly as the model does.
+    path = os.path.join(tmp_path, "model.bin")
+    save_model(model, path)
+    back = load_model(path)
+    for k, v in params.items():
+        assert np.array_equal(back.denoiser.params[k], v)
+    a = model.sample(np.ones(6), 5, 2.0, stream(5, "cmp"))
+    b = back.sample(np.ones(6), 5, 2.0, stream(5, "cmp"))
+    assert np.array_equal(a, b)
 
 
 def test_guidance_weight_one_is_conditional_branch():

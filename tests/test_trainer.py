@@ -10,9 +10,9 @@ from osifl.errors import ConfigError, ProtocolError
 from osifl.ledgers import ComputeLedger, encoder_forward_madds, \
     head_backward_madds, head_forward_madds, softmax_madds
 from osifl.rng import stream
-from osifl.ssr import ExemplarMemory, select_exemplars
+from osifl.ssr import ExemplarMemory, Exemplars, select_exemplars
 from osifl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
-                           AnchorState, Classifier, TrainHP, _ce_grads,
+                           AnchorState, Classifier, TrainHP,
                            align_anchor, ce_loss_and_grads, estimate_fisher,
                            ewc_penalty_and_grads, full_objective, load_head,
                            rows_for, save_head, train_joint, train_local,
@@ -60,26 +60,67 @@ def _ref_adam_step(state, params, grads, learning_rate, weight_decay):
     return new_params, (t, new_m, new_v)
 
 
-def _ref_train(clf, data, hp, rng, state, *, epochs, pull=None):
-    """The trainer's minibatch loop for one group, stepped by
+def _ref_ce_grads(params, emb, rows, coef):
+    """Head gradients of sum_i coef[i] * nll_i, formed from fresh arrays
+    one expression at a time: the reference for the trainer's in-place
+    minibatch pass."""
+    logits = emb @ params["weights"].T + params["bias"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    delta = e / e.sum(axis=1, keepdims=True)
+    delta[np.arange(len(rows)), rows] -= 1.0
+    delta *= coef[:, None]
+    return {"weights": delta.T @ emb, "bias": delta.sum(axis=0)}
+
+
+def _ref_train(clf, groups, hp, rng, state, *, epochs, pull=None):
+    """The trainer's minibatch loop over `groups`, each row weighted by
+    1 / |its group| and each batch by N / |batch|, stepped by
     `_ref_adam_step`; `pull(params)` adds a penalty gradient. Returns
     the final head and the reference Adam state."""
-    emb = clf.encoder.encode_batch(data.x)
-    rows = rows_for(clf, data.y)
+    groups = [g for g in groups if len(g)]
+    emb = clf.encoder.encode_batch(np.concatenate([g.x for g in groups]))
+    rows = rows_for(clf, np.concatenate([g.y for g in groups]))
+    sample_w = np.concatenate([np.full(len(g), 1.0 / len(g)) for g in groups])
     n = len(rows)
-    sample_w = np.full(n, 1.0 / n)
     params = clf.head_params()
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, hp.batch_size):
             idx = order[start:start + hp.batch_size]
-            _, grads = _ce_grads(params["weights"], params["bias"], emb[idx],
-                                 rows[idx], n / len(idx) * sample_w[idx])
+            grads = _ref_ce_grads(params, emb[idx], rows[idx],
+                                  n / len(idx) * sample_w[idx])
             if pull is not None:
                 grads = {k: grads[k] + g for k, g in pull(params).items()}
             params, state = _ref_adam_step(state, params, grads,
                                            hp.learning_rate, hp.weight_decay)
     return params, state
+
+
+def _moments(clf):
+    """The trainer's kept Adam state as (step, m, v) with m and v keyed
+    like the head's parameters."""
+    adam = clf.adam
+    keys = ("weights", "bias")
+    return (adam.step, dict(zip(keys, clf.split(adam.m))),
+            dict(zip(keys, clf.split(adam.v))))
+
+
+def _assert_state_equal(clf, params, state):
+    for k in ("weights", "bias"):
+        assert np.array_equal(getattr(clf, k), params[k])
+    step, m, v = _moments(clf)
+    assert step == state[0]
+    for k in ("weights", "bias"):
+        assert np.array_equal(m[k], state[1][k])
+        assert np.array_equal(v[k], state[2][k])
+
+
+def _random_head(clf, seed):
+    rng = np.random.default_rng(seed)
+    clf.weights = rng.normal(size=clf.weights.shape)
+    clf.bias = rng.normal(size=clf.bias.shape)
+    return clf
 
 
 def test_hp_defaults_match_experiment_defaults():
@@ -92,6 +133,14 @@ def test_hp_defaults_match_experiment_defaults():
         TrainHP(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainHP(lambda_ewc=-0.1)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["learning_rate", "weight_decay",
+                                  "lambda_ewc", "mu_prox"])
+def test_hp_rejects_non_finite_floats(name, value):
+    with pytest.raises(ConfigError, match=name):
+        TrainHP(**{name: value})
 
 
 def test_ce_uniform_logits_is_log_c():
@@ -165,8 +214,8 @@ def test_ce_loss_stays_finite_when_the_true_class_underflows():
 
 def test_adam_zero_gradient_fixed_point():
     w = np.array([1.0, -2.0])
-    adam = Adam([w])
-    adam.update([w], [np.zeros(2)], 0.001, 0.0)
+    adam = Adam(2)
+    adam.update(w, np.zeros(2), 0.001, 0.0)
     assert np.array_equal(w, [1.0, -2.0])
     assert adam.step == 1
 
@@ -175,37 +224,37 @@ def test_adam_first_step_magnitude():
     # Bias corrections cancel at t = 1: the step is lr * g / (|g| + eps),
     # so a unit gradient moves the parameter by about -lr.
     w = np.array([0.5])
-    Adam([w]).update([w], [np.array([1.0])], 0.001, 0.0)
+    Adam(1).update(w, np.array([1.0]), 0.001, 0.0)
     delta = float(w[0] - 0.5)
     assert delta == pytest.approx(-0.001, abs=1e-10)
 
 
 def test_adam_updates_params_in_place_and_leaves_grads():
     w = np.array([1.0])
-    grads = [np.array([2.0])]
-    adam = Adam([w])
-    assert adam.step == 0 and adam.m[0][0] == 0.0
-    adam.update([w], grads, 0.001, 1e-4)
-    assert w[0] != 1.0 and grads[0][0] == 2.0
-    assert adam.step == 1 and adam.m[0][0] != 0.0
+    grads = np.array([2.0])
+    adam = Adam(1)
+    assert adam.step == 0 and adam.m[0] == 0.0
+    adam.update(w, grads, 0.001, 1e-4)
+    assert w[0] != 1.0 and grads[0] == 2.0
+    assert adam.step == 1 and adam.m[0] != 0.0
     # The step is a function of its inputs alone.
     a, b = np.array([1.0]), np.array([1.0])
-    Adam([a]).update([a], grads, 0.001, 1e-4)
-    Adam([b]).update([b], grads, 0.001, 1e-4)
+    Adam(1).update(a, grads, 0.001, 1e-4)
+    Adam(1).update(b, grads, 0.001, 1e-4)
     assert np.array_equal(a, b) and np.array_equal(a, w)
 
 
 def test_adam_validates_counts_and_shapes():
     w = np.zeros(2)
-    adam = Adam([w])
+    adam = Adam(2)
     with pytest.raises(ValueError):
-        adam.update([w], [np.zeros(2), np.zeros(2)], 0.001, 1e-4)
+        adam.update(w, np.zeros(4), 0.001, 1e-4)
     with pytest.raises(ValueError):
-        adam.update([w, np.zeros(2)], [np.zeros(2)], 0.001, 1e-4)
+        adam.update(np.zeros(4), np.zeros(2), 0.001, 1e-4)
     with pytest.raises(ValueError):
-        adam.update([w], [np.zeros(3)], 0.001, 1e-4)
+        adam.update(w, np.zeros(3), 0.001, 1e-4)
     with pytest.raises(ValueError):
-        adam.update([w], [np.zeros((1, 2))], 0.001, 1e-4)
+        adam.update(w, np.zeros((1, 2)), 0.001, 1e-4)
     assert adam.step == 0 and np.array_equal(w, [0.0, 0.0])
 
 
@@ -218,16 +267,16 @@ def test_adam_matches_reference_across_head_growth(weight_decay):
     rng = np.random.default_rng(21)
     clf.weights = rng.normal(size=(2, 6))
     clf.bias = rng.normal(size=2)
-    clf.adam = Adam([clf.weights, clf.bias])
+    clf.adam = Adam(clf.param_count)
     ref_params = clf.head_params()
     ref_state = _ref_zeros(ref_params)
     for phase in range(2):
         for _ in range(24):
             grads = {"weights": rng.normal(size=clf.weights.shape),
                      "bias": rng.normal(size=clf.bias.shape)}
-            clf.adam.update([clf.weights, clf.bias],
-                            [grads["weights"], grads["bias"]], 0.01,
-                            weight_decay)
+            flat_grads = np.concatenate([grads["weights"].ravel(),
+                                         grads["bias"]])
+            clf.adam.update(clf.flat, flat_grads, 0.01, weight_decay)
             ref_params, ref_state = _ref_adam_step(
                 ref_state, ref_params, grads, 0.01, weight_decay)
             assert np.array_equal(clf.weights, ref_params["weights"])
@@ -241,8 +290,9 @@ def test_adam_matches_reference_across_head_growth(weight_decay):
             ref_params = {k: np.concatenate([ref_params[k], pad[k]])
                           for k in ref_params}
     assert clf.adam.step == ref_state[0] == 48
-    assert np.array_equal(clf.adam.m[0], ref_state[1]["weights"])
-    assert np.array_equal(clf.adam.v[1], ref_state[2]["bias"])
+    assert np.array_equal(_moments(clf)[1]["weights"],
+                          ref_state[1]["weights"])
+    assert np.array_equal(_moments(clf)[2]["bias"], ref_state[2]["bias"])
 
 
 def test_persisted_moments_train_like_the_reference_across_tasks():
@@ -264,15 +314,179 @@ def test_persisted_moments_train_like_the_reference_across_tasks():
                 [d[k], np.zeros((2,) + d[k].shape[1:])]) for k in d}
                 for d in (m, v)))
         train_naive(clf, data, hp, stream(0, "t", t))
-        params, state = _ref_train(ref, data, hp, stream(0, "t", t), state,
+        params, state = _ref_train(ref, [data], hp, stream(0, "t", t), state,
                                    epochs=hp.epochs_per_task)
         ref.load_params(params)
         assert np.array_equal(clf.weights, ref.weights)
         assert np.array_equal(clf.bias, ref.bias)
-    assert clf.adam.step == state[0] == 8
-    for i, k in enumerate(("weights", "bias")):
-        assert np.array_equal(clf.adam.m[i], state[1][k])
-        assert np.array_equal(clf.adam.v[i], state[2][k])
+    assert state[0] == 8
+    _assert_state_equal(clf, params, state)
+
+
+def _ref_grow(params, state, n_new):
+    """Append n_new zero rows to reference params and moments."""
+    def pad(d):
+        return {k: np.concatenate([a, np.zeros((n_new,) + a.shape[1:])])
+                for k, a in d.items()}
+    step, m, v = state
+    return pad(params), (step, pad(m), pad(v))
+
+
+def _replay_memory(dim=3):
+    """Two remembered tasks of 7 and 3 rows, for replay groups."""
+    rng = np.random.default_rng(40)
+    memory = ExemplarMemory(5)
+    memory.add_task(1, {
+        0: Exemplars(x=rng.normal(size=(5, dim)), score=np.zeros(5)),
+        1: Exemplars(x=rng.normal(size=(2, dim)), score=np.zeros(2))})
+    memory.add_task(2, {
+        2: Exemplars(x=rng.normal(size=(3, dim)), score=np.zeros(3))})
+    return memory
+
+
+def _ewc_anchor(clf, seed):
+    rng = np.random.default_rng(seed)
+    return AnchorState(
+        theta={k: rng.normal(size=v.shape)
+               for k, v in clf.head_params().items()},
+        fisher={k: rng.uniform(0.0, 2.0, size=v.shape)
+                for k, v in clf.head_params().items()})
+
+
+def _anchor_pull(anchor, lam):
+    return lambda p: {k: lam * (2.0 * anchor.fisher[k])
+                      * (p[k] - anchor.theta[k]) for k in p}
+
+
+# Each case: (batch_size, epochs, groups built around the task's data,
+# the trainer call on those groups, penalty strength or None).
+_REF_CASES = {
+    # 10 rows in batches of 4: the last batch holds 2.
+    "partial_last_batch": (4, 3, lambda d: [d],
+                           lambda c, g, hp, r, a: train_naive(c, g[0], hp, r),
+                           None),
+    # One batch of all 10 rows when the batch size is 32.
+    "batch_above_n": (32, 4, lambda d: [d],
+                      lambda c, g, hp, r, a: train_naive(c, g[0], hp, r),
+                      None),
+    # Three groups of 10, 3 and 6 rows: coefficients 1/10, 1/3, 1/6.
+    "joint_unequal": (4, 3,
+                      lambda d: [d, _toy_data(7, n=3, classes=(0,), dim=3),
+                                 _toy_data(8, n=7, classes=(1, 2), dim=3)],
+                      lambda c, g, hp, r, a: train_joint(c, g, hp, r), None),
+    # The current task plus two replayed tasks of 7 and 3 rows.
+    "replay": (4, 3, lambda d: [d] + _replay_memory().replay_sets(3),
+               lambda c, g, hp, r, a: train_osifl(c, g[0], _replay_memory(),
+                                                  hp, r),
+               None),
+    "ewc": (4, 3, lambda d: [d],
+            lambda c, g, hp, r, a: train_regularized(c, g[0], a, 0.7, hp, r),
+            0.7),
+    "fedprox": (4, 2, lambda d: [d],
+                lambda c, g, hp, r, a: train_local(c, g[0], hp, r, epochs=2,
+                                                   anchor=a, lam=0.3),
+                0.3),
+    "zero_epochs": (4, 0, lambda d: [d],
+                    lambda c, g, hp, r, a: train_naive(c, g[0], hp, r), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REF_CASES))
+def test_training_matches_the_reference_loop_bit_for_bit(case):
+    batch_size, epochs, make_groups, call, lam = _REF_CASES[case]
+    enc = make_encoder(6, 3, 1)
+    hp = TrainHP(epochs_per_task=epochs, batch_size=batch_size,
+                 weight_decay=1e-3, adam_reset_per_task=False)
+    groups = make_groups(_toy_data(5, n=10, classes=(3, 4), dim=3, task=3))
+    clf = _random_head(Classifier(enc, classes=range(5)), 41)
+    anchor = _ewc_anchor(clf, 42)
+    if case == "fedprox":
+        anchor = _prox_anchor(anchor.theta)
+    pull = None if lam is None else _anchor_pull(anchor, lam)
+    expect, state = _ref_train(clf, groups, hp, stream(2, "t"),
+                               _ref_zeros(clf.head_params()), epochs=epochs,
+                               pull=pull)
+    call(clf, groups, hp, stream(2, "t"), anchor)
+    n_rows = sum(len(g) for g in groups)
+    assert state[0] == epochs * -(-n_rows // batch_size)
+    _assert_state_equal(clf, expect, state)
+
+
+def test_persisted_moments_across_growth_with_groups_and_anchor():
+    # Three tasks with adam_reset_per_task = false: naive on two
+    # classes, joint over unequal groups after growing by two rows, then
+    # EWC after growing by one. Partial batches throughout.
+    enc = make_encoder(6, 3, 1)
+    hp = TrainHP(epochs_per_task=2, batch_size=4, adam_reset_per_task=False)
+    first = _toy_data(5, n=10, dim=3)
+    second = [_toy_data(6, n=10, classes=(2, 3), dim=3, task=2),
+              _toy_data(7, n=3, classes=(0,), dim=3)]
+    third = _toy_data(8, n=9, classes=(4,), dim=3, task=3)
+    clf = _random_head(Classifier(enc, classes=(0, 1)), 43)
+    params = clf.head_params()
+    state = _ref_zeros(params)
+    params, state = _ref_train(clf, [first], hp, stream(3, "t", 1), state,
+                               epochs=2)
+    train_naive(clf, first, hp, stream(3, "t", 1))
+    _assert_state_equal(clf, params, state)
+    clf.expand_head([2, 3])
+    params, state = _ref_grow(params, state, 2)
+    _assert_state_equal(clf, params, state)
+    params, state = _ref_train(clf, second, hp, stream(3, "t", 2), state,
+                               epochs=2)
+    train_joint(clf, second, hp, stream(3, "t", 2))
+    _assert_state_equal(clf, params, state)
+    anchor = estimate_fisher(clf, second[0])
+    clf.expand_head([4])
+    params, state = _ref_grow(params, state, 1)
+    anchor = align_anchor(anchor, params)
+    params, state = _ref_train(clf, [third], hp, stream(3, "t", 3), state,
+                               epochs=2, pull=_anchor_pull(anchor, 5.0))
+    train_regularized(clf, third, anchor, 5.0, hp, stream(3, "t", 3))
+    assert state[0] == 2 * 3 + 2 * 4 + 2 * 3
+    _assert_state_equal(clf, params, state)
+
+
+def test_later_training_moves_no_snapshot_copy_or_anchor():
+    enc = make_encoder(6, 3, 1)
+    data = _toy_data(5, n=10, dim=3)
+    hp = TrainHP(epochs_per_task=2, batch_size=4)
+    clf = _random_head(Classifier(enc, classes=(0, 1)), 44)
+    frozen = {k: v.copy() for k, v in clf.head_params().items()}
+
+    def unmoved(params):
+        return all(np.array_equal(params[k], frozen[k]) for k in frozen)
+
+    snapshot = clf.head_params()
+    dup = clf.copy()
+    train_naive(clf, data, hp, stream(0, "t"))
+    assert unmoved(snapshot)
+    assert unmoved(dup.head_params())
+    # A copy's training moves neither the original nor the snapshot.
+    trained = clf.head_params()
+    train_naive(dup, data, hp, stream(1, "t"))
+    assert unmoved(snapshot)
+    for k, v in trained.items():
+        assert np.array_equal(getattr(clf, k), v)
+    # FedProx: the broadcast anchor stays put while a local copy trains.
+    broadcast = clf.head_params()
+    kept = {k: v.copy() for k, v in broadcast.items()}
+    local = clf.copy()
+    train_local(local, data, hp, stream(2, "t"), epochs=2,
+                anchor=_prox_anchor(broadcast), lam=0.5)
+    for k, v in kept.items():
+        assert np.array_equal(broadcast[k], v)
+        assert np.array_equal(getattr(clf, k), v)
+        assert not np.array_equal(getattr(local, k), v)
+    # The pre-update scoring head: a copy loaded from the snapshot taken
+    # before training keeps those values however the model trains on.
+    scorer = clf.copy()
+    scorer.load_params(snapshot)
+    train_naive(clf, data, hp, stream(3, "t"))
+    assert unmoved(snapshot) and unmoved(scorer.head_params())
+    train_naive(scorer, data, hp, stream(4, "t"))
+    assert unmoved(snapshot)
+    assert not unmoved(scorer.head_params())
 
 
 def test_train_naive_single_full_batch_is_one_adam_step():
@@ -533,15 +747,13 @@ def test_fedprox_pull_is_mu_times_the_gap_bit_for_bit():
     clf.weights = rng.normal(size=(2, 6))
     clf.bias = rng.normal(size=2)
     ref = {"weights": rng.normal(size=(2, 6)), "bias": rng.normal(size=2)}
-    expect, (_, m, v) = _ref_train(
-        clf, data, hp, stream(1, "t"), _ref_zeros(ref), epochs=3,
+    expect, state = _ref_train(
+        clf, [data], hp, stream(1, "t"), _ref_zeros(ref), epochs=3,
         pull=lambda p: {k: 0.3 * (p[k] - ref[k]) for k in p})
     train_local(clf, data, hp, stream(1, "t"), epochs=3,
                 anchor=_prox_anchor(ref), lam=0.3)
-    for i, k in enumerate(("weights", "bias")):
-        assert np.array_equal(getattr(clf, k), expect[k])
-        assert np.array_equal(clf.adam.m[i], m[k])
-        assert np.array_equal(clf.adam.v[i], v[k])
+    assert state[0] == 9
+    _assert_state_equal(clf, expect, state)
 
 
 def test_regularized_lambda_zero_equals_naive():
@@ -632,9 +844,10 @@ def test_expand_head_rejects_duplicates_and_grows_moments():
     train_naive(clf, _toy_data(5, n=8, dim=3), hp, stream(0, "t"))
     assert clf.adam is not None
     clf.expand_head([2])
-    assert clf.adam.m[0].shape == (3, 6) and clf.adam.v[1].shape == (3,)
-    assert np.all(clf.adam.m[0][2] == 0.0)
-    assert np.all(clf.adam.v[1][2] == 0.0)
+    _, m, v = _moments(clf)
+    assert m["weights"].shape == (3, 6) and v["bias"].shape == (3,)
+    assert np.all(m["weights"][2] == 0.0)
+    assert np.all(v["bias"][2] == 0.0)
 
 
 def test_train_local_epoch_override_and_penalty_pull():
@@ -661,6 +874,18 @@ def test_train_local_rejects_a_misaligned_anchor_and_negative_lambda():
                     lam=1.0)
     with pytest.raises(ConfigError):
         train_local(clf, data, hp, stream(1, "t"), epochs=1, lam=-1.0)
+    # nan > 0 is false: a nan lambda must not train as "no penalty".
+    anchor = _prox_anchor(clf.head_params())
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="lambda"):
+            train_local(clf, data, hp, stream(1, "t"), epochs=1,
+                        anchor=anchor, lam=lam)
+        with pytest.raises(ConfigError, match="lambda"):
+            train_regularized(clf, data, None, lam, hp, stream(1, "t"))
+    # A negative epoch count is an error, not a pass that trains nothing.
+    with pytest.raises(ConfigError, match="epochs"):
+        train_local(clf, data, hp, stream(1, "t"), epochs=-1,
+                    ledger=ComputeLedger())
     assert np.all(clf.weights == 0.0)
 
 
