@@ -26,9 +26,9 @@ from .orchestrator import Method, RunReport, ServerMemo, evaluate, \
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars, top_p_indices
 from .trainer import Adam, AnchorState, Classifier, TrainHP, \
-    ce_loss_and_grads, estimate_fisher, ewc_penalty_and_grads, \
-    full_objective, load_head, save_head, train_joint, train_local, \
-    train_naive, train_osifl, train_regularized
+    ce_loss_and_grads, estimate_fisher, ewc_penalty_and_grads, load_head, \
+    save_head, train_joint, train_local, train_naive, train_osifl, \
+    train_regularized
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,7 @@ __all__ = [
     "class_mean_embeddings", "denoise_loss_and_grads", "draw_base_pool",
     "draw_client_shards", "estimate_fisher", "evaluate",
     "ewc_penalty_and_grads", "forgetting", "forward_noise",
-    "full_objective", "guided_epsilon", "load_head",
+    "guided_epsilon", "load_head",
     "load_model", "make_denoiser", "make_encoder", "make_schedule",
     "make_surrogate", "make_task_suite", "parse_config", "parse_message",
     "pretrain", "report_rows",

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -49,7 +50,8 @@ def _run_grid(config: ExperimentConfig, axis: str | None, values,
     report's rows come from `run_rows(value, report)`, then, per value
     and method, the seed-mean rows from `mean_rows(value, method, means)`.
     The rows go to `<stem>.csv`, or `<stem>.partial.csv` if any run
-    failed; then the exit code is 1 and each failure is printed. All
+    failed; then the exit code is 1 and each failure is printed. The
+    other of the two files, left by an earlier run, is removed. All
     cells share one server memo, so each generator is pretrained and
     each task's data synthesized once for the whole grid. A cell whose
     `run_key` an earlier cell already ran reuses that report with its
@@ -91,9 +93,15 @@ def _run_grid(config: ExperimentConfig, axis: str | None, values,
         for method, reports in done.items():
             if reports:
                 rows.extend(mean_rows(value, method, _seed_means(reports)))
-    name = f"{stem}.partial.csv" if failures else f"{stem}.csv"
+    name, stale = f"{stem}.csv", f"{stem}.partial.csv"
+    if failures:
+        name, stale = stale, name
     with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
         fh.write(rows_to_csv(rows, header=header))
+    # A summary an earlier run left under the other name would read as
+    # this run's.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, stale))
     for failure in failures:
         print(f"{'' if axis is None else 'sweep '}run failed: {failure}",
               file=sys.stderr)

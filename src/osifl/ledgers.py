@@ -48,10 +48,6 @@ class CommsLedger:
     def total_floats(self) -> int:
         return sum(self.floats_by_client.values())
 
-    @property
-    def total_messages(self) -> int:
-        return sum(self.messages_by_client.values())
-
 
 @dataclass
 class ComputeLedger:

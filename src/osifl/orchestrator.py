@@ -26,9 +26,8 @@ from .ledgers import CommsLedger, ComputeLedger, encoder_forward_madds, \
     head_backward_madds, head_forward_madds, softmax_madds
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars
-from .trainer import AnchorState, Classifier, TrainHP, align_anchor, \
-    estimate_fisher, train_joint, train_local, train_naive, train_osifl, \
-    train_regularized
+from .trainer import AnchorState, Classifier, TrainHP, estimate_fisher, \
+    train_joint, train_local, train_naive, train_osifl, train_regularized
 
 
 class Method(str, Enum):
@@ -162,6 +161,17 @@ def _synthesized_task(state: RunState, messages: list
     return state.server.recall(key, build, state.compute)
 
 
+def _expand_head(state: RunState, task: TaskSpec) -> Classifier:
+    """Give the head rows for the task's new classes, and the anchor, if
+    any, the same zero rows, so new classes stay unconstrained."""
+    clf = state.classifier
+    clf.expand_head([c for c in task.classes if c not in clf.class_index])
+    if state.anchor is not None:
+        state.anchor = AnchorState(clf.grow(state.anchor.theta),
+                                   clf.grow(state.anchor.fisher))
+    return clf
+
+
 def oneshot_task_phase(state: RunState, task: TaskSpec,
                        messages: list) -> RunState:
     """Run one arriving task through upload, synthesis, training, and
@@ -184,22 +194,17 @@ def oneshot_task_phase(state: RunState, task: TaskSpec,
             f"floats={msg.upload_floats}")
     data, per_class = _synthesized_task(state, messages)
     state.events.append(f"task{t}:synthesize n={len(data)}")
-    clf = state.classifier
-    clf.expand_head([c for c in task.classes if c not in clf.class_index])
+    clf = _expand_head(state, task)
     rng_t = stream(state.seed, "train", t)
     if state.method is Method.OSIFL:
         # With no exemplar to keep, no class is scored or billed.
         to_score = sorted(per_class) if cfg.retain_per_class > 0 else []
-        snapshot = clf.head_params() \
-            if to_score and cfg.scoring_point == "pre_update" else None
+        scorer = clf.copy() \
+            if to_score and cfg.scoring_point == "pre_update" else clf
         if data:
             train_osifl(clf, data, state.memory, state.hp, rng_t,
                         ledger=state.compute)
         state.events.append(f"task{t}:train method=OSIFL")
-        scorer = clf
-        if snapshot is not None:
-            scorer = clf.copy()
-            scorer.load_params(snapshot)
         kept = {}
         for k in to_score:
             pool = per_class[k]
@@ -224,10 +229,9 @@ def oneshot_task_phase(state: RunState, task: TaskSpec,
     elif state.method is Method.OSCAR_R:
         if data:
             if state.anchor is not None and state.hp.lambda_ewc > 0:
-                anchor = align_anchor(state.anchor, {"weights": clf.weights,
-                                                     "bias": clf.bias})
-                train_regularized(clf, data, anchor, state.hp.lambda_ewc,
-                                  state.hp, rng_t, ledger=state.compute)
+                train_regularized(clf, data, state.anchor,
+                                  state.hp.lambda_ewc, state.hp, rng_t,
+                                  ledger=state.compute)
             else:
                 train_naive(clf, data, state.hp, rng_t, ledger=state.compute)
             state.anchor = estimate_fisher(clf, data)
@@ -243,15 +247,14 @@ def oneshot_task_phase(state: RunState, task: TaskSpec,
     return state
 
 
-def _weighted_average(updates: list[dict[str, np.ndarray]],
-                      counts: list[int]) -> dict[str, np.ndarray]:
+def _weighted_average(updates: list[np.ndarray],
+                      counts: list[int]) -> np.ndarray:
     total = sum(counts)
     if total <= 0:
         raise ProtocolError("cannot average over zero samples")
-    avg = {k: np.zeros_like(v) for k, v in updates[0].items()}
+    avg = np.zeros_like(updates[0])
     for update, n in zip(updates, counts):
-        for k in avg:
-            avg[k] += (n / total) * update[k]
+        avg += (n / total) * update
     return avg
 
 
@@ -264,22 +267,17 @@ def federated_task_phase(state: RunState, task: TaskSpec,
         raise ProtocolError(f"task {t} has no clients")
     if any(s.task_id != t for s in task_shards):
         raise ProtocolError(f"shard from another task handed to task {t}")
-    clf = state.classifier
-    clf.expand_head([c for c in task.classes if c not in clf.class_index])
+    clf = _expand_head(state, task)
     anchor, lam = None, 0.0
     if state.method is Method.FEDEWC and state.anchor is not None:
-        anchor = align_anchor(state.anchor, {"weights": clf.weights,
-                                             "bias": clf.bias})
-        lam = state.hp.lambda_ewc
+        anchor, lam = state.anchor, state.hp.lambda_ewc
     elif state.method is Method.FEDPROX:
         lam = state.hp.mu_prox
     for rnd in range(1, cfg.rounds + 1):
-        broadcast = clf.head_params()
         if state.method is Method.FEDPROX:
             # (mu / 2) ||theta - broadcast||^2 is the anchor penalty at
             # F = 1/2 and lambda = mu.
-            anchor = AnchorState(theta=broadcast, fisher={
-                k: np.full_like(v, 0.5) for k, v in broadcast.items()})
+            anchor = AnchorState(clf.flat.copy(), np.full_like(clf.flat, 0.5))
         updates, counts = [], []
         for shard in task_shards:
             local = clf.copy()
@@ -287,12 +285,12 @@ def federated_task_phase(state: RunState, task: TaskSpec,
                         stream(state.seed, "fed", t, rnd, shard.client_id),
                         epochs=cfg.local_epochs, anchor=anchor, lam=lam,
                         ledger=state.compute)
-            updates.append(local.head_params())
+            updates.append(local.flat)
             counts.append(len(shard.samples))
             reported = cfg.reported_model_params
             state.comms.record_upload(
                 shard.client_id, reported if reported else clf.param_count)
-        clf.load_params(_weighted_average(updates, counts))
+        clf.flat[...] = _weighted_average(updates, counts)
         state.events.append(
             f"task{t}:round{rnd} clients="
             f"{[s.client_id for s in task_shards]}")
@@ -300,8 +298,8 @@ def federated_task_phase(state: RunState, task: TaskSpec,
         fishers = [estimate_fisher(clf, shard.samples).fisher
                    for shard in task_shards]
         counts = [len(shard.samples) for shard in task_shards]
-        state.anchor = AnchorState(theta=clf.head_params(),
-                                   fisher=_weighted_average(fishers, counts))
+        state.anchor = AnchorState(clf.flat.copy(),
+                                   _weighted_average(fishers, counts))
         state.events.append(f"task{t}:anchor_refresh")
     return state
 
@@ -391,12 +389,10 @@ def _build_generator(state: RunState) -> None:
 
 
 def _check_head(state: RunState, task_id: int) -> None:
-    clf = state.classifier
-    for name, values in (("weights", clf.weights), ("bias", clf.bias)):
-        if not np.isfinite(values).all():
-            raise ProtocolError(
-                f"{state.method.value} task phase (seed {state.seed}, task "
-                f"{task_id}) left non-finite values in the head {name}")
+    if not np.isfinite(state.classifier.flat).all():
+        raise ProtocolError(
+            f"{state.method.value} task phase (seed {state.seed}, task "
+            f"{task_id}) left non-finite values in the head")
 
 
 def run_method(method, world: World, suite: TaskSuite,

@@ -112,11 +112,6 @@ class Adam:
         params -= g
 
 
-def _pad_rows(a: np.ndarray, n: int) -> np.ndarray:
-    """A copy of `a` with zero rows appended up to `n` rows."""
-    return np.concatenate([a, np.zeros((n - len(a),) + a.shape[1:])])
-
-
 def _head_views(flat: np.ndarray, n: int, dim_e: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The (weights, bias) views of a flat head vector of n rows: the
@@ -130,7 +125,8 @@ class Classifier:
     Rows of `weights` follow registration order; `classes[i]` is the
     class id decoded from row i. `weights` and `bias` are views into one
     flat parameter vector, `flat`, which the optimizer steps in place;
-    assigning either one copies the values into a new vector.
+    assigning either one copies the values into a new vector. Anchors
+    and federated updates are flat vectors in the same layout.
     """
 
     def __init__(self, encoder: FrozenEncoder, classes=()):
@@ -157,7 +153,7 @@ class Classifier:
 
     @weights.setter
     def weights(self, value) -> None:
-        self.load_params({"weights": value, "bias": self._bias})
+        self._assign(0, value)
 
     @property
     def bias(self) -> np.ndarray:
@@ -165,7 +161,17 @@ class Classifier:
 
     @bias.setter
     def bias(self, value) -> None:
-        self.load_params({"weights": self._weights, "bias": value})
+        self._assign(1, value)
+
+    def _assign(self, part: int, value) -> None:
+        """Copy `value` into part 0 (weights) or 1 (bias) of a new flat
+        vector holding the head's other values."""
+        flat = self.flat.copy()
+        view = self.split(flat)[part]
+        if np.shape(value) != view.shape:
+            raise ValueError("head parameter shapes do not match")
+        view[...] = value
+        self._lay_out(flat)
 
     @property
     def num_classes(self) -> int:
@@ -186,31 +192,28 @@ class Classifier:
             raise ProtocolError(f"classes already registered: {clash}")
         if not new_classes:
             return
-        old_n, dim_e = self.num_classes, self.encoder.dim_e
         for c in new_classes:
             self.class_index[c] = len(self.classes)
             self.classes.append(int(c))
-
-        def grow(flat):
-            grown = np.zeros(self.num_classes * (dim_e + 1))
-            for new, old in zip(self.split(grown),
-                                _head_views(flat, old_n, dim_e)):
-                new[:old_n] = old
-            return grown
-
-        self._lay_out(grow(self.flat))
+        self._lay_out(self.grow(self.flat))
         if self.adam is not None:
-            self.adam.relayout(grow)
+            self.adam.relayout(self.grow)
 
-    def head_params(self) -> dict[str, np.ndarray]:
-        return {"weights": self._weights.copy(), "bias": self._bias.copy()}
-
-    def load_params(self, params: dict[str, np.ndarray]) -> None:
-        if np.shape(params["weights"]) != self._weights.shape or \
-                np.shape(params["bias"]) != self._bias.shape:
-            raise ValueError("head parameter shapes do not match")
-        self._lay_out(np.concatenate([np.ravel(params["weights"]),
-                                      np.ravel(params["bias"])], dtype=float))
+    def grow(self, flat: np.ndarray) -> np.ndarray:
+        """A flat vector laid out like this head or an earlier, smaller
+        one (its parameters, Adam moments or an anchor), laid out anew
+        like this head, with zero rows for the classes added since."""
+        dim_e = self.encoder.dim_e
+        old_n, extra = divmod(flat.size, dim_e + 1)
+        if flat.ndim != 1 or extra or old_n > self.num_classes:
+            raise ProtocolError(
+                f"a flat vector of shape {flat.shape} is not laid out like "
+                f"a head of at most {self.num_classes} classes")
+        grown = np.zeros(self.num_classes * (dim_e + 1))
+        for new, old in zip(self.split(grown),
+                            _head_views(flat, old_n, dim_e)):
+            new[:old_n] = old
+        return grown
 
     def copy(self) -> "Classifier":
         dup = Classifier(self.encoder)
@@ -292,22 +295,13 @@ def ce_loss_and_grads(classifier: Classifier, batch: Batch,
     return loss, grads
 
 
-def full_objective(classifier: Classifier, groups: list[Batch]) -> float:
-    """Sum over groups of the group's mean cross-entropy (audit helper)."""
-    total = 0.0
-    for group in groups:
-        if group:
-            loss, _ = ce_loss_and_grads(classifier, group)
-            total += loss
-    return total
-
-
 @dataclass(eq=False)
 class AnchorState:
-    """Reference parameters and a diagonal curvature estimate."""
+    """Reference parameters and a diagonal curvature estimate, as flat
+    vectors laid out like the head's parameters (`Classifier.flat`)."""
 
-    theta: dict[str, np.ndarray]
-    fisher: dict[str, np.ndarray]
+    theta: np.ndarray
+    fisher: np.ndarray
 
 
 def estimate_fisher(classifier: Classifier, data: Batch) -> AnchorState:
@@ -322,36 +316,23 @@ def estimate_fisher(classifier: Classifier, data: Batch) -> AnchorState:
     emb = classifier.encoder.encode_batch(data.x)
     _, delta = head_pass(classifier.weights, classifier.bias, emb,
                          rows_for(classifier, data.y))
-    n = len(data)
-    fisher_w = (delta ** 2).T @ (emb ** 2) / n
-    fisher_b = (delta ** 2).mean(axis=0)
-    return AnchorState(theta=classifier.head_params(),
-                       fisher={"weights": fisher_w, "bias": fisher_b})
+    fisher = np.empty_like(classifier.flat)
+    fisher_w, fisher_b = classifier.split(fisher)
+    fisher_w[...] = (delta ** 2).T @ (emb ** 2) / len(data)
+    fisher_b[...] = (delta ** 2).mean(axis=0)
+    return AnchorState(theta=classifier.flat.copy(), fisher=fisher)
 
 
-def align_anchor(anchor: AnchorState, params: dict[str, np.ndarray]
-                 ) -> AnchorState:
-    """Pad an anchor recorded before a head expansion with zero rows, so
-    new classes stay unconstrained."""
-    def pad(arrays):
-        return {k: _pad_rows(arrays[k], len(p)) for k, p in params.items()}
-    return AnchorState(theta=pad(anchor.theta), fisher=pad(anchor.fisher))
-
-
-def ewc_penalty_and_grads(params: dict[str, np.ndarray],
-                          anchor: AnchorState, lam: float
-                          ) -> tuple[float, dict[str, np.ndarray]]:
+def ewc_penalty_and_grads(params: np.ndarray, anchor: AnchorState,
+                          lam: float) -> tuple[float, np.ndarray]:
     """lam * sum_j F_j (theta_j - theta*_j)^2 with gradient
-    2 lam F (theta - theta*). With F = 1/2 and lam = mu this is the
-    FedProx term (mu / 2) ||theta - theta*||^2, gradient mu (theta -
-    theta*). Training adds the same gradient in `_train_on_groups`."""
-    loss = 0.0
-    grads = {}
-    for k, p in params.items():
-        diff = p - anchor.theta[k]
-        loss += lam * float((anchor.fisher[k] * diff * diff).sum())
-        grads[k] = 2.0 * lam * anchor.fisher[k] * diff
-    return loss, grads
+    2 lam F (theta - theta*), over flat vectors. With F = 1/2 and
+    lam = mu this is the FedProx term (mu / 2) ||theta - theta*||^2,
+    gradient mu (theta - theta*). Training adds the same gradient in
+    `_train_on_groups`."""
+    diff = params - anchor.theta
+    return (lam * float((anchor.fisher * diff * diff).sum()),
+            2.0 * lam * anchor.fisher * diff)
 
 
 def _train_on_groups(classifier: Classifier, groups: list[Batch],
@@ -387,14 +368,14 @@ def _train_on_groups(classifier: Classifier, groups: list[Batch],
     # lam * (2 F) rounds like (2 lam) F, and is mu itself at F = 1/2.
     pull = None
     if anchor is not None and lam > 0:
-        for k, p in (("weights", weights), ("bias", bias)):
-            if anchor.theta[k].shape != p.shape or \
-                    anchor.fisher[k].shape != p.shape:
-                raise ProtocolError(f"anchor {k} shape does not match the "
-                                    f"head's {p.shape}")
-        fisher, theta = (np.concatenate([np.ravel(d["weights"]), d["bias"]])
-                         for d in (anchor.fisher, anchor.theta))
-        pull = (lam * (2.0 * fisher), theta, np.empty_like(params))
+        if anchor.theta.shape != params.shape or \
+                anchor.fisher.shape != params.shape:
+            raise ProtocolError(
+                f"anchor theta {anchor.theta.shape} and fisher "
+                f"{anchor.fisher.shape} do not match the head's "
+                f"{params.shape}")
+        pull = (lam * (2.0 * anchor.fisher), anchor.theta,
+                np.empty_like(params))
     grad = np.empty_like(params)
     grad_w, grad_b = classifier.split(grad)
     # Each epoch gathers, in permuted order, the embeddings, each row's
@@ -430,6 +411,14 @@ def _train_on_groups(classifier: Classifier, groups: list[Batch],
                 gap *= coef
                 grad += gap
             adam.update(params, grad, hp.learning_rate, hp.weight_decay)
+    # An overflowing gradient makes v infinite and every later step 0,
+    # which would freeze a finite head without a trace. A head that is
+    # itself non-finite is reported at the end of its task phase.
+    if np.isfinite(params).all() and not (
+            np.isfinite(adam.m).all() and np.isfinite(adam.v).all()):
+        raise ProtocolError(
+            f"training overflowed Adam's moments (lambda {lam}, "
+            f"learning_rate {hp.learning_rate})")
     if ledger is not None:
         # The madds formulas are linear in the batch size, so one charge
         # for every row of every epoch equals the per-step sum.

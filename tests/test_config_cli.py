@@ -230,6 +230,42 @@ def test_run_experiment_partial_failure(tmp_path, capsys):
     assert "run failed: OSIFL seed=5" in err
 
 
+@pytest.mark.parametrize("field, value, method", [
+    ("lambda_ewc", 1e200, Method.OSCAR_R), ("mu_prox", 1e300, Method.FEDPROX)])
+def test_an_overflowing_penalty_is_a_failed_run(tmp_path, capsys, field,
+                                                value, method):
+    # Outside the tests an overflow is only a RuntimeWarning, so ignore
+    # it here too: the run itself must fail, naming lambda.
+    # Batches of 8: a FedProx pass's first step has no gap to pull on.
+    cfg = _small(methods=(method,), seeds=(5,), batch_size=8,
+                 **{field: value})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_experiment(cfg, str(tmp_path)) == 1
+    assert f"run failed: {method.value} seed=5: training overflowed Adam's " \
+        f"moments (lambda {value}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["summary.partial.csv"]
+
+
+@pytest.mark.parametrize("first_fails", [True, False])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_rerun_leaves_only_its_own_summary(tmp_path, command,
+                                             first_fails):
+    # A failing config (a learning rate that overflows the head) and a
+    # good one, run in either order into the same directory.
+    good = _small(methods=(Method.FEDAVG,), seeds=(5,))
+    bad = dataclasses.replace(good, learning_rate=1e308)
+    stem = "summary" if command == "run" else "sweep_p"
+    for cfg in (bad, good) if first_fails else (good, bad):
+        with np.errstate(all="ignore"):
+            if command == "run":
+                code = run_experiment(cfg, str(tmp_path))
+            else:
+                code = sweep(cfg, "p", ["2"], str(tmp_path))
+        assert code == (1 if cfg is bad else 0)
+    last = f"{stem}.csv" if first_fails else f"{stem}.partial.csv"
+    assert [n for n in os.listdir(tmp_path) if n.startswith(stem)] == [last]
+
+
 def test_sweep_rejects_bad_axis_and_empty_values(tmp_path, capsys):
     cfg = _small()
     with pytest.raises(ConfigError, match="unknown sweep axis"):

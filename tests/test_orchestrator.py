@@ -19,7 +19,8 @@ from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
                                 run_method, _weighted_average)
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, select_exemplars
-from osifl.trainer import Classifier, train_local
+from osifl.trainer import AnchorState, Classifier, estimate_fisher, \
+    train_local
 
 
 def _small(**overrides):
@@ -216,32 +217,62 @@ def test_upload_guards_reject_repeats_and_foreign_messages():
     oneshot_task_phase(state, suite.tasks[1], msgs2)
 
 
-def test_federated_single_client_is_sequential_local_training():
+def _pad_head_vector(flat, n_old, n_new, dim_e):
+    """A flat head vector of n_old rows with zero rows appended up to
+    n_new: the weights row by row, then the bias."""
+    return np.concatenate([flat[:n_old * dim_e],
+                           np.zeros((n_new - n_old) * dim_e),
+                           flat[n_old * dim_e:], np.zeros(n_new - n_old)])
+
+
+@pytest.mark.parametrize("method", [Method.FEDAVG, Method.FEDPROX,
+                                    Method.FEDEWC])
+def test_federated_single_client_is_sequential_local_training(method):
     # With one client the weighted average is that client's parameters,
-    # so the whole task must replay as plain round-by-round local
-    # training with the same per-round streams.
-    cfg = _small(num_tasks=1, num_classes=4, rounds=3)
+    # so each task must replay as plain round-by-round local training
+    # with the same per-round streams, and anchors built by hand: FedProx
+    # pulls toward each round's broadcast head at F = 1/2, FedEWC toward
+    # the last task's head and Fisher, zero-padded for the new classes.
+    cfg = _small(rounds=3, lambda_ewc=50.0, mu_prox=0.5)
     world, suite, shards, _ = build_run_inputs(cfg, 6)
     encoder = make_encoder(cfg.dim_e, world.dim_x, 6)
     hp = cfg.train_hp()
-    state = RunState(method=Method.FEDAVG, config=cfg, seed=6, world=world,
+    state = RunState(method=method, config=cfg, seed=6, world=world,
                      encoder=encoder, classifier=Classifier(encoder), hp=hp)
-    task = suite.tasks[0]
-    federated_task_phase(state, task, shards)
     manual = Classifier(encoder)
-    manual.expand_head(task.classes)
-    shard = shards[0]
-    for rnd in range(1, cfg.rounds + 1):
-        local = manual.copy()
-        train_local(local, shard.samples, hp,
-                    stream(6, "fed", 1, rnd, shard.client_id),
-                    epochs=cfg.local_epochs)
-        manual.load_params(local.head_params())
-    assert np.array_equal(state.classifier.weights, manual.weights)
-    assert np.array_equal(state.classifier.bias, manual.bias)
-    assert state.comms.messages_by_client[shard.client_id] == cfg.rounds
-    assert state.comms.floats_by_client[shard.client_id] == \
-        cfg.rounds * state.classifier.param_count
+    ewc = None
+    for task in suite.tasks:
+        t = task.task_id
+        (shard,) = [s for s in shards if s.task_id == t]
+        federated_task_phase(state, task, [shard])
+        n_old = manual.num_classes
+        manual.expand_head(task.classes)
+        anchor, lam = None, 0.0
+        if method is Method.FEDEWC and ewc is not None:
+            anchor = AnchorState(*(_pad_head_vector(
+                a, n_old, manual.num_classes, cfg.dim_e) for a in ewc))
+            lam = cfg.lambda_ewc
+        for rnd in range(1, cfg.rounds + 1):
+            if method is Method.FEDPROX:
+                anchor = AnchorState(manual.flat.copy(),
+                                     np.full(manual.param_count, 0.5))
+                lam = cfg.mu_prox
+            local = manual.copy()
+            train_local(local, shard.samples, hp,
+                        stream(6, "fed", t, rnd, shard.client_id),
+                        epochs=cfg.local_epochs, anchor=anchor, lam=lam)
+            manual.weights, manual.bias = local.weights, local.bias
+        if method is Method.FEDEWC:
+            ewc = (manual.flat.copy(),
+                   estimate_fisher(manual, shard.samples).fisher)
+            assert np.array_equal(state.anchor.theta, ewc[0])
+            assert np.array_equal(state.anchor.fisher, ewc[1])
+        assert np.array_equal(state.classifier.flat, manual.flat)
+        assert state.comms.messages_by_client[shard.client_id] == \
+            cfg.rounds
+        assert state.comms.floats_by_client[shard.client_id] == \
+            cfg.rounds * manual.param_count
+    assert manual.num_classes == 8
 
 
 def test_federated_phase_rejects_foreign_and_missing_shards():
@@ -259,12 +290,12 @@ def test_federated_phase_rejects_foreign_and_missing_shards():
 
 
 def test_weighted_average_matches_hand_arithmetic():
-    a = {"w": np.array([1.0, 3.0])}
-    b = {"w": np.array([3.0, 5.0])}
+    a = np.array([1.0, 3.0])
+    b = np.array([3.0, 5.0])
     equal = _weighted_average([a, b], [4, 4])
-    assert np.array_equal(equal["w"], np.array([2.0, 4.0]))
+    assert np.array_equal(equal, np.array([2.0, 4.0]))
     skewed = _weighted_average([a, b], [1, 3])
-    assert np.allclose(skewed["w"], [2.5, 4.5], atol=1e-15)
+    assert np.allclose(skewed, [2.5, 4.5], atol=1e-15)
     with pytest.raises(ProtocolError):
         _weighted_average([a, b], [0, 0])
 

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, Exemplars, select_exemplars
 from osifl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
                            AnchorState, Classifier, TrainHP,
-                           align_anchor, ce_loss_and_grads, estimate_fisher,
-                           ewc_penalty_and_grads, full_objective, load_head,
-                           rows_for, save_head, train_joint, train_local,
-                           train_naive, train_osifl, train_regularized)
+                           ce_loss_and_grads, estimate_fisher,
+                           ewc_penalty_and_grads, load_head, rows_for,
+                           save_head, train_joint, train_local, train_naive,
+                           train_osifl, train_regularized)
 
 
 def _toy_data(seed, n=24, classes=(0, 1), dim=4, shift=0.0, task=1):
@@ -33,6 +34,23 @@ def _row(x, y):
 
 def _empty(dim=3):
     return Batch(np.empty((0, dim)), [], [])
+
+
+def _params(clf, flat=None):
+    """A dict view, keyed like `ce_loss_and_grads`'s gradients, of a flat
+    vector in the head's layout; by default a copy of the head's own."""
+    return dict(zip(("weights", "bias"),
+                    clf.split(clf.flat.copy() if flat is None else flat)))
+
+
+def full_objective(classifier, groups):
+    """Sum over groups of the group's mean cross-entropy (audit helper)."""
+    total = 0.0
+    for group in groups:
+        if group:
+            loss, _ = ce_loss_and_grads(classifier, group)
+            total += loss
+    return total
 
 
 def _ref_zeros(params):
@@ -83,7 +101,7 @@ def _ref_train(clf, groups, hp, rng, state, *, epochs, pull=None):
     rows = rows_for(clf, np.concatenate([g.y for g in groups]))
     sample_w = np.concatenate([np.full(len(g), 1.0 / len(g)) for g in groups])
     n = len(rows)
-    params = clf.head_params()
+    params = _params(clf)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, hp.batch_size):
@@ -101,9 +119,7 @@ def _moments(clf):
     """The trainer's kept Adam state as (step, m, v) with m and v keyed
     like the head's parameters."""
     adam = clf.adam
-    keys = ("weights", "bias")
-    return (adam.step, dict(zip(keys, clf.split(adam.m))),
-            dict(zip(keys, clf.split(adam.v))))
+    return adam.step, _params(clf, adam.m), _params(clf, adam.v)
 
 
 def _assert_state_equal(clf, params, state):
@@ -268,7 +284,7 @@ def test_adam_matches_reference_across_head_growth(weight_decay):
     clf.weights = rng.normal(size=(2, 6))
     clf.bias = rng.normal(size=2)
     clf.adam = Adam(clf.param_count)
-    ref_params = clf.head_params()
+    ref_params = _params(clf)
     ref_state = _ref_zeros(ref_params)
     for phase in range(2):
         for _ in range(24):
@@ -304,7 +320,7 @@ def test_persisted_moments_train_like_the_reference_across_tasks():
     second = _toy_data(6, n=10, classes=(2, 3), dim=3, task=2)
     clf = Classifier(enc, classes=(0, 1))
     ref = Classifier(enc, classes=(0, 1))
-    state = _ref_zeros(ref.head_params())
+    state = _ref_zeros(_params(ref))
     for t, data in enumerate((first, second), start=1):
         if t == 2:
             clf.expand_head([2, 3])
@@ -316,20 +332,24 @@ def test_persisted_moments_train_like_the_reference_across_tasks():
         train_naive(clf, data, hp, stream(0, "t", t))
         params, state = _ref_train(ref, [data], hp, stream(0, "t", t), state,
                                    epochs=hp.epochs_per_task)
-        ref.load_params(params)
+        ref.weights, ref.bias = params["weights"], params["bias"]
         assert np.array_equal(clf.weights, ref.weights)
         assert np.array_equal(clf.bias, ref.bias)
     assert state[0] == 8
     _assert_state_equal(clf, params, state)
 
 
+def _ref_pad(d, n_new):
+    """Append n_new zero rows to each array of a reference dict."""
+    return {k: np.concatenate([a, np.zeros((n_new,) + a.shape[1:])])
+            for k, a in d.items()}
+
+
 def _ref_grow(params, state, n_new):
     """Append n_new zero rows to reference params and moments."""
-    def pad(d):
-        return {k: np.concatenate([a, np.zeros((n_new,) + a.shape[1:])])
-                for k, a in d.items()}
     step, m, v = state
-    return pad(params), (step, pad(m), pad(v))
+    return _ref_pad(params, n_new), (step, _ref_pad(m, n_new),
+                                     _ref_pad(v, n_new))
 
 
 def _replay_memory(dim=3):
@@ -346,16 +366,14 @@ def _replay_memory(dim=3):
 
 def _ewc_anchor(clf, seed):
     rng = np.random.default_rng(seed)
-    return AnchorState(
-        theta={k: rng.normal(size=v.shape)
-               for k, v in clf.head_params().items()},
-        fisher={k: rng.uniform(0.0, 2.0, size=v.shape)
-                for k, v in clf.head_params().items()})
+    return AnchorState(theta=rng.normal(size=clf.flat.shape),
+                       fisher=rng.uniform(0.0, 2.0, size=clf.flat.shape))
 
 
-def _anchor_pull(anchor, lam):
-    return lambda p: {k: lam * (2.0 * anchor.fisher[k])
-                      * (p[k] - anchor.theta[k]) for k in p}
+def _anchor_pull(theta, fisher, lam):
+    """The penalty gradient over dicts keyed like the head's parameters."""
+    return lambda p: {k: lam * (2.0 * fisher[k]) * (p[k] - theta[k])
+                      for k in p}
 
 
 # Each case: (batch_size, epochs, groups built around the task's data,
@@ -402,9 +420,10 @@ def test_training_matches_the_reference_loop_bit_for_bit(case):
     anchor = _ewc_anchor(clf, 42)
     if case == "fedprox":
         anchor = _prox_anchor(anchor.theta)
-    pull = None if lam is None else _anchor_pull(anchor, lam)
+    pull = None if lam is None else _anchor_pull(
+        _params(clf, anchor.theta), _params(clf, anchor.fisher), lam)
     expect, state = _ref_train(clf, groups, hp, stream(2, "t"),
-                               _ref_zeros(clf.head_params()), epochs=epochs,
+                               _ref_zeros(_params(clf)), epochs=epochs,
                                pull=pull)
     call(clf, groups, hp, stream(2, "t"), anchor)
     n_rows = sum(len(g) for g in groups)
@@ -423,7 +442,7 @@ def test_persisted_moments_across_growth_with_groups_and_anchor():
               _toy_data(7, n=3, classes=(0,), dim=3)]
     third = _toy_data(8, n=9, classes=(4,), dim=3, task=3)
     clf = _random_head(Classifier(enc, classes=(0, 1)), 43)
-    params = clf.head_params()
+    params = _params(clf)
     state = _ref_zeros(params)
     params, state = _ref_train(clf, [first], hp, stream(3, "t", 1), state,
                                epochs=2)
@@ -437,11 +456,17 @@ def test_persisted_moments_across_growth_with_groups_and_anchor():
     train_joint(clf, second, hp, stream(3, "t", 2))
     _assert_state_equal(clf, params, state)
     anchor = estimate_fisher(clf, second[0])
+    ref_theta, ref_fisher = (_ref_pad(_params(clf, a), 1)
+                             for a in (anchor.theta, anchor.fisher))
     clf.expand_head([4])
     params, state = _ref_grow(params, state, 1)
-    anchor = align_anchor(anchor, params)
+    anchor = AnchorState(clf.grow(anchor.theta), clf.grow(anchor.fisher))
+    for k in ("weights", "bias"):
+        assert np.array_equal(_params(clf, anchor.theta)[k], ref_theta[k])
+        assert np.array_equal(_params(clf, anchor.fisher)[k], ref_fisher[k])
     params, state = _ref_train(clf, [third], hp, stream(3, "t", 3), state,
-                               epochs=2, pull=_anchor_pull(anchor, 5.0))
+                               epochs=2,
+                               pull=_anchor_pull(ref_theta, ref_fisher, 5.0))
     train_regularized(clf, third, anchor, 5.0, hp, stream(3, "t", 3))
     assert state[0] == 2 * 3 + 2 * 4 + 2 * 3
     _assert_state_equal(clf, params, state)
@@ -452,41 +477,39 @@ def test_later_training_moves_no_snapshot_copy_or_anchor():
     data = _toy_data(5, n=10, dim=3)
     hp = TrainHP(epochs_per_task=2, batch_size=4)
     clf = _random_head(Classifier(enc, classes=(0, 1)), 44)
-    frozen = {k: v.copy() for k, v in clf.head_params().items()}
+    frozen = clf.flat.copy()
 
-    def unmoved(params):
-        return all(np.array_equal(params[k], frozen[k]) for k in frozen)
+    def unmoved(flat):
+        return np.array_equal(flat, frozen)
 
-    snapshot = clf.head_params()
+    snapshot = clf.flat.copy()
     dup = clf.copy()
     train_naive(clf, data, hp, stream(0, "t"))
     assert unmoved(snapshot)
-    assert unmoved(dup.head_params())
+    assert unmoved(dup.flat)
     # A copy's training moves neither the original nor the snapshot.
-    trained = clf.head_params()
+    trained = clf.flat.copy()
     train_naive(dup, data, hp, stream(1, "t"))
     assert unmoved(snapshot)
-    for k, v in trained.items():
-        assert np.array_equal(getattr(clf, k), v)
+    assert np.array_equal(clf.flat, trained)
     # FedProx: the broadcast anchor stays put while a local copy trains.
-    broadcast = clf.head_params()
-    kept = {k: v.copy() for k, v in broadcast.items()}
+    broadcast = _prox_anchor(clf.flat.copy())
+    kept = broadcast.theta.copy()
     local = clf.copy()
     train_local(local, data, hp, stream(2, "t"), epochs=2,
-                anchor=_prox_anchor(broadcast), lam=0.5)
-    for k, v in kept.items():
-        assert np.array_equal(broadcast[k], v)
-        assert np.array_equal(getattr(clf, k), v)
-        assert not np.array_equal(getattr(local, k), v)
-    # The pre-update scoring head: a copy loaded from the snapshot taken
-    # before training keeps those values however the model trains on.
+                anchor=broadcast, lam=0.5)
+    assert np.array_equal(broadcast.theta, kept)
+    assert np.array_equal(clf.flat, kept)
+    for moved, v in zip(clf.split(local.flat), clf.split(kept)):
+        assert not np.array_equal(moved, v)
+    # The pre-update scoring head: a copy taken before training keeps
+    # its values however the model trains on.
     scorer = clf.copy()
-    scorer.load_params(snapshot)
     train_naive(clf, data, hp, stream(3, "t"))
-    assert unmoved(snapshot) and unmoved(scorer.head_params())
+    assert unmoved(snapshot) and np.array_equal(scorer.flat, kept)
     train_naive(scorer, data, hp, stream(4, "t"))
     assert unmoved(snapshot)
-    assert not unmoved(scorer.head_params())
+    assert not np.array_equal(scorer.flat, kept)
 
 
 def test_train_naive_single_full_batch_is_one_adam_step():
@@ -502,8 +525,8 @@ def test_train_naive_single_full_batch_is_one_adam_step():
     clf.weights = head_rng.normal(size=(2, 6))
     clf.bias = head_rng.normal(size=2)
     manual_grads = ce_loss_and_grads(clf, data)[1]
-    expect, _ = _ref_adam_step(_ref_zeros(clf.head_params()),
-                               clf.head_params(), manual_grads,
+    expect, _ = _ref_adam_step(_ref_zeros(_params(clf)),
+                               _params(clf), manual_grads,
                                hp.learning_rate, hp.weight_decay)
     train_naive(clf, data, hp, stream(0, "t"))
     assert clf.adam.step == 1
@@ -578,8 +601,8 @@ def test_joint_weighting_sums_group_means():
     g_small = ce_loss_and_grads(clf, small)[1]
     g_large = ce_loss_and_grads(clf, large)[1]
     summed = {k: g_small[k] + g_large[k] for k in g_small}
-    expect, _ = _ref_adam_step(_ref_zeros(clf.head_params()),
-                               clf.head_params(), summed, hp.learning_rate,
+    expect, _ = _ref_adam_step(_ref_zeros(_params(clf)),
+                               _params(clf), summed, hp.learning_rate,
                                hp.weight_decay)
     train_joint(clf, [small, large], hp, stream(3, "t"))
     assert np.allclose(clf.weights, expect["weights"], atol=1e-12)
@@ -666,8 +689,9 @@ def test_fisher_zero_for_perfectly_confident_head():
     enc = make_encoder(4, 3, 5)
     clf = Classifier(enc, classes=(0,))
     anchor = estimate_fisher(clf, _row(np.zeros(3), 0))
-    assert np.all(anchor.fisher["weights"] == 0.0)
-    assert np.all(anchor.fisher["bias"] == 0.0)
+    assert anchor.fisher.shape == clf.flat.shape
+    assert np.all(_params(clf, anchor.fisher)["weights"] == 0.0)
+    assert np.all(_params(clf, anchor.fisher)["bias"] == 0.0)
 
 
 def test_fisher_single_sample_is_squared_gradient():
@@ -677,9 +701,11 @@ def test_fisher_single_sample_is_squared_gradient():
     clf.weights = rng.normal(size=(2, 4))
     sample = _row(rng.normal(size=3), 1)
     anchor = estimate_fisher(clf, sample)
+    assert np.array_equal(anchor.theta, clf.flat)
+    fisher = _params(clf, anchor.fisher)
     _, grads = ce_loss_and_grads(clf, sample)
     for key in ("weights", "bias"):
-        rel = np.abs(anchor.fisher[key] - grads[key] ** 2) / np.maximum(
+        rel = np.abs(fisher[key] - grads[key] ** 2) / np.maximum(
             np.abs(grads[key] ** 2), 1e-300)
         assert rel.max() < 1e-12
 
@@ -698,35 +724,34 @@ def test_fisher_matches_bruteforce_accumulation():
         _, g = ce_loss_and_grads(clf, _row(x, y))
         brute["weights"] += g["weights"] ** 2
         brute["bias"] += g["bias"] ** 2
+    fisher = _params(clf, anchor.fisher)
     for key in brute:
-        assert np.allclose(anchor.fisher[key], brute[key] / len(data),
+        assert np.allclose(fisher[key], brute[key] / len(data),
                            atol=1e-10)
     with pytest.raises(ProtocolError):
         estimate_fisher(clf, _empty())
 
 
 def test_ewc_penalty_hand_case_and_gradient():
-    params = {"w": np.array([4.0])}
-    anchor = AnchorState(theta={"w": np.array([1.0])},
-                         fisher={"w": np.array([2.0])})
+    params = np.array([4.0])
+    anchor = AnchorState(theta=np.array([1.0]), fisher=np.array([2.0]))
     loss, grads = ewc_penalty_and_grads(params, anchor, 0.5)
     assert loss == pytest.approx(9.0, abs=1e-12)
-    assert grads["w"][0] == pytest.approx(6.0, abs=1e-12)
+    assert grads[0] == pytest.approx(6.0, abs=1e-12)
 
 
 def _prox_anchor(ref):
     """FedProx's anchor: the reference model at a flat Fisher of 1/2."""
-    return AnchorState(theta=ref, fisher={k: np.full_like(v, 0.5)
-                                          for k, v in ref.items()})
+    return AnchorState(theta=ref, fisher=np.full_like(ref, 0.5))
 
 
 def test_proximal_penalty_hand_case():
     # (mu / 2) ||theta - ref||^2 as the anchor penalty at F = 1/2.
-    params = {"w": np.array([3.0, 4.0])}
-    loss, grads = ewc_penalty_and_grads(params, _prox_anchor(
-        {"w": np.zeros(2)}), 2.0)
+    params = np.array([3.0, 4.0])
+    loss, grads = ewc_penalty_and_grads(params, _prox_anchor(np.zeros(2)),
+                                        2.0)
     assert loss == pytest.approx(25.0, abs=1e-12)
-    assert np.allclose(grads["w"], [6.0, 8.0], atol=1e-12)
+    assert np.allclose(grads, [6.0, 8.0], atol=1e-12)
 
 
 def test_fedprox_pull_is_mu_times_the_gap_bit_for_bit():
@@ -751,7 +776,8 @@ def test_fedprox_pull_is_mu_times_the_gap_bit_for_bit():
         clf, [data], hp, stream(1, "t"), _ref_zeros(ref), epochs=3,
         pull=lambda p: {k: 0.3 * (p[k] - ref[k]) for k in p})
     train_local(clf, data, hp, stream(1, "t"), epochs=3,
-                anchor=_prox_anchor(ref), lam=0.3)
+                anchor=_prox_anchor(np.concatenate([ref["weights"].ravel(),
+                                                    ref["bias"]])), lam=0.3)
     assert state[0] == 9
     _assert_state_equal(clf, expect, state)
 
@@ -760,9 +786,7 @@ def test_regularized_lambda_zero_equals_naive():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=16, dim=3)
     hp = TrainHP(epochs_per_task=3, batch_size=4)
-    anchor = AnchorState(
-        theta={"weights": np.ones((2, 6)), "bias": np.ones(2)},
-        fisher={"weights": np.ones((2, 6)), "bias": np.ones(2)})
+    anchor = AnchorState(theta=np.ones(14), fisher=np.ones(14))
     a = Classifier(enc, classes=(0, 1))
     b = Classifier(enc, classes=(0, 1))
     train_naive(a, data, hp, stream(7, "t"))
@@ -776,10 +800,7 @@ def test_regularized_large_lambda_stays_near_anchor():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=16, dim=3)
     hp = TrainHP(epochs_per_task=5, batch_size=8)
-    start = {"weights": np.zeros((2, 6)), "bias": np.zeros(2)}
-    anchor = AnchorState(theta={k: v.copy() for k, v in start.items()},
-                         fisher={k: np.ones_like(v)
-                                 for k, v in start.items()})
+    anchor = AnchorState(theta=np.zeros(14), fisher=np.ones(14))
     free = Classifier(enc, classes=(0, 1))
     pinned = Classifier(enc, classes=(0, 1))
     train_regularized(free, data, anchor, 0.0, hp, stream(7, "t"))
@@ -788,20 +809,27 @@ def test_regularized_large_lambda_stays_near_anchor():
 
 
 def test_align_anchor_zero_pads_new_rows():
-    anchor = AnchorState(theta={"weights": np.ones((2, 3)),
-                                "bias": np.ones(2)},
-                         fisher={"weights": np.full((2, 3), 0.5),
-                                 "bias": np.full(2, 0.5)})
-    grown = align_anchor(anchor, {"weights": np.zeros((4, 3)),
-                                  "bias": np.zeros(4)})
-    assert np.array_equal(grown.theta["weights"][:2], np.ones((2, 3)))
-    assert np.all(grown.theta["weights"][2:] == 0.0)
-    assert np.all(grown.fisher["bias"][2:] == 0.0)
+    # An anchor taken on a 2-class head with dim_e = 3 (8 values), laid
+    # out again after the head grows to 4 classes.
+    clf = Classifier(make_encoder(3, 3, 1), classes=(0, 1))
+    anchor = AnchorState(theta=np.ones(8), fisher=np.full(8, 0.5))
+    clf.expand_head([2, 3])
+    grown = AnchorState(clf.grow(anchor.theta), clf.grow(anchor.fisher))
+    theta, fisher = _params(clf, grown.theta), _params(clf, grown.fisher)
+    assert np.array_equal(theta["weights"][:2], np.ones((2, 3)))
+    assert np.all(theta["weights"][2:] == 0.0)
+    assert np.array_equal(fisher["bias"][:2], [0.5, 0.5])
+    assert np.all(fisher["bias"][2:] == 0.0)
     # New rows unconstrained: penalty ignores them entirely.
-    params = {"weights": np.vstack([np.ones((2, 3)), np.full((2, 3), 9.0)]),
-              "bias": np.array([1.0, 1.0, 9.0, 9.0])}
+    params = np.concatenate([np.ones(6), np.full(6, 9.0),
+                             [1.0, 1.0, 9.0, 9.0]])
     loss, _ = ewc_penalty_and_grads(params, grown, 1.0)
     assert loss == 0.0
+    # A vector of today's layout is copied unchanged; no other is one.
+    assert np.array_equal(clf.grow(grown.theta), grown.theta)
+    for bad in (np.ones(9), np.ones(20), np.ones((2, 4))):
+        with pytest.raises(ProtocolError, match="laid out"):
+            clf.grow(bad)
 
 
 def test_expand_head_zero_classes_and_old_logit_stability():
@@ -854,13 +882,27 @@ def test_train_local_epoch_override_and_penalty_pull():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=16, dim=3)
     hp = TrainHP(epochs_per_task=20, batch_size=8)
-    ref = {"weights": np.zeros((2, 6)), "bias": np.zeros(2)}
     plain = Classifier(enc, classes=(0, 1))
     pulled = Classifier(enc, classes=(0, 1))
     train_local(plain, data, hp, stream(1, "t"), epochs=1)
     train_local(pulled, data, hp, stream(1, "t"), epochs=1,
-                anchor=_prox_anchor(ref), lam=100.0)
+                anchor=_prox_anchor(np.zeros(14)), lam=100.0)
     assert np.linalg.norm(pulled.weights) < np.linalg.norm(plain.weights)
+
+
+@pytest.mark.parametrize("lam", [1e200, 1e300])
+def test_an_overflowing_penalty_fails_instead_of_freezing_the_head(lam):
+    # (1 - b2) * g * g overflows, so v is infinite and every Adam step is
+    # 0: without the check the head keeps all 14 of its start values.
+    enc = make_encoder(6, 3, 1)
+    clf = Classifier(enc, classes=(0, 1))
+    anchor = AnchorState(theta=np.ones(14), fisher=np.ones(14))
+    hp = TrainHP(epochs_per_task=2, batch_size=8)
+    with np.errstate(over="ignore"), pytest.raises(
+            ProtocolError,
+            match=re.escape(f"overflowed Adam's moments (lambda {lam},")):
+        train_regularized(clf, _toy_data(5, n=16, dim=3), anchor, lam, hp,
+                          stream(0, "t"))
 
 
 def test_train_local_rejects_a_misaligned_anchor_and_negative_lambda():
@@ -868,14 +910,18 @@ def test_train_local_rejects_a_misaligned_anchor_and_negative_lambda():
     data = _toy_data(5, n=16, dim=3)
     hp = TrainHP(epochs_per_task=1, batch_size=8)
     clf = Classifier(enc, classes=(0, 1))
-    short = _prox_anchor({"weights": np.zeros((1, 6)), "bias": np.zeros(1)})
-    with pytest.raises(ProtocolError, match="anchor weights shape"):
+    # A one-class anchor (6 weights and 1 bias) against a 2-class head.
+    short = _prox_anchor(np.zeros(7))
+    with pytest.raises(ProtocolError, match=r"anchor theta \(7,\)"):
         train_local(clf, data, hp, stream(1, "t"), epochs=1, anchor=short,
                     lam=1.0)
+    with pytest.raises(ProtocolError, match=r"fisher \(7,\) do not match"):
+        train_local(clf, data, hp, stream(1, "t"), epochs=1,
+                    anchor=AnchorState(np.zeros(14), np.zeros(7)), lam=1.0)
     with pytest.raises(ConfigError):
         train_local(clf, data, hp, stream(1, "t"), epochs=1, lam=-1.0)
     # nan > 0 is false: a nan lambda must not train as "no penalty".
-    anchor = _prox_anchor(clf.head_params())
+    anchor = _prox_anchor(clf.flat.copy())
     for lam in (np.nan, np.inf):
         with pytest.raises(ConfigError, match="lambda"):
             train_local(clf, data, hp, stream(1, "t"), epochs=1,
@@ -914,9 +960,9 @@ def test_zero_epochs_leave_ledger_and_params_unchanged():
     hp = TrainHP(epochs_per_task=0, batch_size=4)
     clf = Classifier(enc, classes=(0, 1))
     ledger = ComputeLedger()
-    before = clf.head_params()
+    before = clf.flat.copy()
     train_naive(clf, data, hp, stream(0, "t"), ledger=ledger)
-    assert np.array_equal(clf.weights, before["weights"])
+    assert np.array_equal(clf.flat, before)
     assert "train_head_forward" not in ledger.madds_by_kind
 
 
