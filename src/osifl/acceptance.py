@@ -3,13 +3,12 @@
 Each criterion is a zero-argument callable returning (passed, detail).
 `run_all` prints one pass/fail line per criterion; `osifl selftest`
 invokes it, and the acceptance test module asserts the same callables.
-Benchmark-scale results are cached per process so overlapping criteria
-share runs.
+The criteria's protocol runs go through the CLI's grid runner and share
+one server memo per process, so overlapping criteria share runs.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import os
 import sys
@@ -20,15 +19,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cli import run_experiment
-from .config import ExperimentConfig, build_run_inputs
+from .cli import run_experiment, run_grid
+from .config import ExperimentConfig
 from .datagen import CLASS_INCREMENTAL, Batch, build_world, \
     draw_base_pool, draw_client_shards, make_task_suite
 from .diffusion import DiffusionHP, denoise_loss_fixed, guided_epsilon, \
     make_denoiser, make_schedule, make_surrogate, pretrain
 from .encoder import build_client_message, make_encoder
 from .errors import ConfigError
-from .orchestrator import Method, run_method
+from .orchestrator import Method, ServerMemo
 from .rng import stream
 from .ssr import ExemplarMemory, top_p_indices
 from .trainer import AnchorState, Classifier, TrainHP, ce_loss_and_grads, \
@@ -36,6 +35,8 @@ from .trainer import AnchorState, Classifier, TrainHP, ce_loss_and_grads, \
     train_regularized
 
 BENCH_SEEDS = (42, 18, 50)
+# Reports and generators of every criterion's runs, for the process.
+_MEMO = ServerMemo()
 
 
 def _fd_grads(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5
@@ -276,27 +277,27 @@ def criterion_reduction_chain() -> tuple[bool, str]:
                             f"{worst:.2e} (tolerance 1e-12)")
 
 
-@functools.lru_cache(maxsize=None)
-def _bench_final_acc(method: str, p: int, clients: int, seed: int) -> float:
+def _reports(cfg: ExperimentConfig, seeds=BENCH_SEEDS) -> list:
+    """cfg's reports over `seeds` from the grid runner and shared memo."""
+    [(_, reports)], failures = run_grid(cfg, None, [None], seeds, _MEMO)
+    if failures:
+        raise RuntimeError("run failed: " + "; ".join(failures))
+    return reports
+
+
+def _bench_mean(method: Method, p: int = 0, clients: int = 1) -> float:
     cfg = dataclasses.replace(ExperimentConfig(), generator="surrogate",
                               retain_per_class=p, clients_per_task=clients,
-                              methods=())
-    world, suite, shards, tests = build_run_inputs(cfg, seed)
-    report = run_method(method, world, suite, shards, tests, cfg, seed)
-    return report.avg_after[-1]
-
-
-def _bench_mean(method: str, p: int = 0, clients: int = 1) -> float:
-    return float(np.mean([_bench_final_acc(method, p, clients, s)
-                          for s in BENCH_SEEDS]))
+                              methods=(method,))
+    return float(np.mean([r.avg_after[-1] for r in _reports(cfg)]))
 
 
 def criterion_retention_gap() -> tuple[bool, str]:
     """Replay with p = 5 beats naive incremental by 10+ points on the
     default benchmark, and accuracy is monotone in p within 2 points."""
     t0 = time.perf_counter()
-    naive = _bench_mean("OSCAR_IL")
-    by_p = {p: _bench_mean("OSIFL", p=p) for p in (0, 2, 5, 10)}
+    naive = _bench_mean(Method.OSCAR_IL)
+    by_p = {p: _bench_mean(Method.OSIFL, p=p) for p in (0, 2, 5, 10)}
     gap = by_p[5] - naive
     mono = all(by_p[b] >= by_p[a] - 0.02
                for a, b in ((0, 2), (2, 5), (5, 10)))
@@ -309,9 +310,9 @@ def criterion_retention_gap() -> tuple[bool, str]:
 
 def criterion_ceiling_ordering() -> tuple[bool, str]:
     """Joint retraining >= replay >= naive, with 2 points of slack."""
-    ceiling = _bench_mean("OSCAR_CEILING")
-    replay = _bench_mean("OSIFL", p=5)
-    naive = _bench_mean("OSCAR_IL")
+    ceiling = _bench_mean(Method.OSCAR_CEILING)
+    replay = _bench_mean(Method.OSIFL, p=5)
+    naive = _bench_mean(Method.OSCAR_IL)
     ok = ceiling >= replay - 0.02 and replay >= naive - 0.02
     return ok, (f"ceiling {ceiling:.3f} >= replay {replay:.3f} >= "
                 f"naive {naive:.3f} (2-point slack)")
@@ -325,9 +326,9 @@ def criterion_comms_accounting() -> tuple[bool, str]:
         ExperimentConfig(), dim_x=8, num_classes=4, num_domains=2,
         num_tasks=2, classes_per_task=2, clients_per_task=1, n_per_class=6,
         test_per_class=4, epochs_per_task=1, batch_size=8, rounds=20,
-        local_epochs=1, reported_model_params=11_689_512, methods=())
-    world, suite, shards, tests = build_run_inputs(fed_cfg, 42)
-    fed = run_method(Method.FEDAVG, world, suite, shards, tests, fed_cfg, 42)
+        local_epochs=1, reported_model_params=11_689_512,
+        methods=(Method.FEDAVG,))
+    [fed] = _reports(fed_cfg, (42,))
     per_client = sorted(set(fed.floats_by_client.values()))
     fed_ok = per_client == [20 * 11_689_512] \
         and abs(per_client[0] / 233e6 - 1.0) <= 0.01
@@ -336,9 +337,8 @@ def criterion_comms_accounting() -> tuple[bool, str]:
         num_tasks=1, classes_per_task=10, clients_per_task=1, n_per_class=5,
         test_per_class=3, z_per_class=4, base_pool_total=200, dim_e=512,
         epochs_per_task=1, batch_size=8, retain_per_class=2,
-        generator="surrogate", methods=())
-    world, suite, shards, tests = build_run_inputs(one_cfg, 42)
-    one = run_method(Method.OSIFL, world, suite, shards, tests, one_cfg, 42)
+        generator="surrogate", methods=(Method.OSIFL,))
+    [one] = _reports(one_cfg, (42,))
     one_ok = one.floats_by_client == {0: 5120} \
         and one.messages_by_client == {0: 1}
     ok = fed_ok and one_ok
@@ -350,8 +350,8 @@ def criterion_comms_accounting() -> tuple[bool, str]:
 
 def criterion_client_scaling() -> tuple[bool, str]:
     """1 vs 6 clients per task moves replay accuracy by < 5 points."""
-    one = _bench_mean("OSIFL", p=5, clients=1)
-    six = _bench_mean("OSIFL", p=5, clients=6)
+    one = _bench_mean(Method.OSIFL, p=5, clients=1)
+    six = _bench_mean(Method.OSIFL, p=5, clients=6)
     ok = abs(one - six) < 0.05
     return ok, (f"1 client {one:.3f}, 6 clients {six:.3f}, "
                 f"|gap| {abs(one - six):.3f} (tolerance 0.05)")
@@ -462,7 +462,10 @@ def run_all(out=None) -> int:
     out = out or sys.stdout
     failed = 0
     for crit in CRITERIA:
-        passed, detail = crit.fn()
+        try:
+            passed, detail = crit.fn()
+        except RuntimeError as err:  # a failed run, or no fixture
+            passed, detail = False, str(err)
         status = "PASS" if passed else "FAIL"
         print(f"[{status}] {crit.cid} {crit.title}: {detail}", file=out,
               flush=True)

@@ -12,6 +12,7 @@ import numpy as np
 from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
     build_run_inputs, parse_config
 from .errors import ConfigError
+from .ledgers import ComputeLedger
 from .orchestrator import CSV_HEADER, ServerMemo, rows_to_csv, run_key, \
     run_method, write_report_csv
 
@@ -35,76 +36,75 @@ def resolve_seeds(config: ExperimentConfig) -> tuple[int, ...]:
         raise ConfigError(f"{SEED_ENV}: {err}") from None
 
 
-def _seed_means(reports: list) -> list[list[float]]:
-    """Per task: seed means of accuracy, forgetting, uploads, madds."""
+def _seed_means(cfg: ExperimentConfig, reports: list):
+    """Per configured method with reports: its per-task seed means."""
     cols = ("avg_after", "forgetting_after", "uploads_after", "madds_after")
-    return [[float(np.mean([getattr(r, col)[t_idx] for r in reports]))
-             for col in cols]
-            for t_idx in range(len(reports[0].avg_after))]
+    for method in cfg.methods:
+        mine = [r for r in reports if r.method == method.value]
+        if mine:
+            yield method, [[float(np.mean([getattr(r, col)[t_idx]
+                                           for r in mine])) for col in cols]
+                           for t_idx in range(len(mine[0].avg_after))]
 
 
-def _run_grid(config: ExperimentConfig, axis: str | None, values,
-              out_dir: str, stem: str, header: str, run_rows,
-              mean_rows) -> int:
-    """Run every (axis value, seed, method) cell in that order. Each
-    report's rows come from `run_rows(value, report)`, then, per value
-    and method, the seed-mean rows from `mean_rows(value, method, means)`.
-    The rows go to `<stem>.csv`, or `<stem>.partial.csv` if any run
-    failed; then the exit code is 1 and each failure is printed. The
-    other of the two files, left by an earlier run, is removed. All
-    cells share one server memo, so each generator is pretrained and
-    each task's data synthesized once for the whole grid. A cell whose
-    `run_key` an earlier cell already ran reuses that report with its
-    own `config_echo`; a failed run is not kept, so every cell that
-    reaches it runs and fails again."""
+def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
+             server: ServerMemo | None = None):
+    """Run every (axis value, seed, method) cell in that order; return
+    one `(cfg, reports)` per value, reports in that order, and a line
+    per failed run. All cells share `server` (a new memo by default), so
+    each generator is pretrained, each task's data synthesized and each
+    `run_key` run once. A cell that reuses a report gets its own
+    `config_echo`; a failed run is not kept, so every cell that reaches
+    it runs and fails again."""
+    server = ServerMemo() if server is None else server
+    cells, failures = [], []
+    for value in values:
+        cfg = config if axis is None else \
+            dataclasses.replace(config, **{FIELD_SPECS[axis][0]: value})
+        tag = "" if axis is None else f"{axis}={value} "
+        reports = []
+        for seed in seeds:
+            inputs = build_run_inputs(cfg, seed)
+            for method in cfg.methods:
+                try:
+                    report = server.recall(
+                        run_key(method, cfg, seed),
+                        lambda _: run_method(method, *inputs, cfg, seed,
+                                             server=server),
+                        ComputeLedger())
+                except Exception as err:
+                    failures.append(f"{tag}{method.value} seed={seed}: {err}")
+                    continue
+                reports.append(dataclasses.replace(
+                    report, config_echo=cfg.canonical()))
+        cells.append((cfg, reports))
+    return cells, failures
+
+
+def _run_into(out_dir: str, config: ExperimentConfig, axis, values):
+    """Create `out_dir`, then run the grid over the resolved seeds."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
         raise ConfigError(
             f"cannot create output directory {out_dir}: {err}") from None
-    seeds = resolve_seeds(config)
-    server = ServerMemo()
-    memo: dict = {}
-    rows: list[list] = []
-    failures: list[str] = []
-    for value in values:
-        cfg = config if axis is None else \
-            dataclasses.replace(config, **{FIELD_SPECS[axis][0]: value})
-        tag = "" if axis is None else f"{axis}={value} "
-        done: dict = {method: [] for method in cfg.methods}
-        for seed in seeds:
-            inputs = build_run_inputs(cfg, seed)
-            for method in cfg.methods:
-                key = run_key(method, cfg, seed)
-                if key in memo:
-                    report = dataclasses.replace(
-                        memo[key], config_echo=cfg.canonical())
-                else:
-                    try:
-                        report = run_method(method, *inputs, cfg, seed,
-                                            server=server)
-                    except Exception as err:
-                        failures.append(
-                            f"{tag}{method.value} seed={seed}: {err}")
-                        continue
-                    memo[key] = report
-                done[method].append(report)
-                rows.extend(run_rows(value, report))
-        for method, reports in done.items():
-            if reports:
-                rows.extend(mean_rows(value, method, _seed_means(reports)))
+    return run_grid(config, axis, values, resolve_seeds(config))
+
+
+def _write_summary(out_dir: str, stem: str, header: str, rows: list,
+                   failures: list[str], label: str) -> int:
+    """Write `<stem>.csv`, or `<stem>.partial.csv` and print each failure
+    if a run failed; remove the other name, so an earlier run's summary
+    cannot read as this one's. Exit code 1 if a run failed."""
     name, stale = f"{stem}.csv", f"{stem}.partial.csv"
     if failures:
         name, stale = stale, name
     with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
         fh.write(rows_to_csv(rows, header=header))
-    # A summary an earlier run left under the other name would read as
-    # this run's.
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, stale))
     for failure in failures:
-        print(f"{'' if axis is None else 'sweep '}run failed: {failure}",
-              file=sys.stderr)
+        print(f"{label}: {failure}", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -112,17 +112,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> int:
     """Run every configured (method, seed) pair; write one CSV per run
     plus a seed-averaged summary. Nonzero exit if any run failed, with
     whatever completed written under a 'partial' summary name."""
-    def write_run(_value, report):
+    [(_, reports)], failures = _run_into(out_dir, config, None, [None])
+    for report in reports:
         write_report_csv(os.path.join(
             out_dir, f"run_{report.method}_seed{report.seed}.csv"), [report])
-        return []
-
-    def summary_rows(_value, method, means):
-        return [[method.value, -1, t_idx + 1, -1, avg, avg, forg, ups, madds]
-                for t_idx, (avg, forg, ups, madds) in enumerate(means)]
-
-    return _run_grid(config, None, [None], out_dir, "summary", CSV_HEADER,
-                     write_run, summary_rows)
+    rows = [[method.value, -1, t_idx + 1, -1, avg, avg, forg, ups, madds]
+            for method, means in _seed_means(config, reports)
+            for t_idx, (avg, forg, ups, madds) in enumerate(means)]
+    return _write_summary(out_dir, "summary", CSV_HEADER, rows, failures,
+                          "run failed")
 
 
 def sweep(config: ExperimentConfig, axis: str, values, out_dir: str) -> int:
@@ -142,17 +140,16 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir: str) -> int:
                                  for value in values), "value")
     except ConfigError as err:
         raise ConfigError(f"sweep {axis}: {err}") from None
-
-    def seed_row(value, report):
-        return [[axis, value, report.method, report.seed,
-                 report.avg_after[-1], report.forgetting_mean,
-                 report.upload_floats_total, report.madds_total]]
-
-    def mean_row(value, method, means):
-        return [[axis, value, method.value, -1] + means[-1]]
-
-    return _run_grid(config, axis, parsed, out_dir, f"sweep_{axis}",
-                     SWEEP_HEADER, seed_row, mean_row)
+    cells, failures = _run_into(out_dir, config, axis, parsed)
+    rows = []
+    for value, (cfg, reports) in zip(parsed, cells):
+        rows.extend([axis, value, r.method, r.seed, r.avg_after[-1],
+                     r.forgetting_mean, r.upload_floats_total, r.madds_total]
+                    for r in reports)
+        rows.extend([axis, value, method.value, -1] + means[-1]
+                    for method, means in _seed_means(cfg, reports))
+    return _write_summary(out_dir, f"sweep_{axis}", SWEEP_HEADER, rows,
+                          failures, "sweep run failed")
 
 
 def _load_config(path: str) -> ExperimentConfig:

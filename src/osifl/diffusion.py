@@ -157,9 +157,6 @@ class Denoiser:
     def param_count(self) -> int:
         return _flat_size(self._shapes)
 
-    def null_condition(self) -> np.ndarray:
-        return np.zeros(self.dim_cond)
-
     def _assemble(self, x: np.ndarray, z, cond: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         cond = np.atleast_2d(np.asarray(cond, dtype=float))
@@ -233,16 +230,6 @@ def make_denoiser(dim_x: int, dim_cond: int, num_steps: int, hidden: int,
     return den
 
 
-@dataclass(eq=False)
-class DenoiseBatchTrace:
-    """The random draws one training step actually used."""
-
-    z: np.ndarray
-    eps: np.ndarray
-    cond_used: np.ndarray
-    x_z: np.ndarray
-
-
 def denoise_loss_fixed(denoiser: Denoiser, schedule: NoiseSchedule,
                        x0: np.ndarray, z: np.ndarray, eps: np.ndarray,
                        cond: np.ndarray, out: np.ndarray | None = None
@@ -267,7 +254,7 @@ def denoise_loss_fixed(denoiser: Denoiser, schedule: NoiseSchedule,
 
 def denoise_loss_and_grads(denoiser: Denoiser, schedule: NoiseSchedule,
                            x0: np.ndarray, cond: np.ndarray, p_drop: float,
-                           rng: np.random.Generator, *, with_trace=False,
+                           rng: np.random.Generator, *,
                            out: np.ndarray | None = None):
     """One noise-prediction training step's loss and gradients, the
     latter written into `out` as in `denoise_loss_fixed`.
@@ -286,13 +273,8 @@ def denoise_loss_and_grads(denoiser: Denoiser, schedule: NoiseSchedule,
     eps = rng.standard_normal(x0.shape)
     drop = rng.random(n) < p_drop
     cond_used = np.where(drop[:, None], 0.0, cond)
-    loss, grads = denoise_loss_fixed(denoiser, schedule, x0, z, eps,
-                                     cond_used, out)
-    if with_trace:
-        xz = forward_noise(schedule, x0, z, eps)
-        return loss, grads, DenoiseBatchTrace(z=z, eps=eps,
-                                              cond_used=cond_used, x_z=xz)
-    return loss, grads
+    return denoise_loss_fixed(denoiser, schedule, x0, z, eps, cond_used,
+                              out)
 
 
 @dataclass
@@ -444,11 +426,10 @@ def make_surrogate(world: World, encoder: FrozenEncoder,
 @dataclass(eq=False)
 class SynthSet:
     """Server-side stand-in data for one task: a read-only array per
-    class, and which client's uploaded means conditioned each row."""
+    class."""
 
     task_id: int
     per_class: dict[int, np.ndarray]
-    source_clients: dict[int, list[int]]
 
 
 def synthesize_task_data(generator, messages: list[ClientMessage],
@@ -467,27 +448,22 @@ def synthesize_task_data(generator, messages: list[ClientMessage],
     task_id = messages[0].task_id
     if any(m.task_id != task_id for m in messages):
         raise ProtocolError("messages from different tasks in one synthesis")
-    providers: dict[int, list[tuple[int, np.ndarray]]] = {}
+    providers: dict[int, list[np.ndarray]] = {}
     for m in messages:
         for k in sorted(m.class_means):
-            providers.setdefault(k, []).append((m.client_id,
-                                                m.class_means[k]))
+            providers.setdefault(k, []).append(m.class_means[k])
     per_class: dict[int, np.ndarray] = {}
-    source: dict[int, list[int]] = {}
     for k in sorted(providers):
-        provs = providers[k]
-        n = len(provs)
+        n = len(providers[k])
         batches = [generator.sample(mean, len(range(j, z_per_class, n)), w,
                                     rng, ledger=ledger)
-                   for j, (_, mean) in enumerate(provs)]
+                   for j, mean in enumerate(providers[k])]
         xs = np.empty((z_per_class, batches[0].shape[1]))
         for j, batch in enumerate(batches):
             xs[j::n] = batch
         xs.flags.writeable = False
         per_class[k] = xs
-        source[k] = [provs[i % n][0] for i in range(z_per_class)]
-    return SynthSet(task_id=task_id, per_class=per_class,
-                    source_clients=source)
+    return SynthSet(task_id=task_id, per_class=per_class)
 
 
 _CKPT_MAGIC = b"OSDM"

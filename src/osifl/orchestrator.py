@@ -55,8 +55,8 @@ def parse_method(name: str) -> Method:
 
 
 class ServerMemo:
-    """The server's method-independent work, shared by the runs that are
-    handed the same memo: `osifl run` and `sweep` use one per grid.
+    """The server's method-independent work, and a grid's reports by
+    `run_key`, shared by the runs that are handed the same memo.
 
     An entry is computed on the first `recall` of its key and kept only
     if that computation succeeds, so a failure is raised again by every
@@ -95,13 +95,13 @@ def generator_key(config, world: World, seed: int) -> tuple:
 
 def run_key(method, config, seed: int) -> tuple:
     """Everything `run_method`'s report, `config_echo` aside, is a
-    function of: the method, the seed and the config, with the fields a
-    sweep axis can vary but this method never reads set to None. Those
-    are the retention budget `p` for every method but OSIFL, and the
-    guidance weight `w` for federated methods and under the `surrogate`
-    generator, which ignores it. Every other field stays in the key."""
+    function of: the method, the seed and the config, with the fields
+    this method never reads set to None. Those are `methods`, `seeds`
+    and `out_dir`, the retention budget `p` for every method but OSIFL,
+    and the guidance weight `w` for federated methods and under the
+    `surrogate` generator, which ignores it."""
     method = parse_method(method) if isinstance(method, str) else method
-    unread = {}
+    unread = dict(methods=None, seeds=None, out_dir=None)
     if method is not Method.OSIFL:
         unread["retain_per_class"] = None
     if method in FEDERATED_METHODS or config.generator == "surrogate":

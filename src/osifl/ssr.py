@@ -78,10 +78,6 @@ class ExemplarMemory:
         self._store: dict[int, dict[int, Exemplars]] = {}
 
     @property
-    def task_ids(self) -> list[int]:
-        return list(self._store)
-
-    @property
     def size(self) -> int:
         return sum(len(lst) for per_class in self._store.values()
                    for lst in per_class.values())

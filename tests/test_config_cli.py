@@ -572,14 +572,13 @@ def test_sweep_reruns_a_failed_key_at_every_value(
         ["p", p, "FEDAVG", s] for p in ("1", "2") for s in ("5", "-1")]
 
 
-def test_reused_report_carries_its_own_config_echo(tmp_path):
+def test_reused_report_carries_its_own_config_echo(monkeypatch):
     cfg = _small(methods=(Method.FEDAVG,), seeds=(3,))
-    seen = []
-    assert cli._run_grid(cfg, "p", [1, 2], str(tmp_path), "grid",
-                         SWEEP_HEADER,
-                         lambda value, report: seen.append(report) or [],
-                         lambda *args: []) == 0
-    first, second = seen
+    calls = _count_runs(monkeypatch)
+    cells, failures = cli.run_grid(cfg, "p", [1, 2], cfg.seeds)
+    assert failures == [] and len(calls) == 1
+    [(cfg_1, [first]), (cfg_2, [second])] = cells
+    assert (cfg_1.retain_per_class, cfg_2.retain_per_class) == (1, 2)
     assert first.config_echo == dataclasses.replace(
         cfg, retain_per_class=1).canonical()
     assert second.config_echo == dataclasses.replace(

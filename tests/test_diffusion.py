@@ -154,16 +154,32 @@ def test_denoise_gradients_equal_fresh_array_expressions_bit_for_bit():
                                                for k in grads]))
 
 
+def _replayed_step(den, sched, x0, cond, p_drop, seed, label):
+    """One training step's loss and gradients, and the draws it used
+    (timesteps, noise, conditions after the drop), rebuilt by replaying
+    the same stream in the documented order. The replay is checked by
+    recomputing the step with those draws held fixed."""
+    loss, grads = denoise_loss_and_grads(den, sched, x0, cond, p_drop,
+                                         stream(seed, label))
+    rng = stream(seed, label)
+    z = rng.integers(1, sched.num_steps + 1, size=len(x0))
+    eps = rng.standard_normal(x0.shape)
+    cond_used = np.where((rng.random(len(x0)) < p_drop)[:, None], 0.0, cond)
+    fixed_loss, fixed_grads = denoise_loss_fixed(den, sched, x0, z, eps,
+                                                 cond_used)
+    assert loss == fixed_loss
+    assert all(np.array_equal(grads[k], fixed_grads[k]) for k in grads)
+    return z, cond_used
+
+
 def test_condition_dropped_everywhere_at_p1():
     den = make_denoiser(2, 3, 4, 4, 2)
     sched = make_schedule(4, 0.05, 0.1)
-    rng = stream(3, "drop")
     x0 = np.random.default_rng(0).normal(size=(8, 2))
     cond = np.ones((8, 3))
-    _, _, trace = denoise_loss_and_grads(den, sched, x0, cond, 1.0, rng,
-                                         with_trace=True)
-    assert np.all(trace.cond_used == 0.0)
-    assert np.all((trace.z >= 1) & (trace.z <= 4))
+    z, cond_used = _replayed_step(den, sched, x0, cond, 1.0, 3, "drop")
+    assert np.all(cond_used == 0.0)
+    assert np.all((z >= 1) & (z <= 4))
 
 
 def test_condition_kept_everywhere_at_p0():
@@ -171,9 +187,8 @@ def test_condition_kept_everywhere_at_p0():
     sched = make_schedule(4, 0.05, 0.1)
     x0 = np.random.default_rng(0).normal(size=(8, 2))
     cond = np.ones((8, 3))
-    _, _, trace = denoise_loss_and_grads(den, sched, x0, cond, 0.0,
-                                         stream(3, "keep"), with_trace=True)
-    assert np.array_equal(trace.cond_used, cond)
+    _, cond_used = _replayed_step(den, sched, x0, cond, 0.0, 3, "keep")
+    assert np.array_equal(cond_used, cond)
 
 
 def _tiny_pool(seed=3, n=80):
@@ -302,7 +317,7 @@ def test_sampling_finite_and_deterministic():
     enc = make_encoder(6, 3, 4)
     hp = DiffusionHP(num_steps=10, hidden=16, train_steps=100, batch_size=16)
     model = pretrain(pool, enc, hp, 7)
-    cond = model.denoiser.null_condition()
+    cond = np.zeros(model.denoiser.dim_cond)  # the null condition
     a = model.sample(cond, 5, 1.0, stream(9, "s"))
     b = model.sample(cond, 5, 1.0, stream(9, "s"))
     assert a.shape == (5, 3)
@@ -363,23 +378,39 @@ def test_synthesis_alternates_providers():
     a = _message(0, 1, (3,), 4, 1)
     b = _message(1, 1, (3,), 4, 2)
     synth = synthesize_task_data(gen, [a, b], 5, 2.0, stream(0, "z"))
-    assert synth.source_clients[3] == [0, 1, 0, 1, 0]
     xs = synth.per_class[3]
+    # Each row is its provider's mean, so the row names its source client.
+    assert [next(m.client_id for m in (a, b)
+                 if np.array_equal(row, m.class_means[3][:2]))
+            for row in xs] == [0, 1, 0, 1, 0]
     assert np.array_equal(xs[0], a.class_means[3][:2])
     assert np.array_equal(xs[1], b.class_means[3][:2])
     assert np.array_equal(xs[2], a.class_means[3][:2])
 
 
 class _RecordingGenerator:
-    """Distinct random rows per call, kept so a test can rebuild the
-    interleaving from the raw per-provider batches."""
+    """Distinct random rows per call, kept with their condition so a test
+    can rebuild the interleaving from the raw per-provider batches."""
 
     def __init__(self):
         self.batches = []
+        self.conds = []
 
     def sample(self, cond, n, w, rng, ledger=None):
+        self.conds.append(cond)
         self.batches.append(rng.standard_normal((n, 3)))
         return self.batches[-1]
+
+    def source_clients(self, msgs, k, xs):
+        """Per row of class k: the client whose uploaded mean conditioned
+        the call that drew the row."""
+        def call_of(row):
+            return next(i for i, batch in enumerate(self.batches)
+                        if any(np.array_equal(row, drawn) for drawn in batch))
+        return [next(m.client_id for m in msgs
+                     if np.array_equal(m.class_means[k],
+                                       self.conds[call_of(row)]))
+                for row in xs]
 
 
 @pytest.mark.parametrize("n_providers, z", [(1, 4), (2, 5), (3, 7), (4, 2)])
@@ -393,8 +424,8 @@ def test_synthesis_interleaving_equals_the_per_row_loop(n_providers, z):
         expect = [batches[j % n_providers][j // n_providers]
                   for j in range(z)]
         assert np.array_equal(synth.per_class[k], np.stack(expect))
-        assert synth.source_clients[k] == [j % n_providers
-                                           for j in range(z)]
+        assert gen.source_clients(msgs, k, synth.per_class[k]) == \
+            [j % n_providers for j in range(z)]
 
 
 def test_synthesis_rejects_mixed_tasks_and_empty():

@@ -217,7 +217,7 @@ def test_memory_growth_arithmetic():
         mem.add_task(t, per_class)
         assert mem.size == t * 10 * 5
     assert mem.size == 300
-    assert mem.task_ids == [1, 2, 3, 4, 5, 6]
+    assert [b.task for b in mem.replay_sets()] == [1, 2, 3, 4, 5, 6]
 
 
 def test_memory_rejects_rewrites_and_overfill():
