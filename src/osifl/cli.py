@@ -13,8 +13,10 @@ from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
     build_run_inputs, parse_config
 from .errors import ConfigError
 from .ledgers import ComputeLedger
-from .orchestrator import CSV_HEADER, ServerMemo, rows_to_csv, run_key, \
-    run_method, write_report_csv
+# Grids drive `run_steps` through `lockstep`; `run_method`, which drives
+# one run alone, stays bound here for callers that wrap it.
+from .orchestrator import CSV_HEADER, ServerMemo, lockstep, rows_to_csv, \
+    run_key, run_method, run_steps, write_report_csv
 
 SEED_ENV = "OSIFL_SEED_OVERRIDE"
 
@@ -49,35 +51,50 @@ def _seed_means(cfg: ExperimentConfig, reports: list):
 
 def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
              server: ServerMemo | None = None):
-    """Run every (axis value, seed, method) cell in that order; return
-    one `(cfg, reports)` per value, reports in that order, and a line
-    per failed run. All cells share `server` (a new memo by default), so
-    each generator is pretrained, each task's data synthesized and each
-    `run_key` run once. A cell that reuses a report gets its own
-    `config_echo`; a failed run is not kept, so every cell that reaches
-    it runs and fails again."""
+    """Run every (axis value, seed, method) cell; return one `(cfg,
+    reports)` per value, reports in that order, and a line per failed
+    run in that order. All cells share `server` (a new memo by default),
+    so each seed's inputs are built (`p` and `w` do not change them),
+    each generator pretrained, each task's data synthesized and each
+    `run_key` run once. The seeds of one value and method that still
+    need a run advance together (`lockstep`), so that their matching
+    training calls train as one stack. A cell that reuses a report gets
+    its own `config_echo`; a failed run is not kept, so every cell that
+    reaches it runs and fails again."""
     server = ServerMemo() if server is None else server
     cells, failures = [], []
+
+    def inputs(cfg, seed):
+        key = ("inputs", seed, dataclasses.replace(
+            cfg, retain_per_class=None, guidance_w=None))
+        return server.recall(key, lambda _: build_run_inputs(cfg, seed),
+                             ComputeLedger())
+
     for value in values:
         cfg = config if axis is None else \
             dataclasses.replace(config, **{FIELD_SPECS[axis][0]: value})
+        done = {(seed, method): None for seed in seeds
+                for method in cfg.methods}
+        for method in cfg.methods:
+            keys = {seed: run_key(method, cfg, seed) for seed in seeds}
+            todo = [seed for seed in seeds if keys[seed] not in server]
+            ran = dict(zip(todo, lockstep([
+                run_steps(method, *inputs(cfg, seed), cfg, seed,
+                          server=server) for seed in todo])))
+            for seed in seeds:
+                result = ran.get(seed)
+                if not isinstance(result, Exception):
+                    # Keeps a new report, or recalls the kept one.
+                    result = server.recall(keys[seed], lambda _: ran[seed],
+                                           ComputeLedger())
+                done[seed, method] = result
         tag = "" if axis is None else f"{axis}={value} "
-        reports = []
-        for seed in seeds:
-            inputs = build_run_inputs(cfg, seed)
-            for method in cfg.methods:
-                try:
-                    report = server.recall(
-                        run_key(method, cfg, seed),
-                        lambda _: run_method(method, *inputs, cfg, seed,
-                                             server=server),
-                        ComputeLedger())
-                except Exception as err:
-                    failures.append(f"{tag}{method.value} seed={seed}: {err}")
-                    continue
-                reports.append(dataclasses.replace(
-                    report, config_echo=cfg.canonical()))
-        cells.append((cfg, reports))
+        failures.extend(f"{tag}{m.value} seed={seed}: {result}"
+                        for (seed, m), result in done.items()
+                        if isinstance(result, Exception))
+        cells.append((cfg, [dataclasses.replace(
+            result, config_echo=cfg.canonical())
+            for result in done.values() if not isinstance(result, Exception)]))
     return cells, failures
 
 

@@ -31,12 +31,16 @@ class FrozenEncoder:
                 f"expected input of shape ({self.dim_x},), got {x.shape}")
         return np.tanh(self.weight @ x + self.bias)
 
-    def encode_batch(self, xs: np.ndarray) -> np.ndarray:
+    def encode_batch(self, xs: np.ndarray, out: np.ndarray | None = None
+                     ) -> np.ndarray:
+        """The embeddings of a batch, written into `out` if one is given."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim_x:
             raise ValueError(
                 f"expected batch of shape (n, {self.dim_x}), got {xs.shape}")
-        return np.tanh(xs @ self.weight.T + self.bias)
+        out = np.matmul(xs, self.weight.T, out=out)
+        out += self.bias
+        return np.tanh(out, out=out)
 
     def checksum(self) -> str:
         h = hashlib.sha256()

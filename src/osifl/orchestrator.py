@@ -26,8 +26,9 @@ from .ledgers import CommsLedger, ComputeLedger, encoder_forward_madds, \
     head_backward_madds, head_forward_madds, softmax_madds
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars
-from .trainer import AnchorState, Classifier, TrainHP, estimate_fisher, \
-    train_joint, train_local, train_naive, train_osifl, train_regularized
+from .trainer import AnchorState, Classifier, Stack, TrainHP, \
+    estimate_fisher, train_joint, train_local, train_naive, train_osifl, \
+    train_regularized
 
 
 class Method(str, Enum):
@@ -67,6 +68,9 @@ class ServerMemo:
 
     def __init__(self):
         self._entries: dict = {}
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
 
     def recall(self, key, build, ledger: ComputeLedger):
         """The value `build(scratch_ledger)` returns for `key`."""
@@ -172,10 +176,10 @@ def _expand_head(state: RunState, task: TaskSpec) -> Classifier:
     return clf
 
 
-def oneshot_task_phase(state: RunState, task: TaskSpec,
-                       messages: list) -> RunState:
+def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
     """Run one arriving task through upload, synthesis, training, and
-    (for the replay method) exemplar selection."""
+    (for the replay method) exemplar selection; a generator that yields
+    its training call to `lockstep` and returns the state."""
     cfg = state.config
     t = task.task_id
     if not messages:
@@ -202,8 +206,8 @@ def oneshot_task_phase(state: RunState, task: TaskSpec,
         scorer = clf.copy() \
             if to_score and cfg.scoring_point == "pre_update" else clf
         if data:
-            train_osifl(clf, data, state.memory, state.hp, rng_t,
-                        ledger=state.compute)
+            yield train_osifl, (clf, data, state.memory, state.hp,
+                                rng_t), dict(ledger=state.compute)
         state.events.append(f"task{t}:train method=OSIFL")
         kept = {}
         for k in to_score:
@@ -224,23 +228,25 @@ def oneshot_task_phase(state: RunState, task: TaskSpec,
         state.events.append(f"task{t}:memory_update size={state.memory.size}")
     elif state.method is Method.OSCAR_IL:
         if data:
-            train_naive(clf, data, state.hp, rng_t, ledger=state.compute)
+            yield train_naive, (clf, data, state.hp, rng_t), \
+                dict(ledger=state.compute)
         state.events.append(f"task{t}:train method=OSCAR_IL")
     elif state.method is Method.OSCAR_R:
         if data:
             if state.anchor is not None and state.hp.lambda_ewc > 0:
-                train_regularized(clf, data, state.anchor,
-                                  state.hp.lambda_ewc, state.hp, rng_t,
-                                  ledger=state.compute)
+                yield train_regularized, (clf, data, state.anchor,
+                                          state.hp.lambda_ewc, state.hp,
+                                          rng_t), dict(ledger=state.compute)
             else:
-                train_naive(clf, data, state.hp, rng_t, ledger=state.compute)
+                yield train_naive, (clf, data, state.hp, rng_t), \
+                    dict(ledger=state.compute)
             state.anchor = estimate_fisher(clf, data)
         state.events.append(f"task{t}:train method=OSCAR_R")
     elif state.method is Method.OSCAR_CEILING:
         state.synth_history.append(data)
         if any(state.synth_history):
-            train_joint(clf, state.synth_history, state.hp, rng_t,
-                        ledger=state.compute)
+            yield train_joint, (clf, state.synth_history, state.hp,
+                                rng_t), dict(ledger=state.compute)
         state.events.append(f"task{t}:train method=OSCAR_CEILING")
     else:
         raise ConfigError(f"{state.method} is not a one-shot method")
@@ -259,8 +265,9 @@ def _weighted_average(updates: list[np.ndarray],
 
 
 def federated_task_phase(state: RunState, task: TaskSpec,
-                         task_shards: list[ClientShard]) -> RunState:
-    """Round-based training over the arriving task's clients only."""
+                         task_shards: list[ClientShard]):
+    """Round-based training over the arriving task's clients only; a
+    generator like `oneshot_task_phase`, with a call per client and round."""
     cfg = state.config
     t = task.task_id
     if not task_shards:
@@ -281,10 +288,10 @@ def federated_task_phase(state: RunState, task: TaskSpec,
         updates, counts = [], []
         for shard in task_shards:
             local = clf.copy()
-            train_local(local, shard.samples, state.hp,
-                        stream(state.seed, "fed", t, rnd, shard.client_id),
-                        epochs=cfg.local_epochs, anchor=anchor, lam=lam,
-                        ledger=state.compute)
+            rng = stream(state.seed, "fed", t, rnd, shard.client_id)
+            yield train_local, (local, shard.samples, state.hp, rng), dict(
+                epochs=cfg.local_epochs, anchor=anchor, lam=lam,
+                ledger=state.compute)
             updates.append(local.flat)
             counts.append(len(shard.samples))
             reported = cfg.reported_model_params
@@ -395,6 +402,38 @@ def _check_head(state: RunState, task_id: int) -> None:
             f"{task_id}) left non-finite values in the head")
 
 
+def lockstep(runs: list) -> list:
+    """Drive generators like `run_steps`, which yield training calls as
+    (fn, args, kwargs) and are resumed with each call's result or error,
+    to their ends together. The calls of one step to one function are
+    made as one call on a `Stack` of each argument, a lone call as is.
+    Returns what each generator returned, or the error it raised."""
+    results, replies = [None] * len(runs), dict.fromkeys(range(len(runs)))
+    while replies:
+        calls = {}
+        for i, reply in replies.items():
+            try:
+                fn, args, kwargs = runs[i].throw(reply) \
+                    if isinstance(reply, Exception) else runs[i].send(reply)
+                calls.setdefault((fn, len(args), tuple(kwargs)), []).append(
+                    (i, args, kwargs))
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as err:
+                results[i] = err
+        replies = {}
+        for (fn, _, names), group in calls.items():
+            ids, args, kwargs = zip(*group)
+            try:
+                out = [fn(*args[0], **kwargs[0])] if len(ids) == 1 else fn(
+                    *map(Stack, zip(*args)),
+                    **{k: Stack(kw[k] for kw in kwargs) for k in names})
+            except Exception as err:
+                out = [err] * len(ids)
+            replies.update(zip(ids, out, strict=True))
+    return results
+
+
 def run_method(method, world: World, suite: TaskSuite,
                shards: list[ClientShard], test_sets: dict[int, Batch],
                config, seed: int, *, server: ServerMemo | None = None
@@ -406,6 +445,18 @@ def run_method(method, world: World, suite: TaskSuite,
     memo pretrain and synthesize only once per distinct input and each
     still bill the full cost; without one, the run keeps a private memo.
     """
+    [result] = lockstep([run_steps(method, world, suite, shards, test_sets,
+                                   config, seed, server=server)])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def run_steps(method, world: World, suite: TaskSuite,
+              shards: list[ClientShard], test_sets: dict[int, Batch],
+              config, seed: int, *, server: ServerMemo | None = None):
+    """`run_method` as a generator: it yields each head-training call of
+    the run to `lockstep` and returns the run's report."""
     method = parse_method(method) if isinstance(method, str) else method
     encoder = make_encoder(config.dim_e, world.dim_x, seed)
     encoder_sum = encoder.checksum()
@@ -428,9 +479,9 @@ def run_method(method, world: World, suite: TaskSuite,
         if method in ONESHOT_METHODS:
             messages = [build_client_message(encoder, shard)
                         for shard in by_task.get(t, [])]
-            oneshot_task_phase(state, task, messages)
+            yield from oneshot_task_phase(state, task, messages)
         else:
-            federated_task_phase(state, task, by_task.get(t, []))
+            yield from federated_task_phase(state, task, by_task.get(t, []))
         _check_head(state, t)
         seen = [test_sets[s.task_id] for s in suite.tasks
                 if s.task_id <= t]

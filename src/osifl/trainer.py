@@ -11,10 +11,13 @@ sample carries 1/|its group|, and each batch is scaled by N/|batch| so
 the minibatch objective is an unbiased estimate of the sum of per-group
 mean losses. With a single group that reduces exactly to plain mean
 cross-entropy, which is what makes the naive / joint / replay /
-regularized reductions trajectory-identical under a shared RNG.
+regularized reductions trajectory-identical under a shared RNG. The
+loop trains a stack of heads at once (`Stack`), one head being a stack
+of one, with the same bits for each head as it would get alone.
 """
 from __future__ import annotations
 
+import collections
 import math
 import struct
 from dataclasses import dataclass
@@ -29,6 +32,11 @@ from . import ledgers
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# A stack of heads holds one embedding copy per head, and at most this
+# many bytes of them; further heads train in a stack of their own. It
+# bounds what stacking adds to peak memory: three heads of 1,000 rows of
+# 64 features fit, three of 1,250 do not.
+STACK_EMBEDDING_BYTES = 3 * 2**19
 
 
 @dataclass
@@ -243,33 +251,23 @@ def rows_for(classifier: Classifier, ys: np.ndarray) -> np.ndarray:
 
 
 def head_pass(weights: np.ndarray, bias: np.ndarray, emb: np.ndarray,
-              rows: np.ndarray, out: np.ndarray | None = None
-              ) -> tuple[np.ndarray | None, np.ndarray]:
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row cross-entropy of the linear head, as a log-softmax NLL
     (finite where the true class's p underflows), and softmax - onehot,
-    the gradient of each row's NLL with respect to its logits.
-
-    `rows` holds each row's true class as its row in the head. A caller
-    that reuses a buffer passes it as `out`, C-contiguous and of shape
-    (len(emb), C), and `rows` as flat indices into it (i * C + class
-    row); softmax - onehot is then formed in `out` and the NLL is
-    skipped (None)."""
-    with_nll = out is None
-    if with_nll:
-        out = np.empty((len(emb), len(bias)))
-        rows = np.arange(len(rows)) * len(bias) + rows
+    the gradient of each row's NLL with respect to its logits. `rows`
+    holds each row's true class as its row in the head."""
+    out = np.empty((len(emb), len(bias)))
+    rows = np.arange(len(rows)) * len(bias) + rows
     np.matmul(emb, weights.T, out=out)
     out += bias
     out -= np.maximum.reduce(out, axis=1, keepdims=True)
     flat = out.reshape(-1)
-    shifted_true = flat[rows] if with_nll else None
+    shifted_true = flat[rows]
     np.exp(out, out=out)
     total = np.add.reduce(out, axis=1, keepdims=True)
     out /= total
     flat[rows] -= 1.0
-    if with_nll:
-        return np.log(total[:, 0]) - shifted_true, out
-    return None, out
+    return np.log(total[:, 0]) - shifted_true, out
 
 
 def ce_loss_and_grads(classifier: Classifier, batch: Batch,
@@ -329,43 +327,45 @@ def ewc_penalty_and_grads(params: np.ndarray, anchor: AnchorState,
     2 lam F (theta - theta*), over flat vectors. With F = 1/2 and
     lam = mu this is the FedProx term (mu / 2) ||theta - theta*||^2,
     gradient mu (theta - theta*). Training adds the same gradient in
-    `_train_on_groups`."""
+    `_fit`."""
     diff = params - anchor.theta
     return (lam * float((anchor.fisher * diff * diff).sum()),
             2.0 * lam * anchor.fisher * diff)
 
 
-def _train_on_groups(classifier: Classifier, groups: list[Batch],
-                     hp: TrainHP, rng: np.random.Generator, *,
-                     epochs: int | None = None,
-                     anchor: AnchorState | None = None, lam: float = 0.0,
-                     ledger=None) -> Classifier:
+class Stack(tuple):
+    """One value per head of a stacked training call. A Stack of
+    ledgers reads as one ledger holding the sum of theirs."""
+
+    @property
+    def madds_by_kind(self) -> dict[str, int]:
+        return dict(sum(map(collections.Counter,
+                            (ledger.madds_by_kind for ledger in self)),
+                        collections.Counter()))
+
+
+def _per_head(n: int, value):
+    """A Stack's per-head values, or one shared value for each of n."""
+    return value if isinstance(value, Stack) else [value] * n
+
+
+def _prepare(classifier: Classifier, groups, hp: TrainHP, rng, epochs,
+             anchor: AnchorState | None, lam: float, ledger):
+    """Check one head's call (`groups` a batch or a list of them). Return
+    what the heads of one stack share, and the call's values."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
-    n_epochs = hp.epochs_per_task if epochs is None else epochs
-    if n_epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {n_epochs}")
-    groups = [g for g in groups if len(g) > 0]
+    epochs = hp.epochs_per_task if epochs is None else epochs
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    groups = [g for g in ([groups] if isinstance(groups, Batch) else groups)
+              if len(g) > 0]
     if not groups:
         raise ProtocolError("training needs at least one non-empty set")
-    sample_w = np.concatenate([np.full(len(g), 1.0 / len(g)) for g in groups])
-    emb = classifier.encoder.encode_batch(
-        np.concatenate([g.x for g in groups]))
     rows = rows_for(classifier, np.concatenate([g.y for g in groups]))
-    n_total = len(rows)
-    n_out, dim_e = classifier.num_classes, classifier.encoder.dim_e
-    if ledger is not None:
-        ledger.add("train_encoder", ledgers.encoder_forward_madds(
-            n_total, dim_e, classifier.encoder.dim_x))
-    params, weights, bias = classifier.flat, classifier.weights, \
-        classifier.bias
-    adam = classifier.adam
-    if hp.adam_reset_per_task or adam is None or \
-            adam.m.shape != params.shape:
-        adam = Adam(params.size)
-    # The anchor penalty's gradient is coef * (theta - theta*), with
-    # coef = 2 lam F formed once per call. Doubling is exact, so
-    # lam * (2 F) rounds like (2 lam) F, and is mu itself at F = 1/2.
+    params, adam = classifier.flat, classifier.adam
+    if hp.adam_reset_per_task or adam is None or adam.m.shape != params.shape:
+        adam = None
     pull = None
     if anchor is not None and lam > 0:
         if anchor.theta.shape != params.shape or \
@@ -374,68 +374,165 @@ def _train_on_groups(classifier: Classifier, groups: list[Batch],
                 f"anchor theta {anchor.theta.shape} and fisher "
                 f"{anchor.fisher.shape} do not match the head's "
                 f"{params.shape}")
-        pull = (lam * (2.0 * anchor.fisher), anchor.theta,
-                np.empty_like(params))
+        # The penalty's gradient is coef * (theta - theta*) with coef =
+        # 2 lam F. Doubling is exact, so lam * (2 F) rounds like
+        # (2 lam) F, and is mu itself at F = 1/2.
+        pull = (lam * (2.0 * anchor.fisher), anchor.theta)
+    key = (tuple(map(len, groups)), classifier.weights.shape,
+           tuple(vars(hp).values()), epochs, pull is None,
+           None if adam is None else adam.step)
+    return key, (classifier, groups, rows, rng, lam, pull, adam, ledger, hp,
+                 epochs)
+
+
+def _fit(calls: list[tuple]) -> list[Exception | None]:
+    """The minibatch loop over the S heads of calls that share
+    `_prepare`'s key: (S, b, E) @ (S, E, C) matmuls, per-head reductions
+    and one Adam over the stacked parameters, each head with its own
+    permutations, rows and pull. Returns each head's error or None."""
+    clfs, groups, rows, rngs, lams, pulls, adams, books, hps, epochs = \
+        zip(*calls)
+    hp, heads, (n_out, dim_e) = hps[0], len(calls), clfs[0].weights.shape
+    sizes = [len(g) for g in groups[0]]
+    n, split = sum(sizes), n_out * dim_e
+    # One embedding copy per head, encoded straight into the stack.
+    emb = np.empty((heads, n, dim_e))
+    for clf, grp, out in zip(clfs, groups, emb):
+        clf.encoder.encode_batch(np.concatenate([g.x for g in grp]), out=out)
+    emb = emb.reshape(-1, dim_e)
+    params = np.array([clf.flat for clf in clfs])
+    adam = Adam(params.shape)
+    if adams[0] is not None:
+        adam.step = adams[0].step
+        adam.m[...], adam.v[...] = [a.m for a in adams], [a.v for a in adams]
     grad = np.empty_like(params)
-    grad_w, grad_b = classifier.split(grad)
-    # Each epoch gathers, in permuted order, the embeddings, each row's
-    # flat index into its batch's logits at its true class, and its
-    # coefficient n_total / |its batch| * sample_w; a step slices views.
-    batch = min(hp.batch_size, n_total)
-    at_true = np.arange(n_total) % batch * n_out
-    batch_scale = np.full(n_total, n_total / batch)
-    if n_total % batch:
-        batch_scale[-(n_total % batch):] = n_total / (n_total % batch)
-    emb_p, rows_p, coef_p = (np.empty_like(a) for a in (emb, rows, sample_w))
-    logits = np.empty((batch, n_out))
-    for _ in range(n_epochs):
-        # `order` is a permutation, so mode="clip" never clips; unlike
-        # the default, it writes straight into `out` with no temporary.
-        order = rng.permutation(n_total)
-        np.take(emb, order, axis=0, out=emb_p, mode="clip")
-        np.take(rows, order, out=rows_p, mode="clip")
+    w_t = params[:, :split].reshape(-1, n_out, dim_e).transpose(0, 2, 1)
+    bias, grad_b = params[:, None, split:], grad[:, split:]
+    grad_w = grad[:, :split].reshape(-1, n_out, dim_e)
+    if pulls[0] is not None:
+        coef, theta = (np.array(p) for p in zip(*pulls))
+        gap = np.empty_like(params)
+    # A batch of b rows computes in the first heads * b rows of one buffer,
+    # so that every batch size is laid out contiguously: a slice [:, :b]
+    # of a larger batch's buffer is not, and the flat true-class update
+    # would write into a copy.
+    batch, lanes = min(hp.batch_size, n), {}
+    e_buf, l_buf = np.empty(heads * batch * dim_e), \
+        np.empty(heads * batch * n_out)
+    for b in {batch, n % batch} - {0}:
+        logits = l_buf[:heads * b * n_out].reshape(heads, b, n_out)
+        lanes[b] = (e_buf[:heads * b * dim_e].reshape(heads, b, dim_e),
+                    logits, logits.transpose(0, 2, 1), logits.reshape(-1))
+    # For each head and position in an epoch: the flat index of that row's
+    # class-0 logit in its batch's buffer, to which the true class's head
+    # row is added; and n / |its batch|, which scales 1 / |its group|.
+    within = np.arange(n) % batch
+    size = np.minimum(batch, n - np.arange(n) + within)
+    at_true = (np.arange(heads)[:, None] * size + within) * n_out
+    batch_scale = n / size
+    sample_w = np.concatenate([np.full(k, 1.0 / k) for k in sizes])
+    order, rows_p = np.empty((2, heads, n), dtype=np.intp)
+    coef_p = np.empty((heads, n))
+    for _ in range(epochs[0]):
+        # Each permutation indexes its head's rows, then the stack's rows.
+        # As a permutation, mode="clip" never clips; unlike the default,
+        # it writes straight into `out`.
+        for s, (rng, head_rows) in enumerate(zip(rngs, rows)):
+            order[s] = rng.permutation(n)
+            head_rows.take(order[s], out=rows_p[s], mode="clip")
+            sample_w.take(order[s], out=coef_p[s], mode="clip")
+            order[s] += s * n
         rows_p += at_true
-        np.take(sample_w, order, out=coef_p, mode="clip")
         coef_p *= batch_scale
-        for start in range(0, n_total, batch):
+        for start in range(0, n, batch):
             stop = start + batch
-            e = emb_p[start:stop]
-            _, delta = head_pass(weights, bias, e, rows_p[start:stop],
-                                 out=logits[:len(e)])
-            delta *= coef_p[start:stop, None]
-            np.matmul(delta.T, e, out=grad_w)
-            np.add.reduce(delta, axis=0, out=grad_b)
-            if pull is not None:
-                coef, theta, gap = pull
+            e, logits, logits_t, flat = lanes[min(batch, n - start)]
+            emb.take(order[:, start:stop], axis=0, out=e, mode="clip")
+            np.matmul(e, w_t, out=logits)
+            logits += bias
+            logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
+            np.exp(logits, out=logits)
+            logits /= np.add.reduce(logits, axis=2, keepdims=True)
+            flat[rows_p[:, start:stop]] -= 1.0
+            logits *= coef_p[:, start:stop, None]
+            np.matmul(logits_t, e, out=grad_w)
+            np.add.reduce(logits, axis=1, out=grad_b)
+            if pulls[0] is not None:
                 np.subtract(params, theta, out=gap)
                 gap *= coef
                 grad += gap
             adam.update(params, grad, hp.learning_rate, hp.weight_decay)
-    # An overflowing gradient makes v infinite and every later step 0,
-    # which would freeze a finite head without a trace. A head that is
-    # itself non-finite is reported at the end of its task phase.
-    if np.isfinite(params).all() and not (
-            np.isfinite(adam.m).all() and np.isfinite(adam.v).all()):
-        raise ProtocolError(
-            f"training overflowed Adam's moments (lambda {lam}, "
-            f"learning_rate {hp.learning_rate})")
-    if ledger is not None:
-        # The madds formulas are linear in the batch size, so one charge
-        # for every row of every epoch equals the per-step sum.
-        seen = n_epochs * n_total
-        ledger.add("train_head_forward",
-                   ledgers.head_forward_madds(seen, n_out, dim_e))
-        ledger.add("train_softmax", ledgers.softmax_madds(seen, n_out))
-        ledger.add("train_head_backward",
-                   ledgers.head_backward_madds(seen, n_out, dim_e))
-    classifier.adam = None if hp.adam_reset_per_task else adam
+    errors = [None] * heads
+    for s, (clf, lam, ledger) in enumerate(zip(clfs, lams, books)):
+        clf.flat[...] = params[s]
+        # An overflowing gradient makes v infinite and every later step
+        # 0, which would freeze a finite head without a trace. A head
+        # that is itself non-finite is reported at the end of its phase.
+        if np.isfinite(params[s]).all() and not (
+                np.isfinite(adam.m[s]).all() and np.isfinite(adam.v[s]).all()):
+            errors[s] = ProtocolError(
+                f"training overflowed Adam's moments (lambda {lam}, "
+                f"learning_rate {hp.learning_rate})")
+            continue
+        if ledger is not None:
+            # The madds formulas are linear in the batch size, so one
+            # charge for every row of every epoch equals the per-step sum.
+            seen = epochs[0] * n
+            ledger.add("train_encoder", ledgers.encoder_forward_madds(
+                n, dim_e, clf.encoder.dim_x))
+            ledger.add("train_head_forward",
+                       ledgers.head_forward_madds(seen, n_out, dim_e))
+            ledger.add("train_softmax", ledgers.softmax_madds(seen, n_out))
+            ledger.add("train_head_backward",
+                       ledgers.head_backward_madds(seen, n_out, dim_e))
+        clf.adam = None if hp.adam_reset_per_task else Adam(params.shape[1])
+        if clf.adam is not None:
+            clf.adam.step = adam.step
+            clf.adam.m[...], clf.adam.v[...] = adam.m[s], adam.v[s]
+    return errors
+
+
+def _train_on_groups(classifier, groups, hp, rng, *, epochs=None,
+                     anchor=None, lam=0.0, ledger=None):
+    """Train one head, or a Stack of heads with every other argument
+    shared or a Stack of per-head values. The heads whose calls share
+    `_prepare`'s key train as one stack, any other alone, to the same
+    bits. One head is returned, or its call's error raised; a Stack
+    returns a Stack of each head or its call's error."""
+    heads = _per_head(1, classifier)
+    out, stacks = list(heads), {}
+    for s, call in enumerate(zip(heads, *(
+            _per_head(len(heads), a)
+            for a in (groups, hp, rng, epochs, anchor, lam, ledger)))):
+        try:
+            key, call = _prepare(*call)
+            stacks.setdefault(key, []).append((s, call))
+        except Exception as err:
+            out[s] = err
+    for members in stacks.values():
+        clf, groups = members[0][1][:2]
+        width = max(1, STACK_EMBEDDING_BYTES // (
+            8 * clf.encoder.dim_e * sum(map(len, groups))))
+        for chunk in (members[i:i + width]
+                      for i in range(0, len(members), width)):
+            try:
+                errors = _fit([call for _, call in chunk])
+            except Exception as err:
+                errors = [err] * len(chunk)
+            for (s, _), err in zip(chunk, errors):
+                out[s] = err or out[s]
+    if isinstance(classifier, Stack):
+        return Stack(out)
+    if isinstance(out[0], Exception):
+        raise out[0]
     return classifier
 
 
 def train_naive(classifier: Classifier, data: Batch, hp: TrainHP,
                 rng: np.random.Generator, ledger=None) -> Classifier:
-    """Plain incremental fine-tuning on the current task's data."""
-    return _train_on_groups(classifier, [data], hp, rng, ledger=ledger)
+    """Plain incremental fine-tuning on the current task's data. This and
+    every other trainer also take Stacks (`_train_on_groups`)."""
+    return _train_on_groups(classifier, data, hp, rng, ledger=ledger)
 
 
 def train_joint(classifier: Classifier, datasets: list[Batch],
@@ -449,13 +546,16 @@ def train_osifl(classifier: Classifier, data: Batch, memory,
                 hp: TrainHP, rng: np.random.Generator,
                 ledger=None) -> Classifier:
     """Current-task mean loss plus one mean-loss term per remembered
-    task. `memory` provides replay_sets(current_task)."""
-    if not data:
-        raise ProtocolError("training needs at least one non-empty set")
-    groups = [data]
-    if memory is not None:
-        groups.extend(memory.replay_sets(data.task))
-    return _train_on_groups(classifier, groups, hp, rng, ledger=ledger)
+    task. `memory` provides replay_sets(current_task). A task with no
+    rows of its own trains on nothing, an error."""
+    def groups(data, memory):
+        return [data] + memory.replay_sets(data.task) \
+            if data and memory is not None else [data]
+    if isinstance(data, Stack):
+        return _train_on_groups(classifier, Stack(map(groups, data, _per_head(
+            len(data), memory))), hp, rng, ledger=ledger)
+    return _train_on_groups(classifier, groups(data, memory), hp, rng,
+                            ledger=ledger)
 
 
 def train_regularized(classifier: Classifier, data: Batch,
@@ -463,7 +563,7 @@ def train_regularized(classifier: Classifier, data: Batch,
                       rng: np.random.Generator, ledger=None) -> Classifier:
     """Naive objective plus the quadratic anchor penalty. lam = 0 (or no
     anchor) follows exactly the train_naive trajectory."""
-    return _train_on_groups(classifier, [data], hp, rng, anchor=anchor,
+    return _train_on_groups(classifier, data, hp, rng, anchor=anchor,
                             lam=lam, ledger=ledger)
 
 
@@ -474,7 +574,7 @@ def train_local(classifier: Classifier, data: Batch, hp: TrainHP,
     """A federated client's local pass: a short naive run, optionally
     with the anchor penalty (FedEWC's Fisher anchor, or FedProx's
     broadcast model at F = 1/2)."""
-    return _train_on_groups(classifier, [data], hp, rng, epochs=epochs,
+    return _train_on_groups(classifier, data, hp, rng, epochs=epochs,
                             anchor=anchor, lam=lam, ledger=ledger)
 
 

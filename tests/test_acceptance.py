@@ -63,8 +63,9 @@ def test_a_failed_run_fails_its_criterion_and_the_rest_still_run(
         monkeypatch):
     def broken(method, *args, **kwargs):
         raise ProtocolError(f"{method.value} broke")
+        yield
 
-    monkeypatch.setattr(cli, "run_method", broken)
+    monkeypatch.setattr(cli, "run_steps", broken)
     monkeypatch.setattr(acceptance, "_MEMO", ServerMemo())
     by_id = {c.cid: c for c in CRITERIA}
     monkeypatch.setattr(acceptance, "CRITERIA", tuple(

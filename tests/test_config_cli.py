@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -10,7 +11,8 @@ from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
 from osifl.config import (FIELD_SPECS, ExperimentConfig, build_run_inputs,
                           parse_config, serialize_config)
 from osifl.errors import ConfigError
-from osifl.orchestrator import CSV_HEADER, Method, rows_to_csv
+from osifl.orchestrator import CSV_HEADER, Method, ServerMemo, rows_to_csv
+from osifl.trainer import Stack
 
 
 def _small(**overrides):
@@ -420,14 +422,14 @@ def test_shared_server_memo_writes_what_private_memos_write(
         def call(*args, **kwargs):
             if strip_server:
                 kwargs.pop("server")
-            report = orchestrator.run_method(*args, **kwargs)
+            report = yield from orchestrator.run_steps(*args, **kwargs)
             into.append(report)
             return report
         return call
 
-    monkeypatch.setattr(cli, "run_method", collect(shared, False))
+    monkeypatch.setattr(cli, "run_steps", collect(shared, False))
     assert run_experiment(cfg, str(tmp_path / "shared")) == 0
-    monkeypatch.setattr(cli, "run_method", collect(private, True))
+    monkeypatch.setattr(cli, "run_steps", collect(private, True))
     assert run_experiment(cfg, str(tmp_path / "private")) == 0
     assert len(shared) == 8 and shared == private
     assert _read_dir(tmp_path / "shared") == _read_dir(tmp_path / "private")
@@ -516,14 +518,15 @@ def _direct_sweep_csv(cfg, axis, values):
 
 
 def _count_runs(monkeypatch):
-    """Patch `cli.run_method` to record the (method, seed) of each call."""
+    """Patch `cli.run_steps`, which a grid calls once per run it makes,
+    to record the (method, seed) of each call."""
     calls = []
 
     def counted(method, *args, **kwargs):
         calls.append((method, args[-1]))
-        return orchestrator.run_method(method, *args, **kwargs)
+        return orchestrator.run_steps(method, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_method", counted)
+    monkeypatch.setattr(cli, "run_steps", counted)
     return calls
 
 
@@ -586,3 +589,163 @@ def test_reused_report_carries_its_own_config_echo(monkeypatch):
     assert dataclasses.replace(first, config_echo=second.config_echo) == \
         second
 
+
+
+def _state_hashes(monkeypatch):
+    """Wrap `orchestrator._check_head` to record, per (method, seed,
+    task), a sha256 of the head's class ids and parameters, its kept
+    Adam state, and the run's anchor."""
+    hashes, real = {}, orchestrator._check_head
+
+    def hashed(state, task_id):
+        clf, h = state.classifier, hashlib.sha256()
+        h.update(np.asarray(clf.classes, dtype="<i8").tobytes())
+        h.update(clf.flat.tobytes())
+        if clf.adam is not None:
+            h.update(str(clf.adam.step).encode())
+            h.update(clf.adam.m.tobytes() + clf.adam.v.tobytes())
+        if state.anchor is not None:
+            h.update(state.anchor.theta.tobytes())
+            h.update(state.anchor.fisher.tobytes())
+        hashes[state.method, state.seed, task_id] = h.hexdigest()
+        return real(state, task_id)
+
+    monkeypatch.setattr(orchestrator, "_check_head", hashed)
+    return hashes
+
+
+def _stack_sizes(monkeypatch):
+    """Wrap the trainers the orchestrator calls to record how many heads
+    each call trains."""
+    sizes = []
+    for name in ("train_naive", "train_joint", "train_osifl",
+                 "train_regularized", "train_local"):
+        def counted(clf, *args, _real=getattr(orchestrator, name), **kw):
+            sizes.append(len(clf) if isinstance(clf, Stack) else 1)
+            return _real(clf, *args, **kw)
+        monkeypatch.setattr(orchestrator, name, counted)
+    return sizes
+
+
+def _grid_per_seed(cfg, axis, values):
+    """Reports and failure lines of one single-seed grid per (value,
+    seed), in that order, sharing one memo as the cells of one grid do."""
+    reports, failures, memo = [], [], ServerMemo()
+    for value in values:
+        for seed in cfg.seeds:
+            [(_, done)], failed = cli.run_grid(cfg, axis, [value], (seed,),
+                                               memo)
+            reports += done
+            failures += failed
+    return reports, failures
+
+
+def _assert_grid_matches_per_seed(cfg, axis, values, hashes, sizes):
+    """The grid over all seeds at once equals one grid per (value,
+    seed): reports, failure lines and their order, and every head, with
+    as many heads trained. Returns the failure lines and the number of
+    heads in each training call of the first grid."""
+    cells, failures = cli.run_grid(cfg, axis, values, cfg.seeds)
+    together = [r for _, reports in cells for r in reports]
+    stacked, together_hashes = list(sizes), dict(hashes)
+    hashes.clear()
+    del sizes[:]
+    assert _grid_per_seed(cfg, axis, values) == (together, failures)
+    assert hashes == together_hashes
+    assert set(sizes) == {1} and len(sizes) == sum(stacked)
+    return failures, stacked
+
+
+_ALL_SEEDS = dict(methods=tuple(Method), seeds=(42, 18, 50))
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(_DDPM, **_ALL_SEEDS),
+    dict(adam_reset_per_task=False, lambda_ewc=100.0, mu_prox=1.0)],
+    ids=["surrogate", "ddpm", "persisted_moments"])
+def test_a_grid_of_seeds_trains_them_stacked_like_a_grid_per_seed(
+        monkeypatch, overrides):
+    cfg = _small(**dict(_ALL_SEEDS, **overrides))
+    hashes, sizes = _state_hashes(monkeypatch), _stack_sizes(monkeypatch)
+    failures, stacked = _assert_grid_matches_per_seed(cfg, None, [None],
+                                                      hashes, sizes)
+    assert failures == [] and set(stacked) == {3}
+    assert len(hashes) == 7 * 3 * cfg.num_tasks
+
+
+def test_a_seed_whose_synthesis_is_not_finite_fails_alone(monkeypatch):
+    # Seeds 42 and 50 synthesize NaN; 18 trains alone meanwhile. Every
+    # failure line, and its place in (value, seed, method) order, is the
+    # one a grid per seed writes; p = 2 reruns the failed keys.
+    real, cfg = orchestrator.make_surrogate, _small(**_ALL_SEEDS)
+
+    class NaNGenerator:
+        def sample(self, cond, n, w, rng, ledger=None):
+            return np.full((n, cfg.dim_x), np.nan)
+
+    def broken(world, *args):
+        return NaNGenerator() if world.seed in (42, 50) else real(world,
+                                                                  *args)
+
+    monkeypatch.setattr(orchestrator, "make_surrogate", broken)
+    hashes, sizes = _state_hashes(monkeypatch), _stack_sizes(monkeypatch)
+    failures, stacked = _assert_grid_matches_per_seed(cfg, "p", [1, 2],
+                                                      hashes, sizes)
+    # Seed 18's one-shot runs train alone, the federated runs stacked.
+    assert sorted(set(stacked)) == [1, 3]
+    assert [line.split(": ", 1)[0] for line in failures] == [
+        f"p={p} {m} seed={s}" for p in (1, 2) for s in (42, 50)
+        for m in ("OSIFL", "OSCAR_IL", "OSCAR_R", "OSCAR_CEILING")]
+    assert all(f"synthesis (seed {line.split('seed=')[1][:2]}, task 1) "
+               f"produced non-finite values" in line for line in failures)
+
+
+def test_a_head_whose_penalty_overflows_fails_alone_in_its_stack(
+        monkeypatch):
+    # Seed 18's Fisher estimates are scaled by 1e300, so its OSCAR_R and
+    # FEDEWC penalties overflow Adam's moments in task 2, while stacked
+    # with the other two seeds' heads. Overflow warnings are silenced as
+    # they would be in a solo run.
+    seed_of, make, fisher = {}, orchestrator.make_encoder, \
+        orchestrator.estimate_fisher
+
+    def tagged(dim_e, dim_x, seed):
+        encoder = make(dim_e, dim_x, seed)
+        seed_of[id(encoder)] = seed
+        return encoder
+
+    def exploding(clf, data):
+        anchor = fisher(clf, data)
+        if seed_of[id(clf.encoder)] == 18:
+            anchor.fisher *= 1e300
+        return anchor
+
+    monkeypatch.setattr(orchestrator, "make_encoder", tagged)
+    monkeypatch.setattr(orchestrator, "estimate_fisher", exploding)
+    cfg = _small(**_ALL_SEEDS)
+    hashes, sizes = _state_hashes(monkeypatch), _stack_sizes(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        failures, stacked = _assert_grid_matches_per_seed(
+            cfg, None, [None], hashes, sizes)
+    # Seed 18's heads trained in stacks of three, and failed in one.
+    assert set(stacked) == {3}
+    assert failures == [
+        f"{m} seed=18: training overflowed Adam's moments (lambda 0.1, "
+        f"learning_rate 0.001)" for m in ("OSCAR_R", "FEDEWC")]
+
+
+@pytest.mark.parametrize("axis, values, builds", [
+    ("p", ["1", "2"], 2), ("w", ["1", "3"], 2),
+    ("clients_per_task", ["1", "2"], 4)])
+def test_a_grid_builds_a_seeds_inputs_once_unless_the_axis_changes_them(
+        tmp_path, monkeypatch, axis, values, builds):
+    cfg = _small(methods=(Method.OSIFL, Method.FEDAVG), seeds=(3, 4))
+    built, real = [], cli.build_run_inputs
+
+    def counted(cell, seed):
+        built.append(seed)
+        return real(cell, seed)
+
+    monkeypatch.setattr(cli, "build_run_inputs", counted)
+    assert sweep(cfg, axis, values, str(tmp_path)) == 0
+    assert len(built) == builds

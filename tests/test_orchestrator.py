@@ -43,6 +43,14 @@ def _oneshot_state(cfg, world, encoder, seed, method=Method.OSIFL):
                     memory=memory)
 
 
+def _run_phase(phase):
+    """Drive one task phase to its end, each training call made alone."""
+    [result] = orchestrator.lockstep([phase])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 @pytest.fixture(scope="module")
 def default_reports():
     """One full-default run per one-shot method, shared by the ledger
@@ -175,7 +183,7 @@ def test_selection_scores_against_pre_update_snapshot():
                 if s.task_id == task.task_id]
     probe = state.classifier.copy()
     probe.expand_head(task.classes)
-    oneshot_task_phase(state, task, messages)
+    _run_phase(oneshot_task_phase(state, task, messages))
     assert state.memory.size
     pre_err = _rescore_error(state.memory, 1, probe)
     post_err = _rescore_error(state.memory, 1, state.classifier)
@@ -191,7 +199,7 @@ def test_selection_scores_against_trained_head():
     task = suite.tasks[0]
     messages = [build_client_message(encoder, s) for s in shards
                 if s.task_id == task.task_id]
-    oneshot_task_phase(state, task, messages)
+    _run_phase(oneshot_task_phase(state, task, messages))
     assert state.memory.size
     assert _rescore_error(state.memory, 1, state.classifier) < 1e-12
     assert any("select params=post_update" in e for e in state.events)
@@ -207,14 +215,14 @@ def test_upload_guards_reject_repeats_and_foreign_messages():
         by_task.setdefault(s.task_id, []).append(s)
     msgs1 = [build_client_message(encoder, s) for s in by_task[1]]
     msgs2 = [build_client_message(encoder, s) for s in by_task[2]]
-    oneshot_task_phase(state, suite.tasks[0], msgs1)
+    _run_phase(oneshot_task_phase(state, suite.tasks[0], msgs1))
     with pytest.raises(ProtocolError):
-        oneshot_task_phase(state, suite.tasks[0], msgs1)
+        _run_phase(oneshot_task_phase(state, suite.tasks[0], msgs1))
     with pytest.raises(ProtocolError):
-        oneshot_task_phase(state, suite.tasks[1], msgs1)
+        _run_phase(oneshot_task_phase(state, suite.tasks[1], msgs1))
     with pytest.raises(ProtocolError):
-        oneshot_task_phase(state, suite.tasks[1], [])
-    oneshot_task_phase(state, suite.tasks[1], msgs2)
+        _run_phase(oneshot_task_phase(state, suite.tasks[1], []))
+    _run_phase(oneshot_task_phase(state, suite.tasks[1], msgs2))
 
 
 def _pad_head_vector(flat, n_old, n_new, dim_e):
@@ -244,7 +252,7 @@ def test_federated_single_client_is_sequential_local_training(method):
     for task in suite.tasks:
         t = task.task_id
         (shard,) = [s for s in shards if s.task_id == t]
-        federated_task_phase(state, task, [shard])
+        _run_phase(federated_task_phase(state, task, [shard]))
         n_old = manual.num_classes
         manual.expand_head(task.classes)
         anchor, lam = None, 0.0
@@ -284,9 +292,10 @@ def test_federated_phase_rejects_foreign_and_missing_shards():
                      hp=cfg.train_hp())
     task2_shards = [s for s in shards if s.task_id == 2]
     with pytest.raises(ProtocolError):
-        federated_task_phase(state, suite.tasks[0], task2_shards)
+        _run_phase(federated_task_phase(state, suite.tasks[0],
+                                        task2_shards))
     with pytest.raises(ProtocolError):
-        federated_task_phase(state, suite.tasks[0], [])
+        _run_phase(federated_task_phase(state, suite.tasks[0], []))
 
 
 def test_weighted_average_matches_hand_arithmetic():
@@ -480,8 +489,8 @@ def test_synthesized_samples_view_read_only_memo_arrays():
     state = _oneshot_state(cfg, world, encoder, 4,
                            method=Method.OSCAR_CEILING)
     task = suite.tasks[0]
-    oneshot_task_phase(state, task, [build_client_message(encoder, s)
-                                     for s in shards if s.task_id == 1])
+    _run_phase(oneshot_task_phase(state, task, [
+        build_client_message(encoder, s) for s in shards if s.task_id == 1]))
     ((data, batches), _madds), = state.server._entries.values()
     assert sorted(batches) == list(task.classes)
     # The run trains on the memo's task batch itself, not on a copy.

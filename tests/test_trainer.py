@@ -13,7 +13,7 @@ from osifl.ledgers import ComputeLedger, encoder_forward_madds, \
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, Exemplars, select_exemplars
 from osifl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
-                           AnchorState, Classifier, TrainHP,
+                           AnchorState, Classifier, Stack, TrainHP,
                            ce_loss_and_grads, estimate_fisher,
                            ewc_penalty_and_grads, load_head, rows_for,
                            save_head, train_joint, train_local, train_naive,
@@ -352,9 +352,9 @@ def _ref_grow(params, state, n_new):
                                      _ref_pad(v, n_new))
 
 
-def _replay_memory(dim=3):
+def _replay_memory(dim=3, seed=40):
     """Two remembered tasks of 7 and 3 rows, for replay groups."""
-    rng = np.random.default_rng(40)
+    rng = np.random.default_rng(seed)
     memory = ExemplarMemory(5)
     memory.add_task(1, {
         0: Exemplars(x=rng.normal(size=(5, dim)), score=np.zeros(5)),
@@ -964,6 +964,204 @@ def test_zero_epochs_leave_ledger_and_params_unchanged():
     train_naive(clf, data, hp, stream(0, "t"), ledger=ledger)
     assert np.array_equal(clf.flat, before)
     assert "train_head_forward" not in ledger.madds_by_kind
+
+
+# Heads of one stack: each its own encoder, start values, data of the
+# same group sizes, RNG stream and anchor.
+_HEADS = 3
+
+
+def _stack_heads(classes=range(5)):
+    return [_random_head(Classifier(make_encoder(6, 3, 1 + h),
+                                    classes=classes), 41 + h)
+            for h in range(_HEADS)]
+
+
+def _state_bytes(clf):
+    """The head's classes, parameters and kept Adam state, as bytes."""
+    adam = clf.adam
+    return (tuple(clf.classes), clf.flat.tobytes(),
+            None if adam is None else (adam.step, adam.m.tobytes(),
+                                       adam.v.tobytes()))
+
+
+def _data_for(h, n=10, task=3):
+    return _toy_data(5 + h, n=n, classes=(3, 4), dim=3, task=task)
+
+
+def _joint_groups(h):
+    """Three groups of 10, 3 and 6 rows: coefficients 1/10, 1/3, 1/6."""
+    return [_data_for(h), _toy_data(7 + h, n=3, classes=(0,), dim=3),
+            _toy_data(8 + h, n=6, classes=(1, 2), dim=3)]
+
+
+def _case_values(case, clf, h):
+    """Head h's (data, anchor, replay memory) in a stacked-training case."""
+    anchor = _ewc_anchor(clf, 42 + h)
+    if case == "fedprox":
+        anchor = _prox_anchor(anchor.theta)
+    data = _joint_groups(h) if case == "joint_unequal" else _data_for(h)
+    return data, anchor, _replay_memory(seed=40 + h)
+
+
+# Each case: (batch_size, epochs, the call on one head's values or on a
+# Stack of them, penalty strength or None). 10 rows in batches of 4
+# leave a last batch of 2.
+_STACK_CASES = {
+    "partial_last_batch": (4, 3, lambda c, d, hp, r, a, m: train_naive(
+        c, d, hp, r), None),
+    "batch_above_n": (32, 2, lambda c, d, hp, r, a, m: train_naive(
+        c, d, hp, r), None),
+    "replay": (4, 3, lambda c, d, hp, r, a, m: train_osifl(
+        c, d, m, hp, r), None),
+    "joint_unequal": (4, 3, lambda c, d, hp, r, a, m: train_joint(
+        c, d, hp, r), None),
+    "ewc": (4, 3, lambda c, d, hp, r, a, m: train_regularized(
+        c, d, a, 0.7, hp, r), 0.7),
+    "fedprox": (4, 2, lambda c, d, hp, r, a, m: train_local(
+        c, d, hp, r, epochs=2, anchor=a, lam=0.3), 0.3),
+    "zero_epochs": (4, 0, lambda c, d, hp, r, a, m: train_naive(
+        c, d, hp, r), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STACK_CASES))
+def test_a_stack_of_heads_trains_like_each_head_alone(case):
+    batch_size, epochs, call, lam = _STACK_CASES[case]
+    hp = TrainHP(epochs_per_task=epochs, batch_size=batch_size,
+                 weight_decay=1e-3, adam_reset_per_task=False)
+    solo, stacked = _stack_heads(), _stack_heads()
+    for h, clf in enumerate(solo):
+        data, anchor, memory = _case_values(case, clf, h)
+        assert call(clf, data, hp, stream(h, "t"), anchor, memory) is clf
+    values = [_case_values(case, clf, h) for h, clf in enumerate(stacked)]
+    data, anchors, memories = (Stack(v) for v in zip(*values))
+    out = call(Stack(stacked), data, hp,
+               Stack(stream(h, "t") for h in range(_HEADS)), anchors,
+               memories)
+    assert isinstance(out, Stack) and list(out) == stacked
+    for a, b in zip(solo, stacked):
+        assert _state_bytes(a) == _state_bytes(b)
+    # Solo training is today's loop: `_ref_train` pins it bit for bit.
+    for h, clf in enumerate(_stack_heads()):
+        data, anchor, memory = _case_values(case, clf, h)
+        groups = {"replay": [data] + memory.replay_sets(3),
+                  "joint_unequal": data}.get(case, [data])
+        pull = None if lam is None else _anchor_pull(
+            _params(clf, anchor.theta), _params(clf, anchor.fisher), lam)
+        expect, state = _ref_train(clf, groups, hp, stream(h, "t"),
+                                   _ref_zeros(_params(clf)), epochs=epochs,
+                                   pull=pull)
+        _assert_state_equal(stacked[h], expect, state)
+        assert state[0] == epochs * -(-sum(map(len, groups)) // batch_size)
+
+
+def test_a_stack_keeps_moments_across_growth_like_each_head_alone():
+    # adam_reset_per_task = false: naive, then grow by two rows and
+    # train jointly, then grow by one and train with a per-head EWC
+    # anchor, all with partial batches.
+    hp = TrainHP(epochs_per_task=2, batch_size=4, adam_reset_per_task=False)
+    heads = {}
+    for mode in ("solo", "stacked"):
+        clfs = heads[mode] = _stack_heads(classes=(3, 4))
+
+        def each(call, *per_head):
+            if mode == "stacked":
+                out = call(Stack(clfs), *(Stack(v) for v in per_head))
+                assert list(out) == clfs
+            else:
+                for args in zip(clfs, *per_head):
+                    call(*args)
+
+        each(lambda c, d, r: train_naive(c, d, hp, r),
+             [_data_for(h) for h in range(_HEADS)],
+             [stream(h, "a") for h in range(_HEADS)])
+        for clf in clfs:
+            clf.expand_head([5, 6])
+        each(lambda c, g, r: train_joint(c, g, hp, r),
+             [[_toy_data(10 + h, n=9, classes=(5, 6), dim=3, task=4),
+               _data_for(h, n=3)] for h in range(_HEADS)],
+             [stream(h, "b") for h in range(_HEADS)])
+        anchors = [estimate_fisher(clf, _data_for(h))
+                   for h, clf in enumerate(clfs)]
+        for clf in clfs:
+            clf.expand_head([7])
+        anchors = [AnchorState(clf.grow(a.theta), clf.grow(a.fisher))
+                   for clf, a in zip(clfs, anchors)]
+        each(lambda c, d, a, r: train_regularized(c, d, a, 5.0, hp, r),
+             [_toy_data(20 + h, n=9, classes=(7,), dim=3, task=5)
+              for h in range(_HEADS)], anchors,
+             [stream(h, "c") for h in range(_HEADS)])
+    for a, b in zip(heads["solo"], heads["stacked"]):
+        assert a.adam.step == 2 * 3 + 2 * 3 + 2 * 3
+        assert _state_bytes(a) == _state_bytes(b)
+
+
+def test_a_stack_trains_mismatched_and_failing_heads_apart():
+    # Head 1 has 12 rows, so it trains alone; head 2's penalty overflows
+    # and head 3's anchor does not fit its head: each fails alone, and
+    # head 0 and head 1 train as they would alone. Each ledger is billed
+    # as if its head had trained alone, and the Stack of them reads as
+    # their sum.
+    hp = TrainHP(epochs_per_task=2, batch_size=4)
+    rows = [10, 12, 10, 10]
+    lams = [0.5, 0.5, 1e300, 0.5]
+
+    def anchor(clf, h):
+        if h == 3:
+            return _prox_anchor(np.zeros(7))
+        return AnchorState(np.ones(clf.flat.size), np.ones(clf.flat.size))
+
+    clfs = [_random_head(Classifier(make_encoder(6, 3, 1 + h),
+                                    classes=(3, 4)), 41 + h)
+            for h in range(4)]
+    solo = [clf.copy() for clf in clfs]
+    data = [_data_for(h, n=n) for h, n in enumerate(rows)]
+    books = [ComputeLedger() for _ in clfs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = train_local(
+            Stack(clfs), Stack(data), hp, Stack(stream(h, "t")
+                                                for h in range(4)),
+            epochs=2, anchor=Stack(anchor(c, h) for h, c in enumerate(clfs)),
+            lam=Stack(lams), ledger=Stack(books))
+    assert out[:2] == Stack(clfs[:2])
+    assert isinstance(out[2], ProtocolError)
+    assert "overflowed Adam's moments (lambda 1e+300," in str(out[2])
+    assert isinstance(out[3], ProtocolError)
+    assert "anchor theta (7,)" in str(out[3])
+    for h in range(2):
+        solo_book = ComputeLedger()
+        train_local(solo[h], data[h], hp, stream(h, "t"), epochs=2,
+                    anchor=anchor(solo[h], h), lam=lams[h], ledger=solo_book)
+        assert _state_bytes(solo[h]) == _state_bytes(clfs[h])
+        assert books[h].madds_by_kind == solo_book.madds_by_kind
+    assert books[3].madds_by_kind == {}
+    assert Stack(books[:2]).madds_by_kind == {
+        k: v + books[1].madds_by_kind[k]
+        for k, v in books[0].madds_by_kind.items()}
+
+
+def test_a_stack_over_the_embedding_budget_trains_in_parts(monkeypatch):
+    # Three heads of 1,300 rows of 64 features need 2.0 MB of embeddings,
+    # over STACK_EMBEDDING_BYTES: two train stacked, the third alone, and
+    # each ends as it would alone.
+    from osifl import trainer
+    widths, real_fit = [], trainer._fit
+    monkeypatch.setattr(trainer, "_fit", lambda calls: widths.append(
+        len(calls)) or real_fit(calls))
+    hp = TrainHP(epochs_per_task=1)
+    heads = {mode: [Classifier(make_encoder(64, 3, h), classes=(3, 4))
+                    for h in range(3)] for mode in ("solo", "stacked")}
+    data = [_data_for(h, n=1300) for h in range(3)]
+    assert 3 * 1300 * 64 * 8 > trainer.STACK_EMBEDDING_BYTES
+    for h, clf in enumerate(heads["solo"]):
+        train_naive(clf, data[h], hp, stream(h, "t"))
+    assert widths == [1, 1, 1]
+    train_naive(Stack(heads["stacked"]), Stack(data), hp,
+                Stack(stream(h, "t") for h in range(3)))
+    assert widths[3:] == [2, 1]
+    for a, b in zip(heads["solo"], heads["stacked"]):
+        assert _state_bytes(a) == _state_bytes(b)
 
 
 def test_head_checkpoint_roundtrip(tmp_path):
