@@ -15,9 +15,11 @@ and training behaviour from generator quality.
 """
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -42,6 +44,11 @@ class NoiseSchedule:
     @property
     def num_steps(self) -> int:
         return len(self.betas)
+
+    @cached_property
+    def roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(abar_z) and sqrt(1 - abar_z) for z = 1..num_steps."""
+        return np.sqrt(self.alpha_bars), np.sqrt(1.0 - self.alpha_bars)
 
     def beta(self, z: int) -> float:
         return float(self.betas[z - 1])
@@ -176,32 +183,8 @@ class Denoiser:
         return np.concatenate([x, one_hot, cond], axis=1)
 
     def forward(self, x: np.ndarray, z, cond: np.ndarray) -> np.ndarray:
-        out, _ = self._forward_cached(self._assemble(x, z, cond))
+        out = _Passes(self, self._assemble(x, z, cond)).forward()
         return out[0] if np.asarray(x).ndim == 1 else out
-
-    def _forward_cached(self, a: np.ndarray):
-        p = self.params
-        h1 = np.tanh(a @ p["w1"].T + p["b1"])
-        h2 = np.tanh(h1 @ p["w2"].T + p["b2"])
-        out = h2 @ p["w3"].T + p["b3"]
-        return out, (a, h1, h2)
-
-    def _backward(self, cache, d_out: np.ndarray,
-                  out: np.ndarray | None = None) -> dict[str, np.ndarray]:
-        """The parameter gradients, written into views of the flat
-        vector `out` (a new one by default) and keyed by name."""
-        a, h1, h2 = cache
-        p = self.params
-        grads = self.split(np.empty_like(self.flat) if out is None else out)
-        np.matmul(d_out.T, h2, out=grads["w3"])
-        np.add.reduce(d_out, axis=0, out=grads["b3"])
-        d_h2 = (d_out @ p["w3"]) * (1.0 - h2 * h2)
-        np.matmul(d_h2.T, h1, out=grads["w2"])
-        np.add.reduce(d_h2, axis=0, out=grads["b2"])
-        d_h1 = (d_h2 @ p["w2"]) * (1.0 - h1 * h1)
-        np.matmul(d_h1.T, a, out=grads["w1"])
-        np.add.reduce(d_h1, axis=0, out=grads["b1"])
-        return grads
 
     def forward_madds(self, batch: int) -> int:
         """Multiply-add count for one forward pass on `batch` inputs.
@@ -230,6 +213,63 @@ def make_denoiser(dim_x: int, dim_cond: int, num_steps: int, hidden: int,
     return den
 
 
+class _Passes:
+    """The denoiser's passes over the input rows `a` into buffers made
+    once, rounding like fresh arrays. `backward` overwrites h1 and h2."""
+
+    def __init__(self, den: Denoiser, a: np.ndarray):
+        self.den, self.a, self.rows = den, a, np.arange(len(a))
+        self.h1, self.h2, self.d_h1, self.d_h2 = \
+            np.empty((4, len(a), den.hidden))
+        self.out, self.sq = np.empty((2, len(a), den.dim_x))
+
+    def forward(self) -> np.ndarray:
+        p, h = self.den.params, self.a
+        for k, out in (("1", self.h1), ("2", self.h2), ("3", self.out)):
+            np.matmul(h, p["w" + k].T, out=out)
+            out += p["b" + k]
+            h = out if k == "3" else np.tanh(out, out=out)
+        return h
+
+    def backward(self, d_out: np.ndarray, grads: dict[str, np.ndarray]):
+        """Write the gradients for d loss / d out = d_out into `grads`,
+        views keyed by parameter name."""
+        for k, h, d_h in (("3", self.h2, self.d_h2), ("2", self.h1, self.d_h1),
+                          ("1", self.a, None)):
+            np.matmul(d_out.T, h, out=grads["w" + k])
+            np.add.reduce(d_out, axis=0, out=grads["b" + k])
+            if d_h is not None:  # d_h = (d_out @ w) * (1 - h * h)
+                np.matmul(d_out, self.den.params["w" + k], out=d_h)
+                np.multiply(h, h, out=h)
+                np.subtract(1.0, h, out=h)
+                d_out = np.multiply(d_h, h, out=d_h)
+
+    def denoise_step(self, schedule: NoiseSchedule, x0: np.ndarray,
+                     z: np.ndarray, eps: np.ndarray, cond: np.ndarray,
+                     grads: dict[str, np.ndarray]) -> float:
+        """Load (x_z, one_hot(z), cond) into `a`, with x_z the closed form
+        of `forward_noise`, and return the loss of `denoise_loss_fixed`,
+        its gradients written into `grads`."""
+        den, resid = self.den, self.out
+        xz = self.a[:, :den.dim_x]
+        hot = self.a[:, den.dim_x:den.dim_x + den.num_steps]
+        hot[...] = 0.0
+        hot[self.rows, z - 1] = 1.0
+        self.a[:, den.dim_x + den.num_steps:] = cond
+        root_abar, root_rest = schedule.roots
+        np.multiply(root_abar[z - 1, None], x0, out=xz)
+        np.multiply(root_rest[z - 1, None], eps, out=self.sq)
+        xz += self.sq
+        self.forward()
+        resid -= eps
+        np.multiply(resid, resid, out=self.sq)
+        loss = float(self.sq.sum() / len(z))
+        resid *= 2.0
+        resid /= len(z)
+        self.backward(resid, grads)
+        return loss
+
+
 def denoise_loss_fixed(denoiser: Denoiser, schedule: NoiseSchedule,
                        x0: np.ndarray, z: np.ndarray, eps: np.ndarray,
                        cond: np.ndarray, out: np.ndarray | None = None
@@ -242,14 +282,12 @@ def denoise_loss_fixed(denoiser: Denoiser, schedule: NoiseSchedule,
     `denoiser.flat`, or into a new one.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    eps = np.atleast_2d(np.asarray(eps, dtype=float))
-    xz = forward_noise(schedule, x0, np.asarray(z), eps)
-    pred, cache = denoiser._forward_cached(denoiser._assemble(xz, z, cond))
-    resid = pred - eps
-    n = x0.shape[0]
-    loss = float((resid * resid).sum() / n)
-    grads = denoiser._backward(cache, 2.0 * resid / n, out)
-    return loss, grads
+    # Checks the shapes and timesteps; the step loads the rows anew.
+    passes = _Passes(denoiser, denoiser._assemble(x0, z, cond))
+    grads = denoiser.split(np.empty_like(denoiser.flat) if out is None
+                           else out)
+    z = np.broadcast_to(np.asarray(z, dtype=int), (len(x0),))
+    return passes.denoise_step(schedule, x0, z, eps, cond, grads), grads
 
 
 def denoise_loss_and_grads(denoiser: Denoiser, schedule: NoiseSchedule,
@@ -315,32 +353,111 @@ class DiffusionModel:
                rng: np.random.Generator, ledger=None) -> np.ndarray:
         return ancestral_sample(self, cond, w, n, rng, ledger=ledger)
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def sample_chains(self, conds: np.ndarray, counts, w: float,
+                      rng: np.random.Generator, ledger=None) -> np.ndarray:
+        """Run a task's reverse chains in one loop: chain j draws counts[j]
+        rows on condition conds[j], returned in chain order. Each chain
+        draws and bills what it would run alone after the ones before it.
 
+        Per step the mean is (x_z - beta_z / sqrt(1 - abar_z) * eps_hat)
+        / sqrt(alpha_z) and the variance is beta_z * I; the final step adds
+        no noise. eps_hat is `guided_epsilon` over all chains' rows, with
+        the first layer summed by input block: x's product once for both
+        branches, the condition's once per chain, the timestep's column
+        once per step. Only the order of summation differs from the
+        per-chain loop. Overflow is left to the caller's check."""
+        if not self.trained:
+            raise ProtocolError("refusing to sample from an untrained model")
+        if w < 1.0:
+            raise ConfigError(f"guidance weight must be >= 1, got {w}")
+        if min(counts, default=0) < 0:
+            raise ConfigError(f"sample count must be >= 0, got {min(counts)}")
+        sched, den, p = self.schedule, self.denoiser, self.denoiser.params
+        total, dim_x, cut = sum(counts), den.dim_x, den.dim_x + den.num_steps
+        chains = [slice(end - n, end)
+                  for n, end in zip(counts, np.cumsum(counts).tolist()) if n]
+        x = np.empty((total, dim_x))
+        # Chain j's generator starts where rng stands after the chains
+        # before it, found by drawing theirs; rng itself runs the last.
+        gens = []
+        for rows in chains[:-1]:
+            gens.append(copy.deepcopy(rng))
+            for _ in range(sched.num_steps):
+                rng.standard_normal(out=x[rows])
+        gens.append(rng)
+        for rows, gen in zip(chains, gens):
+            gen.standard_normal(out=x[rows])
+        w_x = p["w1"][:, :dim_x].T.copy()
+        w_z = (p["w1"][:, dim_x:cut] + p["b1"][:, None]).T.copy()
+        by_cond = np.repeat(conds @ p["w1"][:, cut:].T, counts, axis=0)
+        h1, h2 = np.empty((2, 2 * total, den.hidden))
+        eps = np.empty((2 * total, dim_x))
+        eps_cond, eps_uncond = eps[:total], eps[total:]
+        shrink = sched.betas / np.sqrt(1.0 - sched.alpha_bars)
+        root_alpha, root_beta = np.sqrt(sched.alphas), np.sqrt(sched.betas)
+        for z in range(sched.num_steps, 0, -1):
+            np.matmul(x, w_x, out=h1[total:])
+            h1[total:] += w_z[z - 1]
+            np.add(h1[total:], by_cond, out=h1[:total])
+            np.tanh(h1, out=h1)
+            np.matmul(h1, p["w2"].T, out=h2)
+            h2 += p["b2"]
+            np.tanh(h2, out=h2)
+            np.matmul(h2, p["w3"].T, out=eps)
+            eps += p["b3"]
+            eps_cond -= eps_uncond
+            eps_cond *= w
+            eps_cond += eps_uncond
+            eps_cond *= shrink[z - 1]
+            x -= eps_cond
+            x /= root_alpha[z - 1]
+            if z > 1:  # the spent eps_cond takes the step's noise
+                for rows, gen in zip(chains, gens):
+                    gen.standard_normal(out=eps_cond[rows])
+                eps_cond *= root_beta[z - 1]
+                x += eps_cond
+        if ledger is not None:
+            ledger.add("diffusion_sampling", sched.num_steps * sum(
+                2 * den.forward_madds(n) for n in counts))
+        return x
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def pretrain(pool: Batch, encoder: FrozenEncoder, hp: DiffusionHP,
              seed: int, ledger=None) -> DiffusionModel:
     """Fit the denoiser on the server pool, conditioning each sample on
     the mean embedding of its (class, domain) pair. The model is frozen
-    afterwards; train_steps = 0 leaves the initialization untouched."""
+    afterwards; train_steps = 0 leaves the initialization untouched.
+    A step draws and rounds like `denoise_loss_and_grads`, in place.
+    Overflow is left to the caller's check of the parameters."""
     table = pair_mean_embeddings(encoder, pool)
+    # A dropped condition gathers the zero row after the pool's.
     cond = np.stack([table[pair] for pair in zip(pool.y.tolist(),
-                                                 pool.domain.tolist())])
+                                                 pool.domain.tolist())]
+                    + [np.zeros(encoder.dim_e)])
     schedule = make_schedule(hp.num_steps, hp.beta_min, hp.beta_max)
     denoiser = make_denoiser(pool.x.shape[1], encoder.dim_e, hp.num_steps,
                              hp.hidden, seed)
     rng = stream(seed, "pretrain")
+    batch, n_pool = hp.batch_size, len(pool)
+    passes = _Passes(denoiser, np.zeros((batch, denoiser.input_dim)))
     grad = np.empty_like(denoiser.flat)
-    adam = Adam(grad.size)
+    grads, adam = denoiser.split(grad), Adam(grad.size)
+    eps, coin = np.empty((batch, denoiser.dim_x)), np.empty(batch)
     history: list[float] = []
     for _ in range(hp.train_steps):
-        idx = rng.integers(0, len(pool), size=hp.batch_size)
-        loss, _ = denoise_loss_and_grads(denoiser, schedule, pool.x[idx],
-                                         cond[idx], hp.p_drop, rng, out=grad)
+        idx = rng.integers(0, n_pool, size=batch)
+        z = rng.integers(1, hp.num_steps + 1, size=batch)
+        rng.standard_normal(out=eps)
+        rng.random(out=coin)
+        history.append(passes.denoise_step(
+            schedule, pool.x[idx], z, eps,
+            cond[np.where(coin < hp.p_drop, n_pool, idx)], grads))
         adam.update(denoiser.flat, grad, DENOISER_LEARNING_RATE, 0.0)
-        history.append(loss)
-        if ledger is not None:
-            ledger.add("diffusion_pretrain",
-                       denoiser.forward_madds(hp.batch_size)
-                       + denoiser.backward_madds(hp.batch_size))
+    if ledger is not None:
+        ledger.add("diffusion_pretrain", hp.train_steps * (
+            denoiser.forward_madds(batch) + denoiser.backward_madds(batch)))
     return DiffusionModel(schedule=schedule, denoiser=denoiser,
                           trained=hp.train_steps > 0, loss_history=history)
 
@@ -364,37 +481,23 @@ def guided_epsilon(denoiser: Denoiser, x: np.ndarray, z, cond: np.ndarray,
 def ancestral_sample(model: DiffusionModel, cond: np.ndarray, w: float,
                      n: int, rng: np.random.Generator, ledger=None
                      ) -> np.ndarray:
-    """Draw n vectors by running the reverse chain from pure noise.
+    """Draw n vectors by running the reverse chain from pure noise: the
+    one-chain case of `DiffusionModel.sample_chains`."""
+    return model.sample_chains(np.atleast_2d(cond), [n], w, rng,
+                               ledger=ledger)
 
-    Per step the mean is (x_z - beta_z / sqrt(1 - abar_z) * eps_hat)
-    / sqrt(alpha_z) and the variance is beta_z * I; the final step adds
-    no noise.
-    """
-    if not model.trained:
-        raise ProtocolError("refusing to sample from an untrained model")
-    if n < 0:
-        raise ConfigError(f"sample count must be >= 0, got {n}")
-    sched = model.schedule
-    den = model.denoiser
-    if n == 0:
-        return np.zeros((0, den.dim_x))
-    x = rng.standard_normal((n, den.dim_x))
-    conds = np.repeat(np.atleast_2d(np.asarray(cond, dtype=float)), n, axis=0)
-    for z in range(sched.num_steps, 0, -1):
-        eps_hat = guided_epsilon(den, x, z, conds, w)
-        mean = (x - sched.beta(z) / np.sqrt(1.0 - sched.alpha_bar(z))
-                * eps_hat) / np.sqrt(sched.alpha(z))
-        if z > 1:
-            x = mean + np.sqrt(sched.beta(z)) * rng.standard_normal(x.shape)
-        else:
-            x = mean
-        if ledger is not None:
-            ledger.add("diffusion_sampling", 2 * den.forward_madds(n))
-    return x
+
+class ChainLoop:
+    """`sample_chains` as one `sample` call per chain, in chain order."""
+
+    def sample_chains(self, conds: np.ndarray, counts, w: float,
+                      rng: np.random.Generator, ledger=None) -> np.ndarray:
+        return np.concatenate([self.sample(cond, n, w, rng, ledger=ledger)
+                               for cond, n in zip(conds, counts)])
 
 
 @dataclass(eq=False)
-class GaussianSurrogate:
+class GaussianSurrogate(ChainLoop):
     """Oracle generator: nearest pretraining condition, true cluster draw."""
 
     world: World
@@ -435,14 +538,16 @@ class SynthSet:
 def synthesize_task_data(generator, messages: list[ClientMessage],
                          z_per_class: int, w: float,
                          rng: np.random.Generator, ledger=None) -> SynthSet:
-    """Generate z_per_class samples per class named in the messages.
+    """Generate z_per_class samples per class named in the messages, all
+    in one `generator.sample_chains` call.
 
     When several clients hold the same class, their uploaded means take
     turns conditioning the generator: sample i of a class uses provider
-    i mod n_providers, so the source client alternates.
+    i mod n_providers, so the source client alternates. Each (class,
+    provider) pair is one chain, in ascending class order.
     """
-    if not messages:
-        raise ProtocolError("synthesis needs at least one client message")
+    if not any(m.class_means for m in messages):
+        raise ProtocolError("synthesis needs a client message with a class")
     if z_per_class < 0:
         raise ConfigError(f"z_per_class must be >= 0, got {z_per_class}")
     task_id = messages[0].task_id
@@ -452,15 +557,19 @@ def synthesize_task_data(generator, messages: list[ClientMessage],
     for m in messages:
         for k in sorted(m.class_means):
             providers.setdefault(k, []).append(m.class_means[k])
+    classes = sorted(providers)
+    counts = [len(range(j, z_per_class, len(providers[k])))
+              for k in classes for j in range(len(providers[k]))]
+    drawn = generator.sample_chains(
+        np.array([mean for k in classes for mean in providers[k]]), counts,
+        w, rng, ledger=ledger)
+    chains = iter(np.split(drawn, np.cumsum(counts)[:-1]))
     per_class: dict[int, np.ndarray] = {}
-    for k in sorted(providers):
+    for k in classes:
         n = len(providers[k])
-        batches = [generator.sample(mean, len(range(j, z_per_class, n)), w,
-                                    rng, ledger=ledger)
-                   for j, mean in enumerate(providers[k])]
-        xs = np.empty((z_per_class, batches[0].shape[1]))
-        for j, batch in enumerate(batches):
-            xs[j::n] = batch
+        xs = np.empty((z_per_class, drawn.shape[1]))
+        for j in range(n):
+            xs[j::n] = next(chains)
         xs.flags.writeable = False
         per_class[k] = xs
     return SynthSet(task_id=task_id, per_class=per_class)

@@ -75,9 +75,10 @@ class Adam:
     changes in place together with the moments `m` and `v`. Weight
     decay * param is added to the gradient before the moments.
 
-    A step is 16 ufunc calls into preallocated scratch, each rounding
-    like the textbook expressions g + wd * p, (1 - b2) * g * g and
-    lr * (m / c1) / (sqrt(v / c2) + eps) do on fresh arrays."""
+    A step is 16 ufunc calls into preallocated scratch, 14 without
+    decay, each rounding like the textbook expressions g + wd * p,
+    (1 - b2) * g * g and lr * (m / c1) / (sqrt(v / c2) + eps) do on
+    fresh arrays. `grads` is only read."""
 
     def __init__(self, size: int):
         self.step = 0
@@ -101,9 +102,13 @@ class Adam:
         self.step += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1, c2 = 1.0 - b1 ** self.step, 1.0 - b2 ** self.step
-        g, t, m, v = self._g, self._t, self.m, self.v
-        np.multiply(params, weight_decay, out=g)
-        g += grads
+        g, t, m, v = grads, self._t, self.m, self.v
+        # Without decay, g + 0 * p could differ from g only in the sign of
+        # a zero (for finite p), so the gradient is read as it is.
+        if weight_decay != 0:
+            g = self._g
+            np.multiply(params, weight_decay, out=g)
+            g += grads
         m *= b1
         np.multiply(g, 1.0 - b1, out=t)
         m += t
@@ -114,10 +119,11 @@ class Adam:
         np.divide(v, c2, out=t)
         np.sqrt(t, out=t)
         t += ADAM_EPS
-        np.divide(m, c1, out=g)
-        g *= learning_rate
-        g /= t
-        params -= g
+        delta = self._g
+        np.divide(m, c1, out=delta)
+        delta *= learning_rate
+        delta /= t
+        params -= delta
 
 
 def _head_views(flat: np.ndarray, n: int, dim_e: int
@@ -385,11 +391,14 @@ def _prepare(classifier: Classifier, groups, hp: TrainHP, rng, epochs,
                  epochs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(calls: list[tuple]) -> list[Exception | None]:
     """The minibatch loop over the S heads of calls that share
     `_prepare`'s key: (S, b, E) @ (S, E, C) matmuls, per-head reductions
     and one Adam over the stacked parameters, each head with its own
-    permutations, rows and pull. Returns each head's error or None."""
+    permutations, rows and pull. Returns each head's error or None.
+    Overflow warnings are off, so that they fail no head: the checks of
+    each head's moments and, after its phase, parameters find it."""
     clfs, groups, rows, rngs, lams, pulls, adams, books, hps, epochs = \
         zip(*calls)
     hp, heads, (n_out, dim_e) = hps[0], len(calls), clfs[0].weights.shape

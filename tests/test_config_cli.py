@@ -10,6 +10,7 @@ from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
                        run_experiment, sweep)
 from osifl.config import (FIELD_SPECS, ExperimentConfig, build_run_inputs,
                           parse_config, serialize_config)
+from osifl.diffusion import ChainLoop
 from osifl.errors import ConfigError
 from osifl.orchestrator import CSV_HEADER, Method, ServerMemo, rows_to_csv
 from osifl.trainer import Stack
@@ -478,7 +479,7 @@ def test_w_sweep_rows_match_separate_sweeps(tmp_path):
 
 def test_non_finite_synthesis_is_a_failed_run_not_a_nan_row(
         tmp_path, monkeypatch, capsys):
-    class NaNGenerator:
+    class NaNGenerator(ChainLoop):
         def sample(self, cond, n, w, rng, ledger=None):
             return np.full((n, cfg.dim_x), np.nan)
 
@@ -679,7 +680,7 @@ def test_a_seed_whose_synthesis_is_not_finite_fails_alone(monkeypatch):
     # one a grid per seed writes; p = 2 reruns the failed keys.
     real, cfg = orchestrator.make_surrogate, _small(**_ALL_SEEDS)
 
-    class NaNGenerator:
+    class NaNGenerator(ChainLoop):
         def sample(self, cond, n, w, rng, ledger=None):
             return np.full((n, cfg.dim_x), np.nan)
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osifl.datagen import build_world, draw_base_pool
-from osifl.diffusion import (DENOISER_LEARNING_RATE, DiffusionHP,
-                             NoiseSchedule, ancestral_sample,
+from osifl.diffusion import (DENOISER_LEARNING_RATE, ChainLoop,
+                             DiffusionHP, NoiseSchedule, ancestral_sample,
                              denoise_loss_and_grads, denoise_loss_fixed,
                              forward_noise, guided_epsilon, load_model,
                              make_denoiser, make_schedule, make_surrogate,
@@ -336,6 +336,91 @@ def test_sampling_ledger_counts_forward_passes():
     assert ledger.madds_by_kind["diffusion_sampling"] == 10 * per_step
 
 
+def _tiny_model(train_steps=20):
+    world, pool = _tiny_pool()
+    hp = DiffusionHP(num_steps=10, hidden=16, train_steps=train_steps,
+                     batch_size=16)
+    return pretrain(pool, make_encoder(6, 3, 4), hp, 7)
+
+
+def _per_chain_reference(model, conds, counts, w, rng, ledger):
+    """The chains one after another, each the DDPM update of
+    `guided_epsilon` on fresh arrays, billing two forward passes per
+    chain and step."""
+    sched, den, out = model.schedule, model.denoiser, []
+    for cond, n in zip(conds, counts):
+        if n == 0:
+            continue
+        x = rng.standard_normal((n, den.dim_x))
+        for z in range(sched.num_steps, 0, -1):
+            eps_hat = guided_epsilon(den, x, z, np.tile(cond, (n, 1)), w)
+            x = (x - sched.beta(z) / np.sqrt(1.0 - sched.alpha_bar(z))
+                 * eps_hat) / np.sqrt(sched.alpha(z))
+            if z > 1:
+                x = x + np.sqrt(sched.beta(z)) * rng.standard_normal(x.shape)
+            ledger.add("diffusion_sampling", 2 * den.forward_madds(n))
+        out.append(x)
+    return np.concatenate(out) if out else np.zeros((0, den.dim_x))
+
+
+@pytest.mark.parametrize("counts, w", [
+    ([17, 17, 16], 2.0), ([4, 0, 3], 2.0), ([0, 5], 3.5), ([0, 0], 2.0),
+    ([6], 1.0), ([3, 1, 2, 5], 1.0)])
+def test_sample_chains_matches_the_per_chain_loop(counts, w):
+    # Unequal and zero-length chains, z_per_class = 0 and w = 1: the
+    # batched sampler's rows agree with the per-chain loop to rtol 1e-12
+    # (only the order of summation differs), both leave the stream in one
+    # state, and both bill the same multiply-adds.
+    model = _tiny_model()
+    conds = np.random.default_rng(len(counts)).normal(size=(len(counts), 6))
+    conds[0] = 0.0  # the null condition
+    book, ref_book = ComputeLedger(), ComputeLedger()
+    rng, ref_rng = stream(3, "chains"), stream(3, "chains")
+    got = model.sample_chains(conds, counts, w, rng, ledger=book)
+    expect = _per_chain_reference(model, conds, counts, w, ref_rng, ref_book)
+    assert got.shape == (sum(counts), 3)
+    np.testing.assert_allclose(got, expect, rtol=1e-12,
+                               atol=1e-12 * np.abs(expect).max(initial=0))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert book.madds_by_kind == ref_book.madds_by_kind
+    # A lone chain is the one-chain case of the same sampler.
+    lead = next((i for i, n in enumerate(counts) if n), None)
+    if lead is not None:
+        alone = ancestral_sample(model, conds[lead], w, counts[lead],
+                                 stream(3, "chains"))
+        np.testing.assert_allclose(alone, expect[:counts[lead]], rtol=1e-12,
+                                   atol=1e-12 * np.abs(expect).max())
+
+
+def test_synthesis_with_a_denoiser_interleaves_its_chains():
+    # Three providers over 50 rows run chains of 17, 17 and 16 rows;
+    # row i of a class is row i // 3 of provider i mod 3's chain.
+    model = _tiny_model()
+    msgs = [_message(c, 1, (2, 6), 6, c) for c in range(3)]
+    synth = synthesize_task_data(model, msgs, 50, 2.0, stream(0, "z"))
+    conds = [m.class_means[k] for k in (2, 6) for m in msgs]
+    chains = np.split(_per_chain_reference(
+        model, conds, [17, 17, 16] * 2, 2.0, stream(0, "z"),
+        ComputeLedger()), np.cumsum([17, 17, 16] * 2)[:-1])
+    for i, k in enumerate((2, 6)):
+        expect = [chains[3 * i + j % 3][j // 3] for j in range(50)]
+        np.testing.assert_allclose(synth.per_class[k], np.stack(expect),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_sample_chains_rejects_untrained_models_and_small_w():
+    conds = np.zeros((2, 6))
+    with pytest.raises(ProtocolError):
+        _tiny_model(train_steps=0).sample_chains(conds, [2, 1], 2.0,
+                                                 stream(0, "x"))
+    model = _tiny_model()
+    for w in (0.99, 0.0):
+        with pytest.raises(ConfigError, match="guidance weight"):
+            model.sample_chains(conds, [2, 1], w, stream(0, "x"))
+    with pytest.raises(ConfigError, match="sample count"):
+        model.sample_chains(conds, [2, -1], 2.0, stream(0, "x"))
+
+
 def _message(client_id, task_id, classes, dim, seed):
     rng = np.random.default_rng(seed)
     return ClientMessage(client_id=client_id, task_id=task_id,
@@ -344,7 +429,7 @@ def _message(client_id, task_id, classes, dim, seed):
                          class_counts={k: 50 for k in classes})
 
 
-class _CountingGenerator:
+class _CountingGenerator(ChainLoop):
     def __init__(self, dim_x):
         self.dim_x = dim_x
         self.conds = []
@@ -388,7 +473,7 @@ def test_synthesis_alternates_providers():
     assert np.array_equal(xs[2], a.class_means[3][:2])
 
 
-class _RecordingGenerator:
+class _RecordingGenerator(ChainLoop):
     """Distinct random rows per call, kept with their condition so a test
     can rebuild the interleaving from the raw per-provider batches."""
 

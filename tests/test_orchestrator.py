@@ -7,7 +7,7 @@ import pytest
 from osifl import orchestrator
 from osifl.config import ExperimentConfig, build_run_inputs
 from osifl.datagen import Batch, build_world, draw_base_pool
-from osifl.diffusion import make_surrogate
+from osifl.diffusion import ChainLoop, make_surrogate
 from osifl.encoder import build_client_message, make_encoder
 from osifl.errors import ConfigError, ProtocolError
 from osifl.ledgers import ComputeLedger
@@ -544,7 +544,7 @@ def test_server_memo_never_stores_a_failure():
     assert len(calls) == 2
 
 
-class _NaNGenerator:
+class _NaNGenerator(ChainLoop):
     def sample(self, cond, n, w, rng, ledger=None):
         return np.full((n, 6), np.nan)
 

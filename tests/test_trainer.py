@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,27 @@ def test_adam_updates_params_in_place_and_leaves_grads():
     Adam(1).update(a, grads, 0.001, 1e-4)
     Adam(1).update(b, grads, 0.001, 1e-4)
     assert np.array_equal(a, b) and np.array_equal(a, w)
+
+
+def test_adam_without_decay_reads_the_gradient_and_never_writes_it():
+    # At weight_decay = 0 the gradient is read as it is, signed zeros
+    # included: the caller's array keeps its bits, and the parameters and
+    # moments equal those of the decay-0 expression g + 0 * p.
+    rng = np.random.default_rng(8)
+    params = {"p": rng.normal(size=40)}
+    flat, adam, state = params["p"].copy(), Adam(40), _ref_zeros(params)
+    for _ in range(6):
+        grads = rng.normal(size=40)
+        grads[:4], grads[4:8] = 0.0, -0.0
+        kept = grads.copy()
+        adam.update(flat, grads, 0.01, 0.0)
+        params, state = _ref_adam_step(state, params, {"p": grads}, 0.01,
+                                       0.0)
+        assert np.array_equal(grads.view(np.uint64), kept.view(np.uint64))
+        assert np.array_equal(flat, params["p"])
+        assert np.array_equal(adam.m, state[1]["p"])
+        assert np.array_equal(adam.v, state[2]["p"])
+    assert adam.step == state[0] == 6
 
 
 def test_adam_validates_counts_and_shapes():
@@ -1139,6 +1161,40 @@ def test_a_stack_trains_mismatched_and_failing_heads_apart():
     assert Stack(books[:2]).madds_by_kind == {
         k: v + books[1].madds_by_kind[k]
         for k, v in books[0].madds_by_kind.items()}
+
+
+def test_an_overflow_fails_only_its_head_when_warnings_are_errors():
+    # Warnings raise, as under pytest or `python -W error`, and no
+    # errstate is set: head 2's penalty overflows Adam's moments in the
+    # stacked call, which fails that head alone with the message of a
+    # solo run; the other three train as they would alone.
+    hp = TrainHP(epochs_per_task=2, batch_size=4)
+    lams = [0.5, 0.5, 1e300, 0.5]
+    clfs = [_random_head(Classifier(make_encoder(6, 3, 1 + h),
+                                    classes=(3, 4)), 41 + h)
+            for h in range(4)]
+    solo = [clf.copy() for clf in clfs]
+    data = [_data_for(h) for h in range(4)]
+    anchors = [AnchorState(np.ones(clf.flat.size), np.ones(clf.flat.size))
+               for clf in clfs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = train_local(Stack(clfs), Stack(data), hp,
+                          Stack(stream(h, "t") for h in range(4)), epochs=2,
+                          anchor=Stack(anchors), lam=Stack(lams))
+        with pytest.raises(ProtocolError) as alone:
+            train_local(solo[2], data[2], hp, stream(2, "t"), epochs=2,
+                        anchor=anchors[2], lam=lams[2])
+        for h in (0, 1, 3):
+            train_local(solo[h], data[h], hp, stream(h, "t"), epochs=2,
+                        anchor=anchors[h], lam=lams[h])
+    assert isinstance(out[2], ProtocolError)
+    assert str(out[2]) == str(alone.value) == (
+        "training overflowed Adam's moments (lambda 1e+300, learning_rate "
+        "0.001)")
+    for h in (0, 1, 3):
+        assert out[h] is clfs[h]
+        assert _state_bytes(solo[h]) == _state_bytes(clfs[h])
 
 
 def test_a_stack_over_the_embedding_budget_trains_in_parts(monkeypatch):
