@@ -112,8 +112,8 @@ def criterion_gradient_checks() -> tuple[bool, str]:
         n = int(rng.integers(1, 7))
         clf = Classifier(make_encoder(dim_e, dim_x, int(rng.integers(10000))),
                          classes=range(n_cls))
-        clf.weights = rng.normal(size=(n_cls, dim_e)) * 0.7
-        clf.bias = rng.normal(size=n_cls) * 0.3
+        clf.weights[...] = rng.normal(size=(n_cls, dim_e)) * 0.7
+        clf.bias[...] = rng.normal(size=n_cls) * 0.3
         batch = Batch(rng.normal(size=(n, dim_x)),
                       rng.integers(n_cls, size=n), np.zeros(n, dtype=int))
         wd = float(rng.choice([0.0, 0.01]))
@@ -180,9 +180,9 @@ def criterion_forward_consistency() -> tuple[bool, str]:
         schedule = make_schedule(steps, beta_min, beta_max)
         x0 = rng.normal(size=dim) * 2.0
         x = np.tile(x0, (n, 1))
-        for s in range(1, steps + 1):
-            x = np.sqrt(1.0 - schedule.beta(s)) * x \
-                + np.sqrt(schedule.beta(s)) * rng.standard_normal((n, dim))
+        for beta in schedule.betas:
+            x = np.sqrt(1.0 - beta) * x \
+                + np.sqrt(beta) * rng.standard_normal((n, dim))
         abar = schedule.alpha_bar(steps)
         true_mean = np.sqrt(abar) * x0
         true_var = 1.0 - abar
@@ -253,8 +253,8 @@ def criterion_reduction_chain() -> tuple[bool, str]:
 
     def fresh() -> Classifier:
         clf = Classifier(encoder, classes=(0, 1))
-        clf.weights = init_w.copy()
-        clf.bias = init_b.copy()
+        clf.weights[...] = init_w
+        clf.bias[...] = init_b
         return clf
 
     results = []
@@ -371,7 +371,8 @@ def _centroid_fraction(generator, messages, world, w: float) -> float:
     rng = stream(77, "sanity")
     correct, total = 0, 0
     for k in (0, 1):
-        xs = generator.sample(messages.class_means[k], 100, w, rng)
+        xs = generator.sample_chains(messages.class_means[k][None], [100],
+                                     w, rng)
         dists = np.linalg.norm(xs[:, None, :] - centroids[None, :, :],
                                axis=2)
         correct += int((np.argmin(dists, axis=1) == k).sum())

@@ -64,11 +64,15 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
     server = ServerMemo() if server is None else server
     cells, failures = [], []
 
-    def inputs(cfg, seed):
+    def steps(method, cfg, seed):
+        # `run_steps` on the seed's inputs, built once the run is first
+        # driven, so that an error building them fails the run.
         key = ("inputs", seed, dataclasses.replace(
             cfg, retain_per_class=None, guidance_w=None))
-        return server.recall(key, lambda _: build_run_inputs(cfg, seed),
-                             ComputeLedger())
+        inputs = server.recall(key, lambda _: build_run_inputs(cfg, seed),
+                               ComputeLedger())
+        return (yield from run_steps(method, *inputs, cfg, seed,
+                                     server=server))
 
     for value in values:
         cfg = config if axis is None else \
@@ -78,9 +82,8 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
         for method in cfg.methods:
             keys = {seed: run_key(method, cfg, seed) for seed in seeds}
             todo = [seed for seed in seeds if keys[seed] not in server]
-            ran = dict(zip(todo, lockstep([
-                run_steps(method, *inputs(cfg, seed), cfg, seed,
-                          server=server) for seed in todo])))
+            ran = dict(zip(todo, lockstep([steps(method, cfg, seed)
+                                           for seed in todo])))
             for seed in seeds:
                 result = ran.get(seed)
                 if not isinstance(result, Exception):
@@ -173,7 +176,7 @@ def _load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     return parse_config(text)
 

@@ -21,6 +21,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,12 +50,6 @@ class NoiseSchedule:
     def roots(self) -> tuple[np.ndarray, np.ndarray]:
         """sqrt(abar_z) and sqrt(1 - abar_z) for z = 1..num_steps."""
         return np.sqrt(self.alpha_bars), np.sqrt(1.0 - self.alpha_bars)
-
-    def beta(self, z: int) -> float:
-        return float(self.betas[z - 1])
-
-    def alpha(self, z: int) -> float:
-        return float(self.alphas[z - 1])
 
     def alpha_bar(self, z) -> np.ndarray | float:
         z = np.asarray(z)
@@ -349,10 +344,6 @@ class DiffusionModel:
     def dim_cond(self) -> int:
         return self.denoiser.dim_cond
 
-    def sample(self, cond: np.ndarray, n: int, w: float,
-               rng: np.random.Generator, ledger=None) -> np.ndarray:
-        return ancestral_sample(self, cond, w, n, rng, ledger=ledger)
-
     @np.errstate(over="ignore", invalid="ignore")
     def sample_chains(self, conds: np.ndarray, counts, w: float,
                       rng: np.random.Generator, ledger=None) -> np.ndarray:
@@ -478,44 +469,28 @@ def guided_epsilon(denoiser: Denoiser, x: np.ndarray, z, cond: np.ndarray,
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
-def ancestral_sample(model: DiffusionModel, cond: np.ndarray, w: float,
-                     n: int, rng: np.random.Generator, ledger=None
-                     ) -> np.ndarray:
-    """Draw n vectors by running the reverse chain from pure noise: the
-    one-chain case of `DiffusionModel.sample_chains`."""
-    return model.sample_chains(np.atleast_2d(cond), [n], w, rng,
-                               ledger=ledger)
-
-
-class ChainLoop:
-    """`sample_chains` as one `sample` call per chain, in chain order."""
-
-    def sample_chains(self, conds: np.ndarray, counts, w: float,
-                      rng: np.random.Generator, ledger=None) -> np.ndarray:
-        return np.concatenate([self.sample(cond, n, w, rng, ledger=ledger)
-                               for cond, n in zip(conds, counts)])
-
-
 @dataclass(eq=False)
-class GaussianSurrogate(ChainLoop):
+class GaussianSurrogate:
     """Oracle generator: nearest pretraining condition, true cluster draw."""
 
     world: World
     pairs: list[tuple[int, int]]
     cond_matrix: np.ndarray  # (len(pairs), dim_e)
 
-    def sample(self, cond: np.ndarray, n: int, w: float,
-               rng: np.random.Generator, ledger=None) -> np.ndarray:
-        if n < 0:
-            raise ConfigError(f"sample count must be >= 0, got {n}")
-        if n == 0:
-            return np.zeros((0, self.world.dim_x))
-        cond = np.asarray(cond, dtype=float)
-        dists = np.linalg.norm(self.cond_matrix - cond, axis=1)
-        k, d = self.pairs[int(np.argmin(dists))]
-        mean = self.world.cluster_mean(k, d)
-        return mean + self.world.within_std * rng.standard_normal(
-            (n, self.world.dim_x))
+    def sample_chains(self, conds: np.ndarray, counts, w: float,
+                      rng: np.random.Generator, ledger=None) -> np.ndarray:
+        """Chain j draws counts[j] rows around the cluster mean of the
+        pair whose condition is nearest conds[j], in chain order, from
+        one draw of normals; `w` is ignored."""
+        if min(counts, default=0) < 0:
+            raise ConfigError(f"sample count must be >= 0, got {min(counts)}")
+        means = np.zeros((len(counts), self.world.dim_x))
+        for j, cond in enumerate(np.asarray(conds, dtype=float)):
+            dists = np.linalg.norm(self.cond_matrix - cond, axis=1)
+            k, d = self.pairs[int(np.argmin(dists))]
+            means[j] = self.world.cluster_mean(k, d)
+        return np.repeat(means, counts, axis=0) + self.world.within_std * \
+            rng.standard_normal((sum(counts), self.world.dim_x))
 
 
 def make_surrogate(world: World, encoder: FrozenEncoder,
@@ -526,13 +501,12 @@ def make_surrogate(world: World, encoder: FrozenEncoder,
                              cond_matrix=np.stack([table[p] for p in pairs]))
 
 
-@dataclass(eq=False)
-class SynthSet:
-    """Server-side stand-in data for one task: a read-only array per
-    class."""
+class SynthSet(NamedTuple):
+    """Server-side stand-in data for one task: one read-only batch, rows
+    grouped by ascending class, and a view of it per class."""
 
-    task_id: int
-    per_class: dict[int, np.ndarray]
+    data: Batch
+    per_class: dict[int, Batch]
 
 
 def synthesize_task_data(generator, messages: list[ClientMessage],
@@ -558,21 +532,22 @@ def synthesize_task_data(generator, messages: list[ClientMessage],
         for k in sorted(m.class_means):
             providers.setdefault(k, []).append(m.class_means[k])
     classes = sorted(providers)
-    counts = [len(range(j, z_per_class, len(providers[k])))
-              for k in classes for j in range(len(providers[k]))]
+    # The rows of each chain in the task's batch.
+    rows = [i * z_per_class + np.arange(j, z_per_class, len(providers[k]))
+            for i, k in enumerate(classes) for j in range(len(providers[k]))]
     drawn = generator.sample_chains(
-        np.array([mean for k in classes for mean in providers[k]]), counts,
-        w, rng, ledger=ledger)
-    chains = iter(np.split(drawn, np.cumsum(counts)[:-1]))
-    per_class: dict[int, np.ndarray] = {}
-    for k in classes:
-        n = len(providers[k])
-        xs = np.empty((z_per_class, drawn.shape[1]))
-        for j in range(n):
-            xs[j::n] = next(chains)
-        xs.flags.writeable = False
-        per_class[k] = xs
-    return SynthSet(task_id=task_id, per_class=per_class)
+        np.array([mean for k in classes for mean in providers[k]]),
+        [len(r) for r in rows], w, rng, ledger=ledger)
+    xs = np.empty_like(drawn)
+    xs[np.concatenate(rows)] = drawn
+    xs.flags.writeable = False
+    data = Batch(xs, np.repeat(classes, z_per_class), np.full(len(xs), -1),
+                 task_id)
+    blocks = (slice(i * z_per_class, (i + 1) * z_per_class)
+              for i in range(len(classes)))
+    return SynthSet(data, {k: Batch(data.x[b], data.y[b], data.domain[b],
+                                    task_id)
+                           for k, b in zip(classes, blocks)})
 
 
 _CKPT_MAGIC = b"OSDM"

@@ -18,7 +18,8 @@ import numpy as np
 
 from .datagen import Batch, ClientShard, TaskSpec, TaskSuite, World, \
     draw_base_pool
-from .diffusion import make_surrogate, pretrain, synthesize_task_data
+from .diffusion import SynthSet, make_surrogate, pretrain, \
+    synthesize_task_data
 from .encoder import build_client_message, make_encoder, \
     serialize_message
 from .errors import ConfigError, ProtocolError
@@ -132,31 +133,21 @@ class RunState:
     server: ServerMemo = field(default_factory=ServerMemo)
 
 
-def _synthesized_task(state: RunState, messages: list
-                      ) -> tuple[Batch, dict[int, Batch]]:
-    """The task's synthesized samples as the server memo holds them for
-    this generator, task, upload set, `z_per_class` and `w`: one
-    read-only batch, rows grouped by ascending class, and a view of it
-    per class."""
+def _synthesized_task(state: RunState, messages: list) -> SynthSet:
+    """The task's `SynthSet` as the server memo holds it for this
+    generator, task, upload set, `z_per_class` and `w`."""
     cfg, seed, t = state.config, state.seed, messages[0].task_id
 
     def build(ledger):
         synth = synthesize_task_data(state.generator, messages,
                                      cfg.z_per_class, cfg.guidance_w,
                                      stream(seed, "synth", t), ledger=ledger)
-        classes = sorted(synth.per_class)
-        for k in classes:
-            if not np.isfinite(synth.per_class[k]).all():
+        for k, batch in synth.per_class.items():
+            if not np.isfinite(batch.x).all():
                 raise ProtocolError(
                     f"synthesis (seed {seed}, task {t}) produced non-finite "
                     f"values for class {k}")
-        counts = [len(synth.per_class[k]) for k in classes]
-        xs = np.concatenate([synth.per_class[k] for k in classes])
-        xs.flags.writeable = False
-        data = Batch(xs, np.repeat(classes, counts), np.full(len(xs), -1), t)
-        bounds = np.cumsum([0] + counts).tolist()
-        return data, {k: Batch(data.x[a:b], data.y[a:b], data.domain[a:b], t)
-                      for k, a, b in zip(classes, bounds, bounds[1:])}
+        return synth
 
     # A memo hands out one generator object per generator key, so the
     # object (hashed by identity) stands for that key.
@@ -233,13 +224,11 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
         state.events.append(f"task{t}:train method=OSCAR_IL")
     elif state.method is Method.OSCAR_R:
         if data:
-            if state.anchor is not None and state.hp.lambda_ewc > 0:
-                yield train_regularized, (clf, data, state.anchor,
-                                          state.hp.lambda_ewc, state.hp,
-                                          rng_t), dict(ledger=state.compute)
-            else:
-                yield train_naive, (clf, data, state.hp, rng_t), \
-                    dict(ledger=state.compute)
+            # With no anchor yet, or lambda = 0, this trains exactly as
+            # train_naive does.
+            yield train_regularized, (clf, data, state.anchor,
+                                      state.hp.lambda_ewc, state.hp,
+                                      rng_t), dict(ledger=state.compute)
             state.anchor = estimate_fisher(clf, data)
         state.events.append(f"task{t}:train method=OSCAR_R")
     elif state.method is Method.OSCAR_CEILING:

@@ -137,10 +137,11 @@ class Classifier:
     """Frozen encoder plus an expandable linear head.
 
     Rows of `weights` follow registration order; `classes[i]` is the
-    class id decoded from row i. `weights` and `bias` are views into one
-    flat parameter vector, `flat`, which the optimizer steps in place;
-    assigning either one copies the values into a new vector. Anchors
-    and federated updates are flat vectors in the same layout.
+    class id decoded from row i. `weights` and `bias` are read-only
+    attributes holding views into one flat parameter vector, `flat`,
+    which the optimizer steps in place; write into them with
+    `clf.weights[...] = ...`. Anchors and federated updates are flat
+    vectors in the same layout.
     """
 
     def __init__(self, encoder: FrozenEncoder, classes=()):
@@ -165,27 +166,9 @@ class Classifier:
     def weights(self) -> np.ndarray:
         return self._weights
 
-    @weights.setter
-    def weights(self, value) -> None:
-        self._assign(0, value)
-
     @property
     def bias(self) -> np.ndarray:
         return self._bias
-
-    @bias.setter
-    def bias(self, value) -> None:
-        self._assign(1, value)
-
-    def _assign(self, part: int, value) -> None:
-        """Copy `value` into part 0 (weights) or 1 (bias) of a new flat
-        vector holding the head's other values."""
-        flat = self.flat.copy()
-        view = self.split(flat)[part]
-        if np.shape(value) != view.shape:
-            raise ValueError("head parameter shapes do not match")
-        view[...] = value
-        self._lay_out(flat)
 
     @property
     def num_classes(self) -> int:

@@ -71,8 +71,8 @@ _MESSAGE = serialize_message(ClientMessage(
 
 _ENCODER = make_encoder(3, 2, 1)
 _HEAD = Classifier(_ENCODER, classes=(5, 1))
-_HEAD.weights = _RNG.normal(size=(2, 3))
-_HEAD.bias = _RNG.normal(size=2)
+_HEAD.weights[...] = _RNG.normal(size=(2, 3))
+_HEAD.bias[...] = _RNG.normal(size=2)
 
 _MODEL = DiffusionModel(schedule=make_schedule(3, 0.01, 0.2),
                         denoiser=make_denoiser(2, 2, 3, 2, 7), trained=True)

@@ -10,7 +10,6 @@ from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
                        run_experiment, sweep)
 from osifl.config import (FIELD_SPECS, ExperimentConfig, build_run_inputs,
                           parse_config, serialize_config)
-from osifl.diffusion import ChainLoop
 from osifl.errors import ConfigError
 from osifl.orchestrator import CSV_HEADER, Method, ServerMemo, rows_to_csv
 from osifl.trainer import Stack
@@ -383,6 +382,34 @@ def test_main_error_exit_codes(tmp_path, capsys):
         f"error: cannot create output directory {out}: ")
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "binary.cfg"
+    bad.write_bytes(b"methods = OSIFL\nseeds = \xff\xfe\x00\x81\n")
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read config {bad}: ")
+    assert not out.exists()
+
+
+def test_an_error_building_a_seeds_inputs_fails_each_of_its_runs(
+        tmp_path, capsys):
+    # NumPy refuses a draw of 10**30 samples per class before allocating
+    # anything (how it words the error varies by version); each (seed,
+    # method) cell fails like a failed run.
+    path = tmp_path / "huge.cfg"
+    path.write_text("n_per_class = " + str(10 ** 30) + "\n"
+                    "methods = OSCAR_IL, FEDAVG\nseeds = 7, 8\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ", 2)[1] for line in err] == [
+        f"{m} seed={s}" for s in (7, 8) for m in ("OSCAR_IL", "FEDAVG")]
+    assert all(line.startswith("run failed: ") for line in err)
+    assert os.listdir(out) == ["summary.partial.csv"]
+    assert (out / "summary.partial.csv").read_text() == CSV_HEADER + "\n"
+
+
 def test_main_sweep_and_selftest_wiring(tmp_path, monkeypatch):
     path = tmp_path / "exp.cfg"
     path.write_text("num_tasks = 2\nnum_classes = 8\nclasses_per_task = 4\n"
@@ -479,9 +506,9 @@ def test_w_sweep_rows_match_separate_sweeps(tmp_path):
 
 def test_non_finite_synthesis_is_a_failed_run_not_a_nan_row(
         tmp_path, monkeypatch, capsys):
-    class NaNGenerator(ChainLoop):
-        def sample(self, cond, n, w, rng, ledger=None):
-            return np.full((n, cfg.dim_x), np.nan)
+    class NaNGenerator:
+        def sample_chains(self, conds, counts, w, rng, ledger=None):
+            return np.full((sum(counts), cfg.dim_x), np.nan)
 
     cfg = _small(methods=(Method.OSIFL, Method.FEDAVG), seeds=(5,))
     monkeypatch.setattr(orchestrator, "make_surrogate",
@@ -680,9 +707,9 @@ def test_a_seed_whose_synthesis_is_not_finite_fails_alone(monkeypatch):
     # one a grid per seed writes; p = 2 reruns the failed keys.
     real, cfg = orchestrator.make_surrogate, _small(**_ALL_SEEDS)
 
-    class NaNGenerator(ChainLoop):
-        def sample(self, cond, n, w, rng, ledger=None):
-            return np.full((n, cfg.dim_x), np.nan)
+    class NaNGenerator:
+        def sample_chains(self, conds, counts, w, rng, ledger=None):
+            return np.full((sum(counts), cfg.dim_x), np.nan)
 
     def broken(world, *args):
         return NaNGenerator() if world.seed in (42, 50) else real(world,

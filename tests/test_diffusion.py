@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osifl.datagen import build_world, draw_base_pool
-from osifl.diffusion import (DENOISER_LEARNING_RATE, ChainLoop,
-                             DiffusionHP, NoiseSchedule, ancestral_sample,
-                             denoise_loss_and_grads, denoise_loss_fixed,
+from osifl.diffusion import (DENOISER_LEARNING_RATE, DiffusionHP,
+                             NoiseSchedule, denoise_loss_and_grads,
+                             denoise_loss_fixed,
                              forward_noise, guided_epsilon, load_model,
                              make_denoiser, make_schedule, make_surrogate,
                              pretrain, save_model, synthesize_task_data)
@@ -30,7 +30,7 @@ def test_schedule_two_step_products():
     sched = make_schedule(2, 0.1, 0.2)
     assert sched.alpha_bar(1) == pytest.approx(0.9, abs=1e-12)
     assert sched.alpha_bar(2) == pytest.approx(0.72, abs=1e-12)
-    assert sched.beta(1) == pytest.approx(0.1) and sched.beta(2) == \
+    assert sched.betas[0] == pytest.approx(0.1) and sched.betas[1] == \
         pytest.approx(0.2)
 
 
@@ -220,7 +220,7 @@ def test_pretrain_zero_steps_keeps_init():
         assert np.array_equal(model.denoiser.params[key],
                               reference.params[key])
     with pytest.raises(ProtocolError):
-        ancestral_sample(model, np.zeros(6), 1.0, 2, stream(0, "x"))
+        model.sample_chains(np.zeros((1, 6)), [2], 1.0, stream(0, "x"))
 
 
 def test_pretrain_deterministic():
@@ -268,8 +268,8 @@ def test_pretrain_matches_a_per_array_reference_loop(tmp_path):
     back = load_model(path)
     for k, v in params.items():
         assert np.array_equal(back.denoiser.params[k], v)
-    a = model.sample(np.ones(6), 5, 2.0, stream(5, "cmp"))
-    b = back.sample(np.ones(6), 5, 2.0, stream(5, "cmp"))
+    a = model.sample_chains(np.ones((1, 6)), [5], 2.0, stream(5, "cmp"))
+    b = back.sample_chains(np.ones((1, 6)), [5], 2.0, stream(5, "cmp"))
     assert np.array_equal(a, b)
 
 
@@ -318,8 +318,8 @@ def test_sampling_finite_and_deterministic():
     hp = DiffusionHP(num_steps=10, hidden=16, train_steps=100, batch_size=16)
     model = pretrain(pool, enc, hp, 7)
     cond = np.zeros(model.denoiser.dim_cond)  # the null condition
-    a = model.sample(cond, 5, 1.0, stream(9, "s"))
-    b = model.sample(cond, 5, 1.0, stream(9, "s"))
+    a = model.sample_chains(cond[None], [5], 1.0, stream(9, "s"))
+    b = model.sample_chains(cond[None], [5], 1.0, stream(9, "s"))
     assert a.shape == (5, 3)
     assert np.all(np.isfinite(a))
     assert np.array_equal(a, b)
@@ -331,7 +331,8 @@ def test_sampling_ledger_counts_forward_passes():
     hp = DiffusionHP(num_steps=10, hidden=16, train_steps=20, batch_size=16)
     model = pretrain(pool, enc, hp, 7)
     ledger = ComputeLedger()
-    model.sample(np.zeros(6), 4, 2.0, stream(1, "s"), ledger=ledger)
+    model.sample_chains(np.zeros((1, 6)), [4], 2.0, stream(1, "s"),
+                        ledger=ledger)
     per_step = 2 * model.denoiser.forward_madds(4)
     assert ledger.madds_by_kind["diffusion_sampling"] == 10 * per_step
 
@@ -354,10 +355,11 @@ def _per_chain_reference(model, conds, counts, w, rng, ledger):
         x = rng.standard_normal((n, den.dim_x))
         for z in range(sched.num_steps, 0, -1):
             eps_hat = guided_epsilon(den, x, z, np.tile(cond, (n, 1)), w)
-            x = (x - sched.beta(z) / np.sqrt(1.0 - sched.alpha_bar(z))
-                 * eps_hat) / np.sqrt(sched.alpha(z))
+            beta = sched.betas[z - 1]
+            x = (x - beta / np.sqrt(1.0 - sched.alpha_bar(z))
+                 * eps_hat) / np.sqrt(sched.alphas[z - 1])
             if z > 1:
-                x = x + np.sqrt(sched.beta(z)) * rng.standard_normal(x.shape)
+                x = x + np.sqrt(beta) * rng.standard_normal(x.shape)
             ledger.add("diffusion_sampling", 2 * den.forward_madds(n))
         out.append(x)
     return np.concatenate(out) if out else np.zeros((0, den.dim_x))
@@ -386,8 +388,8 @@ def test_sample_chains_matches_the_per_chain_loop(counts, w):
     # A lone chain is the one-chain case of the same sampler.
     lead = next((i for i, n in enumerate(counts) if n), None)
     if lead is not None:
-        alone = ancestral_sample(model, conds[lead], w, counts[lead],
-                                 stream(3, "chains"))
+        alone = model.sample_chains(conds[lead][None], [counts[lead]], w,
+                                    stream(3, "chains"))
         np.testing.assert_allclose(alone, expect[:counts[lead]], rtol=1e-12,
                                    atol=1e-12 * np.abs(expect).max())
 
@@ -404,7 +406,7 @@ def test_synthesis_with_a_denoiser_interleaves_its_chains():
         ComputeLedger()), np.cumsum([17, 17, 16] * 2)[:-1])
     for i, k in enumerate((2, 6)):
         expect = [chains[3 * i + j % 3][j // 3] for j in range(50)]
-        np.testing.assert_allclose(synth.per_class[k], np.stack(expect),
+        np.testing.assert_allclose(synth.per_class[k].x, np.stack(expect),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -429,14 +431,14 @@ def _message(client_id, task_id, classes, dim, seed):
                          class_counts={k: 50 for k in classes})
 
 
-class _CountingGenerator(ChainLoop):
+class _CountingGenerator:
+    """Chain j's rows are the first dim_x entries of its condition."""
+
     def __init__(self, dim_x):
         self.dim_x = dim_x
-        self.conds = []
 
-    def sample(self, cond, n, w, rng, ledger=None):
-        self.conds.append((np.asarray(cond).copy(), n))
-        return np.tile(np.asarray(cond)[: self.dim_x], (n, 1))
+    def sample_chains(self, conds, counts, w, rng, ledger=None):
+        return np.repeat(conds[:, :self.dim_x], counts, axis=0)
 
 
 def test_synthesis_counts_per_class():
@@ -445,9 +447,20 @@ def test_synthesis_counts_per_class():
     synth = synthesize_task_data(gen, [msg], 50, 2.0, stream(0, "z"))
     assert sorted(synth.per_class) == [3, 8]
     assert all(len(v) == 50 for v in synth.per_class.values())
-    assert all(v.shape == (50, 2) and not v.flags.writeable
+    assert all(v.x.shape == (50, 2) and not v.x.flags.writeable
                for v in synth.per_class.values())
-    assert synth.task_id == 1
+    assert synth.data.task == 1
+    # One read-only batch, rows grouped by ascending class, and a view of
+    # it per class.
+    data = synth.data
+    assert data.x.shape == (100, 2) and not data.x.flags.writeable
+    assert data.y.tolist() == [3] * 50 + [8] * 50
+    assert data.domain.tolist() == [-1] * 100
+    for i, k in enumerate((3, 8)):
+        part = synth.per_class[k]
+        assert part.task == 1 and part.y.tolist() == [k] * 50
+        assert np.shares_memory(part.x, data.x)
+        assert np.array_equal(part.x, data.x[50 * i:50 * (i + 1)])
 
 
 def test_synthesis_zero_budget():
@@ -455,7 +468,8 @@ def test_synthesis_zero_budget():
     msg = _message(0, 1, (3,), 4, 0)
     synth = synthesize_task_data(gen, [msg], 0, 2.0, stream(0, "z"))
     assert list(synth.per_class) == [3]
-    assert synth.per_class[3].shape == (0, 2)
+    assert synth.per_class[3].x.shape == (0, 2)
+    assert synth.data.x.shape == (0, 2)
 
 
 def test_synthesis_alternates_providers():
@@ -463,7 +477,7 @@ def test_synthesis_alternates_providers():
     a = _message(0, 1, (3,), 4, 1)
     b = _message(1, 1, (3,), 4, 2)
     synth = synthesize_task_data(gen, [a, b], 5, 2.0, stream(0, "z"))
-    xs = synth.per_class[3]
+    xs = synth.per_class[3].x
     # Each row is its provider's mean, so the row names its source client.
     assert [next(m.client_id for m in (a, b)
                  if np.array_equal(row, m.class_means[3][:2]))
@@ -473,22 +487,23 @@ def test_synthesis_alternates_providers():
     assert np.array_equal(xs[2], a.class_means[3][:2])
 
 
-class _RecordingGenerator(ChainLoop):
-    """Distinct random rows per call, kept with their condition so a test
+class _RecordingGenerator:
+    """Distinct random rows per chain, kept with their condition so a test
     can rebuild the interleaving from the raw per-provider batches."""
 
     def __init__(self):
         self.batches = []
         self.conds = []
 
-    def sample(self, cond, n, w, rng, ledger=None):
-        self.conds.append(cond)
-        self.batches.append(rng.standard_normal((n, 3)))
-        return self.batches[-1]
+    def sample_chains(self, conds, counts, w, rng, ledger=None):
+        for cond, n in zip(conds, counts):
+            self.conds.append(cond)
+            self.batches.append(rng.standard_normal((n, 3)))
+        return np.concatenate(self.batches[-len(counts):])
 
     def source_clients(self, msgs, k, xs):
         """Per row of class k: the client whose uploaded mean conditioned
-        the call that drew the row."""
+        the chain that drew the row."""
         def call_of(row):
             return next(i for i, batch in enumerate(self.batches)
                         if any(np.array_equal(row, drawn) for drawn in batch))
@@ -508,8 +523,8 @@ def test_synthesis_interleaving_equals_the_per_row_loop(n_providers, z):
         # Sample i of a class comes from provider i mod n_providers.
         expect = [batches[j % n_providers][j // n_providers]
                   for j in range(z)]
-        assert np.array_equal(synth.per_class[k], np.stack(expect))
-        assert gen.source_clients(msgs, k, synth.per_class[k]) == \
+        assert np.array_equal(synth.per_class[k].x, np.stack(expect))
+        assert gen.source_clients(msgs, k, synth.per_class[k].x) == \
             [j % n_providers for j in range(z)]
 
 
@@ -529,10 +544,66 @@ def test_surrogate_samples_true_cluster():
     surro = make_surrogate(world, enc, pool)
     idx = surro.pairs.index((1, 0))
     cond = surro.cond_matrix[idx]
-    xs = surro.sample(cond, 4000, 2.0, stream(2, "draw"))
+    xs = surro.sample_chains(cond[None], [4000], 2.0, stream(2, "draw"))
     center = world.cluster_mean(1, 0)
     assert np.abs(xs.mean(axis=0) - center).max() < \
         4 * world.within_std / np.sqrt(4000)
+
+
+def _surrogate_per_chain(surro, conds, counts, rng):
+    """The surrogate's chains one after another: each draws its own
+    normals around the cluster mean of the pair nearest its condition."""
+    world, out = surro.world, [np.zeros((0, surro.world.dim_x))]
+    for cond, n in zip(conds, counts):
+        if n == 0:
+            continue
+        dists = np.linalg.norm(surro.cond_matrix - cond, axis=1)
+        mean = world.cluster_mean(*surro.pairs[int(np.argmin(dists))])
+        out.append(mean + world.within_std * rng.standard_normal(
+            (n, world.dim_x)))
+    return np.concatenate(out)
+
+
+def _surrogate():
+    world, pool = _tiny_pool(seed=11, n=400)
+    return make_surrogate(world, make_encoder(6, 3, 4), pool)
+
+
+@pytest.mark.parametrize("counts", [[4, 0, 3], [0, 5], [0, 0], [17, 17, 16],
+                                    [6]])
+def test_surrogate_sample_chains_equals_the_per_chain_loop(counts):
+    # One draw for every chain's rows gives the per-chain loop's rows and
+    # leaves the stream where the loop does, bit for bit.
+    surro = _surrogate()
+    noise = np.random.default_rng(len(counts)).normal(
+        scale=0.1, size=(len(counts), surro.cond_matrix.shape[1]))
+    conds = surro.cond_matrix[np.arange(len(counts)) % len(surro.pairs)] \
+        + noise
+    rng, ref_rng = stream(3, "chains"), stream(3, "chains")
+    got = surro.sample_chains(conds, counts, 2.0, rng)
+    expect = _surrogate_per_chain(surro, conds, counts, ref_rng)
+    assert got.shape == (sum(counts), 3)
+    assert np.array_equal(got, expect)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    with pytest.raises(ConfigError, match="sample count"):
+        surro.sample_chains(conds[:2], [2, -1], 2.0, stream(0, "x"))
+
+
+def test_surrogate_synthesis_interleaves_three_providers_bit_for_bit():
+    # Three providers over 50 rows run chains of 17, 17 and 16 rows;
+    # row i of a class is row i // 3 of provider i mod 3's chain.
+    surro = _surrogate()
+    msgs = [_message(c, 1, (2, 6), 6, c) for c in range(3)]
+    rng, ref_rng = stream(0, "z"), stream(0, "z")
+    synth = synthesize_task_data(surro, msgs, 50, 2.0, rng)
+    conds = [m.class_means[k] for k in (2, 6) for m in msgs]
+    chains = np.split(_surrogate_per_chain(surro, conds, [17, 17, 16] * 2,
+                                           ref_rng),
+                      np.cumsum([17, 17, 16] * 2)[:-1])
+    for i, k in enumerate((2, 6)):
+        expect = [chains[3 * i + j % 3][j // 3] for j in range(50)]
+        assert np.array_equal(synth.per_class[k].x, np.stack(expect))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_model_checkpoint_roundtrip(tmp_path):
@@ -550,8 +621,8 @@ def test_model_checkpoint_roundtrip(tmp_path):
     for key in model.denoiser.params:
         assert np.array_equal(back.denoiser.params[key],
                               model.denoiser.params[key])
-    a = model.sample(np.zeros(6), 3, 1.5, stream(4, "cmp"))
-    b = back.sample(np.zeros(6), 3, 1.5, stream(4, "cmp"))
+    a = model.sample_chains(np.zeros((1, 6)), [3], 1.5, stream(4, "cmp"))
+    b = back.sample_chains(np.zeros((1, 6)), [3], 1.5, stream(4, "cmp"))
     assert np.array_equal(a, b)
 
 

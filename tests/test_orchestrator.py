@@ -7,7 +7,7 @@ import pytest
 from osifl import orchestrator
 from osifl.config import ExperimentConfig, build_run_inputs
 from osifl.datagen import Batch, build_world, draw_base_pool
-from osifl.diffusion import ChainLoop, make_surrogate
+from osifl.diffusion import make_surrogate
 from osifl.encoder import build_client_message, make_encoder
 from osifl.errors import ConfigError, ProtocolError
 from osifl.ledgers import ComputeLedger
@@ -269,7 +269,7 @@ def test_federated_single_client_is_sequential_local_training(method):
             train_local(local, shard.samples, hp,
                         stream(6, "fed", t, rnd, shard.client_id),
                         epochs=cfg.local_epochs, anchor=anchor, lam=lam)
-            manual.weights, manual.bias = local.weights, local.bias
+            manual.weights[...], manual.bias[...] = local.weights, local.bias
         if method is Method.FEDEWC:
             ewc = (manual.flat.copy(),
                    estimate_fisher(manual, shard.samples).fisher)
@@ -328,13 +328,13 @@ def _eval_set(points):
 def test_evaluate_constant_and_perfect_heads():
     enc = _PassEncoder()
     constant = Classifier(enc, classes=(0, 1))
-    constant.bias = np.array([1.0, 0.0])
+    constant.bias[...] = np.array([1.0, 0.0])
     balanced = _eval_set([((0.3, 0.1), 0), ((0.2, 0.7), 1),
                           ((0.5, 0.4), 0), ((0.1, 0.9), 1)])
     accs, mean, pooled = evaluate(constant, [balanced])
     assert accs == [0.5] and mean == 0.5 and pooled == 0.5
     perfect = Classifier(enc, classes=(0, 1))
-    perfect.weights = np.eye(2)
+    perfect.weights[...] = np.eye(2)
     split = _eval_set([((5.0, 0.0), 0), ((0.0, 5.0), 1)])
     assert evaluate(perfect, [split]) == ([1.0], 1.0, 1.0)
 
@@ -343,8 +343,8 @@ def test_evaluate_matches_independent_recount():
     world_rng = np.random.default_rng(10)
     enc = make_encoder(6, 3, 10)
     clf = Classifier(enc, classes=(0, 1, 2))
-    clf.weights = world_rng.normal(size=(3, 6))
-    clf.bias = world_rng.normal(size=3)
+    clf.weights[...] = world_rng.normal(size=(3, 6))
+    clf.bias[...] = world_rng.normal(size=3)
     test_sets = []
     for n in (40, 25):
         ys = world_rng.integers(0, 3, size=n)
@@ -544,9 +544,9 @@ def test_server_memo_never_stores_a_failure():
     assert len(calls) == 2
 
 
-class _NaNGenerator(ChainLoop):
-    def sample(self, cond, n, w, rng, ledger=None):
-        return np.full((n, 6), np.nan)
+class _NaNGenerator:
+    def sample_chains(self, conds, counts, w, rng, ledger=None):
+        return np.full((sum(counts), 6), np.nan)
 
 
 def test_non_finite_synthesis_fails_at_synthesis(monkeypatch):

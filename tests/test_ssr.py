@@ -68,7 +68,7 @@ def test_importance_score_hand_case():
 
 def test_importance_score_vanishes_when_confident():
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
-    clf.weights = np.array([[40.0, 0.0], [-40.0, 0.0]])
+    clf.weights[...] = np.array([[40.0, 0.0], [-40.0, 0.0]])
     assert _score(clf, [1.0, 0.0]) < 1e-6
 
 
@@ -76,8 +76,8 @@ def test_importance_score_matches_finite_difference_norm():
     rng = np.random.default_rng(4)
     enc = make_encoder(5, 3, 2)
     clf = Classifier(enc, classes=(0, 1, 2))
-    clf.weights = rng.normal(size=(3, 5))
-    clf.bias = rng.normal(size=3)
+    clf.weights[...] = rng.normal(size=(3, 5))
+    clf.bias[...] = rng.normal(size=3)
     x = rng.normal(size=3)
     sample = _one(x, 1)
     analytic = _score(clf, x, 1)
@@ -110,8 +110,8 @@ def test_sample_loss_is_single_sample_ce():
     x = np.array([0.3, -0.1])
     assert _score(clf, x, score_by="loss") == \
         pytest.approx(np.log(2.0), abs=1e-12)
-    clf.weights = np.array([[0.5, -1.0], [2.0, 0.25]])
-    clf.bias = np.array([0.1, -0.3])
+    clf.weights[...] = np.array([[0.5, -1.0], [2.0, 0.25]])
+    clf.bias[...] = np.array([0.1, -0.3])
     loss, _ = ce_loss_and_grads(clf, _one(x))
     assert _score(clf, x, score_by="loss") == pytest.approx(loss, abs=1e-12)
 
@@ -124,8 +124,8 @@ def test_batched_scores_match_the_per_row_oracle(score_by):
         n_classes = int(rng.integers(2, 12))
         enc = make_encoder(int(rng.integers(3, 20)), 4, trial)
         clf = Classifier(enc, classes=rng.permutation(40)[:n_classes].tolist())
-        clf.weights = rng.normal(scale=3.0, size=clf.weights.shape)
-        clf.bias = rng.normal(size=n_classes)
+        clf.weights[...] = rng.normal(scale=3.0, size=clf.weights.shape)
+        clf.bias[...] = rng.normal(size=n_classes)
         n = int(rng.integers(1, 60))
         ys = rng.choice(clf.classes, size=n)
         candidates = Batch(rng.normal(scale=2.0, size=(n, 4)), ys,
@@ -183,7 +183,7 @@ def test_top_p_optimality_property(scores, p):
 
 def test_select_exemplars_scores_and_keeps_top():
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
-    clf.weights = np.array([[2.0, 0.0], [-2.0, 0.0]])
+    clf.weights[...] = np.array([[2.0, 0.0], [-2.0, 0.0]])
     samples = Batch(np.array([[3.0, 0.0], [0.0, 0.0], [-3.0, 0.0]]),
                     [0, 0, 0], [0, 0, 0])
     chosen = select_exemplars(clf, samples, 1)
@@ -303,7 +303,7 @@ def test_loss_scoring_ranks_saturated_candidates():
     # float, so -log(p) would tie them at inf and keep the lower index;
     # the log-softmax keeps the one with the larger margin.
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
-    clf.weights = np.array([[0.0, 0.0], [1000.0, 0.0]])
+    clf.weights[...] = np.array([[0.0, 0.0], [1000.0, 0.0]])
     candidates = Batch(np.array([[0.8, 0.0], [0.9, 0.0]]), [0, 0], [0, 0])
     kept = select_exemplars(clf, candidates, 1, score_by="loss")
     assert kept.x.tolist() == [[0.9, 0.0]]

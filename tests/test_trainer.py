@@ -135,8 +135,8 @@ def _assert_state_equal(clf, params, state):
 
 def _random_head(clf, seed):
     rng = np.random.default_rng(seed)
-    clf.weights = rng.normal(size=clf.weights.shape)
-    clf.bias = rng.normal(size=clf.bias.shape)
+    clf.weights[...] = rng.normal(size=clf.weights.shape)
+    clf.bias[...] = rng.normal(size=clf.bias.shape)
     return clf
 
 
@@ -172,7 +172,7 @@ def test_ce_uniform_logits_is_log_c():
 def test_ce_duplicated_batch_mean_invariance():
     enc = make_encoder(6, 3, 1)
     clf = Classifier(enc, classes=(0, 1))
-    clf.weights = np.random.default_rng(2).normal(size=(2, 6))
+    clf.weights[...] = np.random.default_rng(2).normal(size=(2, 6))
     batch = _toy_data(1, n=8, dim=3)
     loss_once, grads_once = ce_loss_and_grads(clf, batch)
     twice = Batch(np.concatenate([batch.x, batch.x]),
@@ -188,8 +188,8 @@ def test_ce_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     enc = make_encoder(4, 3, 5)
     clf = Classifier(enc, classes=(0, 1, 2))
-    clf.weights = rng.normal(size=(3, 4))
-    clf.bias = rng.normal(size=3)
+    clf.weights[...] = rng.normal(size=(3, 4))
+    clf.bias[...] = rng.normal(size=3)
     batch = _toy_data(4, n=6, classes=(0, 1, 2), dim=3)
     for wd in (0.0, 0.05):
         _, grads = ce_loss_and_grads(clf, batch, weight_decay=wd)
@@ -223,7 +223,7 @@ def test_ce_loss_stays_finite_when_the_true_class_underflows():
     # the loss is still the exact margin.
     enc = make_encoder(4, 3, 5)
     clf = Classifier(enc, classes=(0, 1))
-    clf.bias = np.array([0.0, 1000.0])
+    clf.bias[...] = np.array([0.0, 1000.0])
     loss, grads = ce_loss_and_grads(clf, _row(np.zeros(3), 0))
     assert np.isfinite(loss) and loss == 1000.0
     assert np.array_equal(grads["bias"], [-1.0, 1.0])
@@ -303,8 +303,8 @@ def test_adam_matches_reference_across_head_growth(weight_decay):
     enc = make_encoder(6, 3, 1)
     clf = Classifier(enc, classes=(0, 1))
     rng = np.random.default_rng(21)
-    clf.weights = rng.normal(size=(2, 6))
-    clf.bias = rng.normal(size=2)
+    clf.weights[...] = rng.normal(size=(2, 6))
+    clf.bias[...] = rng.normal(size=2)
     clf.adam = Adam(clf.param_count)
     ref_params = _params(clf)
     ref_state = _ref_zeros(ref_params)
@@ -354,7 +354,7 @@ def test_persisted_moments_train_like_the_reference_across_tasks():
         train_naive(clf, data, hp, stream(0, "t", t))
         params, state = _ref_train(ref, [data], hp, stream(0, "t", t), state,
                                    epochs=hp.epochs_per_task)
-        ref.weights, ref.bias = params["weights"], params["bias"]
+        ref.weights[...], ref.bias[...] = params["weights"], params["bias"]
         assert np.array_equal(clf.weights, ref.weights)
         assert np.array_equal(clf.bias, ref.bias)
     assert state[0] == 8
@@ -544,8 +544,8 @@ def test_train_naive_single_full_batch_is_one_adam_step():
     # epsilon; at a zero init the bias gradient cancels to rounding
     # noise and the one-step comparison is vacuous.
     head_rng = np.random.default_rng(11)
-    clf.weights = head_rng.normal(size=(2, 6))
-    clf.bias = head_rng.normal(size=2)
+    clf.weights[...] = head_rng.normal(size=(2, 6))
+    clf.bias[...] = head_rng.normal(size=2)
     manual_grads = ce_loss_and_grads(clf, data)[1]
     expect, _ = _ref_adam_step(_ref_zeros(_params(clf)),
                                _params(clf), manual_grads,
@@ -618,8 +618,8 @@ def test_joint_weighting_sums_group_means():
     hp = TrainHP(epochs_per_task=1, batch_size=1010)
     clf = Classifier(enc, classes=(0, 1))
     head_rng = np.random.default_rng(12)
-    clf.weights = head_rng.normal(size=(2, 6))
-    clf.bias = head_rng.normal(size=2)
+    clf.weights[...] = head_rng.normal(size=(2, 6))
+    clf.bias[...] = head_rng.normal(size=2)
     g_small = ce_loss_and_grads(clf, small)[1]
     g_large = ce_loss_and_grads(clf, large)[1]
     summed = {k: g_small[k] + g_large[k] for k in g_small}
@@ -661,8 +661,8 @@ def test_objective_audit_matches_independent_evaluation():
     enc = make_encoder(6, 3, 1)
     rng = np.random.default_rng(9)
     clf = Classifier(enc, classes=(0, 1, 2))
-    clf.weights = rng.normal(size=(3, 6))
-    clf.bias = rng.normal(size=3)
+    clf.weights[...] = rng.normal(size=(3, 6))
+    clf.bias[...] = rng.normal(size=3)
     groups = [_toy_data(1, n=12, classes=(0, 1), dim=3),
               _toy_data(2, n=6, classes=(2,), dim=3)]
     reported = full_objective(clf, groups)
@@ -720,7 +720,7 @@ def test_fisher_single_sample_is_squared_gradient():
     rng = np.random.default_rng(6)
     enc = make_encoder(4, 3, 5)
     clf = Classifier(enc, classes=(0, 1))
-    clf.weights = rng.normal(size=(2, 4))
+    clf.weights[...] = rng.normal(size=(2, 4))
     sample = _row(rng.normal(size=3), 1)
     anchor = estimate_fisher(clf, sample)
     assert np.array_equal(anchor.theta, clf.flat)
@@ -736,8 +736,8 @@ def test_fisher_matches_bruteforce_accumulation():
     rng = np.random.default_rng(8)
     enc = make_encoder(4, 3, 5)
     clf = Classifier(enc, classes=(0, 1, 2))
-    clf.weights = rng.normal(size=(3, 4))
-    clf.bias = rng.normal(size=3)
+    clf.weights[...] = rng.normal(size=(3, 4))
+    clf.bias[...] = rng.normal(size=3)
     data = _toy_data(3, n=12, classes=(0, 1, 2), dim=3)
     anchor = estimate_fisher(clf, data)
     brute = {"weights": np.zeros_like(clf.weights),
@@ -791,8 +791,8 @@ def test_fedprox_pull_is_mu_times_the_gap_bit_for_bit():
     data = _toy_data(5, n=16, dim=3)
     hp = TrainHP(epochs_per_task=20, batch_size=6, adam_reset_per_task=False)
     clf = Classifier(enc, classes=(0, 1))
-    clf.weights = rng.normal(size=(2, 6))
-    clf.bias = rng.normal(size=2)
+    clf.weights[...] = rng.normal(size=(2, 6))
+    clf.bias[...] = rng.normal(size=2)
     ref = {"weights": rng.normal(size=(2, 6)), "bias": rng.normal(size=2)}
     expect, state = _ref_train(
         clf, [data], hp, stream(1, "t"), _ref_zeros(ref), epochs=3,
@@ -854,10 +854,21 @@ def test_align_anchor_zero_pads_new_rows():
             clf.grow(bad)
 
 
+def test_weights_and_bias_are_views_that_cannot_be_rebound():
+    clf = Classifier(make_encoder(6, 3, 1), classes=(0, 1))
+    flat = clf.flat
+    for name in ("weights", "bias"):
+        with pytest.raises(AttributeError):
+            setattr(clf, name, np.ones_like(getattr(clf, name)))
+    clf.weights[...] = 2.0
+    clf.bias[...] = 3.0
+    assert clf.flat is flat and flat.tolist() == [2.0] * 12 + [3.0] * 2
+
+
 def test_expand_head_zero_classes_and_old_logit_stability():
     enc = make_encoder(6, 3, 1)
     clf = Classifier(enc, classes=(0, 1))
-    clf.weights = np.random.default_rng(3).normal(size=(2, 6))
+    clf.weights[...] = np.random.default_rng(3).normal(size=(2, 6))
     before = clf.weights.copy()
     clf.expand_head([])
     assert np.array_equal(clf.weights, before)
@@ -873,7 +884,7 @@ def test_expand_head_zero_classes_and_old_logit_stability():
 def test_expand_head_softmax_share_of_new_class():
     enc = make_encoder(6, 3, 1)
     clf = Classifier(enc, classes=(0, 1))
-    clf.weights = np.random.default_rng(5).normal(size=(2, 6))
+    clf.weights[...] = np.random.default_rng(5).normal(size=(2, 6))
     x = np.random.default_rng(6).normal(size=3)
     emb = enc.encode(x)
     old = clf.weights @ emb + clf.bias
@@ -1223,8 +1234,8 @@ def test_a_stack_over_the_embedding_budget_trains_in_parts(monkeypatch):
 def test_head_checkpoint_roundtrip(tmp_path):
     enc = make_encoder(6, 3, 1)
     clf = Classifier(enc, classes=(3, 0, 7))
-    clf.weights = np.random.default_rng(1).normal(size=(3, 6))
-    clf.bias = np.random.default_rng(2).normal(size=3)
+    clf.weights[...] = np.random.default_rng(1).normal(size=(3, 6))
+    clf.bias[...] = np.random.default_rng(2).normal(size=3)
     path = os.path.join(tmp_path, "head.bin")
     save_head(clf, path)
     back = load_head(path, enc)
