@@ -14,9 +14,9 @@ from .datagen import CLASS_INCREMENTAL, DOMAIN_INCREMENTAL, Batch, \
     ClientShard, TaskSpec, TaskSuite, World, build_world, draw_base_pool, \
     draw_client_shards, make_task_suite
 from .diffusion import Denoiser, DiffusionHP, GaussianSurrogate, \
-    NoiseSchedule, denoise_loss_and_grads, forward_noise, guided_epsilon, \
-    load_model, make_denoiser, make_schedule, make_surrogate, pretrain, \
-    save_model, synthesize_task_data
+    NoiseSchedule, forward_noise, guided_epsilon, load_model, \
+    make_denoiser, make_schedule, make_surrogate, pretrain, save_model, \
+    synthesize_task_data
 from .encoder import ClientMessage, FrozenEncoder, build_client_message, \
     class_mean_embeddings, make_encoder, parse_message, serialize_message
 from .errors import ConfigError, ProtocolError
@@ -42,7 +42,7 @@ __all__ = [
     "TrainHP", "World",
     "build_client_message",
     "build_run_inputs", "build_world", "ce_loss_and_grads",
-    "class_mean_embeddings", "denoise_loss_and_grads", "draw_base_pool",
+    "class_mean_embeddings", "draw_base_pool",
     "draw_client_shards", "estimate_fisher", "evaluate",
     "ewc_penalty_and_grads", "forgetting", "forward_noise",
     "guided_epsilon", "load_head",

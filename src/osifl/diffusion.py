@@ -285,31 +285,6 @@ def denoise_loss_fixed(denoiser: Denoiser, schedule: NoiseSchedule,
     return passes.denoise_step(schedule, x0, z, eps, cond, grads), grads
 
 
-def denoise_loss_and_grads(denoiser: Denoiser, schedule: NoiseSchedule,
-                           x0: np.ndarray, cond: np.ndarray, p_drop: float,
-                           rng: np.random.Generator, *,
-                           out: np.ndarray | None = None):
-    """One noise-prediction training step's loss and gradients, the
-    latter written into `out` as in `denoise_loss_fixed`.
-
-    Draws, per sample and in this order: a uniform timestep, the target
-    noise, and the condition-drop coin (dropped conditions are zeroed).
-    """
-    if not 0.0 <= p_drop <= 1.0:
-        raise ConfigError(f"p_drop must be in [0, 1], got {p_drop}")
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    cond = np.atleast_2d(np.asarray(cond, dtype=float))
-    n = x0.shape[0]
-    if cond.shape[0] != n:
-        raise ValueError(f"{n} samples but {cond.shape[0]} conditions")
-    z = rng.integers(1, schedule.num_steps + 1, size=n)
-    eps = rng.standard_normal(x0.shape)
-    drop = rng.random(n) < p_drop
-    cond_used = np.where(drop[:, None], 0.0, cond)
-    return denoise_loss_fixed(denoiser, schedule, x0, z, eps, cond_used,
-                              out)
-
-
 @dataclass
 class DiffusionHP:
     """Denoiser pretraining knobs."""
@@ -420,7 +395,9 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, hp: DiffusionHP,
     """Fit the denoiser on the server pool, conditioning each sample on
     the mean embedding of its (class, domain) pair. The model is frozen
     afterwards; train_steps = 0 leaves the initialization untouched.
-    A step draws and rounds like `denoise_loss_and_grads`, in place.
+    Per sample, a step draws a uniform timestep, the target noise and the
+    condition-drop coin, in that order, and rounds like
+    `denoise_loss_fixed` on those draws, in place.
     Overflow is left to the caller's check of the parameters."""
     table = pair_mean_embeddings(encoder, pool)
     # A dropped condition gathers the zero row after the pool's.

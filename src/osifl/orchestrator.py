@@ -11,6 +11,7 @@ matrix from which average accuracy and forgetting are derived.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,9 +28,9 @@ from .ledgers import CommsLedger, ComputeLedger, encoder_forward_madds, \
     head_backward_madds, head_forward_madds, softmax_madds
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars
-from .trainer import AnchorState, Classifier, Stack, TrainHP, \
-    estimate_fisher, train_joint, train_local, train_naive, train_osifl, \
-    train_regularized
+from .trainer import Adam, AnchorState, Classifier, HeadCall, Stack, \
+    TrainHP, estimate_fisher, train_joint, train_local, train_naive, \
+    train_osifl, train_regularized
 
 
 class Method(str, Enum):
@@ -56,15 +57,23 @@ def parse_method(name: str) -> Method:
             f"{sorted(m.value for m in Method)}") from None
 
 
+def _charge(ledger: ComputeLedger | None, madds: dict[str, int]) -> None:
+    if ledger is not None:
+        for kind, n in madds.items():
+            ledger.add(kind, n)
+
+
 class ServerMemo:
-    """The server's method-independent work, and a grid's reports by
-    `run_key`, shared by the runs that are handed the same memo.
+    """The server's method-independent work, its one-shot heads as
+    trained by `train_key`, and a grid's reports by `run_key`, shared by
+    the runs that are handed the same memo.
 
     An entry is computed on the first `recall` of its key and kept only
     if that computation succeeds, so a failure is raised again by every
     run that reaches it. Every recall, the first included, adds the
     multiply-adds the computation charged to the caller's ledger: a
-    run's ledger reads as if the run had done the work alone.
+    run's ledger reads as if the run had done the work alone. Trained
+    heads follow the same rules through `recall_head` and `keep_head`.
     """
 
     def __init__(self):
@@ -81,9 +90,43 @@ class ServerMemo:
             entry = (build(scratch), dict(scratch.madds_by_kind))
             self._entries[key] = entry
         value, madds = entry
-        for kind, n in madds.items():
-            ledger.add(kind, n)
+        _charge(ledger, madds)
         return value
+
+    def recall_head(self, call: HeadCall):
+        """If a call with `call`'s `train_key` was kept, leave behind what
+        `call` would have, and return None: the head's parameters, its
+        Adam state, the generator's state and, in the call's ledger, the
+        multiply-adds. Otherwise return the key for `keep_head`."""
+        key = ("train", train_key(call))
+        entry = self._entries.get(key)
+        if entry is None:
+            return key
+        (flat, adam, rng_state), madds = entry
+        clf = call.classifier
+        clf.flat[...] = flat
+        clf.adam = None
+        if adam is not None:
+            clf.adam = Adam(flat.size)
+            clf.adam.step, clf.adam.m[...], clf.adam.v[...] = adam
+        call.rng.bit_generator.state = rng_state
+        _charge(call.ledger, madds)
+        return None
+
+    def keep_head(self, key, call: HeadCall, scratch: ComputeLedger, *,
+                  ok: bool) -> None:
+        """Pass the multiply-adds a missed call charged to `scratch` on
+        to its own ledger, and keep what the call left behind under
+        `key` if it succeeded (`ok`) with a finite head."""
+        madds = dict(scratch.madds_by_kind)
+        _charge(call.ledger, madds)
+        clf = call.classifier
+        if not (ok and np.isfinite(clf.flat).all()):
+            return
+        adam = None if clf.adam is None else \
+            (clf.adam.step, clf.adam.m.copy(), clf.adam.v.copy())
+        self._entries[key] = ((clf.flat.copy(), adam,
+                               call.rng.bit_generator.state), madds)
 
 
 def generator_key(config, world: World, seed: int) -> tuple:
@@ -112,6 +155,28 @@ def run_key(method, config, seed: int) -> tuple:
     if method in FEDERATED_METHODS or config.generator == "surrogate":
         unread["guidance_w"] = None
     return (method, int(seed), dataclasses.replace(config, **unread))
+
+
+def train_key(call: HeadCall) -> str:
+    """A sha256 of everything `_fit` reads for one head's training call,
+    as `_prepare` normalises it: the encoder, the head's classes and
+    parameters, each group's rows in order, the generator's state, every
+    `TrainHP` field and the epochs, and two parts only when training
+    reads them: the anchor's pull with its lambda, and Adam's state when
+    it carries over. Lambda alone, with no anchor, is not read."""
+    clf = call.classifier
+    arrays = [clf.flat, *(a for g in call.groups for a in (g.x, g.y)),
+              *(call.pull or ()),
+              *(() if call.adam is None else (call.adam.m, call.adam.v))]
+    digest = hashlib.sha256(repr((
+        clf.encoder.checksum(), clf.classes, call.rng.bit_generator.state,
+        dataclasses.astuple(call.hp), call.epochs,
+        None if call.pull is None else call.lam,
+        None if call.adam is None else call.adam.step,
+        [(a.dtype.str, a.shape) for a in arrays])).encode())
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a))
+    return digest.hexdigest()
 
 
 @dataclass(eq=False)
@@ -191,6 +256,8 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
     state.events.append(f"task{t}:synthesize n={len(data)}")
     clf = _expand_head(state, task)
     rng_t = stream(state.seed, "train", t)
+    # A head whose training the server memo has seen is restored from it.
+    shared = dict(ledger=state.compute, memo=state.server)
     if state.method is Method.OSIFL:
         # With no exemplar to keep, no class is scored or billed.
         to_score = sorted(per_class) if cfg.retain_per_class > 0 else []
@@ -198,7 +265,7 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
             if to_score and cfg.scoring_point == "pre_update" else clf
         if data:
             yield train_osifl, (clf, data, state.memory, state.hp,
-                                rng_t), dict(ledger=state.compute)
+                                rng_t), shared
         state.events.append(f"task{t}:train method=OSIFL")
         kept = {}
         for k in to_score:
@@ -219,8 +286,7 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
         state.events.append(f"task{t}:memory_update size={state.memory.size}")
     elif state.method is Method.OSCAR_IL:
         if data:
-            yield train_naive, (clf, data, state.hp, rng_t), \
-                dict(ledger=state.compute)
+            yield train_naive, (clf, data, state.hp, rng_t), shared
         state.events.append(f"task{t}:train method=OSCAR_IL")
     elif state.method is Method.OSCAR_R:
         if data:
@@ -228,14 +294,14 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
             # train_naive does.
             yield train_regularized, (clf, data, state.anchor,
                                       state.hp.lambda_ewc, state.hp,
-                                      rng_t), dict(ledger=state.compute)
+                                      rng_t), shared
             state.anchor = estimate_fisher(clf, data)
         state.events.append(f"task{t}:train method=OSCAR_R")
     elif state.method is Method.OSCAR_CEILING:
         state.synth_history.append(data)
         if any(state.synth_history):
             yield train_joint, (clf, state.synth_history, state.hp,
-                                rng_t), dict(ledger=state.compute)
+                                rng_t), shared
         state.events.append(f"task{t}:train method=OSCAR_CEILING")
     else:
         raise ConfigError(f"{state.method} is not a one-shot method")

@@ -21,6 +21,7 @@ import collections
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -338,10 +339,28 @@ def _per_head(n: int, value):
     return value if isinstance(value, Stack) else [value] * n
 
 
+class HeadCall(NamedTuple):
+    """One head's training call as `_prepare` normalises it: what `_fit`
+    reads for that head. `pull` is the anchor's (2 lam F, theta), or None
+    when no penalty applies; `adam` the optimizer state carried over, or
+    None when training starts from fresh moments."""
+
+    classifier: Classifier
+    groups: list[Batch]
+    rows: np.ndarray
+    rng: np.random.Generator
+    lam: float
+    pull: tuple[np.ndarray, np.ndarray] | None
+    adam: Adam | None
+    ledger: object
+    hp: TrainHP
+    epochs: int
+
+
 def _prepare(classifier: Classifier, groups, hp: TrainHP, rng, epochs,
              anchor: AnchorState | None, lam: float, ledger):
     """Check one head's call (`groups` a batch or a list of them). Return
-    what the heads of one stack share, and the call's values."""
+    what the heads of one stack share, and the call as a `HeadCall`."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
     epochs = hp.epochs_per_task if epochs is None else epochs
@@ -370,8 +389,8 @@ def _prepare(classifier: Classifier, groups, hp: TrainHP, rng, epochs,
     key = (tuple(map(len, groups)), classifier.weights.shape,
            tuple(vars(hp).values()), epochs, pull is None,
            None if adam is None else adam.step)
-    return key, (classifier, groups, rows, rng, lam, pull, adam, ledger, hp,
-                 epochs)
+    return key, HeadCall(classifier, groups, rows, rng, lam, pull, adam,
+                         ledger, hp, epochs)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -485,22 +504,35 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
 
 
 def _train_on_groups(classifier, groups, hp, rng, *, epochs=None,
-                     anchor=None, lam=0.0, ledger=None):
+                     anchor=None, lam=0.0, ledger=None, memo=None):
     """Train one head, or a Stack of heads with every other argument
     shared or a Stack of per-head values. The heads whose calls share
     `_prepare`'s key train as one stack, any other alone, to the same
     bits. One head is returned, or its call's error raised; a Stack
-    returns a Stack of each head or its call's error."""
+    returns a Stack of each head or its call's error.
+
+    With a `memo` (a `ServerMemo`), a head whose call the memo answered
+    before is restored from it instead of trained, and a head that
+    trains is offered to it; the memo keeps only finite heads."""
     heads = _per_head(1, classifier)
-    out, stacks = list(heads), {}
-    for s, call in enumerate(zip(heads, *(
+    out, stacks, offered = list(heads), {}, {}
+    for s, (*args, head_memo) in enumerate(zip(heads, *(
             _per_head(len(heads), a)
-            for a in (groups, hp, rng, epochs, anchor, lam, ledger)))):
+            for a in (groups, hp, rng, epochs, anchor, lam, ledger, memo)))):
         try:
-            key, call = _prepare(*call)
-            stacks.setdefault(key, []).append((s, call))
+            key, call = _prepare(*args)
         except Exception as err:
             out[s] = err
+            continue
+        if head_memo is not None:
+            memo_key = head_memo.recall_head(call)
+            if memo_key is None:
+                continue
+            # Charged to a scratch ledger, so that the memo can keep the
+            # charge; `keep_head` passes it on to the call's own ledger.
+            offered[s] = head_memo, memo_key, call
+            call = call._replace(ledger=ledgers.ComputeLedger())
+        stacks.setdefault(key, []).append((s, call))
     for members in stacks.values():
         clf, groups = members[0][1][:2]
         width = max(1, STACK_EMBEDDING_BYTES // (
@@ -511,8 +543,12 @@ def _train_on_groups(classifier, groups, hp, rng, *, epochs=None,
                 errors = _fit([call for _, call in chunk])
             except Exception as err:
                 errors = [err] * len(chunk)
-            for (s, _), err in zip(chunk, errors):
+            for (s, call), err in zip(chunk, errors):
                 out[s] = err or out[s]
+                if s in offered:
+                    head_memo, memo_key, own = offered[s]
+                    head_memo.keep_head(memo_key, own, call.ledger,
+                                        ok=err is None)
     if isinstance(classifier, Stack):
         return Stack(out)
     if isinstance(out[0], Exception):
@@ -521,22 +557,26 @@ def _train_on_groups(classifier, groups, hp, rng, *, epochs=None,
 
 
 def train_naive(classifier: Classifier, data: Batch, hp: TrainHP,
-                rng: np.random.Generator, ledger=None) -> Classifier:
+                rng: np.random.Generator, ledger=None,
+                memo=None) -> Classifier:
     """Plain incremental fine-tuning on the current task's data. This and
-    every other trainer also take Stacks (`_train_on_groups`)."""
-    return _train_on_groups(classifier, data, hp, rng, ledger=ledger)
+    every other trainer also take Stacks, and all but `train_local` a
+    memo (`_train_on_groups`)."""
+    return _train_on_groups(classifier, data, hp, rng, ledger=ledger,
+                            memo=memo)
 
 
 def train_joint(classifier: Classifier, datasets: list[Batch],
                 hp: TrainHP, rng: np.random.Generator,
-                ledger=None) -> Classifier:
+                ledger=None, memo=None) -> Classifier:
     """Minimize the sum of per-task mean losses over every dataset."""
-    return _train_on_groups(classifier, datasets, hp, rng, ledger=ledger)
+    return _train_on_groups(classifier, datasets, hp, rng, ledger=ledger,
+                            memo=memo)
 
 
 def train_osifl(classifier: Classifier, data: Batch, memory,
                 hp: TrainHP, rng: np.random.Generator,
-                ledger=None) -> Classifier:
+                ledger=None, memo=None) -> Classifier:
     """Current-task mean loss plus one mean-loss term per remembered
     task. `memory` provides replay_sets(current_task). A task with no
     rows of its own trains on nothing, an error."""
@@ -545,18 +585,19 @@ def train_osifl(classifier: Classifier, data: Batch, memory,
             if data and memory is not None else [data]
     if isinstance(data, Stack):
         return _train_on_groups(classifier, Stack(map(groups, data, _per_head(
-            len(data), memory))), hp, rng, ledger=ledger)
+            len(data), memory))), hp, rng, ledger=ledger, memo=memo)
     return _train_on_groups(classifier, groups(data, memory), hp, rng,
-                            ledger=ledger)
+                            ledger=ledger, memo=memo)
 
 
 def train_regularized(classifier: Classifier, data: Batch,
                       anchor: AnchorState | None, lam: float, hp: TrainHP,
-                      rng: np.random.Generator, ledger=None) -> Classifier:
+                      rng: np.random.Generator, ledger=None,
+                      memo=None) -> Classifier:
     """Naive objective plus the quadratic anchor penalty. lam = 0 (or no
     anchor) follows exactly the train_naive trajectory."""
     return _train_on_groups(classifier, data, hp, rng, anchor=anchor,
-                            lam=lam, ledger=ledger)
+                            lam=lam, ledger=ledger, memo=memo)
 
 
 def train_local(classifier: Classifier, data: Batch, hp: TrainHP,

@@ -777,3 +777,48 @@ def test_a_grid_builds_a_seeds_inputs_once_unless_the_axis_changes_them(
     monkeypatch.setattr(cli, "build_run_inputs", counted)
     assert sweep(cfg, axis, values, str(tmp_path)) == 0
     assert len(built) == builds
+
+
+def _count_restored_heads(monkeypatch):
+    """Wrap `ServerMemo.recall_head` to record, per head it is asked
+    about, whether it restored that head."""
+    restored, real = [], ServerMemo.recall_head
+
+    def counted(memo, call):
+        key = real(memo, call)
+        restored.append(key is None)
+        return key
+
+    monkeypatch.setattr(ServerMemo, "recall_head", counted)
+    return restored
+
+
+_ONESHOT = (Method.OSIFL, Method.OSCAR_IL, Method.OSCAR_R,
+            Method.OSCAR_CEILING)
+
+
+@pytest.mark.parametrize("axis, values, overrides, restored", [
+    # OSIFL at p = 0 is OSCAR_IL step for step (6 heads), and task 1,
+    # with nothing to replay yet, is one head at every p (2 more).
+    ("p", [0, 5, 10], dict(methods=_ONESHOT[:2], seeds=(3,)), 8),
+    # Task 1 of OSCAR_IL, of OSCAR_R (no anchor yet) and of
+    # OSCAR_CEILING (one set) is OSIFL's task 1, for each seed.
+    (None, [None], dict(methods=_ONESHOT, seeds=(3, 4)), 6),
+    # Restored heads carry their Adam state into task 2.
+    (None, [None], dict(methods=_ONESHOT, seeds=(3,), lambda_ewc=100.0,
+                        adam_reset_per_task=False), 3),
+], ids=["p_sweep", "run", "persisted_moments"])
+def test_a_grid_restores_heads_to_what_each_cell_trains_alone(
+        monkeypatch, axis, values, overrides, restored):
+    cfg = _small(num_classes=12, classes_per_task=2, num_tasks=6,
+                 **overrides)
+    heads = _count_restored_heads(monkeypatch)
+    cells, failures = cli.run_grid(cfg, axis, values, cfg.seeds)
+    assert failures == [] and sum(heads) == restored
+    del heads[:]
+    for cell, reports in cells:
+        assert reports == [orchestrator.run_method(
+            method, *build_run_inputs(cell, seed), cell, seed)
+            for seed in cfg.seeds for method in cfg.methods]
+    # A run alone, with a private memo, repeats none of its own heads.
+    assert heads and not any(heads)

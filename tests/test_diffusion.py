@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from osifl.datagen import build_world, draw_base_pool
 from osifl.diffusion import (DENOISER_LEARNING_RATE, DiffusionHP,
-                             NoiseSchedule, denoise_loss_and_grads,
-                             denoise_loss_fixed,
+                             NoiseSchedule, denoise_loss_fixed,
                              forward_noise, guided_epsilon, load_model,
                              make_denoiser, make_schedule, make_surrogate,
                              pretrain, save_model, synthesize_task_data)
@@ -152,6 +151,19 @@ def test_denoise_gradients_equal_fresh_array_expressions_bit_for_bit():
         assert np.shares_memory(grads[k], out)
     assert np.array_equal(out, np.concatenate([expect[k].ravel()
                                                for k in grads]))
+
+
+def denoise_loss_and_grads(denoiser, schedule, x0, cond, p_drop, rng):
+    """One noise-prediction training step's loss and gradients, the
+    per-array reference for a step of `pretrain`. Draws, per sample and
+    in this order: a uniform timestep, the target noise, and the
+    condition-drop coin (dropped conditions are zeroed)."""
+    n = len(x0)
+    z = rng.integers(1, schedule.num_steps + 1, size=n)
+    eps = rng.standard_normal(x0.shape)
+    drop = rng.random(n) < p_drop
+    cond_used = np.where(drop[:, None], 0.0, cond)
+    return denoise_loss_fixed(denoiser, schedule, x0, z, eps, cond_used)
 
 
 def _replayed_step(den, sched, x0, cond, p_drop, seed, label):

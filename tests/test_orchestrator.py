@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from osifl import orchestrator
+from osifl import orchestrator, trainer
 from osifl.config import ExperimentConfig, build_run_inputs
 from osifl.datagen import Batch, build_world, draw_base_pool
 from osifl.diffusion import make_surrogate
@@ -16,11 +16,11 @@ from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
                                 evaluate, federated_task_phase, forgetting,
                                 generator_key, oneshot_task_phase,
                                 parse_method, report_rows, rows_to_csv,
-                                run_method, _weighted_average)
+                                run_method, train_key, _weighted_average)
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, select_exemplars
-from osifl.trainer import AnchorState, Classifier, estimate_fisher, \
-    train_local
+from osifl.trainer import Adam, AnchorState, Classifier, TrainHP, \
+    estimate_fisher, train_local, train_naive, train_regularized
 
 
 def _small(**overrides):
@@ -491,7 +491,9 @@ def test_synthesized_samples_view_read_only_memo_arrays():
     task = suite.tasks[0]
     _run_phase(oneshot_task_phase(state, task, [
         build_client_message(encoder, s) for s in shards if s.task_id == 1]))
-    ((data, batches), _madds), = state.server._entries.values()
+    ((data, batches), _madds), = [entry for key, entry
+                                  in state.server._entries.items()
+                                  if key[0] == "synthesis"]
     assert sorted(batches) == list(task.classes)
     # The run trains on the memo's task batch itself, not on a copy.
     assert state.synth_history[0] is data
@@ -598,3 +600,120 @@ def test_non_finite_head_fails_after_its_task_phase(monkeypatch, method,
                        match=rf"{method.value} task phase \(seed 5, task 2\)"
                              r".*non-finite values in the head"):
         run_method(method, *build_run_inputs(cfg, 5), cfg, 5)
+
+
+def _train_parts():
+    """The inputs of one head's training call, with an anchor and Adam
+    state that carries over, as `_train_key_of` takes them."""
+    draw = np.random.default_rng(11)
+    groups = [Batch(draw.normal(size=(n, 3)), np.arange(n) % 3,
+                    np.zeros(n, dtype=int), task)
+              for n, task in ((9, 2), (4, 1))]
+    size = 3 * (5 + 1)
+    return dict(encoder_seed=1, classes=[0, 1, 2],
+                flat=draw.normal(size=size), groups=groups, rng_draws=0,
+                hp=TrainHP(adam_reset_per_task=False), epochs=None,
+                theta=draw.normal(size=size), fisher=draw.random(size),
+                anchored=True, lam=0.5,
+                adam=(4, draw.normal(size=size), draw.random(size)))
+
+
+def _train_key_of(parts):
+    clf = Classifier(make_encoder(5, 3, parts["encoder_seed"]),
+                     classes=parts["classes"])
+    clf.flat[...] = parts["flat"]
+    clf.adam = Adam(clf.flat.size)
+    clf.adam.step, clf.adam.m[...], clf.adam.v[...] = parts["adam"]
+    rng = stream(2, "train")
+    rng.random(parts["rng_draws"])
+    anchor = AnchorState(parts["theta"], parts["fisher"]) \
+        if parts["anchored"] else None
+    _, call = trainer._prepare(clf, parts["groups"], parts["hp"], rng,
+                               parts["epochs"], anchor, parts["lam"], None)
+    return train_key(call)
+
+
+def _ulp(values, at=0):
+    out = np.array(values, dtype=float)
+    out.flat[at] = np.nextafter(out.flat[at], np.inf)
+    return out
+
+
+def _relabel(groups):
+    first = groups[0]
+    return [Batch(first.x, np.r_[first.y[:-1], (first.y[-1] + 1) % 3],
+                  first.domain, first.task)] + groups[1:]
+
+
+_HP_CHANGES = dict(learning_rate=0.002, batch_size=31, epochs_per_task=19,
+                   weight_decay=2e-4, lambda_ewc=0.2, mu_prox=0.02,
+                   adam_reset_per_task=True)
+
+
+@pytest.mark.parametrize("part, change", [
+    ("encoder_seed", lambda v: 2), ("classes", lambda v: [2, 1, 0]),
+    ("flat", _ulp), ("rng_draws", lambda v: 1), ("epochs", lambda v: 3),
+    ("groups", lambda v: [Batch(_ulp(v[0].x, 5), v[0].y, v[0].domain,
+                                v[0].task)] + v[1:]),
+    ("groups", _relabel), ("groups", lambda v: v[::-1]),
+    ("theta", _ulp), ("fisher", _ulp), ("lam", lambda v: 0.6),
+    ("adam", lambda v: (5,) + v[1:]),
+    ("adam", lambda v: (v[0], _ulp(v[1]), v[2])),
+    ("adam", lambda v: v[:2] + (_ulp(v[2]),)),
+] + [("hp", lambda v, f=f, x=x: dataclasses.replace(v, **{f: x}))
+     for f, x in _HP_CHANGES.items()])
+def test_train_key_changes_with_each_input_training_reads(part, change):
+    parts = _train_parts()
+    base = _train_key_of(parts)
+    assert _train_key_of(_train_parts()) == base
+    assert _train_key_of(dict(parts, **{part: change(parts[part])})) != base
+
+
+def test_train_key_ignores_what_training_does_not_read():
+    parts = _train_parts()
+    free = dict(parts, anchored=False)
+    # Lambda with no anchor, and an anchor at lambda 0, pull nothing.
+    assert _train_key_of(dict(free, lam=0.9)) == _train_key_of(free)
+    assert _train_key_of(dict(parts, lam=0.0)) == _train_key_of(free)
+    # Moments that are reset are not read.
+    reset = dict(parts, hp=TrainHP())
+    assert _train_key_of(dict(reset, adam=(7,) + parts["adam"][1:])) == \
+        _train_key_of(reset)
+
+
+def test_server_memo_never_keeps_an_overflowing_head():
+    encoder = make_encoder(5, 3, 1)
+    data = _train_parts()["groups"][0]
+    memo = ServerMemo()
+    for _ in range(2):
+        clf = Classifier(encoder, classes=[0, 1, 2])
+        anchor = AnchorState(np.ones_like(clf.flat),
+                             np.full_like(clf.flat, 1e300))
+        with pytest.raises(ProtocolError, match="overflowed Adam's moments"):
+            train_regularized(clf, data, anchor, 1.0, TrainHP(),
+                              stream(1, "t"), memo=memo)
+        # A head that steps past float64 is not an error here; its task
+        # phase fails on it. It is not kept either.
+        clf = Classifier(encoder, classes=[0, 1, 2])
+        train_naive(clf, data, TrainHP(learning_rate=1e308), stream(1, "t"),
+                    ledger=ComputeLedger(), memo=memo)
+        assert not np.isfinite(clf.flat).all()
+        assert memo._entries == {}
+
+
+def test_a_restored_head_leaves_behind_what_training_leaves(monkeypatch):
+    encoder, data = make_encoder(5, 3, 1), _train_parts()["groups"][0]
+    hp, memo = TrainHP(adam_reset_per_task=False), ServerMemo()
+
+    def trained():
+        clf, rng, ledger = Classifier(encoder, classes=[0, 1, 2]), \
+            stream(1, "t"), ComputeLedger()
+        train_naive(clf, data, hp, rng, ledger=ledger, memo=memo)
+        return (clf.flat.tobytes(), clf.adam.step, clf.adam.m.tobytes(),
+                clf.adam.v.tobytes(), rng.bit_generator.state,
+                ledger.madds_by_kind)
+
+    first = trained()
+    fits = []
+    monkeypatch.setattr(trainer, "_fit", lambda calls: fits.append(calls))
+    assert trained() == first and fits == []
