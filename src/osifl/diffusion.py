@@ -400,10 +400,12 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, hp: DiffusionHP,
     `denoise_loss_fixed` on those draws, in place.
     Overflow is left to the caller's check of the parameters."""
     table = pair_mean_embeddings(encoder, pool)
-    # A dropped condition gathers the zero row after the pool's.
-    cond = np.stack([table[pair] for pair in zip(pool.y.tolist(),
-                                                 pool.domain.tolist())]
-                    + [np.zeros(encoder.dim_e)])
+    # `cond` holds each pair's mean, then the zero row that a dropped
+    # condition gathers; `pair_index` gives each pool row's pair.
+    row_of = {pair: i for i, pair in enumerate(table)}
+    pair_index = np.array([row_of[pair] for pair in zip(
+        pool.y.tolist(), pool.domain.tolist())])
+    cond = np.stack([*table.values(), np.zeros(encoder.dim_e)])
     schedule = make_schedule(hp.num_steps, hp.beta_min, hp.beta_max)
     denoiser = make_denoiser(pool.x.shape[1], encoder.dim_e, hp.num_steps,
                              hp.hidden, seed)
@@ -421,7 +423,8 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, hp: DiffusionHP,
         rng.random(out=coin)
         history.append(passes.denoise_step(
             schedule, pool.x[idx], z, eps,
-            cond[np.where(coin < hp.p_drop, n_pool, idx)], grads))
+            cond[np.where(coin < hp.p_drop, len(table), pair_index[idx])],
+            grads))
         adam.update(denoiser.flat, grad, DENOISER_LEARNING_RATE, 0.0)
     if ledger is not None:
         ledger.add("diffusion_pretrain", hp.train_steps * (

@@ -29,8 +29,8 @@ from .ledgers import CommsLedger, ComputeLedger, encoder_forward_madds, \
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars
 from .trainer import Adam, AnchorState, Classifier, HeadCall, Stack, \
-    TrainHP, estimate_fisher, train_joint, train_local, train_naive, \
-    train_osifl, train_regularized
+    TrainHP, charge_training, estimate_fisher, train_joint, train_local, \
+    train_naive, train_osifl, train_regularized
 
 
 class Method(str, Enum):
@@ -57,12 +57,6 @@ def parse_method(name: str) -> Method:
             f"{sorted(m.value for m in Method)}") from None
 
 
-def _charge(ledger: ComputeLedger | None, madds: dict[str, int]) -> None:
-    if ledger is not None:
-        for kind, n in madds.items():
-            ledger.add(kind, n)
-
-
 class ServerMemo:
     """The server's method-independent work, its one-shot heads as
     trained by `train_key`, and a grid's reports by `run_key`, shared by
@@ -73,7 +67,8 @@ class ServerMemo:
     run that reaches it. Every recall, the first included, adds the
     multiply-adds the computation charged to the caller's ledger: a
     run's ledger reads as if the run had done the work alone. Trained
-    heads follow the same rules through `recall_head` and `keep_head`.
+    heads follow the same rules through `keep_head` and `recall_head`,
+    which bills a restored head by `charge_training`.
     """
 
     def __init__(self):
@@ -90,7 +85,9 @@ class ServerMemo:
             entry = (build(scratch), dict(scratch.madds_by_kind))
             self._entries[key] = entry
         value, madds = entry
-        _charge(ledger, madds)
+        if ledger is not None:
+            for kind, n in madds.items():
+                ledger.add(kind, n)
         return value
 
     def recall_head(self, call: HeadCall):
@@ -102,7 +99,7 @@ class ServerMemo:
         entry = self._entries.get(key)
         if entry is None:
             return key
-        (flat, adam, rng_state), madds = entry
+        flat, adam, rng_state = entry
         clf = call.classifier
         clf.flat[...] = flat
         clf.adam = None
@@ -110,23 +107,19 @@ class ServerMemo:
             clf.adam = Adam(flat.size)
             clf.adam.step, clf.adam.m[...], clf.adam.v[...] = adam
         call.rng.bit_generator.state = rng_state
-        _charge(call.ledger, madds)
+        charge_training(call)
         return None
 
-    def keep_head(self, key, call: HeadCall, scratch: ComputeLedger, *,
-                  ok: bool) -> None:
-        """Pass the multiply-adds a missed call charged to `scratch` on
-        to its own ledger, and keep what the call left behind under
-        `key` if it succeeded (`ok`) with a finite head."""
-        madds = dict(scratch.madds_by_kind)
-        _charge(call.ledger, madds)
+    def keep_head(self, key, call: HeadCall, *, ok: bool) -> None:
+        """Keep what a missed call left behind under `key`, if it
+        succeeded (`ok`) with a finite head."""
         clf = call.classifier
         if not (ok and np.isfinite(clf.flat).all()):
             return
         adam = None if clf.adam is None else \
             (clf.adam.step, clf.adam.m.copy(), clf.adam.v.copy())
-        self._entries[key] = ((clf.flat.copy(), adam,
-                               call.rng.bit_generator.state), madds)
+        self._entries[key] = (clf.flat.copy(), adam,
+                              call.rng.bit_generator.state)
 
 
 def generator_key(config, world: World, seed: int) -> tuple:
@@ -252,27 +245,24 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
         state.events.append(
             f"task{t}:upload client={msg.client_id} "
             f"floats={msg.upload_floats}")
-    data, per_class = _synthesized_task(state, messages)
+    data = _synthesized_task(state, messages).data
     state.events.append(f"task{t}:synthesize n={len(data)}")
     clf = _expand_head(state, task)
     rng_t = stream(state.seed, "train", t)
     # A head whose training the server memo has seen is restored from it.
     shared = dict(ledger=state.compute, memo=state.server)
     if state.method is Method.OSIFL:
-        # With no exemplar to keep, no class is scored or billed.
-        to_score = sorted(per_class) if cfg.retain_per_class > 0 else []
-        scorer = clf.copy() \
-            if to_score and cfg.scoring_point == "pre_update" else clf
+        p = cfg.retain_per_class
+        scorer = clf.copy() if p and cfg.scoring_point == "pre_update" else clf
         if data:
             yield train_osifl, (clf, data, state.memory, state.hp,
                                 rng_t), shared
         state.events.append(f"task{t}:train method=OSIFL")
-        kept = {}
-        for k in to_score:
-            pool = per_class[k]
-            kept[k] = select_exemplars(scorer, pool, cfg.retain_per_class,
-                                       score_by=cfg.score_by)
-            n, c_out, dim_e = len(pool), clf.num_classes, clf.encoder.dim_e
+        # With no exemplar to keep, no row is scored or billed.
+        kept = Batch(data.x[:0], data.y[:0], data.domain[:0], t)
+        if p:
+            kept = select_exemplars(scorer, data, p, score_by=cfg.score_by)
+            n, c_out, dim_e = len(data), clf.num_classes, clf.encoder.dim_e
             state.compute.add("exemplar_scoring",
                               encoder_forward_madds(n, dim_e,
                                                     clf.encoder.dim_x)
@@ -280,8 +270,7 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
                               + softmax_madds(n, c_out)
                               + head_backward_madds(n, c_out, dim_e))
         state.events.append(
-            f"task{t}:select params={cfg.scoring_point} "
-            f"kept={sum(len(v) for v in kept.values())}")
+            f"task{t}:select params={cfg.scoring_point} kept={len(kept)}")
         state.memory.add_task(t, kept)
         state.events.append(f"task{t}:memory_update size={state.memory.size}")
     elif state.method is Method.OSCAR_IL:

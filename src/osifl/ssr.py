@@ -8,24 +8,11 @@ re-scored or re-selected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .datagen import Batch
 from .errors import ConfigError, ProtocolError
 from .trainer import Classifier, head_pass, rows_for
-
-
-@dataclass(frozen=True, eq=False)
-class Exemplars:
-    """One class's kept rows, in candidate order, and their scores."""
-
-    x: np.ndarray  # (n, dim_x)
-    score: np.ndarray  # (n,)
-
-    def __len__(self) -> int:
-        return len(self.score)
 
 
 def top_p_indices(scores, p: int) -> list[int]:
@@ -41,9 +28,9 @@ def top_p_indices(scores, p: int) -> list[int]:
     return sorted(order[:min(p, len(scores))])
 
 
-def select_exemplars(classifier: Classifier, candidates: Batch, p: int,
-                     score_by: str = "grad_norm") -> Exemplars:
-    """Score one class's candidates in one head pass and keep the top p.
+def exemplar_scores(classifier: Classifier, batch: Batch,
+                    score_by: str = "grad_norm") -> np.ndarray:
+    """Each row's importance, from one encode and one head pass.
 
     "loss" scores a row by its cross-entropy. "grad_norm" scores it by
     the norm of that loss's gradient over all head parameters: the
@@ -52,72 +39,63 @@ def select_exemplars(classifier: Classifier, candidates: Batch, p: int,
     """
     if score_by not in ("grad_norm", "loss"):
         raise ConfigError(f"unknown score_by {score_by!r}")
-    emb = classifier.encoder.encode_batch(candidates.x)
+    emb = classifier.encoder.encode_batch(batch.x)
     nll, delta = head_pass(classifier.weights, classifier.bias, emb,
-                           rows_for(classifier, candidates.y))
+                           rows_for(classifier, batch.y))
     if score_by == "loss":
-        scores = nll
-    else:
-        scores = np.linalg.norm(delta, axis=1) \
-            * np.sqrt(1.0 + (emb * emb).sum(axis=1))
-    keep = top_p_indices(scores.tolist(), p)
-    return Exemplars(x=candidates.x[keep], score=scores[keep])
+        return nll
+    return np.linalg.norm(delta, axis=1) \
+        * np.sqrt(1.0 + (emb * emb).sum(axis=1))
+
+
+def select_exemplars(classifier: Classifier, candidates: Batch, p: int,
+                     score_by: str = "grad_norm") -> Batch:
+    """The top p candidates of each class, as one read-only batch with
+    classes ascending and candidate order kept within a class. Each
+    class's rows are scored together by `exemplar_scores`."""
+    if p < 0:
+        raise ConfigError(f"p must be >= 0, got {p}")
+    keep = []
+    for k in sorted(set(candidates.y.tolist())):
+        rows = np.flatnonzero(candidates.y == k)
+        scores = exemplar_scores(classifier, Batch(
+            candidates.x[rows], candidates.y[rows], candidates.domain[rows]),
+            score_by)
+        keep += rows[top_p_indices(scores.tolist(), p)].tolist()
+    return Batch(candidates.x[keep], candidates.y[keep],
+                 candidates.domain[keep], candidates.task)
 
 
 class ExemplarMemory:
-    """Append-only store of retained samples, keyed task -> class.
+    """Append-only store of retained samples: one batch per task.
 
-    Stored rows and scores are defensive read-only copies; a task can be
-    written once and its sets are replayed in arrival order forever.
+    A task's batch is a defensive read-only copy; it can be written once
+    and is replayed in arrival order forever.
     """
 
     def __init__(self, p: int):
         if p < 0:
             raise ConfigError(f"p must be >= 0, got {p}")
         self.p = p
-        self._store: dict[int, dict[int, Exemplars]] = {}
+        self._store: dict[int, Batch] = {}
 
     @property
     def size(self) -> int:
-        return sum(len(lst) for per_class in self._store.values()
-                   for lst in per_class.values())
+        return sum(map(len, self._store.values()))
 
-    def add_task(self, task_id: int, per_class: dict[int, Exemplars]) -> None:
+    def add_task(self, task_id: int, kept: Batch) -> None:
         if task_id in self._store:
             raise ProtocolError(f"task {task_id} is already remembered")
-        frozen: dict[int, Exemplars] = {}
-        for k in sorted(per_class):
-            chosen = per_class[k]
-            if len(chosen) > self.p:
-                raise ProtocolError(
-                    f"{len(chosen)} exemplars for class {k} exceed p={self.p}")
-            frozen[k] = Exemplars(x=chosen.x.copy(), score=chosen.score.copy())
-            for column in (frozen[k].x, frozen[k].score):
-                column.flags.writeable = False
-        self._store[task_id] = frozen
+        labels = kept.y.tolist()
+        for k in sorted(set(labels)):
+            if labels.count(k) > self.p:
+                raise ProtocolError(f"{labels.count(k)} exemplars for "
+                                    f"class {k} exceed p={self.p}")
+        self._store[task_id] = Batch(kept.x.copy(), kept.y.copy(),
+                                     kept.domain.copy(), task_id)
 
     def replay_sets(self, current_task: int | None = None) -> list[Batch]:
-        """One batch per remembered task, oldest first, classes ascending;
-        none for the task being learned or a task that kept nothing."""
-        sets = []
-        for task_id, per_class in self._store.items():
-            classes = sorted(per_class)
-            counts = [len(per_class[k]) for k in classes]
-            if task_id == current_task or not sum(counts):
-                continue
-            sets.append(Batch(
-                np.concatenate([per_class[k].x for k in classes]),
-                np.repeat(classes, counts), np.full(sum(counts), -1),
-                task_id))
-        return sets
-
-    def dump_text(self) -> str:
-        """Human-readable table: task, class, slot, score, vector."""
-        lines = ["task\tclass\tslot\tscore\tvector"]
-        for task_id, per_class in self._store.items():
-            for k in sorted(per_class):
-                rows = zip(per_class[k].x, per_class[k].score.tolist())
-                for slot, (x, score) in enumerate(rows):
-                    vec = " ".join(repr(float(v)) for v in x)
-                    lines.append(f"{task_id}\t{k}\t{slot}\t{score!r}\t{vec}")
-        return "\n".join(lines) + "\n"
+        """The stored batch of each remembered task, oldest first; none
+        for the task being learned or a task that kept nothing."""
+        return [kept for task_id, kept in self._store.items()
+                if task_id != current_task and kept]

@@ -393,6 +393,23 @@ def _prepare(classifier: Classifier, groups, hp: TrainHP, rng, epochs,
                          ledger, hp, epochs)
 
 
+def charge_training(call: HeadCall) -> None:
+    """Bill one head's training call to its ledger, if any. The madds
+    formulas are linear in the batch size, so one charge for every row
+    of every epoch equals the per-step sum."""
+    if call.ledger is None:
+        return
+    n, (n_out, dim_e) = len(call.rows), call.classifier.weights.shape
+    seen = call.epochs * n
+    call.ledger.add("train_encoder", ledgers.encoder_forward_madds(
+        n, dim_e, call.classifier.encoder.dim_x))
+    call.ledger.add("train_head_forward",
+                    ledgers.head_forward_madds(seen, n_out, dim_e))
+    call.ledger.add("train_softmax", ledgers.softmax_madds(seen, n_out))
+    call.ledger.add("train_head_backward",
+                    ledgers.head_backward_madds(seen, n_out, dim_e))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(calls: list[tuple]) -> list[Exception | None]:
     """The minibatch loop over the S heads of calls that share
@@ -401,8 +418,7 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
     permutations, rows and pull. Returns each head's error or None.
     Overflow warnings are off, so that they fail no head: the checks of
     each head's moments and, after its phase, parameters find it."""
-    clfs, groups, rows, rngs, lams, pulls, adams, books, hps, epochs = \
-        zip(*calls)
+    clfs, groups, rows, rngs, _, pulls, adams, _, hps, epochs = zip(*calls)
     hp, heads, (n_out, dim_e) = hps[0], len(calls), clfs[0].weights.shape
     sizes = [len(g) for g in groups[0]]
     n, split = sum(sizes), n_out * dim_e
@@ -474,7 +490,7 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
                 grad += gap
             adam.update(params, grad, hp.learning_rate, hp.weight_decay)
     errors = [None] * heads
-    for s, (clf, lam, ledger) in enumerate(zip(clfs, lams, books)):
+    for s, (clf, call) in enumerate(zip(clfs, calls)):
         clf.flat[...] = params[s]
         # An overflowing gradient makes v infinite and every later step
         # 0, which would freeze a finite head without a trace. A head
@@ -482,20 +498,10 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
         if np.isfinite(params[s]).all() and not (
                 np.isfinite(adam.m[s]).all() and np.isfinite(adam.v[s]).all()):
             errors[s] = ProtocolError(
-                f"training overflowed Adam's moments (lambda {lam}, "
+                f"training overflowed Adam's moments (lambda {call.lam}, "
                 f"learning_rate {hp.learning_rate})")
             continue
-        if ledger is not None:
-            # The madds formulas are linear in the batch size, so one
-            # charge for every row of every epoch equals the per-step sum.
-            seen = epochs[0] * n
-            ledger.add("train_encoder", ledgers.encoder_forward_madds(
-                n, dim_e, clf.encoder.dim_x))
-            ledger.add("train_head_forward",
-                       ledgers.head_forward_madds(seen, n_out, dim_e))
-            ledger.add("train_softmax", ledgers.softmax_madds(seen, n_out))
-            ledger.add("train_head_backward",
-                       ledgers.head_backward_madds(seen, n_out, dim_e))
+        charge_training(call)
         clf.adam = None if hp.adam_reset_per_task else Adam(params.shape[1])
         if clf.adam is not None:
             clf.adam.step = adam.step
@@ -528,10 +534,7 @@ def _train_on_groups(classifier, groups, hp, rng, *, epochs=None,
             memo_key = head_memo.recall_head(call)
             if memo_key is None:
                 continue
-            # Charged to a scratch ledger, so that the memo can keep the
-            # charge; `keep_head` passes it on to the call's own ledger.
-            offered[s] = head_memo, memo_key, call
-            call = call._replace(ledger=ledgers.ComputeLedger())
+            offered[s] = head_memo, memo_key
         stacks.setdefault(key, []).append((s, call))
     for members in stacks.values():
         clf, groups = members[0][1][:2]
@@ -546,9 +549,8 @@ def _train_on_groups(classifier, groups, hp, rng, *, epochs=None,
             for (s, call), err in zip(chunk, errors):
                 out[s] = err or out[s]
                 if s in offered:
-                    head_memo, memo_key, own = offered[s]
-                    head_memo.keep_head(memo_key, own, call.ledger,
-                                        ok=err is None)
+                    head_memo, memo_key = offered[s]
+                    head_memo.keep_head(memo_key, call, ok=err is None)
     if isinstance(classifier, Stack):
         return Stack(out)
     if isinstance(out[0], Exception):

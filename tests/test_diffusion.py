@@ -285,6 +285,38 @@ def test_pretrain_matches_a_per_array_reference_loop(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_pretrain_gathers_conditions_like_a_per_row_stack():
+    # Twelve (class, domain) pairs and half the conditions dropped: the
+    # pair-index gather gives the conditions, so the parameters and
+    # losses, of the reference loop over one condition row per pool row.
+    world = build_world(3, 4, 3, 0.5, 5)
+    pool = draw_base_pool(world, 90, 6)
+    enc = make_encoder(6, 3, 4)
+    hp = DiffusionHP(num_steps=8, hidden=12, p_drop=0.5, train_steps=40,
+                     batch_size=8)
+    model = pretrain(pool, enc, hp, 9)
+    table = pair_mean_embeddings(enc, pool)
+    assert len(table) == 12
+    cond = np.stack([table[pair] for pair in zip(pool.y.tolist(),
+                                                 pool.domain.tolist())])
+    ref = make_denoiser(3, 6, 8, 12, 9)
+    schedule = make_schedule(hp.num_steps, hp.beta_min, hp.beta_max)
+    rng = stream(9, "pretrain")
+    params = {k: v.copy() for k, v in ref.params.items()}
+    state, losses = _ref_zeros(params), []
+    for _ in range(hp.train_steps):
+        idx = rng.integers(0, len(pool), size=hp.batch_size)
+        loss, grads = denoise_loss_and_grads(ref, schedule, pool.x[idx],
+                                             cond[idx], hp.p_drop, rng)
+        params, state = _ref_adam_step(state, params, grads,
+                                       DENOISER_LEARNING_RATE, 0.0)
+        for k, v in params.items():
+            ref.params[k][...] = v
+        losses.append(loss)
+    assert model.loss_history == losses
+    assert model.denoiser.flat.tobytes() == ref.flat.tobytes()
+
+
 def test_guidance_weight_one_is_conditional_branch():
     den = make_denoiser(3, 4, 5, 6, 8)
     rng = np.random.default_rng(1)

@@ -18,7 +18,7 @@ from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
                                 parse_method, report_rows, rows_to_csv,
                                 run_method, train_key, _weighted_average)
 from osifl.rng import stream
-from osifl.ssr import ExemplarMemory, select_exemplars
+from osifl.ssr import ExemplarMemory, exemplar_scores
 from osifl.trainer import Adam, AnchorState, Classifier, TrainHP, \
     estimate_fisher, train_local, train_naive, train_regularized
 
@@ -158,19 +158,38 @@ def test_event_order_within_task(default_reports):
                           "memory_update"]
 
 
-def _rescore_error(memory, task_id, classifier):
-    """Largest gap between a task's stored exemplar scores and the
-    scores the batched scorer gives the same rows at `classifier`."""
+def _record_selections(monkeypatch):
+    """Record each selection the orchestrator makes: its kept rows and
+    the scores its scoring head gave them when it selected."""
+    seen, real = [], orchestrator.select_exemplars
+
+    def recorded(scorer, candidates, p, score_by):
+        kept = real(scorer, candidates, p, score_by=score_by)
+        seen.append((kept, exemplar_scores(scorer, kept, score_by)))
+        return kept
+
+    monkeypatch.setattr(orchestrator, "select_exemplars", recorded)
+    return seen
+
+
+def _rescore_error(memory, seen, classifier):
+    """Largest gap between the scores each selection gave the rows it
+    kept and the scores `classifier` gives them, per class; the memory
+    must hold exactly the rows kept, in order."""
+    assert len(memory.replay_sets()) == len(seen)
     err = 0.0
-    for k, kept in memory._store[task_id].items():
-        n = len(kept)
-        again = select_exemplars(
-            classifier, Batch(kept.x, np.full(n, k), np.full(n, -1)), n)
-        err = max(err, float(np.abs(again.score - kept.score).max()))
+    for stored, (kept, scores) in zip(memory.replay_sets(), seen):
+        assert np.array_equal(stored.x, kept.x)
+        assert np.array_equal(stored.y, kept.y)
+        for k in np.unique(kept.y):
+            rows = kept.y == k
+            again = exemplar_scores(classifier, Batch(
+                kept.x[rows], kept.y[rows], kept.domain[rows]))
+            err = max(err, float(np.abs(again - scores[rows]).max()))
     return err
 
 
-def test_selection_scores_against_pre_update_snapshot():
+def test_selection_scores_against_pre_update_snapshot(monkeypatch):
     # In pre_update mode the stored scores must come from the head as it
     # stood before training on the arriving task (for task 1: the
     # freshly expanded zero head), not from the trained head.
@@ -183,15 +202,16 @@ def test_selection_scores_against_pre_update_snapshot():
                 if s.task_id == task.task_id]
     probe = state.classifier.copy()
     probe.expand_head(task.classes)
+    seen = _record_selections(monkeypatch)
     _run_phase(oneshot_task_phase(state, task, messages))
     assert state.memory.size
-    pre_err = _rescore_error(state.memory, 1, probe)
-    post_err = _rescore_error(state.memory, 1, state.classifier)
+    pre_err = _rescore_error(state.memory, seen, probe)
+    post_err = _rescore_error(state.memory, seen, state.classifier)
     assert pre_err < 1e-12
     assert post_err > 1e-6
 
 
-def test_selection_scores_against_trained_head():
+def test_selection_scores_against_trained_head(monkeypatch):
     cfg = _small(retain_per_class=8, scoring_point="post_update")
     world, suite, shards, _ = build_run_inputs(cfg, 3)
     encoder = make_encoder(cfg.dim_e, world.dim_x, 3)
@@ -199,9 +219,10 @@ def test_selection_scores_against_trained_head():
     task = suite.tasks[0]
     messages = [build_client_message(encoder, s) for s in shards
                 if s.task_id == task.task_id]
+    seen = _record_selections(monkeypatch)
     _run_phase(oneshot_task_phase(state, task, messages))
     assert state.memory.size
-    assert _rescore_error(state.memory, 1, state.classifier) < 1e-12
+    assert _rescore_error(state.memory, seen, state.classifier) < 1e-12
     assert any("select params=post_update" in e for e in state.events)
 
 

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osifl.datagen import Batch
-from osifl.encoder import make_encoder
+from osifl.datagen import CLASS_INCREMENTAL, Batch, build_world, \
+    draw_base_pool, draw_client_shards, make_task_suite
+from osifl.diffusion import make_surrogate, synthesize_task_data
+from osifl.encoder import build_client_message, make_encoder
 from osifl.errors import ConfigError, ProtocolError
-from osifl.ssr import (ExemplarMemory, Exemplars, select_exemplars,
+from osifl.rng import stream
+from osifl.ssr import (ExemplarMemory, exemplar_scores, select_exemplars,
                        top_p_indices)
 from osifl.trainer import Classifier, ce_loss_and_grads
 
@@ -34,8 +37,7 @@ def _one(x, y=0):
 
 
 def _score(classifier, x, y=0, score_by="grad_norm"):
-    return select_exemplars(classifier, _one(x, y), 1,
-                            score_by=score_by).score[0]
+    return exemplar_scores(classifier, _one(x, y), score_by)[0]
 
 
 def _row_scores(classifier, xs, ys, score_by):
@@ -131,15 +133,22 @@ def test_batched_scores_match_the_per_row_oracle(score_by):
         candidates = Batch(rng.normal(scale=2.0, size=(n, 4)), ys,
                            np.full(n, -1))
         oracle = _row_scores(clf, candidates.x, ys.tolist(), score_by)
+        scores = exemplar_scores(clf, candidates, score_by)
+        assert np.allclose(scores, oracle, rtol=1e-12, atol=1e-12)
         every = select_exemplars(clf, candidates, n, score_by=score_by)
-        assert np.array_equal(every.x, candidates.x)
-        assert np.allclose(every.score, oracle, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(every.x,
+                              candidates.x[np.argsort(ys, kind="stable")])
         p = int(rng.integers(0, n + 1))
-        ranked = np.sort(oracle)[::-1]
-        if 0 < p < n and ranked[p - 1] - ranked[p] < 1e-9:
-            continue  # a near-tie may reorder within rounding
+        keep, near_tie = [], False
+        for k in np.unique(ys):
+            rows = np.flatnonzero(ys == k)
+            ranked = np.sort(oracle[rows])[::-1]
+            if 0 < p < len(rows) and ranked[p - 1] - ranked[p] < 1e-9:
+                near_tie = True  # a near-tie may reorder within rounding
+            keep.extend(rows[top_p_indices(oracle[rows].tolist(), p)])
+        if near_tie:
+            continue
         kept = select_exemplars(clf, candidates, p, score_by=score_by)
-        keep = top_p_indices(oracle.tolist(), p)
         assert np.array_equal(kept.x, candidates.x[keep])
         compared += 1
     assert compared >= 15
@@ -191,30 +200,104 @@ def test_select_exemplars_scores_and_keeps_top():
     assert len(chosen) == 1
     assert chosen.x[0, 0] == -3.0
     scores = _row_scores(clf, samples.x, [0, 0, 0], "grad_norm")
-    assert chosen.score[0] == pytest.approx(max(scores))
+    assert exemplar_scores(clf, chosen)[0] == pytest.approx(max(scores))
 
 
 def test_select_exemplars_loss_mode_and_unknown_mode():
     clf = Classifier(IdentityEncoder(2), classes=(0, 1))
     samples = Batch(np.array([[1.0, 0.0]]), [0], [0])
-    by_loss = select_exemplars(clf, samples, 1, score_by="loss")
-    assert by_loss.score[0] == pytest.approx(np.log(2.0), abs=1e-12)
+    by_loss = exemplar_scores(clf, samples, score_by="loss")
+    assert by_loss[0] == pytest.approx(np.log(2.0), abs=1e-12)
     with pytest.raises(ConfigError):
         select_exemplars(clf, samples, 1, score_by="entropy")
+    with pytest.raises(ConfigError):
+        exemplar_scores(clf, samples, score_by="entropy")
 
 
-def _kept(x, times=1, score=1.0):
-    """`times` copies of the row x, each scored `score`."""
-    return Exemplars(x=np.tile(np.asarray(x, dtype=float), (times, 1)),
-                     score=np.full(times, score))
+def _select_per_class(classifier, candidates, p, score_by):
+    """Reference: each class in turn, ascending, its rows copied out one
+    by one, scored alone by `exemplar_scores` and cut by `top_p_indices`.
+    Returns the kept row indices into `candidates`."""
+    keep, labels = [], candidates.y.tolist()
+    for k in sorted(set(labels)):
+        rows = [i for i, y in enumerate(labels) if y == k]
+        block = Batch(np.array([candidates.x[i] for i in rows]),
+                      [k] * len(rows), [candidates.domain[i] for i in rows],
+                      candidates.task)
+        scores = exemplar_scores(classifier, block, score_by).tolist()
+        keep += [rows[j] for j in top_p_indices(scores, p)]
+    return np.array(keep, dtype=np.intp)
+
+
+def _assert_kept(kept, candidates, keep):
+    """`kept` holds exactly candidates' rows `keep`, byte for byte, in
+    read-only columns."""
+    for name in ("x", "y", "domain"):
+        got, want = getattr(kept, name), getattr(candidates, name)[keep]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert kept.task == candidates.task
+
+
+@pytest.mark.parametrize("score_by", ["grad_norm", "loss"])
+def test_whole_task_selection_equals_the_per_class_reference(score_by):
+    # Two clients hold the task's three classes, so every class's seven
+    # rows alternate between two providers' conditions.
+    world = build_world(5, 6, 2, 0.5, 3)
+    suite = make_task_suite(world, CLASS_INCREMENTAL, 2, 3)
+    shards, _ = draw_client_shards(world, suite, 2, 10, 2, 3)
+    encoder = make_encoder(8, 5, 3)
+    generator = make_surrogate(world, encoder,
+                               draw_base_pool(world, 120, 3))
+    messages = [build_client_message(encoder, s) for s in shards
+                if s.task_id == 1]
+    assert all(len(m.class_means) == 3 for m in messages)
+    data = synthesize_task_data(generator, messages, 7, 1.0,
+                                stream(3, "synth", 1)).data
+    rng = np.random.default_rng(2)
+    clf = Classifier(encoder, classes=suite.tasks[0].classes)
+    clf.flat[...] = rng.normal(size=clf.flat.shape)
+    order = rng.permutation(len(data))
+    interleaved = Batch(data.x[order], data.y[order], data.domain[order], 1)
+    empty = Batch(np.zeros((0, 5)), [], [], 1)
+    for candidates in (data, interleaved, empty):
+        for p in (0, 1, 3, 7, 9):
+            kept = select_exemplars(clf, candidates, p, score_by=score_by)
+            _assert_kept(kept, candidates,
+                         _select_per_class(clf, candidates, p, score_by))
+            assert len(kept) == min(p, 7) * len(set(candidates.y.tolist()))
+        with pytest.raises(ConfigError):
+            select_exemplars(clf, candidates, -1, score_by=score_by)
+
+
+def test_whole_task_selection_breaks_ties_like_the_reference():
+    # A zero head scores every unit-norm row of a class alike, so each
+    # class keeps its earliest candidates.
+    clf = Classifier(IdentityEncoder(2), classes=(0, 1))
+    candidates = Batch([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+                        [-1.0, 0.0], [0.0, 1.0]], [1, 0, 1, 0, 0, 1],
+                       [0, 1, 0, 1, 0, 1], 4)
+    for score_by in ("grad_norm", "loss"):
+        for p in (0, 1, 2, 3, 4):
+            kept = select_exemplars(clf, candidates, p, score_by=score_by)
+            keep = _select_per_class(clf, candidates, p, score_by)
+            _assert_kept(kept, candidates, keep)
+            assert keep.tolist() == sorted(
+                [1, 3, 4][:p]) + sorted([0, 2, 5][:p])
+
+
+def _kept(classes, x, times=1):
+    """`times` copies of the row x for each class, classes in order."""
+    n = times * len(classes)
+    return Batch(np.tile(np.asarray(x, dtype=float), (n, 1)),
+                 np.repeat(classes, times), np.full(n, -1))
 
 
 def test_memory_growth_arithmetic():
     mem = ExemplarMemory(5)
     for t in range(1, 7):
-        per_class = {k: _kept([k, t], 5)
-                     for k in range(10 * (t - 1), 10 * t)}
-        mem.add_task(t, per_class)
+        mem.add_task(t, _kept(range(10 * (t - 1), 10 * t), [t, t], 5))
         assert mem.size == t * 10 * 5
     assert mem.size == 300
     assert [b.task for b in mem.replay_sets()] == [1, 2, 3, 4, 5, 6]
@@ -222,11 +305,11 @@ def test_memory_growth_arithmetic():
 
 def test_memory_rejects_rewrites_and_overfill():
     mem = ExemplarMemory(2)
-    mem.add_task(1, {0: _kept([0.0])})
+    mem.add_task(1, _kept([0], [0.0]))
     with pytest.raises(ProtocolError):
-        mem.add_task(1, {0: _kept([0.0], 0)})
+        mem.add_task(1, _kept([0], [0.0], 0))
     with pytest.raises(ProtocolError):
-        mem.add_task(2, {1: _kept([0.0], 3)})
+        mem.add_task(2, _kept([1], [0.0], 3))
     with pytest.raises(ConfigError):
         ExemplarMemory(-1)
 
@@ -234,25 +317,41 @@ def test_memory_rejects_rewrites_and_overfill():
 def test_memory_entries_are_frozen_copies():
     mem = ExemplarMemory(1)
     src = np.array([[1.0, 2.0]])
-    score = np.array([3.0])
-    mem.add_task(1, {0: Exemplars(x=src, score=score)})
+    labels = np.array([3])
+    mem.add_task(1, Batch(src, labels, [0]))
     src[0, 0] = 99.0
-    score[0] = 99.0
+    labels[0] = 99
     stored = mem.replay_sets()[0]
     assert stored.x[0, 0] == 1.0
-    assert mem._store[1][0].score[0] == 3.0
+    assert stored.y[0] == 3
     with pytest.raises(ValueError):
         stored.x[0, 0] = 5.0
     with pytest.raises(ValueError):
-        mem._store[1][0].score[0] = 5.0
+        stored.y[0] = 5
+
+
+def test_replay_sets_hand_out_the_stored_batches():
+    mem = ExemplarMemory(2)
+    src = np.arange(8.0).reshape(4, 2)
+    mem.add_task(1, Batch(src, [0, 0, 1, 1], [-1] * 4, 1))
+    mem.add_task(2, _kept([2], [0.5, 0.5], 2))
+    first, again = mem.replay_sets(), mem.replay_sets()
+    assert len(first) == 2
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    src[...] = -1.0
+    assert first[0].x.tolist() == np.arange(8.0).reshape(4, 2).tolist()
+    assert [b.task for b in first] == [1, 2]
+    for batch in first:
+        for column in (batch.x, batch.y, batch.domain):
+            assert not column.flags.writeable
+            assert not np.shares_memory(column, src)
 
 
 def test_replay_sets_counts_and_exclusion():
     mem = ExemplarMemory(2)
     assert mem.replay_sets(1) == []
     for t in (1, 2):
-        per_class = {k: _kept([k], 2) for k in (2 * t, 2 * t + 1)}
-        mem.add_task(t, per_class)
+        mem.add_task(t, _kept([2 * t, 2 * t + 1], [t], 2))
     sets = mem.replay_sets(3)
     assert [len(s) for s in sets] == [4, 4]
     assert [s.task for s in sets] == [1, 2]
@@ -265,30 +364,29 @@ def test_replay_sets_counts_and_exclusion():
     assert a == b
 
 
-def test_memory_dump_text_layout():
-    mem = ExemplarMemory(1)
-    mem.add_task(4, {7: _kept([0.25, -1.5], score=2.0)})
-    dump = mem.dump_text()
-    lines = dump.strip().split("\n")
-    assert lines[0] == "task\tclass\tslot\tscore\tvector"
-    assert lines[1] == "4\t7\t0\t2.0\t0.25 -1.5"
-
-
 def test_replay_order_equals_the_per_row_loop():
     # Reference: every kept row of every remembered task in arrival
-    # order, classes ascending within a task, slots in order.
+    # order, classes ascending within a task, slots in order. Each task's
+    # candidates arrive with their classes interleaved.
     rng = np.random.default_rng(5)
+    clf = Classifier(IdentityEncoder(4), classes=range(10))
     mem = ExemplarMemory(3)
     stored = {}
     for t, classes in ((2, (7, 1, 4)), (1, (0, 9)), (5, (3,))):
-        per_class = {k: Exemplars(x=rng.normal(size=(int(n), 4)),
-                                  score=rng.normal(size=int(n)))
+        per_class = {k: rng.normal(size=(int(n), 4))
                      for k, n in zip(classes, rng.integers(0, 4, 3))}
-        mem.add_task(t, per_class)
-        stored[t] = per_class
+        ys = np.concatenate([np.full(len(x), k)
+                             for k, x in per_class.items()]).astype(int)
+        order = rng.permutation(len(ys))
+        xs = np.concatenate([np.zeros((0, 4)), *per_class.values()])[order]
+        ys = ys[order]
+        mem.add_task(t, select_exemplars(
+            clf, Batch(xs, ys, np.full(len(ys), -1), t), 3))
+        stored[t] = {k: [x for x, y in zip(xs, ys.tolist()) if y == k]
+                     for k in classes}
     for current in (None, 1, 2, 5):
         sets = mem.replay_sets(current)
-        expect = [(t, [(x, k) for k in sorted(pc) for x in pc[k].x])
+        expect = [(t, [(x, k) for k in sorted(pc) for x in pc[k]])
                   for t, pc in stored.items() if t != current]
         expect = [(t, rows) for t, rows in expect if rows]
         assert [s.task for s in sets] == [t for t, _ in expect]
@@ -307,4 +405,5 @@ def test_loss_scoring_ranks_saturated_candidates():
     candidates = Batch(np.array([[0.8, 0.0], [0.9, 0.0]]), [0, 0], [0, 0])
     kept = select_exemplars(clf, candidates, 1, score_by="loss")
     assert kept.x.tolist() == [[0.9, 0.0]]
-    assert kept.score[0] == pytest.approx(900.0, rel=1e-12)
+    assert exemplar_scores(clf, kept, "loss")[0] == \
+        pytest.approx(900.0, rel=1e-12)

@@ -12,7 +12,7 @@ from osifl.errors import ConfigError, ProtocolError
 from osifl.ledgers import ComputeLedger, encoder_forward_madds, \
     head_backward_madds, head_forward_madds, softmax_madds
 from osifl.rng import stream
-from osifl.ssr import ExemplarMemory, Exemplars, select_exemplars
+from osifl.ssr import ExemplarMemory, select_exemplars
 from osifl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
                            AnchorState, Classifier, Stack, TrainHP,
                            ce_loss_and_grads, estimate_fisher,
@@ -378,11 +378,10 @@ def _replay_memory(dim=3, seed=40):
     """Two remembered tasks of 7 and 3 rows, for replay groups."""
     rng = np.random.default_rng(seed)
     memory = ExemplarMemory(5)
-    memory.add_task(1, {
-        0: Exemplars(x=rng.normal(size=(5, dim)), score=np.zeros(5)),
-        1: Exemplars(x=rng.normal(size=(2, dim)), score=np.zeros(2))})
-    memory.add_task(2, {
-        2: Exemplars(x=rng.normal(size=(3, dim)), score=np.zeros(3))})
+    memory.add_task(1, Batch(np.concatenate([rng.normal(size=(5, dim)),
+                                             rng.normal(size=(2, dim))]),
+                             [0] * 5 + [1] * 2, [-1] * 7))
+    memory.add_task(2, Batch(rng.normal(size=(3, dim)), [2] * 3, [-1] * 3))
     return memory
 
 
@@ -686,14 +685,8 @@ def test_replay_retention_beats_naive_by_ten_points():
             train_naive(clf, shards[0].samples, hp, stream(seed, "t", 1))
             memory = ExemplarMemory(5)
             if variant == "replay":
-                per_class = {}
-                shard = shards[0].samples
-                for k in suite.tasks[0].classes:
-                    rows = shard.y == k
-                    pool = Batch(shard.x[rows], shard.y[rows],
-                                 shard.domain[rows], shard.task)
-                    per_class[k] = select_exemplars(clf, pool, 5)
-                memory.add_task(1, per_class)
+                memory.add_task(1, select_exemplars(clf, shards[0].samples,
+                                                    5))
             clf.expand_head(suite.tasks[1].classes)
             if variant == "replay":
                 train_osifl(clf, shards[1].samples, memory, hp,
