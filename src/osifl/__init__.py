@@ -27,8 +27,7 @@ from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars, top_p_indices
 from .trainer import Adam, AnchorState, Classifier, TrainHP, \
     ce_loss_and_grads, estimate_fisher, ewc_penalty_and_grads, load_head, \
-    save_head, train_joint, train_local, train_naive, train_osifl, \
-    train_regularized
+    save_head, train
 
 __version__ = "0.1.0"
 
@@ -51,6 +50,5 @@ __all__ = [
     "pretrain", "report_rows",
     "rows_to_csv", "run_method", "save_head", "save_model",
     "select_exemplars", "serialize_config", "serialize_message", "stream",
-    "top_p_indices", "train_joint", "train_local", "train_naive",
-    "train_osifl", "train_regularized", "write_report_csv",
+    "top_p_indices", "train", "write_report_csv",
 ]

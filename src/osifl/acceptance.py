@@ -31,8 +31,7 @@ from .orchestrator import Method, ServerMemo
 from .rng import stream
 from .ssr import ExemplarMemory, top_p_indices
 from .trainer import AnchorState, Classifier, TrainHP, ce_loss_and_grads, \
-    ewc_penalty_and_grads, train_joint, train_naive, train_osifl, \
-    train_regularized
+    ewc_penalty_and_grads, train
 
 BENCH_SEEDS = (42, 18, 50)
 # Reports and generators of every criterion's runs, for the process.
@@ -258,15 +257,12 @@ def criterion_reduction_chain() -> tuple[bool, str]:
         return clf
 
     results = []
-    for name, runner in (
-            ("naive", lambda c: train_naive(c, data, hp, stream(9, "chain"))),
-            ("joint", lambda c: train_joint(c, [data], hp,
-                                            stream(9, "chain"))),
-            ("replay", lambda c: train_osifl(c, data, ExemplarMemory(5), hp,
-                                             stream(9, "chain"))),
-            ("regularized", lambda c: train_regularized(
-                c, data, None, 0.0, hp, stream(9, "chain")))):
-        clf = runner(fresh())
+    for name, groups, penalty in (
+            ("naive", data, {}),
+            ("joint", [data], {}),
+            ("replay", [data, *ExemplarMemory(5).replay_sets(1)], {}),
+            ("regularized", data, dict(anchor=None, lam=0.0))):
+        clf = train(fresh(), groups, hp, stream(9, "chain"), **penalty)
         results.append((name, clf.weights, clf.bias))
     worst = 0.0
     base = results[0]

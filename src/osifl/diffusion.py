@@ -553,6 +553,10 @@ def load_model(path: str) -> DiffusionModel:
         _CKPT_HEAD.unpack(reader.take(_CKPT_HEAD.size))
     if magic != _CKPT_MAGIC or version != 1 or trained not in (0, 1):
         raise ProtocolError(f"not a model checkpoint: {path}")
+    if 0 in (dim_x, dim_cond, num_steps, hidden):
+        raise ProtocolError(
+            f"model checkpoint {path} has a zero size: dim_x {dim_x}, "
+            f"dim_cond {dim_cond}, num_steps {num_steps}, hidden {hidden}")
     schedule = _schedule_from_betas(reader.floats(num_steps))
     shapes = _param_shapes(dim_x, dim_cond, num_steps, hidden)
     flat = reader.floats(_flat_size(shapes))

@@ -167,12 +167,16 @@ def parse_message(blob: bytes) -> ClientMessage:
         _HEADER.unpack(reader.take(_HEADER.size))
     if n_classes == 0:
         raise ProtocolError("message blob covers no class")
+    if dim_e == 0:
+        raise ProtocolError("message blob has class means of dim_e 0")
     means: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     for _ in range(n_classes):
         k, count = _CLASS_HEAD.unpack(reader.take(_CLASS_HEAD.size))
         if means and k <= next(reversed(means)):
             raise ProtocolError(f"message blob lists class {k} out of order")
+        if count == 0:
+            raise ProtocolError(f"message blob gives class {k} no samples")
         means[k] = reader.floats(dim_e)
         counts[k] = count
     reader.finish()

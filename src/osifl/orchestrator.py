@@ -29,8 +29,12 @@ from .ledgers import CommsLedger, ComputeLedger, encoder_forward_madds, \
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars
 from .trainer import Adam, AnchorState, Classifier, HeadCall, Stack, \
-    TrainHP, charge_training, estimate_fisher, train_joint, train_local, \
-    train_naive, train_osifl, train_regularized
+    TrainHP, charge_training, estimate_fisher, train
+
+# bench/traced.py and the tests time and patch head training through these
+# names, one per method, until the program reports its own (ROADMAP item 2).
+train_naive = train_joint = train_osifl = train_regularized = \
+    train_local = train
 
 
 class Method(str, Enum):
@@ -255,8 +259,8 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
         p = cfg.retain_per_class
         scorer = clf.copy() if p and cfg.scoring_point == "pre_update" else clf
         if data:
-            yield train_osifl, (clf, data, state.memory, state.hp,
-                                rng_t), shared
+            yield train_osifl, (clf, [data, *state.memory.replay_sets(t)],
+                                state.hp, rng_t), shared
         state.events.append(f"task{t}:train method=OSIFL")
         # With no exemplar to keep, no row is scored or billed.
         kept = Batch(data.x[:0], data.y[:0], data.domain[:0], t)
@@ -279,11 +283,9 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
         state.events.append(f"task{t}:train method=OSCAR_IL")
     elif state.method is Method.OSCAR_R:
         if data:
-            # With no anchor yet, or lambda = 0, this trains exactly as
-            # train_naive does.
-            yield train_regularized, (clf, data, state.anchor,
-                                      state.hp.lambda_ewc, state.hp,
-                                      rng_t), shared
+            # With no anchor yet, or lambda = 0, this trains as OSCAR_IL.
+            yield train_regularized, (clf, data, state.hp, rng_t), dict(
+                shared, anchor=state.anchor, lam=state.hp.lambda_ewc)
             state.anchor = estimate_fisher(clf, data)
         state.events.append(f"task{t}:train method=OSCAR_R")
     elif state.method is Method.OSCAR_CEILING:
@@ -450,7 +452,7 @@ def lockstep(runs: list) -> list:
     """Drive generators like `run_steps`, which yield training calls as
     (fn, args, kwargs) and are resumed with each call's result or error,
     to their ends together. The calls of one step to one function are
-    made as one call on a `Stack` of each argument, a lone call as is.
+    made as one call on a `Stack` of each argument, even a lone one.
     Returns what each generator returned, or the error it raised."""
     results, replies = [None] * len(runs), dict.fromkeys(range(len(runs)))
     while replies:
@@ -469,9 +471,8 @@ def lockstep(runs: list) -> list:
         for (fn, _, names), group in calls.items():
             ids, args, kwargs = zip(*group)
             try:
-                out = [fn(*args[0], **kwargs[0])] if len(ids) == 1 else fn(
-                    *map(Stack, zip(*args)),
-                    **{k: Stack(kw[k] for kw in kwargs) for k in names})
+                out = fn(*map(Stack, zip(*args)),
+                         **{k: Stack(kw[k] for kw in kwargs) for k in names})
             except Exception as err:
                 out = [err] * len(ids)
             replies.update(zip(ids, out, strict=True))

@@ -5,15 +5,15 @@ zero-initialized rows as new classes arrive. All gradients are exact
 and hand-derived; the optimizer is Adam with bias correction and weight
 decay applied as a gradient addition.
 
-Every training entry point funnels into one weighted minibatch loop.
-The objective is always a weighted sum of per-sample losses where each
-sample carries 1/|its group|, and each batch is scaled by N/|batch| so
-the minibatch objective is an unbiased estimate of the sum of per-group
-mean losses. With a single group that reduces exactly to plain mean
-cross-entropy, which is what makes the naive / joint / replay /
-regularized reductions trajectory-identical under a shared RNG. The
-loop trains a stack of heads at once (`Stack`), one head being a stack
-of one, with the same bits for each head as it would get alone.
+Every method trains its head through `train`, one weighted minibatch
+loop, with groups and an anchor of its own. The objective is always a
+weighted sum of per-sample losses where each sample carries 1/|its
+group|, and each batch is scaled by N/|batch| so the minibatch objective
+estimates the sum of per-group mean losses without bias. One group
+reduces it exactly to plain mean cross-entropy, which makes the naive /
+joint / replay / regularized reductions trajectory-identical under a
+shared RNG. The loop trains a stack of heads at once (`Stack`), one head
+being a stack of one, with the same bits for each head as it alone.
 """
 from __future__ import annotations
 
@@ -329,6 +329,7 @@ class Stack(tuple):
 
     @property
     def madds_by_kind(self) -> dict[str, int]:
+        """How the traced benchmark reads a stacked call's `ledger`."""
         return dict(sum(map(collections.Counter,
                             (ledger.madds_by_kind for ledger in self)),
                         collections.Counter()))
@@ -509,17 +510,28 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
     return errors
 
 
-def _train_on_groups(classifier, groups, hp, rng, *, epochs=None,
-                     anchor=None, lam=0.0, ledger=None, memo=None):
-    """Train one head, or a Stack of heads with every other argument
-    shared or a Stack of per-head values. The heads whose calls share
-    `_prepare`'s key train as one stack, any other alone, to the same
-    bits. One head is returned, or its call's error raised; a Stack
-    returns a Stack of each head or its call's error.
+def train(classifier, groups, hp, rng, *, epochs=None, anchor=None,
+          lam=0.0, ledger=None, memo=None):
+    """Train a head for `epochs` (default `hp.epochs_per_task`) on the
+    sum of each group's mean loss (`groups` a batch or a list of them),
+    plus, with an `anchor`, the anchor penalty at `lam`. Per method:
 
-    With a `memo` (a `ServerMemo`), a head whose call the memo answered
-    before is restored from it instead of trained, and a head that
-    trains is offered to it; the memo keeps only finite heads."""
+    - OSCAR_IL: the task's data;
+    - OSCAR_CEILING: every task's data so far;
+    - OSIFL: the task's data, then each remembered task's exemplars;
+    - OSCAR_R: the task's data, with the Fisher anchor at lambda_ewc;
+    - a federated client: its shard for a few epochs, with FedEWC's
+      Fisher anchor, or FedProx's broadcast model at F = 1/2 and mu.
+
+    One group, an empty replay or lam = 0 train as the data alone.
+    `classifier` is one head, or a Stack of heads with every other
+    argument shared or a Stack of per-head values. The heads whose calls
+    share `_prepare`'s key train as one stack, any other alone, to the
+    same bits. One head is returned, or its call's error raised; a Stack
+    returns a Stack of each head or its call's error. With a `memo` (a
+    `ServerMemo`), a head whose call the memo answered before is
+    restored from it instead of trained, and a head that trains is
+    offered to it; the memo keeps only finite heads."""
     heads = _per_head(1, classifier)
     out, stacks, offered = list(heads), {}, {}
     for s, (*args, head_memo) in enumerate(zip(heads, *(
@@ -556,61 +568,6 @@ def _train_on_groups(classifier, groups, hp, rng, *, epochs=None,
     if isinstance(out[0], Exception):
         raise out[0]
     return classifier
-
-
-def train_naive(classifier: Classifier, data: Batch, hp: TrainHP,
-                rng: np.random.Generator, ledger=None,
-                memo=None) -> Classifier:
-    """Plain incremental fine-tuning on the current task's data. This and
-    every other trainer also take Stacks, and all but `train_local` a
-    memo (`_train_on_groups`)."""
-    return _train_on_groups(classifier, data, hp, rng, ledger=ledger,
-                            memo=memo)
-
-
-def train_joint(classifier: Classifier, datasets: list[Batch],
-                hp: TrainHP, rng: np.random.Generator,
-                ledger=None, memo=None) -> Classifier:
-    """Minimize the sum of per-task mean losses over every dataset."""
-    return _train_on_groups(classifier, datasets, hp, rng, ledger=ledger,
-                            memo=memo)
-
-
-def train_osifl(classifier: Classifier, data: Batch, memory,
-                hp: TrainHP, rng: np.random.Generator,
-                ledger=None, memo=None) -> Classifier:
-    """Current-task mean loss plus one mean-loss term per remembered
-    task. `memory` provides replay_sets(current_task). A task with no
-    rows of its own trains on nothing, an error."""
-    def groups(data, memory):
-        return [data] + memory.replay_sets(data.task) \
-            if data and memory is not None else [data]
-    if isinstance(data, Stack):
-        return _train_on_groups(classifier, Stack(map(groups, data, _per_head(
-            len(data), memory))), hp, rng, ledger=ledger, memo=memo)
-    return _train_on_groups(classifier, groups(data, memory), hp, rng,
-                            ledger=ledger, memo=memo)
-
-
-def train_regularized(classifier: Classifier, data: Batch,
-                      anchor: AnchorState | None, lam: float, hp: TrainHP,
-                      rng: np.random.Generator, ledger=None,
-                      memo=None) -> Classifier:
-    """Naive objective plus the quadratic anchor penalty. lam = 0 (or no
-    anchor) follows exactly the train_naive trajectory."""
-    return _train_on_groups(classifier, data, hp, rng, anchor=anchor,
-                            lam=lam, ledger=ledger, memo=memo)
-
-
-def train_local(classifier: Classifier, data: Batch, hp: TrainHP,
-                rng: np.random.Generator, *, epochs: int,
-                anchor: AnchorState | None = None, lam: float = 0.0,
-                ledger=None) -> Classifier:
-    """A federated client's local pass: a short naive run, optionally
-    with the anchor penalty (FedEWC's Fisher anchor, or FedProx's
-    broadcast model at F = 1/2)."""
-    return _train_on_groups(classifier, data, hp, rng, epochs=epochs,
-                            anchor=anchor, lam=lam, ledger=ledger)
 
 
 _HEAD_MAGIC = b"OSFH"

@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps program functions by name; these runs
-show that every layer it reports still sees calls."""
+show that every layer it reports still sees calls, and that each method
+trains its head through the name the tracer times it by."""
 import json
 import os
 import subprocess
@@ -7,6 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from osifl import cli, orchestrator
+from osifl.config import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +48,29 @@ def test_the_tracer_sees_every_layer(tmp_path, config, layers):
     metrics = json.loads(trace.read_text())
     assert {name: metrics[name] for name in layers if metrics[name] <= 0} \
         == {}
+
+
+# The `orchestrator` name each method's head training goes through: the
+# tracer times `train_local` as federated training and the other four
+# as one-shot training.
+_TRAINS_THROUGH = {
+    "OSIFL": "train_osifl", "OSCAR_IL": "train_naive",
+    "OSCAR_R": "train_regularized", "OSCAR_CEILING": "train_joint",
+    "FEDAVG": "train_local", "FEDPROX": "train_local",
+    "FEDEWC": "train_local"}
+
+
+@pytest.mark.parametrize("method", sorted(_TRAINS_THROUGH))
+def test_each_method_trains_only_through_its_own_name(monkeypatch, method):
+    calls = dict.fromkeys(sorted(set(_TRAINS_THROUGH.values())), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(orchestrator, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(orchestrator, name, counted)
+    cfg = parse_config(_SMALL + f"generator = surrogate\nmethods = {method}\n")
+    _, failures = cli.run_grid(cfg, None, [None], cfg.seeds)
+    assert failures == []
+    assert {name for name, n in calls.items() if n} == \
+        {_TRAINS_THROUGH[method]}

@@ -6,6 +6,7 @@ blob carrying a NaN or an infinity, or a noise schedule beta outside
 (0, 1), raises ProtocolError too.
 """
 import os
+import re
 import struct
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osifl.diffusion import DiffusionModel, load_model, make_denoiser, \
-    make_schedule, save_model
+from osifl.diffusion import DiffusionModel, _flat_size, _param_shapes, \
+    load_model, make_denoiser, make_schedule, save_model
 from osifl.encoder import ClientMessage, make_encoder, parse_message, \
     serialize_message
 from osifl.errors import ProtocolError
@@ -115,6 +116,17 @@ def test_message_blob_rejects_non_finite_means(value):
         parse_message(blob)
 
 
+@pytest.mark.parametrize("dim_e, count, match", [
+    (0, 7, "dim_e 0"), (1, 0, "class 3 no samples")])
+def test_message_blob_rejects_an_empty_mean_or_class(dim_e, count, match):
+    # Header (client 0, task 1, dim_e, 1 class), then class 3 of `count`
+    # samples with its dim_e mean entries.
+    blob = struct.pack("<IIII", 0, 1, dim_e, 1) \
+        + struct.pack(f"<II{dim_e}d", 3, count, *[0.5] * dim_e)
+    with pytest.raises(ProtocolError, match=match):
+        parse_message(blob)
+
+
 @pytest.mark.parametrize("at", [0, 7])
 def test_head_checkpoint_rejects_non_finite_values(scratch, at):
     # Header 16 bytes and two class ids, then 6 weights and 2 biases:
@@ -140,3 +152,21 @@ def test_model_checkpoint_rejects_bad_betas_and_weights(scratch, at, value,
                              load_model, save_model)
     with pytest.raises(ProtocolError, match=match):
         load(_with_float(save(_MODEL), 28 + 8 * at, value))
+
+
+@pytest.mark.parametrize("field", ["dim_x", "dim_cond", "num_steps",
+                                   "hidden"])
+def test_model_checkpoint_rejects_a_zero_dimension(scratch, field):
+    # Otherwise whole: as many valid betas and weights as the header's
+    # dimensions call for, so only the zero can fail it.
+    dims = dict(dict(dim_x=2, dim_cond=2, num_steps=3, hidden=2),
+                **{field: 0})
+    size = _flat_size(_param_shapes(**dims))
+    betas, weights = [0.1] * dims["num_steps"], [0.5] * size
+    path = os.path.join(scratch, "zero.bin")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIIIII", b"OSDM", 1, *dims.values(), 1)
+                 + struct.pack(f"<{len(betas) + size}d", *betas, *weights))
+    with pytest.raises(ProtocolError, match=re.escape(
+            f"model checkpoint {path} has a zero size") + rf".* {field} 0\b"):
+        load_model(path)

@@ -12,7 +12,6 @@ from osifl.config import (FIELD_SPECS, ExperimentConfig, build_run_inputs,
                           parse_config, serialize_config)
 from osifl.errors import ConfigError
 from osifl.orchestrator import CSV_HEADER, Method, ServerMemo, rows_to_csv
-from osifl.trainer import Stack
 
 
 def _small(**overrides):
@@ -649,7 +648,7 @@ def _stack_sizes(monkeypatch):
     for name in ("train_naive", "train_joint", "train_osifl",
                  "train_regularized", "train_local"):
         def counted(clf, *args, _real=getattr(orchestrator, name), **kw):
-            sizes.append(len(clf) if isinstance(clf, Stack) else 1)
+            sizes.append(len(clf))
             return _real(clf, *args, **kw)
         monkeypatch.setattr(orchestrator, name, counted)
     return sizes

@@ -20,7 +20,7 @@ from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, exemplar_scores
 from osifl.trainer import Adam, AnchorState, Classifier, TrainHP, \
-    estimate_fisher, train_local, train_naive, train_regularized
+    estimate_fisher, train
 
 
 def _small(**overrides):
@@ -287,9 +287,9 @@ def test_federated_single_client_is_sequential_local_training(method):
                                      np.full(manual.param_count, 0.5))
                 lam = cfg.mu_prox
             local = manual.copy()
-            train_local(local, shard.samples, hp,
-                        stream(6, "fed", t, rnd, shard.client_id),
-                        epochs=cfg.local_epochs, anchor=anchor, lam=lam)
+            train(local, shard.samples, hp,
+                  stream(6, "fed", t, rnd, shard.client_id),
+                  epochs=cfg.local_epochs, anchor=anchor, lam=lam)
             manual.weights[...], manual.bias[...] = local.weights, local.bias
         if method is Method.FEDEWC:
             ewc = (manual.flat.copy(),
@@ -610,10 +610,12 @@ def test_non_finite_head_fails_after_its_task_phase(monkeypatch, method,
                                                     trainer):
     real = getattr(orchestrator, trainer)
 
-    def diverging(clf, data, *args, **kwargs):
-        real(clf, data, *args, **kwargs)
-        if data.task == 2:
-            clf.bias[0] = np.nan
+    def diverging(clfs, groups, *args, **kwargs):
+        out = real(clfs, groups, *args, **kwargs)
+        for clf, data in zip(clfs, groups):
+            if data.task == 2:
+                clf.bias[0] = np.nan
+        return out
 
     monkeypatch.setattr(orchestrator, trainer, diverging)
     cfg = _small()
@@ -711,13 +713,13 @@ def test_server_memo_never_keeps_an_overflowing_head():
         anchor = AnchorState(np.ones_like(clf.flat),
                              np.full_like(clf.flat, 1e300))
         with pytest.raises(ProtocolError, match="overflowed Adam's moments"):
-            train_regularized(clf, data, anchor, 1.0, TrainHP(),
-                              stream(1, "t"), memo=memo)
+            train(clf, data, TrainHP(), stream(1, "t"), anchor=anchor,
+                  lam=1.0, memo=memo)
         # A head that steps past float64 is not an error here; its task
         # phase fails on it. It is not kept either.
         clf = Classifier(encoder, classes=[0, 1, 2])
-        train_naive(clf, data, TrainHP(learning_rate=1e308), stream(1, "t"),
-                    ledger=ComputeLedger(), memo=memo)
+        train(clf, data, TrainHP(learning_rate=1e308), stream(1, "t"),
+              ledger=ComputeLedger(), memo=memo)
         assert not np.isfinite(clf.flat).all()
         assert memo._entries == {}
 
@@ -729,7 +731,7 @@ def test_a_restored_head_leaves_behind_what_training_leaves(monkeypatch):
     def trained():
         clf, rng, ledger = Classifier(encoder, classes=[0, 1, 2]), \
             stream(1, "t"), ComputeLedger()
-        train_naive(clf, data, hp, rng, ledger=ledger, memo=memo)
+        train(clf, data, hp, rng, ledger=ledger, memo=memo)
         return (clf.flat.tobytes(), clf.adam.step, clf.adam.m.tobytes(),
                 clf.adam.v.tobytes(), rng.bit_generator.state,
                 ledger.madds_by_kind)

@@ -17,8 +17,7 @@ from osifl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
                            AnchorState, Classifier, Stack, TrainHP,
                            ce_loss_and_grads, estimate_fisher,
                            ewc_penalty_and_grads, load_head, rows_for,
-                           save_head, train_joint, train_local, train_naive,
-                           train_osifl, train_regularized)
+                           save_head, train)
 
 
 def _toy_data(seed, n=24, classes=(0, 1), dim=4, shift=0.0, task=1):
@@ -351,7 +350,7 @@ def test_persisted_moments_train_like_the_reference_across_tasks():
             state = (step, *({k: np.concatenate(
                 [d[k], np.zeros((2,) + d[k].shape[1:])]) for k in d}
                 for d in (m, v)))
-        train_naive(clf, data, hp, stream(0, "t", t))
+        train(clf, data, hp, stream(0, "t", t))
         params, state = _ref_train(ref, [data], hp, stream(0, "t", t), state,
                                    epochs=hp.epochs_per_task)
         ref.weights[...], ref.bias[...] = params["weights"], params["bias"]
@@ -402,31 +401,29 @@ def _anchor_pull(theta, fisher, lam):
 _REF_CASES = {
     # 10 rows in batches of 4: the last batch holds 2.
     "partial_last_batch": (4, 3, lambda d: [d],
-                           lambda c, g, hp, r, a: train_naive(c, g[0], hp, r),
+                           lambda c, g, hp, r, a: train(c, g[0], hp, r),
                            None),
     # One batch of all 10 rows when the batch size is 32.
     "batch_above_n": (32, 4, lambda d: [d],
-                      lambda c, g, hp, r, a: train_naive(c, g[0], hp, r),
-                      None),
+                      lambda c, g, hp, r, a: train(c, g[0], hp, r), None),
     # Three groups of 10, 3 and 6 rows: coefficients 1/10, 1/3, 1/6.
     "joint_unequal": (4, 3,
                       lambda d: [d, _toy_data(7, n=3, classes=(0,), dim=3),
                                  _toy_data(8, n=7, classes=(1, 2), dim=3)],
-                      lambda c, g, hp, r, a: train_joint(c, g, hp, r), None),
-    # The current task plus two replayed tasks of 7 and 3 rows.
+                      lambda c, g, hp, r, a: train(c, g, hp, r), None),
+    # The current task plus two replayed tasks of 7 and 3 rows, as OSIFL
+    # builds its groups.
     "replay": (4, 3, lambda d: [d] + _replay_memory().replay_sets(3),
-               lambda c, g, hp, r, a: train_osifl(c, g[0], _replay_memory(),
-                                                  hp, r),
-               None),
+               lambda c, g, hp, r, a: train(c, g, hp, r), None),
     "ewc": (4, 3, lambda d: [d],
-            lambda c, g, hp, r, a: train_regularized(c, g[0], a, 0.7, hp, r),
+            lambda c, g, hp, r, a: train(c, g[0], hp, r, anchor=a, lam=0.7),
             0.7),
     "fedprox": (4, 2, lambda d: [d],
-                lambda c, g, hp, r, a: train_local(c, g[0], hp, r, epochs=2,
-                                                   anchor=a, lam=0.3),
+                lambda c, g, hp, r, a: train(c, g[0], hp, r, epochs=2,
+                                             anchor=a, lam=0.3),
                 0.3),
     "zero_epochs": (4, 0, lambda d: [d],
-                    lambda c, g, hp, r, a: train_naive(c, g[0], hp, r), None),
+                    lambda c, g, hp, r, a: train(c, g[0], hp, r), None),
 }
 
 
@@ -467,14 +464,14 @@ def test_persisted_moments_across_growth_with_groups_and_anchor():
     state = _ref_zeros(params)
     params, state = _ref_train(clf, [first], hp, stream(3, "t", 1), state,
                                epochs=2)
-    train_naive(clf, first, hp, stream(3, "t", 1))
+    train(clf, first, hp, stream(3, "t", 1))
     _assert_state_equal(clf, params, state)
     clf.expand_head([2, 3])
     params, state = _ref_grow(params, state, 2)
     _assert_state_equal(clf, params, state)
     params, state = _ref_train(clf, second, hp, stream(3, "t", 2), state,
                                epochs=2)
-    train_joint(clf, second, hp, stream(3, "t", 2))
+    train(clf, second, hp, stream(3, "t", 2))
     _assert_state_equal(clf, params, state)
     anchor = estimate_fisher(clf, second[0])
     ref_theta, ref_fisher = (_ref_pad(_params(clf, a), 1)
@@ -488,7 +485,7 @@ def test_persisted_moments_across_growth_with_groups_and_anchor():
     params, state = _ref_train(clf, [third], hp, stream(3, "t", 3), state,
                                epochs=2,
                                pull=_anchor_pull(ref_theta, ref_fisher, 5.0))
-    train_regularized(clf, third, anchor, 5.0, hp, stream(3, "t", 3))
+    train(clf, third, hp, stream(3, "t", 3), anchor=anchor, lam=5.0)
     assert state[0] == 2 * 3 + 2 * 4 + 2 * 3
     _assert_state_equal(clf, params, state)
 
@@ -505,20 +502,20 @@ def test_later_training_moves_no_snapshot_copy_or_anchor():
 
     snapshot = clf.flat.copy()
     dup = clf.copy()
-    train_naive(clf, data, hp, stream(0, "t"))
+    train(clf, data, hp, stream(0, "t"))
     assert unmoved(snapshot)
     assert unmoved(dup.flat)
     # A copy's training moves neither the original nor the snapshot.
     trained = clf.flat.copy()
-    train_naive(dup, data, hp, stream(1, "t"))
+    train(dup, data, hp, stream(1, "t"))
     assert unmoved(snapshot)
     assert np.array_equal(clf.flat, trained)
     # FedProx: the broadcast anchor stays put while a local copy trains.
     broadcast = _prox_anchor(clf.flat.copy())
     kept = broadcast.theta.copy()
     local = clf.copy()
-    train_local(local, data, hp, stream(2, "t"), epochs=2,
-                anchor=broadcast, lam=0.5)
+    train(local, data, hp, stream(2, "t"), epochs=2,
+          anchor=broadcast, lam=0.5)
     assert np.array_equal(broadcast.theta, kept)
     assert np.array_equal(clf.flat, kept)
     for moved, v in zip(clf.split(local.flat), clf.split(kept)):
@@ -526,9 +523,9 @@ def test_later_training_moves_no_snapshot_copy_or_anchor():
     # The pre-update scoring head: a copy taken before training keeps
     # its values however the model trains on.
     scorer = clf.copy()
-    train_naive(clf, data, hp, stream(3, "t"))
+    train(clf, data, hp, stream(3, "t"))
     assert unmoved(snapshot) and np.array_equal(scorer.flat, kept)
-    train_naive(scorer, data, hp, stream(4, "t"))
+    train(scorer, data, hp, stream(4, "t"))
     assert unmoved(snapshot)
     assert not np.array_equal(scorer.flat, kept)
 
@@ -549,7 +546,7 @@ def test_train_naive_single_full_batch_is_one_adam_step():
     expect, _ = _ref_adam_step(_ref_zeros(_params(clf)),
                                _params(clf), manual_grads,
                                hp.learning_rate, hp.weight_decay)
-    train_naive(clf, data, hp, stream(0, "t"))
+    train(clf, data, hp, stream(0, "t"))
     assert clf.adam.step == 1
     assert np.allclose(clf.weights, expect["weights"], atol=1e-12)
     assert np.allclose(clf.bias, expect["bias"], atol=1e-12)
@@ -563,7 +560,7 @@ def test_train_naive_reduces_loss_three_seeds():
         data = _toy_data(seed, n=32, dim=4, shift=1.0)
         clf = Classifier(enc, classes=(0, 1))
         before, _ = ce_loss_and_grads(clf, data)
-        train_naive(clf, data, hp, stream(seed, "t"))
+        train(clf, data, hp, stream(seed, "t"))
         after, _ = ce_loss_and_grads(clf, data)
         drops.append(before - after)
     assert np.mean(drops) > 0
@@ -577,7 +574,7 @@ def test_train_naive_deterministic_and_encoder_untouched():
     runs = []
     for _ in range(2):
         clf = Classifier(enc, classes=(0, 1))
-        train_naive(clf, data, hp, stream(7, "t"))
+        train(clf, data, hp, stream(7, "t"))
         runs.append((clf.weights.copy(), clf.bias.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -589,9 +586,9 @@ def test_train_rejects_empty_data():
     clf = Classifier(enc, classes=(0, 1))
     hp = TrainHP()
     with pytest.raises(ProtocolError):
-        train_naive(clf, _empty(), hp, stream(0, "t"))
+        train(clf, _empty(), hp, stream(0, "t"))
     with pytest.raises(ProtocolError):
-        train_joint(clf, [_empty(), _empty()], hp, stream(0, "t"))
+        train(clf, [_empty(), _empty()], hp, stream(0, "t"))
 
 
 def test_joint_single_dataset_equals_naive():
@@ -600,8 +597,8 @@ def test_joint_single_dataset_equals_naive():
     hp = TrainHP(epochs_per_task=3, batch_size=4)
     a = Classifier(enc, classes=(0, 1))
     b = Classifier(enc, classes=(0, 1))
-    train_naive(a, data, hp, stream(7, "t"))
-    train_joint(b, [data], hp, stream(7, "t"))
+    train(a, data, hp, stream(7, "t"))
+    train(b, [data], hp, stream(7, "t"))
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
 
@@ -625,7 +622,7 @@ def test_joint_weighting_sums_group_means():
     expect, _ = _ref_adam_step(_ref_zeros(_params(clf)),
                                _params(clf), summed, hp.learning_rate,
                                hp.weight_decay)
-    train_joint(clf, [small, large], hp, stream(3, "t"))
+    train(clf, [small, large], hp, stream(3, "t"))
     assert np.allclose(clf.weights, expect["weights"], atol=1e-12)
     assert np.allclose(clf.bias, expect["bias"], atol=1e-12)
 
@@ -636,8 +633,8 @@ def test_replay_with_empty_memory_equals_naive():
     hp = TrainHP(epochs_per_task=3, batch_size=4)
     a = Classifier(enc, classes=(0, 1))
     b = Classifier(enc, classes=(0, 1))
-    train_naive(a, data, hp, stream(7, "t"))
-    train_osifl(b, data, ExemplarMemory(5), hp, stream(7, "t"))
+    train(a, data, hp, stream(7, "t"))
+    train(b, [data, *ExemplarMemory(5).replay_sets(1)], hp, stream(7, "t"))
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
 
@@ -682,17 +679,17 @@ def test_replay_retention_beats_naive_by_ten_points():
         accs = {}
         for variant in ("naive", "replay"):
             clf = Classifier(enc, classes=suite.tasks[0].classes)
-            train_naive(clf, shards[0].samples, hp, stream(seed, "t", 1))
+            train(clf, shards[0].samples, hp, stream(seed, "t", 1))
             memory = ExemplarMemory(5)
             if variant == "replay":
                 memory.add_task(1, select_exemplars(clf, shards[0].samples,
                                                     5))
             clf.expand_head(suite.tasks[1].classes)
             if variant == "replay":
-                train_osifl(clf, shards[1].samples, memory, hp,
-                            stream(seed, "t", 2))
+                train(clf, [shards[1].samples, *memory.replay_sets(2)],
+                      hp, stream(seed, "t", 2))
             else:
-                train_naive(clf, shards[1].samples, hp, stream(seed, "t", 2))
+                train(clf, shards[1].samples, hp, stream(seed, "t", 2))
             test1 = test_sets[1]
             preds = clf.predict(test1.x)
             accs[variant] = float(np.mean(preds == test1.y))
@@ -790,9 +787,9 @@ def test_fedprox_pull_is_mu_times_the_gap_bit_for_bit():
     expect, state = _ref_train(
         clf, [data], hp, stream(1, "t"), _ref_zeros(ref), epochs=3,
         pull=lambda p: {k: 0.3 * (p[k] - ref[k]) for k in p})
-    train_local(clf, data, hp, stream(1, "t"), epochs=3,
-                anchor=_prox_anchor(np.concatenate([ref["weights"].ravel(),
-                                                    ref["bias"]])), lam=0.3)
+    train(clf, data, hp, stream(1, "t"), epochs=3,
+          anchor=_prox_anchor(np.concatenate([ref["weights"].ravel(),
+                                              ref["bias"]])), lam=0.3)
     assert state[0] == 9
     _assert_state_equal(clf, expect, state)
 
@@ -804,11 +801,11 @@ def test_regularized_lambda_zero_equals_naive():
     anchor = AnchorState(theta=np.ones(14), fisher=np.ones(14))
     a = Classifier(enc, classes=(0, 1))
     b = Classifier(enc, classes=(0, 1))
-    train_naive(a, data, hp, stream(7, "t"))
-    train_regularized(b, data, anchor, 0.0, hp, stream(7, "t"))
+    train(a, data, hp, stream(7, "t"))
+    train(b, data, hp, stream(7, "t"), anchor=anchor, lam=0.0)
     assert np.array_equal(a.weights, b.weights)
     with pytest.raises(ConfigError):
-        train_regularized(b, data, anchor, -1.0, hp, stream(7, "t"))
+        train(b, data, hp, stream(7, "t"), anchor=anchor, lam=-1.0)
 
 
 def test_regularized_large_lambda_stays_near_anchor():
@@ -818,8 +815,8 @@ def test_regularized_large_lambda_stays_near_anchor():
     anchor = AnchorState(theta=np.zeros(14), fisher=np.ones(14))
     free = Classifier(enc, classes=(0, 1))
     pinned = Classifier(enc, classes=(0, 1))
-    train_regularized(free, data, anchor, 0.0, hp, stream(7, "t"))
-    train_regularized(pinned, data, anchor, 1e4, hp, stream(7, "t"))
+    train(free, data, hp, stream(7, "t"), anchor=anchor, lam=0.0)
+    train(pinned, data, hp, stream(7, "t"), anchor=anchor, lam=1e4)
     assert np.linalg.norm(pinned.weights) < np.linalg.norm(free.weights)
 
 
@@ -895,7 +892,7 @@ def test_expand_head_rejects_duplicates_and_grows_moments():
     with pytest.raises(ProtocolError):
         clf.expand_head([1])
     hp = TrainHP(epochs_per_task=1, batch_size=8, adam_reset_per_task=False)
-    train_naive(clf, _toy_data(5, n=8, dim=3), hp, stream(0, "t"))
+    train(clf, _toy_data(5, n=8, dim=3), hp, stream(0, "t"))
     assert clf.adam is not None
     clf.expand_head([2])
     _, m, v = _moments(clf)
@@ -910,9 +907,9 @@ def test_train_local_epoch_override_and_penalty_pull():
     hp = TrainHP(epochs_per_task=20, batch_size=8)
     plain = Classifier(enc, classes=(0, 1))
     pulled = Classifier(enc, classes=(0, 1))
-    train_local(plain, data, hp, stream(1, "t"), epochs=1)
-    train_local(pulled, data, hp, stream(1, "t"), epochs=1,
-                anchor=_prox_anchor(np.zeros(14)), lam=100.0)
+    train(plain, data, hp, stream(1, "t"), epochs=1)
+    train(pulled, data, hp, stream(1, "t"), epochs=1,
+          anchor=_prox_anchor(np.zeros(14)), lam=100.0)
     assert np.linalg.norm(pulled.weights) < np.linalg.norm(plain.weights)
 
 
@@ -927,8 +924,8 @@ def test_an_overflowing_penalty_fails_instead_of_freezing_the_head(lam):
     with np.errstate(over="ignore"), pytest.raises(
             ProtocolError,
             match=re.escape(f"overflowed Adam's moments (lambda {lam},")):
-        train_regularized(clf, _toy_data(5, n=16, dim=3), anchor, lam, hp,
-                          stream(0, "t"))
+        train(clf, _toy_data(5, n=16, dim=3), hp, stream(0, "t"),
+              anchor=anchor, lam=lam)
 
 
 def test_train_local_rejects_a_misaligned_anchor_and_negative_lambda():
@@ -939,25 +936,25 @@ def test_train_local_rejects_a_misaligned_anchor_and_negative_lambda():
     # A one-class anchor (6 weights and 1 bias) against a 2-class head.
     short = _prox_anchor(np.zeros(7))
     with pytest.raises(ProtocolError, match=r"anchor theta \(7,\)"):
-        train_local(clf, data, hp, stream(1, "t"), epochs=1, anchor=short,
-                    lam=1.0)
+        train(clf, data, hp, stream(1, "t"), epochs=1, anchor=short,
+              lam=1.0)
     with pytest.raises(ProtocolError, match=r"fisher \(7,\) do not match"):
-        train_local(clf, data, hp, stream(1, "t"), epochs=1,
-                    anchor=AnchorState(np.zeros(14), np.zeros(7)), lam=1.0)
+        train(clf, data, hp, stream(1, "t"), epochs=1,
+              anchor=AnchorState(np.zeros(14), np.zeros(7)), lam=1.0)
     with pytest.raises(ConfigError):
-        train_local(clf, data, hp, stream(1, "t"), epochs=1, lam=-1.0)
+        train(clf, data, hp, stream(1, "t"), epochs=1, lam=-1.0)
     # nan > 0 is false: a nan lambda must not train as "no penalty".
     anchor = _prox_anchor(clf.flat.copy())
     for lam in (np.nan, np.inf):
         with pytest.raises(ConfigError, match="lambda"):
-            train_local(clf, data, hp, stream(1, "t"), epochs=1,
-                        anchor=anchor, lam=lam)
+            train(clf, data, hp, stream(1, "t"), epochs=1,
+                  anchor=anchor, lam=lam)
         with pytest.raises(ConfigError, match="lambda"):
-            train_regularized(clf, data, None, lam, hp, stream(1, "t"))
+            train(clf, data, hp, stream(1, "t"), anchor=None, lam=lam)
     # A negative epoch count is an error, not a pass that trains nothing.
     with pytest.raises(ConfigError, match="epochs"):
-        train_local(clf, data, hp, stream(1, "t"), epochs=-1,
-                    ledger=ComputeLedger())
+        train(clf, data, hp, stream(1, "t"), epochs=-1,
+              ledger=ComputeLedger())
     assert np.all(clf.weights == 0.0)
 
 
@@ -967,7 +964,7 @@ def test_training_ledger_matches_closed_forms():
     hp = TrainHP(epochs_per_task=2, batch_size=4)
     clf = Classifier(enc, classes=(0, 1))
     ledger = ComputeLedger()
-    train_naive(clf, data, hp, stream(0, "t"), ledger=ledger)
+    train(clf, data, hp, stream(0, "t"), ledger=ledger)
     batches = [4, 4, 2]
     expect_fwd = sum(head_forward_madds(b, 2, 6) for b in batches) * 2
     expect_bwd = sum(head_backward_madds(b, 2, 6) for b in batches) * 2
@@ -987,7 +984,7 @@ def test_zero_epochs_leave_ledger_and_params_unchanged():
     clf = Classifier(enc, classes=(0, 1))
     ledger = ComputeLedger()
     before = clf.flat.copy()
-    train_naive(clf, data, hp, stream(0, "t"), ledger=ledger)
+    train(clf, data, hp, stream(0, "t"), ledger=ledger)
     assert np.array_equal(clf.flat, before)
     assert "train_head_forward" not in ledger.madds_by_kind
 
@@ -1022,32 +1019,33 @@ def _joint_groups(h):
 
 
 def _case_values(case, clf, h):
-    """Head h's (data, anchor, replay memory) in a stacked-training case."""
+    """Head h's (groups, anchor) in a stacked-training case; a replay
+    head's groups are its task's data, then each remembered task's."""
     anchor = _ewc_anchor(clf, 42 + h)
     if case == "fedprox":
         anchor = _prox_anchor(anchor.theta)
-    data = _joint_groups(h) if case == "joint_unequal" else _data_for(h)
-    return data, anchor, _replay_memory(seed=40 + h)
+    groups = {"joint_unequal": _joint_groups(h), "replay": [
+        _data_for(h), *_replay_memory(seed=40 + h).replay_sets(3)]}
+    return groups.get(case, [_data_for(h)]), anchor
 
 
 # Each case: (batch_size, epochs, the call on one head's values or on a
 # Stack of them, penalty strength or None). 10 rows in batches of 4
 # leave a last batch of 2.
 _STACK_CASES = {
-    "partial_last_batch": (4, 3, lambda c, d, hp, r, a, m: train_naive(
-        c, d, hp, r), None),
-    "batch_above_n": (32, 2, lambda c, d, hp, r, a, m: train_naive(
-        c, d, hp, r), None),
-    "replay": (4, 3, lambda c, d, hp, r, a, m: train_osifl(
-        c, d, m, hp, r), None),
-    "joint_unequal": (4, 3, lambda c, d, hp, r, a, m: train_joint(
-        c, d, hp, r), None),
-    "ewc": (4, 3, lambda c, d, hp, r, a, m: train_regularized(
-        c, d, a, 0.7, hp, r), 0.7),
-    "fedprox": (4, 2, lambda c, d, hp, r, a, m: train_local(
-        c, d, hp, r, epochs=2, anchor=a, lam=0.3), 0.3),
-    "zero_epochs": (4, 0, lambda c, d, hp, r, a, m: train_naive(
-        c, d, hp, r), None),
+    "partial_last_batch": (4, 3, lambda c, g, hp, r, a: train(
+        c, g, hp, r), None),
+    "batch_above_n": (32, 2, lambda c, g, hp, r, a: train(
+        c, g, hp, r), None),
+    "replay": (4, 3, lambda c, g, hp, r, a: train(c, g, hp, r), None),
+    "joint_unequal": (4, 3, lambda c, g, hp, r, a: train(
+        c, g, hp, r), None),
+    "ewc": (4, 3, lambda c, g, hp, r, a: train(
+        c, g, hp, r, anchor=a, lam=0.7), 0.7),
+    "fedprox": (4, 2, lambda c, g, hp, r, a: train(
+        c, g, hp, r, epochs=2, anchor=a, lam=0.3), 0.3),
+    "zero_epochs": (4, 0, lambda c, g, hp, r, a: train(
+        c, g, hp, r), None),
 }
 
 
@@ -1058,21 +1056,18 @@ def test_a_stack_of_heads_trains_like_each_head_alone(case):
                  weight_decay=1e-3, adam_reset_per_task=False)
     solo, stacked = _stack_heads(), _stack_heads()
     for h, clf in enumerate(solo):
-        data, anchor, memory = _case_values(case, clf, h)
-        assert call(clf, data, hp, stream(h, "t"), anchor, memory) is clf
+        groups, anchor = _case_values(case, clf, h)
+        assert call(clf, groups, hp, stream(h, "t"), anchor) is clf
     values = [_case_values(case, clf, h) for h, clf in enumerate(stacked)]
-    data, anchors, memories = (Stack(v) for v in zip(*values))
-    out = call(Stack(stacked), data, hp,
-               Stack(stream(h, "t") for h in range(_HEADS)), anchors,
-               memories)
+    groups, anchors = (Stack(v) for v in zip(*values))
+    out = call(Stack(stacked), groups, hp,
+               Stack(stream(h, "t") for h in range(_HEADS)), anchors)
     assert isinstance(out, Stack) and list(out) == stacked
     for a, b in zip(solo, stacked):
         assert _state_bytes(a) == _state_bytes(b)
     # Solo training is today's loop: `_ref_train` pins it bit for bit.
     for h, clf in enumerate(_stack_heads()):
-        data, anchor, memory = _case_values(case, clf, h)
-        groups = {"replay": [data] + memory.replay_sets(3),
-                  "joint_unequal": data}.get(case, [data])
+        groups, anchor = _case_values(case, clf, h)
         pull = None if lam is None else _anchor_pull(
             _params(clf, anchor.theta), _params(clf, anchor.fisher), lam)
         expect, state = _ref_train(clf, groups, hp, stream(h, "t"),
@@ -1099,12 +1094,12 @@ def test_a_stack_keeps_moments_across_growth_like_each_head_alone():
                 for args in zip(clfs, *per_head):
                     call(*args)
 
-        each(lambda c, d, r: train_naive(c, d, hp, r),
+        each(lambda c, d, r: train(c, d, hp, r),
              [_data_for(h) for h in range(_HEADS)],
              [stream(h, "a") for h in range(_HEADS)])
         for clf in clfs:
             clf.expand_head([5, 6])
-        each(lambda c, g, r: train_joint(c, g, hp, r),
+        each(lambda c, g, r: train(c, g, hp, r),
              [[_toy_data(10 + h, n=9, classes=(5, 6), dim=3, task=4),
                _data_for(h, n=3)] for h in range(_HEADS)],
              [stream(h, "b") for h in range(_HEADS)])
@@ -1114,7 +1109,7 @@ def test_a_stack_keeps_moments_across_growth_like_each_head_alone():
             clf.expand_head([7])
         anchors = [AnchorState(clf.grow(a.theta), clf.grow(a.fisher))
                    for clf, a in zip(clfs, anchors)]
-        each(lambda c, d, a, r: train_regularized(c, d, a, 5.0, hp, r),
+        each(lambda c, d, a, r: train(c, d, hp, r, anchor=a, lam=5.0),
              [_toy_data(20 + h, n=9, classes=(7,), dim=3, task=5)
               for h in range(_HEADS)], anchors,
              [stream(h, "c") for h in range(_HEADS)])
@@ -1145,7 +1140,7 @@ def test_a_stack_trains_mismatched_and_failing_heads_apart():
     data = [_data_for(h, n=n) for h, n in enumerate(rows)]
     books = [ComputeLedger() for _ in clfs]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = train_local(
+        out = train(
             Stack(clfs), Stack(data), hp, Stack(stream(h, "t")
                                                 for h in range(4)),
             epochs=2, anchor=Stack(anchor(c, h) for h, c in enumerate(clfs)),
@@ -1157,8 +1152,8 @@ def test_a_stack_trains_mismatched_and_failing_heads_apart():
     assert "anchor theta (7,)" in str(out[3])
     for h in range(2):
         solo_book = ComputeLedger()
-        train_local(solo[h], data[h], hp, stream(h, "t"), epochs=2,
-                    anchor=anchor(solo[h], h), lam=lams[h], ledger=solo_book)
+        train(solo[h], data[h], hp, stream(h, "t"), epochs=2,
+              anchor=anchor(solo[h], h), lam=lams[h], ledger=solo_book)
         assert _state_bytes(solo[h]) == _state_bytes(clfs[h])
         assert books[h].madds_by_kind == solo_book.madds_by_kind
     assert books[3].madds_by_kind == {}
@@ -1183,15 +1178,15 @@ def test_an_overflow_fails_only_its_head_when_warnings_are_errors():
                for clf in clfs]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = train_local(Stack(clfs), Stack(data), hp,
-                          Stack(stream(h, "t") for h in range(4)), epochs=2,
-                          anchor=Stack(anchors), lam=Stack(lams))
+        out = train(Stack(clfs), Stack(data), hp,
+                    Stack(stream(h, "t") for h in range(4)), epochs=2,
+                    anchor=Stack(anchors), lam=Stack(lams))
         with pytest.raises(ProtocolError) as alone:
-            train_local(solo[2], data[2], hp, stream(2, "t"), epochs=2,
-                        anchor=anchors[2], lam=lams[2])
+            train(solo[2], data[2], hp, stream(2, "t"), epochs=2,
+                  anchor=anchors[2], lam=lams[2])
         for h in (0, 1, 3):
-            train_local(solo[h], data[h], hp, stream(h, "t"), epochs=2,
-                        anchor=anchors[h], lam=lams[h])
+            train(solo[h], data[h], hp, stream(h, "t"), epochs=2,
+                  anchor=anchors[h], lam=lams[h])
     assert isinstance(out[2], ProtocolError)
     assert str(out[2]) == str(alone.value) == (
         "training overflowed Adam's moments (lambda 1e+300, learning_rate "
@@ -1215,10 +1210,10 @@ def test_a_stack_over_the_embedding_budget_trains_in_parts(monkeypatch):
     data = [_data_for(h, n=1300) for h in range(3)]
     assert 3 * 1300 * 64 * 8 > trainer.STACK_EMBEDDING_BYTES
     for h, clf in enumerate(heads["solo"]):
-        train_naive(clf, data[h], hp, stream(h, "t"))
+        train(clf, data[h], hp, stream(h, "t"))
     assert widths == [1, 1, 1]
-    train_naive(Stack(heads["stacked"]), Stack(data), hp,
-                Stack(stream(h, "t") for h in range(3)))
+    train(Stack(heads["stacked"]), Stack(data), hp,
+          Stack(stream(h, "t") for h in range(3)))
     assert widths[3:] == [2, 1]
     for a, b in zip(heads["solo"], heads["stacked"]):
         assert _state_bytes(a) == _state_bytes(b)
