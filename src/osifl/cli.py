@@ -12,7 +12,6 @@ import numpy as np
 from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
     build_run_inputs, parse_config
 from .errors import ConfigError
-from .ledgers import ComputeLedger
 # Grids drive `run_steps` through `lockstep`; `run_method`, which drives
 # one run alone, stays bound here for callers that wrap it.
 from .orchestrator import CSV_HEADER, ServerMemo, lockstep, rows_to_csv, \
@@ -70,7 +69,7 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
         key = ("inputs", seed, dataclasses.replace(
             cfg, retain_per_class=None, guidance_w=None))
         inputs = server.recall(key, lambda _: build_run_inputs(cfg, seed),
-                               ComputeLedger())
+                               None)
         return (yield from run_steps(method, *inputs, cfg, seed,
                                      server=server))
 
@@ -89,7 +88,7 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
                 if not isinstance(result, Exception):
                     # Keeps a new report, or recalls the kept one.
                     result = server.recall(keys[seed], lambda _: ran[seed],
-                                           ComputeLedger())
+                                           None)
                 done[seed, method] = result
         tag = "" if axis is None else f"{axis}={value} "
         failures.extend(f"{tag}{m.value} seed={seed}: {result}"

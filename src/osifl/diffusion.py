@@ -439,14 +439,9 @@ def guided_epsilon(denoiser: Denoiser, x: np.ndarray, z, cond: np.ndarray,
     eps_uncond + w * (eps_cond - eps_uncond), w >= 1."""
     if w < 1.0:
         raise ConfigError(f"guidance weight must be >= 1, got {w}")
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    cond2 = np.atleast_2d(np.asarray(cond, dtype=float))
-    if cond2.shape == (1, denoiser.dim_cond) and x2.shape[0] > 1:
-        cond2 = np.repeat(cond2, x2.shape[0], axis=0)
-    eps_cond = denoiser.forward(x2, z, cond2)
-    eps_uncond = denoiser.forward(x2, z, np.zeros_like(cond2))
-    out = eps_uncond + w * (eps_cond - eps_uncond)
-    return out[0] if np.asarray(x).ndim == 1 else out
+    eps_cond = denoiser.forward(x, z, cond)
+    eps_uncond = denoiser.forward(x, z, np.zeros_like(cond))
+    return eps_uncond + w * (eps_cond - eps_uncond)
 
 
 @dataclass(eq=False)

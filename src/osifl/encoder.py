@@ -72,8 +72,9 @@ class ClientMessage:
 
     @property
     def dim_e(self) -> int:
-        first = next(iter(self.class_means.values()))
-        return int(first.shape[0])
+        if not self.class_means:
+            raise ProtocolError("message covers no class")
+        return int(next(iter(self.class_means.values())).shape[0])
 
     @property
     def upload_floats(self) -> int:
@@ -146,19 +147,22 @@ _CLASS_HEAD = struct.Struct("<II")
 
 
 def serialize_message(msg: ClientMessage) -> bytes:
-    if not msg.class_means:
-        raise ProtocolError("refusing to serialize an empty message")
-    dim_e = msg.dim_e
-    out = [_HEADER.pack(msg.client_id, msg.task_id, dim_e,
-                        len(msg.class_means))]
-    for k in sorted(msg.class_means):
-        vec = np.ascontiguousarray(msg.class_means[k], dtype="<f8")
-        if vec.shape != (dim_e,):
-            raise ValueError(f"class {k} mean has shape {vec.shape}, "
-                             f"expected ({dim_e},)")
-        out.append(_CLASS_HEAD.pack(k, msg.class_counts[k]))
-        out.append(vec.tobytes())
-    return b"".join(out)
+    """The blob; ProtocolError if `parse_message` could not read it back."""
+    dim_e, out = msg.dim_e, []
+    try:
+        for k in sorted(msg.class_means):
+            vec = np.ascontiguousarray(msg.class_means[k], dtype="<f8")
+            count = msg.class_counts.get(k, 0)
+            if not (dim_e and vec.shape == (dim_e,)
+                    and np.isfinite(vec).all() and count >= 1):
+                raise ProtocolError(
+                    f"refusing to serialize class {k}: its mean must be "
+                    f"{dim_e} >= 1 finite floats and its count >= 1")
+            out += [_CLASS_HEAD.pack(k, count), vec.tobytes()]
+        head = _HEADER.pack(msg.client_id, msg.task_id, dim_e, len(out) // 2)
+    except struct.error as err:
+        raise ProtocolError(f"message field out of range: {err}") from None
+    return head + b"".join(out)
 
 
 def parse_message(blob: bytes) -> ClientMessage:

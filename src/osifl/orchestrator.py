@@ -11,7 +11,6 @@ matrix from which average accuracy and forgetting are derived.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,12 +23,11 @@ from .diffusion import SynthSet, make_surrogate, pretrain, \
 from .encoder import build_client_message, make_encoder, \
     serialize_message
 from .errors import ConfigError, ProtocolError
-from .ledgers import CommsLedger, ComputeLedger, encoder_forward_madds, \
-    head_backward_madds, head_forward_madds, softmax_madds
+from .ledgers import CommsLedger, ComputeLedger
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars
-from .trainer import Adam, AnchorState, Classifier, HeadCall, Stack, \
-    TrainHP, charge_training, estimate_fisher, train
+from .trainer import AnchorState, Classifier, Stack, TrainHP, \
+    estimate_fisher, train
 
 # bench/traced.py and the tests time and patch head training through these
 # names, one per method, until the program reports its own (ROADMAP item 2).
@@ -62,17 +60,16 @@ def parse_method(name: str) -> Method:
 
 
 class ServerMemo:
-    """The server's method-independent work, its one-shot heads as
-    trained by `train_key`, and a grid's reports by `run_key`, shared by
-    the runs that are handed the same memo.
+    """The server's method-independent work, its one-shot heads (stored
+    and restored by `trainer.train` under `trainer.head_key`), and a
+    grid's reports by `run_key`, shared by the runs that are handed the
+    same memo.
 
     An entry is computed on the first `recall` of its key and kept only
     if that computation succeeds, so a failure is raised again by every
     run that reaches it. Every recall, the first included, adds the
-    multiply-adds the computation charged to the caller's ledger: a
-    run's ledger reads as if the run had done the work alone. Trained
-    heads follow the same rules through `keep_head` and `recall_head`,
-    which bills a restored head by `charge_training`.
+    multiply-adds the computation charged to the caller's ledger, if
+    any: a run's ledger reads as if the run had done the work alone.
     """
 
     def __init__(self):
@@ -81,7 +78,7 @@ class ServerMemo:
     def __contains__(self, key) -> bool:
         return key in self._entries
 
-    def recall(self, key, build, ledger: ComputeLedger):
+    def recall(self, key, build, ledger: ComputeLedger | None):
         """The value `build(scratch_ledger)` returns for `key`."""
         entry = self._entries.get(key)
         if entry is None:
@@ -93,37 +90,6 @@ class ServerMemo:
             for kind, n in madds.items():
                 ledger.add(kind, n)
         return value
-
-    def recall_head(self, call: HeadCall):
-        """If a call with `call`'s `train_key` was kept, leave behind what
-        `call` would have, and return None: the head's parameters, its
-        Adam state, the generator's state and, in the call's ledger, the
-        multiply-adds. Otherwise return the key for `keep_head`."""
-        key = ("train", train_key(call))
-        entry = self._entries.get(key)
-        if entry is None:
-            return key
-        flat, adam, rng_state = entry
-        clf = call.classifier
-        clf.flat[...] = flat
-        clf.adam = None
-        if adam is not None:
-            clf.adam = Adam(flat.size)
-            clf.adam.step, clf.adam.m[...], clf.adam.v[...] = adam
-        call.rng.bit_generator.state = rng_state
-        charge_training(call)
-        return None
-
-    def keep_head(self, key, call: HeadCall, *, ok: bool) -> None:
-        """Keep what a missed call left behind under `key`, if it
-        succeeded (`ok`) with a finite head."""
-        clf = call.classifier
-        if not (ok and np.isfinite(clf.flat).all()):
-            return
-        adam = None if clf.adam is None else \
-            (clf.adam.step, clf.adam.m.copy(), clf.adam.v.copy())
-        self._entries[key] = (clf.flat.copy(), adam,
-                              call.rng.bit_generator.state)
 
 
 def generator_key(config, world: World, seed: int) -> tuple:
@@ -152,28 +118,6 @@ def run_key(method, config, seed: int) -> tuple:
     if method in FEDERATED_METHODS or config.generator == "surrogate":
         unread["guidance_w"] = None
     return (method, int(seed), dataclasses.replace(config, **unread))
-
-
-def train_key(call: HeadCall) -> str:
-    """A sha256 of everything `_fit` reads for one head's training call,
-    as `_prepare` normalises it: the encoder, the head's classes and
-    parameters, each group's rows in order, the generator's state, every
-    `TrainHP` field and the epochs, and two parts only when training
-    reads them: the anchor's pull with its lambda, and Adam's state when
-    it carries over. Lambda alone, with no anchor, is not read."""
-    clf = call.classifier
-    arrays = [clf.flat, *(a for g in call.groups for a in (g.x, g.y)),
-              *(call.pull or ()),
-              *(() if call.adam is None else (call.adam.m, call.adam.v))]
-    digest = hashlib.sha256(repr((
-        clf.encoder.checksum(), clf.classes, call.rng.bit_generator.state,
-        dataclasses.astuple(call.hp), call.epochs,
-        None if call.pull is None else call.lam,
-        None if call.adam is None else call.adam.step,
-        [(a.dtype.str, a.shape) for a in arrays])).encode())
-    for a in arrays:
-        digest.update(np.ascontiguousarray(a))
-    return digest.hexdigest()
 
 
 @dataclass(eq=False)
@@ -265,14 +209,8 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
         # With no exemplar to keep, no row is scored or billed.
         kept = Batch(data.x[:0], data.y[:0], data.domain[:0], t)
         if p:
-            kept = select_exemplars(scorer, data, p, score_by=cfg.score_by)
-            n, c_out, dim_e = len(data), clf.num_classes, clf.encoder.dim_e
-            state.compute.add("exemplar_scoring",
-                              encoder_forward_madds(n, dim_e,
-                                                    clf.encoder.dim_x)
-                              + head_forward_madds(n, c_out, dim_e)
-                              + softmax_madds(n, c_out)
-                              + head_backward_madds(n, c_out, dim_e))
+            kept = select_exemplars(scorer, data, p, score_by=cfg.score_by,
+                                    ledger=state.compute)
         state.events.append(
             f"task{t}:select params={cfg.scoring_point} kept={len(kept)}")
         state.memory.add_task(t, kept)

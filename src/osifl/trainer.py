@@ -14,13 +14,17 @@ reduces it exactly to plain mean cross-entropy, which makes the naive /
 joint / replay / regularized reductions trajectory-identical under a
 shared RNG. The loop trains a stack of heads at once (`Stack`), one head
 being a stack of one, with the same bits for each head as it alone.
+`train` also restores, from a memo, a head whose `head_key` it holds,
+and stores each head that trains; a head's carried `AdamState` is
+read-only, so the memo and a restored head share it without a copy.
 """
 from __future__ import annotations
 
 import collections
+import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -88,12 +92,6 @@ class Adam:
         self._g = np.empty(size)
         self._t = np.empty(size)
 
-    def relayout(self, move) -> None:
-        """Carry the moments over to a new parameter layout; `move` maps
-        a flat vector in the old layout to a new one in the new."""
-        self.m, self.v = move(self.m), move(self.v)
-        self._g, self._t = np.empty_like(self.m), np.empty_like(self.m)
-
     def update(self, params: np.ndarray, grads: np.ndarray,
                learning_rate: float, weight_decay: float) -> None:
         if params.shape != self.m.shape or grads.shape != self.m.shape:
@@ -127,6 +125,15 @@ class Adam:
         params -= delta
 
 
+class AdamState(NamedTuple):
+    """The Adam step count and moments that a head carries into its next
+    call: read-only flat vectors laid out like the head."""
+
+    step: int
+    m: np.ndarray
+    v: np.ndarray
+
+
 def _head_views(flat: np.ndarray, n: int, dim_e: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The (weights, bias) views of a flat head vector of n rows: the
@@ -149,7 +156,7 @@ class Classifier:
         self.encoder = encoder
         self.classes: list[int] = []
         self.class_index: dict[int, int] = {}
-        self.adam: Adam | None = None
+        self.adam: AdamState | None = None
         self._lay_out(np.zeros(0))
         if classes:
             self.expand_head(classes)
@@ -195,12 +202,13 @@ class Classifier:
             self.classes.append(int(c))
         self._lay_out(self.grow(self.flat))
         if self.adam is not None:
-            self.adam.relayout(self.grow)
+            self.adam = AdamState(self.adam.step,
+                                  *map(self.grow, self.adam[1:]))
 
     def grow(self, flat: np.ndarray) -> np.ndarray:
-        """A flat vector laid out like this head or an earlier, smaller
-        one (its parameters, Adam moments or an anchor), laid out anew
-        like this head, with zero rows for the classes added since."""
+        """`flat`, laid out like this head or an earlier, smaller one (its
+        parameters, Adam moments or an anchor), laid out anew like this head
+        with zero rows for the classes added since, read-only if `flat` is."""
         dim_e = self.encoder.dim_e
         old_n, extra = divmod(flat.size, dim_e + 1)
         if flat.ndim != 1 or extra or old_n > self.num_classes:
@@ -211,6 +219,7 @@ class Classifier:
         for new, old in zip(self.split(grown),
                             _head_views(flat, old_n, dim_e)):
             new[:old_n] = old
+        grown.flags.writeable = flat.flags.writeable
         return grown
 
     def copy(self) -> "Classifier":
@@ -352,7 +361,7 @@ class HeadCall(NamedTuple):
     rng: np.random.Generator
     lam: float
     pull: tuple[np.ndarray, np.ndarray] | None
-    adam: Adam | None
+    adam: AdamState | None
     ledger: object
     hp: TrainHP
     epochs: int
@@ -490,6 +499,8 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
                 gap *= coef
                 grad += gap
             adam.update(params, grad, hp.learning_rate, hp.weight_decay)
+    # Each kept AdamState is a view of its head's rows.
+    adam.m.flags.writeable = adam.v.flags.writeable = False
     errors = [None] * heads
     for s, (clf, call) in enumerate(zip(clfs, calls)):
         clf.flat[...] = params[s]
@@ -503,11 +514,41 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
                 f"learning_rate {hp.learning_rate})")
             continue
         charge_training(call)
-        clf.adam = None if hp.adam_reset_per_task else Adam(params.shape[1])
-        if clf.adam is not None:
-            clf.adam.step = adam.step
-            clf.adam.m[...], clf.adam.v[...] = adam.m[s], adam.v[s]
+        clf.adam = None if hp.adam_reset_per_task else \
+            AdamState(adam.step, adam.m[s], adam.v[s])
     return errors
+
+
+def head_key(call: HeadCall) -> str:
+    """A sha256 of all that `_fit` reads for one head's call: the encoder,
+    the head's classes and parameters, each group's rows in order, the
+    generator's state, every `TrainHP` field, the epochs, and the
+    anchor's pull with its lambda and Adam's state only when read."""
+    clf = call.classifier
+    arrays = [clf.flat, *(a for g in call.groups for a in (g.x, g.y)),
+              *(call.pull or ()),
+              *(() if call.adam is None else (call.adam.m, call.adam.v))]
+    digest = hashlib.sha256(repr((
+        clf.encoder.checksum(), clf.classes, call.rng.bit_generator.state,
+        astuple(call.hp), call.epochs,
+        None if call.pull is None else call.lam,
+        None if call.adam is None else call.adam.step,
+        [(a.dtype.str, a.shape) for a in arrays])).encode())
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a))
+    return digest.hexdigest()
+
+
+def _restore_head(call: HeadCall, memo, key: str) -> bool:
+    """Whether `memo` holds `key`; if so, leave the head, its Adam state,
+    the generator and the call's ledger as training would have."""
+    if key not in memo:
+        return False
+    flat, call.classifier.adam, call.rng.bit_generator.state = \
+        memo.recall(key, None, None)
+    call.classifier.flat[...] = flat
+    charge_training(call)
+    return True
 
 
 def train(classifier, groups, hp, rng, *, epochs=None, anchor=None,
@@ -528,10 +569,9 @@ def train(classifier, groups, hp, rng, *, epochs=None, anchor=None,
     argument shared or a Stack of per-head values. The heads whose calls
     share `_prepare`'s key train as one stack, any other alone, to the
     same bits. One head is returned, or its call's error raised; a Stack
-    returns a Stack of each head or its call's error. With a `memo` (a
-    `ServerMemo`), a head whose call the memo answered before is
-    restored from it instead of trained, and a head that trains is
-    offered to it; the memo keeps only finite heads."""
+    returns a Stack of each head or its call's error. A `memo` (a
+    `ServerMemo`) restores a head whose `head_key` it holds, and stores
+    one that trains without error to finite parameters."""
     heads = _per_head(1, classifier)
     out, stacks, offered = list(heads), {}, {}
     for s, (*args, head_memo) in enumerate(zip(heads, *(
@@ -543,10 +583,9 @@ def train(classifier, groups, hp, rng, *, epochs=None, anchor=None,
             out[s] = err
             continue
         if head_memo is not None:
-            memo_key = head_memo.recall_head(call)
-            if memo_key is None:
+            offered[s] = head_memo, head_key(call)
+            if _restore_head(call, *offered[s]):
                 continue
-            offered[s] = head_memo, memo_key
         stacks.setdefault(key, []).append((s, call))
     for members in stacks.values():
         clf, groups = members[0][1][:2]
@@ -560,9 +599,11 @@ def train(classifier, groups, hp, rng, *, epochs=None, anchor=None,
                 errors = [err] * len(chunk)
             for (s, call), err in zip(chunk, errors):
                 out[s] = err or out[s]
-                if s in offered:
-                    head_memo, memo_key = offered[s]
-                    head_memo.keep_head(memo_key, call, ok=err is None)
+                flat = call.classifier.flat
+                if s in offered and err is None and np.isfinite(flat).all():
+                    offered[s][0].recall(offered[s][1], lambda _: (
+                        flat.copy(), call.classifier.adam,
+                        call.rng.bit_generator.state), None)
     if isinstance(classifier, Stack):
         return Stack(out)
     if isinstance(out[0], Exception):

@@ -3,7 +3,8 @@
 A truncated, extended or byte-flipped blob must raise ProtocolError, or
 load into an object that writes the very same bytes again. A well-formed
 blob carrying a NaN or an infinity, or a noise schedule beta outside
-(0, 1), raises ProtocolError too.
+(0, 1), raises ProtocolError too. The message writer refuses, with
+ProtocolError alone, every message whose blob the reader would refuse.
 """
 import os
 import re
@@ -125,6 +126,61 @@ def test_message_blob_rejects_an_empty_mean_or_class(dim_e, count, match):
         + struct.pack(f"<II{dim_e}d", 3, count, *[0.5] * dim_e)
     with pytest.raises(ProtocolError, match=match):
         parse_message(blob)
+
+
+_ID = st.integers(-1, 2**32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(client_id=_ID, task_id=_ID, classes=st.dictionaries(
+    _ID, st.tuples(st.none() | _ID, st.lists(st.floats(), max_size=3)),
+    max_size=3))
+def test_message_writer_refuses_what_the_reader_refuses(client_id, task_id,
+                                                        classes):
+    # Each class: a count (None for no count) and a mean of 0-3 floats,
+    # NaN and infinities among them.
+    msg = ClientMessage(
+        client_id, task_id,
+        {k: np.array(mean, dtype=float) for k, (_, mean) in classes.items()},
+        {k: n for k, (n, _) in classes.items() if n is not None})
+    try:
+        blob = serialize_message(msg)
+    except ProtocolError:
+        return
+    back = parse_message(blob)
+    assert (back.client_id, back.task_id, back.class_counts) == \
+        (client_id, task_id, msg.class_counts)
+    assert back.class_means.keys() == msg.class_means.keys()
+    for k, mean in msg.class_means.items():
+        assert back.class_means[k].tobytes() == mean.tobytes()
+
+
+_HALVES = np.array([0.5, 0.25])
+
+
+@pytest.mark.parametrize("means, counts, client_id", [
+    ({3: np.zeros(0)}, {3: 1}, 0),
+    ({3: _HALVES}, {3: 0}, 0),
+    ({3: np.array([np.nan, 0.5])}, {3: 1}, 0),
+    ({3: _HALVES}, {3: -1}, 0),
+    ({-3: _HALVES}, {-3: 1}, 0),
+    ({3: _HALVES}, {3: 1}, 2**32),
+    ({3: _HALVES, 4: np.zeros(3)}, {3: 1, 4: 1}, 0),
+    ({3: _HALVES}, {}, 0),
+], ids=["empty_mean", "zero_count", "nan_mean", "negative_count",
+        "negative_class", "client_beyond_u32", "mixed_lengths", "no_count"])
+def test_message_writer_refuses_a_message_the_reader_would(means, counts,
+                                                           client_id):
+    with pytest.raises(ProtocolError):
+        serialize_message(ClientMessage(client_id, 1, means, counts))
+
+
+def test_a_message_with_no_class_has_no_width_or_upload_size():
+    msg = ClientMessage(0, 1, {}, {})
+    for read in (lambda: msg.dim_e, lambda: msg.upload_floats,
+                 lambda: serialize_message(msg)):
+        with pytest.raises(ProtocolError, match="covers no class"):
+            read()
 
 
 @pytest.mark.parametrize("at", [0, 7])

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from osifl import cli, orchestrator
+from osifl import cli, orchestrator, trainer
 from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
                        run_experiment, sweep)
 from osifl.config import (FIELD_SPECS, ExperimentConfig, build_run_inputs,
@@ -779,16 +779,16 @@ def test_a_grid_builds_a_seeds_inputs_once_unless_the_axis_changes_them(
 
 
 def _count_restored_heads(monkeypatch):
-    """Wrap `ServerMemo.recall_head` to record, per head it is asked
+    """Wrap the trainer's restore helper to record, per head it is asked
     about, whether it restored that head."""
-    restored, real = [], ServerMemo.recall_head
+    restored, real = [], trainer._restore_head
 
-    def counted(memo, call):
-        key = real(memo, call)
-        restored.append(key is None)
-        return key
+    def counted(call, memo, key):
+        hit = real(call, memo, key)
+        restored.append(hit)
+        return hit
 
-    monkeypatch.setattr(ServerMemo, "recall_head", counted)
+    monkeypatch.setattr(trainer, "_restore_head", counted)
     return restored
 
 
@@ -821,3 +821,39 @@ def test_a_grid_restores_heads_to_what_each_cell_trains_alone(
             for seed in cfg.seeds for method in cfg.methods]
     # A run alone, with a private memo, repeats none of its own heads.
     assert heads and not any(heads)
+
+
+def _restored_bits(call):
+    clf = call.classifier
+    return (list(clf.classes), clf.flat.tobytes(), clf.adam.step,
+            clf.adam.m.tobytes(), clf.adam.v.tobytes(),
+            call.rng.bit_generator.state)
+
+
+def test_a_restored_adam_state_is_read_only_and_restores_again(
+        monkeypatch):
+    cfg = _small(num_classes=12, classes_per_task=2, num_tasks=6,
+                 methods=_ONESHOT, seeds=(3,), lambda_ewc=100.0,
+                 adam_reset_per_task=False)
+    hits, real = [], trainer._restore_head
+
+    def recorded(call, memo, key):
+        hit = real(call, memo, key)
+        if hit:
+            hits.append((call, memo, key, call.classifier.adam,
+                         _restored_bits(call)))
+        return hit
+
+    monkeypatch.setattr(trainer, "_restore_head", recorded)
+    _, failures = cli.run_grid(cfg, None, [None], cfg.seeds)
+    assert failures == [] and hits
+    call, memo, key, adam, bits = hits[0]
+    # The head went on to train in later tasks; the state it was restored
+    # with, which the memo holds too, cannot be written.
+    with pytest.raises(ValueError):
+        adam.m[0] = 1.0
+    again = call._replace(
+        classifier=trainer.Classifier(call.classifier.encoder,
+                                      classes=bits[0]),
+        rng=np.random.default_rng(), ledger=None)
+    assert real(again, memo, key) and _restored_bits(again) == bits

@@ -16,11 +16,11 @@ from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
                                 evaluate, federated_task_phase, forgetting,
                                 generator_key, oneshot_task_phase,
                                 parse_method, report_rows, rows_to_csv,
-                                run_method, train_key, _weighted_average)
+                                run_method, _weighted_average)
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, exemplar_scores
-from osifl.trainer import Adam, AnchorState, Classifier, TrainHP, \
-    estimate_fisher, train
+from osifl.trainer import AdamState, AnchorState, Classifier, TrainHP, \
+    estimate_fisher, head_key, train
 
 
 def _small(**overrides):
@@ -163,8 +163,8 @@ def _record_selections(monkeypatch):
     the scores its scoring head gave them when it selected."""
     seen, real = [], orchestrator.select_exemplars
 
-    def recorded(scorer, candidates, p, score_by):
-        kept = real(scorer, candidates, p, score_by=score_by)
+    def recorded(scorer, candidates, p, score_by, **kwargs):
+        kept = real(scorer, candidates, p, score_by=score_by, **kwargs)
         seen.append((kept, exemplar_scores(scorer, kept, score_by)))
         return kept
 
@@ -645,15 +645,14 @@ def _train_key_of(parts):
     clf = Classifier(make_encoder(5, 3, parts["encoder_seed"]),
                      classes=parts["classes"])
     clf.flat[...] = parts["flat"]
-    clf.adam = Adam(clf.flat.size)
-    clf.adam.step, clf.adam.m[...], clf.adam.v[...] = parts["adam"]
+    clf.adam = AdamState(*parts["adam"])
     rng = stream(2, "train")
     rng.random(parts["rng_draws"])
     anchor = AnchorState(parts["theta"], parts["fisher"]) \
         if parts["anchored"] else None
     _, call = trainer._prepare(clf, parts["groups"], parts["hp"], rng,
                                parts["epochs"], anchor, parts["lam"], None)
-    return train_key(call)
+    return head_key(call)
 
 
 def _ulp(values, at=0):

@@ -14,7 +14,7 @@ from osifl.ledgers import ComputeLedger, encoder_forward_madds, \
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, select_exemplars
 from osifl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
-                           AnchorState, Classifier, Stack, TrainHP,
+                           AdamState, AnchorState, Classifier, Stack, TrainHP,
                            ce_loss_and_grads, estimate_fisher,
                            ewc_penalty_and_grads, load_head, rows_for,
                            save_head, train)
@@ -298,13 +298,15 @@ def test_adam_validates_counts_and_shapes():
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
 def test_adam_matches_reference_across_head_growth(weight_decay):
     # 24 steps on a 2-class head, then two new rows whose moments start
-    # at zero, then 24 more: bit for bit the pure reference step.
+    # at zero, then 24 more: bit for bit the pure reference step. A
+    # standalone Adam takes the steps; the head's AdamState carries them
+    # across the growth.
     enc = make_encoder(6, 3, 1)
     clf = Classifier(enc, classes=(0, 1))
     rng = np.random.default_rng(21)
     clf.weights[...] = rng.normal(size=(2, 6))
     clf.bias[...] = rng.normal(size=2)
-    clf.adam = Adam(clf.param_count)
+    adam = Adam(clf.param_count)
     ref_params = _params(clf)
     ref_state = _ref_zeros(ref_params)
     for phase in range(2):
@@ -313,13 +315,16 @@ def test_adam_matches_reference_across_head_growth(weight_decay):
                      "bias": rng.normal(size=clf.bias.shape)}
             flat_grads = np.concatenate([grads["weights"].ravel(),
                                          grads["bias"]])
-            clf.adam.update(clf.flat, flat_grads, 0.01, weight_decay)
+            adam.update(clf.flat, flat_grads, 0.01, weight_decay)
             ref_params, ref_state = _ref_adam_step(
                 ref_state, ref_params, grads, 0.01, weight_decay)
             assert np.array_equal(clf.weights, ref_params["weights"])
             assert np.array_equal(clf.bias, ref_params["bias"])
+        clf.adam = AdamState(adam.step, adam.m, adam.v)
         if phase == 0:
             clf.expand_head([2, 3])
+            adam = Adam(clf.param_count)
+            adam.step, adam.m[...], adam.v[...] = clf.adam
             t, m, v = ref_state
             pad = {"weights": np.zeros((2, 6)), "bias": np.zeros(2)}
             ref_state = (t, *({k: np.concatenate([d[k], pad[k]])
