@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 from .datagen import CLASS_INCREMENTAL, DOMAIN_INCREMENTAL, build_world, \
     draw_client_shards, make_task_suite
@@ -15,69 +14,7 @@ from .errors import ConfigError
 from .orchestrator import Method, parse_method
 from .trainer import TrainHP
 
-ALL_METHODS = tuple(Method)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    dim_x: int = 16
-    num_classes: int = 30
-    num_domains: int = 6
-    within_std: float = 0.5
-    suite_mode: str = CLASS_INCREMENTAL
-    num_tasks: int = 6
-    classes_per_task: int | tuple[int, ...] = 5
-    clients_per_task: int = 1
-    n_per_class: int = 50
-    test_per_class: int = 20
-    z_per_class: int = 50
-    base_pool_total: int = 3600
-    dim_e: int = 64
-    learning_rate: float = 0.001
-    batch_size: int = 32
-    epochs_per_task: int = 20
-    weight_decay: float = 1e-4
-    lambda_ewc: float = 0.1
-    mu_prox: float = 0.01
-    adam_reset_per_task: bool = True
-    rounds: int = 20
-    local_epochs: int = 1
-    reported_model_params: int = 0  # 0 means count the actual head size
-    diffusion_steps: int = 100
-    beta_min: float = 1e-4
-    beta_max: float = 0.05
-    p_drop: float = 0.1
-    guidance_w: float = 2.0
-    generator: str = "surrogate"
-    denoiser_hidden: int = 128
-    pretrain_steps: int = 2000
-    pretrain_batch: int = 64
-    retain_per_class: int = 5
-    scoring_point: str = "pre_update"
-    score_by: str = "grad_norm"
-    methods: tuple[Method, ...] = ALL_METHODS
-    seeds: tuple[int, ...] = (42, 18, 50)
-    out_dir: str = "out"
-
-    def canonical(self) -> str:
-        return serialize_config(self)
-
-    def train_hp(self) -> TrainHP:
-        """Head-training hyperparameters of every method."""
-        return TrainHP(learning_rate=self.learning_rate,
-                       batch_size=self.batch_size,
-                       epochs_per_task=self.epochs_per_task,
-                       weight_decay=self.weight_decay,
-                       lambda_ewc=self.lambda_ewc, mu_prox=self.mu_prox,
-                       adam_reset_per_task=self.adam_reset_per_task)
-
-    def diffusion_hp(self) -> DiffusionHP:
-        """Denoiser pretraining hyperparameters."""
-        return DiffusionHP(num_steps=self.diffusion_steps,
-                           beta_min=self.beta_min, beta_max=self.beta_max,
-                           hidden=self.denoiser_hidden, p_drop=self.p_drop,
-                           train_steps=self.pretrain_steps,
-                           batch_size=self.pretrain_batch)
+INT64_MAX = 2 ** 63 - 1
 
 
 def _parse_int(text: str) -> int:
@@ -105,10 +42,13 @@ def _parse_bool(text: str) -> bool:
 
 
 def _int_min(minimum):
+    """A count: an integer from `minimum` up to the largest int64."""
     def parse(text):
         value = _parse_int(text)
         if value < minimum:
             raise ConfigError(f"value must be >= {minimum}, got {value}")
+        if value > INT64_MAX:
+            raise ConfigError(f"value must be <= {INT64_MAX}, got {value}")
         return value
     return parse
 
@@ -146,10 +86,7 @@ def _choice(*options):
 
 def _parse_int_or_list(text: str):
     if "," in text:
-        items = tuple(_int_min(1)(tok.strip()) for tok in text.split(","))
-        if not items:
-            raise ConfigError("empty class count list")
-        return items
+        return tuple(_int_min(1)(tok.strip()) for tok in text.split(","))
     return _int_min(1)(text)
 
 
@@ -187,49 +124,86 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+def _spec(default, parse, key=None):
+    """A config field: its default, the parser of its value in a config
+    file and, when it differs from the field's name, its key there."""
+    return dataclasses.field(default=default,
+                             metadata={"parse": parse, "key": key})
+
+
+_POSITIVE = _float_in(0.0, math.inf, min_open=True)
+_NON_NEGATIVE = _float_in(0.0, math.inf)
+
+
+@dataclasses.dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment; each field is one line of the config file."""
+    dim_x: int = _spec(16, _int_min(1))
+    num_classes: int = _spec(30, _int_min(2))
+    num_domains: int = _spec(6, _int_min(1))
+    within_std: float = _spec(0.5, _POSITIVE)
+    suite_mode: str = _spec(CLASS_INCREMENTAL,
+                            _choice(CLASS_INCREMENTAL, DOMAIN_INCREMENTAL))
+    num_tasks: int = _spec(6, _int_min(1))
+    classes_per_task: int | tuple[int, ...] = _spec(5, _parse_int_or_list)
+    clients_per_task: int = _spec(1, _int_min(1))
+    n_per_class: int = _spec(50, _int_min(1))
+    test_per_class: int = _spec(20, _int_min(1))
+    z_per_class: int = _spec(50, _int_min(0))
+    base_pool_total: int = _spec(3600, _int_min(1))
+    dim_e: int = _spec(64, _int_min(1))
+    learning_rate: float = _spec(0.001, _POSITIVE)
+    batch_size: int = _spec(32, _int_min(1))
+    epochs_per_task: int = _spec(20, _int_min(0))
+    weight_decay: float = _spec(1e-4, _NON_NEGATIVE)
+    lambda_ewc: float = _spec(0.1, _NON_NEGATIVE)
+    mu_prox: float = _spec(0.01, _NON_NEGATIVE)
+    adam_reset_per_task: bool = _spec(True, _parse_bool)
+    rounds: int = _spec(20, _int_min(1))
+    local_epochs: int = _spec(1, _int_min(1))
+    reported_model_params: int = _spec(0, _int_min(0))  # 0: the head's size
+    diffusion_steps: int = _spec(100, _int_min(1))
+    beta_min: float = _spec(1e-4, _parse_beta)
+    beta_max: float = _spec(0.05, _parse_beta)
+    p_drop: float = _spec(0.1, _float_in(0.0, 1.0))
+    guidance_w: float = _spec(2.0, _float_in(1.0, math.inf), key="w")
+    generator: str = _spec("surrogate", _choice("ddpm", "surrogate"))
+    denoiser_hidden: int = _spec(128, _int_min(1))
+    pretrain_steps: int = _spec(2000, _int_min(0))
+    pretrain_batch: int = _spec(64, _int_min(1))
+    retain_per_class: int = _spec(5, _int_min(0), key="p")
+    scoring_point: str = _spec("pre_update",
+                               _choice("pre_update", "post_update"))
+    score_by: str = _spec("grad_norm", _choice("grad_norm", "loss"))
+    methods: tuple[Method, ...] = _spec(tuple(Method), _parse_methods)
+    seeds: tuple[int, ...] = _spec((42, 18, 50), _parse_seeds)
+    out_dir: str = _spec("out", str)
+
+    def canonical(self) -> str:
+        return serialize_config(self)
+
+    def train_hp(self) -> TrainHP:
+        """Head-training hyperparameters of every method."""
+        return TrainHP(learning_rate=self.learning_rate,
+                       batch_size=self.batch_size,
+                       epochs_per_task=self.epochs_per_task,
+                       weight_decay=self.weight_decay,
+                       lambda_ewc=self.lambda_ewc, mu_prox=self.mu_prox,
+                       adam_reset_per_task=self.adam_reset_per_task)
+
+    def diffusion_hp(self) -> DiffusionHP:
+        """Denoiser pretraining hyperparameters."""
+        return DiffusionHP(num_steps=self.diffusion_steps,
+                           beta_min=self.beta_min, beta_max=self.beta_max,
+                           hidden=self.denoiser_hidden, p_drop=self.p_drop,
+                           train_steps=self.pretrain_steps,
+                           batch_size=self.pretrain_batch)
+
+
 # key name in the file -> (dataclass attribute, value parser)
 FIELD_SPECS: dict[str, tuple[str, object]] = {
-    "dim_x": ("dim_x", _int_min(1)),
-    "num_classes": ("num_classes", _int_min(2)),
-    "num_domains": ("num_domains", _int_min(1)),
-    "within_std": ("within_std", _float_in(0.0, float("inf"), min_open=True)),
-    "suite_mode": ("suite_mode", _choice(CLASS_INCREMENTAL,
-                                         DOMAIN_INCREMENTAL)),
-    "num_tasks": ("num_tasks", _int_min(1)),
-    "classes_per_task": ("classes_per_task", _parse_int_or_list),
-    "clients_per_task": ("clients_per_task", _int_min(1)),
-    "n_per_class": ("n_per_class", _int_min(1)),
-    "test_per_class": ("test_per_class", _int_min(1)),
-    "z_per_class": ("z_per_class", _int_min(0)),
-    "base_pool_total": ("base_pool_total", _int_min(1)),
-    "dim_e": ("dim_e", _int_min(1)),
-    "learning_rate": ("learning_rate",
-                      _float_in(0.0, float("inf"), min_open=True)),
-    "batch_size": ("batch_size", _int_min(1)),
-    "epochs_per_task": ("epochs_per_task", _int_min(0)),
-    "weight_decay": ("weight_decay", _float_in(0.0, float("inf"))),
-    "lambda_ewc": ("lambda_ewc", _float_in(0.0, float("inf"))),
-    "mu_prox": ("mu_prox", _float_in(0.0, float("inf"))),
-    "adam_reset_per_task": ("adam_reset_per_task", _parse_bool),
-    "rounds": ("rounds", _int_min(1)),
-    "local_epochs": ("local_epochs", _int_min(1)),
-    "reported_model_params": ("reported_model_params", _int_min(0)),
-    "diffusion_steps": ("diffusion_steps", _int_min(1)),
-    "beta_min": ("beta_min", _parse_beta),
-    "beta_max": ("beta_max", _parse_beta),
-    "p_drop": ("p_drop", _float_in(0.0, 1.0)),
-    "w": ("guidance_w", _float_in(1.0, float("inf"))),
-    "generator": ("generator", _choice("ddpm", "surrogate")),
-    "denoiser_hidden": ("denoiser_hidden", _int_min(1)),
-    "pretrain_steps": ("pretrain_steps", _int_min(0)),
-    "pretrain_batch": ("pretrain_batch", _int_min(1)),
-    "p": ("retain_per_class", _int_min(0)),
-    "scoring_point": ("scoring_point", _choice("pre_update", "post_update")),
-    "score_by": ("score_by", _choice("grad_norm", "loss")),
-    "methods": ("methods", _parse_methods),
-    "seeds": ("seeds", _parse_seeds),
-    "out_dir": ("out_dir", str),
-}
+    f.metadata["key"] or f.name: (f.name, f.metadata["parse"])
+    for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _cross_validate(cfg: ExperimentConfig, lines_for: dict[str, int]) -> None:

@@ -342,7 +342,6 @@ class RunReport:
     seed: int
     accuracy: list[list[float]]
     avg_after: list[float]
-    pooled_after: list[float]
     forgetting_after: list[float]
     forgetting_final: list[float]
     forgetting_mean: float
@@ -455,7 +454,7 @@ def run_steps(method, world: World, suite: TaskSuite,
     for shard in shards:
         by_task.setdefault(shard.task_id, []).append(shard)
     accuracy: list[list[float]] = []
-    avg_after, pooled_after, forgetting_after = [], [], []
+    avg_after, forgetting_after = [], []
     uploads_after, madds_after = [], []
     for task in suite.tasks:
         t = task.task_id
@@ -468,10 +467,9 @@ def run_steps(method, world: World, suite: TaskSuite,
         _check_head(state, t)
         seen = [test_sets[s.task_id] for s in suite.tasks
                 if s.task_id <= t]
-        accs, avg, pooled = evaluate(state.classifier, seen)
+        accs, avg, _ = evaluate(state.classifier, seen)
         accuracy.append(accs)
         avg_after.append(avg)
-        pooled_after.append(pooled)
         forgetting_after.append(forgetting(accuracy)[1])
         uploads_after.append(state.comms.total_floats)
         madds_after.append(state.compute.total)
@@ -480,8 +478,7 @@ def run_steps(method, world: World, suite: TaskSuite,
     forgetting_final, forgetting_mean = forgetting(accuracy)
     return RunReport(
         method=method.value, seed=int(seed), accuracy=accuracy,
-        avg_after=avg_after, pooled_after=pooled_after,
-        forgetting_after=forgetting_after,
+        avg_after=avg_after, forgetting_after=forgetting_after,
         forgetting_final=forgetting_final, forgetting_mean=forgetting_mean,
         uploads_after=uploads_after, madds_after=madds_after,
         upload_floats_total=state.comms.total_floats,

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +144,98 @@ def test_serialize_parse_round_trip():
                           "methods = OSIFL\nseeds = 5\n"
                           "generator = ddpm\nadam_reset_per_task = false\n")
     assert parse_config(serialize_config(custom)) == custom
+
+
+DEFAULT_TEXT = """\
+dim_x = 16
+num_classes = 30
+num_domains = 6
+within_std = 0.5
+suite_mode = class_incremental
+num_tasks = 6
+classes_per_task = 5
+clients_per_task = 1
+n_per_class = 50
+test_per_class = 20
+z_per_class = 50
+base_pool_total = 3600
+dim_e = 64
+learning_rate = 0.001
+batch_size = 32
+epochs_per_task = 20
+weight_decay = 0.0001
+lambda_ewc = 0.1
+mu_prox = 0.01
+adam_reset_per_task = true
+rounds = 20
+local_epochs = 1
+reported_model_params = 0
+diffusion_steps = 100
+beta_min = 0.0001
+beta_max = 0.05
+p_drop = 0.1
+w = 2.0
+generator = surrogate
+denoiser_hidden = 128
+pretrain_steps = 2000
+pretrain_batch = 64
+p = 5
+scoring_point = pre_update
+score_by = grad_norm
+methods = OSIFL, OSCAR_IL, OSCAR_R, OSCAR_CEILING, FEDAVG, FEDPROX, FEDEWC
+seeds = 42, 18, 50
+out_dir = out
+"""
+
+
+def test_the_default_canonical_text_is_unchanged():
+    # Every config_echo and every memo key built from it starts here.
+    assert serialize_config(ExperimentConfig()) == DEFAULT_TEXT
+
+
+# One valid value per ExperimentConfig field, other than its default, as
+# a config file writes it; each is valid with every other field at its
+# default. A field with no entry fails the test below.
+NON_DEFAULT_VALUES = {
+    "dim_x": "8", "num_classes": "31", "num_domains": "7",
+    "within_std": "0.25", "suite_mode": "domain_incremental",
+    "num_tasks": "5", "classes_per_task": "5, 4, 5, 4, 5, 4",
+    "clients_per_task": "2", "n_per_class": "20", "test_per_class": "10",
+    "z_per_class": "0", "base_pool_total": "1000", "dim_e": "32",
+    "learning_rate": "0.01", "batch_size": "16", "epochs_per_task": "0",
+    "weight_decay": "0.0", "lambda_ewc": "0.5", "mu_prox": "0.1",
+    "adam_reset_per_task": "false", "rounds": "3", "local_epochs": "2",
+    "reported_model_params": "1000", "diffusion_steps": "50",
+    "beta_min": "0.001", "beta_max": "0.02", "p_drop": "0.2",
+    "guidance_w": "3.5", "generator": "ddpm", "denoiser_hidden": "64",
+    "pretrain_steps": "0", "pretrain_batch": "32", "retain_per_class": "0",
+    "scoring_point": "post_update", "score_by": "loss",
+    "methods": "OSIFL, FEDAVG", "seeds": "7, 8", "out_dir": "elsewhere",
+}
+
+
+def test_each_field_round_trips_a_value_under_its_own_key():
+    fields = dataclasses.fields(ExperimentConfig)
+    assert sorted(NON_DEFAULT_VALUES) == sorted(f.name for f in fields)
+    key_of = {attr: key for key, (attr, _) in FIELD_SPECS.items()}
+    assert sorted(key_of) == sorted(f.name for f in fields)
+    for field in fields:
+        text = f"{key_of[field.name]} = {NON_DEFAULT_VALUES[field.name]}\n"
+        cfg = parse_config(text)
+        assert getattr(cfg, field.name) != field.default, field.name
+        assert cfg == dataclasses.replace(
+            ExperimentConfig(), **{field.name: getattr(cfg, field.name)})
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_the_readme_configuration_table_names_every_key():
+    readme = (pathlib.Path(__file__).resolve().parents[1] /
+              "README.md").read_text()
+    section = readme.split("## Configuration reference", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    keys = [key for line in section.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert sorted(keys) == sorted(FIELD_SPECS)
 
 
 def test_build_run_inputs_shapes():
@@ -360,10 +454,11 @@ def test_main_uses_config_out_dir_when_not_overridden(tmp_path):
 
 def test_main_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    # Non-finite numbers and a beta whose 1 - beta rounds to 1 stop the
-    # run at parse time, before any output exists.
+    # Non-finite numbers, a count beyond int64 and a beta whose 1 - beta
+    # rounds to 1 stop the run at parse time, before any output exists.
     for body in ("p = -1", "learning_rate = inf", "within_std = inf",
                  "weight_decay = inf", "lambda_ewc = inf",
+                 "n_per_class = 999999999999999999999999999999",
                  "generator = surrogate\nw = inf",
                  "generator = ddpm\nbeta_min = 1e-17"):
         bad.write_text(body + "\nmethods = OSIFL\nseeds = 7\n")
@@ -393,11 +488,12 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 
 def test_an_error_building_a_seeds_inputs_fails_each_of_its_runs(
         tmp_path, capsys):
-    # NumPy refuses a draw of 10**30 samples per class before allocating
-    # anything (how it words the error varies by version); each (seed,
-    # method) cell fails like a failed run.
+    # NumPy refuses a draw of 2**63 - 1 samples per class, the largest
+    # count the parser accepts, before allocating anything (how it words
+    # the error varies by version); each (seed, method) cell fails like a
+    # failed run.
     path = tmp_path / "huge.cfg"
-    path.write_text("n_per_class = " + str(10 ** 30) + "\n"
+    path.write_text("n_per_class = " + str(2 ** 63 - 1) + "\n"
                     "methods = OSCAR_IL, FEDAVG\nseeds = 7, 8\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
