@@ -14,8 +14,8 @@ from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
 from .errors import ConfigError
 # Grids drive `run_steps` through `lockstep`; `run_method`, which drives
 # one run alone, stays bound here for callers that wrap it.
-from .orchestrator import CSV_HEADER, ServerMemo, lockstep, rows_to_csv, \
-    run_key, run_method, run_steps, write_report_csv
+from .orchestrator import CSV_HEADER, ServerMemo, inputs_key, lockstep, \
+    rows_to_csv, run_key, run_method, run_steps, write_report_csv
 
 SEED_ENV = "OSIFL_SEED_OVERRIDE"
 
@@ -66,10 +66,8 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
     def steps(method, cfg, seed):
         # `run_steps` on the seed's inputs, built once the run is first
         # driven, so that an error building them fails the run.
-        key = ("inputs", seed, dataclasses.replace(
-            cfg, retain_per_class=None, guidance_w=None))
-        inputs = server.recall(key, lambda _: build_run_inputs(cfg, seed),
-                               None)
+        inputs = server.recall(inputs_key(cfg, seed),
+                               lambda _: build_run_inputs(cfg, seed), None)
         return (yield from run_steps(method, *inputs, cfg, seed,
                                      server=server))
 

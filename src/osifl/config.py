@@ -15,6 +15,9 @@ from .orchestrator import Method, parse_method
 from .trainer import TrainHP
 
 INT64_MAX = 2 ** 63 - 1
+# The most floats the client shards, the test sets or the pretraining pool
+# may hold: 2^27 (1 GiB of float64). The defaults' test sets hold 9,600.
+MAX_INPUT_FLOATS = 2 ** 27
 
 
 def _parse_int(text: str) -> int:
@@ -206,33 +209,61 @@ FIELD_SPECS: dict[str, tuple[str, object]] = {
     for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _cross_validate(cfg: ExperimentConfig, lines_for: dict[str, int]) -> None:
-    def fail(key: str, message: str):
-        line = lines_for.get(key)
-        prefix = f"line {line}: " if line is not None else ""
-        raise ConfigError(prefix + message)
+def _fail(lines_for: dict[str, int], key: str, message: str):
+    line = lines_for.get(key)
+    prefix = f"line {line}: " if line is not None else ""
+    raise ConfigError(prefix + message)
 
+
+def _suite_classes(cfg: ExperimentConfig) -> int:
+    """The classes each task of the suite brings, summed over tasks."""
+    if cfg.suite_mode == DOMAIN_INCREMENTAL:
+        return cfg.num_tasks * cfg.num_classes
+    if isinstance(cfg.classes_per_task, tuple):
+        return sum(cfg.classes_per_task)
+    return cfg.num_tasks * cfg.classes_per_task
+
+
+def check_input_sizes(cfg: ExperimentConfig,
+                      lines_for: dict[str, int] | None = None) -> None:
+    """Refuse, from closed forms and before anything is drawn, a config
+    whose client shards, test sets or pretraining pool would hold more
+    than MAX_INPUT_FLOATS floats in all, naming the key that drives
+    them (and its line, if `lines_for` has it)."""
+    classes = _suite_classes(cfg)
+    for key, what, rows in (
+            ("n_per_class", "client shards",
+             cfg.clients_per_task * cfg.n_per_class * classes),
+            ("test_per_class", "test sets", cfg.test_per_class * classes),
+            ("base_pool_total", "pretraining pool", cfg.base_pool_total)):
+        if rows * cfg.dim_x > MAX_INPUT_FLOATS:
+            _fail(lines_for or {}, key,
+                  f"{key}: the {what} would hold {rows} rows of dim_x "
+                  f"{cfg.dim_x} = {rows * cfg.dim_x} floats, more than "
+                  f"2^27 = {MAX_INPUT_FLOATS}")
+
+
+def _cross_validate(cfg: ExperimentConfig, lines_for: dict[str, int]) -> None:
     if cfg.suite_mode == CLASS_INCREMENTAL:
-        if isinstance(cfg.classes_per_task, tuple):
-            if len(cfg.classes_per_task) != cfg.num_tasks:
-                fail("classes_per_task",
-                     f"classes_per_task lists {len(cfg.classes_per_task)} "
-                     f"tasks but num_tasks is {cfg.num_tasks}")
-            needed = sum(cfg.classes_per_task)
-        else:
-            needed = cfg.num_tasks * cfg.classes_per_task
+        if isinstance(cfg.classes_per_task, tuple) and \
+                len(cfg.classes_per_task) != cfg.num_tasks:
+            _fail(lines_for, "classes_per_task",
+                  f"classes_per_task lists {len(cfg.classes_per_task)} "
+                  f"tasks but num_tasks is {cfg.num_tasks}")
+        needed = _suite_classes(cfg)
         if needed > cfg.num_classes:
-            fail("classes_per_task",
-                 f"suite needs {needed} classes but num_classes is "
-                 f"{cfg.num_classes}")
+            _fail(lines_for, "classes_per_task",
+                  f"suite needs {needed} classes but num_classes is "
+                  f"{cfg.num_classes}")
     else:
         if cfg.num_tasks > cfg.num_domains:
-            fail("num_tasks",
-                 f"domain_incremental needs num_tasks <= num_domains, got "
-                 f"{cfg.num_tasks} > {cfg.num_domains}")
+            _fail(lines_for, "num_tasks",
+                  f"domain_incremental needs num_tasks <= num_domains, got "
+                  f"{cfg.num_tasks} > {cfg.num_domains}")
     if cfg.beta_min > cfg.beta_max:
-        fail("beta_min",
-             f"beta_min {cfg.beta_min} exceeds beta_max {cfg.beta_max}")
+        _fail(lines_for, "beta_min",
+              f"beta_min {cfg.beta_min} exceeds beta_max {cfg.beta_max}")
+    check_input_sizes(cfg, lines_for)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -276,7 +307,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def build_run_inputs(cfg: ExperimentConfig, seed: int):
     """World, suite, shards and test sets for one seed. Every method of
-    a seed shares these, so comparisons are paired."""
+    a seed shares these, so comparisons are paired. Inputs too large to
+    hold are a `ConfigError`, raised before any is drawn."""
+    check_input_sizes(cfg)
     world = build_world(cfg.dim_x, cfg.num_classes, cfg.num_domains,
                         cfg.within_std, seed)
     classes_per_task = cfg.classes_per_task

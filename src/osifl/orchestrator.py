@@ -120,6 +120,13 @@ def run_key(method, config, seed: int) -> tuple:
     return (method, int(seed), dataclasses.replace(config, **unread))
 
 
+def inputs_key(config, seed: int) -> tuple:
+    """Everything `build_run_inputs` is a function of: the seed and the
+    config, less `p` and `w`, which no input reads."""
+    return ("inputs", seed, dataclasses.replace(
+        config, retain_per_class=None, guidance_w=None))
+
+
 @dataclass(eq=False)
 class RunState:
     method: Method
@@ -139,9 +146,20 @@ class RunState:
     server: ServerMemo = field(default_factory=ServerMemo)
 
 
+def synthesis_key(state: RunState, messages: list) -> tuple:
+    """Everything a task's synthesized set is a function of: the run's
+    generator, seed and task, the upload set, `z_per_class` and `w`. A
+    memo hands out one generator object per generator key, so the
+    object (hashed by identity) stands for that key."""
+    cfg = state.config
+    return ("synthesis", state.generator, state.seed, messages[0].task_id,
+            cfg.z_per_class, cfg.guidance_w,
+            tuple(serialize_message(m) for m in messages))
+
+
 def _synthesized_task(state: RunState, messages: list) -> SynthSet:
-    """The task's `SynthSet` as the server memo holds it for this
-    generator, task, upload set, `z_per_class` and `w`."""
+    """The task's `SynthSet` as the server memo holds it under its
+    `synthesis_key`."""
     cfg, seed, t = state.config, state.seed, messages[0].task_id
 
     def build(ledger):
@@ -155,11 +173,8 @@ def _synthesized_task(state: RunState, messages: list) -> SynthSet:
                     f"values for class {k}")
         return synth
 
-    # A memo hands out one generator object per generator key, so the
-    # object (hashed by identity) stands for that key.
-    key = ("synthesis", state.generator, seed, t, cfg.z_per_class,
-           cfg.guidance_w, tuple(serialize_message(m) for m in messages))
-    return state.server.recall(key, build, state.compute)
+    return state.server.recall(synthesis_key(state, messages), build,
+                               state.compute)
 
 
 def _expand_head(state: RunState, task: TaskSpec) -> Classifier:

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import os
 import pathlib
 import re
@@ -12,8 +11,10 @@ from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
                        run_experiment, sweep)
 from osifl.config import (FIELD_SPECS, ExperimentConfig, build_run_inputs,
                           parse_config, serialize_config)
+from osifl.encoder import build_client_message, make_encoder
 from osifl.errors import ConfigError
-from osifl.orchestrator import CSV_HEADER, Method, ServerMemo, rows_to_csv
+from osifl.orchestrator import CSV_HEADER, Method, report_rows, rows_to_csv
+from reference_run import record_states, reference_run
 
 
 def _small(**overrides):
@@ -228,6 +229,80 @@ def test_each_field_round_trips_a_value_under_its_own_key():
         assert parse_config(serialize_config(cfg)) == cfg
 
 
+# The memo-key walk's base: small, unequal to every NON_DEFAULT_VALUES
+# entry, and a valid config with any one of them.
+_WALK = dict(dim_x=4, num_classes=30, num_domains=6, num_tasks=6,
+             classes_per_task=2, n_per_class=4, test_per_class=3,
+             z_per_class=4, base_pool_total=60, dim_e=6, batch_size=8,
+             epochs_per_task=1, rounds=1, diffusion_steps=3,
+             denoiser_hidden=4, pretrain_steps=4, pretrain_batch=8)
+
+
+def _memo_keys(cfg, seed=3):
+    """Each memo key of `cfg` at `seed`, with a function that computes
+    the bits of what the key stands for, each on a private memo."""
+    inputs = build_run_inputs(cfg, seed)
+    world, _, shards, test_sets = inputs
+    state = orchestrator.RunState(
+        method=Method.OSIFL, config=cfg, seed=seed, world=world,
+        encoder=make_encoder(cfg.dim_e, world.dim_x, seed), classifier=None,
+        hp=None)
+    messages = [build_client_message(state.encoder, s) for s in shards
+                if s.task_id == 1]
+    gen_key = orchestrator.generator_key(cfg, world, seed)
+
+    def generator():
+        orchestrator._build_generator(state)
+        gen = state.generator
+        return type(gen), (gen.cond_matrix if cfg.generator == "surrogate"
+                           else gen.denoiser.flat).tobytes()
+
+    def synthesized():
+        orchestrator._build_generator(state)
+        data = orchestrator._synthesized_task(state, messages).data
+        return data.x.tobytes(), data.y.tobytes()
+
+    batches = [s.samples for s in shards] + list(test_sets.values())
+    keys = {
+        "inputs": (orchestrator.inputs_key(cfg, seed), lambda: (
+            inputs[1], [s.client_id for s in shards], [a.tobytes() for a in (
+                world.class_anchors, world.domain_offsets, *(
+                    a for b in batches for a in (b.x, b.y, b.domain)))])),
+        "generator": (gen_key, generator),
+        # A memo's generator object stands for its generator key.
+        "synthesis": (orchestrator.synthesis_key(dataclasses.replace(
+            state, generator=gen_key), messages), synthesized)}
+    for method in Method:
+        keys[method] = (orchestrator.run_key(method, cfg, seed),
+                        lambda m=method: dataclasses.replace(
+                            orchestrator.run_method(m, *inputs, cfg, seed),
+                            config_echo=None))
+    return keys
+
+
+@pytest.mark.parametrize("generator", ["surrogate", "ddpm"])
+def test_each_memo_key_changes_with_a_field_or_keys_the_same_bits(generator):
+    # Each config field moves to its NON_DEFAULT_VALUES entry. Where a
+    # memo key stays put, what it keys must not move; the generator's key
+    # moves exactly when the generator does.
+    fields = dataclasses.fields(ExperimentConfig)
+    assert sorted(NON_DEFAULT_VALUES) == sorted(f.name for f in fields)
+    key_of = {attr: key for key, (attr, _) in FIELD_SPECS.items()}
+    base_cfg = ExperimentConfig(**_WALK, generator=generator)
+    base, base_bits = _memo_keys(base_cfg), {}
+    for field in fields:
+        value = FIELD_SPECS[key_of[field.name]][1](
+            NON_DEFAULT_VALUES[field.name])
+        moved = _memo_keys(dataclasses.replace(base_cfg,
+                                               **{field.name: value}))
+        for name, (key, bits) in moved.items():
+            if key == base[name][0] or name == "generator":
+                if name not in base_bits:
+                    base_bits[name] = base[name][1]()
+                assert (bits() == base_bits[name]) == \
+                    (key == base[name][0]), (field.name, name)
+
+
 def test_the_readme_configuration_table_names_every_key():
     readme = (pathlib.Path(__file__).resolve().parents[1] /
               "README.md").read_text()
@@ -410,25 +485,16 @@ def test_sweep_csv_structure(tmp_path):
 
 
 def test_single_value_sweep_matches_plain_run(tmp_path):
+    # The sweep's rows and each run's CSV are the reference runs'.
     cfg = _small(methods=(Method.OSIFL, Method.OSCAR_IL), seeds=(42,))
-    run_out = str(tmp_path / "run")
-    sweep_out = str(tmp_path / "sweep")
-    assert run_experiment(cfg, run_out) == 0
-    assert sweep(cfg, "p", [str(cfg.retain_per_class)], sweep_out) == 0
-    with open(os.path.join(sweep_out, "sweep_p.csv")) as fh:
-        sweep_rows = [line.split(",") for line in
-                      fh.read().strip().split("\n")[1:]]
-    finals = {}
+    assert run_experiment(cfg, str(tmp_path / "run")) == 0
+    assert sweep(cfg, "p", [str(cfg.retain_per_class)], str(tmp_path)) == 0
+    assert (tmp_path / "sweep_p.csv").read_text() == \
+        _reference_sweep_csv(cfg, "p", [cfg.retain_per_class])
     for method in cfg.methods:
-        path = os.path.join(run_out, f"run_{method.value}_seed42.csv")
-        with open(path) as fh:
-            for line in fh.read().strip().split("\n")[1:]:
-                cells = line.split(",")
-                if cells[2] == str(cfg.num_tasks) and cells[3] == "-1":
-                    finals[method.value] = cells[5]
-    for row in sweep_rows:
-        if row[3] == "42":
-            assert row[4] == finals[row[2]]
+        assert (tmp_path / "run" / f"run_{method.value}_seed42.csv") \
+            .read_text() == rows_to_csv(report_rows(
+                reference_run(method, cfg, 42).report))
 
 
 def test_main_run_subcommand(tmp_path):
@@ -466,6 +532,14 @@ def test_main_error_exit_codes(tmp_path, capsys):
         assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+    # So do inputs too large to hold, from closed forms, before any draw.
+    for key in ("test_per_class", "n_per_class", "base_pool_total"):
+        bad.write_text(f"{key} = 999999999999\nmethods = OSIFL\nseeds = 7\n")
+        for args in (["run"], ["sweep", "--axis", "p", "--values", "1"]):
+            assert main(args + ["--config", str(bad), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: line 1: {key}: ")
+            assert not out.exists()
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
     good = tmp_path / "good.cfg"
@@ -488,19 +562,19 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 
 def test_an_error_building_a_seeds_inputs_fails_each_of_its_runs(
         tmp_path, capsys):
-    # NumPy refuses a draw of 2**63 - 1 samples per class, the largest
-    # count the parser accepts, before allocating anything (how it words
-    # the error varies by version); each (seed, method) cell fails like a
-    # failed run.
-    path = tmp_path / "huge.cfg"
-    path.write_text("n_per_class = " + str(2 ** 63 - 1) + "\n"
-                    "methods = OSCAR_IL, FEDAVG\nseeds = 7, 8\n")
+    # A config built in Python skips the parser's checks, so shards too
+    # large to hold are refused only as each seed's inputs are built, and
+    # each (seed, method) cell fails like a failed run.
+    cfg = ExperimentConfig(n_per_class=2 ** 63 - 1, seeds=(7, 8),
+                           methods=(Method.OSCAR_IL, Method.FEDAVG))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert run_experiment(cfg, str(out)) == 1
     err = capsys.readouterr().err.splitlines()
     assert [line.split(": ", 2)[1] for line in err] == [
         f"{m} seed={s}" for s in (7, 8) for m in ("OSCAR_IL", "FEDAVG")]
-    assert all(line.startswith("run failed: ") for line in err)
+    assert all(line.startswith("run failed: ") and
+               "n_per_class: the client shards would hold" in line
+               for line in err)
     assert os.listdir(out) == ["summary.partial.csv"]
     assert (out / "summary.partial.csv").read_text() == CSV_HEADER + "\n"
 
@@ -532,32 +606,6 @@ _DDPM = dict(generator="ddpm", diffusion_steps=5, denoiser_hidden=8,
              seeds=(3, 4))
 
 
-def _read_dir(path):
-    return {name: (path / name).read_bytes() for name in os.listdir(path)}
-
-
-def test_shared_server_memo_writes_what_private_memos_write(
-        tmp_path, monkeypatch):
-    cfg = _small(**_DDPM)
-    shared, private = [], []
-
-    def collect(into, strip_server):
-        def call(*args, **kwargs):
-            if strip_server:
-                kwargs.pop("server")
-            report = yield from orchestrator.run_steps(*args, **kwargs)
-            into.append(report)
-            return report
-        return call
-
-    monkeypatch.setattr(cli, "run_steps", collect(shared, False))
-    assert run_experiment(cfg, str(tmp_path / "shared")) == 0
-    monkeypatch.setattr(cli, "run_steps", collect(private, True))
-    assert run_experiment(cfg, str(tmp_path / "private")) == 0
-    assert len(shared) == 8 and shared == private
-    assert _read_dir(tmp_path / "shared") == _read_dir(tmp_path / "private")
-
-
 def _count_calls(monkeypatch, name, key):
     real, seen = getattr(orchestrator, name), []
 
@@ -586,16 +634,14 @@ def test_grid_pretrains_once_per_seed_and_samples_once_per_task(
 
 
 def test_w_sweep_rows_match_separate_sweeps(tmp_path):
+    # Each value's rows are its reference runs', each run alone; and the
+    # guidance weight reaches the ddpm sampler: past the value column,
+    # the two values' rows differ.
     cfg = _small(**_DDPM)
-    assert sweep(cfg, "w", ["1", "4"], str(tmp_path / "both")) == 0
-    rows = []
-    for value in ("1", "4"):
-        out = tmp_path / f"w{value}"
-        assert sweep(cfg, "w", [value], str(out)) == 0
-        rows += (out / "sweep_w.csv").read_text().splitlines()[1:]
-    both = (tmp_path / "both" / "sweep_w.csv").read_text().splitlines()
-    assert both[1:] == rows
-    # The guidance weight reaches the ddpm sampler.
+    assert sweep(cfg, "w", ["1", "4"], str(tmp_path)) == 0
+    text = (tmp_path / "sweep_w.csv").read_text()
+    assert text == _reference_sweep_csv(cfg, "w", [1.0, 4.0])
+    rows = [row.split(",")[2:] for row in text.splitlines()[1:]]
     assert rows[:len(rows) // 2] != rows[len(rows) // 2:]
 
 
@@ -617,26 +663,21 @@ def test_non_finite_synthesis_is_a_failed_run_not_a_nan_row(
     assert "nan" not in (out / "summary.partial.csv").read_text()
 
 
-def _direct_sweep_csv(cfg, axis, values):
-    """The sweep CSV built from one `run_method` call per cell, each
-    with a private server memo."""
+def _reference_sweep_csv(cfg, axis, values):
+    """The sweep CSV built from the reference run of every cell."""
     rows = []
     for value in values:
         cell = dataclasses.replace(cfg, **{FIELD_SPECS[axis][0]: value})
-        done = {method: [] for method in cell.methods}
-        for seed in cell.seeds:
-            inputs = build_run_inputs(cell, seed)
-            for method in cell.methods:
-                r = orchestrator.run_method(method, *inputs, cell, seed)
-                done[method].append(r)
-                rows.append([axis, value, r.method, r.seed, r.avg_after[-1],
-                             r.forgetting_mean, r.upload_floats_total,
-                             r.madds_total])
-        for method, reports in done.items():
-            rows.append([axis, value, method.value, -1] + [
-                float(np.mean([getattr(r, col)[-1] for r in reports]))
-                for col in ("avg_after", "forgetting_after",
-                            "uploads_after", "madds_after")])
+        reports = [reference_run(method, cell, seed).report
+                   for seed in cell.seeds for method in cell.methods]
+        rows += [[axis, value, r.method, r.seed, r.avg_after[-1],
+                  r.forgetting_mean, r.upload_floats_total, r.madds_total]
+                 for r in reports]
+        rows += [[axis, value, method.value, -1] + [
+            float(np.mean([getattr(r, col)[-1] for r in reports
+                           if r.method == method.value]))
+            for col in ("avg_after", "forgetting_after", "uploads_after",
+                        "madds_after")] for method in cell.methods]
     return rows_to_csv(rows, header=SWEEP_HEADER)
 
 
@@ -675,7 +716,7 @@ def test_sweep_runs_each_distinct_cell_once_and_writes_direct_bytes(
     assert len(calls) == runs
     parsed = [FIELD_SPECS[axis][1](value) for value in values]
     assert (tmp_path / f"sweep_{axis}.csv").read_text() == \
-        _direct_sweep_csv(cfg, axis, parsed)
+        _reference_sweep_csv(cfg, axis, parsed)
 
 
 def test_sweep_reruns_a_failed_key_at_every_value(
@@ -714,29 +755,6 @@ def test_reused_report_carries_its_own_config_echo(monkeypatch):
 
 
 
-def _state_hashes(monkeypatch):
-    """Wrap `orchestrator._check_head` to record, per (method, seed,
-    task), a sha256 of the head's class ids and parameters, its kept
-    Adam state, and the run's anchor."""
-    hashes, real = {}, orchestrator._check_head
-
-    def hashed(state, task_id):
-        clf, h = state.classifier, hashlib.sha256()
-        h.update(np.asarray(clf.classes, dtype="<i8").tobytes())
-        h.update(clf.flat.tobytes())
-        if clf.adam is not None:
-            h.update(str(clf.adam.step).encode())
-            h.update(clf.adam.m.tobytes() + clf.adam.v.tobytes())
-        if state.anchor is not None:
-            h.update(state.anchor.theta.tobytes())
-            h.update(state.anchor.fisher.tobytes())
-        hashes[state.method, state.seed, task_id] = h.hexdigest()
-        return real(state, task_id)
-
-    monkeypatch.setattr(orchestrator, "_check_head", hashed)
-    return hashes
-
-
 def _stack_sizes(monkeypatch):
     """Wrap the trainers the orchestrator calls to record how many heads
     each call trains."""
@@ -750,33 +768,24 @@ def _stack_sizes(monkeypatch):
     return sizes
 
 
-def _grid_per_seed(cfg, axis, values):
-    """Reports and failure lines of one single-seed grid per (value,
-    seed), in that order, sharing one memo as the cells of one grid do."""
-    reports, failures, memo = [], [], ServerMemo()
-    for value in values:
-        for seed in cfg.seeds:
-            [(_, done)], failed = cli.run_grid(cfg, axis, [value], (seed,),
-                                               memo)
-            reports += done
-            failures += failed
-    return reports, failures
-
-
-def _assert_grid_matches_per_seed(cfg, axis, values, hashes, sizes):
-    """The grid over all seeds at once equals one grid per (value,
-    seed): reports, failure lines and their order, and every head, with
-    as many heads trained. Returns the failure lines and the number of
-    heads in each training call of the first grid."""
+def _assert_grid_matches_reference(cfg, axis, values, states):
+    """Run the grid: each report it returns, and each run it computes
+    after every task (`states`, from `record_states`), equal the
+    reference run's bit for bit. Returns the failure lines and how many
+    heads the reference runs train for the runs the grid computed."""
     cells, failures = cli.run_grid(cfg, axis, values, cfg.seeds)
-    together = [r for _, reports in cells for r in reports]
-    stacked, together_hashes = list(sizes), dict(hashes)
-    hashes.clear()
-    del sizes[:]
-    assert _grid_per_seed(cfg, axis, values) == (together, failures)
-    assert hashes == together_hashes
-    assert set(sizes) == {1} and len(sizes) == sum(stacked)
-    return failures, stacked
+    refs = {}
+    for cell, reports in cells:
+        for r in reports:
+            ref = refs[Method(r.method), r.seed, cell] = \
+                reference_run(r.method, cell, r.seed)
+            assert r == ref.report
+    computed = {key[:3] for key in states} & set(refs)
+    for method, seed, cell in computed:
+        assert [states[method, seed, cell, t] for t in
+                range(1, cell.num_tasks + 1)] == \
+            refs[method, seed, cell].snapshots
+    return failures, sum(refs[run].heads for run in computed)
 
 
 _ALL_SEEDS = dict(methods=tuple(Method), seeds=(42, 18, 50))
@@ -788,18 +797,37 @@ _ALL_SEEDS = dict(methods=tuple(Method), seeds=(42, 18, 50))
     ids=["surrogate", "ddpm", "persisted_moments"])
 def test_a_grid_of_seeds_trains_them_stacked_like_a_grid_per_seed(
         monkeypatch, overrides):
+    # Every head trains in a stack of three seeds' heads, and as many
+    # heads train as the reference runs train one at a time.
     cfg = _small(**dict(_ALL_SEEDS, **overrides))
-    hashes, sizes = _state_hashes(monkeypatch), _stack_sizes(monkeypatch)
-    failures, stacked = _assert_grid_matches_per_seed(cfg, None, [None],
-                                                      hashes, sizes)
-    assert failures == [] and set(stacked) == {3}
-    assert len(hashes) == 7 * 3 * cfg.num_tasks
+    states, sizes = record_states(monkeypatch), _stack_sizes(monkeypatch)
+    failures, heads = _assert_grid_matches_reference(cfg, None, [None],
+                                                     states)
+    assert failures == [] and set(sizes) == {3} and sum(sizes) == heads
+    assert len(states) == 7 * 3 * cfg.num_tasks
+
+
+@pytest.mark.parametrize("axis, values, overrides", [
+    ("p", [0, 2, 5], dict(scoring_point="post_update", score_by="loss")),
+    ("w", [1.0, 3.0], dict(_DDPM, adam_reset_per_task=False,
+                           lambda_ewc=100.0, mu_prox=1.0)),
+    ("clients_per_task", [1, 3], {})], ids=["p", "w_ddpm", "clients"])
+def test_a_grid_equals_the_reference_run_after_every_task(
+        monkeypatch, axis, values, overrides):
+    # Every method of every cell, over two seeds with one shared memo:
+    # each report, and each computed run's head, kept exemplars and
+    # ledgers after every task, are the reference run's.
+    cfg = _small(**dict(overrides, methods=tuple(Method), seeds=(3, 4)))
+    states, sizes = record_states(monkeypatch), _stack_sizes(monkeypatch)
+    failures, heads = _assert_grid_matches_reference(cfg, axis, values,
+                                                     states)
+    assert failures == [] and sum(sizes) == heads
 
 
 def test_a_seed_whose_synthesis_is_not_finite_fails_alone(monkeypatch):
-    # Seeds 42 and 50 synthesize NaN; 18 trains alone meanwhile. Every
-    # failure line, and its place in (value, seed, method) order, is the
-    # one a grid per seed writes; p = 2 reruns the failed keys.
+    # Seeds 42 and 50 synthesize NaN; 18 trains alone meanwhile, as its
+    # reference run does. A failure line for each failed run, in (value,
+    # seed, method) order; p = 2 reruns the failed keys.
     real, cfg = orchestrator.make_surrogate, _small(**_ALL_SEEDS)
 
     class NaNGenerator:
@@ -811,11 +839,10 @@ def test_a_seed_whose_synthesis_is_not_finite_fails_alone(monkeypatch):
                                                                   *args)
 
     monkeypatch.setattr(orchestrator, "make_surrogate", broken)
-    hashes, sizes = _state_hashes(monkeypatch), _stack_sizes(monkeypatch)
-    failures, stacked = _assert_grid_matches_per_seed(cfg, "p", [1, 2],
-                                                      hashes, sizes)
+    states, sizes = record_states(monkeypatch), _stack_sizes(monkeypatch)
+    failures, _ = _assert_grid_matches_reference(cfg, "p", [1, 2], states)
     # Seed 18's one-shot runs train alone, the federated runs stacked.
-    assert sorted(set(stacked)) == [1, 3]
+    assert sorted(set(sizes)) == [1, 3]
     assert [line.split(": ", 1)[0] for line in failures] == [
         f"p={p} {m} seed={s}" for p in (1, 2) for s in (42, 50)
         for m in ("OSIFL", "OSCAR_IL", "OSCAR_R", "OSCAR_CEILING")]
@@ -828,7 +855,8 @@ def test_a_head_whose_penalty_overflows_fails_alone_in_its_stack(
     # Seed 18's Fisher estimates are scaled by 1e300, so its OSCAR_R and
     # FEDEWC penalties overflow Adam's moments in task 2, while stacked
     # with the other two seeds' heads. Overflow warnings are silenced as
-    # they would be in a solo run.
+    # they would be in a solo run. Every other head trains as its
+    # reference run's does.
     seed_of, make, fisher = {}, orchestrator.make_encoder, \
         orchestrator.estimate_fisher
 
@@ -846,12 +874,12 @@ def test_a_head_whose_penalty_overflows_fails_alone_in_its_stack(
     monkeypatch.setattr(orchestrator, "make_encoder", tagged)
     monkeypatch.setattr(orchestrator, "estimate_fisher", exploding)
     cfg = _small(**_ALL_SEEDS)
-    hashes, sizes = _state_hashes(monkeypatch), _stack_sizes(monkeypatch)
+    states, sizes = record_states(monkeypatch), _stack_sizes(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        failures, stacked = _assert_grid_matches_per_seed(
-            cfg, None, [None], hashes, sizes)
+        failures, _ = _assert_grid_matches_reference(cfg, None, [None],
+                                                     states)
     # Seed 18's heads trained in stacks of three, and failed in one.
-    assert set(stacked) == {3}
+    assert set(sizes) == {3}
     assert failures == [
         f"{m} seed=18: training overflowed Adam's moments (lambda 0.1, "
         f"learning_rate 0.001)" for m in ("OSCAR_R", "FEDEWC")]
@@ -907,15 +935,18 @@ def test_a_grid_restores_heads_to_what_each_cell_trains_alone(
         monkeypatch, axis, values, overrides, restored):
     cfg = _small(num_classes=12, classes_per_task=2, num_tasks=6,
                  **overrides)
-    heads = _count_restored_heads(monkeypatch)
-    cells, failures = cli.run_grid(cfg, axis, values, cfg.seeds)
+    heads, states = _count_restored_heads(monkeypatch), \
+        record_states(monkeypatch)
+    failures, _ = _assert_grid_matches_reference(cfg, axis, values, states)
     assert failures == [] and sum(heads) == restored
     del heads[:]
-    for cell, reports in cells:
-        assert reports == [orchestrator.run_method(
-            method, *build_run_inputs(cell, seed), cell, seed)
-            for seed in cfg.seeds for method in cfg.methods]
     # A run alone, with a private memo, repeats none of its own heads.
+    for cell in [cfg] if axis is None else [
+            dataclasses.replace(cfg, retain_per_class=p) for p in values]:
+        for seed in cfg.seeds:
+            for method in cfg.methods:
+                orchestrator.run_method(
+                    method, *build_run_inputs(cell, seed), cell, seed)
     assert heads and not any(heads)
 
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osifl.datagen import build_world, draw_base_pool
-from osifl.diffusion import (DENOISER_LEARNING_RATE, DiffusionHP,
-                             NoiseSchedule, denoise_loss_fixed,
+from osifl.diffusion import (DiffusionHP, NoiseSchedule, denoise_loss_fixed,
                              forward_noise, guided_epsilon, load_model,
                              make_denoiser, make_schedule, make_surrogate,
                              pretrain, save_model, synthesize_task_data)
@@ -15,7 +14,8 @@ from osifl.encoder import ClientMessage, make_encoder, pair_mean_embeddings
 from osifl.errors import ConfigError, ProtocolError
 from osifl.ledgers import ComputeLedger
 from osifl.rng import stream
-from test_trainer import _ref_adam_step, _ref_zeros
+from reference_run import _surrogate_per_chain, _synthesize, \
+    denoise_loss_and_grads, pretrain_reference
 
 
 def test_schedule_single_step_value():
@@ -153,19 +153,6 @@ def test_denoise_gradients_equal_fresh_array_expressions_bit_for_bit():
                                                for k in grads]))
 
 
-def denoise_loss_and_grads(denoiser, schedule, x0, cond, p_drop, rng):
-    """One noise-prediction training step's loss and gradients, the
-    per-array reference for a step of `pretrain`. Draws, per sample and
-    in this order: a uniform timestep, the target noise, and the
-    condition-drop coin (dropped conditions are zeroed)."""
-    n = len(x0)
-    z = rng.integers(1, schedule.num_steps + 1, size=n)
-    eps = rng.standard_normal(x0.shape)
-    drop = rng.random(n) < p_drop
-    cond_used = np.where(drop[:, None], 0.0, cond)
-    return denoise_loss_fixed(denoiser, schedule, x0, z, eps, cond_used)
-
-
 def _replayed_step(den, sched, x0, cond, p_drop, seed, label):
     """One training step's loss and gradients, and the draws it used
     (timesteps, noise, conditions after the drop), rebuilt by replaying
@@ -248,38 +235,22 @@ def test_pretrain_deterministic():
 
 def test_pretrain_matches_a_per_array_reference_loop(tmp_path):
     # 50 steps of the per-array loss and gradients, stepped by the pure
-    # reference Adam: bit for bit the parameters and losses of pretrain.
+    # reference Adam: bit for bit the parameters, losses and bill of
+    # pretrain.
     world, pool = _tiny_pool()
     enc = make_encoder(6, 3, 4)
     hp = DiffusionHP(num_steps=10, hidden=16, train_steps=50, batch_size=16)
-    model = pretrain(pool, enc, hp, 7)
-    ref = make_denoiser(3, 6, 10, 16, 7)
-    table = pair_mean_embeddings(enc, pool)
-    cond = np.stack([table[pair] for pair in zip(pool.y.tolist(),
-                                                 pool.domain.tolist())])
-    schedule = make_schedule(hp.num_steps, hp.beta_min, hp.beta_max)
-    rng = stream(7, "pretrain")
-    params = {k: v.copy() for k, v in ref.params.items()}
-    state = _ref_zeros(params)
-    losses = []
-    for _ in range(hp.train_steps):
-        idx = rng.integers(0, len(pool), size=hp.batch_size)
-        loss, grads = denoise_loss_and_grads(ref, schedule, pool.x[idx],
-                                             cond[idx], hp.p_drop, rng)
-        params, state = _ref_adam_step(state, params, grads,
-                                       DENOISER_LEARNING_RATE, 0.0)
-        for k, v in params.items():
-            ref.params[k][...] = v
-        losses.append(loss)
-    assert model.loss_history == losses
-    for k, v in params.items():
-        assert np.array_equal(model.denoiser.params[k], v)
+    book, ref_book = ComputeLedger(), ComputeLedger()
+    model = pretrain(pool, enc, hp, 7, ledger=book)
+    ref = pretrain_reference(pool, enc, hp, 7, ledger=ref_book)
+    assert model.loss_history == ref.loss_history
+    assert model.denoiser.flat.tobytes() == ref.denoiser.flat.tobytes()
+    assert book.madds_by_kind == ref_book.madds_by_kind
     # The checkpoint of that model samples exactly as the model does.
     path = os.path.join(tmp_path, "model.bin")
     save_model(model, path)
     back = load_model(path)
-    for k, v in params.items():
-        assert np.array_equal(back.denoiser.params[k], v)
+    assert back.denoiser.flat.tobytes() == ref.denoiser.flat.tobytes()
     a = model.sample_chains(np.ones((1, 6)), [5], 2.0, stream(5, "cmp"))
     b = back.sample_chains(np.ones((1, 6)), [5], 2.0, stream(5, "cmp"))
     assert np.array_equal(a, b)
@@ -294,27 +265,11 @@ def test_pretrain_gathers_conditions_like_a_per_row_stack():
     enc = make_encoder(6, 3, 4)
     hp = DiffusionHP(num_steps=8, hidden=12, p_drop=0.5, train_steps=40,
                      batch_size=8)
-    model = pretrain(pool, enc, hp, 9)
-    table = pair_mean_embeddings(enc, pool)
-    assert len(table) == 12
-    cond = np.stack([table[pair] for pair in zip(pool.y.tolist(),
-                                                 pool.domain.tolist())])
-    ref = make_denoiser(3, 6, 8, 12, 9)
-    schedule = make_schedule(hp.num_steps, hp.beta_min, hp.beta_max)
-    rng = stream(9, "pretrain")
-    params = {k: v.copy() for k, v in ref.params.items()}
-    state, losses = _ref_zeros(params), []
-    for _ in range(hp.train_steps):
-        idx = rng.integers(0, len(pool), size=hp.batch_size)
-        loss, grads = denoise_loss_and_grads(ref, schedule, pool.x[idx],
-                                             cond[idx], hp.p_drop, rng)
-        params, state = _ref_adam_step(state, params, grads,
-                                       DENOISER_LEARNING_RATE, 0.0)
-        for k, v in params.items():
-            ref.params[k][...] = v
-        losses.append(loss)
-    assert model.loss_history == losses
-    assert model.denoiser.flat.tobytes() == ref.flat.tobytes()
+    assert len(pair_mean_embeddings(enc, pool)) == 12
+    model, ref = pretrain(pool, enc, hp, 9), pretrain_reference(pool, enc,
+                                                                hp, 9)
+    assert model.loss_history == ref.loss_history
+    assert model.denoiser.flat.tobytes() == ref.denoiser.flat.tobytes()
 
 
 def test_guidance_weight_one_is_conditional_branch():
@@ -444,14 +399,11 @@ def test_synthesis_with_a_denoiser_interleaves_its_chains():
     model = _tiny_model()
     msgs = [_message(c, 1, (2, 6), 6, c) for c in range(3)]
     synth = synthesize_task_data(model, msgs, 50, 2.0, stream(0, "z"))
-    conds = [m.class_means[k] for k in (2, 6) for m in msgs]
-    chains = np.split(_per_chain_reference(
-        model, conds, [17, 17, 16] * 2, 2.0, stream(0, "z"),
-        ComputeLedger()), np.cumsum([17, 17, 16] * 2)[:-1])
-    for i, k in enumerate((2, 6)):
-        expect = [chains[3 * i + j % 3][j // 3] for j in range(50)]
-        np.testing.assert_allclose(synth.per_class[k].x, np.stack(expect),
-                                   rtol=1e-12, atol=1e-12)
+    expect = _synthesize(lambda c, n, w, rng: _per_chain_reference(
+        model, c, n, w, rng, ComputeLedger()), msgs, 50, 2.0, stream(0, "z"),
+        1)
+    np.testing.assert_allclose(synth.data.x, expect.x, rtol=1e-12,
+                               atol=1e-12)
 
 
 def test_sample_chains_rejects_untrained_models_and_small_w():
@@ -594,20 +546,6 @@ def test_surrogate_samples_true_cluster():
         4 * world.within_std / np.sqrt(4000)
 
 
-def _surrogate_per_chain(surro, conds, counts, rng):
-    """The surrogate's chains one after another: each draws its own
-    normals around the cluster mean of the pair nearest its condition."""
-    world, out = surro.world, [np.zeros((0, surro.world.dim_x))]
-    for cond, n in zip(conds, counts):
-        if n == 0:
-            continue
-        dists = np.linalg.norm(surro.cond_matrix - cond, axis=1)
-        mean = world.cluster_mean(*surro.pairs[int(np.argmin(dists))])
-        out.append(mean + world.within_std * rng.standard_normal(
-            (n, world.dim_x)))
-    return np.concatenate(out)
-
-
 def _surrogate():
     world, pool = _tiny_pool(seed=11, n=400)
     return make_surrogate(world, make_encoder(6, 3, 4), pool)
@@ -640,13 +578,9 @@ def test_surrogate_synthesis_interleaves_three_providers_bit_for_bit():
     msgs = [_message(c, 1, (2, 6), 6, c) for c in range(3)]
     rng, ref_rng = stream(0, "z"), stream(0, "z")
     synth = synthesize_task_data(surro, msgs, 50, 2.0, rng)
-    conds = [m.class_means[k] for k in (2, 6) for m in msgs]
-    chains = np.split(_surrogate_per_chain(surro, conds, [17, 17, 16] * 2,
-                                           ref_rng),
-                      np.cumsum([17, 17, 16] * 2)[:-1])
-    for i, k in enumerate((2, 6)):
-        expect = [chains[3 * i + j % 3][j // 3] for j in range(50)]
-        assert np.array_equal(synth.per_class[k].x, np.stack(expect))
+    expect = _synthesize(lambda c, n, w, r: _surrogate_per_chain(
+        surro, c, n, r), msgs, 50, 2.0, ref_rng, 1)
+    assert synth.data.x.tobytes() == expect.x.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -18,9 +18,10 @@ from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
                                 parse_method, report_rows, rows_to_csv,
                                 run_method, _weighted_average)
 from osifl.rng import stream
-from osifl.ssr import ExemplarMemory, exemplar_scores
+from osifl.ssr import ExemplarMemory
 from osifl.trainer import AdamState, AnchorState, Classifier, TrainHP, \
-    estimate_fisher, head_key, train
+    head_key, train
+from reference_run import record_states, reference_run
 
 
 def _small(**overrides):
@@ -158,72 +159,32 @@ def test_event_order_within_task(default_reports):
                           "memory_update"]
 
 
-def _record_selections(monkeypatch):
-    """Record each selection the orchestrator makes: its kept rows and
-    the scores its scoring head gave them when it selected."""
-    seen, real = [], orchestrator.select_exemplars
-
-    def recorded(scorer, candidates, p, score_by, **kwargs):
-        kept = real(scorer, candidates, p, score_by=score_by, **kwargs)
-        seen.append((kept, exemplar_scores(scorer, kept, score_by)))
-        return kept
-
-    monkeypatch.setattr(orchestrator, "select_exemplars", recorded)
-    return seen
-
-
-def _rescore_error(memory, seen, classifier):
-    """Largest gap between the scores each selection gave the rows it
-    kept and the scores `classifier` gives them, per class; the memory
-    must hold exactly the rows kept, in order."""
-    assert len(memory.replay_sets()) == len(seen)
-    err = 0.0
-    for stored, (kept, scores) in zip(memory.replay_sets(), seen):
-        assert np.array_equal(stored.x, kept.x)
-        assert np.array_equal(stored.y, kept.y)
-        for k in np.unique(kept.y):
-            rows = kept.y == k
-            again = exemplar_scores(classifier, Batch(
-                kept.x[rows], kept.y[rows], kept.domain[rows]))
-            err = max(err, float(np.abs(again - scores[rows]).max()))
-    return err
+def _selection(monkeypatch, scoring_point):
+    """The rows OSIFL keeps after each task at p = 3 of 8 candidates a
+    class, scored at `scoring_point`: the reference run's, bit for bit.
+    At a learning rate of 0.01 training moves the head enough that the
+    scoring point changes which rows are kept."""
+    cfg = _small(retain_per_class=3, scoring_point=scoring_point,
+                 learning_rate=0.01)
+    states = record_states(monkeypatch)
+    report = run_method(Method.OSIFL, *build_run_inputs(cfg, 3), cfg, 3)
+    ref = reference_run(Method.OSIFL, cfg, 3)
+    assert report == ref.report
+    assert [states[Method.OSIFL, 3, cfg, t] for t in (1, 2)] == ref.snapshots
+    return [kept for _, _, _, _, kept, *_ in ref.snapshots]
 
 
 def test_selection_scores_against_pre_update_snapshot(monkeypatch):
-    # In pre_update mode the stored scores must come from the head as it
-    # stood before training on the arriving task (for task 1: the
-    # freshly expanded zero head), not from the trained head.
-    cfg = _small(retain_per_class=8, scoring_point="pre_update")
-    world, suite, shards, _ = build_run_inputs(cfg, 3)
-    encoder = make_encoder(cfg.dim_e, world.dim_x, 3)
-    state = _oneshot_state(cfg, world, encoder, 3)
-    task = suite.tasks[0]
-    messages = [build_client_message(encoder, s) for s in shards
-                if s.task_id == task.task_id]
-    probe = state.classifier.copy()
-    probe.expand_head(task.classes)
-    seen = _record_selections(monkeypatch)
-    _run_phase(oneshot_task_phase(state, task, messages))
-    assert state.memory.size
-    pre_err = _rescore_error(state.memory, seen, probe)
-    post_err = _rescore_error(state.memory, seen, state.classifier)
-    assert pre_err < 1e-12
-    assert post_err > 1e-6
+    # In pre_update mode the rows are scored by the head as it stood
+    # before training on the arriving task (for task 1: the freshly
+    # expanded zero head), as the reference run scores them; the trained
+    # head would keep other rows.
+    assert _selection(monkeypatch, "pre_update") != \
+        _selection(monkeypatch, "post_update")
 
 
 def test_selection_scores_against_trained_head(monkeypatch):
-    cfg = _small(retain_per_class=8, scoring_point="post_update")
-    world, suite, shards, _ = build_run_inputs(cfg, 3)
-    encoder = make_encoder(cfg.dim_e, world.dim_x, 3)
-    state = _oneshot_state(cfg, world, encoder, 3)
-    task = suite.tasks[0]
-    messages = [build_client_message(encoder, s) for s in shards
-                if s.task_id == task.task_id]
-    seen = _record_selections(monkeypatch)
-    _run_phase(oneshot_task_phase(state, task, messages))
-    assert state.memory.size
-    assert _rescore_error(state.memory, seen, state.classifier) < 1e-12
-    assert any("select params=post_update" in e for e in state.events)
+    _selection(monkeypatch, "post_update")
 
 
 def test_upload_guards_reject_repeats_and_foreign_messages():
@@ -246,62 +207,23 @@ def test_upload_guards_reject_repeats_and_foreign_messages():
     _run_phase(oneshot_task_phase(state, suite.tasks[1], msgs2))
 
 
-def _pad_head_vector(flat, n_old, n_new, dim_e):
-    """A flat head vector of n_old rows with zero rows appended up to
-    n_new: the weights row by row, then the bias."""
-    return np.concatenate([flat[:n_old * dim_e],
-                           np.zeros((n_new - n_old) * dim_e),
-                           flat[n_old * dim_e:], np.zeros(n_new - n_old)])
-
-
 @pytest.mark.parametrize("method", [Method.FEDAVG, Method.FEDPROX,
                                     Method.FEDEWC])
-def test_federated_single_client_is_sequential_local_training(method):
+def test_federated_single_client_is_sequential_local_training(
+        monkeypatch, method):
     # With one client the weighted average is that client's parameters,
-    # so each task must replay as plain round-by-round local training
-    # with the same per-round streams, and anchors built by hand: FedProx
-    # pulls toward each round's broadcast head at F = 1/2, FedEWC toward
-    # the last task's head and Fisher, zero-padded for the new classes.
+    # so each task must replay as the reference run's round-by-round
+    # local training with the same per-round streams, and its own
+    # anchors: FedProx pulls toward each round's broadcast head at
+    # F = 1/2, FedEWC toward the last task's head and Fisher, zero-padded
+    # for the new classes.
     cfg = _small(rounds=3, lambda_ewc=50.0, mu_prox=0.5)
-    world, suite, shards, _ = build_run_inputs(cfg, 6)
-    encoder = make_encoder(cfg.dim_e, world.dim_x, 6)
-    hp = cfg.train_hp()
-    state = RunState(method=method, config=cfg, seed=6, world=world,
-                     encoder=encoder, classifier=Classifier(encoder), hp=hp)
-    manual = Classifier(encoder)
-    ewc = None
-    for task in suite.tasks:
-        t = task.task_id
-        (shard,) = [s for s in shards if s.task_id == t]
-        _run_phase(federated_task_phase(state, task, [shard]))
-        n_old = manual.num_classes
-        manual.expand_head(task.classes)
-        anchor, lam = None, 0.0
-        if method is Method.FEDEWC and ewc is not None:
-            anchor = AnchorState(*(_pad_head_vector(
-                a, n_old, manual.num_classes, cfg.dim_e) for a in ewc))
-            lam = cfg.lambda_ewc
-        for rnd in range(1, cfg.rounds + 1):
-            if method is Method.FEDPROX:
-                anchor = AnchorState(manual.flat.copy(),
-                                     np.full(manual.param_count, 0.5))
-                lam = cfg.mu_prox
-            local = manual.copy()
-            train(local, shard.samples, hp,
-                  stream(6, "fed", t, rnd, shard.client_id),
-                  epochs=cfg.local_epochs, anchor=anchor, lam=lam)
-            manual.weights[...], manual.bias[...] = local.weights, local.bias
-        if method is Method.FEDEWC:
-            ewc = (manual.flat.copy(),
-                   estimate_fisher(manual, shard.samples).fisher)
-            assert np.array_equal(state.anchor.theta, ewc[0])
-            assert np.array_equal(state.anchor.fisher, ewc[1])
-        assert np.array_equal(state.classifier.flat, manual.flat)
-        assert state.comms.messages_by_client[shard.client_id] == \
-            cfg.rounds
-        assert state.comms.floats_by_client[shard.client_id] == \
-            cfg.rounds * manual.param_count
-    assert manual.num_classes == 8
+    states = record_states(monkeypatch)
+    report = run_method(method, *build_run_inputs(cfg, 6), cfg, 6)
+    ref = reference_run(method, cfg, 6)
+    assert report == ref.report
+    assert [states[method, 6, cfg, t] for t in (1, 2)] == ref.snapshots
+    assert set(report.messages_by_client.values()) == {cfg.rounds}
 
 
 def test_federated_phase_rejects_foreign_and_missing_shards():
@@ -410,6 +332,28 @@ def test_forgetting_definition_and_edges():
         forgetting([[0.9], [0.6]])
 
 
+def test_lockstep_gives_each_run_its_result_in_any_order(monkeypatch):
+    # Two seeds of every method, handed to `lockstep` in grid order and
+    # shuffled, each time with a fresh memo: each run ends with the same
+    # report, and the same state after every task.
+    cfg = _small(methods=tuple(Method), seeds=(3, 4))
+    states = record_states(monkeypatch)
+    inputs = {seed: build_run_inputs(cfg, seed) for seed in cfg.seeds}
+    runs = [(method, seed) for seed in cfg.seeds for method in cfg.methods]
+
+    def drive(order):
+        states.clear()
+        memo = ServerMemo()
+        results = orchestrator.lockstep([orchestrator.run_steps(
+            method, *inputs[seed], cfg, seed, server=memo)
+            for method, seed in order])
+        assert not any(isinstance(r, Exception) for r in results)
+        return dict(zip(order, results)), dict(states)
+
+    shuffled = [runs[i] for i in np.random.default_rng(0).permutation(14)]
+    assert shuffled != runs and drive(shuffled) == drive(runs)
+
+
 def test_run_report_is_bit_deterministic():
     cfg = _small()
     world, suite, shards, test_sets = build_run_inputs(cfg, 8)
@@ -440,19 +384,16 @@ def test_report_rows_layout():
 
 
 def test_run_method_covers_federated_methods():
+    # Each round-based baseline runs as its reference run does: every
+    # client uploads once a round, and FedEWC refreshes its anchor.
     cfg = _small(rounds=2)
-    world, suite, shards, test_sets = build_run_inputs(cfg, 9)
+    inputs = build_run_inputs(cfg, 9)
     for method in (Method.FEDAVG, Method.FEDPROX, Method.FEDEWC):
-        report = run_method(method, world, suite, shards, test_sets,
-                            cfg, 9)
-        assert len(report.accuracy) == 2
-        assert report.upload_floats_total == sum(
-            report.floats_by_client.values())
-        assert all(n == cfg.rounds
-                   for n in report.messages_by_client.values())
-    ewc = run_method(Method.FEDEWC, world, suite, shards, test_sets,
-                     cfg, 9)
-    assert any("anchor_refresh" in e for e in ewc.events)
+        report = run_method(method, *inputs, cfg, 9)
+        assert report == reference_run(method, cfg, 9).report
+        assert set(report.messages_by_client.values()) == {cfg.rounds}
+        assert ("task2:anchor_refresh" in report.events) == \
+            (method is Method.FEDEWC)
 
 
 def test_osifl_at_p0_bills_and_scores_like_naive_training():
@@ -492,15 +433,6 @@ def test_generator_key_changes_with_each_field(field, value):
         assert _key(cfg, value) != base
     else:
         assert _key(dataclasses.replace(cfg, **{field: value}), 7) != base
-
-
-def test_generator_key_ignores_what_no_generator_reads():
-    cfg = _small(**_DDPM)
-    for field, value in (("retain_per_class", 0), ("guidance_w", 4.0),
-                         ("z_per_class", 3), ("clients_per_task", 2),
-                         ("learning_rate", 0.1), ("methods", ())):
-        changed = dataclasses.replace(cfg, **{field: value})
-        assert _key(changed, 7) == _key(cfg, 7), field
 
 
 def test_synthesized_samples_view_read_only_memo_arrays():

@@ -15,6 +15,7 @@ from osifl.rng import stream
 from osifl.ssr import (ExemplarMemory, exemplar_scores, select_exemplars,
                        top_p_indices)
 from osifl.trainer import Classifier, ce_loss_and_grads
+from reference_run import _select_per_class
 
 
 class IdentityEncoder:
@@ -212,21 +213,6 @@ def test_select_exemplars_loss_mode_and_unknown_mode():
         select_exemplars(clf, samples, 1, score_by="entropy")
     with pytest.raises(ConfigError):
         exemplar_scores(clf, samples, score_by="entropy")
-
-
-def _select_per_class(classifier, candidates, p, score_by):
-    """Reference: each class in turn, ascending, its rows copied out one
-    by one, scored alone by `exemplar_scores` and cut by `top_p_indices`.
-    Returns the kept row indices into `candidates`."""
-    keep, labels = [], candidates.y.tolist()
-    for k in sorted(set(labels)):
-        rows = [i for i, y in enumerate(labels) if y == k]
-        block = Batch(np.array([candidates.x[i] for i in rows]),
-                      [k] * len(rows), [candidates.domain[i] for i in rows],
-                      candidates.task)
-        scores = exemplar_scores(classifier, block, score_by).tolist()
-        keep += [rows[j] for j in top_p_indices(scores, p)]
-    return np.array(keep, dtype=np.intp)
 
 
 def _assert_kept(kept, candidates, keep):

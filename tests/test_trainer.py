@@ -10,14 +10,14 @@ from osifl.datagen import CLASS_INCREMENTAL, Batch, build_world, \
 from osifl.encoder import make_encoder
 from osifl.errors import ConfigError, ProtocolError
 from osifl.ledgers import ComputeLedger, encoder_forward_madds, \
-    head_backward_madds, head_forward_madds, softmax_madds
+    head_forward_madds
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, select_exemplars
-from osifl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
-                           AdamState, AnchorState, Classifier, Stack, TrainHP,
-                           ce_loss_and_grads, estimate_fisher,
-                           ewc_penalty_and_grads, load_head, rows_for,
-                           save_head, train)
+from osifl.trainer import (Adam, AdamState, AnchorState, Classifier, Stack,
+                           TrainHP, ce_loss_and_grads, estimate_fisher,
+                           ewc_penalty_and_grads, load_head, save_head, train)
+from reference_run import _anchor_pull, _params, _ref_adam_step, \
+    _ref_grow, _ref_pad, _ref_train, _ref_zeros
 
 
 def _toy_data(seed, n=24, classes=(0, 1), dim=4, shift=0.0, task=1):
@@ -36,13 +36,6 @@ def _empty(dim=3):
     return Batch(np.empty((0, dim)), [], [])
 
 
-def _params(clf, flat=None):
-    """A dict view, keyed like `ce_loss_and_grads`'s gradients, of a flat
-    vector in the head's layout; by default a copy of the head's own."""
-    return dict(zip(("weights", "bias"),
-                    clf.split(clf.flat.copy() if flat is None else flat)))
-
-
 def full_objective(classifier, groups):
     """Sum over groups of the group's mean cross-entropy (audit helper)."""
     total = 0.0
@@ -51,68 +44,6 @@ def full_objective(classifier, groups):
             loss, _ = ce_loss_and_grads(classifier, group)
             total += loss
     return total
-
-
-def _ref_zeros(params):
-    """A fresh state for `_ref_adam_step`: (step, m, v)."""
-    return (0, {k: np.zeros_like(p) for k, p in params.items()},
-            {k: np.zeros_like(p) for k, p in params.items()})
-
-
-def _ref_adam_step(state, params, grads, learning_rate, weight_decay):
-    """The pure dict-in, dict-out Adam step, kept as the bit-for-bit
-    reference for `Adam.update`. Returns new params and a new state."""
-    step, m_old, v_old = state
-    t = step + 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    new_params, new_m, new_v = {}, {}, {}
-    for k, p in params.items():
-        g = grads[k] + weight_decay * p
-        m = b1 * m_old[k] + (1.0 - b1) * g
-        v = b2 * v_old[k] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        new_params[k] = p - learning_rate * m_hat / (np.sqrt(v_hat)
-                                                     + ADAM_EPS)
-        new_m[k], new_v[k] = m, v
-    return new_params, (t, new_m, new_v)
-
-
-def _ref_ce_grads(params, emb, rows, coef):
-    """Head gradients of sum_i coef[i] * nll_i, formed from fresh arrays
-    one expression at a time: the reference for the trainer's in-place
-    minibatch pass."""
-    logits = emb @ params["weights"].T + params["bias"]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    delta = e / e.sum(axis=1, keepdims=True)
-    delta[np.arange(len(rows)), rows] -= 1.0
-    delta *= coef[:, None]
-    return {"weights": delta.T @ emb, "bias": delta.sum(axis=0)}
-
-
-def _ref_train(clf, groups, hp, rng, state, *, epochs, pull=None):
-    """The trainer's minibatch loop over `groups`, each row weighted by
-    1 / |its group| and each batch by N / |batch|, stepped by
-    `_ref_adam_step`; `pull(params)` adds a penalty gradient. Returns
-    the final head and the reference Adam state."""
-    groups = [g for g in groups if len(g)]
-    emb = clf.encoder.encode_batch(np.concatenate([g.x for g in groups]))
-    rows = rows_for(clf, np.concatenate([g.y for g in groups]))
-    sample_w = np.concatenate([np.full(len(g), 1.0 / len(g)) for g in groups])
-    n = len(rows)
-    params = _params(clf)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, hp.batch_size):
-            idx = order[start:start + hp.batch_size]
-            grads = _ref_ce_grads(params, emb[idx], rows[idx],
-                                  n / len(idx) * sample_w[idx])
-            if pull is not None:
-                grads = {k: grads[k] + g for k, g in pull(params).items()}
-            params, state = _ref_adam_step(state, params, grads,
-                                           hp.learning_rate, hp.weight_decay)
-    return params, state
 
 
 def _moments(clf):
@@ -325,57 +256,11 @@ def test_adam_matches_reference_across_head_growth(weight_decay):
             clf.expand_head([2, 3])
             adam = Adam(clf.param_count)
             adam.step, adam.m[...], adam.v[...] = clf.adam
-            t, m, v = ref_state
-            pad = {"weights": np.zeros((2, 6)), "bias": np.zeros(2)}
-            ref_state = (t, *({k: np.concatenate([d[k], pad[k]])
-                               for k in d} for d in (m, v)))
-            ref_params = {k: np.concatenate([ref_params[k], pad[k]])
-                          for k in ref_params}
+            ref_params, ref_state = _ref_grow(ref_params, ref_state, 2)
     assert clf.adam.step == ref_state[0] == 48
     assert np.array_equal(_moments(clf)[1]["weights"],
                           ref_state[1]["weights"])
     assert np.array_equal(_moments(clf)[2]["bias"], ref_state[2]["bias"])
-
-
-def test_persisted_moments_train_like_the_reference_across_tasks():
-    # adam_reset_per_task = false: the trainer's moments survive the
-    # head growth between two tasks, exactly as the reference's do.
-    enc = make_encoder(6, 3, 1)
-    hp = TrainHP(epochs_per_task=2, batch_size=5, adam_reset_per_task=False)
-    first = _toy_data(5, n=10, dim=3)
-    second = _toy_data(6, n=10, classes=(2, 3), dim=3, task=2)
-    clf = Classifier(enc, classes=(0, 1))
-    ref = Classifier(enc, classes=(0, 1))
-    state = _ref_zeros(_params(ref))
-    for t, data in enumerate((first, second), start=1):
-        if t == 2:
-            clf.expand_head([2, 3])
-            ref.expand_head([2, 3])
-            step, m, v = state
-            state = (step, *({k: np.concatenate(
-                [d[k], np.zeros((2,) + d[k].shape[1:])]) for k in d}
-                for d in (m, v)))
-        train(clf, data, hp, stream(0, "t", t))
-        params, state = _ref_train(ref, [data], hp, stream(0, "t", t), state,
-                                   epochs=hp.epochs_per_task)
-        ref.weights[...], ref.bias[...] = params["weights"], params["bias"]
-        assert np.array_equal(clf.weights, ref.weights)
-        assert np.array_equal(clf.bias, ref.bias)
-    assert state[0] == 8
-    _assert_state_equal(clf, params, state)
-
-
-def _ref_pad(d, n_new):
-    """Append n_new zero rows to each array of a reference dict."""
-    return {k: np.concatenate([a, np.zeros((n_new,) + a.shape[1:])])
-            for k, a in d.items()}
-
-
-def _ref_grow(params, state, n_new):
-    """Append n_new zero rows to reference params and moments."""
-    step, m, v = state
-    return _ref_pad(params, n_new), (step, _ref_pad(m, n_new),
-                                     _ref_pad(v, n_new))
 
 
 def _replay_memory(dim=3, seed=40):
@@ -393,65 +278,6 @@ def _ewc_anchor(clf, seed):
     rng = np.random.default_rng(seed)
     return AnchorState(theta=rng.normal(size=clf.flat.shape),
                        fisher=rng.uniform(0.0, 2.0, size=clf.flat.shape))
-
-
-def _anchor_pull(theta, fisher, lam):
-    """The penalty gradient over dicts keyed like the head's parameters."""
-    return lambda p: {k: lam * (2.0 * fisher[k]) * (p[k] - theta[k])
-                      for k in p}
-
-
-# Each case: (batch_size, epochs, groups built around the task's data,
-# the trainer call on those groups, penalty strength or None).
-_REF_CASES = {
-    # 10 rows in batches of 4: the last batch holds 2.
-    "partial_last_batch": (4, 3, lambda d: [d],
-                           lambda c, g, hp, r, a: train(c, g[0], hp, r),
-                           None),
-    # One batch of all 10 rows when the batch size is 32.
-    "batch_above_n": (32, 4, lambda d: [d],
-                      lambda c, g, hp, r, a: train(c, g[0], hp, r), None),
-    # Three groups of 10, 3 and 6 rows: coefficients 1/10, 1/3, 1/6.
-    "joint_unequal": (4, 3,
-                      lambda d: [d, _toy_data(7, n=3, classes=(0,), dim=3),
-                                 _toy_data(8, n=7, classes=(1, 2), dim=3)],
-                      lambda c, g, hp, r, a: train(c, g, hp, r), None),
-    # The current task plus two replayed tasks of 7 and 3 rows, as OSIFL
-    # builds its groups.
-    "replay": (4, 3, lambda d: [d] + _replay_memory().replay_sets(3),
-               lambda c, g, hp, r, a: train(c, g, hp, r), None),
-    "ewc": (4, 3, lambda d: [d],
-            lambda c, g, hp, r, a: train(c, g[0], hp, r, anchor=a, lam=0.7),
-            0.7),
-    "fedprox": (4, 2, lambda d: [d],
-                lambda c, g, hp, r, a: train(c, g[0], hp, r, epochs=2,
-                                             anchor=a, lam=0.3),
-                0.3),
-    "zero_epochs": (4, 0, lambda d: [d],
-                    lambda c, g, hp, r, a: train(c, g[0], hp, r), None),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_REF_CASES))
-def test_training_matches_the_reference_loop_bit_for_bit(case):
-    batch_size, epochs, make_groups, call, lam = _REF_CASES[case]
-    enc = make_encoder(6, 3, 1)
-    hp = TrainHP(epochs_per_task=epochs, batch_size=batch_size,
-                 weight_decay=1e-3, adam_reset_per_task=False)
-    groups = make_groups(_toy_data(5, n=10, classes=(3, 4), dim=3, task=3))
-    clf = _random_head(Classifier(enc, classes=range(5)), 41)
-    anchor = _ewc_anchor(clf, 42)
-    if case == "fedprox":
-        anchor = _prox_anchor(anchor.theta)
-    pull = None if lam is None else _anchor_pull(
-        _params(clf, anchor.theta), _params(clf, anchor.fisher), lam)
-    expect, state = _ref_train(clf, groups, hp, stream(2, "t"),
-                               _ref_zeros(_params(clf)), epochs=epochs,
-                               pull=pull)
-    call(clf, groups, hp, stream(2, "t"), anchor)
-    n_rows = sum(len(g) for g in groups)
-    assert state[0] == epochs * -(-n_rows // batch_size)
-    _assert_state_equal(clf, expect, state)
 
 
 def test_persisted_moments_across_growth_with_groups_and_anchor():
@@ -964,20 +790,17 @@ def test_train_local_rejects_a_misaligned_anchor_and_negative_lambda():
 
 
 def test_training_ledger_matches_closed_forms():
-    enc = make_encoder(6, 3, 1)
-    data = _toy_data(5, n=10, dim=3)
-    hp = TrainHP(epochs_per_task=2, batch_size=4)
-    clf = Classifier(enc, classes=(0, 1))
-    ledger = ComputeLedger()
+    # Batches of 4, 4 and 2 rows for two epochs, billed per step by the
+    # reference loop, and one encoding of the 10 rows.
+    clf = Classifier(make_encoder(6, 3, 1), classes=(0, 1))
+    data, hp = _toy_data(5, n=10, dim=3), TrainHP(epochs_per_task=2,
+                                                  batch_size=4)
+    ledger, ref = ComputeLedger(), ComputeLedger()
+    _ref_train(clf, [data], hp, stream(0, "t"), _ref_zeros(_params(clf)),
+               epochs=2, ledger=ref)
     train(clf, data, hp, stream(0, "t"), ledger=ledger)
-    batches = [4, 4, 2]
-    expect_fwd = sum(head_forward_madds(b, 2, 6) for b in batches) * 2
-    expect_bwd = sum(head_backward_madds(b, 2, 6) for b in batches) * 2
-    expect_soft = sum(softmax_madds(b, 2) for b in batches) * 2
-    assert ledger.madds_by_kind["train_head_forward"] == expect_fwd
-    assert ledger.madds_by_kind["train_head_backward"] == expect_bwd
-    assert ledger.madds_by_kind["train_softmax"] == expect_soft
-    assert ledger.madds_by_kind["train_encoder"] == \
+    assert ledger.madds_by_kind == ref.madds_by_kind
+    assert ref.madds_by_kind["train_encoder"] == \
         encoder_forward_madds(10, 6, 3)
     assert head_forward_madds(7, 3, 5) == 7 * (3 * 5 + 3)
 
@@ -1055,6 +878,24 @@ _STACK_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_STACK_CASES))
+def test_training_matches_the_reference_loop_bit_for_bit(case):
+    # Each head of a case, trained alone, against `_ref_train`.
+    batch_size, epochs, call, lam = _STACK_CASES[case]
+    hp = TrainHP(epochs_per_task=epochs, batch_size=batch_size,
+                 weight_decay=1e-3, adam_reset_per_task=False)
+    for h, clf in enumerate(_stack_heads()):
+        groups, anchor = _case_values(case, clf, h)
+        pull = None if lam is None else _anchor_pull(
+            _params(clf, anchor.theta), _params(clf, anchor.fisher), lam)
+        expect, state = _ref_train(clf, groups, hp, stream(h, "t"),
+                                   _ref_zeros(_params(clf)), epochs=epochs,
+                                   pull=pull)
+        assert call(clf, groups, hp, stream(h, "t"), anchor) is clf
+        assert state[0] == epochs * -(-sum(map(len, groups)) // batch_size)
+        _assert_state_equal(clf, expect, state)
+
+
+@pytest.mark.parametrize("case", sorted(_STACK_CASES))
 def test_a_stack_of_heads_trains_like_each_head_alone(case):
     batch_size, epochs, call, lam = _STACK_CASES[case]
     hp = TrainHP(epochs_per_task=epochs, batch_size=batch_size,
@@ -1069,57 +910,6 @@ def test_a_stack_of_heads_trains_like_each_head_alone(case):
                Stack(stream(h, "t") for h in range(_HEADS)), anchors)
     assert isinstance(out, Stack) and list(out) == stacked
     for a, b in zip(solo, stacked):
-        assert _state_bytes(a) == _state_bytes(b)
-    # Solo training is today's loop: `_ref_train` pins it bit for bit.
-    for h, clf in enumerate(_stack_heads()):
-        groups, anchor = _case_values(case, clf, h)
-        pull = None if lam is None else _anchor_pull(
-            _params(clf, anchor.theta), _params(clf, anchor.fisher), lam)
-        expect, state = _ref_train(clf, groups, hp, stream(h, "t"),
-                                   _ref_zeros(_params(clf)), epochs=epochs,
-                                   pull=pull)
-        _assert_state_equal(stacked[h], expect, state)
-        assert state[0] == epochs * -(-sum(map(len, groups)) // batch_size)
-
-
-def test_a_stack_keeps_moments_across_growth_like_each_head_alone():
-    # adam_reset_per_task = false: naive, then grow by two rows and
-    # train jointly, then grow by one and train with a per-head EWC
-    # anchor, all with partial batches.
-    hp = TrainHP(epochs_per_task=2, batch_size=4, adam_reset_per_task=False)
-    heads = {}
-    for mode in ("solo", "stacked"):
-        clfs = heads[mode] = _stack_heads(classes=(3, 4))
-
-        def each(call, *per_head):
-            if mode == "stacked":
-                out = call(Stack(clfs), *(Stack(v) for v in per_head))
-                assert list(out) == clfs
-            else:
-                for args in zip(clfs, *per_head):
-                    call(*args)
-
-        each(lambda c, d, r: train(c, d, hp, r),
-             [_data_for(h) for h in range(_HEADS)],
-             [stream(h, "a") for h in range(_HEADS)])
-        for clf in clfs:
-            clf.expand_head([5, 6])
-        each(lambda c, g, r: train(c, g, hp, r),
-             [[_toy_data(10 + h, n=9, classes=(5, 6), dim=3, task=4),
-               _data_for(h, n=3)] for h in range(_HEADS)],
-             [stream(h, "b") for h in range(_HEADS)])
-        anchors = [estimate_fisher(clf, _data_for(h))
-                   for h, clf in enumerate(clfs)]
-        for clf in clfs:
-            clf.expand_head([7])
-        anchors = [AnchorState(clf.grow(a.theta), clf.grow(a.fisher))
-                   for clf, a in zip(clfs, anchors)]
-        each(lambda c, d, a, r: train(c, d, hp, r, anchor=a, lam=5.0),
-             [_toy_data(20 + h, n=9, classes=(7,), dim=3, task=5)
-              for h in range(_HEADS)], anchors,
-             [stream(h, "c") for h in range(_HEADS)])
-    for a, b in zip(heads["solo"], heads["stacked"]):
-        assert a.adam.step == 2 * 3 + 2 * 3 + 2 * 3
         assert _state_bytes(a) == _state_bytes(b)
 
 
