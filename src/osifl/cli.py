@@ -10,12 +10,12 @@ import sys
 import numpy as np
 
 from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
-    build_run_inputs, parse_config
+    build_run_inputs, check_input_sizes, parse_config
 from .errors import ConfigError
 # Grids drive `run_steps` through `lockstep`; `run_method`, which drives
 # one run alone, stays bound here for callers that wrap it.
-from .orchestrator import CSV_HEADER, ServerMemo, inputs_key, lockstep, \
-    rows_to_csv, run_key, run_method, run_steps, write_report_csv
+from .orchestrator import CSV_HEADER, ServerMemo, lockstep, memo_key, \
+    rows_to_csv, run_method, run_steps, write_report_csv
 
 SEED_ENV = "OSIFL_SEED_OVERRIDE"
 
@@ -53,9 +53,8 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
     """Run every (axis value, seed, method) cell; return one `(cfg,
     reports)` per value, reports in that order, and a line per failed
     run in that order. All cells share `server` (a new memo by default),
-    so each seed's inputs are built (`p` and `w` do not change them),
-    each generator pretrained, each task's data synthesized and each
-    `run_key` run once. The seeds of one value and method that still
+    so each seed's inputs, generator, task synthesis and run is computed
+    once per `memo_key`. The seeds of one value and method that still
     need a run advance together (`lockstep`), so that their matching
     training calls train as one stack. A cell that reuses a report gets
     its own `config_echo`; a failed run is not kept, so every cell that
@@ -64,9 +63,10 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
     cells, failures = [], []
 
     def steps(method, cfg, seed):
-        # `run_steps` on the seed's inputs, built once the run is first
-        # driven, so that an error building them fails the run.
-        inputs = server.recall(inputs_key(cfg, seed),
+        # Sizes are checked per cell (the inputs key leaves out fields the
+        # check reads) and inputs built as the run starts: an error fails it.
+        check_input_sizes(cfg)
+        inputs = server.recall(memo_key("inputs", cfg, seed),
                                lambda _: build_run_inputs(cfg, seed), None)
         return (yield from run_steps(method, *inputs, cfg, seed,
                                      server=server))
@@ -77,7 +77,7 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
         done = {(seed, method): None for seed in seeds
                 for method in cfg.methods}
         for method in cfg.methods:
-            keys = {seed: run_key(method, cfg, seed) for seed in seeds}
+            keys = {seed: memo_key(method, cfg, seed) for seed in seeds}
             todo = [seed for seed in seeds if keys[seed] not in server]
             ran = dict(zip(todo, lockstep([steps(method, cfg, seed)
                                            for seed in todo])))
@@ -143,10 +143,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> int:
 def sweep(config: ExperimentConfig, axis: str, values, out_dir: str) -> int:
     """Run the whole experiment per axis value; same world and seeds
     across values, so comparisons are paired. One combined CSV. Values
-    are checked with the config file's parser for the axis key, and for
-    a value listed twice, before any run starts. A method that does not
-    read the axis runs once per seed and its report is reused for every
-    value."""
+    are checked with the config file's parser for the axis key, for a
+    value listed twice, and for the sizes of each value's config, before
+    any run starts. A method that does not read the axis runs once per
+    seed and its report is reused for every value."""
     if axis not in SWEEP_AXES:
         raise ConfigError(
             f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
@@ -157,6 +157,12 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir: str) -> int:
                                  for value in values), "value")
     except ConfigError as err:
         raise ConfigError(f"sweep {axis}: {err}") from None
+    for value in parsed:
+        try:
+            check_input_sizes(dataclasses.replace(
+                config, **{FIELD_SPECS[axis][0]: value}))
+        except ConfigError as err:
+            raise ConfigError(f"sweep {axis}={value}: {err}") from None
     cells, failures = _run_into(out_dir, config, axis, parsed)
     rows = []
     for value, (cfg, reports) in zip(parsed, cells):

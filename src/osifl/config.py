@@ -15,9 +15,9 @@ from .orchestrator import Method, parse_method
 from .trainer import TrainHP
 
 INT64_MAX = 2 ** 63 - 1
-# The most floats the client shards, the test sets or the pretraining pool
-# may hold: 2^27 (1 GiB of float64). The defaults' test sets hold 9,600.
-MAX_INPUT_FLOATS = 2 ** 27
+# The most floats one array of a run may hold: 2^27 (1 GiB of float64).
+# The defaults' largest is the pretraining pool, 57,600 floats.
+MAX_ARRAY_FLOATS = 2 ** 27
 
 
 def _parse_int(text: str) -> int:
@@ -215,32 +215,56 @@ def _fail(lines_for: dict[str, int], key: str, message: str):
     raise ConfigError(prefix + message)
 
 
-def _suite_classes(cfg: ExperimentConfig) -> int:
-    """The classes each task of the suite brings, summed over tasks."""
+def _suite_classes(cfg: ExperimentConfig) -> tuple[int, int]:
+    """The classes the suite's tasks bring in all, and the most that one
+    task brings, from closed forms."""
     if cfg.suite_mode == DOMAIN_INCREMENTAL:
-        return cfg.num_tasks * cfg.num_classes
+        return cfg.num_tasks * cfg.num_classes, cfg.num_classes
     if isinstance(cfg.classes_per_task, tuple):
-        return sum(cfg.classes_per_task)
-    return cfg.num_tasks * cfg.classes_per_task
+        return sum(cfg.classes_per_task), max(cfg.classes_per_task)
+    return cfg.num_tasks * cfg.classes_per_task, cfg.classes_per_task
 
 
 def check_input_sizes(cfg: ExperimentConfig,
                       lines_for: dict[str, int] | None = None) -> None:
-    """Refuse, from closed forms and before anything is drawn, a config
-    whose client shards, test sets or pretraining pool would hold more
-    than MAX_INPUT_FLOATS floats in all, naming the key that drives
-    them (and its line, if `lines_for` has it)."""
-    classes = _suite_classes(cfg)
-    for key, what, rows in (
-            ("n_per_class", "client shards",
-             cfg.clients_per_task * cfg.n_per_class * classes),
-            ("test_per_class", "test sets", cfg.test_per_class * classes),
-            ("base_pool_total", "pretraining pool", cfg.base_pool_total)):
-        if rows * cfg.dim_x > MAX_INPUT_FLOATS:
+    """Refuse, from closed forms and before anything is allocated, a
+    config that would make an array, or a set of buffers made together,
+    of more than MAX_ARRAY_FLOATS floats, naming the largest of the keys
+    that drive it (and its line, if `lines_for` has it). A count is the
+    product of the driving sizes, not an exact buffer layout. The
+    denoiser and its buffers count under `ddpm` only."""
+    classes, widest_task = _suite_classes(cfg)
+    dim_x, dim_e = cfg.dim_x, cfg.dim_e
+    arrays = [
+        (("num_classes", "num_domains", "dim_x"),
+         "world's anchors and offsets",
+         (cfg.num_classes + cfg.num_domains) * dim_x),
+        (("n_per_class", "clients_per_task", "dim_x"), "client shards",
+         cfg.clients_per_task * cfg.n_per_class * classes * dim_x),
+        (("test_per_class", "dim_x"), "test sets",
+         cfg.test_per_class * classes * dim_x),
+        (("base_pool_total", "dim_x"), "pretraining pool",
+         cfg.base_pool_total * dim_x),
+        (("z_per_class", "dim_x"), "synthesized task sets",
+         cfg.z_per_class * classes * dim_x),
+        (("dim_e", "dim_x"), "encoder", dim_e * dim_x),
+        (("dim_e",), "head", min(classes, cfg.num_classes) * dim_e)]
+    if cfg.generator == "ddpm":
+        hidden = cfg.denoiser_hidden
+        d_in = dim_x + cfg.diffusion_steps + dim_e
+        arrays += [
+            (("denoiser_hidden", "diffusion_steps"), "denoiser",
+             hidden * (d_in + hidden)),
+            (("pretrain_batch",), "pretraining batch buffers",
+             cfg.pretrain_batch * (d_in + hidden)),
+            (("z_per_class", "denoiser_hidden"), "sampler's buffers",
+             cfg.z_per_class * widest_task * hidden)]
+    for keys, what, floats in arrays:
+        if floats > MAX_ARRAY_FLOATS:
+            key = max(keys, key=lambda k: getattr(cfg, k))
             _fail(lines_for or {}, key,
-                  f"{key}: the {what} would hold {rows} rows of dim_x "
-                  f"{cfg.dim_x} = {rows * cfg.dim_x} floats, more than "
-                  f"2^27 = {MAX_INPUT_FLOATS}")
+                  f"{key}: the {what} would hold {floats} floats, more "
+                  f"than 2^27 = {MAX_ARRAY_FLOATS}")
 
 
 def _cross_validate(cfg: ExperimentConfig, lines_for: dict[str, int]) -> None:
@@ -250,7 +274,7 @@ def _cross_validate(cfg: ExperimentConfig, lines_for: dict[str, int]) -> None:
             _fail(lines_for, "classes_per_task",
                   f"classes_per_task lists {len(cfg.classes_per_task)} "
                   f"tasks but num_tasks is {cfg.num_tasks}")
-        needed = _suite_classes(cfg)
+        needed = _suite_classes(cfg)[0]
         if needed > cfg.num_classes:
             _fail(lines_for, "classes_per_task",
                   f"suite needs {needed} classes but num_classes is "

@@ -10,7 +10,6 @@ matrix from which average accuracy and forgetting are derived.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,10 +59,10 @@ def parse_method(name: str) -> Method:
 
 
 class ServerMemo:
-    """The server's method-independent work, its one-shot heads (stored
-    and restored by `trainer.train` under `trainer.head_key`), and a
-    grid's reports by `run_key`, shared by the runs that are handed the
-    same memo.
+    """The server's method-independent work and a grid's reports, each
+    under its `memo_key`, and its one-shot heads (stored and restored by
+    `trainer.train` under `trainer.head_key`), shared by the runs that
+    are handed the same memo.
 
     An entry is computed on the first `recall` of its key and kept only
     if that computation succeeds, so a failure is raised again by every
@@ -92,39 +91,48 @@ class ServerMemo:
         return value
 
 
-def generator_key(config, world: World, seed: int) -> tuple:
-    """Everything a run's generator is a function of: the world (by its
-    `build_world` arguments) and the seed, which fix the pretraining
-    pool and the encoder, plus the pool size, the embedding width, the
-    generator kind and, for `ddpm`, the pretraining hyperparameters."""
-    hp = dataclasses.astuple(config.diffusion_hp()) \
-        if config.generator == "ddpm" else None
-    return ("generator", int(seed), world.seed, world.dim_x,
-            world.num_classes, world.num_domains, world.within_std,
-            config.base_pool_total, config.dim_e, config.generator, hp)
+# The config fields each memoized layer reads. A run's row holds the rows
+# of the layers it uses and its method's own fields. Under `surrogate` no
+# layer reads DDPM_ONLY (pretraining and guidance), and none reads UNREAD.
+_WORLD = ("dim_x", "num_classes", "num_domains", "within_std")
+_PRETRAINING = ("diffusion_steps", "beta_min", "beta_max", "p_drop",
+                "denoiser_hidden", "pretrain_steps", "pretrain_batch")
+DDPM_ONLY = frozenset((*_PRETRAINING, "guidance_w"))
+UNREAD = ("methods", "seeds", "out_dir")
+_INPUTS = (*_WORLD, "suite_mode", "num_tasks", "classes_per_task",
+           "clients_per_task", "n_per_class", "test_per_class")
+_GENERATOR = ("base_pool_total", "dim_e", "generator", *_PRETRAINING)
+_SYNTHESIS = ("z_per_class", "guidance_w")
+# Head training; a federated client trains `local_epochs` from fresh Adam.
+_HEAD = ("learning_rate", "batch_size", "weight_decay")
+_ONESHOT = (*_INPUTS, *_GENERATOR, *_SYNTHESIS, *_HEAD, "epochs_per_task",
+            "adam_reset_per_task")
+_FEDERATED = (*_INPUTS, "dim_e", *_HEAD, "rounds", "local_epochs",
+              "reported_model_params")
+READS = {
+    "inputs": _INPUTS,
+    "generator": (*_WORLD, *_GENERATOR),
+    "synthesis": _SYNTHESIS,
+    Method.OSIFL: (*_ONESHOT, "retain_per_class", "scoring_point", "score_by"),
+    Method.OSCAR_IL: _ONESHOT,
+    Method.OSCAR_R: (*_ONESHOT, "lambda_ewc"),
+    Method.OSCAR_CEILING: _ONESHOT,
+    Method.FEDAVG: _FEDERATED,
+    Method.FEDPROX: (*_FEDERATED, "mu_prox"),
+    Method.FEDEWC: (*_FEDERATED, "lambda_ewc")}
 
 
-def run_key(method, config, seed: int) -> tuple:
-    """Everything `run_method`'s report, `config_echo` aside, is a
-    function of: the method, the seed and the config, with the fields
-    this method never reads set to None. Those are `methods`, `seeds`
-    and `out_dir`, the retention budget `p` for every method but OSIFL,
-    and the guidance weight `w` for federated methods and under the
-    `surrogate` generator, which ignores it."""
-    method = parse_method(method) if isinstance(method, str) else method
-    unread = dict(methods=None, seeds=None, out_dir=None)
-    if method is not Method.OSIFL:
-        unread["retain_per_class"] = None
-    if method in FEDERATED_METHODS or config.generator == "surrogate":
-        unread["guidance_w"] = None
-    return (method, int(seed), dataclasses.replace(config, **unread))
+def reads(layer, config) -> tuple[str, ...]:
+    """`layer`'s row, less DDPM_ONLY unless `config` uses `ddpm`."""
+    return tuple(f for f in READS[layer]
+                 if config.generator == "ddpm" or f not in DDPM_ONLY)
 
 
-def inputs_key(config, seed: int) -> tuple:
-    """Everything `build_run_inputs` is a function of: the seed and the
-    config, less `p` and `w`, which no input reads."""
-    return ("inputs", seed, dataclasses.replace(
-        config, retain_per_class=None, guidance_w=None))
+def memo_key(layer, config, seed: int, *inputs) -> tuple:
+    """`layer`'s memo key for `config` at `seed`: the layer, the seed, the
+    value of each field it `reads` and the entry's other `inputs`."""
+    return (layer, int(seed),
+            *(getattr(config, f) for f in reads(layer, config)), *inputs)
 
 
 @dataclass(eq=False)
@@ -146,20 +154,9 @@ class RunState:
     server: ServerMemo = field(default_factory=ServerMemo)
 
 
-def synthesis_key(state: RunState, messages: list) -> tuple:
-    """Everything a task's synthesized set is a function of: the run's
-    generator, seed and task, the upload set, `z_per_class` and `w`. A
-    memo hands out one generator object per generator key, so the
-    object (hashed by identity) stands for that key."""
-    cfg = state.config
-    return ("synthesis", state.generator, state.seed, messages[0].task_id,
-            cfg.z_per_class, cfg.guidance_w,
-            tuple(serialize_message(m) for m in messages))
-
-
 def _synthesized_task(state: RunState, messages: list) -> SynthSet:
-    """The task's `SynthSet` as the server memo holds it under its
-    `synthesis_key`."""
+    """The task's `SynthSet` as the server memo holds it. A memo hands out
+    one generator object per generator key, so the object stands for it."""
     cfg, seed, t = state.config, state.seed, messages[0].task_id
 
     def build(ledger):
@@ -173,8 +170,9 @@ def _synthesized_task(state: RunState, messages: list) -> SynthSet:
                     f"values for class {k}")
         return synth
 
-    return state.server.recall(synthesis_key(state, messages), build,
-                               state.compute)
+    return state.server.recall(memo_key(
+        "synthesis", cfg, seed, state.generator, t,
+        tuple(map(serialize_message, messages))), build, state.compute)
 
 
 def _expand_head(state: RunState, task: TaskSpec) -> Classifier:
@@ -389,7 +387,7 @@ def _build_generator(state: RunState) -> None:
                     f"denoiser parameter {name}")
         return model
 
-    state.generator = state.server.recall(generator_key(cfg, world, seed),
+    state.generator = state.server.recall(memo_key("generator", cfg, seed),
                                           build, state.compute)
 
 

@@ -11,9 +11,11 @@ from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
                        run_experiment, sweep)
 from osifl.config import (FIELD_SPECS, ExperimentConfig, build_run_inputs,
                           parse_config, serialize_config)
-from osifl.encoder import build_client_message, make_encoder
+from osifl.encoder import build_client_message, make_encoder, \
+    serialize_message
 from osifl.errors import ConfigError
-from osifl.orchestrator import CSV_HEADER, Method, report_rows, rows_to_csv
+from osifl.orchestrator import CSV_HEADER, READS, UNREAD, Method, memo_key, \
+    reads, report_rows, rows_to_csv
 from reference_run import record_states, reference_run
 
 
@@ -230,17 +232,21 @@ def test_each_field_round_trips_a_value_under_its_own_key():
 
 
 # The memo-key walk's base: small, unequal to every NON_DEFAULT_VALUES
-# entry, and a valid config with any one of them.
+# entry, and a valid config with any one of them. Each head trains two
+# minibatch steps a task, so that a penalty, zero at the first step from
+# its anchor, moves the head.
 _WALK = dict(dim_x=4, num_classes=30, num_domains=6, num_tasks=6,
              classes_per_task=2, n_per_class=4, test_per_class=3,
-             z_per_class=4, base_pool_total=60, dim_e=6, batch_size=8,
+             z_per_class=4, base_pool_total=60, dim_e=6, batch_size=4,
              epochs_per_task=1, rounds=1, diffusion_steps=3,
              denoiser_hidden=4, pretrain_steps=4, pretrain_batch=8)
 
 
-def _memo_keys(cfg, seed=3):
-    """Each memo key of `cfg` at `seed`, with a function that computes
-    the bits of what the key stands for, each on a private memo."""
+def _memo_keys(cfg, states, seed=3):
+    """Each memoized layer's `memo_key` for `cfg` at `seed`, with a
+    function that computes the bits of what the key stands for, each on a
+    private memo: a run's are its report and the states that `states`, a
+    `record_states` dict, records after each task."""
     inputs = build_run_inputs(cfg, seed)
     world, _, shards, test_sets = inputs
     state = orchestrator.RunState(
@@ -249,7 +255,7 @@ def _memo_keys(cfg, seed=3):
         hp=None)
     messages = [build_client_message(state.encoder, s) for s in shards
                 if s.task_id == 1]
-    gen_key = orchestrator.generator_key(cfg, world, seed)
+    gen_key = memo_key("generator", cfg, seed)
 
     def generator():
         orchestrator._build_generator(state)
@@ -263,44 +269,56 @@ def _memo_keys(cfg, seed=3):
         return data.x.tobytes(), data.y.tobytes()
 
     batches = [s.samples for s in shards] + list(test_sets.values())
-    keys = {
-        "inputs": (orchestrator.inputs_key(cfg, seed), lambda: (
-            inputs[1], [s.client_id for s in shards], [a.tobytes() for a in (
-                world.class_anchors, world.domain_offsets, *(
-                    a for b in batches for a in (b.x, b.y, b.domain)))])),
-        "generator": (gen_key, generator),
-        # A memo's generator object stands for its generator key.
-        "synthesis": (orchestrator.synthesis_key(dataclasses.replace(
-            state, generator=gen_key), messages), synthesized)}
+    bits = {"inputs": lambda: (
+        inputs[1], [s.client_id for s in shards], [a.tobytes() for a in (
+            world.class_anchors, world.domain_offsets, *(
+                a for b in batches for a in (b.x, b.y, b.domain)))]),
+        "generator": generator, "synthesis": synthesized}
+
+    def run(method):
+        states.clear()
+        report = orchestrator.run_method(method, *inputs, cfg, seed)
+        return dataclasses.replace(report, config_echo=None), list(
+            states.values())
+
     for method in Method:
-        keys[method] = (orchestrator.run_key(method, cfg, seed),
-                        lambda m=method: dataclasses.replace(
-                            orchestrator.run_method(m, *inputs, cfg, seed),
-                            config_echo=None))
-    return keys
+        bits[method] = lambda m=method: run(m)
+    # The synthesis key's other inputs, with the generator key standing
+    # for the memo's generator object.
+    others = {"synthesis": (gen_key, 1, tuple(map(serialize_message,
+                                                  messages)))}
+    assert sorted(bits) == sorted(READS)
+    return {layer: (memo_key(layer, cfg, seed, *others.get(layer, ())),
+                    bits[layer]) for layer in READS}
 
 
 @pytest.mark.parametrize("generator", ["surrogate", "ddpm"])
-def test_each_memo_key_changes_with_a_field_or_keys_the_same_bits(generator):
+def test_each_memo_key_changes_with_a_field_or_keys_the_same_bits(
+        generator, monkeypatch):
     # Each config field moves to its NON_DEFAULT_VALUES entry. Where a
-    # memo key stays put, what it keys must not move; the generator's key
-    # moves exactly when the generator does.
-    fields = dataclasses.fields(ExperimentConfig)
-    assert sorted(NON_DEFAULT_VALUES) == sorted(f.name for f in fields)
-    key_of = {attr: key for key, (attr, _) in FIELD_SPECS.items()}
+    # layer's key stays put, what it keys must not move; the keys of the
+    # inputs and the generator move exactly when their bits do.
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert sorted(NON_DEFAULT_VALUES) == sorted(fields)
+    # Every field is read by a row of the table, or named as unread.
     base_cfg = ExperimentConfig(**_WALK, generator=generator)
-    base, base_bits = _memo_keys(base_cfg), {}
+    ddpm = dataclasses.replace(base_cfg, generator="ddpm")
+    read = {f for layer in READS for f in reads(layer, ddpm)}
+    assert read | set(UNREAD) == set(fields) and not read & set(UNREAD), \
+        set(fields) ^ read
+    key_of = {attr: key for key, (attr, _) in FIELD_SPECS.items()}
+    states = record_states(monkeypatch)
+    base, base_bits = _memo_keys(base_cfg, states), {}
     for field in fields:
-        value = FIELD_SPECS[key_of[field.name]][1](
-            NON_DEFAULT_VALUES[field.name])
-        moved = _memo_keys(dataclasses.replace(base_cfg,
-                                               **{field.name: value}))
+        value = FIELD_SPECS[key_of[field]][1](NON_DEFAULT_VALUES[field])
+        moved = _memo_keys(dataclasses.replace(base_cfg, **{field: value}),
+                           states)
         for name, (key, bits) in moved.items():
-            if key == base[name][0] or name == "generator":
+            if key == base[name][0] or name in ("inputs", "generator"):
                 if name not in base_bits:
                     base_bits[name] = base[name][1]()
                 assert (bits() == base_bits[name]) == \
-                    (key == base[name][0]), (field.name, name)
+                    (key == base[name][0]), (field, name)
 
 
 def test_the_readme_configuration_table_names_every_key():
@@ -525,6 +543,9 @@ def test_main_error_exit_codes(tmp_path, capsys):
     for body in ("p = -1", "learning_rate = inf", "within_std = inf",
                  "weight_decay = inf", "lambda_ewc = inf",
                  "n_per_class = 999999999999999999999999999999",
+                 "num_tasks = 999999999999",
+                 "suite_mode = domain_incremental\nnum_tasks = 999999999999"
+                 "\nnum_domains = 999999999999",
                  "generator = surrogate\nw = inf",
                  "generator = ddpm\nbeta_min = 1e-17"):
         bad.write_text(body + "\nmethods = OSIFL\nseeds = 7\n")
@@ -532,14 +553,32 @@ def test_main_error_exit_codes(tmp_path, capsys):
         assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
-    # So do inputs too large to hold, from closed forms, before any draw.
-    for key in ("test_per_class", "n_per_class", "base_pool_total"):
-        bad.write_text(f"{key} = 999999999999\nmethods = OSIFL\nseeds = 7\n")
+    # So do arrays too large to hold, from closed forms, before any is
+    # allocated; the denoiser's keys count under `ddpm` only.
+    for key, generator in (
+            *((key, "surrogate") for key in (
+                "test_per_class", "n_per_class", "base_pool_total",
+                "z_per_class", "dim_e", "num_classes", "num_domains",
+                "dim_x")),
+            *((key, "ddpm") for key in (
+                "denoiser_hidden", "diffusion_steps", "pretrain_batch"))):
+        body = f"{key} = 999999999999\nmethods = OSIFL\nseeds = 7\n"
+        if generator == "ddpm":
+            parse_config(body)  # the surrogate makes no denoiser
+        bad.write_text(body + f"generator = {generator}\n")
         for args in (["run"], ["sweep", "--axis", "p", "--values", "1"]):
             assert main(args + ["--config", str(bad), "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith(
                 f"error: line 1: {key}: ")
             assert not out.exists()
+    # A swept value is checked the same way, before any run.
+    bad.write_text("methods = FEDAVG\nseeds = 1\n")
+    assert main(["sweep", "--config", str(bad), "--out", str(out), "--axis",
+                 "clients_per_task", "--values", "2, 999999999999"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: sweep clients_per_task=999999999999: clients_per_task: "
+        "the client shards would hold ")
+    assert not out.exists()
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
     good = tmp_path / "good.cfg"
@@ -577,6 +616,20 @@ def test_an_error_building_a_seeds_inputs_fails_each_of_its_runs(
                for line in err)
     assert os.listdir(out) == ["summary.partial.csv"]
     assert (out / "summary.partial.csv").read_text() == CSV_HEADER + "\n"
+
+
+def test_a_grid_checks_sizes_its_shared_inputs_leave_out():
+    # The inputs key leaves out `base_pool_total`, so a second grid on the
+    # same memo recalls the first grid's inputs and skips the check in
+    # `build_run_inputs`; the grid's own check still fails the run. The
+    # pool is one NumPy refuses before allocating, were it drawn.
+    cfg = ExperimentConfig(**_WALK, methods=(Method.OSCAR_IL,), seeds=(7,))
+    server = orchestrator.ServerMemo()
+    assert cli.run_grid(cfg, None, [None], cfg.seeds, server)[1] == []
+    huge = dataclasses.replace(cfg, base_pool_total=2 ** 63 - 1)
+    _, failures = cli.run_grid(huge, None, [None], huge.seeds, server)
+    assert [f.split(": the ")[0] for f in failures] == [
+        "OSCAR_IL seed=7: base_pool_total"]
 
 
 def test_main_sweep_and_selftest_wiring(tmp_path, monkeypatch):

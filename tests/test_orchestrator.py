@@ -6,7 +6,7 @@ import pytest
 
 from osifl import orchestrator, trainer
 from osifl.config import ExperimentConfig, build_run_inputs
-from osifl.datagen import Batch, build_world, draw_base_pool
+from osifl.datagen import Batch, draw_base_pool
 from osifl.diffusion import make_surrogate
 from osifl.encoder import build_client_message, make_encoder
 from osifl.errors import ConfigError, ProtocolError
@@ -14,7 +14,7 @@ from osifl.ledgers import ComputeLedger
 from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
                                 ONESHOT_METHODS, RunState, ServerMemo,
                                 evaluate, federated_task_phase, forgetting,
-                                generator_key, oneshot_task_phase,
+                                memo_key, oneshot_task_phase,
                                 parse_method, report_rows, rows_to_csv,
                                 run_method, _weighted_average)
 from osifl.rng import stream
@@ -415,9 +415,7 @@ _DDPM = dict(generator="ddpm", diffusion_steps=5, denoiser_hidden=8,
 
 
 def _key(cfg, seed):
-    world = build_world(cfg.dim_x, cfg.num_classes, cfg.num_domains,
-                        cfg.within_std, seed)
-    return generator_key(cfg, world, seed)
+    return memo_key("generator", cfg, seed)
 
 
 @pytest.mark.parametrize("field, value", [
