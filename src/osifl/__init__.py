@@ -13,9 +13,9 @@ from .config import ExperimentConfig, build_run_inputs, parse_config, \
 from .datagen import CLASS_INCREMENTAL, DOMAIN_INCREMENTAL, Batch, \
     ClientShard, TaskSpec, TaskSuite, World, build_world, draw_base_pool, \
     draw_client_shards, make_task_suite
-from .diffusion import Denoiser, DiffusionHP, GaussianSurrogate, \
-    NoiseSchedule, forward_noise, guided_epsilon, load_model, \
-    make_denoiser, make_schedule, make_surrogate, pretrain, save_model, \
+from .diffusion import Denoiser, GaussianSurrogate, NoiseSchedule, \
+    forward_noise, guided_epsilon, load_model, make_denoiser, \
+    make_schedule, make_surrogate, pretrain, save_model, \
     synthesize_task_data
 from .encoder import ClientMessage, FrozenEncoder, build_client_message, \
     class_mean_embeddings, make_encoder, parse_message, serialize_message
@@ -25,30 +25,25 @@ from .orchestrator import Method, RunReport, ServerMemo, evaluate, \
     forgetting, report_rows, rows_to_csv, run_method, write_report_csv
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars, top_p_indices
-from .trainer import Adam, AnchorState, Classifier, TrainHP, \
-    ce_loss_and_grads, estimate_fisher, ewc_penalty_and_grads, load_head, \
-    save_head, train
+from .trainer import Adam, AnchorState, Classifier, ce_loss_and_grads, \
+    estimate_fisher, ewc_penalty_and_grads, load_head, save_head, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "AnchorState", "Batch", "CLASS_INCREMENTAL", "Classifier",
     "ClientMessage", "ClientShard", "CommsLedger", "ComputeLedger",
-    "ConfigError", "DOMAIN_INCREMENTAL", "Denoiser", "DiffusionHP",
-    "ExemplarMemory", "ExperimentConfig", "FrozenEncoder",
-    "GaussianSurrogate", "Method", "NoiseSchedule", "ProtocolError",
-    "RunReport", "ServerMemo", "TaskSpec", "TaskSuite",
-    "TrainHP", "World",
-    "build_client_message",
+    "ConfigError", "DOMAIN_INCREMENTAL", "Denoiser", "ExemplarMemory",
+    "ExperimentConfig", "FrozenEncoder", "GaussianSurrogate", "Method",
+    "NoiseSchedule", "ProtocolError", "RunReport", "ServerMemo",
+    "TaskSpec", "TaskSuite", "World", "build_client_message",
     "build_run_inputs", "build_world", "ce_loss_and_grads",
-    "class_mean_embeddings", "draw_base_pool",
-    "draw_client_shards", "estimate_fisher", "evaluate",
-    "ewc_penalty_and_grads", "forgetting", "forward_noise",
-    "guided_epsilon", "load_head",
-    "load_model", "make_denoiser", "make_encoder", "make_schedule",
-    "make_surrogate", "make_task_suite", "parse_config", "parse_message",
-    "pretrain", "report_rows",
-    "rows_to_csv", "run_method", "save_head", "save_model",
+    "class_mean_embeddings", "draw_base_pool", "draw_client_shards",
+    "estimate_fisher", "evaluate", "ewc_penalty_and_grads", "forgetting",
+    "forward_noise", "guided_epsilon", "load_head", "load_model",
+    "make_denoiser", "make_encoder", "make_schedule", "make_surrogate",
+    "make_task_suite", "parse_config", "parse_message", "pretrain",
+    "report_rows", "rows_to_csv", "run_method", "save_head", "save_model",
     "select_exemplars", "serialize_config", "serialize_message", "stream",
     "top_p_indices", "train", "write_report_csv",
 ]

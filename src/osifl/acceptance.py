@@ -23,14 +23,14 @@ from .cli import run_experiment, run_grid
 from .config import ExperimentConfig
 from .datagen import CLASS_INCREMENTAL, Batch, build_world, \
     draw_base_pool, draw_client_shards, make_task_suite
-from .diffusion import DiffusionHP, denoise_loss_fixed, guided_epsilon, \
-    make_denoiser, make_schedule, make_surrogate, pretrain
+from .diffusion import denoise_loss_fixed, guided_epsilon, make_denoiser, \
+    make_schedule, make_surrogate, pretrain
 from .encoder import build_client_message, make_encoder
 from .errors import ConfigError
 from .orchestrator import Method, ServerMemo
 from .rng import stream
 from .ssr import ExemplarMemory, top_p_indices
-from .trainer import AnchorState, Classifier, TrainHP, ce_loss_and_grads, \
+from .trainer import AnchorState, Classifier, ce_loss_and_grads, \
     ewc_penalty_and_grads, train
 
 BENCH_SEEDS = (42, 18, 50)
@@ -248,7 +248,7 @@ def criterion_reduction_chain() -> tuple[bool, str]:
                  np.zeros(40, dtype=int), 1)
     init_w = rng.normal(size=(2, 8))
     init_b = rng.normal(size=2)
-    hp = TrainHP(epochs_per_task=3, batch_size=8)
+    cfg = ExperimentConfig(epochs_per_task=3, batch_size=8)
 
     def fresh() -> Classifier:
         clf = Classifier(encoder, classes=(0, 1))
@@ -262,7 +262,7 @@ def criterion_reduction_chain() -> tuple[bool, str]:
             ("joint", [data], {}),
             ("replay", [data, *ExemplarMemory(5).replay_sets(1)], {}),
             ("regularized", data, dict(anchor=None, lam=0.0))):
-        clf = train(fresh(), groups, hp, stream(9, "chain"), **penalty)
+        clf = train(fresh(), groups, cfg, stream(9, "chain"), **penalty)
         results.append((name, clf.weights, clf.bias))
     worst = 0.0
     base = results[0]
@@ -389,9 +389,9 @@ def criterion_generator_sanity() -> tuple[bool, str]:
     pool = draw_base_pool(world, 1200, 9)
     surrogate = make_surrogate(world, encoder, pool)
     surro_frac = _centroid_fraction(surrogate, message, world, 2.0)
-    hp = DiffusionHP(num_steps=100, hidden=64, train_steps=4000,
-                     batch_size=64)
-    model = pretrain(pool, encoder, hp, 13)
+    cfg = ExperimentConfig(diffusion_steps=100, denoiser_hidden=64,
+                           pretrain_steps=4000, pretrain_batch=64)
+    model = pretrain(pool, encoder, cfg, 13)
     ddpm_frac = _centroid_fraction(model, message, world, 2.0)
     dt = time.perf_counter() - t0
     ok = ddpm_frac >= 0.70 and surro_frac >= 0.95

@@ -1,6 +1,9 @@
 """Experiment configuration: a line-oriented `key = value` file format
 with `#` comments, strict unknown-key rejection, and a canonical
-serialization that round-trips through the parser.
+serialization that round-trips through the parser. `ExperimentConfig` is
+the one hyperparameter object: the head trainer and the denoiser's
+pretraining read their settings from it, and building one in Python
+checks each value by the config file's rules.
 """
 from __future__ import annotations
 
@@ -9,14 +12,12 @@ import math
 
 from .datagen import CLASS_INCREMENTAL, DOMAIN_INCREMENTAL, build_world, \
     draw_client_shards, make_task_suite
-from .diffusion import DiffusionHP
 from .errors import ConfigError
 from .orchestrator import Method, parse_method
-from .trainer import TrainHP
 
 INT64_MAX = 2 ** 63 - 1
 # The most floats one array of a run may hold: 2^27 (1 GiB of float64).
-# The defaults' largest is the pretraining pool, 57,600 floats.
+# The defaults' largest is every task's synthesized rows, embedded: 96,000.
 MAX_ARRAY_FLOATS = 2 ** 27
 
 
@@ -123,8 +124,16 @@ def _fmt_value(value) -> str:
     if isinstance(value, Method):
         return value.value
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
+
+
+def _parse_out_dir(text: str) -> str:
+    """A directory name that a config file line can hold: no `#`, no
+    line break and no leading or trailing blank."""
+    if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+        raise ConfigError(f"a config file cannot hold {text!r}")
+    return text
 
 
 def _spec(default, parse, key=None):
@@ -180,27 +189,24 @@ class ExperimentConfig:
     score_by: str = _spec("grad_norm", _choice("grad_norm", "loss"))
     methods: tuple[Method, ...] = _spec(tuple(Method), _parse_methods)
     seeds: tuple[int, ...] = _spec((42, 18, 50), _parse_seeds)
-    out_dir: str = _spec("out", str)
+    out_dir: str = _spec("out", _parse_out_dir)
+
+    def __post_init__(self):
+        """Parse each value's text in the config file: a value the file
+        would refuse, or read back as another, raises ConfigError naming
+        its key."""
+        for f in dataclasses.fields(self):
+            key, value = f.metadata["key"] or f.name, getattr(self, f.name)
+            try:
+                parsed = f.metadata["parse"](_fmt_value(value))
+            except ConfigError as err:
+                raise ConfigError(f"{key}: {err}") from None
+            if parsed != value:
+                raise ConfigError(f"{key}: {value!r} reads back as "
+                                  f"{parsed!r}")
 
     def canonical(self) -> str:
         return serialize_config(self)
-
-    def train_hp(self) -> TrainHP:
-        """Head-training hyperparameters of every method."""
-        return TrainHP(learning_rate=self.learning_rate,
-                       batch_size=self.batch_size,
-                       epochs_per_task=self.epochs_per_task,
-                       weight_decay=self.weight_decay,
-                       lambda_ewc=self.lambda_ewc, mu_prox=self.mu_prox,
-                       adam_reset_per_task=self.adam_reset_per_task)
-
-    def diffusion_hp(self) -> DiffusionHP:
-        """Denoiser pretraining hyperparameters."""
-        return DiffusionHP(num_steps=self.diffusion_steps,
-                           beta_min=self.beta_min, beta_max=self.beta_max,
-                           hidden=self.denoiser_hidden, p_drop=self.p_drop,
-                           train_steps=self.pretrain_steps,
-                           batch_size=self.pretrain_batch)
 
 
 # key name in the file -> (dataclass attribute, value parser)
@@ -231,8 +237,12 @@ def check_input_sizes(cfg: ExperimentConfig,
     config that would make an array, or a set of buffers made together,
     of more than MAX_ARRAY_FLOATS floats, naming the largest of the keys
     that drive it (and its line, if `lines_for` has it). A count is the
-    product of the driving sizes, not an exact buffer layout. The
-    denoiser and its buffers count under `ddpm` only."""
+    product of the driving sizes, not an exact buffer layout. Embedded
+    rows count as arrays of their own: a client's shard, a task's test
+    set, the generator's (class, domain) table and the most rows one head
+    trains on, OSCAR_CEILING's every synthesized row. The denoiser and
+    its buffers count under `ddpm` only. The cap is per array, not per
+    run: a run may hold several arrays just under it at once."""
     classes, widest_task = _suite_classes(cfg)
     dim_x, dim_e = cfg.dim_x, cfg.dim_e
     arrays = [
@@ -248,7 +258,15 @@ def check_input_sizes(cfg: ExperimentConfig,
         (("z_per_class", "dim_x"), "synthesized task sets",
          cfg.z_per_class * classes * dim_x),
         (("dim_e", "dim_x"), "encoder", dim_e * dim_x),
-        (("dim_e",), "head", min(classes, cfg.num_classes) * dim_e)]
+        (("dim_e",), "head", min(classes, cfg.num_classes) * dim_e),
+        (("n_per_class", "dim_e"), "encoded shard",
+         cfg.n_per_class * widest_task * dim_e),
+        (("test_per_class", "dim_e"), "encoded test set",
+         cfg.test_per_class * widest_task * dim_e),
+        (("num_classes", "num_domains", "dim_e"), "generator's table",
+         cfg.num_classes * cfg.num_domains * dim_e),
+        (("z_per_class", "dim_e"), "encoded synthesized rows",
+         cfg.z_per_class * classes * dim_e)]
     if cfg.generator == "ddpm":
         hidden = cfg.denoiser_hidden
         d_in = dim_x + cfg.diffusion_steps + dim_e

@@ -285,29 +285,6 @@ def denoise_loss_fixed(denoiser: Denoiser, schedule: NoiseSchedule,
     return passes.denoise_step(schedule, x0, z, eps, cond, grads), grads
 
 
-@dataclass
-class DiffusionHP:
-    """Denoiser pretraining knobs."""
-
-    num_steps: int = 100
-    beta_min: float = 1e-4
-    beta_max: float = 0.05
-    hidden: int = 128
-    p_drop: float = 0.1
-    train_steps: int = 2000
-    batch_size: int = 64
-
-    def __post_init__(self):
-        if self.train_steps < 0:
-            raise ConfigError(
-                f"train_steps must be >= 0, got {self.train_steps}")
-        if self.batch_size < 1:
-            raise ConfigError(
-                f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.p_drop <= 1.0:
-            raise ConfigError(f"p_drop must be in [0, 1], got {self.p_drop}")
-
-
 @dataclass(eq=False)
 class DiffusionModel:
     schedule: NoiseSchedule
@@ -390,11 +367,13 @@ class DiffusionModel:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def pretrain(pool: Batch, encoder: FrozenEncoder, hp: DiffusionHP,
-             seed: int, ledger=None) -> DiffusionModel:
+def pretrain(pool: Batch, encoder: FrozenEncoder, config, seed: int,
+             ledger=None) -> DiffusionModel:
     """Fit the denoiser on the server pool, conditioning each sample on
-    the mean embedding of its (class, domain) pair. The model is frozen
-    afterwards; train_steps = 0 leaves the initialization untouched.
+    the mean embedding of its (class, domain) pair, with the config's
+    `diffusion_steps`, `beta_min`, `beta_max`, `denoiser_hidden`,
+    `p_drop`, `pretrain_steps` and `pretrain_batch`. The model is frozen
+    afterwards; pretrain_steps = 0 leaves the initialization untouched.
     Per sample, a step draws a uniform timestep, the target noise and the
     condition-drop coin, in that order, and rounds like
     `denoise_loss_fixed` on those draws, in place.
@@ -406,31 +385,32 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, hp: DiffusionHP,
     pair_index = np.array([row_of[pair] for pair in zip(
         pool.y.tolist(), pool.domain.tolist())])
     cond = np.stack([*table.values(), np.zeros(encoder.dim_e)])
-    schedule = make_schedule(hp.num_steps, hp.beta_min, hp.beta_max)
-    denoiser = make_denoiser(pool.x.shape[1], encoder.dim_e, hp.num_steps,
-                             hp.hidden, seed)
+    steps, train_steps = config.diffusion_steps, config.pretrain_steps
+    schedule = make_schedule(steps, config.beta_min, config.beta_max)
+    denoiser = make_denoiser(pool.x.shape[1], encoder.dim_e, steps,
+                             config.denoiser_hidden, seed)
     rng = stream(seed, "pretrain")
-    batch, n_pool = hp.batch_size, len(pool)
+    batch, n_pool = config.pretrain_batch, len(pool)
     passes = _Passes(denoiser, np.zeros((batch, denoiser.input_dim)))
     grad = np.empty_like(denoiser.flat)
     grads, adam = denoiser.split(grad), Adam(grad.size)
     eps, coin = np.empty((batch, denoiser.dim_x)), np.empty(batch)
     history: list[float] = []
-    for _ in range(hp.train_steps):
+    for _ in range(train_steps):
         idx = rng.integers(0, n_pool, size=batch)
-        z = rng.integers(1, hp.num_steps + 1, size=batch)
+        z = rng.integers(1, steps + 1, size=batch)
         rng.standard_normal(out=eps)
         rng.random(out=coin)
         history.append(passes.denoise_step(
             schedule, pool.x[idx], z, eps,
-            cond[np.where(coin < hp.p_drop, len(table), pair_index[idx])],
+            cond[np.where(coin < config.p_drop, len(table), pair_index[idx])],
             grads))
         adam.update(denoiser.flat, grad, DENOISER_LEARNING_RATE, 0.0)
     if ledger is not None:
-        ledger.add("diffusion_pretrain", hp.train_steps * (
+        ledger.add("diffusion_pretrain", train_steps * (
             denoiser.forward_madds(batch) + denoiser.backward_madds(batch)))
     return DiffusionModel(schedule=schedule, denoiser=denoiser,
-                          trained=hp.train_steps > 0, loss_history=history)
+                          trained=train_steps > 0, loss_history=history)
 
 
 def guided_epsilon(denoiser: Denoiser, x: np.ndarray, z, cond: np.ndarray,

@@ -25,11 +25,10 @@ from .errors import ConfigError, ProtocolError
 from .ledgers import CommsLedger, ComputeLedger
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars
-from .trainer import AnchorState, Classifier, Stack, TrainHP, \
-    estimate_fisher, train
+from .trainer import AnchorState, Classifier, Stack, estimate_fisher, train
 
 # bench/traced.py and the tests time and patch head training through these
-# names, one per method, until the program reports its own (ROADMAP item 2).
+# names, one per method, until the program reports its own (ROADMAP item 1).
 train_naive = train_joint = train_osifl = train_regularized = \
     train_local = train
 
@@ -143,7 +142,6 @@ class RunState:
     world: World
     encoder: object
     classifier: Classifier
-    hp: TrainHP
     generator: object = None
     memory: ExemplarMemory | None = None
     anchor: AnchorState | None = None
@@ -217,7 +215,7 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
         scorer = clf.copy() if p and cfg.scoring_point == "pre_update" else clf
         if data:
             yield train_osifl, (clf, [data, *state.memory.replay_sets(t)],
-                                state.hp, rng_t), shared
+                                cfg, rng_t), shared
         state.events.append(f"task{t}:train method=OSIFL")
         # With no exemplar to keep, no row is scored or billed.
         kept = Batch(data.x[:0], data.y[:0], data.domain[:0], t)
@@ -230,20 +228,19 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
         state.events.append(f"task{t}:memory_update size={state.memory.size}")
     elif state.method is Method.OSCAR_IL:
         if data:
-            yield train_naive, (clf, data, state.hp, rng_t), shared
+            yield train_naive, (clf, data, cfg, rng_t), shared
         state.events.append(f"task{t}:train method=OSCAR_IL")
     elif state.method is Method.OSCAR_R:
         if data:
             # With no anchor yet, or lambda = 0, this trains as OSCAR_IL.
-            yield train_regularized, (clf, data, state.hp, rng_t), dict(
-                shared, anchor=state.anchor, lam=state.hp.lambda_ewc)
+            yield train_regularized, (clf, data, cfg, rng_t), dict(
+                shared, anchor=state.anchor, lam=cfg.lambda_ewc)
             state.anchor = estimate_fisher(clf, data)
         state.events.append(f"task{t}:train method=OSCAR_R")
     elif state.method is Method.OSCAR_CEILING:
         state.synth_history.append(data)
         if any(state.synth_history):
-            yield train_joint, (clf, state.synth_history, state.hp,
-                                rng_t), shared
+            yield train_joint, (clf, state.synth_history, cfg, rng_t), shared
         state.events.append(f"task{t}:train method=OSCAR_CEILING")
     else:
         raise ConfigError(f"{state.method} is not a one-shot method")
@@ -274,9 +271,9 @@ def federated_task_phase(state: RunState, task: TaskSpec,
     clf = _expand_head(state, task)
     anchor, lam = None, 0.0
     if state.method is Method.FEDEWC and state.anchor is not None:
-        anchor, lam = state.anchor, state.hp.lambda_ewc
+        anchor, lam = state.anchor, cfg.lambda_ewc
     elif state.method is Method.FEDPROX:
-        lam = state.hp.mu_prox
+        lam = cfg.mu_prox
     for rnd in range(1, cfg.rounds + 1):
         if state.method is Method.FEDPROX:
             # (mu / 2) ||theta - broadcast||^2 is the anchor penalty at
@@ -286,7 +283,7 @@ def federated_task_phase(state: RunState, task: TaskSpec,
         for shard in task_shards:
             local = clf.copy()
             rng = stream(state.seed, "fed", t, rnd, shard.client_id)
-            yield train_local, (local, shard.samples, state.hp, rng), dict(
+            yield train_local, (local, shard.samples, cfg, rng), dict(
                 epochs=cfg.local_epochs, anchor=anchor, lam=lam,
                 ledger=state.compute)
             updates.append(local.flat)
@@ -376,10 +373,7 @@ def _build_generator(state: RunState) -> None:
         pool = draw_base_pool(world, cfg.base_pool_total, seed)
         if cfg.generator == "surrogate":
             return make_surrogate(world, state.encoder, pool)
-        if cfg.generator != "ddpm":
-            raise ConfigError(f"unknown generator {cfg.generator!r}")
-        model = pretrain(pool, state.encoder, cfg.diffusion_hp(), seed,
-                         ledger=ledger)
+        model = pretrain(pool, state.encoder, cfg, seed, ledger=ledger)
         for name, param in model.denoiser.params.items():
             if not np.isfinite(param).all():
                 raise ProtocolError(
@@ -457,7 +451,6 @@ def run_steps(method, world: World, suite: TaskSuite,
     encoder_sum = encoder.checksum()
     state = RunState(method=method, config=config, seed=seed, world=world,
                      encoder=encoder, classifier=Classifier(encoder),
-                     hp=config.train_hp(),
                      server=ServerMemo() if server is None else server)
     if method in ONESHOT_METHODS:
         _build_generator(state)

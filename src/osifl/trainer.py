@@ -6,17 +6,19 @@ and hand-derived; the optimizer is Adam with bias correction and weight
 decay applied as a gradient addition.
 
 Every method trains its head through `train`, one weighted minibatch
-loop, with groups and an anchor of its own. The objective is always a
-weighted sum of per-sample losses where each sample carries 1/|its
-group|, and each batch is scaled by N/|batch| so the minibatch objective
-estimates the sum of per-group mean losses without bias. One group
-reduces it exactly to plain mean cross-entropy, which makes the naive /
-joint / replay / regularized reductions trajectory-identical under a
-shared RNG. The loop trains a stack of heads at once (`Stack`), one head
-being a stack of one, with the same bits for each head as it alone.
-`train` also restores, from a memo, a head whose `head_key` it holds,
-and stores each head that trains; a head's carried `AdamState` is
-read-only, so the memo and a restored head share it without a copy.
+loop, with groups and an anchor of its own and the settings of the
+`ExperimentConfig` it is handed (`HP_FIELDS` names those the loop reads).
+The objective is always a weighted sum of per-sample losses where each
+sample carries 1/|its group|, and each batch is scaled by N/|batch| so
+the minibatch objective estimates the sum of per-group mean losses
+without bias. One group reduces it exactly to plain mean cross-entropy,
+which makes the naive / joint / replay / regularized reductions
+trajectory-identical under a shared RNG. The loop trains a stack of
+heads at once (`Stack`), one head being a stack of one, with the same
+bits for each head as it alone. `train` also restores, from a memo, a
+head whose `head_key` it holds, and stores each head that trains; a
+head's carried `AdamState` is read-only, so the memo and a restored
+head share it without a copy.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import collections
 import hashlib
 import math
 import struct
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,37 +44,10 @@ ADAM_EPS = 1e-8
 # bounds what stacking adds to peak memory: three heads of 1,000 rows of
 # 64 features fit, three of 1,250 do not.
 STACK_EMBEDDING_BYTES = 3 * 2**19
-
-
-@dataclass
-class TrainHP:
-    learning_rate: float = 0.001
-    batch_size: int = 32
-    epochs_per_task: int = 20
-    weight_decay: float = 1e-4
-    lambda_ewc: float = 0.1
-    mu_prox: float = 0.01
-    adam_reset_per_task: bool = True
-
-    def __post_init__(self):
-        for name in ("learning_rate", "weight_decay", "lambda_ewc",
-                     "mu_prox"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(
-                    f"{name} must be finite, got {getattr(self, name)}")
-        if not self.learning_rate > 0:
-            raise ConfigError(
-                f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(
-                f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs_per_task < 0:
-            raise ConfigError(
-                f"epochs_per_task must be >= 0, got {self.epochs_per_task}")
-        for name in ("weight_decay", "lambda_ewc", "mu_prox"):
-            if getattr(self, name) < 0:
-                raise ConfigError(
-                    f"{name} must be >= 0, got {getattr(self, name)}")
+# The config fields the training loop reads, besides the epochs: the heads
+# that agree on them may stack, and `head_key` hashes them.
+HP_FIELDS = ("learning_rate", "batch_size", "weight_decay",
+             "adam_reset_per_task")
 
 
 class Adam:
@@ -353,7 +328,8 @@ class HeadCall(NamedTuple):
     """One head's training call as `_prepare` normalises it: what `_fit`
     reads for that head. `pull` is the anchor's (2 lam F, theta), or None
     when no penalty applies; `adam` the optimizer state carried over, or
-    None when training starts from fresh moments."""
+    None when training starts from fresh moments; `hp` the values of
+    `HP_FIELDS`."""
 
     classifier: Classifier
     groups: list[Batch]
@@ -363,17 +339,17 @@ class HeadCall(NamedTuple):
     pull: tuple[np.ndarray, np.ndarray] | None
     adam: AdamState | None
     ledger: object
-    hp: TrainHP
+    hp: tuple
     epochs: int
 
 
-def _prepare(classifier: Classifier, groups, hp: TrainHP, rng, epochs,
+def _prepare(classifier: Classifier, groups, config, rng, epochs,
              anchor: AnchorState | None, lam: float, ledger):
     """Check one head's call (`groups` a batch or a list of them). Return
     what the heads of one stack share, and the call as a `HeadCall`."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
-    epochs = hp.epochs_per_task if epochs is None else epochs
+    epochs = config.epochs_per_task if epochs is None else epochs
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     groups = [g for g in ([groups] if isinstance(groups, Batch) else groups)
@@ -382,7 +358,8 @@ def _prepare(classifier: Classifier, groups, hp: TrainHP, rng, epochs,
         raise ProtocolError("training needs at least one non-empty set")
     rows = rows_for(classifier, np.concatenate([g.y for g in groups]))
     params, adam = classifier.flat, classifier.adam
-    if hp.adam_reset_per_task or adam is None or adam.m.shape != params.shape:
+    if config.adam_reset_per_task or adam is None or \
+            adam.m.shape != params.shape:
         adam = None
     pull = None
     if anchor is not None and lam > 0:
@@ -396,9 +373,9 @@ def _prepare(classifier: Classifier, groups, hp: TrainHP, rng, epochs,
         # 2 lam F. Doubling is exact, so lam * (2 F) rounds like
         # (2 lam) F, and is mu itself at F = 1/2.
         pull = (lam * (2.0 * anchor.fisher), anchor.theta)
-    key = (tuple(map(len, groups)), classifier.weights.shape,
-           tuple(vars(hp).values()), epochs, pull is None,
-           None if adam is None else adam.step)
+    hp = tuple(getattr(config, name) for name in HP_FIELDS)
+    key = (tuple(map(len, groups)), classifier.weights.shape, hp, epochs,
+           pull is None, None if adam is None else adam.step)
     return key, HeadCall(classifier, groups, rows, rng, lam, pull, adam,
                          ledger, hp, epochs)
 
@@ -429,7 +406,8 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
     Overflow warnings are off, so that they fail no head: the checks of
     each head's moments and, after its phase, parameters find it."""
     clfs, groups, rows, rngs, _, pulls, adams, _, hps, epochs = zip(*calls)
-    hp, heads, (n_out, dim_e) = hps[0], len(calls), clfs[0].weights.shape
+    hp = dict(zip(HP_FIELDS, hps[0]))
+    heads, (n_out, dim_e) = len(calls), clfs[0].weights.shape
     sizes = [len(g) for g in groups[0]]
     n, split = sum(sizes), n_out * dim_e
     # One embedding copy per head, encoded straight into the stack.
@@ -453,7 +431,7 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
     # so that every batch size is laid out contiguously: a slice [:, :b]
     # of a larger batch's buffer is not, and the flat true-class update
     # would write into a copy.
-    batch, lanes = min(hp.batch_size, n), {}
+    batch, lanes = min(hp["batch_size"], n), {}
     e_buf, l_buf = np.empty(heads * batch * dim_e), \
         np.empty(heads * batch * n_out)
     for b in {batch, n % batch} - {0}:
@@ -498,7 +476,8 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
                 np.subtract(params, theta, out=gap)
                 gap *= coef
                 grad += gap
-            adam.update(params, grad, hp.learning_rate, hp.weight_decay)
+            adam.update(params, grad, hp["learning_rate"],
+                        hp["weight_decay"])
     # Each kept AdamState is a view of its head's rows.
     adam.m.flags.writeable = adam.v.flags.writeable = False
     errors = [None] * heads
@@ -511,10 +490,10 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
                 np.isfinite(adam.m[s]).all() and np.isfinite(adam.v[s]).all()):
             errors[s] = ProtocolError(
                 f"training overflowed Adam's moments (lambda {call.lam}, "
-                f"learning_rate {hp.learning_rate})")
+                f"learning_rate {hp['learning_rate']})")
             continue
         charge_training(call)
-        clf.adam = None if hp.adam_reset_per_task else \
+        clf.adam = None if hp["adam_reset_per_task"] else \
             AdamState(adam.step, adam.m[s], adam.v[s])
     return errors
 
@@ -522,7 +501,7 @@ def _fit(calls: list[tuple]) -> list[Exception | None]:
 def head_key(call: HeadCall) -> str:
     """A sha256 of all that `_fit` reads for one head's call: the encoder,
     the head's classes and parameters, each group's rows in order, the
-    generator's state, every `TrainHP` field, the epochs, and the
+    generator's state, the `HP_FIELDS` values, the epochs, and the
     anchor's pull with its lambda and Adam's state only when read."""
     clf = call.classifier
     arrays = [clf.flat, *(a for g in call.groups for a in (g.x, g.y)),
@@ -530,7 +509,7 @@ def head_key(call: HeadCall) -> str:
               *(() if call.adam is None else (call.adam.m, call.adam.v))]
     digest = hashlib.sha256(repr((
         clf.encoder.checksum(), clf.classes, call.rng.bit_generator.state,
-        astuple(call.hp), call.epochs,
+        call.hp, call.epochs,
         None if call.pull is None else call.lam,
         None if call.adam is None else call.adam.step,
         [(a.dtype.str, a.shape) for a in arrays])).encode())
@@ -551,9 +530,9 @@ def _restore_head(call: HeadCall, memo, key: str) -> bool:
     return True
 
 
-def train(classifier, groups, hp, rng, *, epochs=None, anchor=None,
+def train(classifier, groups, config, rng, *, epochs=None, anchor=None,
           lam=0.0, ledger=None, memo=None):
-    """Train a head for `epochs` (default `hp.epochs_per_task`) on the
+    """Train a head for `epochs` (default `config.epochs_per_task`) on the
     sum of each group's mean loss (`groups` a batch or a list of them),
     plus, with an `anchor`, the anchor penalty at `lam`. Per method:
 
@@ -576,7 +555,8 @@ def train(classifier, groups, hp, rng, *, epochs=None, anchor=None,
     out, stacks, offered = list(heads), {}, {}
     for s, (*args, head_memo) in enumerate(zip(heads, *(
             _per_head(len(heads), a)
-            for a in (groups, hp, rng, epochs, anchor, lam, ledger, memo)))):
+            for a in (groups, config, rng, epochs, anchor, lam, ledger,
+                      memo)))):
         try:
             key, call = _prepare(*args)
         except Exception as err:

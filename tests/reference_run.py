@@ -80,7 +80,7 @@ def _ref_ce_grads(params, emb, rows, coef):
     return {"weights": delta.T @ emb, "bias": delta.sum(axis=0)}
 
 
-def _ref_train(clf, groups, hp, rng, state, *, epochs, pull=None,
+def _ref_train(clf, groups, cfg, rng, state, *, epochs, pull=None,
                ledger=None):
     """The trainer's minibatch loop over `groups`, each row weighted by
     1 / |its group| and each batch by N / |batch|, stepped by
@@ -98,14 +98,15 @@ def _ref_train(clf, groups, hp, rng, state, *, epochs, pull=None,
                    encoder_forward_madds(n, dim_e, clf.encoder.dim_x))
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, hp.batch_size):
-            idx = order[start:start + hp.batch_size]
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
             grads = _ref_ce_grads(params, emb[idx], rows[idx],
                                   n / len(idx) * sample_w[idx])
             if pull is not None:
                 grads = {k: grads[k] + g for k, g in pull(params).items()}
             params, state = _ref_adam_step(state, params, grads,
-                                           hp.learning_rate, hp.weight_decay)
+                                           cfg.learning_rate,
+                                           cfg.weight_decay)
             if ledger is not None:
                 b = len(idx)
                 ledger.add("train_head_forward",
@@ -148,33 +149,34 @@ def denoise_loss_and_grads(denoiser, schedule, x0, cond, p_drop, rng):
     return denoise_loss_fixed(denoiser, schedule, x0, z, eps, cond_used)
 
 
-def pretrain_reference(pool, encoder, hp, seed, ledger=None):
+def pretrain_reference(pool, encoder, cfg, seed, ledger=None):
     """`pretrain` as a per-array loop: each step's loss and gradients from
     `denoise_loss_and_grads` on one condition row per pool row, stepped
     by `_ref_adam_step`, and billed to `ledger`, if any."""
-    den = make_denoiser(pool.x.shape[1], encoder.dim_e, hp.num_steps,
-                        hp.hidden, seed)
+    den = make_denoiser(pool.x.shape[1], encoder.dim_e, cfg.diffusion_steps,
+                        cfg.denoiser_hidden, seed)
     table = pair_mean_embeddings(encoder, pool)
     cond = np.stack([table[pair] for pair in zip(pool.y.tolist(),
                                                  pool.domain.tolist())])
-    schedule = make_schedule(hp.num_steps, hp.beta_min, hp.beta_max)
+    schedule = make_schedule(cfg.diffusion_steps, cfg.beta_min, cfg.beta_max)
     rng = stream(seed, "pretrain")
     params = {k: v.copy() for k, v in den.params.items()}
     state, losses = _ref_zeros(params), []
-    for _ in range(hp.train_steps):
-        idx = rng.integers(0, len(pool), size=hp.batch_size)
+    for _ in range(cfg.pretrain_steps):
+        idx = rng.integers(0, len(pool), size=cfg.pretrain_batch)
         loss, grads = denoise_loss_and_grads(den, schedule, pool.x[idx],
-                                             cond[idx], hp.p_drop, rng)
+                                             cond[idx], cfg.p_drop, rng)
         params, state = _ref_adam_step(state, params, grads,
                                        DENOISER_LEARNING_RATE, 0.0)
         for k, v in params.items():
             den.params[k][...] = v
         losses.append(loss)
         if ledger is not None:
-            ledger.add("diffusion_pretrain", den.forward_madds(hp.batch_size)
-                       + den.backward_madds(hp.batch_size))
+            ledger.add("diffusion_pretrain",
+                       den.forward_madds(cfg.pretrain_batch)
+                       + den.backward_madds(cfg.pretrain_batch))
     return DiffusionModel(schedule=schedule, denoiser=den,
-                          trained=hp.train_steps > 0, loss_history=losses)
+                          trained=cfg.pretrain_steps > 0, loss_history=losses)
 
 
 def _surrogate_per_chain(surro, conds, counts, rng):
@@ -258,13 +260,13 @@ def _sampler(cfg, world, encoder, seed, ledger):
         surro = make_surrogate(world, encoder, pool)
         return lambda conds, counts, w, rng: _surrogate_per_chain(
             surro, conds, counts, rng)
-    hp = cfg.diffusion_hp()
-    model = pretrain_reference(pool, encoder, hp, seed, ledger)
+    model = pretrain_reference(pool, encoder, cfg, seed, ledger)
 
     def sample(conds, counts, w, rng):
         for n in counts:
             ledger.add("diffusion_sampling",
-                       hp.num_steps * 2 * model.denoiser.forward_madds(n))
+                       cfg.diffusion_steps * 2
+                       * model.denoiser.forward_madds(n))
         return model.sample_chains(conds, counts, w, rng)
     return sample
 
@@ -305,7 +307,7 @@ def reference_run(method, cfg, seed) -> Reference:
     """Run `method` over the suite of (cfg, seed) straight through."""
     method = parse_method(method) if isinstance(method, str) else method
     world, suite, shards, test_sets = build_run_inputs(cfg, seed)
-    encoder, hp = make_encoder(cfg.dim_e, world.dim_x, seed), cfg.train_hp()
+    encoder = make_encoder(cfg.dim_e, world.dim_x, seed)
     comms, compute, events = CommsLedger(), ComputeLedger(), []
     classes, adam, anchor, kept, history = [], None, None, [], []
     params = {"weights": np.zeros((0, cfg.dim_e)), "bias": np.zeros(0)}
@@ -316,13 +318,13 @@ def reference_run(method, cfg, seed) -> Reference:
     def train(params, groups, rng, *, epochs=None, pull=None, adam=None):
         nonlocal heads
         heads += 1
-        fresh = hp.adam_reset_per_task or adam is None
+        fresh = cfg.adam_reset_per_task or adam is None
         params, adam = _ref_train(
-            _classifier(encoder, classes, params), groups, hp, rng,
+            _classifier(encoder, classes, params), groups, cfg, rng,
             _ref_zeros(params) if fresh else adam,
-            epochs=hp.epochs_per_task if epochs is None else epochs,
+            epochs=cfg.epochs_per_task if epochs is None else epochs,
             pull=pull, ledger=compute)
-        return params, None if hp.adam_reset_per_task else adam
+        return params, None if cfg.adam_reset_per_task else adam
 
     def fisher(params, data):
         clf = _classifier(encoder, classes, params)
@@ -339,13 +341,13 @@ def reference_run(method, cfg, seed) -> Reference:
             anchor = tuple(_ref_pad(a, len(new)) for a in anchor)
         if method in FEDERATED_METHODS:
             pull = None
-            if method is Method.FEDEWC and anchor and hp.lambda_ewc > 0:
-                pull = _anchor_pull(*anchor, hp.lambda_ewc)
+            if method is Method.FEDEWC and anchor and cfg.lambda_ewc > 0:
+                pull = _anchor_pull(*anchor, cfg.lambda_ewc)
             for rnd in range(1, cfg.rounds + 1):
-                if method is Method.FEDPROX and hp.mu_prox > 0:
+                if method is Method.FEDPROX and cfg.mu_prox > 0:
                     pull = _anchor_pull(params, {k: np.full_like(a, 0.5)
                                                  for k, a in params.items()},
-                                        hp.mu_prox)
+                                        cfg.mu_prox)
                 local = [train(params, [s.samples],
                                stream(seed, "fed", t, rnd, s.client_id),
                                epochs=cfg.local_epochs, pull=pull)[0]
@@ -374,8 +376,8 @@ def reference_run(method, cfg, seed) -> Reference:
             history.append(data)
             groups = {Method.OSIFL: [data, *kept],
                       Method.OSCAR_CEILING: history}.get(method, [data])
-            if method is Method.OSCAR_R and anchor and hp.lambda_ewc > 0:
-                pull = _anchor_pull(*anchor, hp.lambda_ewc)
+            if method is Method.OSCAR_R and anchor and cfg.lambda_ewc > 0:
+                pull = _anchor_pull(*anchor, cfg.lambda_ewc)
             if any(history) if method is Method.OSCAR_CEILING else data:
                 params, adam = train(params, groups, rng, pull=pull,
                                      adam=adam)

@@ -122,23 +122,6 @@ def test_methods_list_parsing():
         parse_config("p = 1\nseeds = 42, 7, 42\n")
 
 
-def test_config_maps_to_train_and_diffusion_hp():
-    cfg = parse_config(
-        "learning_rate = 0.02\nbatch_size = 7\nepochs_per_task = 3\n"
-        "weight_decay = 0.5\nlambda_ewc = 12.0\nmu_prox = 0.3\n"
-        "adam_reset_per_task = false\ndiffusion_steps = 11\n"
-        "beta_min = 0.001\nbeta_max = 0.2\ndenoiser_hidden = 9\n"
-        "p_drop = 0.25\npretrain_steps = 13\npretrain_batch = 5\n")
-    train = cfg.train_hp()
-    assert (train.learning_rate, train.batch_size, train.epochs_per_task,
-            train.weight_decay, train.lambda_ewc, train.mu_prox,
-            train.adam_reset_per_task) == (0.02, 7, 3, 0.5, 12.0, 0.3, False)
-    diff = cfg.diffusion_hp()
-    assert (diff.num_steps, diff.beta_min, diff.beta_max, diff.hidden,
-            diff.p_drop, diff.train_steps, diff.batch_size) == \
-        (11, 0.001, 0.2, 9, 0.25, 13, 5)
-
-
 def test_serialize_parse_round_trip():
     assert parse_config(serialize_config(ExperimentConfig())) == \
         ExperimentConfig()
@@ -231,6 +214,54 @@ def test_each_field_round_trips_a_value_under_its_own_key():
         assert parse_config(serialize_config(cfg)) == cfg
 
 
+# One value per ExperimentConfig field, as Python passes it, that the
+# config file would refuse or read back as another value.
+REFUSED_VALUES = {
+    "dim_x": 0, "num_classes": 1, "num_domains": 0, "within_std": 0.0,
+    "suite_mode": "task_incremental", "num_tasks": 0,
+    "classes_per_task": (5,), "clients_per_task": 0, "n_per_class": 0,
+    "test_per_class": 0, "z_per_class": -1, "base_pool_total": 0,
+    "dim_e": 0, "learning_rate": 0.0, "batch_size": 0,
+    "epochs_per_task": -1, "weight_decay": -1e-4, "lambda_ewc": -0.1,
+    "mu_prox": float("nan"), "adam_reset_per_task": 1, "rounds": 0,
+    "local_epochs": 0, "reported_model_params": -1, "diffusion_steps": 0,
+    "beta_min": 1e-17, "beta_max": 1.0, "p_drop": 2.0, "guidance_w": 0.5,
+    "generator": "gan", "denoiser_hidden": 0, "pretrain_steps": -1,
+    "pretrain_batch": 32.0, "retain_per_class": "5",
+    "scoring_point": "mid_update", "score_by": "margin",
+    "methods": ("OSIFL", "OSIFL"), "seeds": (), "out_dir": "a#b",
+}
+
+
+def test_each_field_refuses_in_python_what_the_file_refuses():
+    fields = dataclasses.fields(ExperimentConfig)
+    assert sorted(REFUSED_VALUES) == sorted(f.name for f in fields)
+    key_of = {attr: key for key, (attr, _) in FIELD_SPECS.items()}
+    for field in fields:
+        value = {field.name: REFUSED_VALUES[field.name]}
+        with pytest.raises(ConfigError, match=rf"^{key_of[field.name]}: "):
+            ExperimentConfig(**value)
+        with pytest.raises(ConfigError, match=rf"^{key_of[field.name]}: "):
+            dataclasses.replace(ExperimentConfig(), **value)
+    # NumPy scalars are read, and written to a file, as their values.
+    assert ExperimentConfig(learning_rate=np.float64(0.01),
+                            batch_size=np.int64(16)).canonical() == \
+        ExperimentConfig(learning_rate=0.01, batch_size=16).canonical()
+
+
+@pytest.mark.parametrize("out_dir", ["a#b", "#", " a", "a ", "\ta",
+                                     "a\nb", "a\rb", "a\x0bb", "a\u2028b"])
+def test_out_dir_refuses_what_a_config_file_line_cannot_hold(out_dir):
+    with pytest.raises(ConfigError, match=r"^out_dir: a config file "):
+        ExperimentConfig(out_dir=out_dir)
+
+
+def test_out_dir_with_inner_blanks_and_signs_round_trips():
+    for out_dir in ("my runs/out", "a=b", "", "out-1.2"):
+        cfg = ExperimentConfig(out_dir=out_dir)
+        assert parse_config(cfg.canonical()) == cfg
+
+
 # The memo-key walk's base: small, unequal to every NON_DEFAULT_VALUES
 # entry, and a valid config with any one of them. Each head trains two
 # minibatch steps a task, so that a penalty, zero at the first step from
@@ -251,8 +282,7 @@ def _memo_keys(cfg, states, seed=3):
     world, _, shards, test_sets = inputs
     state = orchestrator.RunState(
         method=Method.OSIFL, config=cfg, seed=seed, world=world,
-        encoder=make_encoder(cfg.dim_e, world.dim_x, seed), classifier=None,
-        hp=None)
+        encoder=make_encoder(cfg.dim_e, world.dim_x, seed), classifier=None)
     messages = [build_client_message(state.encoder, s) for s in shards
                 if s.task_id == 1]
     gen_key = memo_key("generator", cfg, seed)
@@ -329,6 +359,20 @@ def test_the_readme_configuration_table_names_every_key():
     keys = [key for line in section.splitlines() if line.startswith("| `")
             for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
     assert sorted(keys) == sorted(FIELD_SPECS)
+
+
+def test_the_readme_library_examples_run(capsys):
+    # The python blocks under "Library use" run in order, in one
+    # namespace, as a reader would paste them.
+    readme = (pathlib.Path(__file__).resolve().parents[1] /
+              "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 4
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert "(250, 16) [5 5 5 5 5] 1" in capsys.readouterr().out
 
 
 def test_build_run_inputs_shapes():
@@ -587,6 +631,36 @@ def test_main_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(good), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: cannot create output directory {out}: ")
+
+
+@pytest.mark.parametrize("body, what", [
+    ("dim_e = 100000", "encoded synthesized rows"),
+    ("dim_e = 100000\nz_per_class = 10\nn_per_class = 300", "encoded shard"),
+    ("dim_e = 100000\nz_per_class = 10\ntest_per_class = 300",
+     "encoded test set"),
+    ("dim_e = 100000\nz_per_class = 10\nnum_domains = 50",
+     "generator's table"),
+])
+def test_each_embedded_array_is_counted(body, what):
+    # Each body makes that one array of rows x dim_e, and no other array,
+    # hold more than 2^27 floats; only the parser runs.
+    with pytest.raises(ConfigError,
+                       match=rf"^line 1: dim_e: the {what} would hold "):
+        parse_config(body + "\n")
+
+
+def test_an_embedded_shard_too_large_to_hold_exits_2(tmp_path, capsys):
+    # One task's shard of 250 rows, embedded 3,000,000 wide, is 750M
+    # floats; the run stops at parse time, before any array exists.
+    body = "methods = OSCAR_IL\nseeds = 1\nnum_tasks = 1\ndim_e = 3000000\n"
+    with pytest.raises(ConfigError, match=r"^line 4: dim_e: the encoded "
+                                          r"shard would hold 750000000 "):
+        parse_config(body)
+    path, out = tmp_path / "wide.cfg", tmp_path / "never"
+    path.write_text(body)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 4: dim_e: ")
+    assert not out.exists()
 
 
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osifl.config import ExperimentConfig
 from osifl.datagen import build_world, draw_base_pool
-from osifl.diffusion import (DiffusionHP, NoiseSchedule, denoise_loss_fixed,
+from osifl.diffusion import (NoiseSchedule, denoise_loss_fixed,
                              forward_noise, guided_epsilon, load_model,
                              make_denoiser, make_schedule, make_surrogate,
                              pretrain, save_model, synthesize_task_data)
@@ -195,14 +196,19 @@ def _tiny_pool(seed=3, n=80):
     return world, draw_base_pool(world, n, seed + 1)
 
 
+def _tiny_cfg(pretrain_steps):
+    """Pretraining of a 10-step, 16-unit denoiser on batches of 16."""
+    return ExperimentConfig(diffusion_steps=10, denoiser_hidden=16,
+                            pretrain_steps=pretrain_steps, pretrain_batch=16)
+
+
 def test_pretrain_reduces_loss_over_three_seeds():
     world, pool = _tiny_pool()
     enc = make_encoder(6, 3, 4)
-    hp = DiffusionHP(num_steps=10, hidden=16, train_steps=2000,
-                     batch_size=16)
+    cfg = _tiny_cfg(2000)
     first, last = [], []
     for seed in (0, 1, 2):
-        model = pretrain(pool, enc, hp, seed)
+        model = pretrain(pool, enc, cfg, seed)
         first.append(model.loss_history[0])
         last.append(model.loss_history[-1])
     assert np.mean(last) < np.mean(first)
@@ -211,8 +217,8 @@ def test_pretrain_reduces_loss_over_three_seeds():
 def test_pretrain_zero_steps_keeps_init():
     world, pool = _tiny_pool()
     enc = make_encoder(6, 3, 4)
-    hp = DiffusionHP(num_steps=10, hidden=16, train_steps=0, batch_size=16)
-    model = pretrain(pool, enc, hp, 7)
+    cfg = _tiny_cfg(0)
+    model = pretrain(pool, enc, cfg, 7)
     reference = make_denoiser(3, 6, 10, 16, 7)
     assert not model.trained
     for key in reference.params:
@@ -225,9 +231,9 @@ def test_pretrain_zero_steps_keeps_init():
 def test_pretrain_deterministic():
     world, pool = _tiny_pool()
     enc = make_encoder(6, 3, 4)
-    hp = DiffusionHP(num_steps=10, hidden=16, train_steps=50, batch_size=16)
-    a = pretrain(pool, enc, hp, 7)
-    b = pretrain(pool, enc, hp, 7)
+    cfg = _tiny_cfg(50)
+    a = pretrain(pool, enc, cfg, 7)
+    b = pretrain(pool, enc, cfg, 7)
     for key in a.denoiser.params:
         assert np.array_equal(a.denoiser.params[key], b.denoiser.params[key])
     assert a.loss_history == b.loss_history
@@ -239,10 +245,10 @@ def test_pretrain_matches_a_per_array_reference_loop(tmp_path):
     # pretrain.
     world, pool = _tiny_pool()
     enc = make_encoder(6, 3, 4)
-    hp = DiffusionHP(num_steps=10, hidden=16, train_steps=50, batch_size=16)
+    cfg = _tiny_cfg(50)
     book, ref_book = ComputeLedger(), ComputeLedger()
-    model = pretrain(pool, enc, hp, 7, ledger=book)
-    ref = pretrain_reference(pool, enc, hp, 7, ledger=ref_book)
+    model = pretrain(pool, enc, cfg, 7, ledger=book)
+    ref = pretrain_reference(pool, enc, cfg, 7, ledger=ref_book)
     assert model.loss_history == ref.loss_history
     assert model.denoiser.flat.tobytes() == ref.denoiser.flat.tobytes()
     assert book.madds_by_kind == ref_book.madds_by_kind
@@ -263,11 +269,11 @@ def test_pretrain_gathers_conditions_like_a_per_row_stack():
     world = build_world(3, 4, 3, 0.5, 5)
     pool = draw_base_pool(world, 90, 6)
     enc = make_encoder(6, 3, 4)
-    hp = DiffusionHP(num_steps=8, hidden=12, p_drop=0.5, train_steps=40,
-                     batch_size=8)
+    cfg = ExperimentConfig(diffusion_steps=8, denoiser_hidden=12, p_drop=0.5,
+                           pretrain_steps=40, pretrain_batch=8)
     assert len(pair_mean_embeddings(enc, pool)) == 12
-    model, ref = pretrain(pool, enc, hp, 9), pretrain_reference(pool, enc,
-                                                                hp, 9)
+    model, ref = pretrain(pool, enc, cfg, 9), pretrain_reference(pool, enc,
+                                                                 cfg, 9)
     assert model.loss_history == ref.loss_history
     assert model.denoiser.flat.tobytes() == ref.denoiser.flat.tobytes()
 
@@ -314,8 +320,8 @@ def test_guidance_rejects_small_w():
 def test_sampling_finite_and_deterministic():
     world, pool = _tiny_pool()
     enc = make_encoder(6, 3, 4)
-    hp = DiffusionHP(num_steps=10, hidden=16, train_steps=100, batch_size=16)
-    model = pretrain(pool, enc, hp, 7)
+    cfg = _tiny_cfg(100)
+    model = pretrain(pool, enc, cfg, 7)
     cond = np.zeros(model.denoiser.dim_cond)  # the null condition
     a = model.sample_chains(cond[None], [5], 1.0, stream(9, "s"))
     b = model.sample_chains(cond[None], [5], 1.0, stream(9, "s"))
@@ -327,8 +333,8 @@ def test_sampling_finite_and_deterministic():
 def test_sampling_ledger_counts_forward_passes():
     world, pool = _tiny_pool()
     enc = make_encoder(6, 3, 4)
-    hp = DiffusionHP(num_steps=10, hidden=16, train_steps=20, batch_size=16)
-    model = pretrain(pool, enc, hp, 7)
+    cfg = _tiny_cfg(20)
+    model = pretrain(pool, enc, cfg, 7)
     ledger = ComputeLedger()
     model.sample_chains(np.zeros((1, 6)), [4], 2.0, stream(1, "s"),
                         ledger=ledger)
@@ -338,9 +344,7 @@ def test_sampling_ledger_counts_forward_passes():
 
 def _tiny_model(train_steps=20):
     world, pool = _tiny_pool()
-    hp = DiffusionHP(num_steps=10, hidden=16, train_steps=train_steps,
-                     batch_size=16)
-    return pretrain(pool, make_encoder(6, 3, 4), hp, 7)
+    return pretrain(pool, make_encoder(6, 3, 4), _tiny_cfg(train_steps), 7)
 
 
 def _per_chain_reference(model, conds, counts, w, rng, ledger):
@@ -587,8 +591,8 @@ def test_surrogate_synthesis_interleaves_three_providers_bit_for_bit():
 def test_model_checkpoint_roundtrip(tmp_path):
     world, pool = _tiny_pool()
     enc = make_encoder(6, 3, 4)
-    hp = DiffusionHP(num_steps=10, hidden=16, train_steps=30, batch_size=16)
-    model = pretrain(pool, enc, hp, 7)
+    cfg = _tiny_cfg(30)
+    model = pretrain(pool, enc, cfg, 7)
     path = os.path.join(tmp_path, "model.bin")
     save_model(model, path)
     back = load_model(path)

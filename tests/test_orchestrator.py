@@ -19,8 +19,8 @@ from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
                                 run_method, _weighted_average)
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory
-from osifl.trainer import AdamState, AnchorState, Classifier, TrainHP, \
-    head_key, train
+from osifl.trainer import AdamState, AnchorState, Classifier, head_key, \
+    train
 from reference_run import record_states, reference_run
 
 
@@ -39,7 +39,6 @@ def _oneshot_state(cfg, world, encoder, seed, method=Method.OSIFL):
         if method is Method.OSIFL else None
     return RunState(method=method, config=cfg, seed=seed, world=world,
                     encoder=encoder, classifier=Classifier(encoder),
-                    hp=cfg.train_hp(),
                     generator=make_surrogate(world, encoder, pool),
                     memory=memory)
 
@@ -231,8 +230,7 @@ def test_federated_phase_rejects_foreign_and_missing_shards():
     world, suite, shards, _ = build_run_inputs(cfg, 6)
     encoder = make_encoder(cfg.dim_e, world.dim_x, 6)
     state = RunState(method=Method.FEDAVG, config=cfg, seed=6, world=world,
-                     encoder=encoder, classifier=Classifier(encoder),
-                     hp=cfg.train_hp())
+                     encoder=encoder, classifier=Classifier(encoder))
     task2_shards = [s for s in shards if s.task_id == 2]
     with pytest.raises(ProtocolError):
         _run_phase(federated_task_phase(state, suite.tasks[0],
@@ -517,9 +515,9 @@ def test_non_finite_synthesis_fails_at_synthesis(monkeypatch):
 def test_non_finite_denoiser_fails_at_pretraining(monkeypatch):
     real, calls = orchestrator.pretrain, []
 
-    def broken(pool, encoder, hp, seed, ledger=None):
+    def broken(pool, encoder, cfg, seed, ledger=None):
         calls.append(seed)
-        model = real(pool, encoder, hp, seed, ledger=ledger)
+        model = real(pool, encoder, cfg, seed, ledger=ledger)
         model.denoiser.params["b2"][0] = np.inf
         return model
 
@@ -565,7 +563,7 @@ def _train_parts():
     size = 3 * (5 + 1)
     return dict(encoder_seed=1, classes=[0, 1, 2],
                 flat=draw.normal(size=size), groups=groups, rng_draws=0,
-                hp=TrainHP(adam_reset_per_task=False), epochs=None,
+                hp=ExperimentConfig(adam_reset_per_task=False), epochs=None,
                 theta=draw.normal(size=size), fisher=draw.random(size),
                 anchored=True, lam=0.5,
                 adam=(4, draw.normal(size=size), draw.random(size)))
@@ -597,9 +595,9 @@ def _relabel(groups):
                   first.domain, first.task)] + groups[1:]
 
 
+# A change of each field that the training loop reads, with the epochs.
 _HP_CHANGES = dict(learning_rate=0.002, batch_size=31, epochs_per_task=19,
-                   weight_decay=2e-4, lambda_ewc=0.2, mu_prox=0.02,
-                   adam_reset_per_task=True)
+                   weight_decay=2e-4, adam_reset_per_task=True)
 
 
 @pytest.mark.parametrize("part, change", [
@@ -628,9 +626,16 @@ def test_train_key_ignores_what_training_does_not_read():
     assert _train_key_of(dict(free, lam=0.9)) == _train_key_of(free)
     assert _train_key_of(dict(parts, lam=0.0)) == _train_key_of(free)
     # Moments that are reset are not read.
-    reset = dict(parts, hp=TrainHP())
+    reset = dict(parts, hp=ExperimentConfig())
     assert _train_key_of(dict(reset, adam=(7,) + parts["adam"][1:])) == \
         _train_key_of(reset)
+    # Nor is any config field outside `trainer.HP_FIELDS` and the epochs,
+    # such as the penalty strengths, which reach training as `lam`.
+    for field, value in (("lambda_ewc", 0.2), ("mu_prox", 0.02),
+                         ("retain_per_class", 0), ("rounds", 3)):
+        moved = dataclasses.replace(parts["hp"], **{field: value})
+        assert _train_key_of(dict(parts, hp=moved)) == _train_key_of(parts), \
+            field
 
 
 def test_server_memo_never_keeps_an_overflowing_head():
@@ -642,25 +647,25 @@ def test_server_memo_never_keeps_an_overflowing_head():
         anchor = AnchorState(np.ones_like(clf.flat),
                              np.full_like(clf.flat, 1e300))
         with pytest.raises(ProtocolError, match="overflowed Adam's moments"):
-            train(clf, data, TrainHP(), stream(1, "t"), anchor=anchor,
-                  lam=1.0, memo=memo)
+            train(clf, data, ExperimentConfig(), stream(1, "t"),
+                  anchor=anchor, lam=1.0, memo=memo)
         # A head that steps past float64 is not an error here; its task
         # phase fails on it. It is not kept either.
         clf = Classifier(encoder, classes=[0, 1, 2])
-        train(clf, data, TrainHP(learning_rate=1e308), stream(1, "t"),
-              ledger=ComputeLedger(), memo=memo)
+        train(clf, data, ExperimentConfig(learning_rate=1e308),
+              stream(1, "t"), ledger=ComputeLedger(), memo=memo)
         assert not np.isfinite(clf.flat).all()
         assert memo._entries == {}
 
 
 def test_a_restored_head_leaves_behind_what_training_leaves(monkeypatch):
     encoder, data = make_encoder(5, 3, 1), _train_parts()["groups"][0]
-    hp, memo = TrainHP(adam_reset_per_task=False), ServerMemo()
+    cfg, memo = ExperimentConfig(adam_reset_per_task=False), ServerMemo()
 
     def trained():
         clf, rng, ledger = Classifier(encoder, classes=[0, 1, 2]), \
             stream(1, "t"), ComputeLedger()
-        train(clf, data, hp, rng, ledger=ledger, memo=memo)
+        train(clf, data, cfg, rng, ledger=ledger, memo=memo)
         return (clf.flat.tobytes(), clf.adam.step, clf.adam.m.tobytes(),
                 clf.adam.v.tobytes(), rng.bit_generator.state,
                 ledger.madds_by_kind)

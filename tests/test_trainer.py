@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from osifl.config import ExperimentConfig
 from osifl.datagen import CLASS_INCREMENTAL, Batch, build_world, \
     draw_client_shards, make_task_suite
 from osifl.encoder import make_encoder
@@ -14,7 +15,7 @@ from osifl.ledgers import ComputeLedger, encoder_forward_madds, \
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, select_exemplars
 from osifl.trainer import (Adam, AdamState, AnchorState, Classifier, Stack,
-                           TrainHP, ce_loss_and_grads, estimate_fisher,
+                           ce_loss_and_grads, estimate_fisher,
                            ewc_penalty_and_grads, load_head, save_head, train)
 from reference_run import _anchor_pull, _params, _ref_adam_step, \
     _ref_grow, _ref_pad, _ref_train, _ref_zeros
@@ -70,24 +71,12 @@ def _random_head(clf, seed):
     return clf
 
 
-def test_hp_defaults_match_experiment_defaults():
-    hp = TrainHP()
-    assert hp.learning_rate == 0.001
-    assert hp.epochs_per_task == 20
-    assert hp.lambda_ewc == 0.1
-    assert hp.mu_prox == 0.01
-    with pytest.raises(ConfigError):
-        TrainHP(learning_rate=0.0)
-    with pytest.raises(ConfigError):
-        TrainHP(lambda_ewc=-0.1)
-
-
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("name", ["learning_rate", "weight_decay",
                                   "lambda_ewc", "mu_prox"])
 def test_hp_rejects_non_finite_floats(name, value):
-    with pytest.raises(ConfigError, match=name):
-        TrainHP(**{name: value})
+    with pytest.raises(ConfigError, match=rf"^{name}: expected a finite"):
+        ExperimentConfig(**{name: value})
 
 
 def test_ce_uniform_logits_is_log_c():
@@ -285,7 +274,8 @@ def test_persisted_moments_across_growth_with_groups_and_anchor():
     # classes, joint over unequal groups after growing by two rows, then
     # EWC after growing by one. Partial batches throughout.
     enc = make_encoder(6, 3, 1)
-    hp = TrainHP(epochs_per_task=2, batch_size=4, adam_reset_per_task=False)
+    cfg = ExperimentConfig(epochs_per_task=2, batch_size=4,
+                           adam_reset_per_task=False)
     first = _toy_data(5, n=10, dim=3)
     second = [_toy_data(6, n=10, classes=(2, 3), dim=3, task=2),
               _toy_data(7, n=3, classes=(0,), dim=3)]
@@ -293,16 +283,16 @@ def test_persisted_moments_across_growth_with_groups_and_anchor():
     clf = _random_head(Classifier(enc, classes=(0, 1)), 43)
     params = _params(clf)
     state = _ref_zeros(params)
-    params, state = _ref_train(clf, [first], hp, stream(3, "t", 1), state,
+    params, state = _ref_train(clf, [first], cfg, stream(3, "t", 1), state,
                                epochs=2)
-    train(clf, first, hp, stream(3, "t", 1))
+    train(clf, first, cfg, stream(3, "t", 1))
     _assert_state_equal(clf, params, state)
     clf.expand_head([2, 3])
     params, state = _ref_grow(params, state, 2)
     _assert_state_equal(clf, params, state)
-    params, state = _ref_train(clf, second, hp, stream(3, "t", 2), state,
+    params, state = _ref_train(clf, second, cfg, stream(3, "t", 2), state,
                                epochs=2)
-    train(clf, second, hp, stream(3, "t", 2))
+    train(clf, second, cfg, stream(3, "t", 2))
     _assert_state_equal(clf, params, state)
     anchor = estimate_fisher(clf, second[0])
     ref_theta, ref_fisher = (_ref_pad(_params(clf, a), 1)
@@ -313,10 +303,10 @@ def test_persisted_moments_across_growth_with_groups_and_anchor():
     for k in ("weights", "bias"):
         assert np.array_equal(_params(clf, anchor.theta)[k], ref_theta[k])
         assert np.array_equal(_params(clf, anchor.fisher)[k], ref_fisher[k])
-    params, state = _ref_train(clf, [third], hp, stream(3, "t", 3), state,
+    params, state = _ref_train(clf, [third], cfg, stream(3, "t", 3), state,
                                epochs=2,
                                pull=_anchor_pull(ref_theta, ref_fisher, 5.0))
-    train(clf, third, hp, stream(3, "t", 3), anchor=anchor, lam=5.0)
+    train(clf, third, cfg, stream(3, "t", 3), anchor=anchor, lam=5.0)
     assert state[0] == 2 * 3 + 2 * 4 + 2 * 3
     _assert_state_equal(clf, params, state)
 
@@ -324,7 +314,7 @@ def test_persisted_moments_across_growth_with_groups_and_anchor():
 def test_later_training_moves_no_snapshot_copy_or_anchor():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=10, dim=3)
-    hp = TrainHP(epochs_per_task=2, batch_size=4)
+    cfg = ExperimentConfig(epochs_per_task=2, batch_size=4)
     clf = _random_head(Classifier(enc, classes=(0, 1)), 44)
     frozen = clf.flat.copy()
 
@@ -333,19 +323,19 @@ def test_later_training_moves_no_snapshot_copy_or_anchor():
 
     snapshot = clf.flat.copy()
     dup = clf.copy()
-    train(clf, data, hp, stream(0, "t"))
+    train(clf, data, cfg, stream(0, "t"))
     assert unmoved(snapshot)
     assert unmoved(dup.flat)
     # A copy's training moves neither the original nor the snapshot.
     trained = clf.flat.copy()
-    train(dup, data, hp, stream(1, "t"))
+    train(dup, data, cfg, stream(1, "t"))
     assert unmoved(snapshot)
     assert np.array_equal(clf.flat, trained)
     # FedProx: the broadcast anchor stays put while a local copy trains.
     broadcast = _prox_anchor(clf.flat.copy())
     kept = broadcast.theta.copy()
     local = clf.copy()
-    train(local, data, hp, stream(2, "t"), epochs=2,
+    train(local, data, cfg, stream(2, "t"), epochs=2,
           anchor=broadcast, lam=0.5)
     assert np.array_equal(broadcast.theta, kept)
     assert np.array_equal(clf.flat, kept)
@@ -354,9 +344,9 @@ def test_later_training_moves_no_snapshot_copy_or_anchor():
     # The pre-update scoring head: a copy taken before training keeps
     # its values however the model trains on.
     scorer = clf.copy()
-    train(clf, data, hp, stream(3, "t"))
+    train(clf, data, cfg, stream(3, "t"))
     assert unmoved(snapshot) and np.array_equal(scorer.flat, kept)
-    train(scorer, data, hp, stream(4, "t"))
+    train(scorer, data, cfg, stream(4, "t"))
     assert unmoved(snapshot)
     assert not np.array_equal(scorer.flat, kept)
 
@@ -364,8 +354,8 @@ def test_later_training_moves_no_snapshot_copy_or_anchor():
 def test_train_naive_single_full_batch_is_one_adam_step():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=10, dim=3)
-    hp = TrainHP(epochs_per_task=1, batch_size=10,
-                 adam_reset_per_task=False)
+    cfg = ExperimentConfig(epochs_per_task=1, batch_size=10,
+                           adam_reset_per_task=False)
     clf = Classifier(enc, classes=(0, 1))
     # A random starting head keeps the gradients well away from Adam's
     # epsilon; at a zero init the bias gradient cancels to rounding
@@ -376,8 +366,8 @@ def test_train_naive_single_full_batch_is_one_adam_step():
     manual_grads = ce_loss_and_grads(clf, data)[1]
     expect, _ = _ref_adam_step(_ref_zeros(_params(clf)),
                                _params(clf), manual_grads,
-                               hp.learning_rate, hp.weight_decay)
-    train(clf, data, hp, stream(0, "t"))
+                               cfg.learning_rate, cfg.weight_decay)
+    train(clf, data, cfg, stream(0, "t"))
     assert clf.adam.step == 1
     assert np.allclose(clf.weights, expect["weights"], atol=1e-12)
     assert np.allclose(clf.bias, expect["bias"], atol=1e-12)
@@ -385,13 +375,13 @@ def test_train_naive_single_full_batch_is_one_adam_step():
 
 def test_train_naive_reduces_loss_three_seeds():
     enc = make_encoder(8, 4, 2)
-    hp = TrainHP(epochs_per_task=5, batch_size=8)
+    cfg = ExperimentConfig(epochs_per_task=5, batch_size=8)
     drops = []
     for seed in (0, 1, 2):
         data = _toy_data(seed, n=32, dim=4, shift=1.0)
         clf = Classifier(enc, classes=(0, 1))
         before, _ = ce_loss_and_grads(clf, data)
-        train(clf, data, hp, stream(seed, "t"))
+        train(clf, data, cfg, stream(seed, "t"))
         after, _ = ce_loss_and_grads(clf, data)
         drops.append(before - after)
     assert np.mean(drops) > 0
@@ -401,11 +391,11 @@ def test_train_naive_deterministic_and_encoder_untouched():
     enc = make_encoder(6, 3, 1)
     checksum = enc.checksum()
     data = _toy_data(5, n=16, dim=3)
-    hp = TrainHP(epochs_per_task=3, batch_size=4)
+    cfg = ExperimentConfig(epochs_per_task=3, batch_size=4)
     runs = []
     for _ in range(2):
         clf = Classifier(enc, classes=(0, 1))
-        train(clf, data, hp, stream(7, "t"))
+        train(clf, data, cfg, stream(7, "t"))
         runs.append((clf.weights.copy(), clf.bias.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -415,21 +405,21 @@ def test_train_naive_deterministic_and_encoder_untouched():
 def test_train_rejects_empty_data():
     enc = make_encoder(6, 3, 1)
     clf = Classifier(enc, classes=(0, 1))
-    hp = TrainHP()
+    cfg = ExperimentConfig()
     with pytest.raises(ProtocolError):
-        train(clf, _empty(), hp, stream(0, "t"))
+        train(clf, _empty(), cfg, stream(0, "t"))
     with pytest.raises(ProtocolError):
-        train(clf, [_empty(), _empty()], hp, stream(0, "t"))
+        train(clf, [_empty(), _empty()], cfg, stream(0, "t"))
 
 
 def test_joint_single_dataset_equals_naive():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=16, dim=3)
-    hp = TrainHP(epochs_per_task=3, batch_size=4)
+    cfg = ExperimentConfig(epochs_per_task=3, batch_size=4)
     a = Classifier(enc, classes=(0, 1))
     b = Classifier(enc, classes=(0, 1))
-    train(a, data, hp, stream(7, "t"))
-    train(b, [data], hp, stream(7, "t"))
+    train(a, data, cfg, stream(7, "t"))
+    train(b, [data], cfg, stream(7, "t"))
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
 
@@ -442,7 +432,7 @@ def test_joint_weighting_sums_group_means():
     enc = make_encoder(6, 3, 1)
     small = _toy_data(1, n=10, dim=3, task=1)
     large = _toy_data(2, n=1000, dim=3, task=2)
-    hp = TrainHP(epochs_per_task=1, batch_size=1010)
+    cfg = ExperimentConfig(epochs_per_task=1, batch_size=1010)
     clf = Classifier(enc, classes=(0, 1))
     head_rng = np.random.default_rng(12)
     clf.weights[...] = head_rng.normal(size=(2, 6))
@@ -451,9 +441,9 @@ def test_joint_weighting_sums_group_means():
     g_large = ce_loss_and_grads(clf, large)[1]
     summed = {k: g_small[k] + g_large[k] for k in g_small}
     expect, _ = _ref_adam_step(_ref_zeros(_params(clf)),
-                               _params(clf), summed, hp.learning_rate,
-                               hp.weight_decay)
-    train(clf, [small, large], hp, stream(3, "t"))
+                               _params(clf), summed, cfg.learning_rate,
+                               cfg.weight_decay)
+    train(clf, [small, large], cfg, stream(3, "t"))
     assert np.allclose(clf.weights, expect["weights"], atol=1e-12)
     assert np.allclose(clf.bias, expect["bias"], atol=1e-12)
 
@@ -461,11 +451,11 @@ def test_joint_weighting_sums_group_means():
 def test_replay_with_empty_memory_equals_naive():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=16, dim=3)
-    hp = TrainHP(epochs_per_task=3, batch_size=4)
+    cfg = ExperimentConfig(epochs_per_task=3, batch_size=4)
     a = Classifier(enc, classes=(0, 1))
     b = Classifier(enc, classes=(0, 1))
-    train(a, data, hp, stream(7, "t"))
-    train(b, [data, *ExemplarMemory(5).replay_sets(1)], hp, stream(7, "t"))
+    train(a, data, cfg, stream(7, "t"))
+    train(b, [data, *ExemplarMemory(5).replay_sets(1)], cfg, stream(7, "t"))
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
 
@@ -506,11 +496,11 @@ def test_replay_retention_beats_naive_by_ten_points():
         shards, test_sets = draw_client_shards(world, suite, 1, 30, 20,
                                                seed)
         enc = make_encoder(32, 8, seed)
-        hp = TrainHP(epochs_per_task=10, batch_size=16)
+        cfg = ExperimentConfig(epochs_per_task=10, batch_size=16)
         accs = {}
         for variant in ("naive", "replay"):
             clf = Classifier(enc, classes=suite.tasks[0].classes)
-            train(clf, shards[0].samples, hp, stream(seed, "t", 1))
+            train(clf, shards[0].samples, cfg, stream(seed, "t", 1))
             memory = ExemplarMemory(5)
             if variant == "replay":
                 memory.add_task(1, select_exemplars(clf, shards[0].samples,
@@ -518,9 +508,9 @@ def test_replay_retention_beats_naive_by_ten_points():
             clf.expand_head(suite.tasks[1].classes)
             if variant == "replay":
                 train(clf, [shards[1].samples, *memory.replay_sets(2)],
-                      hp, stream(seed, "t", 2))
+                      cfg, stream(seed, "t", 2))
             else:
-                train(clf, shards[1].samples, hp, stream(seed, "t", 2))
+                train(clf, shards[1].samples, cfg, stream(seed, "t", 2))
             test1 = test_sets[1]
             preds = clf.predict(test1.x)
             accs[variant] = float(np.mean(preds == test1.y))
@@ -610,15 +600,16 @@ def test_fedprox_pull_is_mu_times_the_gap_bit_for_bit():
     # hold the gradients at full precision, so they are compared too.
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=16, dim=3)
-    hp = TrainHP(epochs_per_task=20, batch_size=6, adam_reset_per_task=False)
+    cfg = ExperimentConfig(epochs_per_task=20, batch_size=6,
+                           adam_reset_per_task=False)
     clf = Classifier(enc, classes=(0, 1))
     clf.weights[...] = rng.normal(size=(2, 6))
     clf.bias[...] = rng.normal(size=2)
     ref = {"weights": rng.normal(size=(2, 6)), "bias": rng.normal(size=2)}
     expect, state = _ref_train(
-        clf, [data], hp, stream(1, "t"), _ref_zeros(ref), epochs=3,
+        clf, [data], cfg, stream(1, "t"), _ref_zeros(ref), epochs=3,
         pull=lambda p: {k: 0.3 * (p[k] - ref[k]) for k in p})
-    train(clf, data, hp, stream(1, "t"), epochs=3,
+    train(clf, data, cfg, stream(1, "t"), epochs=3,
           anchor=_prox_anchor(np.concatenate([ref["weights"].ravel(),
                                               ref["bias"]])), lam=0.3)
     assert state[0] == 9
@@ -628,26 +619,26 @@ def test_fedprox_pull_is_mu_times_the_gap_bit_for_bit():
 def test_regularized_lambda_zero_equals_naive():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=16, dim=3)
-    hp = TrainHP(epochs_per_task=3, batch_size=4)
+    cfg = ExperimentConfig(epochs_per_task=3, batch_size=4)
     anchor = AnchorState(theta=np.ones(14), fisher=np.ones(14))
     a = Classifier(enc, classes=(0, 1))
     b = Classifier(enc, classes=(0, 1))
-    train(a, data, hp, stream(7, "t"))
-    train(b, data, hp, stream(7, "t"), anchor=anchor, lam=0.0)
+    train(a, data, cfg, stream(7, "t"))
+    train(b, data, cfg, stream(7, "t"), anchor=anchor, lam=0.0)
     assert np.array_equal(a.weights, b.weights)
     with pytest.raises(ConfigError):
-        train(b, data, hp, stream(7, "t"), anchor=anchor, lam=-1.0)
+        train(b, data, cfg, stream(7, "t"), anchor=anchor, lam=-1.0)
 
 
 def test_regularized_large_lambda_stays_near_anchor():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=16, dim=3)
-    hp = TrainHP(epochs_per_task=5, batch_size=8)
+    cfg = ExperimentConfig(epochs_per_task=5, batch_size=8)
     anchor = AnchorState(theta=np.zeros(14), fisher=np.ones(14))
     free = Classifier(enc, classes=(0, 1))
     pinned = Classifier(enc, classes=(0, 1))
-    train(free, data, hp, stream(7, "t"), anchor=anchor, lam=0.0)
-    train(pinned, data, hp, stream(7, "t"), anchor=anchor, lam=1e4)
+    train(free, data, cfg, stream(7, "t"), anchor=anchor, lam=0.0)
+    train(pinned, data, cfg, stream(7, "t"), anchor=anchor, lam=1e4)
     assert np.linalg.norm(pinned.weights) < np.linalg.norm(free.weights)
 
 
@@ -722,8 +713,9 @@ def test_expand_head_rejects_duplicates_and_grows_moments():
     clf = Classifier(enc, classes=(0, 1))
     with pytest.raises(ProtocolError):
         clf.expand_head([1])
-    hp = TrainHP(epochs_per_task=1, batch_size=8, adam_reset_per_task=False)
-    train(clf, _toy_data(5, n=8, dim=3), hp, stream(0, "t"))
+    cfg = ExperimentConfig(epochs_per_task=1, batch_size=8,
+                           adam_reset_per_task=False)
+    train(clf, _toy_data(5, n=8, dim=3), cfg, stream(0, "t"))
     assert clf.adam is not None
     clf.expand_head([2])
     _, m, v = _moments(clf)
@@ -735,11 +727,11 @@ def test_expand_head_rejects_duplicates_and_grows_moments():
 def test_train_local_epoch_override_and_penalty_pull():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=16, dim=3)
-    hp = TrainHP(epochs_per_task=20, batch_size=8)
+    cfg = ExperimentConfig(epochs_per_task=20, batch_size=8)
     plain = Classifier(enc, classes=(0, 1))
     pulled = Classifier(enc, classes=(0, 1))
-    train(plain, data, hp, stream(1, "t"), epochs=1)
-    train(pulled, data, hp, stream(1, "t"), epochs=1,
+    train(plain, data, cfg, stream(1, "t"), epochs=1)
+    train(pulled, data, cfg, stream(1, "t"), epochs=1,
           anchor=_prox_anchor(np.zeros(14)), lam=100.0)
     assert np.linalg.norm(pulled.weights) < np.linalg.norm(plain.weights)
 
@@ -751,40 +743,40 @@ def test_an_overflowing_penalty_fails_instead_of_freezing_the_head(lam):
     enc = make_encoder(6, 3, 1)
     clf = Classifier(enc, classes=(0, 1))
     anchor = AnchorState(theta=np.ones(14), fisher=np.ones(14))
-    hp = TrainHP(epochs_per_task=2, batch_size=8)
+    cfg = ExperimentConfig(epochs_per_task=2, batch_size=8)
     with np.errstate(over="ignore"), pytest.raises(
             ProtocolError,
             match=re.escape(f"overflowed Adam's moments (lambda {lam},")):
-        train(clf, _toy_data(5, n=16, dim=3), hp, stream(0, "t"),
+        train(clf, _toy_data(5, n=16, dim=3), cfg, stream(0, "t"),
               anchor=anchor, lam=lam)
 
 
 def test_train_local_rejects_a_misaligned_anchor_and_negative_lambda():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=16, dim=3)
-    hp = TrainHP(epochs_per_task=1, batch_size=8)
+    cfg = ExperimentConfig(epochs_per_task=1, batch_size=8)
     clf = Classifier(enc, classes=(0, 1))
     # A one-class anchor (6 weights and 1 bias) against a 2-class head.
     short = _prox_anchor(np.zeros(7))
     with pytest.raises(ProtocolError, match=r"anchor theta \(7,\)"):
-        train(clf, data, hp, stream(1, "t"), epochs=1, anchor=short,
+        train(clf, data, cfg, stream(1, "t"), epochs=1, anchor=short,
               lam=1.0)
     with pytest.raises(ProtocolError, match=r"fisher \(7,\) do not match"):
-        train(clf, data, hp, stream(1, "t"), epochs=1,
+        train(clf, data, cfg, stream(1, "t"), epochs=1,
               anchor=AnchorState(np.zeros(14), np.zeros(7)), lam=1.0)
     with pytest.raises(ConfigError):
-        train(clf, data, hp, stream(1, "t"), epochs=1, lam=-1.0)
+        train(clf, data, cfg, stream(1, "t"), epochs=1, lam=-1.0)
     # nan > 0 is false: a nan lambda must not train as "no penalty".
     anchor = _prox_anchor(clf.flat.copy())
     for lam in (np.nan, np.inf):
         with pytest.raises(ConfigError, match="lambda"):
-            train(clf, data, hp, stream(1, "t"), epochs=1,
+            train(clf, data, cfg, stream(1, "t"), epochs=1,
                   anchor=anchor, lam=lam)
         with pytest.raises(ConfigError, match="lambda"):
-            train(clf, data, hp, stream(1, "t"), anchor=None, lam=lam)
+            train(clf, data, cfg, stream(1, "t"), anchor=None, lam=lam)
     # A negative epoch count is an error, not a pass that trains nothing.
     with pytest.raises(ConfigError, match="epochs"):
-        train(clf, data, hp, stream(1, "t"), epochs=-1,
+        train(clf, data, cfg, stream(1, "t"), epochs=-1,
               ledger=ComputeLedger())
     assert np.all(clf.weights == 0.0)
 
@@ -793,12 +785,12 @@ def test_training_ledger_matches_closed_forms():
     # Batches of 4, 4 and 2 rows for two epochs, billed per step by the
     # reference loop, and one encoding of the 10 rows.
     clf = Classifier(make_encoder(6, 3, 1), classes=(0, 1))
-    data, hp = _toy_data(5, n=10, dim=3), TrainHP(epochs_per_task=2,
-                                                  batch_size=4)
+    data = _toy_data(5, n=10, dim=3)
+    cfg = ExperimentConfig(epochs_per_task=2, batch_size=4)
     ledger, ref = ComputeLedger(), ComputeLedger()
-    _ref_train(clf, [data], hp, stream(0, "t"), _ref_zeros(_params(clf)),
+    _ref_train(clf, [data], cfg, stream(0, "t"), _ref_zeros(_params(clf)),
                epochs=2, ledger=ref)
-    train(clf, data, hp, stream(0, "t"), ledger=ledger)
+    train(clf, data, cfg, stream(0, "t"), ledger=ledger)
     assert ledger.madds_by_kind == ref.madds_by_kind
     assert ref.madds_by_kind["train_encoder"] == \
         encoder_forward_madds(10, 6, 3)
@@ -808,11 +800,11 @@ def test_training_ledger_matches_closed_forms():
 def test_zero_epochs_leave_ledger_and_params_unchanged():
     enc = make_encoder(6, 3, 1)
     data = _toy_data(5, n=10, dim=3)
-    hp = TrainHP(epochs_per_task=0, batch_size=4)
+    cfg = ExperimentConfig(epochs_per_task=0, batch_size=4)
     clf = Classifier(enc, classes=(0, 1))
     ledger = ComputeLedger()
     before = clf.flat.copy()
-    train(clf, data, hp, stream(0, "t"), ledger=ledger)
+    train(clf, data, cfg, stream(0, "t"), ledger=ledger)
     assert np.array_equal(clf.flat, before)
     assert "train_head_forward" not in ledger.madds_by_kind
 
@@ -861,19 +853,19 @@ def _case_values(case, clf, h):
 # Stack of them, penalty strength or None). 10 rows in batches of 4
 # leave a last batch of 2.
 _STACK_CASES = {
-    "partial_last_batch": (4, 3, lambda c, g, hp, r, a: train(
-        c, g, hp, r), None),
-    "batch_above_n": (32, 2, lambda c, g, hp, r, a: train(
-        c, g, hp, r), None),
-    "replay": (4, 3, lambda c, g, hp, r, a: train(c, g, hp, r), None),
-    "joint_unequal": (4, 3, lambda c, g, hp, r, a: train(
-        c, g, hp, r), None),
-    "ewc": (4, 3, lambda c, g, hp, r, a: train(
-        c, g, hp, r, anchor=a, lam=0.7), 0.7),
-    "fedprox": (4, 2, lambda c, g, hp, r, a: train(
-        c, g, hp, r, epochs=2, anchor=a, lam=0.3), 0.3),
-    "zero_epochs": (4, 0, lambda c, g, hp, r, a: train(
-        c, g, hp, r), None),
+    "partial_last_batch": (4, 3, lambda c, g, cfg, r, a: train(
+        c, g, cfg, r), None),
+    "batch_above_n": (32, 2, lambda c, g, cfg, r, a: train(
+        c, g, cfg, r), None),
+    "replay": (4, 3, lambda c, g, cfg, r, a: train(c, g, cfg, r), None),
+    "joint_unequal": (4, 3, lambda c, g, cfg, r, a: train(
+        c, g, cfg, r), None),
+    "ewc": (4, 3, lambda c, g, cfg, r, a: train(
+        c, g, cfg, r, anchor=a, lam=0.7), 0.7),
+    "fedprox": (4, 2, lambda c, g, cfg, r, a: train(
+        c, g, cfg, r, epochs=2, anchor=a, lam=0.3), 0.3),
+    "zero_epochs": (4, 0, lambda c, g, cfg, r, a: train(
+        c, g, cfg, r), None),
 }
 
 
@@ -881,16 +873,16 @@ _STACK_CASES = {
 def test_training_matches_the_reference_loop_bit_for_bit(case):
     # Each head of a case, trained alone, against `_ref_train`.
     batch_size, epochs, call, lam = _STACK_CASES[case]
-    hp = TrainHP(epochs_per_task=epochs, batch_size=batch_size,
-                 weight_decay=1e-3, adam_reset_per_task=False)
+    cfg = ExperimentConfig(epochs_per_task=epochs, batch_size=batch_size,
+                           weight_decay=1e-3, adam_reset_per_task=False)
     for h, clf in enumerate(_stack_heads()):
         groups, anchor = _case_values(case, clf, h)
         pull = None if lam is None else _anchor_pull(
             _params(clf, anchor.theta), _params(clf, anchor.fisher), lam)
-        expect, state = _ref_train(clf, groups, hp, stream(h, "t"),
+        expect, state = _ref_train(clf, groups, cfg, stream(h, "t"),
                                    _ref_zeros(_params(clf)), epochs=epochs,
                                    pull=pull)
-        assert call(clf, groups, hp, stream(h, "t"), anchor) is clf
+        assert call(clf, groups, cfg, stream(h, "t"), anchor) is clf
         assert state[0] == epochs * -(-sum(map(len, groups)) // batch_size)
         _assert_state_equal(clf, expect, state)
 
@@ -898,15 +890,15 @@ def test_training_matches_the_reference_loop_bit_for_bit(case):
 @pytest.mark.parametrize("case", sorted(_STACK_CASES))
 def test_a_stack_of_heads_trains_like_each_head_alone(case):
     batch_size, epochs, call, lam = _STACK_CASES[case]
-    hp = TrainHP(epochs_per_task=epochs, batch_size=batch_size,
-                 weight_decay=1e-3, adam_reset_per_task=False)
+    cfg = ExperimentConfig(epochs_per_task=epochs, batch_size=batch_size,
+                           weight_decay=1e-3, adam_reset_per_task=False)
     solo, stacked = _stack_heads(), _stack_heads()
     for h, clf in enumerate(solo):
         groups, anchor = _case_values(case, clf, h)
-        assert call(clf, groups, hp, stream(h, "t"), anchor) is clf
+        assert call(clf, groups, cfg, stream(h, "t"), anchor) is clf
     values = [_case_values(case, clf, h) for h, clf in enumerate(stacked)]
     groups, anchors = (Stack(v) for v in zip(*values))
-    out = call(Stack(stacked), groups, hp,
+    out = call(Stack(stacked), groups, cfg,
                Stack(stream(h, "t") for h in range(_HEADS)), anchors)
     assert isinstance(out, Stack) and list(out) == stacked
     for a, b in zip(solo, stacked):
@@ -919,7 +911,7 @@ def test_a_stack_trains_mismatched_and_failing_heads_apart():
     # head 0 and head 1 train as they would alone. Each ledger is billed
     # as if its head had trained alone, and the Stack of them reads as
     # their sum.
-    hp = TrainHP(epochs_per_task=2, batch_size=4)
+    cfg = ExperimentConfig(epochs_per_task=2, batch_size=4)
     rows = [10, 12, 10, 10]
     lams = [0.5, 0.5, 1e300, 0.5]
 
@@ -936,7 +928,7 @@ def test_a_stack_trains_mismatched_and_failing_heads_apart():
     books = [ComputeLedger() for _ in clfs]
     with np.errstate(over="ignore", invalid="ignore"):
         out = train(
-            Stack(clfs), Stack(data), hp, Stack(stream(h, "t")
+            Stack(clfs), Stack(data), cfg, Stack(stream(h, "t")
                                                 for h in range(4)),
             epochs=2, anchor=Stack(anchor(c, h) for h, c in enumerate(clfs)),
             lam=Stack(lams), ledger=Stack(books))
@@ -947,7 +939,7 @@ def test_a_stack_trains_mismatched_and_failing_heads_apart():
     assert "anchor theta (7,)" in str(out[3])
     for h in range(2):
         solo_book = ComputeLedger()
-        train(solo[h], data[h], hp, stream(h, "t"), epochs=2,
+        train(solo[h], data[h], cfg, stream(h, "t"), epochs=2,
               anchor=anchor(solo[h], h), lam=lams[h], ledger=solo_book)
         assert _state_bytes(solo[h]) == _state_bytes(clfs[h])
         assert books[h].madds_by_kind == solo_book.madds_by_kind
@@ -962,7 +954,7 @@ def test_an_overflow_fails_only_its_head_when_warnings_are_errors():
     # errstate is set: head 2's penalty overflows Adam's moments in the
     # stacked call, which fails that head alone with the message of a
     # solo run; the other three train as they would alone.
-    hp = TrainHP(epochs_per_task=2, batch_size=4)
+    cfg = ExperimentConfig(epochs_per_task=2, batch_size=4)
     lams = [0.5, 0.5, 1e300, 0.5]
     clfs = [_random_head(Classifier(make_encoder(6, 3, 1 + h),
                                     classes=(3, 4)), 41 + h)
@@ -973,14 +965,14 @@ def test_an_overflow_fails_only_its_head_when_warnings_are_errors():
                for clf in clfs]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = train(Stack(clfs), Stack(data), hp,
+        out = train(Stack(clfs), Stack(data), cfg,
                     Stack(stream(h, "t") for h in range(4)), epochs=2,
                     anchor=Stack(anchors), lam=Stack(lams))
         with pytest.raises(ProtocolError) as alone:
-            train(solo[2], data[2], hp, stream(2, "t"), epochs=2,
+            train(solo[2], data[2], cfg, stream(2, "t"), epochs=2,
                   anchor=anchors[2], lam=lams[2])
         for h in (0, 1, 3):
-            train(solo[h], data[h], hp, stream(h, "t"), epochs=2,
+            train(solo[h], data[h], cfg, stream(h, "t"), epochs=2,
                   anchor=anchors[h], lam=lams[h])
     assert isinstance(out[2], ProtocolError)
     assert str(out[2]) == str(alone.value) == (
@@ -999,15 +991,15 @@ def test_a_stack_over_the_embedding_budget_trains_in_parts(monkeypatch):
     widths, real_fit = [], trainer._fit
     monkeypatch.setattr(trainer, "_fit", lambda calls: widths.append(
         len(calls)) or real_fit(calls))
-    hp = TrainHP(epochs_per_task=1)
+    cfg = ExperimentConfig(epochs_per_task=1)
     heads = {mode: [Classifier(make_encoder(64, 3, h), classes=(3, 4))
                     for h in range(3)] for mode in ("solo", "stacked")}
     data = [_data_for(h, n=1300) for h in range(3)]
     assert 3 * 1300 * 64 * 8 > trainer.STACK_EMBEDDING_BYTES
     for h, clf in enumerate(heads["solo"]):
-        train(clf, data[h], hp, stream(h, "t"))
+        train(clf, data[h], cfg, stream(h, "t"))
     assert widths == [1, 1, 1]
-    train(Stack(heads["stacked"]), Stack(data), hp,
+    train(Stack(heads["stacked"]), Stack(data), cfg,
           Stack(stream(h, "t") for h in range(3)))
     assert widths[3:] == [2, 1]
     for a, b in zip(heads["solo"], heads["stacked"]):
