@@ -18,7 +18,7 @@ from .diffusion import Denoiser, GaussianSurrogate, NoiseSchedule, \
     make_schedule, make_surrogate, pretrain, save_model, \
     synthesize_task_data
 from .encoder import ClientMessage, FrozenEncoder, build_client_message, \
-    class_mean_embeddings, make_encoder, parse_message, serialize_message
+    grouped_means, make_encoder, parse_message, serialize_message
 from .errors import ConfigError, ProtocolError
 from .ledgers import CommsLedger, ComputeLedger
 from .orchestrator import Method, RunReport, ServerMemo, evaluate, \
@@ -38,9 +38,9 @@ __all__ = [
     "NoiseSchedule", "ProtocolError", "RunReport", "ServerMemo",
     "TaskSpec", "TaskSuite", "World", "build_client_message",
     "build_run_inputs", "build_world", "ce_loss_and_grads",
-    "class_mean_embeddings", "draw_base_pool", "draw_client_shards",
-    "estimate_fisher", "evaluate", "ewc_penalty_and_grads", "forgetting",
-    "forward_noise", "guided_epsilon", "load_head", "load_model",
+    "draw_base_pool", "draw_client_shards", "estimate_fisher", "evaluate",
+    "ewc_penalty_and_grads", "forgetting", "forward_noise",
+    "grouped_means", "guided_epsilon", "load_head", "load_model",
     "make_denoiser", "make_encoder", "make_schedule", "make_surrogate",
     "make_task_suite", "parse_config", "parse_message", "pretrain",
     "report_rows", "rows_to_csv", "run_method", "save_head", "save_model",

@@ -9,6 +9,7 @@ one server memo per process, so overlapping criteria share runs.
 from __future__ import annotations
 
 import dataclasses
+import filecmp
 import itertools
 import os
 import sys
@@ -199,8 +200,6 @@ def criterion_forward_consistency() -> tuple[bool, str]:
 class _ConstantDenoiser:
     """Stub predictor: 0.4 under any nonzero condition, 0.2 otherwise."""
 
-    dim_cond = 2
-
     def forward(self, x, z, cond):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         cond = np.atleast_2d(np.asarray(cond, dtype=float))
@@ -362,13 +361,13 @@ def _separated_two_class_world():
     raise RuntimeError("no well-separated 2-class world found")
 
 
-def _centroid_fraction(generator, messages, world, w: float) -> float:
+def _centroid_fraction(generator, message, world, w: float) -> float:
     centroids = np.stack([world.cluster_mean(k, 0) for k in (0, 1)])
     rng = stream(77, "sanity")
     correct, total = 0, 0
     for k in (0, 1):
-        xs = generator.sample_chains(messages.class_means[k][None], [100],
-                                     w, rng)
+        xs = generator.sample_chains(message.means[message.classes == k],
+                                     [100], w, rng)
         dists = np.linalg.norm(xs[:, None, :] - centroids[None, :, :],
                                axis=2)
         correct += int((np.argmin(dists, axis=1) == k).sum())
@@ -419,13 +418,10 @@ def criterion_determinism() -> tuple[bool, str]:
         names_b = sorted(os.listdir(dir_b))
         if names_a != names_b:
             return False, f"file sets differ: {names_a} vs {names_b}"
-        for name in names_a:
-            with open(os.path.join(dir_a, name), "rb") as fh:
-                blob_a = fh.read()
-            with open(os.path.join(dir_b, name), "rb") as fh:
-                blob_b = fh.read()
-            if blob_a != blob_b:
-                return False, f"{name} differs between reruns"
+        _, differ, unread = filecmp.cmpfiles(dir_a, dir_b, names_a,
+                                             shallow=False)
+        if differ or unread:
+            return False, f"{(differ + unread)[0]} differs between reruns"
     return True, f"{len(names_a)} files byte-identical across reruns"
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .datagen import Batch, World
 from .encoder import BlobReader, ClientMessage, FrozenEncoder, \
-    pair_mean_embeddings
+    grouped_means
 from .errors import ConfigError, ProtocolError
 from .rng import stream
 from .trainer import Adam
@@ -292,10 +292,6 @@ class DiffusionModel:
     trained: bool
     loss_history: list[float] = field(default_factory=list)
 
-    @property
-    def dim_cond(self) -> int:
-        return self.denoiser.dim_cond
-
     @np.errstate(over="ignore", invalid="ignore")
     def sample_chains(self, conds: np.ndarray, counts, w: float,
                       rng: np.random.Generator, ledger=None) -> np.ndarray:
@@ -378,13 +374,11 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, config, seed: int,
     condition-drop coin, in that order, and rounds like
     `denoise_loss_fixed` on those draws, in place.
     Overflow is left to the caller's check of the parameters."""
-    table = pair_mean_embeddings(encoder, pool)
     # `cond` holds each pair's mean, then the zero row that a dropped
     # condition gathers; `pair_index` gives each pool row's pair.
-    row_of = {pair: i for i, pair in enumerate(table)}
-    pair_index = np.array([row_of[pair] for pair in zip(
-        pool.y.tolist(), pool.domain.tolist())])
-    cond = np.stack([*table.values(), np.zeros(encoder.dim_e)])
+    _, pair_index, _, means = grouped_means(
+        encoder, pool, np.column_stack([pool.y, pool.domain]))
+    cond = np.vstack([means, np.zeros(encoder.dim_e)])
     steps, train_steps = config.diffusion_steps, config.pretrain_steps
     schedule = make_schedule(steps, config.beta_min, config.beta_max)
     denoiser = make_denoiser(pool.x.shape[1], encoder.dim_e, steps,
@@ -403,7 +397,7 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, config, seed: int,
         rng.random(out=coin)
         history.append(passes.denoise_step(
             schedule, pool.x[idx], z, eps,
-            cond[np.where(coin < config.p_drop, len(table), pair_index[idx])],
+            cond[np.where(coin < config.p_drop, len(means), pair_index[idx])],
             grads))
         adam.update(denoiser.flat, grad, DENOISER_LEARNING_RATE, 0.0)
     if ledger is not None:
@@ -429,8 +423,8 @@ class GaussianSurrogate:
     """Oracle generator: nearest pretraining condition, true cluster draw."""
 
     world: World
-    pairs: list[tuple[int, int]]
-    cond_matrix: np.ndarray  # (len(pairs), dim_e)
+    pairs: np.ndarray  # (n, 2): class, domain
+    cond_matrix: np.ndarray  # (n, dim_e)
 
     def sample_chains(self, conds: np.ndarray, counts, w: float,
                       rng: np.random.Generator, ledger=None) -> np.ndarray:
@@ -439,21 +433,18 @@ class GaussianSurrogate:
         one draw of normals; `w` is ignored."""
         if min(counts, default=0) < 0:
             raise ConfigError(f"sample count must be >= 0, got {min(counts)}")
-        means = np.zeros((len(counts), self.world.dim_x))
-        for j, cond in enumerate(np.asarray(conds, dtype=float)):
-            dists = np.linalg.norm(self.cond_matrix - cond, axis=1)
-            k, d = self.pairs[int(np.argmin(dists))]
-            means[j] = self.world.cluster_mean(k, d)
+        nearest = [np.argmin(np.linalg.norm(self.cond_matrix - cond, axis=1))
+                   for cond in np.asarray(conds, dtype=float)]
+        means = self.world.cluster_mean(*self.pairs[nearest].T)
         return np.repeat(means, counts, axis=0) + self.world.within_std * \
             rng.standard_normal((sum(counts), self.world.dim_x))
 
 
 def make_surrogate(world: World, encoder: FrozenEncoder,
                    pool: Batch) -> GaussianSurrogate:
-    table = pair_mean_embeddings(encoder, pool)
-    pairs = sorted(table)
-    return GaussianSurrogate(world=world, pairs=pairs,
-                             cond_matrix=np.stack([table[p] for p in pairs]))
+    pairs, _, _, means = grouped_means(
+        encoder, pool, np.column_stack([pool.y, pool.domain]))
+    return GaussianSurrogate(world=world, pairs=pairs, cond_matrix=means)
 
 
 class SynthSet(NamedTuple):
@@ -475,23 +466,22 @@ def synthesize_task_data(generator, messages: list[ClientMessage],
     i mod n_providers, so the source client alternates. Each (class,
     provider) pair is one chain, in ascending class order.
     """
-    if not any(m.class_means for m in messages):
+    if not any(np.size(m.classes) for m in messages):
         raise ProtocolError("synthesis needs a client message with a class")
     if z_per_class < 0:
         raise ConfigError(f"z_per_class must be >= 0, got {z_per_class}")
     task_id = messages[0].task_id
     if any(m.task_id != task_id for m in messages):
         raise ProtocolError("messages from different tasks in one synthesis")
-    providers: dict[int, list[np.ndarray]] = {}
-    for m in messages:
-        for k in sorted(m.class_means):
-            providers.setdefault(k, []).append(m.class_means[k])
-    classes = sorted(providers)
+    # The chains: each class's providers in message order, by class.
+    held = np.concatenate([m.classes for m in messages])
+    chains = np.argsort(held, kind="stable")
+    classes, providers = np.unique(held, return_counts=True)
     # The rows of each chain in the task's batch.
-    rows = [i * z_per_class + np.arange(j, z_per_class, len(providers[k]))
-            for i, k in enumerate(classes) for j in range(len(providers[k]))]
+    rows = [i * z_per_class + np.arange(j, z_per_class, n)
+            for i, n in enumerate(providers.tolist()) for j in range(n)]
     drawn = generator.sample_chains(
-        np.array([mean for k in classes for mean in providers[k]]),
+        np.concatenate([m.means for m in messages])[chains],
         [len(r) for r in rows], w, rng, ledger=ledger)
     xs = np.empty_like(drawn)
     xs[np.concatenate(rows)] = drawn
@@ -502,7 +492,7 @@ def synthesize_task_data(generator, messages: list[ClientMessage],
               for i in range(len(classes)))
     return SynthSet(data, {k: Batch(data.x[b], data.y[b], data.domain[b],
                                     task_id)
-                           for k, b in zip(classes, blocks)})
+                           for k, b in zip(classes.tolist(), blocks)})
 
 
 _CKPT_MAGIC = b"OSDM"

@@ -63,54 +63,49 @@ def make_encoder(dim_e: int, dim_x: int, seed: int) -> FrozenEncoder:
 
 @dataclass(eq=False)
 class ClientMessage:
-    """The single upload a client ever makes for its task."""
+    """The single upload a client ever makes for its task: per class, in
+    ascending order, its id, its sample count and its mean embedding."""
 
     client_id: int
     task_id: int
-    class_means: dict[int, np.ndarray]
-    class_counts: dict[int, int]
+    classes: np.ndarray  # (k,)
+    counts: np.ndarray  # (k,)
+    means: np.ndarray  # (k, dim_e)
 
     @property
     def dim_e(self) -> int:
-        if not self.class_means:
+        if not np.size(self.classes):
             raise ProtocolError("message covers no class")
-        return int(next(iter(self.class_means.values())).shape[0])
+        return int(np.shape(self.means)[-1])
 
     @property
     def upload_floats(self) -> int:
-        return len(self.class_means) * self.dim_e
+        return np.size(self.classes) * self.dim_e
 
 
-def class_mean_embeddings(encoder: FrozenEncoder, batch: Batch
-                          ) -> tuple[dict[int, np.ndarray], dict[int, int]]:
-    """Per-class mean of the encoded samples, keyed by ascending class id."""
+def grouped_means(encoder: FrozenEncoder, batch: Batch, keys: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of `batch` by their rows of `keys`, (n,) or (n, m):
+    the distinct keys in ascending order, each row's group, the rows per
+    group and the mean embedding per group. A group's rows are encoded
+    together, in row order."""
     if not batch:
-        raise ProtocolError("cannot build class means from an empty shard")
-    classes, counts = np.unique(batch.y, return_counts=True)
-    means = {k: encoder.encode_batch(batch.x[batch.y == k]).mean(axis=0)
-             for k in classes.tolist()}
-    return means, dict(zip(classes.tolist(), counts.tolist()))
-
-
-def pair_mean_embeddings(encoder: FrozenEncoder, batch: Batch
-                         ) -> dict[tuple[int, int], np.ndarray]:
-    """Mean embedding per (class, domain) pair, used as the conditioning
-    vocabulary during generator pretraining."""
-    if not batch:
-        raise ProtocolError("cannot build pair means from an empty pool")
-    means = {}
-    for k, d in sorted(set(zip(batch.y.tolist(), batch.domain.tolist()))):
-        rows = (batch.y == k) & (batch.domain == d)
-        means[(k, d)] = encoder.encode_batch(batch.x[rows]).mean(axis=0)
-    return means
+        raise ProtocolError("cannot build mean embeddings from no rows")
+    groups, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
+                                        return_counts=True)
+    inverse = inverse.reshape(-1)  # 1-D, whatever shape NumPy returns
+    means = np.stack([encoder.encode_batch(batch.x[inverse == g]).mean(axis=0)
+                      for g in range(len(groups))])
+    return groups, inverse, counts, means
 
 
 def build_client_message(encoder: FrozenEncoder, shard) -> ClientMessage:
     """Summarize a shard into its one-shot upload. A shard with no row
     raises ProtocolError, so every message covers at least one class."""
-    means, counts = class_mean_embeddings(encoder, shard.samples)
-    return ClientMessage(client_id=shard.client_id, task_id=shard.task_id,
-                         class_means=means, class_counts=counts)
+    classes, _, counts, means = grouped_means(encoder, shard.samples,
+                                              shard.samples.y)
+    return ClientMessage(shard.client_id, shard.task_id, classes, counts,
+                         means)
 
 
 class BlobReader:
@@ -139,30 +134,43 @@ class BlobReader:
                 f"{self.what} has {len(self.blob) - self.offset} stray bytes")
 
 
-# Wire format, all little-endian:
-#   header: client_id u32, task_id u32, dim_e u32, class_count u32
-#   per class (ascending class id): class_id u32, count u32, dim_e f64
+# Wire format, all little-endian: a header of client_id, task_id, dim_e
+# and the class count, u32 each, then one `_row_dtype` row per class, in
+# ascending class order.
 _HEADER = struct.Struct("<IIII")
-_CLASS_HEAD = struct.Struct("<II")
+
+
+def _row_dtype(dim_e: int) -> np.dtype:
+    return np.dtype([("class", "<u4"), ("count", "<u4"),
+                     ("mean", "<f8", (dim_e,))])
 
 
 def serialize_message(msg: ClientMessage) -> bytes:
     """The blob; ProtocolError if `parse_message` could not read it back."""
-    dim_e, out = msg.dim_e, []
+    dim_e, k = msg.dim_e, np.size(msg.classes)
+    classes, counts, means = msg.classes, msg.counts, msg.means
+    if not (classes.shape == counts.shape == (k,) and means.shape == (k, dim_e)
+            and {classes.dtype.kind, counts.dtype.kind} <= set("iu")
+            and (classes[1:] > classes[:-1]).all()):
+        raise ProtocolError(
+            f"refusing to serialize classes {classes.shape}, counts "
+            f"{counts.shape} and means {means.shape}: need integer classes "
+            f"in ascending order, with an integer count and a mean row each")
+    if not ((classes >= 0) & (classes < 2**32) & (counts < 2**32)).all():
+        raise ProtocolError("message field out of range: a class id or "
+                            "count is not a u32")
+    bad = (counts < 1) | (dim_e < 1) | ~np.isfinite(means).all(axis=1)
+    if bad.any():
+        raise ProtocolError(
+            f"refusing to serialize class {classes[bad.argmax()]}: its mean "
+            f"must be {dim_e} >= 1 finite floats and its count >= 1")
+    rows = np.empty(k, _row_dtype(dim_e))
+    rows["class"], rows["count"], rows["mean"] = classes, counts, means
     try:
-        for k in sorted(msg.class_means):
-            vec = np.ascontiguousarray(msg.class_means[k], dtype="<f8")
-            count = msg.class_counts.get(k, 0)
-            if not (dim_e and vec.shape == (dim_e,)
-                    and np.isfinite(vec).all() and count >= 1):
-                raise ProtocolError(
-                    f"refusing to serialize class {k}: its mean must be "
-                    f"{dim_e} >= 1 finite floats and its count >= 1")
-            out += [_CLASS_HEAD.pack(k, count), vec.tobytes()]
-        head = _HEADER.pack(msg.client_id, msg.task_id, dim_e, len(out) // 2)
+        head = _HEADER.pack(msg.client_id, msg.task_id, dim_e, k)
     except struct.error as err:
         raise ProtocolError(f"message field out of range: {err}") from None
-    return head + b"".join(out)
+    return head + rows.tobytes()
 
 
 def parse_message(blob: bytes) -> ClientMessage:
@@ -173,16 +181,19 @@ def parse_message(blob: bytes) -> ClientMessage:
         raise ProtocolError("message blob covers no class")
     if dim_e == 0:
         raise ProtocolError("message blob has class means of dim_e 0")
-    means: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for _ in range(n_classes):
-        k, count = _CLASS_HEAD.unpack(reader.take(_CLASS_HEAD.size))
-        if means and k <= next(reversed(means)):
-            raise ProtocolError(f"message blob lists class {k} out of order")
-        if count == 0:
-            raise ProtocolError(f"message blob gives class {k} no samples")
-        means[k] = reader.floats(dim_e)
-        counts[k] = count
+    # The length is checked before the row type is built for it.
+    rows = np.frombuffer(reader.take(n_classes * (8 + 8 * dim_e)),
+                         _row_dtype(dim_e))
+    classes, counts = (rows[f].astype(np.int64) for f in ("class", "count"))
+    late = np.flatnonzero(classes[1:] <= classes[:-1])
+    if late.size:
+        raise ProtocolError(
+            f"message blob lists class {classes[late[0] + 1]} out of order")
+    if not counts.all():
+        raise ProtocolError(f"message blob gives class "
+                            f"{classes[counts.argmin()]} no samples")
+    means = rows["mean"].astype(float)
+    if not np.isfinite(means).all():
+        raise ProtocolError("message blob holds a non-finite value")
     reader.finish()
-    return ClientMessage(client_id=client_id, task_id=task_id,
-                         class_means=means, class_counts=counts)
+    return ClientMessage(client_id, task_id, classes, counts, means)

@@ -19,7 +19,7 @@ from .datagen import Batch, ClientShard, TaskSpec, TaskSuite, World, \
     draw_base_pool
 from .diffusion import SynthSet, make_surrogate, pretrain, \
     synthesize_task_data
-from .encoder import build_client_message, make_encoder, \
+from .encoder import build_client_message, make_encoder, parse_message, \
     serialize_message
 from .errors import ConfigError, ProtocolError
 from .ledgers import CommsLedger, ComputeLedger
@@ -58,10 +58,10 @@ def parse_method(name: str) -> Method:
 
 
 class ServerMemo:
-    """The server's method-independent work and a grid's reports, each
-    under its `memo_key`, and its one-shot heads (stored and restored by
-    `trainer.train` under `trainer.head_key`), shared by the runs that
-    are handed the same memo.
+    """The clients' uploads, the server's method-independent work and a
+    grid's reports, each under its `memo_key`, and its one-shot heads
+    (stored and restored by `trainer.train` under `trainer.head_key`),
+    shared by the runs that are handed the same memo.
 
     An entry is computed on the first `recall` of its key and kept only
     if that computation succeeds, so a failure is raised again by every
@@ -110,6 +110,7 @@ _FEDERATED = (*_INPUTS, "dim_e", *_HEAD, "rounds", "local_epochs",
               "reported_model_params")
 READS = {
     "inputs": _INPUTS,
+    "message": (*_INPUTS, "dim_e"),
     "generator": (*_WORLD, *_GENERATOR),
     "synthesis": _SYNTHESIS,
     Method.OSIFL: (*_ONESHOT, "retain_per_class", "scoring_point", "score_by"),
@@ -152,9 +153,10 @@ class RunState:
     server: ServerMemo = field(default_factory=ServerMemo)
 
 
-def _synthesized_task(state: RunState, messages: list) -> SynthSet:
-    """The task's `SynthSet` as the server memo holds it. A memo hands out
-    one generator object per generator key, so the object stands for it."""
+def _synthesized_task(state: RunState, blobs: list[bytes],
+                      messages: list) -> SynthSet:
+    """The task's `SynthSet` from the `messages` parsed from `blobs`, kept
+    under the blobs and the generator object the memo hands out."""
     cfg, seed, t = state.config, state.seed, messages[0].task_id
 
     def build(ledger):
@@ -169,8 +171,8 @@ def _synthesized_task(state: RunState, messages: list) -> SynthSet:
         return synth
 
     return state.server.recall(memo_key(
-        "synthesis", cfg, seed, state.generator, t,
-        tuple(map(serialize_message, messages))), build, state.compute)
+        "synthesis", cfg, seed, state.generator, t, tuple(blobs)), build,
+        state.compute)
 
 
 def _expand_head(state: RunState, task: TaskSpec) -> Classifier:
@@ -184,14 +186,15 @@ def _expand_head(state: RunState, task: TaskSpec) -> Classifier:
     return clf
 
 
-def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
-    """Run one arriving task through upload, synthesis, training, and
-    (for the replay method) exemplar selection; a generator that yields
-    its training call to `lockstep` and returns the state."""
+def oneshot_task_phase(state: RunState, task: TaskSpec, blobs: list[bytes]):
+    """Parse the arriving task's client blobs, then run the task through
+    synthesis, training, and (for the replay method) exemplar selection;
+    a generator that yields its training call to `lockstep`."""
     cfg = state.config
     t = task.task_id
-    if not messages:
+    if not blobs:
         raise ProtocolError(f"task {t} arrived with no client messages")
+    messages = [parse_message(blob) for blob in blobs]
     for msg in messages:
         if msg.task_id != t:
             raise ProtocolError(
@@ -204,7 +207,7 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, messages: list):
         state.events.append(
             f"task{t}:upload client={msg.client_id} "
             f"floats={msg.upload_floats}")
-    data = _synthesized_task(state, messages).data
+    data = _synthesized_task(state, blobs, messages).data
     state.events.append(f"task{t}:synthesize n={len(data)}")
     clf = _expand_head(state, task)
     rng_t = stream(state.seed, "train", t)
@@ -338,10 +341,8 @@ def forgetting(matrix: list[list[float]]) -> tuple[list[float], float]:
         if len(row) != i + 1:
             raise ConfigError(
                 f"row {i} has {len(row)} entries, expected {i + 1}")
-    per_task = []
-    for j in range(m - 1):
-        best = max(matrix[t][j] for t in range(j, m))
-        per_task.append(float(best - matrix[m - 1][j]))
+    per_task = [float(max(matrix[t][j] for t in range(j, m))
+                      - matrix[m - 1][j]) for j in range(m - 1)]
     mean = float(np.mean(per_task)) if per_task else 0.0
     return per_task, mean
 
@@ -431,8 +432,8 @@ def run_method(method, world: World, suite: TaskSuite,
 
     The report is a pure function of (config, seed): rerunning with the
     same inputs reproduces it bit for bit. Runs given the same `server`
-    memo pretrain and synthesize only once per distinct input and each
-    still bill the full cost; without one, the run keeps a private memo.
+    memo build uploads, pretrain and synthesize once per distinct input and
+    each still bill the full cost; without one, the run keeps its own memo.
     """
     [result] = lockstep([run_steps(method, world, suite, shards, test_sets,
                                    config, seed, server=server)])
@@ -465,9 +466,12 @@ def run_steps(method, world: World, suite: TaskSuite,
     for task in suite.tasks:
         t = task.task_id
         if method in ONESHOT_METHODS:
-            messages = [build_client_message(encoder, shard)
-                        for shard in by_task.get(t, [])]
-            yield from oneshot_task_phase(state, task, messages)
+            # Each client's upload is built once per memo, and sent as bytes.
+            blobs = [state.server.recall(
+                memo_key("message", config, seed, t, shard.client_id),
+                lambda _: serialize_message(build_client_message(
+                    encoder, shard)), None) for shard in by_task.get(t, [])]
+            yield from oneshot_task_phase(state, task, blobs)
         else:
             yield from federated_task_phase(state, task, by_task.get(t, []))
         _check_head(state, t)
@@ -530,8 +534,6 @@ def rows_to_csv(rows: list[list], header: str = CSV_HEADER) -> str:
 
 
 def write_report_csv(path: str, reports: list[RunReport]) -> None:
-    rows = []
-    for report in reports:
-        rows.extend(report_rows(report))
+    rows = [row for report in reports for row in report_rows(report)]
     with open(path, "w", newline="\n") as fh:
         fh.write(rows_to_csv(rows))

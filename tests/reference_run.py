@@ -16,8 +16,7 @@ from osifl.config import build_run_inputs
 from osifl.datagen import Batch, draw_base_pool
 from osifl.diffusion import DENOISER_LEARNING_RATE, DiffusionModel, \
     denoise_loss_fixed, make_denoiser, make_schedule, make_surrogate
-from osifl.encoder import build_client_message, make_encoder, \
-    pair_mean_embeddings
+from osifl.encoder import build_client_message, make_encoder
 from osifl.ledgers import CommsLedger, ComputeLedger, \
     encoder_forward_madds, head_backward_madds, head_forward_madds, \
     softmax_madds
@@ -155,9 +154,13 @@ def pretrain_reference(pool, encoder, cfg, seed, ledger=None):
     by `_ref_adam_step`, and billed to `ledger`, if any."""
     den = make_denoiser(pool.x.shape[1], encoder.dim_e, cfg.diffusion_steps,
                         cfg.denoiser_hidden, seed)
-    table = pair_mean_embeddings(encoder, pool)
-    cond = np.stack([table[pair] for pair in zip(pool.y.tolist(),
-                                                 pool.domain.tolist())])
+    # Each row's condition: the mean embedding of its (class, domain)
+    # pair's rows, encoded together in row order.
+    pairs, table = list(zip(pool.y.tolist(), pool.domain.tolist())), {}
+    for pair in set(pairs):
+        rows = [i for i, other in enumerate(pairs) if other == pair]
+        table[pair] = encoder.encode_batch(pool.x[rows]).mean(axis=0)
+    cond = np.stack([table[pair] for pair in pairs])
     schedule = make_schedule(cfg.diffusion_steps, cfg.beta_min, cfg.beta_max)
     rng = stream(seed, "pretrain")
     params = {k: v.copy() for k, v in den.params.items()}
@@ -277,8 +280,8 @@ def _synthesize(sample, messages, z, w, rng, task_id):
     provider) in ascending class order."""
     providers = {}
     for m in messages:
-        for k in sorted(m.class_means):
-            providers.setdefault(k, []).append(m.class_means[k])
+        for k, mean in zip(m.classes.tolist(), m.means):
+            providers.setdefault(k, []).append(mean)
     classes = sorted(providers)
     counts = [len(range(j, z, len(providers[k])))
               for k in classes for j in range(len(providers[k]))]

@@ -67,9 +67,8 @@ def scratch(tmp_path_factory):
 
 _RNG = np.random.default_rng(5)
 _MESSAGE = serialize_message(ClientMessage(
-    client_id=3, task_id=2,
-    class_means={4: _RNG.normal(size=3), 9: _RNG.normal(size=3)},
-    class_counts={4: 10, 9: 12}))
+    client_id=3, task_id=2, classes=np.array([4, 9]),
+    counts=np.array([10, 12]), means=_RNG.normal(size=(2, 3))))
 
 _ENCODER = make_encoder(3, 2, 1)
 _HEAD = Classifier(_ENCODER, classes=(5, 1))
@@ -132,51 +131,57 @@ _ID = st.integers(-1, 2**32)
 
 
 @settings(max_examples=300, deadline=None)
-@given(client_id=_ID, task_id=_ID, classes=st.dictionaries(
-    _ID, st.tuples(st.none() | _ID, st.lists(st.floats(), max_size=3)),
-    max_size=3))
+@given(client_id=_ID, task_id=_ID, dim_e=st.integers(0, 3), data=st.data())
 def test_message_writer_refuses_what_the_reader_refuses(client_id, task_id,
-                                                        classes):
-    # Each class: a count (None for no count) and a mean of 0-3 floats,
+                                                        dim_e, data):
+    # Up to 3 classes, in any order and repeats allowed; as many counts
+    # (one short when the last is None) and a row of dim_e floats each,
     # NaN and infinities among them.
+    classes = data.draw(st.lists(st.tuples(
+        _ID, st.none() | _ID,
+        st.lists(st.floats(), min_size=dim_e, max_size=dim_e)), max_size=3))
     msg = ClientMessage(
-        client_id, task_id,
-        {k: np.array(mean, dtype=float) for k, (_, mean) in classes.items()},
-        {k: n for k, (n, _) in classes.items() if n is not None})
+        client_id, task_id, np.array([k for k, _, _ in classes], dtype=int),
+        np.array([n for _, n, _ in classes if n is not None], dtype=int),
+        np.array([mean for _, _, mean in classes], dtype=float).reshape(
+            len(classes), dim_e))
     try:
         blob = serialize_message(msg)
     except ProtocolError:
         return
     back = parse_message(blob)
-    assert (back.client_id, back.task_id, back.class_counts) == \
-        (client_id, task_id, msg.class_counts)
-    assert back.class_means.keys() == msg.class_means.keys()
-    for k, mean in msg.class_means.items():
-        assert back.class_means[k].tobytes() == mean.tobytes()
+    assert (back.client_id, back.task_id) == (client_id, task_id)
+    for got, sent in ((back.classes, msg.classes), (back.counts, msg.counts),
+                      (back.means, msg.means)):
+        assert got.tobytes() == sent.tobytes()
 
 
-_HALVES = np.array([0.5, 0.25])
+_HALVES = np.array([[0.5, 0.25]])
 
 
-@pytest.mark.parametrize("means, counts, client_id", [
-    ({3: np.zeros(0)}, {3: 1}, 0),
-    ({3: _HALVES}, {3: 0}, 0),
-    ({3: np.array([np.nan, 0.5])}, {3: 1}, 0),
-    ({3: _HALVES}, {3: -1}, 0),
-    ({-3: _HALVES}, {-3: 1}, 0),
-    ({3: _HALVES}, {3: 1}, 2**32),
-    ({3: _HALVES, 4: np.zeros(3)}, {3: 1, 4: 1}, 0),
-    ({3: _HALVES}, {}, 0),
+@pytest.mark.parametrize("classes, counts, means, client_id", [
+    ([3], [1], np.zeros((1, 0)), 0),
+    ([3], [0], _HALVES, 0),
+    ([3], [1], np.array([[np.nan, 0.5]]), 0),
+    ([3], [-1], _HALVES, 0),
+    ([-3], [1], _HALVES, 0),
+    ([3], [1], _HALVES, 2**32),
+    ([3, 4], [1, 1], _HALVES, 0),
+    ([3], [], _HALVES, 0),
 ], ids=["empty_mean", "zero_count", "nan_mean", "negative_count",
         "negative_class", "client_beyond_u32", "mixed_lengths", "no_count"])
-def test_message_writer_refuses_a_message_the_reader_would(means, counts,
-                                                           client_id):
+def test_message_writer_refuses_a_message_the_reader_would(classes, counts,
+                                                           means, client_id):
+    # `mixed_lengths` has two classes and one mean row; `no_count` one
+    # class and no count.
     with pytest.raises(ProtocolError):
-        serialize_message(ClientMessage(client_id, 1, means, counts))
+        serialize_message(ClientMessage(client_id, 1, np.array(
+            classes, dtype=int), np.array(counts, dtype=int), means))
 
 
 def test_a_message_with_no_class_has_no_width_or_upload_size():
-    msg = ClientMessage(0, 1, {}, {})
+    msg = ClientMessage(0, 1, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+                        np.zeros((0, 3)))
     for read in (lambda: msg.dim_e, lambda: msg.upload_floats,
                  lambda: serialize_message(msg)):
         with pytest.raises(ProtocolError, match="covers no class"):

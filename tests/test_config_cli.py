@@ -12,7 +12,7 @@ from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
 from osifl.config import (FIELD_SPECS, ExperimentConfig, build_run_inputs,
                           parse_config, serialize_config)
 from osifl.encoder import build_client_message, make_encoder, \
-    serialize_message
+    parse_message, serialize_message
 from osifl.errors import ConfigError
 from osifl.orchestrator import CSV_HEADER, READS, UNREAD, Method, memo_key, \
     reads, report_rows, rows_to_csv
@@ -283,8 +283,9 @@ def _memo_keys(cfg, states, seed=3):
     state = orchestrator.RunState(
         method=Method.OSIFL, config=cfg, seed=seed, world=world,
         encoder=make_encoder(cfg.dim_e, world.dim_x, seed), classifier=None)
-    messages = [build_client_message(state.encoder, s) for s in shards
-                if s.task_id == 1]
+    task1 = [s for s in shards if s.task_id == 1]
+    blobs = [serialize_message(build_client_message(state.encoder, s))
+             for s in task1]
     gen_key = memo_key("generator", cfg, seed)
 
     def generator():
@@ -295,7 +296,8 @@ def _memo_keys(cfg, states, seed=3):
 
     def synthesized():
         orchestrator._build_generator(state)
-        data = orchestrator._synthesized_task(state, messages).data
+        data = orchestrator._synthesized_task(
+            state, blobs, [parse_message(blob) for blob in blobs]).data
         return data.x.tobytes(), data.y.tobytes()
 
     batches = [s.samples for s in shards] + list(test_sets.values())
@@ -303,7 +305,8 @@ def _memo_keys(cfg, states, seed=3):
         inputs[1], [s.client_id for s in shards], [a.tobytes() for a in (
             world.class_anchors, world.domain_offsets, *(
                 a for b in batches for a in (b.x, b.y, b.domain)))]),
-        "generator": generator, "synthesis": synthesized}
+        "message": lambda: blobs[0], "generator": generator,
+        "synthesis": synthesized}
 
     def run(method):
         states.clear()
@@ -313,10 +316,10 @@ def _memo_keys(cfg, states, seed=3):
 
     for method in Method:
         bits[method] = lambda m=method: run(m)
-    # The synthesis key's other inputs, with the generator key standing
-    # for the memo's generator object.
-    others = {"synthesis": (gen_key, 1, tuple(map(serialize_message,
-                                                  messages)))}
+    # The message key's and the synthesis key's other inputs, with the
+    # generator key standing for the memo's generator object.
+    others = {"message": (1, task1[0].client_id),
+              "synthesis": (gen_key, 1, tuple(blobs))}
     assert sorted(bits) == sorted(READS)
     return {layer: (memo_key(layer, cfg, seed, *others.get(layer, ())),
                     bits[layer]) for layer in READS}
@@ -788,6 +791,26 @@ def test_non_finite_synthesis_is_a_failed_run_not_a_nan_row(
     assert sorted(os.listdir(out)) == ["run_FEDAVG_seed5.csv",
                                        "summary.partial.csv"]
     assert "nan" not in (out / "summary.partial.csv").read_text()
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    # The header's 16 bytes, then the first class's id and count.
+    (lambda blob: blob[:20] + bytes(4) + blob[24:],
+     r"message blob gives class \d+ no samples"),
+    (lambda blob: blob[:-1], "message blob is truncated")],
+    ids=["zeroed_count", "truncated"])
+def test_a_blob_corrupted_in_flight_fails_only_its_own_run(
+        tmp_path, monkeypatch, capsys, corrupt, error):
+    real = orchestrator.serialize_message
+    monkeypatch.setattr(orchestrator, "serialize_message",
+                        lambda msg: corrupt(real(msg)))
+    cfg = _small(methods=(Method.OSIFL, Method.FEDAVG), seeds=(5,))
+    out = tmp_path / "corrupt"
+    assert run_experiment(cfg, str(out)) == 1
+    assert re.search("run failed: OSIFL seed=5: " + error,
+                     capsys.readouterr().err)
+    assert sorted(os.listdir(out)) == ["run_FEDAVG_seed5.csv",
+                                       "summary.partial.csv"]
 
 
 def _reference_sweep_csv(cfg, axis, values):

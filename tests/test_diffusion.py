@@ -11,7 +11,7 @@ from osifl.diffusion import (NoiseSchedule, denoise_loss_fixed,
                              forward_noise, guided_epsilon, load_model,
                              make_denoiser, make_schedule, make_surrogate,
                              pretrain, save_model, synthesize_task_data)
-from osifl.encoder import ClientMessage, make_encoder, pair_mean_embeddings
+from osifl.encoder import ClientMessage, make_encoder
 from osifl.errors import ConfigError, ProtocolError
 from osifl.ledgers import ComputeLedger
 from osifl.rng import stream
@@ -271,7 +271,7 @@ def test_pretrain_gathers_conditions_like_a_per_row_stack():
     enc = make_encoder(6, 3, 4)
     cfg = ExperimentConfig(diffusion_steps=8, denoiser_hidden=12, p_drop=0.5,
                            pretrain_steps=40, pretrain_batch=8)
-    assert len(pair_mean_embeddings(enc, pool)) == 12
+    assert len(make_surrogate(world, enc, pool).pairs) == 12
     model, ref = pretrain(pool, enc, cfg, 9), pretrain_reference(pool, enc,
                                                                  cfg, 9)
     assert model.loss_history == ref.loss_history
@@ -289,8 +289,6 @@ def test_guidance_weight_one_is_conditional_branch():
 
 def test_guidance_hand_case_point_six():
     class Stub:
-        dim_cond = 2
-
         def forward(self, x, z, cond):
             x = np.atleast_2d(np.asarray(x, dtype=float))
             cond = np.atleast_2d(np.asarray(cond, dtype=float))
@@ -426,9 +424,9 @@ def test_sample_chains_rejects_untrained_models_and_small_w():
 def _message(client_id, task_id, classes, dim, seed):
     rng = np.random.default_rng(seed)
     return ClientMessage(client_id=client_id, task_id=task_id,
-                         class_means={k: rng.normal(size=dim)
-                                      for k in classes},
-                         class_counts={k: 50 for k in classes})
+                         classes=np.array(classes),
+                         counts=np.full(len(classes), 50),
+                         means=rng.normal(size=(len(classes), dim)))
 
 
 class _CountingGenerator:
@@ -480,11 +478,11 @@ def test_synthesis_alternates_providers():
     xs = synth.per_class[3].x
     # Each row is its provider's mean, so the row names its source client.
     assert [next(m.client_id for m in (a, b)
-                 if np.array_equal(row, m.class_means[3][:2]))
+                 if np.array_equal(row, m.means[0, :2]))
             for row in xs] == [0, 1, 0, 1, 0]
-    assert np.array_equal(xs[0], a.class_means[3][:2])
-    assert np.array_equal(xs[1], b.class_means[3][:2])
-    assert np.array_equal(xs[2], a.class_means[3][:2])
+    assert np.array_equal(xs[0], a.means[0, :2])
+    assert np.array_equal(xs[1], b.means[0, :2])
+    assert np.array_equal(xs[2], a.means[0, :2])
 
 
 class _RecordingGenerator:
@@ -508,7 +506,7 @@ class _RecordingGenerator:
             return next(i for i, batch in enumerate(self.batches)
                         if any(np.array_equal(row, drawn) for drawn in batch))
         return [next(m.client_id for m in msgs
-                     if np.array_equal(m.class_means[k],
+                     if np.array_equal(m.means[m.classes == k][0],
                                        self.conds[call_of(row)]))
                 for row in xs]
 
@@ -542,7 +540,7 @@ def test_surrogate_samples_true_cluster():
     world, pool = _tiny_pool(seed=11, n=400)
     enc = make_encoder(6, 3, 4)
     surro = make_surrogate(world, enc, pool)
-    idx = surro.pairs.index((1, 0))
+    [idx] = np.flatnonzero((surro.pairs == (1, 0)).all(axis=1))
     cond = surro.cond_matrix[idx]
     xs = surro.sample_chains(cond[None], [4000], 2.0, stream(2, "draw"))
     center = world.cluster_mean(1, 0)

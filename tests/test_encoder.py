@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from osifl.datagen import Batch, build_world, draw_base_pool, \
     draw_client_shards, make_task_suite, CLASS_INCREMENTAL
 from osifl.encoder import (ClientMessage, FrozenEncoder,
-                           build_client_message, class_mean_embeddings,
-                           make_encoder, pair_mean_embeddings,
+                           build_client_message, grouped_means, make_encoder,
                            parse_message, serialize_message)
 from osifl.errors import ProtocolError
 
@@ -58,18 +57,18 @@ def test_encoder_deterministic_and_frozen():
 def test_class_means_single_sample_per_class():
     enc = make_encoder(4, 2, 1)
     samples = Batch(np.array([[0.3, -0.2], [1.0, 2.0]]), [5, 2], [0, 0])
-    means, counts = class_mean_embeddings(enc, samples)
-    assert list(means) == [2, 5]
-    assert all(type(k) is int for k in list(means) + list(counts))
-    assert np.allclose(means[5], enc.encode(samples.x[0]), atol=1e-15)
-    assert counts == {2: 1, 5: 1}
+    classes, inverse, counts, means = grouped_means(enc, samples, samples.y)
+    assert classes.tolist() == [2, 5] and inverse.tolist() == [1, 0]
+    assert means.shape == (2, 4)
+    assert np.allclose(means[1], enc.encode(samples.x[0]), atol=1e-15)
+    assert counts.tolist() == [1, 1]
 
 
 def test_class_means_identical_samples():
     enc = make_encoder(4, 2, 1)
     x = np.array([0.4, 0.9])
     samples = Batch(np.stack([x, x.copy()]), [0, 0], [0, 0])
-    means, _ = class_mean_embeddings(enc, samples)
+    means = grouped_means(enc, samples, samples.y)[3]
     assert np.allclose(means[0], enc.encode(x), atol=1e-15)
 
 
@@ -80,33 +79,35 @@ def test_class_means_match_bruteforce_sum():
     suite = make_task_suite(world, CLASS_INCREMENTAL, 1, 2)
     shards, _ = draw_client_shards(world, suite, 1, 50, 1, 5)
     enc = make_encoder(8, 4, 9)
-    means, counts = class_mean_embeddings(enc, shards[0].samples)
-    for k in means:
+    msg = build_client_message(enc, shards[0])
+    for k, count, mean in zip(msg.classes, msg.counts, msg.means):
         total = np.zeros(8)
         n = 0
         for x, y in zip(shards[0].samples.x, shards[0].samples.y):
             if y == k:
                 total = total + enc.encode(x)
                 n += 1
-        assert n == counts[k] == 50
+        assert n == count == 50
         brute = total / n
-        rel = np.abs(means[k] - brute) / np.maximum(np.abs(brute), 1e-300)
+        rel = np.abs(mean - brute) / np.maximum(np.abs(brute), 1e-300)
         assert rel.max() < 1e-12
 
 
 def test_class_means_reject_empty():
     enc = make_encoder(4, 2, 1)
+    empty = Batch(np.empty((0, 2)), [], [])
     with pytest.raises(ProtocolError):
-        class_mean_embeddings(enc, Batch(np.empty((0, 2)), [], []))
+        grouped_means(enc, empty, empty.y)
 
 
 def test_pair_means_keyed_by_class_and_domain():
     enc = make_encoder(4, 2, 1)
-    samples = Batch(np.array([[0.1, 0.2], [0.3, 0.1]]), [0, 0], [0, 1])
-    table = pair_mean_embeddings(enc, samples)
-    assert set(table) == {(0, 0), (0, 1)}
-    assert all(type(k) is int and type(d) is int for k, d in table)
-    assert np.allclose(table[(0, 0)], enc.encode(samples.x[0]))
+    samples = Batch(np.array([[0.1, 0.2], [0.3, 0.1]]), [0, 0], [1, 0])
+    pairs, inverse, counts, means = grouped_means(
+        enc, samples, np.column_stack([samples.y, samples.domain]))
+    assert pairs.tolist() == [[0, 0], [0, 1]] and inverse.tolist() == [1, 0]
+    assert counts.tolist() == [1, 1]
+    assert np.allclose(means[0], enc.encode(samples.x[1]))
 
 
 def _grouped_by_row(batch, key):
@@ -122,25 +123,25 @@ def test_class_and_pair_means_equal_the_per_row_loop():
     world = build_world(5, 4, 3, 0.5, 2)
     pool = draw_base_pool(world, 300, 6)
     enc = make_encoder(8, 5, 1)
-    means, counts = class_mean_embeddings(enc, pool)
-    by_class = _grouped_by_row(pool, lambda i: int(pool.y[i]))
-    assert list(means) == list(by_class)
-    for k, xs in by_class.items():
-        assert np.array_equal(means[k], enc.encode_batch(xs).mean(axis=0))
-        assert counts[k] == len(xs)
-    table = pair_mean_embeddings(enc, pool)
-    by_pair = _grouped_by_row(
-        pool, lambda i: (int(pool.y[i]), int(pool.domain[i])))
-    assert list(table) == list(by_pair)
-    for pair, xs in by_pair.items():
-        assert np.array_equal(table[pair],
-                              enc.encode_batch(xs).mean(axis=0))
+    for keys in (pool.y, np.column_stack([pool.y, pool.domain])):
+        groups, inverse, counts, means = grouped_means(enc, pool, keys)
+        by_key = _grouped_by_row(pool, lambda i: tuple(np.atleast_1d(keys[i])))
+        assert [tuple(np.atleast_1d(g)) for g in groups] == list(by_key)
+        assert [tuple(np.atleast_1d(groups[g])) for g in inverse] == \
+            [tuple(np.atleast_1d(k)) for k in keys]
+        for g, xs in enumerate(by_key.values()):
+            assert np.array_equal(means[g],
+                                  enc.encode_batch(xs).mean(axis=0))
+            assert counts[g] == len(xs)
+
+
+def _msg(client_id, task_id, classes, counts, means):
+    return ClientMessage(client_id, task_id, np.array(classes, dtype=int),
+                         np.array(counts, dtype=int), np.asarray(means))
 
 
 def test_upload_float_accounting():
-    means = {k: np.zeros(512) for k in range(10)}
-    msg = ClientMessage(client_id=0, task_id=1, class_means=means,
-                        class_counts={k: 1 for k in range(10)})
+    msg = _msg(0, 1, range(10), [1] * 10, np.zeros((10, 512)))
     assert msg.upload_floats == 5120
     assert msg.dim_e == 512
 
@@ -157,30 +158,24 @@ def test_message_idempotent_for_same_shard():
 
 def test_message_roundtrip_bit_exact():
     rng = np.random.default_rng(2)
-    means = {3: rng.normal(size=6), 7: rng.normal(size=6)}
-    msg = ClientMessage(client_id=11, task_id=4, class_means=means,
-                        class_counts={3: 50, 7: 49})
-    back = parse_message(serialize_message(msg))
+    means = rng.normal(size=(2, 6))
+    back = parse_message(serialize_message(_msg(11, 4, [3, 7], [50, 49],
+                                                means)))
     assert back.client_id == 11 and back.task_id == 4
-    assert list(back.class_means) == [3, 7]
-    assert back.class_counts == {3: 50, 7: 49}
-    for k in means:
-        assert np.array_equal(back.class_means[k], means[k])
+    assert back.classes.tolist() == [3, 7]
+    assert back.counts.tolist() == [50, 49]
+    assert np.array_equal(back.means, means)
+    assert back.means.flags.writeable
 
 
 def test_message_wire_size():
-    means = {k: np.zeros(16) for k in range(5)}
-    msg = ClientMessage(client_id=0, task_id=1, class_means=means,
-                        class_counts={k: 1 for k in range(5)})
+    msg = _msg(0, 1, range(5), [1] * 5, np.zeros((5, 16)))
     blob = serialize_message(msg)
     assert len(blob) == 16 + 5 * (8 + 16 * 8)
 
 
 def test_parse_rejects_corrupt_blobs():
-    means = {0: np.zeros(4)}
-    msg = ClientMessage(client_id=0, task_id=1, class_means=means,
-                        class_counts={0: 1})
-    blob = serialize_message(msg)
+    blob = serialize_message(_msg(0, 1, [0], [1], np.zeros((1, 4))))
     with pytest.raises(ProtocolError):
         parse_message(blob[:10])
     with pytest.raises(ProtocolError):
@@ -188,8 +183,7 @@ def test_parse_rejects_corrupt_blobs():
 
 
 def test_serialize_rejects_empty_message():
-    msg = ClientMessage(client_id=0, task_id=1, class_means={},
-                        class_counts={})
+    msg = _msg(0, 1, [], [], np.zeros((0, 4)))
     with pytest.raises(ProtocolError):
         serialize_message(msg)
 
@@ -199,12 +193,12 @@ def test_serialize_rejects_empty_message():
        seed=st.integers(0, 2**31 - 1))
 def test_message_roundtrip_property(dim, n_classes, seed):
     rng = np.random.default_rng(seed)
-    ids = sorted(rng.choice(1000, size=n_classes, replace=False).tolist())
-    means = {int(k): rng.normal(size=dim) for k in ids}
-    counts = {int(k): int(rng.integers(1, 100)) for k in ids}
-    msg = ClientMessage(client_id=int(rng.integers(1000)),
-                        task_id=int(rng.integers(100)),
-                        class_means=means, class_counts=counts)
+    ids = np.sort(rng.choice(1000, size=n_classes, replace=False))
+    counts = rng.integers(1, 100, size=n_classes)
+    means = rng.normal(size=(n_classes, dim))
+    msg = _msg(int(rng.integers(1000)), int(rng.integers(100)), ids, counts,
+               means)
     back = parse_message(serialize_message(msg))
-    assert back.class_counts == counts
-    assert all(np.array_equal(back.class_means[k], means[k]) for k in ids)
+    assert np.array_equal(back.classes, ids)
+    assert np.array_equal(back.counts, counts)
+    assert np.array_equal(back.means, means)

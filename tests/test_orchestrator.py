@@ -8,7 +8,8 @@ from osifl import orchestrator, trainer
 from osifl.config import ExperimentConfig, build_run_inputs
 from osifl.datagen import Batch, draw_base_pool
 from osifl.diffusion import make_surrogate
-from osifl.encoder import build_client_message, make_encoder
+from osifl.encoder import build_client_message, make_encoder, \
+    parse_message, serialize_message
 from osifl.errors import ConfigError, ProtocolError
 from osifl.ledgers import ComputeLedger
 from osifl.orchestrator import (CSV_HEADER, FEDERATED_METHODS, Method,
@@ -194,8 +195,8 @@ def test_upload_guards_reject_repeats_and_foreign_messages():
     by_task = {}
     for s in shards:
         by_task.setdefault(s.task_id, []).append(s)
-    msgs1 = [build_client_message(encoder, s) for s in by_task[1]]
-    msgs2 = [build_client_message(encoder, s) for s in by_task[2]]
+    msgs1, msgs2 = ([serialize_message(build_client_message(encoder, s))
+                     for s in by_task[t]] for t in (1, 2))
     _run_phase(oneshot_task_phase(state, suite.tasks[0], msgs1))
     with pytest.raises(ProtocolError):
         _run_phase(oneshot_task_phase(state, suite.tasks[0], msgs1))
@@ -394,6 +395,45 @@ def test_run_method_covers_federated_methods():
             (method is Method.FEDEWC)
 
 
+class _SealableShard:
+    """A client's shard that hands out its samples until it is sealed,
+    and raises on every read of them after."""
+
+    def __init__(self, shard):
+        self.client_id, self.task_id = shard.client_id, shard.task_id
+        self._samples, self.sealed = shard.samples, False
+
+    @property
+    def samples(self):
+        if self.sealed:
+            raise AssertionError(f"client {self.client_id}'s samples were "
+                                 f"read after its upload")
+        return self._samples
+
+
+def test_the_oneshot_server_reads_only_the_uploaded_bytes(monkeypatch):
+    # Each shard is sealed as soon as its client's blob exists, so the
+    # server can learn a task only from the bytes; the runs share one
+    # memo, so the later methods find every shard sealed from the start.
+    cfg = _small(clients_per_task=2)
+    world, suite, shards, test_sets = build_run_inputs(cfg, 6)
+    sealable = {(s.task_id, s.client_id): _SealableShard(s) for s in shards}
+    real = orchestrator.serialize_message
+
+    def sealing(msg):
+        blob = real(msg)
+        sealable[msg.task_id, msg.client_id].sealed = True
+        return blob
+
+    monkeypatch.setattr(orchestrator, "serialize_message", sealing)
+    memo = ServerMemo()
+    for method in sorted(ONESHOT_METHODS):
+        report = run_method(method, world, suite, list(sealable.values()),
+                            test_sets, cfg, 6, server=memo)
+        assert report == reference_run(method, cfg, 6).report
+    assert all(s.sealed for s in sealable.values())
+
+
 def test_osifl_at_p0_bills_and_scores_like_naive_training():
     # Replay from a memory that keeps nothing is naive fine-tuning, and
     # scoring candidates that are all thrown away costs nothing.
@@ -438,8 +478,9 @@ def test_synthesized_samples_view_read_only_memo_arrays():
     state = _oneshot_state(cfg, world, encoder, 4,
                            method=Method.OSCAR_CEILING)
     task = suite.tasks[0]
-    _run_phase(oneshot_task_phase(state, task, [
-        build_client_message(encoder, s) for s in shards if s.task_id == 1]))
+    blobs = [serialize_message(build_client_message(encoder, s))
+             for s in shards if s.task_id == 1]
+    _run_phase(oneshot_task_phase(state, task, blobs))
     ((data, batches), _madds), = [entry for key, entry
                                   in state.server._entries.items()
                                   if key[0] == "synthesis"]
@@ -450,9 +491,8 @@ def test_synthesized_samples_view_read_only_memo_arrays():
     assert not data.x.base.flags.writeable
     assert data.y.tolist() == [k for k in task.classes
                                for _ in range(cfg.z_per_class)]
-    messages = [build_client_message(encoder, s) for s in shards
-                if s.task_id == 1]
-    again, per_class = orchestrator._synthesized_task(state, messages)
+    again, per_class = orchestrator._synthesized_task(
+        state, blobs, [parse_message(blob) for blob in blobs])
     assert again is data
     for k, batch in per_class.items():
         assert batch is batches[k]

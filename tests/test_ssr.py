@@ -238,7 +238,7 @@ def test_whole_task_selection_equals_the_per_class_reference(score_by):
                                draw_base_pool(world, 120, 3))
     messages = [build_client_message(encoder, s) for s in shards
                 if s.task_id == 1]
-    assert all(len(m.class_means) == 3 for m in messages)
+    assert all(len(m.classes) == 3 for m in messages)
     data = synthesize_task_data(generator, messages, 7, 1.0,
                                 stream(3, "synth", 1)).data
     rng = np.random.default_rng(2)
