@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
-    build_run_inputs, check_input_sizes, parse_config
+    build_run_inputs, parse_config
 from .errors import ConfigError
 # Grids drive `run_steps` through `lockstep`; `run_method`, which drives
 # one run alone, stays bound here for callers that wrap it.
@@ -63,9 +63,7 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
     cells, failures = [], []
 
     def steps(method, cfg, seed):
-        # Sizes are checked per cell (the inputs key leaves out fields the
-        # check reads) and inputs built as the run starts: an error fails it.
-        check_input_sizes(cfg)
+        # Inputs are built as the run starts: an error fails it.
         inputs = server.recall(memo_key("inputs", cfg, seed),
                                lambda _: build_run_inputs(cfg, seed), None)
         return (yield from run_steps(method, *inputs, cfg, seed,
@@ -144,8 +142,8 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir: str) -> int:
     """Run the whole experiment per axis value; same world and seeds
     across values, so comparisons are paired. One combined CSV. Values
     are checked with the config file's parser for the axis key, for a
-    value listed twice, and for the sizes of each value's config, before
-    any run starts. A method that does not read the axis runs once per
+    value listed twice, and by building each value's config, before any
+    run starts. A method that does not read the axis runs once per
     seed and its report is reused for every value."""
     if axis not in SWEEP_AXES:
         raise ConfigError(
@@ -159,8 +157,7 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir: str) -> int:
         raise ConfigError(f"sweep {axis}: {err}") from None
     for value in parsed:
         try:
-            check_input_sizes(dataclasses.replace(
-                config, **{FIELD_SPECS[axis][0]: value}))
+            dataclasses.replace(config, **{FIELD_SPECS[axis][0]: value})
         except ConfigError as err:
             raise ConfigError(f"sweep {axis}={value}: {err}") from None
     cells, failures = _run_into(out_dir, config, axis, parsed)

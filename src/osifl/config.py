@@ -2,8 +2,8 @@
 with `#` comments, strict unknown-key rejection, and a canonical
 serialization that round-trips through the parser. `ExperimentConfig` is
 the one hyperparameter object: the head trainer and the denoiser's
-pretraining read their settings from it, and building one in Python
-checks each value by the config file's rules.
+pretraining read their settings from it. A config that exists is valid:
+building one checks each value, the rules across keys and the size cap.
 """
 from __future__ import annotations
 
@@ -149,7 +149,8 @@ _NON_NEGATIVE = _float_in(0.0, math.inf)
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment; each field is one line of the config file."""
+    """One experiment; each field is one line of the config file. A
+    config that exists is valid: construction checks it whole."""
     dim_x: int = _spec(16, _int_min(1))
     num_classes: int = _spec(30, _int_min(2))
     num_domains: int = _spec(6, _int_min(1))
@@ -192,18 +193,20 @@ class ExperimentConfig:
     out_dir: str = _spec("out", _parse_out_dir)
 
     def __post_init__(self):
-        """Parse each value's text in the config file: a value the file
-        would refuse, or read back as another, raises ConfigError naming
-        its key."""
+        """Parse each value's text in the config file, then check the
+        rules across keys and the size cap: a value the file would
+        refuse, or read back as another, or a config the file would
+        refuse, raises ConfigError naming its key."""
         for f in dataclasses.fields(self):
             key, value = f.metadata["key"] or f.name, getattr(self, f.name)
             try:
                 parsed = f.metadata["parse"](_fmt_value(value))
             except ConfigError as err:
-                raise ConfigError(f"{key}: {err}") from None
+                raise ConfigError(f"{key}: {err}", key) from None
             if parsed != value:
                 raise ConfigError(f"{key}: {value!r} reads back as "
-                                  f"{parsed!r}")
+                                  f"{parsed!r}", key)
+        _cross_validate(self)
 
     def canonical(self) -> str:
         return serialize_config(self)
@@ -213,12 +216,6 @@ class ExperimentConfig:
 FIELD_SPECS: dict[str, tuple[str, object]] = {
     f.metadata["key"] or f.name: (f.name, f.metadata["parse"])
     for f in dataclasses.fields(ExperimentConfig)}
-
-
-def _fail(lines_for: dict[str, int], key: str, message: str):
-    line = lines_for.get(key)
-    prefix = f"line {line}: " if line is not None else ""
-    raise ConfigError(prefix + message)
 
 
 def _suite_classes(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -231,12 +228,11 @@ def _suite_classes(cfg: ExperimentConfig) -> tuple[int, int]:
     return cfg.num_tasks * cfg.classes_per_task, cfg.classes_per_task
 
 
-def check_input_sizes(cfg: ExperimentConfig,
-                      lines_for: dict[str, int] | None = None) -> None:
+def check_input_sizes(cfg: ExperimentConfig) -> None:
     """Refuse, from closed forms and before anything is allocated, a
     config that would make an array, or a set of buffers made together,
     of more than MAX_ARRAY_FLOATS floats, naming the largest of the keys
-    that drive it (and its line, if `lines_for` has it). A count is the
+    that drive it; every config's construction runs it. A count is the
     product of the driving sizes, not an exact buffer layout. Embedded
     rows count as arrays of their own: a client's shard, a task's test
     set, the generator's (class, domain) table and the most rows one head
@@ -280,32 +276,30 @@ def check_input_sizes(cfg: ExperimentConfig,
     for keys, what, floats in arrays:
         if floats > MAX_ARRAY_FLOATS:
             key = max(keys, key=lambda k: getattr(cfg, k))
-            _fail(lines_for or {}, key,
-                  f"{key}: the {what} would hold {floats} floats, more "
-                  f"than 2^27 = {MAX_ARRAY_FLOATS}")
+            raise ConfigError(f"{key}: the {what} would hold {floats} "
+                              f"floats, more than 2^27 = {MAX_ARRAY_FLOATS}",
+                              key)
 
 
-def _cross_validate(cfg: ExperimentConfig, lines_for: dict[str, int]) -> None:
+def _cross_validate(cfg: ExperimentConfig) -> None:
     if cfg.suite_mode == CLASS_INCREMENTAL:
         if isinstance(cfg.classes_per_task, tuple) and \
                 len(cfg.classes_per_task) != cfg.num_tasks:
-            _fail(lines_for, "classes_per_task",
-                  f"classes_per_task lists {len(cfg.classes_per_task)} "
-                  f"tasks but num_tasks is {cfg.num_tasks}")
+            raise ConfigError(
+                f"classes_per_task lists {len(cfg.classes_per_task)} tasks "
+                f"but num_tasks is {cfg.num_tasks}", "classes_per_task")
         needed = _suite_classes(cfg)[0]
         if needed > cfg.num_classes:
-            _fail(lines_for, "classes_per_task",
-                  f"suite needs {needed} classes but num_classes is "
-                  f"{cfg.num_classes}")
-    else:
-        if cfg.num_tasks > cfg.num_domains:
-            _fail(lines_for, "num_tasks",
-                  f"domain_incremental needs num_tasks <= num_domains, got "
-                  f"{cfg.num_tasks} > {cfg.num_domains}")
+            raise ConfigError(f"suite needs {needed} classes but num_classes "
+                              f"is {cfg.num_classes}", "classes_per_task")
+    elif cfg.num_tasks > cfg.num_domains:
+        raise ConfigError(f"domain_incremental needs num_tasks <= "
+                          f"num_domains, got {cfg.num_tasks} > "
+                          f"{cfg.num_domains}", "num_tasks")
     if cfg.beta_min > cfg.beta_max:
-        _fail(lines_for, "beta_min",
-              f"beta_min {cfg.beta_min} exceeds beta_max {cfg.beta_max}")
-    check_input_sizes(cfg, lines_for)
+        raise ConfigError(f"beta_min {cfg.beta_min} exceeds beta_max "
+                          f"{cfg.beta_max}", "beta_min")
+    check_input_sizes(cfg)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -331,11 +325,13 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             values[attr] = parser(value)
         except ConfigError as err:
-            raise ConfigError(f"line {lineno}: {key}: {err}") from None
+            raise ConfigError(f"line {lineno}: {key}: {err}", key) from None
         lines_for[key] = lineno
-    cfg = ExperimentConfig(**values)
-    _cross_validate(cfg, lines_for)
-    return cfg
+    try:
+        return ExperimentConfig(**values)
+    except ConfigError as err:
+        line = f"line {lines_for[err.key]}: " if err.key in lines_for else ""
+        raise ConfigError(line + str(err), err.key) from None
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -349,9 +345,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def build_run_inputs(cfg: ExperimentConfig, seed: int):
     """World, suite, shards and test sets for one seed. Every method of
-    a seed shares these, so comparisons are paired. Inputs too large to
-    hold are a `ConfigError`, raised before any is drawn."""
-    check_input_sizes(cfg)
+    a seed shares these, so comparisons are paired."""
     world = build_world(cfg.dim_x, cfg.num_classes, cfg.num_domains,
                         cfg.within_std, seed)
     classes_per_task = cfg.classes_per_task

@@ -200,6 +200,11 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, blobs: list[bytes]):
             raise ProtocolError(
                 f"message from client {msg.client_id} belongs to task "
                 f"{msg.task_id}, not {t}")
+        foreign = sorted(set(msg.classes.tolist()) - set(task.classes))
+        if foreign:
+            raise ProtocolError(f"message from client {msg.client_id} names "
+                                f"class {foreign[0]}, which task {t} does "
+                                f"not bring")
         if msg.client_id in state.comms.messages_by_client:
             raise ProtocolError(
                 f"client {msg.client_id} already sent its one-shot message")

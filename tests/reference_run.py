@@ -2,11 +2,17 @@
 built from: `reference_run` takes one (method, config, seed) straight
 through the protocol, one head at a time, with no memo, stack or
 lockstep. Clients upload their class means once, the server synthesizes
-chain by chain and trains the head with a dict-in, dict-out Adam, and
-OSIFL keeps the top p rows of each class; the federated baselines average
-their clients' heads round by round. Every operation is billed from the
-closed forms in `osifl.ledgers`. The grid tests hold every memo, stack
-and lockstep shortcut of the program to this run.
+and trains the head with a dict-in, dict-out Adam, and OSIFL keeps the
+top p rows of each class; the federated baselines average their clients'
+heads round by round. Every operation is billed from the closed forms in
+`osifl.ledgers`. The grid tests hold every memo, stack and lockstep
+shortcut of the program to this run.
+
+Under `surrogate` the server draws chain by chain. Under `ddpm` it draws
+through the program's own `DiffusionModel.sample_chains`, so this run
+does not check the factored reverse chain; the per-chain loop in
+`tests/test_diffusion.py` holds it to rtol 1e-12
+(`test_sample_chains_matches_the_per_chain_loop`).
 """
 from typing import NamedTuple
 

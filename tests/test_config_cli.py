@@ -108,6 +108,34 @@ def test_cross_validation_failures():
         parse_config("beta_min = 0.2\nbeta_max = 0.1\n")
 
 
+@pytest.mark.parametrize("body, key", [
+    ("num_tasks = 2\nclasses_per_task = 3, 2, 2", "classes_per_task"),
+    ("num_tasks = 8\nclasses_per_task = 5", "classes_per_task"),
+    ("suite_mode = domain_incremental\nnum_tasks = 7", "num_tasks"),
+    ("beta_max = 0.1\nbeta_min = 0.2", "beta_min"),
+    ("test_per_class = 999999999999", "test_per_class")],
+    ids=["list_length", "too_few_classes", "too_few_domains",
+         "betas_crossed", "oversized_array"])
+def test_construction_refuses_what_the_parser_refuses_across_keys(
+        body, key):
+    # `ExperimentConfig(...)` and `dataclasses.replace` of a valid config
+    # raise the parser's error less its line, naming the key.
+    lines = body.splitlines()
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(body + "\n")
+    line = 1 + [ln.split(" = ")[0] for ln in lines].index(key)
+    prefix = f"line {line}: "
+    assert str(parsed.value).startswith(prefix)
+    values = {FIELD_SPECS[k][0]: FIELD_SPECS[k][1](v)
+              for k, v in (ln.split(" = ") for ln in lines)}
+    for build in (lambda: ExperimentConfig(**values),
+                  lambda: dataclasses.replace(ExperimentConfig(), **values)):
+        with pytest.raises(ConfigError) as built:
+            build()
+        assert str(built.value) == str(parsed.value)[len(prefix):]
+        assert built.value.key == key
+
+
 def test_methods_list_parsing():
     cfg = parse_config("methods = OSIFL, FEDAVG\n")
     assert cfg.methods == (Method.OSIFL, Method.FEDAVG)
@@ -677,36 +705,40 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 
 
 def test_an_error_building_a_seeds_inputs_fails_each_of_its_runs(
-        tmp_path, capsys):
-    # A config built in Python skips the parser's checks, so shards too
-    # large to hold are refused only as each seed's inputs are built, and
-    # each (seed, method) cell fails like a failed run.
-    cfg = ExperimentConfig(n_per_class=2 ** 63 - 1, seeds=(7, 8),
-                           methods=(Method.OSCAR_IL, Method.FEDAVG))
+        tmp_path, monkeypatch, capsys):
+    # Shards too large to hold are refused as the config is built, with
+    # the parser's message less its line, so no grid ever sees them.
+    with pytest.raises(ConfigError, match=r"^n_per_class: the client "
+                                          r"shards would hold ") as huge:
+        ExperimentConfig(n_per_class=2 ** 63 - 1)
+    assert huge.value.key == "n_per_class"
+
+    # An error building a seed's inputs fails each (seed, method) cell of
+    # that seed like a failed run.
+    def refuse(cfg, seed):
+        raise ConfigError(f"no inputs for seed {seed}")
+
+    monkeypatch.setattr(cli, "build_run_inputs", refuse)
+    cfg = _small(seeds=(7, 8), methods=(Method.OSCAR_IL, Method.FEDAVG))
     out = tmp_path / "out"
     assert run_experiment(cfg, str(out)) == 1
     err = capsys.readouterr().err.splitlines()
-    assert [line.split(": ", 2)[1] for line in err] == [
-        f"{m} seed={s}" for s in (7, 8) for m in ("OSCAR_IL", "FEDAVG")]
-    assert all(line.startswith("run failed: ") and
-               "n_per_class: the client shards would hold" in line
-               for line in err)
+    assert err == [f"run failed: {m} seed={s}: no inputs for seed {s}"
+                   for s in (7, 8) for m in ("OSCAR_IL", "FEDAVG")]
     assert os.listdir(out) == ["summary.partial.csv"]
     assert (out / "summary.partial.csv").read_text() == CSV_HEADER + "\n"
 
 
 def test_a_grid_checks_sizes_its_shared_inputs_leave_out():
-    # The inputs key leaves out `base_pool_total`, so a second grid on the
-    # same memo recalls the first grid's inputs and skips the check in
-    # `build_run_inputs`; the grid's own check still fails the run. The
-    # pool is one NumPy refuses before allocating, were it drawn.
+    # The inputs key leaves out `base_pool_total`, so a grid could recall
+    # inputs drawn for a smaller pool; a config whose pool is too large to
+    # hold never exists to reach one. The pool is one NumPy refuses
+    # before allocating, were it drawn.
     cfg = ExperimentConfig(**_WALK, methods=(Method.OSCAR_IL,), seeds=(7,))
-    server = orchestrator.ServerMemo()
-    assert cli.run_grid(cfg, None, [None], cfg.seeds, server)[1] == []
-    huge = dataclasses.replace(cfg, base_pool_total=2 ** 63 - 1)
-    _, failures = cli.run_grid(huge, None, [None], huge.seeds, server)
-    assert [f.split(": the ")[0] for f in failures] == [
-        "OSCAR_IL seed=7: base_pool_total"]
+    refused = r"^base_pool_total: the pretraining pool would hold "
+    with pytest.raises(ConfigError, match=refused) as err:
+        dataclasses.replace(cfg, base_pool_total=2 ** 63 - 1)
+    assert err.value.key == "base_pool_total"
 
 
 def test_main_sweep_and_selftest_wiring(tmp_path, monkeypatch):
@@ -793,12 +825,26 @@ def test_non_finite_synthesis_is_a_failed_run_not_a_nan_row(
     assert "nan" not in (out / "summary.partial.csv").read_text()
 
 
+def _foreign_class(blob):
+    """Seed 5's tasks bring classes (2, 4, 6, 7), then (0, 1, 3, 5): the
+    second task's blob names class 7 for its last class, 5, which keeps
+    its classes ascending."""
+    msg = parse_message(blob)
+    if msg.task_id == 1:
+        return blob
+    assert msg.classes.tolist() == [0, 1, 3, 5]
+    return serialize_message(dataclasses.replace(
+        msg, classes=np.array([0, 1, 3, 7])))
+
+
 @pytest.mark.parametrize("corrupt, error", [
     # The header's 16 bytes, then the first class's id and count.
     (lambda blob: blob[:20] + bytes(4) + blob[24:],
      r"message blob gives class \d+ no samples"),
-    (lambda blob: blob[:-1], "message blob is truncated")],
-    ids=["zeroed_count", "truncated"])
+    (lambda blob: blob[:-1], "message blob is truncated"),
+    (_foreign_class, "message from client 1 names class 7, which task 2 "
+                     "does not bring")],
+    ids=["zeroed_count", "truncated", "foreign_class"])
 def test_a_blob_corrupted_in_flight_fails_only_its_own_run(
         tmp_path, monkeypatch, capsys, corrupt, error):
     real = orchestrator.serialize_message
