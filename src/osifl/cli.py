@@ -5,17 +5,21 @@ import argparse
 import contextlib
 import dataclasses
 import os
+import pickle
+import signal
 import sys
+import warnings
 
 import numpy as np
 
 from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
     build_run_inputs, parse_config
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolError
 # Grids drive `run_steps` through `lockstep`; `run_method`, which drives
 # one run alone, stays bound here for callers that wrap it.
-from .orchestrator import CSV_HEADER, ServerMemo, lockstep, memo_key, \
-    rows_to_csv, run_method, run_steps, write_report_csv
+from .orchestrator import CSV_HEADER, FEDERATED_METHODS, RunReport, \
+    ServerMemo, lockstep, memo_key, rows_to_csv, run_method, run_steps, \
+    write_report_csv
 
 SEED_ENV = "OSIFL_SEED_OVERRIDE"
 
@@ -48,44 +52,188 @@ def _seed_means(cfg: ExperimentConfig, reports: list):
                            for t_idx in range(len(mine[0].avg_after))]
 
 
+def _check_axis(axis: str) -> None:
+    if axis not in SWEEP_AXES:
+        raise ConfigError(
+            f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
+
+
+def _axis_configs(config: ExperimentConfig, axis: str | None, values):
+    """One config per axis value (`config` itself when `axis` is None),
+    all built before any run; a value the config refuses raises
+    `ConfigError` prefixed `{axis}={value}:`."""
+    if axis is None:
+        return [config] * len(values)
+    _check_axis(axis)
+    configs = []
+    for value in values:
+        try:
+            configs.append(dataclasses.replace(
+                config, **{FIELD_SPECS[axis][0]: value}))
+        except ConfigError as err:
+            raise ConfigError(f"{axis}={value}: {err}", err.key) from None
+    return configs
+
+
+def _can_fork() -> bool:
+    """A worker pays only with a second CPU to run it on."""
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+        and len(os.sched_getaffinity(0)) >= 2
+
+
+@contextlib.contextmanager
+def _forked(work):
+    """Run `work()`, which returns bytes, in a forked worker process that
+    pipes them back. Yields `join`, which waits for the worker and
+    returns those bytes, or raises `ProtocolError` if the worker died.
+    However the block ends, the pipe is closed and the worker reaped,
+    killed first if no `join` reaped it. If the system refuses the fork,
+    `work()` runs here instead."""
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of a fork with threads running; NumPy's
+            # OpenBLAS threads are shut down across a fork.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        data = work()
+        yield lambda: data
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as out:
+                out.write(work())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    status = None
+
+    def join() -> bytes:
+        nonlocal status
+        data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise ProtocolError(
+                "the federated worker " + (f"was killed by signal {-code}"
+                                           if code < 0 else
+                                           f"exited with code {code}"))
+        return data
+
+    with os.fdopen(r, "rb") as pipe:
+        try:
+            yield join
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _returned(join, keys: list) -> dict:
+    """The worker's report for each of `keys`, or its failure's text as
+    an error; every key fails alike if the worker died or sent anything
+    else."""
+    try:
+        got = pickle.loads(join())
+        if not (isinstance(got, dict) and set(got) == set(keys) and all(
+                isinstance(v, (RunReport, str)) for v in got.values())):
+            raise ValueError(got)
+    except ProtocolError as err:
+        return dict.fromkeys(keys, err)
+    except Exception:
+        return dict.fromkeys(keys, ProtocolError(
+            "the federated worker sent unreadable bytes"))
+    return {key: v if isinstance(v, RunReport) else RuntimeError(v)
+            for key, v in got.items()}
+
+
 def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
-             server: ServerMemo | None = None):
+             server: ServerMemo | None = None, workers: int = 0):
     """Run every (axis value, seed, method) cell; return one `(cfg,
     reports)` per value, reports in that order, and a line per failed
-    run in that order. All cells share `server` (a new memo by default),
-    so each seed's inputs, generator, task synthesis and run is computed
-    once per `memo_key`. The seeds of one value and method that still
-    need a run advance together (`lockstep`), so that their matching
-    training calls train as one stack. A cell that reuses a report gets
-    its own `config_echo`; a failed run is not kept, so every cell that
-    reaches it runs and fails again."""
-    server = ServerMemo() if server is None else server
+    run in that order. Every value's config is built, and refused with
+    `ConfigError`, before any run. All cells share `server` (a new memo
+    by default), so each seed's inputs, generator, task synthesis and run
+    is computed once per `memo_key`. The seeds of one value and method
+    that still need a run advance together (`lockstep`), so that their
+    matching training calls train as one stack. A cell that reuses a
+    report gets its own `config_echo`; a failed run is not kept, so every
+    cell that reaches it runs and fails again.
+
+    `workers=1` lets a value that still has both federated and one-shot
+    runs to compute, on a machine with `os.fork` and two CPUs, run its
+    federated runs in one forked worker while its one-shot runs train
+    here; the worker pipes back each report, which is kept in `server`,
+    or each failure's text. Reports and failure lines are those of
+    `workers=0`, which runs everything in this process, so that a wrapper
+    around a module function sees every call. A worker that dies fails
+    each of its runs."""
+    return _run_cells(_axis_configs(config, axis, values), axis, values,
+                      seeds, ServerMemo() if server is None else server,
+                      workers)
+
+
+def _run_cells(configs, axis, values, seeds, server: ServerMemo,
+               workers: int):
+    """`run_grid` over the already built config of each value."""
+    if workers not in (0, 1):
+        raise ConfigError(f"workers must be 0 or 1, not {workers!r}")
     cells, failures = [], []
+
+    def inputs(cfg, seed):
+        return server.recall(memo_key("inputs", cfg, seed),
+                             lambda _: build_run_inputs(cfg, seed), None)
 
     def steps(method, cfg, seed):
         # Inputs are built as the run starts: an error fails it.
-        inputs = server.recall(memo_key("inputs", cfg, seed),
-                               lambda _: build_run_inputs(cfg, seed), None)
-        return (yield from run_steps(method, *inputs, cfg, seed,
+        return (yield from run_steps(method, *inputs(cfg, seed), cfg, seed,
                                      server=server))
 
-    for value in values:
-        cfg = config if axis is None else \
-            dataclasses.replace(config, **{FIELD_SPECS[axis][0]: value})
-        done = {(seed, method): None for seed in seeds
+    def run(cfg, todo: dict) -> dict:
+        """Each method's `todo` seeds in lockstep, method by method."""
+        return {(method, seed): result for method, ready in todo.items()
+                for seed, result in zip(ready, lockstep(
+                    [steps(method, cfg, seed) for seed in ready]))}
+
+    for value, cfg in zip(values, configs):
+        keys = {(seed, method): memo_key(method, cfg, seed)
+                for seed in seeds for method in cfg.methods}
+        todo = {method: [seed for seed in seeds
+                         if keys[seed, method] not in server]
                 for method in cfg.methods}
-        for method in cfg.methods:
-            keys = {seed: memo_key(method, cfg, seed) for seed in seeds}
-            todo = [seed for seed in seeds if keys[seed] not in server]
-            ran = dict(zip(todo, lockstep([steps(method, cfg, seed)
-                                           for seed in todo])))
-            for seed in seeds:
-                result = ran.get(seed)
-                if not isinstance(result, Exception):
-                    # Keeps a new report, or recalls the kept one.
-                    result = server.recall(keys[seed], lambda _: ran[seed],
-                                           None)
-                done[seed, method] = result
+        forked = {m: ready for m, ready in todo.items()
+                  if m in FEDERATED_METHODS and ready}
+        here = {m: ready for m, ready in todo.items() if m not in forked}
+        if workers and forked and any(here.values()) and _can_fork():
+            # The worker finds the inputs of its seeds built.
+            for seed in dict.fromkeys(s for ready in forked.values()
+                                      for s in ready):
+                with contextlib.suppress(Exception):
+                    inputs(cfg, seed)
+            with _forked(lambda: pickle.dumps({
+                    key: r if isinstance(r, RunReport) else str(r)
+                    for key, r in run(cfg, forked).items()})) as join:
+                ran = run(cfg, here)
+                ran.update(_returned(join, [(m, s) for m, ready in
+                                            forked.items() for s in ready]))
+        else:
+            ran = run(cfg, todo)
+        done = {}
+        for (seed, method), key in keys.items():
+            result = ran.get((method, seed))
+            if not isinstance(result, Exception):
+                # Keeps a new report, or recalls the kept one.
+                result = server.recall(key, lambda _: ran[method, seed],
+                                       None)
+            done[seed, method] = result
         tag = "" if axis is None else f"{axis}={value} "
         failures.extend(f"{tag}{m.value} seed={seed}: {result}"
                         for (seed, m), result in done.items()
@@ -96,14 +244,14 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
     return cells, failures
 
 
-def _run_into(out_dir: str, config: ExperimentConfig, axis, values):
-    """Create `out_dir`, then run the grid over the resolved seeds."""
+def _run_into(out_dir: str, configs, axis, values, seeds, workers: int):
+    """Create `out_dir`, then run the grid of `configs`."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
         raise ConfigError(
             f"cannot create output directory {out_dir}: {err}") from None
-    return run_grid(config, axis, values, resolve_seeds(config))
+    return _run_cells(configs, axis, values, seeds, ServerMemo(), workers)
 
 
 def _write_summary(out_dir: str, stem: str, header: str, rows: list,
@@ -123,14 +271,26 @@ def _write_summary(out_dir: str, stem: str, header: str, rows: list,
     return 1 if failures else 0
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str) -> int:
+def run_experiment(config: ExperimentConfig, out_dir: str,
+                   workers: int = 0) -> int:
     """Run every configured (method, seed) pair; write one CSV per run
     plus a seed-averaged summary. Nonzero exit if any run failed, with
-    whatever completed written under a 'partial' summary name."""
-    [(_, reports)], failures = _run_into(out_dir, config, None, [None])
-    for report in reports:
-        write_report_csv(os.path.join(
-            out_dir, f"run_{report.method}_seed{report.seed}.csv"), [report])
+    whatever completed written under a 'partial' summary name, and an
+    earlier run's CSV under a failed run's name removed, so that it
+    cannot read as this run's. `workers` is `run_grid`'s."""
+    seeds = resolve_seeds(config)
+    [(_, reports)], failures = _run_into(out_dir, [config], None, [None],
+                                         seeds, workers)
+    by_cell = {(r.method, r.seed): r for r in reports}
+    for seed in seeds:
+        for method in config.methods:
+            path = os.path.join(out_dir, f"run_{method.value}_seed{seed}.csv")
+            report = by_cell.get((method.value, seed))
+            if report is None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+            else:
+                write_report_csv(path, [report])
     rows = [[method.value, -1, t_idx + 1, -1, avg, avg, forg, ups, madds]
             for method, means in _seed_means(config, reports)
             for t_idx, (avg, forg, ups, madds) in enumerate(means)]
@@ -138,16 +298,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> int:
                           "run failed")
 
 
-def sweep(config: ExperimentConfig, axis: str, values, out_dir: str) -> int:
+def sweep(config: ExperimentConfig, axis: str, values, out_dir: str,
+          workers: int = 0) -> int:
     """Run the whole experiment per axis value; same world and seeds
     across values, so comparisons are paired. One combined CSV. Values
     are checked with the config file's parser for the axis key, for a
     value listed twice, and by building each value's config, before any
     run starts. A method that does not read the axis runs once per
-    seed and its report is reused for every value."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(
-            f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
+    seed and its report is reused for every value. `workers` is
+    `run_grid`'s."""
+    _check_axis(axis)
     if not values:
         raise ConfigError("sweep needs at least one value")
     try:
@@ -155,12 +315,12 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir: str) -> int:
                                  for value in values), "value")
     except ConfigError as err:
         raise ConfigError(f"sweep {axis}: {err}") from None
-    for value in parsed:
-        try:
-            dataclasses.replace(config, **{FIELD_SPECS[axis][0]: value})
-        except ConfigError as err:
-            raise ConfigError(f"sweep {axis}={value}: {err}") from None
-    cells, failures = _run_into(out_dir, config, axis, parsed)
+    try:
+        configs = _axis_configs(config, axis, parsed)
+    except ConfigError as err:
+        raise ConfigError(f"sweep {err}") from None
+    cells, failures = _run_into(out_dir, configs, axis, parsed,
+                                resolve_seeds(config), workers)
     rows = []
     for value, (cfg, reports) in zip(parsed, cells):
         rows.extend([axis, value, r.method, r.seed, r.avg_after[-1],
@@ -181,7 +341,9 @@ def _load_config(path: str) -> ExperimentConfig:
     return parse_config(text)
 
 
-def main(argv=None) -> int:
+def main(argv=None, workers: int = 0) -> int:
+    """The `osifl` command on `argv`. `workers` is `run_grid`'s: 0 keeps
+    every run in this process."""
     parser = argparse.ArgumentParser(
         prog="osifl",
         description="One-shot incremental federated learning simulator")
@@ -201,13 +363,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = _load_config(args.config)
-            return run_experiment(config, args.out or config.out_dir)
+            return run_experiment(config, args.out or config.out_dir,
+                                  workers)
         if args.command == "sweep":
             config = _load_config(args.config)
             values = [tok.strip() for tok in args.values.split(",")
                       if tok.strip()]
             return sweep(config, args.axis, values,
-                         args.out or config.out_dir)
+                         args.out or config.out_dir, workers)
         if args.command == "selftest":
             from .acceptance import run_all
             return run_all()
@@ -217,5 +380,11 @@ def main(argv=None) -> int:
     return 0
 
 
+def command() -> int:
+    """The `osifl` console script, and `python -m osifl.cli`: the command
+    owns its process, so a grid may fork its federated worker."""
+    return main(workers=1)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(command())

@@ -741,6 +741,34 @@ def test_a_grid_checks_sizes_its_shared_inputs_leave_out():
     assert err.value.key == "base_pool_total"
 
 
+def test_a_grid_refuses_its_axis_and_values_before_any_run():
+    cfg = _small(methods=(Method.OSCAR_IL,), seeds=(7,))
+    server = orchestrator.ServerMemo()
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown sweep axis 'bogus'; choose from "
+            f"{sorted(cli.SWEEP_AXES)}")):
+        cli.run_grid(cfg, "bogus", [1], cfg.seeds, server)
+    with pytest.raises(ConfigError, match=r"^clients_per_task=1000000000000: "
+                       r"clients_per_task: the client shards would hold "):
+        cli.run_grid(cfg, "clients_per_task", [1, 10 ** 12], cfg.seeds,
+                     server)
+    assert not server._entries
+
+
+def test_a_failed_rerun_removes_the_earlier_runs_csv(tmp_path, capsys):
+    # The rerun's OSIFL fails (an untrained ddpm): the first run's
+    # OSIFL CSV would read as this run's result.
+    cfg = _small(methods=(Method.OSIFL, Method.FEDAVG), seeds=(3,))
+    assert run_experiment(cfg, str(tmp_path)) == 0
+    assert sorted(os.listdir(tmp_path)) == [
+        "run_FEDAVG_seed3.csv", "run_OSIFL_seed3.csv", "summary.csv"]
+    rerun = dataclasses.replace(cfg, generator="ddpm", pretrain_steps=0)
+    assert run_experiment(rerun, str(tmp_path)) == 1
+    assert "run failed: OSIFL seed=3: " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["run_FEDAVG_seed3.csv",
+                                            "summary.partial.csv"]
+
+
 def test_main_sweep_and_selftest_wiring(tmp_path, monkeypatch):
     path = tmp_path / "exp.cfg"
     path.write_text("num_tasks = 2\nnum_classes = 8\nclasses_per_task = 4\n"
@@ -964,12 +992,13 @@ def _stack_sizes(monkeypatch):
     return sizes
 
 
-def _assert_grid_matches_reference(cfg, axis, values, states):
-    """Run the grid: each report it returns, and each run it computes
-    after every task (`states`, from `record_states`), equal the
-    reference run's bit for bit. Returns the failure lines and how many
-    heads the reference runs train for the runs the grid computed."""
-    cells, failures = cli.run_grid(cfg, axis, values, cfg.seeds)
+def _assert_grid_matches_reference(cfg, axis, values, states, **grid):
+    """Run the grid, with `run_grid`'s keyword arguments `grid`: each
+    report it returns, and each run it computes in this process after
+    every task (`states`, from `record_states`), equal the reference
+    run's bit for bit. Returns the failure lines and how many heads the
+    reference runs train for the runs computed in this process."""
+    cells, failures = cli.run_grid(cfg, axis, values, cfg.seeds, **grid)
     refs = {}
     for cell, reports in cells:
         for r in reports:
@@ -1018,6 +1047,53 @@ def test_a_grid_equals_the_reference_run_after_every_task(
     failures, heads = _assert_grid_matches_reference(cfg, axis, values,
                                                      states)
     assert failures == [] and sum(sizes) == heads
+
+
+def _count_forks(monkeypatch):
+    """Give the grid two CPUs, and record each fork it makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    forks, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real())
+    return forks
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(_DDPM, **_ALL_SEEDS),
+    dict(adam_reset_per_task=False, lambda_ewc=100.0, mu_prox=1.0)],
+    ids=["surrogate", "ddpm", "persisted_moments"])
+def test_a_grid_of_seeds_with_a_worker_equals_the_reference_run(
+        monkeypatch, overrides):
+    # `test_a_grid_of_seeds_trains_them_stacked_like_a_grid_per_seed` with
+    # `workers=1`: the federated runs train stacked in one worker, out of
+    # the recorders' sight, and the one-shot runs train stacked here.
+    # Every report is the reference run's.
+    forks = _count_forks(monkeypatch)
+    cfg = _small(**dict(_ALL_SEEDS, **overrides))
+    states, sizes = record_states(monkeypatch), _stack_sizes(monkeypatch)
+    failures, heads = _assert_grid_matches_reference(
+        cfg, None, [None], states, workers=1)
+    assert failures == [] and set(sizes) == {3} and sum(sizes) == heads
+    assert len(states) == 4 * 3 * cfg.num_tasks and len(forks) == 1
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_a_p_sweep_forked_or_not_equals_the_reference_run(monkeypatch,
+                                                         workers):
+    # FEDAVG does not read p: p = 0 computes it, in the worker if there
+    # is one, and the memo keeps the reports for p = 2 and 5, whose
+    # only runs left are OSIFL's, so they fork nothing.
+    forks = _count_forks(monkeypatch)
+    cfg = _small(methods=_THREE, seeds=(3, 4))
+    server = orchestrator.ServerMemo()
+    states = record_states(monkeypatch)
+    failures, _ = _assert_grid_matches_reference(
+        cfg, "p", [0, 2, 5], states, server=server, workers=workers)
+    assert failures == [] and len(forks) == workers
+    for p in (0, 2, 5):
+        cell = dataclasses.replace(cfg, retain_per_class=p)
+        assert all(memo_key(Method.FEDAVG, cell, seed) in server
+                   for seed in cfg.seeds)
 
 
 def test_a_seed_whose_synthesis_is_not_finite_fails_alone(monkeypatch):
