@@ -82,10 +82,6 @@ class TaskSuite:
     mode: str
     tasks: tuple[TaskSpec, ...]
 
-    @property
-    def num_tasks(self) -> int:
-        return len(self.tasks)
-
 
 def build_world(dim_x: int, num_classes: int, num_domains: int,
                 within_std: float, seed: int) -> World:

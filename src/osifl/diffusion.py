@@ -500,28 +500,34 @@ _CKPT_HEAD = struct.Struct("<4sIIIIII")
 
 
 def save_model(model: DiffusionModel, path: str) -> None:
-    """Write the model as a flat little-endian binary checkpoint."""
+    """Write the model as a flat little-endian binary checkpoint. A model
+    that `load_model` would refuse raises ProtocolError and opens no file."""
     den = model.denoiser
-    blob = [_CKPT_HEAD.pack(_CKPT_MAGIC, 1, den.dim_x, den.dim_cond,
-                            den.num_steps, den.hidden, int(model.trained))]
-    blob.append(np.ascontiguousarray(model.schedule.betas,
-                                     dtype="<f8").tobytes())
-    blob.append(np.ascontiguousarray(den.flat, dtype="<f8").tobytes())
+    blob = _CKPT_HEAD.pack(_CKPT_MAGIC, 1, den.dim_x, den.dim_cond,
+                           den.num_steps, den.hidden, int(model.trained)) \
+        + np.ascontiguousarray(model.schedule.betas, dtype="<f8").tobytes() \
+        + np.ascontiguousarray(den.flat, dtype="<f8").tobytes()
+    _read_model(blob, f"model checkpoint {path}")
     with open(path, "wb") as fh:
-        fh.write(b"".join(blob))
+        fh.write(blob)
 
 
 def load_model(path: str) -> DiffusionModel:
     with open(path, "rb") as fh:
-        reader = BlobReader(fh.read(), f"model checkpoint {path}")
+        return _read_model(fh.read(), f"model checkpoint {path}")
+
+
+def _read_model(blob: bytes, what: str) -> DiffusionModel:
+    """The model a checkpoint blob holds; ProtocolError names it `what`."""
+    reader = BlobReader(blob, what)
     magic, version, dim_x, dim_cond, num_steps, hidden, trained = \
         _CKPT_HEAD.unpack(reader.take(_CKPT_HEAD.size))
     if magic != _CKPT_MAGIC or version != 1 or trained not in (0, 1):
-        raise ProtocolError(f"not a model checkpoint: {path}")
+        raise ProtocolError(f"{what} has a bad magic, version or flag")
     if 0 in (dim_x, dim_cond, num_steps, hidden):
         raise ProtocolError(
-            f"model checkpoint {path} has a zero size: dim_x {dim_x}, "
-            f"dim_cond {dim_cond}, num_steps {num_steps}, hidden {hidden}")
+            f"{what} has a zero size: dim_x {dim_x}, dim_cond {dim_cond}, "
+            f"num_steps {num_steps}, hidden {hidden}")
     schedule = _schedule_from_betas(reader.floats(num_steps))
     shapes = _param_shapes(dim_x, dim_cond, num_steps, hidden)
     flat = reader.floats(_flat_size(shapes))

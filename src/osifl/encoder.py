@@ -146,31 +146,22 @@ def _row_dtype(dim_e: int) -> np.dtype:
 
 
 def serialize_message(msg: ClientMessage) -> bytes:
-    """The blob; ProtocolError if `parse_message` could not read it back."""
-    dim_e, k = msg.dim_e, np.size(msg.classes)
-    classes, counts, means = msg.classes, msg.counts, msg.means
-    if not (classes.shape == counts.shape == (k,) and means.shape == (k, dim_e)
-            and {classes.dtype.kind, counts.dtype.kind} <= set("iu")
-            and (classes[1:] > classes[:-1]).all()):
-        raise ProtocolError(
-            f"refusing to serialize classes {classes.shape}, counts "
-            f"{counts.shape} and means {means.shape}: need integer classes "
-            f"in ascending order, with an integer count and a mean row each")
-    if not ((classes >= 0) & (classes < 2**32) & (counts < 2**32)).all():
-        raise ProtocolError("message field out of range: a class id or "
-                            "count is not a u32")
-    bad = (counts < 1) | (dim_e < 1) | ~np.isfinite(means).all(axis=1)
-    if bad.any():
-        raise ProtocolError(
-            f"refusing to serialize class {classes[bad.argmax()]}: its mean "
-            f"must be {dim_e} >= 1 finite floats and its count >= 1")
-    rows = np.empty(k, _row_dtype(dim_e))
-    rows["class"], rows["count"], rows["mean"] = classes, counts, means
+    """The blob, which `parse_message` must read back field by field as
+    sent, else ProtocolError: what the reader refuses, or a wrapped u32."""
+    rows = np.empty(np.size(msg.classes), _row_dtype(msg.dim_e))
     try:
-        head = _HEADER.pack(msg.client_id, msg.task_id, dim_e, k)
-    except struct.error as err:
-        raise ProtocolError(f"message field out of range: {err}") from None
-    return head + rows.tobytes()
+        with np.errstate(invalid="raise"):
+            rows["class"], rows["count"], rows["mean"] = \
+                msg.classes, msg.counts, msg.means
+        blob = _HEADER.pack(msg.client_id, msg.task_id, msg.dim_e,
+                            len(rows)) + rows.tobytes()
+    except (ArithmeticError, TypeError, ValueError, struct.error) as err:
+        raise ProtocolError(f"message does not fit the wire: {err}") from None
+    if not all(map(np.array_equal, vars(parse_message(blob)).values(),
+                   vars(msg).values())):
+        raise ProtocolError("message blob does not read back as sent: a "
+                            "field is not a u32 or not an exact float64")
+    return blob
 
 
 def parse_message(blob: bytes) -> ClientMessage:

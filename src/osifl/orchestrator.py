@@ -25,7 +25,8 @@ from .errors import ConfigError, ProtocolError
 from .ledgers import CommsLedger, ComputeLedger
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars
-from .trainer import AnchorState, Classifier, Stack, estimate_fisher, train
+from .trainer import HP_FIELDS, AnchorState, Classifier, Stack, \
+    estimate_fisher, train
 
 # bench/traced.py and the tests time and patch head training through these
 # names, one per method, until the program reports its own (ROADMAP item 1).
@@ -102,11 +103,9 @@ _INPUTS = (*_WORLD, "suite_mode", "num_tasks", "classes_per_task",
            "clients_per_task", "n_per_class", "test_per_class")
 _GENERATOR = ("base_pool_total", "dim_e", "generator", *_PRETRAINING)
 _SYNTHESIS = ("z_per_class", "guidance_w")
-# Head training; a federated client trains `local_epochs` from fresh Adam.
-_HEAD = ("learning_rate", "batch_size", "weight_decay")
-_ONESHOT = (*_INPUTS, *_GENERATOR, *_SYNTHESIS, *_HEAD, "epochs_per_task",
-            "adam_reset_per_task")
-_FEDERATED = (*_INPUTS, "dim_e", *_HEAD, "rounds", "local_epochs",
+# Head training reads HP_FIELDS; a federated client starts from fresh Adam.
+_ONESHOT = (*_INPUTS, *_GENERATOR, *_SYNTHESIS, *HP_FIELDS, "epochs_per_task")
+_FEDERATED = (*_INPUTS, "dim_e", *HP_FIELDS, "rounds", "local_epochs",
               "reported_model_params")
 READS = {
     "inputs": _INPUTS,

@@ -204,14 +204,11 @@ class Classifier:
         dup._lay_out(self.flat.copy())
         return dup
 
-    def logits_from_embedded(self, emb: np.ndarray) -> np.ndarray:
-        return emb @ self.weights.T + self.bias
-
     def predict(self, xs: np.ndarray) -> np.ndarray:
         if self.num_classes == 0:
             raise ProtocolError("classifier has no registered classes")
         emb = self.encoder.encode_batch(xs)
-        rows = np.argmax(self.logits_from_embedded(emb), axis=1)
+        rows = np.argmax(emb @ self.weights.T + self.bias, axis=1)
         return np.asarray(self.classes)[rows]
 
 
@@ -596,25 +593,35 @@ _HEAD_STRUCT = struct.Struct("<4sIII")
 
 
 def save_head(classifier: Classifier, path: str) -> None:
-    """Flat little-endian head checkpoint: class ids, weights, bias."""
-    blob = [_HEAD_STRUCT.pack(_HEAD_MAGIC, 1, classifier.num_classes,
-                              classifier.encoder.dim_e)]
-    blob.append(np.asarray(classifier.classes, dtype="<u4").tobytes())
-    blob.append(np.ascontiguousarray(classifier.flat, dtype="<f8").tobytes())
+    """Flat little-endian head checkpoint: class ids, weights, bias. A head
+    that `load_head` would refuse raises ProtocolError and opens no file."""
+    n = classifier.num_classes
+    try:
+        blob = _HEAD_STRUCT.pack(_HEAD_MAGIC, 1, n, classifier.encoder.dim_e) \
+            + struct.pack(f"<{n}I", *classifier.classes)
+    except struct.error as err:
+        raise ProtocolError(f"head checkpoint {path}: {err}") from None
+    blob += np.ascontiguousarray(classifier.flat, dtype="<f8").tobytes()
+    _read_head(blob, f"head checkpoint {path}", classifier.encoder)
     with open(path, "wb") as fh:
-        fh.write(b"".join(blob))
+        fh.write(blob)
 
 
 def load_head(path: str, encoder: FrozenEncoder) -> Classifier:
     with open(path, "rb") as fh:
-        reader = BlobReader(fh.read(), f"head checkpoint {path}")
+        return _read_head(fh.read(), f"head checkpoint {path}", encoder)
+
+
+def _read_head(blob: bytes, what: str, encoder: FrozenEncoder) -> Classifier:
+    """The head a checkpoint blob holds; ProtocolError names it `what`."""
+    reader = BlobReader(blob, what)
     magic, version, n_classes, dim_e = \
         _HEAD_STRUCT.unpack(reader.take(_HEAD_STRUCT.size))
     if magic != _HEAD_MAGIC or version != 1:
-        raise ProtocolError(f"not a head checkpoint: {path}")
+        raise ProtocolError(f"{what} has a wrong magic or version")
     if dim_e != encoder.dim_e:
         raise ProtocolError(
-            f"checkpoint dim_e {dim_e} != encoder {encoder.dim_e}")
+            f"{what} has dim_e {dim_e}, not the encoder's {encoder.dim_e}")
     classes = np.frombuffer(reader.take(4 * n_classes), dtype="<u4")
     clf = Classifier(encoder, classes=[int(c) for c in classes])
     clf._lay_out(reader.floats(n_classes * (dim_e + 1)))

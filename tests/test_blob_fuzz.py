@@ -3,9 +3,12 @@
 A truncated, extended or byte-flipped blob must raise ProtocolError, or
 load into an object that writes the very same bytes again. A well-formed
 blob carrying a NaN or an infinity, or a noise schedule beta outside
-(0, 1), raises ProtocolError too. The message writer refuses, with
-ProtocolError alone, every message whose blob the reader would refuse.
+(0, 1), raises ProtocolError too. Each writer refuses, with ProtocolError
+alone and before any file is opened, everything its reader would refuse,
+and each format's bytes are pinned by their sha256.
 """
+import dataclasses
+import hashlib
 import os
 import re
 import struct
@@ -231,3 +234,110 @@ def test_model_checkpoint_rejects_a_zero_dimension(scratch, field):
     with pytest.raises(ProtocolError, match=re.escape(
             f"model checkpoint {path} has a zero size") + rf".* {field} 0\b"):
         load_model(path)
+
+
+@pytest.mark.parametrize("classes", [[3.5], [np.nan], [np.inf], [1e20]])
+def test_message_writer_refuses_a_class_id_that_is_not_a_u32(classes):
+    with pytest.raises(ProtocolError):
+        serialize_message(ClientMessage(0, 1, np.array(classes), np.ones(1),
+                                        _HALVES))
+
+
+def _refused_or_read_back(save, load, obj, path):
+    """Save `obj` to a fresh `path`: a refusal leaves no file there, and
+    anything written loads back."""
+    if os.path.exists(path):
+        os.remove(path)
+    try:
+        save(obj, path)
+    except ProtocolError:
+        assert not os.path.exists(path)
+        return None
+    return load(path)
+
+
+_FLOAT_AT = st.tuples(st.integers(0, 2**16), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes=st.lists(_ID, max_size=3, unique=True), data=st.data())
+def test_head_writer_refuses_what_the_reader_refuses(scratch, classes, data):
+    # Any class ids, and parameters with NaN and infinities among them.
+    clf = Classifier(_ENCODER, classes=classes)
+    clf.flat[...] = data.draw(st.lists(st.floats(), min_size=clf.flat.size,
+                                       max_size=clf.flat.size))
+    back = _refused_or_read_back(save_head, lambda p: load_head(p, _ENCODER),
+                                 clf, os.path.join(scratch, "drawn_head.bin"))
+    if back is not None:
+        assert back.classes == classes
+        assert back.flat.tobytes() == clf.flat.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(_FLOAT_AT, max_size=3))
+def test_model_writer_refuses_what_the_reader_refuses(scratch, edits):
+    # The fixed model with up to 3 of its betas and weights replaced by any
+    # float, NaN, infinities and betas outside (0, 1) among them.
+    values = np.concatenate([_MODEL.schedule.betas, _MODEL.denoiser.flat])
+    for at, value in edits:
+        values[at % values.size] = value
+    steps = _MODEL.schedule.num_steps
+    model = dataclasses.replace(
+        _MODEL, schedule=dataclasses.replace(_MODEL.schedule,
+                                             betas=values[:steps]),
+        denoiser=dataclasses.replace(_MODEL.denoiser, flat=values[steps:]))
+    back = _refused_or_read_back(save_model, load_model, model,
+                                 os.path.join(scratch, "drawn_model.bin"))
+    if back is not None:
+        assert back.schedule.betas.tobytes() == values[:steps].tobytes()
+        assert back.denoiser.flat.tobytes() == values[steps:].tobytes()
+
+
+def _nan_weight_head():
+    clf = _HEAD.copy()
+    clf.weights[1, 2] = np.nan
+    return clf
+
+
+def _inf_weight_model():
+    flat = _MODEL.denoiser.flat.copy()
+    flat[5] = np.inf
+    return dataclasses.replace(
+        _MODEL, denoiser=dataclasses.replace(_MODEL.denoiser, flat=flat))
+
+
+@pytest.mark.parametrize("save, make, match", [
+    (save_head, _nan_weight_head, "non-finite"),
+    (save_model, _inf_weight_model, "non-finite"),
+    (save_head, lambda: Classifier(_ENCODER, classes=[2**32]), "head check"),
+    (save_head, lambda: Classifier(_ENCODER, classes=[-1]), "head check"),
+], ids=["nan_head_weight", "inf_denoiser_weight", "class_2_32", "class_-1"])
+def test_checkpoint_writer_refuses_and_writes_no_file(scratch, save, make,
+                                                      match):
+    path = os.path.join(scratch, "refused.bin")
+    with pytest.raises(ProtocolError, match=match):
+        save(make(), path)
+    assert not os.path.exists(path)
+
+
+def test_load_head_names_the_checkpoint_of_a_foreign_dim_e(scratch):
+    path = os.path.join(scratch, "head.bin")
+    save_head(_HEAD, path)
+    with pytest.raises(ProtocolError, match=re.escape(
+            f"head checkpoint {path} has dim_e 3, not the encoder's 4")):
+        load_head(path, make_encoder(4, 2, 1))
+
+
+# The sha256 of each fixed object's bytes: a writer change that moves a
+# format fails here, which no CSV digest can show.
+@pytest.mark.parametrize("write, digest", [
+    (lambda _: _MESSAGE,
+     "0487c5fa1f786d6d244d50cb98c7003ac09d8fde45cc832c7e57c5f0699d9b38"),
+    (lambda path: _file_codec(path, None, save_head)[1](_HEAD),
+     "0b113e37825572b7e5e57b8662c965406e15e27965612e54d93d570d1d41ea59"),
+    (lambda path: _file_codec(path, None, save_model)[1](_MODEL),
+     "8b7ad76376f04194887bfc748cac2bb8bc8cea5798255e2490c5366ff617eecc"),
+], ids=["message", "head", "model"])
+def test_each_format_keeps_its_bytes(scratch, write, digest):
+    blob = write(os.path.join(scratch, "pinned.bin"))
+    assert hashlib.sha256(blob).hexdigest() == digest

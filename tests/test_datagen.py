@@ -62,7 +62,7 @@ def test_world_rejects_bad_arguments(bad):
 def test_class_incremental_suite_structure():
     world = build_world(8, 60, 6, 0.5, 42)
     suite = make_task_suite(world, CLASS_INCREMENTAL, 6, 10)
-    assert suite.num_tasks == 6
+    assert len(suite.tasks) == 6
     assert [t.task_id for t in suite.tasks] == [1, 2, 3, 4, 5, 6]
     sets = [set(t.classes) for t in suite.tasks]
     assert all(len(s) == 10 for s in sets)
@@ -76,7 +76,7 @@ def test_class_incremental_suite_structure():
 def test_single_task_suite():
     world = build_world(4, 4, 2, 0.5, 3)
     suite = make_task_suite(world, CLASS_INCREMENTAL, 1, 4)
-    assert suite.num_tasks == 1
+    assert len(suite.tasks) == 1
     assert set(suite.tasks[0].classes) == {0, 1, 2, 3}
 
 
