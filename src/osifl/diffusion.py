@@ -433,9 +433,13 @@ class GaussianSurrogate:
         one draw of normals; `w` is ignored."""
         if min(counts, default=0) < 0:
             raise ConfigError(f"sample count must be >= 0, got {min(counts)}")
-        nearest = [np.argmin(np.linalg.norm(self.cond_matrix - cond, axis=1))
-                   for cond in np.asarray(conds, dtype=float)]
-        means = self.world.cluster_mean(*self.pairs[nearest].T)
+        with np.errstate(over="ignore"):
+            dists = [np.linalg.norm(self.cond_matrix - cond, axis=1)
+                     for cond in np.asarray(conds, dtype=float)]
+        if not all(np.isfinite(d.min()) for d in dists):
+            raise ProtocolError("a condition has no finite nearest distance")
+        means = self.world.cluster_mean(
+            *self.pairs[[d.argmin() for d in dists]].T)
         return np.repeat(means, counts, axis=0) + self.world.within_std * \
             rng.standard_normal((sum(counts), self.world.dim_x))
 
@@ -466,7 +470,7 @@ def synthesize_task_data(generator, messages: list[ClientMessage],
     i mod n_providers, so the source client alternates. Each (class,
     provider) pair is one chain, in ascending class order.
     """
-    if not any(np.size(m.classes) for m in messages):
+    if not messages:
         raise ProtocolError("synthesis needs a client message with a class")
     if z_per_class < 0:
         raise ConfigError(f"z_per_class must be >= 0, got {z_per_class}")

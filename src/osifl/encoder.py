@@ -1,9 +1,9 @@
 """Frozen random-feature encoder and the one-shot client upload.
 
 The encoder is tanh(W x + b) with fixed W, b. Clients never send raw
-samples; each one uploads a single message holding the mean embedding
-per class of its shard, so the upload costs |classes| * dim_e floats.
-"""
+samples: each uploads one `ClientMessage`, its mean embedding per class
+(|classes| * dim_e floats). The message type holds every wire rule; the
+writer only packs it, and the reader decodes the bytes, then builds it."""
 from __future__ import annotations
 
 import hashlib
@@ -61,10 +61,11 @@ def make_encoder(dim_e: int, dim_x: int, seed: int) -> FrozenEncoder:
     return FrozenEncoder(dim_e=dim_e, dim_x=dim_x, weight=w, bias=b)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ClientMessage:
     """The single upload a client ever makes for its task: per class, in
-    ascending order, its id, its sample count and its mean embedding."""
+    ascending order, its id, its sample count and its mean embedding.
+    A message that exists is valid, or construction raises ProtocolError."""
 
     client_id: int
     task_id: int
@@ -72,15 +73,46 @@ class ClientMessage:
     counts: np.ndarray  # (k,)
     means: np.ndarray  # (k, dim_e)
 
+    def __post_init__(self):
+        classes, counts, means = self.classes, self.counts, self.means
+        for name in ("client_id", "task_id"):
+            value = vars(self)[name]
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)) or not 0 <= value < 2**32:
+                raise ProtocolError(f"message {name} {value!r} is not a u32")
+        for name, ids in (("classes", classes), ("counts", counts)):
+            if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"
+                    and ids.ndim == 1 and len(ids) == len(classes)
+                    and ((0 <= ids) & (ids < 2**32)).all()):
+                raise ProtocolError(f"message {name} is not a u32 per class")
+        if not (isinstance(means, np.ndarray) and means.dtype.kind == "f"
+                and np.can_cast(means.dtype, float) and means.ndim == 2
+                and len(means) == len(classes)):
+            raise ProtocolError("message means are not (k, dim_e) floats")
+        if not len(classes):  # from here, rules a blob can break name it
+            raise ProtocolError("message blob covers no class")
+        if not means.shape[1]:
+            raise ProtocolError("message blob has class means of dim_e 0")
+        if (late := classes[1:][classes[1:] <= classes[:-1]]).size:
+            raise ProtocolError(
+                f"message blob lists class {late[0]} out of order")
+        if not counts.all():
+            raise ProtocolError(f"message blob gives class "
+                                f"{classes[counts.argmin()]} no samples")
+        if not np.isfinite(means).all():
+            raise ProtocolError("message blob holds a non-finite value")
+        for name in ("classes", "counts", "means"):
+            array = vars(self)[name].astype("f8" if name == "means" else "i8")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
     @property
     def dim_e(self) -> int:
-        if not np.size(self.classes):
-            raise ProtocolError("message covers no class")
-        return int(np.shape(self.means)[-1])
+        return self.means.shape[1]
 
     @property
     def upload_floats(self) -> int:
-        return np.size(self.classes) * self.dim_e
+        return self.means.size
 
 
 def grouped_means(encoder: FrozenEncoder, batch: Batch, keys: np.ndarray
@@ -100,8 +132,7 @@ def grouped_means(encoder: FrozenEncoder, batch: Batch, keys: np.ndarray
 
 
 def build_client_message(encoder: FrozenEncoder, shard) -> ClientMessage:
-    """Summarize a shard into its one-shot upload. A shard with no row
-    raises ProtocolError, so every message covers at least one class."""
+    """Summarize a shard into its one-shot upload."""
     classes, _, counts, means = grouped_means(encoder, shard.samples,
                                               shard.samples.y)
     return ClientMessage(shard.client_id, shard.task_id, classes, counts,
@@ -146,45 +177,20 @@ def _row_dtype(dim_e: int) -> np.dtype:
 
 
 def serialize_message(msg: ClientMessage) -> bytes:
-    """The blob, which `parse_message` must read back field by field as
-    sent, else ProtocolError: what the reader refuses, or a wrapped u32."""
-    rows = np.empty(np.size(msg.classes), _row_dtype(msg.dim_e))
-    try:
-        with np.errstate(invalid="raise"):
-            rows["class"], rows["count"], rows["mean"] = \
-                msg.classes, msg.counts, msg.means
-        blob = _HEADER.pack(msg.client_id, msg.task_id, msg.dim_e,
-                            len(rows)) + rows.tobytes()
-    except (ArithmeticError, TypeError, ValueError, struct.error) as err:
-        raise ProtocolError(f"message does not fit the wire: {err}") from None
-    if not all(map(np.array_equal, vars(parse_message(blob)).values(),
-                   vars(msg).values())):
-        raise ProtocolError("message blob does not read back as sent: a "
-                            "field is not a u32 or not an exact float64")
-    return blob
+    """The blob; a message is valid, so every field fits the wire."""
+    rows = np.rec.fromarrays([msg.classes, msg.counts, msg.means],
+                             dtype=_row_dtype(msg.dim_e))
+    return _HEADER.pack(msg.client_id, msg.task_id, msg.dim_e,
+                        len(rows)) + rows.tobytes()
 
 
 def parse_message(blob: bytes) -> ClientMessage:
     reader = BlobReader(blob, "message blob")
     client_id, task_id, dim_e, n_classes = \
         _HEADER.unpack(reader.take(_HEADER.size))
-    if n_classes == 0:
-        raise ProtocolError("message blob covers no class")
-    if dim_e == 0:
-        raise ProtocolError("message blob has class means of dim_e 0")
-    # The length is checked before the row type is built for it.
+    # Lengths are checked before a row type is built, of width 0 if no row.
     rows = np.frombuffer(reader.take(n_classes * (8 + 8 * dim_e)),
-                         _row_dtype(dim_e))
-    classes, counts = (rows[f].astype(np.int64) for f in ("class", "count"))
-    late = np.flatnonzero(classes[1:] <= classes[:-1])
-    if late.size:
-        raise ProtocolError(
-            f"message blob lists class {classes[late[0] + 1]} out of order")
-    if not counts.all():
-        raise ProtocolError(f"message blob gives class "
-                            f"{classes[counts.argmin()]} no samples")
-    means = rows["mean"].astype(float)
-    if not np.isfinite(means).all():
-        raise ProtocolError("message blob holds a non-finite value")
+                         _row_dtype(dim_e if n_classes else 0))
     reader.finish()
-    return ClientMessage(client_id, task_id, classes, counts, means)
+    return ClientMessage(client_id, task_id, rows["class"], rows["count"],
+                         rows["mean"])

@@ -3,9 +3,10 @@
 A truncated, extended or byte-flipped blob must raise ProtocolError, or
 load into an object that writes the very same bytes again. A well-formed
 blob carrying a NaN or an infinity, or a noise schedule beta outside
-(0, 1), raises ProtocolError too. Each writer refuses, with ProtocolError
-alone and before any file is opened, everything its reader would refuse,
-and each format's bytes are pinned by their sha256.
+(0, 1), raises ProtocolError too. A client message its reader would
+refuse cannot be built, each checkpoint writer refuses, with
+ProtocolError alone and before any file is opened, everything its reader
+would refuse, and each format's bytes are pinned by their sha256.
 """
 import dataclasses
 import hashlib
@@ -132,6 +133,12 @@ def test_message_blob_rejects_an_empty_mean_or_class(dim_e, count, match):
 
 _ID = st.integers(-1, 2**32)
 
+# The kinds an id or count array may come as, and a mean array: NumPy
+# casts them without a warning from ints and floats alike.
+_KINDS = st.sampled_from((np.int64, np.uint32, bool, float, complex, object,
+                          str))
+_MEAN_KINDS = st.sampled_from((float, complex, bool, object, str))
+
 
 @settings(max_examples=300, deadline=None)
 @given(client_id=_ID, task_id=_ID, dim_e=st.integers(0, 3), data=st.data())
@@ -139,56 +146,82 @@ def test_message_writer_refuses_what_the_reader_refuses(client_id, task_id,
                                                         dim_e, data):
     # Up to 3 classes, in any order and repeats allowed; as many counts
     # (one short when the last is None) and a row of dim_e floats each,
-    # NaN and infinities among them.
+    # NaN and infinities among them; each array of a drawn dtype kind,
+    # mostly the one a message takes.
     classes = data.draw(st.lists(st.tuples(
         _ID, st.none() | _ID,
         st.lists(st.floats(), min_size=dim_e, max_size=dim_e)), max_size=3))
-    msg = ClientMessage(
-        client_id, task_id, np.array([k for k, _, _ in classes], dtype=int),
-        np.array([n for _, n, _ in classes if n is not None], dtype=int),
-        np.array([mean for _, _, mean in classes], dtype=float).reshape(
-            len(classes), dim_e))
+    sent = (np.array([k for k, _, _ in classes], dtype=np.int64),
+            np.array([n for _, n, _ in classes if n is not None],
+                     dtype=np.int64),
+            np.array([mean for _, _, mean in classes], dtype=float).reshape(
+                len(classes), dim_e))
+    kinds = [data.draw(st.just(np.int64) | _KINDS),
+             data.draw(st.just(np.int64) | _KINDS),
+             data.draw(st.just(float) | _MEAN_KINDS)]
+    sent = [a.astype(kind) for a, kind in zip(sent, kinds)]
     try:
-        blob = serialize_message(msg)
+        blob = serialize_message(ClientMessage(client_id, task_id, *sent))
     except ProtocolError:
         return
     back = parse_message(blob)
     assert (back.client_id, back.task_id) == (client_id, task_id)
-    for got, sent in ((back.classes, msg.classes), (back.counts, msg.counts),
-                      (back.means, msg.means)):
-        assert got.tobytes() == sent.tobytes()
+    for got, handed in zip((back.classes, back.counts, back.means), sent):
+        assert got.tobytes() == handed.astype(got.dtype).tobytes()
 
 
 _HALVES = np.array([[0.5, 0.25]])
+_CLASS, _COUNT = np.array([3]), np.array([1])
 
 
 @pytest.mark.parametrize("classes, counts, means, client_id", [
-    ([3], [1], np.zeros((1, 0)), 0),
-    ([3], [0], _HALVES, 0),
-    ([3], [1], np.array([[np.nan, 0.5]]), 0),
-    ([3], [-1], _HALVES, 0),
-    ([-3], [1], _HALVES, 0),
-    ([3], [1], _HALVES, 2**32),
-    ([3, 4], [1, 1], _HALVES, 0),
-    ([3], [], _HALVES, 0),
+    (_CLASS, _COUNT, np.zeros((1, 0)), 0),
+    (_CLASS, np.array([0]), _HALVES, 0),
+    (_CLASS, _COUNT, np.array([[np.nan, 0.5]]), 0),
+    (_CLASS, np.array([-1]), _HALVES, 0),
+    (np.array([-3]), _COUNT, _HALVES, 0),
+    (_CLASS, _COUNT, _HALVES, 2**32),
+    (np.array([3, 4]), np.array([1, 1]), _HALVES, 0),
+    (_CLASS, np.zeros(0, dtype=int), _HALVES, 0),
+    (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 2)), 0),
+    (_CLASS, _COUNT, _HALVES, True),
+    (_CLASS, _COUNT, np.float64(0.5), 0),
+    (_CLASS, _COUNT, _HALVES[0], 0),
+    (_CLASS, _COUNT, _HALVES[None], 0),
+    (_CLASS, _COUNT, _HALVES.astype(complex), 0),
+    (_CLASS, _COUNT, _HALVES > 0.3, 0),
+    (_CLASS, _COUNT, _HALVES.astype(object), 0),
+    (_CLASS, _COUNT, _HALVES.astype(str), 0),
+    (np.array([True]), _COUNT, _HALVES, 0),
+    (np.array([3.0]), _COUNT, _HALVES, 0),
+    (np.array([[3]]), _COUNT, _HALVES, 0),
+    (_CLASS, np.array([True]), _HALVES, 0),
+    (_CLASS, np.array([1.0]), _HALVES, 0),
+    (_CLASS, np.array([[1]]), _HALVES, 0),
+    (np.array([3.5]), _COUNT, _HALVES, 0),
+    (np.array([np.nan]), _COUNT, _HALVES, 0),
+    (np.array([np.inf]), _COUNT, _HALVES, 0),
+    (np.array([1e20]), _COUNT, _HALVES, 0),
 ], ids=["empty_mean", "zero_count", "nan_mean", "negative_count",
-        "negative_class", "client_beyond_u32", "mixed_lengths", "no_count"])
+        "negative_class", "client_beyond_u32", "mixed_lengths", "no_count",
+        "no_class", "client_true", "means_0d", "means_1d", "means_3d",
+        "means_complex", "means_bool", "means_object", "means_str",
+        "classes_bool", "classes_float", "classes_2d", "counts_bool",
+        "counts_float", "counts_2d", "class_3.5", "class_nan", "class_inf",
+        "class_1e20"])
 def test_message_writer_refuses_a_message_the_reader_would(classes, counts,
                                                            means, client_id):
-    # `mixed_lengths` has two classes and one mean row; `no_count` one
-    # class and no count.
+    # No such message exists: construction refuses it. `mixed_lengths` has
+    # two classes and one mean row; `no_count` one class and no count.
     with pytest.raises(ProtocolError):
-        serialize_message(ClientMessage(client_id, 1, np.array(
-            classes, dtype=int), np.array(counts, dtype=int), means))
+        ClientMessage(client_id, 1, classes, counts, means)
 
 
 def test_a_message_with_no_class_has_no_width_or_upload_size():
-    msg = ClientMessage(0, 1, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
-                        np.zeros((0, 3)))
-    for read in (lambda: msg.dim_e, lambda: msg.upload_floats,
-                 lambda: serialize_message(msg)):
-        with pytest.raises(ProtocolError, match="covers no class"):
-            read()
+    # Such a message is refused at construction, so none has either.
+    with pytest.raises(ProtocolError, match="covers no class"):
+        ClientMessage(0, 1, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+                      np.zeros((0, 3)))
 
 
 @pytest.mark.parametrize("at", [0, 7])
@@ -234,13 +267,6 @@ def test_model_checkpoint_rejects_a_zero_dimension(scratch, field):
     with pytest.raises(ProtocolError, match=re.escape(
             f"model checkpoint {path} has a zero size") + rf".* {field} 0\b"):
         load_model(path)
-
-
-@pytest.mark.parametrize("classes", [[3.5], [np.nan], [np.inf], [1e20]])
-def test_message_writer_refuses_a_class_id_that_is_not_a_u32(classes):
-    with pytest.raises(ProtocolError):
-        serialize_message(ClientMessage(0, 1, np.array(classes), np.ones(1),
-                                        _HALVES))
 
 
 def _refused_or_read_back(save, load, obj, path):

@@ -573,6 +573,16 @@ def test_surrogate_sample_chains_equals_the_per_chain_loop(counts):
         surro.sample_chains(conds[:2], [2, -1], 2.0, stream(0, "x"))
 
 
+def test_surrogate_refuses_a_condition_of_no_finite_nearest_distance():
+    # A finite but huge uploaded mean overflows every distance to the
+    # pretraining conditions; no nearest pair exists, so no chain runs.
+    surro = _surrogate()
+    conds = surro.cond_matrix[:2].copy()
+    conds[1, 0] = 1e300
+    with pytest.raises(ProtocolError, match="no finite nearest distance"):
+        surro.sample_chains(conds, [2, 2], 2.0, stream(0, "x"))
+
+
 def test_surrogate_synthesis_interleaves_three_providers_bit_for_bit():
     # Three providers over 50 rows run chains of 17, 17 and 16 rows;
     # row i of a class is row i // 3 of provider i mod 3's chain.

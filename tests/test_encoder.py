@@ -165,7 +165,7 @@ def test_message_roundtrip_bit_exact():
     assert back.classes.tolist() == [3, 7]
     assert back.counts.tolist() == [50, 49]
     assert np.array_equal(back.means, means)
-    assert back.means.flags.writeable
+    assert not back.means.flags.writeable
 
 
 def test_message_wire_size():
@@ -183,9 +183,8 @@ def test_parse_rejects_corrupt_blobs():
 
 
 def test_serialize_rejects_empty_message():
-    msg = _msg(0, 1, [], [], np.zeros((0, 4)))
     with pytest.raises(ProtocolError):
-        serialize_message(msg)
+        _msg(0, 1, [], [], np.zeros((0, 4)))
 
 
 @settings(max_examples=25, deadline=None)
