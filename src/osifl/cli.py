@@ -5,21 +5,21 @@ import argparse
 import contextlib
 import dataclasses
 import os
-import pickle
-import signal
 import sys
-import warnings
 
 import numpy as np
 
+from . import plan
 from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
     build_run_inputs, parse_config
-from .errors import ConfigError, ProtocolError
+from .encoder import make_encoder
+from .errors import ConfigError
+from .ledgers import ComputeLedger
 # Grids drive `run_steps` through `lockstep`; `run_method`, which drives
 # one run alone, stays bound here for callers that wrap it.
-from .orchestrator import CSV_HEADER, FEDERATED_METHODS, RunReport, \
-    ServerMemo, lockstep, memo_key, rows_to_csv, run_method, run_steps, \
-    write_report_csv
+from .orchestrator import CSV_HEADER, FEDERATED_METHODS, ServerMemo, \
+    build_generator, lockstep, memo_key, rows_to_csv, run_method, \
+    run_steps, upload, write_report_csv
 
 SEED_ENV = "OSIFL_SEED_OVERRIDE"
 
@@ -75,86 +75,6 @@ def _axis_configs(config: ExperimentConfig, axis: str | None, values):
     return configs
 
 
-def _can_fork() -> bool:
-    """A worker pays only with a second CPU to run it on."""
-    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
-        and len(os.sched_getaffinity(0)) >= 2
-
-
-@contextlib.contextmanager
-def _forked(work):
-    """Run `work()`, which returns bytes, in a forked worker process that
-    pipes them back. Yields `join`, which waits for the worker and
-    returns those bytes, or raises `ProtocolError` if the worker died.
-    However the block ends, the pipe is closed and the worker reaped,
-    killed first if no `join` reaped it. If the system refuses the fork,
-    `work()` runs here instead."""
-    for stream in (sys.stdout, sys.stderr):
-        stream.flush()
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns of a fork with threads running; NumPy's
-            # OpenBLAS threads are shut down across a fork.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        data = work()
-        yield lambda: data
-        return
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with os.fdopen(w, "wb") as out:
-                out.write(work())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    status = None
-
-    def join() -> bytes:
-        nonlocal status
-        data = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            raise ProtocolError(
-                "the federated worker " + (f"was killed by signal {-code}"
-                                           if code < 0 else
-                                           f"exited with code {code}"))
-        return data
-
-    with os.fdopen(r, "rb") as pipe:
-        try:
-            yield join
-        finally:
-            if status is None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _returned(join, keys: list) -> dict:
-    """The worker's report for each of `keys`, or its failure's text as
-    an error; every key fails alike if the worker died or sent anything
-    else."""
-    try:
-        got = pickle.loads(join())
-        if not (isinstance(got, dict) and set(got) == set(keys) and all(
-                isinstance(v, (RunReport, str)) for v in got.values())):
-            raise ValueError(got)
-    except ProtocolError as err:
-        return dict.fromkeys(keys, err)
-    except Exception:
-        return dict.fromkeys(keys, ProtocolError(
-            "the federated worker sent unreadable bytes"))
-    return {key: v if isinstance(v, RunReport) else RuntimeError(v)
-            for key, v in got.items()}
-
-
 def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
              server: ServerMemo | None = None, workers: int = 0):
     """Run every (axis value, seed, method) cell; return one `(cfg,
@@ -162,20 +82,21 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
     run in that order. Every value's config is built, and refused with
     `ConfigError`, before any run. All cells share `server` (a new memo
     by default), so each seed's inputs, generator, task synthesis and run
-    is computed once per `memo_key`. The seeds of one value and method
+    is computed once per `memo_key`: a run's report, or its error, fills
+    every cell that names its key. The seeds of one value and method
     that still need a run advance together (`lockstep`), so that their
     matching training calls train as one stack. A cell that reuses a
-    report gets its own `config_echo`; a failed run is not kept, so every
-    cell that reaches it runs and fails again.
+    report gets its own `config_echo`.
 
-    `workers=1` lets a value that still has both federated and one-shot
-    runs to compute, on a machine with `os.fork` and two CPUs, run its
-    federated runs in one forked worker while its one-shot runs train
-    here; the worker pipes back each report, which is kept in `server`,
-    or each failure's text. Reports and failure lines are those of
-    `workers=0`, which runs everything in this process, so that a wrapper
+    `workers=1` lets the grid, on a machine with `os.fork` and two CPUs,
+    give part of its pending work to one forked worker, as `plan.split`
+    places it: lockstep groups across all values and, under `ddpm`, each
+    seed's generator. The worker pipes back each report, or each
+    failure's text, and each generator it made, which are kept in
+    `server`. Reports and failure lines are those of `workers=0`, which
+    runs everything in this process in serial order, so that a wrapper
     around a module function sees every call. A worker that dies fails
-    each of its runs."""
+    each run that needed one of its units."""
     return _run_cells(_axis_configs(config, axis, values), axis, values,
                       seeds, ServerMemo() if server is None else server,
                       workers)
@@ -186,52 +107,17 @@ def _run_cells(configs, axis, values, seeds, server: ServerMemo,
     """`run_grid` over the already built config of each value."""
     if workers not in (0, 1):
         raise ConfigError(f"workers must be 0 or 1, not {workers!r}")
+    results = _run_groups(_pending(configs, seeds, server), server, workers)
+    keys = [{(seed, method): memo_key(method, cfg, seed) for seed in seeds
+             for method in cfg.methods} for cfg in configs]
     cells, failures = [], []
-
-    def inputs(cfg, seed):
-        return server.recall(memo_key("inputs", cfg, seed),
-                             lambda _: build_run_inputs(cfg, seed), None)
-
-    def steps(method, cfg, seed):
-        # Inputs are built as the run starts: an error fails it.
-        return (yield from run_steps(method, *inputs(cfg, seed), cfg, seed,
-                                     server=server))
-
-    def run(cfg, todo: dict) -> dict:
-        """Each method's `todo` seeds in lockstep, method by method."""
-        return {(method, seed): result for method, ready in todo.items()
-                for seed, result in zip(ready, lockstep(
-                    [steps(method, cfg, seed) for seed in ready]))}
-
-    for value, cfg in zip(values, configs):
-        keys = {(seed, method): memo_key(method, cfg, seed)
-                for seed in seeds for method in cfg.methods}
-        todo = {method: [seed for seed in seeds
-                         if keys[seed, method] not in server]
-                for method in cfg.methods}
-        forked = {m: ready for m, ready in todo.items()
-                  if m in FEDERATED_METHODS and ready}
-        here = {m: ready for m, ready in todo.items() if m not in forked}
-        if workers and forked and any(here.values()) and _can_fork():
-            # The worker finds the inputs of its seeds built.
-            for seed in dict.fromkeys(s for ready in forked.values()
-                                      for s in ready):
-                with contextlib.suppress(Exception):
-                    inputs(cfg, seed)
-            with _forked(lambda: pickle.dumps({
-                    key: r if isinstance(r, RunReport) else str(r)
-                    for key, r in run(cfg, forked).items()})) as join:
-                ran = run(cfg, here)
-                ran.update(_returned(join, [(m, s) for m, ready in
-                                            forked.items() for s in ready]))
-        else:
-            ran = run(cfg, todo)
+    for value, cfg, key in zip(values, configs, keys):
         done = {}
-        for (seed, method), key in keys.items():
-            result = ran.get((method, seed))
+        for (seed, method), run_key in key.items():
+            result = results.get(run_key)
             if not isinstance(result, Exception):
                 # Keeps a new report, or recalls the kept one.
-                result = server.recall(key, lambda _: ran[method, seed],
+                result = server.recall(run_key, lambda _: results[run_key],
                                        None)
             done[seed, method] = result
         tag = "" if axis is None else f"{axis}={value} "
@@ -242,6 +128,94 @@ def _run_cells(configs, axis, values, seeds, server: ServerMemo,
             result, config_echo=cfg.canonical())
             for result in done.values() if not isinstance(result, Exception)]))
     return cells, failures
+
+
+def _pending(configs, seeds, server: ServerMemo) -> list:
+    """The lockstep groups `(config, method, seeds)`, in serial order, of
+    the runs that `server` lacks, each run in the first that names it."""
+    groups, planned = [], set()
+    for cfg in configs:
+        for method in cfg.methods:
+            ready = [seed for seed in seeds
+                     if memo_key(method, cfg, seed) not in server
+                     and memo_key(method, cfg, seed) not in planned]
+            planned.update(memo_key(method, cfg, seed) for seed in ready)
+            if ready:
+                groups.append((cfg, method, ready))
+    return groups
+
+
+def _run_groups(groups, server: ServerMemo, workers: int) -> dict:
+    """Each run's report or error by `memo_key`, from the lockstep groups
+    `(config, method, seeds)` in order, or split by `plan.split`."""
+    results = {}
+
+    def inputs(cfg, seed):
+        return server.recall(memo_key("inputs", cfg, seed),
+                             lambda _: build_run_inputs(cfg, seed), None)
+
+    def steps(method, cfg, seed):
+        # Inputs are built as the run starts: an error fails it.
+        return (yield from run_steps(method, *inputs(cfg, seed), cfg, seed,
+                                     server=server))
+
+    def run(jobs) -> dict:
+        """Each job's runs in lockstep, or its generator and the
+        multiply-adds it billed; a run whose generator the worker failed
+        to make fails with that error."""
+        out = {}
+        for cfg, method, ready in jobs:
+            if method == "generator":
+                [seed], ledger = ready, ComputeLedger()
+                try:
+                    world = inputs(cfg, seed)[0]
+                    out[memo_key(method, cfg, seed)] = build_generator(
+                        cfg, seed, world, make_encoder(
+                            cfg.dim_e, world.dim_x, seed),
+                        server, ledger), ledger.madds_by_kind
+                except Exception as err:
+                    out[memo_key(method, cfg, seed)] = err
+                continue
+            lost = {} if method in FEDERATED_METHODS else {
+                seed: err for seed in ready if isinstance(
+                    err := results.get(memo_key("generator", cfg, seed)),
+                    Exception)}
+            ready = [seed for seed in ready if seed not in lost]
+            out.update((memo_key(method, cfg, seed), err)
+                       for seed, err in lost.items())
+            out.update(zip([memo_key(method, cfg, seed) for seed in ready],
+                           lockstep([steps(method, cfg, seed)
+                                     for seed in ready])))
+        return out
+
+    here, there = [], []
+    if workers and groups and plan.can_fork():
+        here, there = plan.split(plan.units(groups, server))
+    if not there:
+        return run(groups)
+    # The worker finds the inputs, uploads and surrogates built.
+    for cfg, method, ready in groups:
+        for seed in ready:
+            with contextlib.suppress(Exception):
+                world, _, shards, _ = inputs(cfg, seed)
+                if method not in FEDERATED_METHODS:
+                    encoder = make_encoder(cfg.dim_e, world.dim_x, seed)
+                    for shard in shards:
+                        upload(cfg, seed, encoder, shard, server)
+                    if cfg.generator == "surrogate":
+                        build_generator(cfg, seed, world, encoder, server)
+    first, wait = plan.phases(here, there)
+    with plan.one_blas_thread(), plan.forked(
+            lambda: plan.packed(run([u.job for u in there]))) as join:
+        results.update(run([u.job for u in first]))
+        results.update(plan.returned(join, [
+            key for u in there for key in (
+                [u.key] if u.job[1] == "generator" else u.key)]))
+    for key, made in results.items():
+        if isinstance(made, tuple):
+            server.keep(key, *made)
+    results.update(run([u.job for u in wait]))
+    return results
 
 
 def _run_into(out_dir: str, configs, axis, values, seeds, workers: int):
@@ -382,7 +356,7 @@ def main(argv=None, workers: int = 0) -> int:
 
 def command() -> int:
     """The `osifl` console script, and `python -m osifl.cli`: the command
-    owns its process, so a grid may fork its federated worker."""
+    owns its process, so a grid may fork its worker."""
     return main(workers=1)
 
 

@@ -182,14 +182,20 @@ class Denoiser:
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def forward_madds(self, batch: int) -> int:
-        """Multiply-add count for one forward pass on `batch` inputs.
-        Affine layers count out*in + out each, tanh counts one per unit."""
-        d_in, h, d_out = self.input_dim, self.hidden, self.dim_x
-        per_sample = (h * d_in + 2 * h) + (h * h + 2 * h) + (d_out * h + d_out)
-        return batch * per_sample
+        return batch * forward_madds_per_row(self.dim_x, self.dim_cond,
+                                             self.num_steps, self.hidden)
 
     def backward_madds(self, batch: int) -> int:
         return 2 * self.forward_madds(batch)
+
+
+def forward_madds_per_row(dim_x: int, dim_cond: int, num_steps: int,
+                          hidden: int) -> int:
+    """Multiply-add count of a denoiser's forward pass on one input.
+    Affine layers count out*in + out each, tanh counts one per unit."""
+    d_in = dim_x + num_steps + dim_cond
+    return (hidden * d_in + 2 * hidden) + (hidden * hidden + 2 * hidden) \
+        + (dim_x * hidden + dim_x)
 
 
 def make_denoiser(dim_x: int, dim_cond: int, num_steps: int, hidden: int,
@@ -503,15 +509,21 @@ _CKPT_MAGIC = b"OSDM"
 _CKPT_HEAD = struct.Struct("<4sIIIIII")
 
 
-def save_model(model: DiffusionModel, path: str) -> None:
-    """Write the model as a flat little-endian binary checkpoint. A model
-    that `load_model` would refuse raises ProtocolError and opens no file."""
+def model_blob(model: DiffusionModel, what: str) -> bytes:
+    """The model as a flat little-endian binary checkpoint. A model that
+    `_read_model` would refuse raises ProtocolError naming it `what`."""
     den = model.denoiser
     blob = _CKPT_HEAD.pack(_CKPT_MAGIC, 1, den.dim_x, den.dim_cond,
                            den.num_steps, den.hidden, int(model.trained)) \
         + np.ascontiguousarray(model.schedule.betas, dtype="<f8").tobytes() \
         + np.ascontiguousarray(den.flat, dtype="<f8").tobytes()
-    _read_model(blob, f"model checkpoint {path}")
+    _read_model(blob, what)
+    return blob
+
+
+def save_model(model: DiffusionModel, path: str) -> None:
+    """Write `model_blob`'s checkpoint; a refused model opens no file."""
+    blob = model_blob(model, f"model checkpoint {path}")
     with open(path, "wb") as fh:
         fh.write(blob)
 

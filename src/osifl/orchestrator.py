@@ -77,6 +77,10 @@ class ServerMemo:
     def __contains__(self, key) -> bool:
         return key in self._entries
 
+    def keep(self, key, value, madds: dict) -> None:
+        """Keep `value`, computed elsewhere with `madds`, under `key`."""
+        self._entries.setdefault(key, (value, dict(madds)))
+
     def recall(self, key, build, ledger: ComputeLedger | None):
         """The value `build(scratch_ledger)` returns for `key`."""
         entry = self._entries.get(key)
@@ -199,6 +203,10 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, blobs: list[bytes]):
             raise ProtocolError(
                 f"message from client {msg.client_id} belongs to task "
                 f"{msg.task_id}, not {t}")
+        if msg.dim_e != state.encoder.dim_e:
+            raise ProtocolError(
+                f"message from client {msg.client_id} has dim_e "
+                f"{msg.dim_e}, not the encoder's {state.encoder.dim_e}")
         foreign = sorted(set(msg.classes.tolist()) - set(task.classes))
         if foreign:
             raise ProtocolError(f"message from client {msg.client_id} names "
@@ -371,14 +379,14 @@ class RunReport:
     config_echo: str
 
 
-def _build_generator(state: RunState) -> None:
-    cfg, world, seed = state.config, state.world, state.seed
-
-    def build(ledger):
+def build_generator(cfg, seed: int, world: World, encoder, server: ServerMemo,
+                    ledger: ComputeLedger | None = None):
+    """`seed`'s generator, built once per `server` under its `memo_key`."""
+    def build(scratch):
         pool = draw_base_pool(world, cfg.base_pool_total, seed)
         if cfg.generator == "surrogate":
-            return make_surrogate(world, state.encoder, pool)
-        model = pretrain(pool, state.encoder, cfg, seed, ledger=ledger)
+            return make_surrogate(world, encoder, pool)
+        model = pretrain(pool, encoder, cfg, seed, ledger=scratch)
         for name, param in model.denoiser.params.items():
             if not np.isfinite(param).all():
                 raise ProtocolError(
@@ -386,8 +394,17 @@ def _build_generator(state: RunState) -> None:
                     f"denoiser parameter {name}")
         return model
 
-    state.generator = state.server.recall(memo_key("generator", cfg, seed),
-                                          build, state.compute)
+    return server.recall(memo_key("generator", cfg, seed), build, ledger)
+
+
+def upload(cfg, seed: int, encoder, shard: ClientShard,
+           server: ServerMemo) -> bytes:
+    """The client's one-shot upload, built and serialized once per
+    `server` under its `memo_key`."""
+    return server.recall(
+        memo_key("message", cfg, seed, shard.task_id, shard.client_id),
+        lambda _: serialize_message(build_client_message(encoder, shard)),
+        None)
 
 
 def _check_head(state: RunState, task_id: int) -> None:
@@ -458,7 +475,8 @@ def run_steps(method, world: World, suite: TaskSuite,
                      encoder=encoder, classifier=Classifier(encoder),
                      server=ServerMemo() if server is None else server)
     if method in ONESHOT_METHODS:
-        _build_generator(state)
+        state.generator = build_generator(config, seed, world, encoder,
+                                          state.server, state.compute)
         if method is Method.OSIFL:
             state.memory = ExemplarMemory(config.retain_per_class)
     by_task: dict[int, list[ClientShard]] = {}
@@ -470,11 +488,8 @@ def run_steps(method, world: World, suite: TaskSuite,
     for task in suite.tasks:
         t = task.task_id
         if method in ONESHOT_METHODS:
-            # Each client's upload is built once per memo, and sent as bytes.
-            blobs = [state.server.recall(
-                memo_key("message", config, seed, t, shard.client_id),
-                lambda _: serialize_message(build_client_message(
-                    encoder, shard)), None) for shard in by_task.get(t, [])]
+            blobs = [upload(config, seed, encoder, shard, state.server)
+                     for shard in by_task.get(t, [])]
             yield from oneshot_task_phase(state, task, blobs)
         else:
             yield from federated_task_phase(state, task, by_task.get(t, []))

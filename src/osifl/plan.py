@@ -1,0 +1,368 @@
+"""The grid's plan: which of its pending work one forked worker takes.
+
+A grid's work comes in units: each lockstep group of runs still to make
+(one method at one axis value, over the seeds that need it, each run
+once per `memo_key` however many values name it) and, under
+`generator = ddpm`, each seed's generator. A unit's seconds are
+estimated from closed forms of its config: minibatch steps, training
+calls and the multiply-adds the ledgers bill. The memo entries that
+units share, the task-1 heads, the `ddpm` synthesis and the generators,
+are each built once by a process that needs them. `split` places the
+units by longest processing time first (LPT, Graham 1969): the largest
+first, each where the estimated finish of both processes is earlier. A
+unit that reads a generator the worker makes runs here after the worker
+ends, and the generator crosses the pipe as `model_blob` bytes.
+"""
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import glob
+import itertools
+import os
+import pickle
+import signal
+import sys
+import warnings
+from typing import Hashable, NamedTuple
+
+import numpy as np
+
+from . import ledgers
+from .datagen import DOMAIN_INCREMENTAL, _normalize_counts
+from .diffusion import _read_model, forward_madds_per_row, model_blob
+from .errors import ProtocolError
+from .orchestrator import FEDERATED_METHODS, Method, RunReport, memo_key
+from .trainer import STACK_EMBEDDING_BYTES
+
+# Seconds per unit of work, fitted once by least squares on a 2-vCPU
+# machine (Python 3.11, NumPy 2.4.6, one OpenBLAS thread): head training
+# over 45 lockstep groups of the benchmark configs and variants of them
+# (within 17% on every group over 40 ms), the generator over six
+# pretraining and sampling configs (within 25%).
+HEAD_CALL_S = 1.3e-4      # a head's training call, with a client's round
+STEP_S = 3.5e-5           # a minibatch step of a stack of heads
+MADD_S = 1.5e-10          # a multiply-add of training or of a pass
+PASS_S = 1.1e-3           # a head's evaluation, scoring or Fisher pass
+PRETRAIN_STEP_S = 2e-4    # a pretraining step
+PRETRAIN_MADD_S = 7.5e-11
+CHAIN_STEP_S = 1.6e-4     # a step of a task's reverse chains
+SAMPLE_MADD_S = 3.1e-11
+# A fork, its pipe and the join of a worker that pipes back a small
+# pickle, in a 45 MB process, took 2.8 ms (median of 30) to 5 ms (90th
+# percentile) on that machine.
+FORK_S = 0.005
+
+
+class Unit(NamedTuple):
+    """Work that either process can do. `key` is what it makes: its runs'
+    `memo_key`s, or a generator's, which a unit that reads that generator
+    names in `needs`. `seconds` is its own estimated work, and `needs`
+    each shared memo entry it reads, with the seconds to build it. `job`
+    is `(config, method, seeds)`, with method "generator" for a
+    generator."""
+    key: Hashable
+    seconds: float
+    needs: dict
+    job: tuple
+
+
+def _sizes(cfg) -> tuple[list[int], list[int]]:
+    """The classes each task brings, and the head's classes after it."""
+    if cfg.suite_mode == DOMAIN_INCREMENTAL:
+        return [cfg.num_classes] * cfg.num_tasks, \
+            [cfg.num_classes] * cfg.num_tasks
+    brought = _normalize_counts(cfg.classes_per_task, cfg.num_tasks)
+    return brought, list(itertools.accumulate(brought))
+
+
+def _pass(cfg, rows: int, classes: int, heads: int) -> float:
+    """`heads` heads' evaluation, scoring or Fisher pass on `rows` rows."""
+    return heads * (PASS_S + MADD_S * (
+        ledgers.encoder_forward_madds(rows, cfg.dim_e, cfg.dim_x)
+        + ledgers.head_forward_madds(rows, classes, cfg.dim_e)))
+
+
+def _training(cfg, rows: int, classes: int, epochs: int, heads: int):
+    """A lockstep training call of `heads` heads on `rows` rows each."""
+    if not rows:
+        return 0.0
+    stacks = -(-heads // max(1, STACK_EMBEDDING_BYTES // (
+        8 * cfg.dim_e * rows)))
+    seen = epochs * rows  # billed as `trainer.charge_training` bills it
+    madds = ledgers.encoder_forward_madds(rows, cfg.dim_e, cfg.dim_x) \
+        + ledgers.head_forward_madds(seen, classes, cfg.dim_e) \
+        + ledgers.head_backward_madds(seen, classes, cfg.dim_e) \
+        + ledgers.softmax_madds(seen, classes)
+    return heads * (HEAD_CALL_S + MADD_S * madds) \
+        + STEP_S * stacks * epochs * -(-rows // cfg.batch_size)
+
+
+def _group_seconds(cfg, method, heads: int) -> tuple[float, float, float]:
+    """A lockstep group's task-1 training, its later training, and the
+    rest: federated training, evaluation, scoring and Fisher passes."""
+    brought, classes = _sizes(cfg)
+    z, p = cfg.z_per_class, cfg.retain_per_class
+    train, rest, history = [0.0, 0.0], 0.0, 0
+    for t, (k, c) in enumerate(zip(brought, classes)):
+        rest += _pass(cfg, cfg.test_per_class * sum(brought[:t + 1]), c,
+                      heads)
+        if method in FEDERATED_METHODS:
+            rows = cfg.n_per_class * k
+            rest += cfg.rounds * cfg.clients_per_task * _training(
+                cfg, rows, c, cfg.local_epochs, heads)
+            if method is Method.FEDEWC:
+                rest += cfg.clients_per_task * _pass(cfg, rows, c, heads)
+            continue
+        history += z * k
+        rows = {Method.OSIFL: z * k + min(p, z) * sum(brought[:t]),
+                Method.OSCAR_CEILING: history}.get(method, z * k)
+        train[t > 0] += _training(cfg, rows, c, cfg.epochs_per_task, heads)
+        if (method is Method.OSIFL and p) or method is Method.OSCAR_R:
+            rest += _pass(cfg, z * k, c, heads)
+    return train[0], train[1], rest
+
+
+def _ddpm_seconds(cfg) -> tuple[float, float]:
+    """A seed's pretraining, and its synthesis of every task."""
+    per_row = forward_madds_per_row(cfg.dim_x, cfg.dim_e,
+                                    cfg.diffusion_steps, cfg.denoiser_hidden)
+    return cfg.pretrain_steps * (PRETRAIN_STEP_S + PRETRAIN_MADD_S * 3
+                                 * per_row * cfg.pretrain_batch), \
+        cfg.diffusion_steps * (cfg.num_tasks * CHAIN_STEP_S + SAMPLE_MADD_S
+                               * 2 * per_row * cfg.z_per_class
+                               * sum(_sizes(cfg)[0]))
+
+
+def units(groups, server) -> list[Unit]:
+    """The grid's units in serial order: each lockstep group `(config,
+    method, seeds)`, and under `ddpm` each generator that `server` lacks,
+    just before the first group that reads it.
+
+    The one-shot runs of a seed share its task-1 heads. OSCAR_IL, OSIFL
+    at p = 0 and OSCAR_R at lambda_ewc = 0 train the same heads at every
+    task, so they share their later training too."""
+    out, made = [], set()
+    for cfg, method, seeds in groups:
+        first, later, rest = _group_seconds(cfg, method, len(seeds))
+        pretraining, synthesis = _ddpm_seconds(cfg)
+        needs, trunk_only = {}, method is Method.OSCAR_IL or (
+            method is Method.OSIFL and not cfg.retain_per_class) or (
+            method is Method.OSCAR_R and not cfg.lambda_ewc)
+        if not trunk_only:
+            rest += later
+        for seed in () if method in FEDERATED_METHODS else seeds:
+            trunk = memo_key(Method.OSCAR_IL, cfg, seed)
+            needs["head1", trunk] = first / len(seeds)
+            if trunk_only:
+                needs["heads", trunk] = later / len(seeds)
+            if cfg.generator == "ddpm":
+                generator = memo_key("generator", cfg, seed)
+                needs["synthesis", generator, *memo_key(
+                    "synthesis", cfg, seed)] = synthesis
+                if generator not in server:
+                    needs[generator] = pretraining
+                    if generator not in made:
+                        made.add(generator)
+                        out.append(Unit(generator, pretraining, {},
+                                        (cfg, "generator", (seed,))))
+        out.append(Unit(tuple(memo_key(method, cfg, seed) for seed in seeds),
+                        rest, needs, (cfg, method, seeds)))
+    return out
+
+
+def _made(units) -> set:
+    """The units' keys and every entry they read."""
+    return {u.key for u in units} | {e for u in units for e in u.needs}
+
+
+def seconds(units, have=frozenset()) -> float:
+    """The estimated seconds of `units` in one process that holds `have`:
+    their own, and once each entry they read that none of them makes."""
+    needs, own = {}, {u.key for u in units}
+    for unit in units:
+        needs.update(unit.needs)
+    return sum(u.seconds for u in units) + sum(
+        s for e, s in needs.items() if e not in own and e not in have)
+
+
+def finish(here, there) -> float:
+    """The estimated seconds until both processes are done. The worker
+    runs `there`; this process runs the units of `here` that read nothing
+    the worker makes, then waits for the worker, then runs the others."""
+    if not there:
+        return seconds(here)
+    first, wait = phases(here, there)
+    return max(seconds(first), seconds(there)) + seconds(
+        wait, _made(first) | {u.key for u in there})
+
+
+def phases(here, there) -> tuple[list[Unit], list[Unit]]:
+    """The units of `here` that read nothing `there` makes, and the others,
+    which wait for the worker."""
+    made = {u.key for u in there}
+    return [u for u in here if not made & u.needs.keys()], \
+        [u for u in here if made & u.needs.keys()]
+
+
+def rebuilt(unit: Unit, here, there) -> float:
+    """The seconds of the entries `unit`, placed in the worker, builds
+    there that this process builds as well."""
+    made, built_here = {u.key for u in there}, _made(here)
+    return sum(s for e, s in unit.needs.items()
+               if e not in made and e in built_here)
+
+
+def split(units: list[Unit], fork_s: float = FORK_S):
+    """`(here, there)`: the units this process and the worker run, each in
+    serial order. The unit of most seconds of its own is placed first,
+    each where `finish` is earlier, this process on a tie. Then each unit
+    whose `rebuilt` entries cost at least its own seconds comes back
+    here, until none does. The worker gets nothing unless the estimated
+    saving, `seconds` of all less `finish`, exceeds `fork_s`."""
+    here, there = [], []
+    for unit in sorted(units, key=lambda u: -u.seconds):
+        if finish(here, [*there, unit]) < finish([*here, unit], there):
+            there.append(unit)
+        else:
+            here.append(unit)
+    while back := [u for u in there if rebuilt(u, here, there) >= u.seconds]:
+        here += back
+        there = [u for u in there if u not in back]
+    if seconds(units) - finish(here, there) <= fork_s:
+        return list(units), []
+    away = {u.key for u in there}
+    return [u for u in units if u.key not in away], \
+        [u for u in units if u.key in away]
+
+
+def _blas_threads():
+    """The getter and setter of the thread count of NumPy's bundled
+    OpenBLAS, or None where NumPy carries none."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    lib = ctypes.CDLL(libs[0]) if libs else None
+    for name in ("scipy_openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("set")):
+            return getattr(lib, name.format("get")), \
+                getattr(lib, name.format("set"))
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold NumPy's OpenBLAS to one thread for the block, in which this
+    process and the worker compute at once. With a BLAS thread per CPU in
+    each, their idle threads spin on the CPUs the other needs: the default
+    `ddpm` run took 11-17 s so, and 5 s with one thread."""
+    found = _blas_threads()
+    if found is None:
+        yield
+        return
+    get, put = found
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+def can_fork() -> bool:
+    """A worker pays only with a second CPU to run it on."""
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+        and len(os.sched_getaffinity(0)) >= 2
+
+
+@contextlib.contextmanager
+def forked(work):
+    """Run `work()`, which returns bytes, in a forked worker process that
+    pipes them back. Yields `join`, which waits for the worker and
+    returns those bytes, or raises `ProtocolError` if the worker died.
+    However the block ends, the pipe is closed and the worker reaped,
+    killed first if no `join` reaped it. If the system refuses the fork,
+    `work()` runs here instead."""
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of a fork with threads running; NumPy's
+            # OpenBLAS threads are shut down across a fork.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        data = work()
+        yield lambda: data
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as out:
+                out.write(work())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    status = None
+
+    def join() -> bytes:
+        nonlocal status
+        data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise ProtocolError(
+                "the worker " + (f"was killed by signal {-code}" if code < 0
+                                 else f"exited with code {code}"))
+        return data
+
+    with os.fdopen(r, "rb") as pipe:
+        try:
+            yield join
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def packed(results: dict) -> bytes:
+    """The worker's results for the pipe: a report as it is, a generator
+    `(model, madds)` as its `model_blob` bytes and the multiply-adds it
+    billed, and an error as its text."""
+    return pickle.dumps({
+        key: (model_blob(r[0], "the worker's generator"), r[1])
+        if isinstance(r, tuple) else r if isinstance(r, RunReport)
+        else str(r) for key, r in results.items()})
+
+
+def _valid(value) -> bool:
+    if isinstance(value, tuple):
+        return len(value) == 2 and isinstance(value[0], bytes) \
+            and isinstance(value[1], dict)
+    return isinstance(value, (RunReport, str))
+
+
+def returned(join, keys: list) -> dict:
+    """`packed`'s results for each of `keys`, with each generator read
+    back by `_read_model` and each error's text raised as RuntimeError;
+    every key fails alike if the worker died or sent anything else."""
+    try:
+        data = join()
+    except ProtocolError as err:
+        return dict.fromkeys(keys, err)
+    try:
+        got = pickle.loads(data)
+        if not (isinstance(got, dict) and set(got) == set(keys)
+                and all(map(_valid, got.values()))):
+            raise ValueError(got)
+        return {key: (_read_model(v[0], "the worker's generator"), v[1])
+                if isinstance(v, tuple) else v if isinstance(v, RunReport)
+                else RuntimeError(v) for key, v in got.items()}
+    except Exception:
+        return dict.fromkeys(keys, ProtocolError(
+            "the worker sent unreadable bytes"))

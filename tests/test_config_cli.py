@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from osifl import cli, orchestrator, trainer
+from osifl import cli, orchestrator, plan, trainer
 from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
                        run_experiment, sweep)
 from osifl.config import (FIELD_SPECS, ExperimentConfig, build_run_inputs,
@@ -316,14 +316,18 @@ def _memo_keys(cfg, states, seed=3):
              for s in task1]
     gen_key = memo_key("generator", cfg, seed)
 
+    def build_generator():
+        state.generator = orchestrator.build_generator(
+            cfg, seed, world, state.encoder, state.server)
+        return state.generator
+
     def generator():
-        orchestrator._build_generator(state)
-        gen = state.generator
+        gen = build_generator()
         return type(gen), (gen.cond_matrix if cfg.generator == "surrogate"
                            else gen.denoiser.flat).tobytes()
 
     def synthesized():
-        orchestrator._build_generator(state)
+        build_generator()
         data = orchestrator._synthesized_task(
             state, blobs, [parse_message(blob) for blob in blobs]).data
         return data.x.tobytes(), data.y.tobytes()
@@ -887,6 +891,24 @@ def test_a_blob_corrupted_in_flight_fails_only_its_own_run(
                                        "summary.partial.csv"]
 
 
+@pytest.mark.parametrize("generator", ["surrogate", "ddpm"])
+def test_a_message_of_another_width_fails_its_run_with_protocol_error(
+        tmp_path, monkeypatch, capsys, generator):
+    # Each upload loses its last mean column in flight: a well-formed
+    # blob, refused because the encoder is 12 wide.
+    real = orchestrator.serialize_message
+    monkeypatch.setattr(orchestrator, "serialize_message", lambda msg: real(
+        dataclasses.replace(msg, means=msg.means[:, :-1])))
+    cfg = _small(**dict(_DDPM if generator == "ddpm" else {},
+                        methods=(Method.OSIFL, Method.FEDAVG), seeds=(5,)))
+    assert run_experiment(cfg, str(tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "run failed: OSIFL seed=5: message from client 0 has dim_e 11, not "
+        "the encoder's 12"]
+    assert sorted(os.listdir(tmp_path)) == ["run_FEDAVG_seed5.csv",
+                                            "summary.partial.csv"]
+
+
 def _reference_sweep_csv(cfg, axis, values):
     """The sweep CSV built from the reference run of every cell."""
     rows = []
@@ -943,17 +965,16 @@ def test_sweep_runs_each_distinct_cell_once_and_writes_direct_bytes(
         _reference_sweep_csv(cfg, axis, parsed)
 
 
-def test_sweep_reruns_a_failed_key_at_every_value(
+def test_sweep_fails_a_failed_key_at_every_value_from_one_run(
         tmp_path, monkeypatch, capsys):
     # An untrained ddpm makes every one-shot run fail. OSCAR_IL does not
-    # read p, but a failed run is never kept, so each value runs it again.
+    # read p: it runs once, and its error fills the cell of each value.
     cfg = _small(generator="ddpm", pretrain_steps=0, methods=_THREE,
                  seeds=(5,))
     calls = _count_runs(monkeypatch)
     assert sweep(cfg, "p", ["1", "2"], str(tmp_path)) == 1
     assert [m for m, _ in calls] == [Method.OSIFL, Method.OSCAR_IL,
-                                     Method.FEDAVG, Method.OSIFL,
-                                     Method.OSCAR_IL]
+                                     Method.FEDAVG, Method.OSIFL]
     assert capsys.readouterr().err.splitlines() == [
         f"sweep run failed: p={p} {m} seed=5: refusing to sample from an "
         f"untrained model" for p in (1, 2) for m in ("OSIFL", "OSCAR_IL")]
@@ -1050,12 +1071,19 @@ def test_a_grid_equals_the_reference_run_after_every_task(
 
 
 def _count_forks(monkeypatch):
-    """Give the grid two CPUs, and record each fork it makes."""
+    """Give the grid two CPUs, and record each fork it makes and each
+    `(here, there)` plan."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    forks, real = [], os.fork
+    forks, real, plans, split = [], os.fork, [], plan.split
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real())
-    return forks
+    monkeypatch.setattr(plan, "split", lambda units: plans.append(
+        split(units)) or plans[-1])
+    return forks, plans
+
+
+def _runs(units) -> int:
+    return sum(len(u.job[2]) for u in units if u.job[1] != "generator")
 
 
 @pytest.mark.parametrize("overrides", [
@@ -1065,25 +1093,27 @@ def _count_forks(monkeypatch):
 def test_a_grid_of_seeds_with_a_worker_equals_the_reference_run(
         monkeypatch, overrides):
     # `test_a_grid_of_seeds_trains_them_stacked_like_a_grid_per_seed` with
-    # `workers=1`: the federated runs train stacked in one worker, out of
-    # the recorders' sight, and the one-shot runs train stacked here.
-    # Every report is the reference run's.
-    forks = _count_forks(monkeypatch)
+    # `workers=1`: the groups the plan gives the worker train stacked
+    # there, out of the recorders' sight, and the others train stacked
+    # here. Every report is the reference run's.
+    forks, plans = _count_forks(monkeypatch)
     cfg = _small(**dict(_ALL_SEEDS, **overrides))
     states, sizes = record_states(monkeypatch), _stack_sizes(monkeypatch)
     failures, heads = _assert_grid_matches_reference(
         cfg, None, [None], states, workers=1)
     assert failures == [] and set(sizes) == {3} and sum(sizes) == heads
-    assert len(states) == 4 * 3 * cfg.num_tasks and len(forks) == 1
+    [(here, there)] = plans
+    assert _runs(there) and len(forks) == 1
+    assert len(states) == _runs(here) * cfg.num_tasks
 
 
 @pytest.mark.parametrize("workers", [0, 1])
 def test_a_p_sweep_forked_or_not_equals_the_reference_run(monkeypatch,
                                                          workers):
-    # FEDAVG does not read p: p = 0 computes it, in the worker if there
-    # is one, and the memo keeps the reports for p = 2 and 5, whose
-    # only runs left are OSIFL's, so they fork nothing.
-    forks = _count_forks(monkeypatch)
+    # FEDAVG does not read p: one unit computes it, and the memo keeps
+    # its reports for p = 0, 2 and 5. One plan covers the whole grid, so
+    # the worker, if there is one, takes OSIFL's runs at a later p too.
+    forks, plans = _count_forks(monkeypatch)
     cfg = _small(methods=_THREE, seeds=(3, 4))
     server = orchestrator.ServerMemo()
     states = record_states(monkeypatch)
@@ -1094,12 +1124,20 @@ def test_a_p_sweep_forked_or_not_equals_the_reference_run(monkeypatch,
         cell = dataclasses.replace(cfg, retain_per_class=p)
         assert all(memo_key(Method.FEDAVG, cell, seed) in server
                    for seed in cfg.seeds)
+    # OSIFL's runs at the values the worker took leave no state here.
+    away = {u.job[0].retain_per_class for _, there in plans for u in there
+            if u.job[1] is Method.OSIFL}
+    assert len(plans) == workers and bool(away & {2, 5}) == bool(workers)
+    assert {(cell.retain_per_class, seed) for method, seed, cell, _ in states
+            if method is Method.OSIFL} == {
+        (p, seed) for p in (0, 2, 5) if p not in away for seed in cfg.seeds}
 
 
 def test_a_seed_whose_synthesis_is_not_finite_fails_alone(monkeypatch):
     # Seeds 42 and 50 synthesize NaN; 18 trains alone meanwhile, as its
     # reference run does. A failure line for each failed run, in (value,
-    # seed, method) order; p = 2 reruns the failed keys.
+    # seed, method) order; the error of a run that does not read p fills
+    # its cell at p = 2 too.
     real, cfg = orchestrator.make_surrogate, _small(**_ALL_SEEDS)
 
     class NaNGenerator:

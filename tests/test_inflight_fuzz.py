@@ -5,8 +5,10 @@ or lets it complete, and leaves every other run's report as it was.
 Hypothesis picks one `serialize_message` call by its index in the grid's
 fixed call order and changes its bytes: a flipped byte, a truncation, an
 extension, or an earlier blob (another client's or task's) in its place.
-The grid runs in this process (`workers=0`) and with its federated runs
-in a forked worker (`workers=1`), which starts one process an example.
+The grid runs in this process (`workers=0`) and with the runs its plan
+gives a forked worker (`workers=1`), which starts one process an
+example. Each failed run's error type crosses the worker's pipe in its
+failure text.
 """
 import functools
 import os
@@ -48,9 +50,8 @@ def _seed_of_each_blob() -> dict[bytes, int]:
 def _grid(workers: int, at: int = -1, change: bytes = b""):
     """Run the grid, with the blob of the serializing call of index `at`
     replaced by `change` if one is given; return the blobs made in call
-    order, each run's report, and the error each run raised in this
-    process."""
-    made, raised = [], {}
+    order, each run's report, and the type name of each run's error."""
+    made = []
     real_serialize, real_steps = orchestrator.serialize_message, cli.run_steps
 
     def serialize(msg):
@@ -61,8 +62,7 @@ def _grid(workers: int, at: int = -1, change: bytes = b""):
         try:
             return (yield from real_steps(method, *args, **kwargs))
         except Exception as err:
-            raised[method, args[-1]] = err  # the last argument is the seed
-            raise
+            raise RuntimeError(f"{type(err).__name__}: {err}") from None
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orchestrator, "serialize_message", serialize)
@@ -73,22 +73,27 @@ def _grid(workers: int, at: int = -1, change: bytes = b""):
         [(_, reports)], failures = cli.run_grid(_CFG, None, [None],
                                                 _CFG.seeds, workers=workers)
     runs = {(Method(r.method), r.seed): r for r in reports}
-    assert len(runs) + len(failures) == len(_CFG.methods) * len(_CFG.seeds)
+    raised = {}
+    for line in failures:
+        cell, kind, _ = line.split(": ", 2)
+        method, seed = cell.split(" seed=")
+        raised[Method(method), int(seed)] = kind
+    assert len(runs) + len(raised) == len(_CFG.methods) * len(_CFG.seeds)
     return made, runs, raised
 
 
 @functools.cache
-def _clean():
+def _clean(workers: int):
     """The unchanged grid's blobs in call order, and its reports."""
-    made, runs, raised = _grid(0)
+    made, runs, raised = _grid(workers)
     assert not raised and sorted(made) == sorted(_seed_of_each_blob())
     return made, runs
 
 
 @st.composite
-def _changes(draw):
+def _changes(draw, workers: int):
     """A call index, and the bytes that replace that call's blob."""
-    made, _ = _clean()
+    made, _ = _clean(workers)
     at = draw(st.integers(0, len(made) - 1))
     blob = made[at]
 
@@ -113,10 +118,10 @@ def _changes(draw):
 
 @pytest.mark.parametrize("workers", [0, 1])
 @settings(max_examples=100, deadline=None)
-@given(change=_changes())
-def test_a_blob_changed_in_flight_fails_only_its_runs(workers, change):
-    at, changed = change
-    clean_made, clean_runs = _clean()
+@given(data=st.data())
+def test_a_blob_changed_in_flight_fails_only_its_runs(workers, data):
+    at, changed = data.draw(_changes(workers))
+    clean_made, clean_runs = _clean(workers)
     seed = _seed_of_each_blob()[clean_made[at]]
     made, runs, raised = _grid(workers, at, changed)
     # The calls up to the changed one are the unchanged grid's; a run
@@ -127,7 +132,6 @@ def test_a_blob_changed_in_flight_fails_only_its_runs(workers, change):
         if method in ONESHOT_METHODS and run_seed == seed:
             # A run that reads the blob completes, or fails with
             # ProtocolError alone.
-            assert (key in runs) != isinstance(raised.get(key),
-                                               ProtocolError)
+            assert (key in runs) != (raised.get(key) == ProtocolError.__name__)
         else:
             assert runs.get(key) == clean and key not in raised

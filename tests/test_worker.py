@@ -1,5 +1,7 @@
-"""The federated worker: `run_grid(..., workers=1)` forks one process per
-grid value for its federated runs. Each test here starts at most two
+"""The worker: `run_grid(..., workers=1)` forks one process per grid for
+the units `plan.split` gives it. The failure tests place the units
+themselves (`_place`), so that what the worker holds does not hang on
+the plan's cost estimates. Each test here starts at most two
 processes."""
 import errno
 import os
@@ -11,11 +13,12 @@ import time
 
 import pytest
 
-from osifl import cli, orchestrator
+from osifl import cli, orchestrator, plan
 from osifl.cli import main, run_experiment, run_grid, sweep
 from osifl.config import ExperimentConfig
 from osifl.errors import ConfigError, ProtocolError
-from osifl.orchestrator import Method
+from osifl.orchestrator import FEDERATED_METHODS, Method, memo_key
+from reference_run import reference_run
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -46,9 +49,22 @@ def _two_cpus(monkeypatch):
                         raising=False)
 
 
-def _in_worker(parent, act):
-    """Wrap the federated clients' trainer to `act()` in a worker only."""
-    real = orchestrator.train_local
+def _place(monkeypatch, away):
+    """Give the grid two CPUs, and have the worker take each unit whose
+    `job`, `(config, method, seeds)`, satisfies `away`."""
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(plan, "split", lambda units: (
+        [u for u in units if not away(u.job)],
+        [u for u in units if away(u.job)]))
+
+
+def _federated(job):
+    return job[1] in FEDERATED_METHODS
+
+
+def _in_worker(parent, act, name="train_local"):
+    """Wrap the orchestrator's `name` to `act()` in a worker only."""
+    real = getattr(orchestrator, name)
 
     def wrapped(*args, **kwargs):
         if os.getpid() != parent:
@@ -91,7 +107,7 @@ def test_the_module_command_forks_and_writes_the_in_process_bytes(
     assert main(command + [str(tmp_path / "b")]) == 0
     assert _files(tmp_path / "a") == _files(tmp_path / "b")
     forks = log.read_text().count("fork") if log.exists() else 0
-    assert forks == int(cli._can_fork())
+    assert forks == int(plan.can_fork())
 
 
 def test_the_console_script_passes_one_worker(monkeypatch):
@@ -101,15 +117,19 @@ def test_the_console_script_passes_one_worker(monkeypatch):
     assert cli.command() == 0 and seen == [1]
 
 
+def _kill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def test_a_killed_worker_fails_each_forked_run(tmp_path, monkeypatch,
                                                capsys):
-    _two_cpus(monkeypatch)
-    monkeypatch.setattr(orchestrator, "train_local", _in_worker(
-        os.getpid(), lambda: os.kill(os.getpid(), signal.SIGKILL)))
+    _place(monkeypatch, _federated)
+    monkeypatch.setattr(orchestrator, "train_local",
+                        _in_worker(os.getpid(), _kill))
     cfg = _small()
     assert run_experiment(cfg, str(tmp_path), workers=1) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"run failed: {m} seed={s}: the federated worker was killed by "
+        f"run failed: {m} seed={s}: the worker was killed by "
         f"signal {signal.SIGKILL.value}" for s in (5, 6)
         for m in ("FEDAVG", "FEDPROX")]
     assert sorted(os.listdir(tmp_path)) == [
@@ -123,14 +143,14 @@ def test_a_killed_worker_fails_each_forked_run(tmp_path, monkeypatch,
     pickle.dumps({(Method.FEDAVG, 5): 1})], ids=["bytes", "keys", "value"])
 def test_a_worker_that_sends_unreadable_bytes_fails_each_forked_run(
         monkeypatch, payload):
-    _two_cpus(monkeypatch)
+    _place(monkeypatch, _federated)
     parent, real = os.getpid(), pickle.dumps
     monkeypatch.setattr(pickle, "dumps", lambda obj: payload
                         if os.getpid() != parent else real(obj))
     cfg = _small()
     cells, failures = run_grid(cfg, None, [None], cfg.seeds, workers=1)
     assert failures == [
-        f"{m} seed={s}: the federated worker sent unreadable bytes"
+        f"{m} seed={s}: the worker sent unreadable bytes"
         for s in (5, 6) for m in ("FEDAVG", "FEDPROX")]
     [(_, reports)] = cells
     assert [(r.method, r.seed) for r in reports] == [
@@ -139,7 +159,7 @@ def test_a_worker_that_sends_unreadable_bytes_fails_each_forked_run(
 
 
 def test_a_run_failing_in_the_worker_sends_its_text(monkeypatch):
-    _two_cpus(monkeypatch)
+    _place(monkeypatch, _federated)
 
     def refuse():
         raise ProtocolError("no update from this client")
@@ -159,14 +179,17 @@ class _Abort(BaseException):
 def test_an_error_here_kills_and_reaps_the_worker(monkeypatch):
     # The worker would sleep for a minute; the error in this process's
     # one-shot runs ends the grid at once, and the worker with it.
-    _two_cpus(monkeypatch)
+    _place(monkeypatch, _federated)
     monkeypatch.setattr(orchestrator, "train_local",
                         _in_worker(os.getpid(), lambda: time.sleep(60)))
+    parent, real = os.getpid(), orchestrator.train_naive
 
-    def abort(*args):
-        raise _Abort
+    def abort(*args, **kwargs):
+        if os.getpid() == parent:
+            raise _Abort
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(orchestrator, "make_surrogate", abort)
+    monkeypatch.setattr(orchestrator, "train_naive", abort)
     cfg = _small()
     start = time.monotonic()
     with pytest.raises(_Abort):
@@ -226,3 +249,97 @@ def test_workers_is_zero_or_one():
     cfg = _small()
     with pytest.raises(ConfigError, match="workers must be 0 or 1"):
         run_grid(cfg, None, [None], cfg.seeds, workers=2)
+
+
+_DDPM = dict(generator="ddpm", diffusion_steps=5, denoiser_hidden=8,
+             pretrain_steps=10, pretrain_batch=16)
+_THREE = (Method.OSIFL, Method.OSCAR_IL, Method.FEDAVG)
+
+
+def _assert_reference_reports(cells):
+    for cell, reports in cells:
+        for r in reports:
+            assert r == reference_run(r.method, cell, r.seed).report
+
+
+def _generator_of(seed):
+    return lambda job: job[1] == "generator" and job[2] == (seed,)
+
+
+# (a) OSCAR_IL does not read p: the worker's one unit fills its cells at
+# both values. (b) The worker makes seed 6's generator, which both
+# one-shot runs of seed 6 read here once the worker ends.
+_HELD = {
+    "sweep_key": (dict(methods=_THREE), "p", [1, 2],
+                  lambda job: job[1] is Method.OSCAR_IL, "train_naive",
+                  [f"p={p} OSCAR_IL seed={s}" for p in (1, 2)
+                   for s in (5, 6)]),
+    "generator": (dict(_DDPM, methods=_THREE), None, [None],
+                  _generator_of(6), "pretrain",
+                  [f"{m} seed=6" for m in ("OSIFL", "OSCAR_IL")])}
+
+
+@pytest.mark.parametrize("held", sorted(_HELD))
+@pytest.mark.parametrize("fault", ["killed", "unreadable"])
+def test_a_failed_worker_fails_each_cell_that_needed_its_units(
+        monkeypatch, held, fault):
+    overrides, axis, values, away, name, cells_failed = _HELD[held]
+    _place(monkeypatch, away)
+    parent = os.getpid()
+    if fault == "killed":
+        monkeypatch.setattr(orchestrator, name,
+                            _in_worker(parent, _kill, name))
+        why = f"the worker was killed by signal {signal.SIGKILL.value}"
+    else:
+        real = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps", lambda obj: b"not a pickle"
+                            if os.getpid() != parent else real(obj))
+        why = "the worker sent unreadable bytes"
+    cfg = _small(**overrides)
+    cells, failures = run_grid(cfg, axis, values, cfg.seeds, workers=1)
+    assert failures == [f"{cell}: {why}" for cell in cells_failed]
+    assert sum(map(len, (reports for _, reports in cells))) == \
+        len(values) * len(cfg.seeds) * len(cfg.methods) - len(failures)
+    _assert_reference_reports(cells)
+    _assert_no_child_left()
+
+
+def test_a_generator_sent_truncated_fails_each_run_that_waits_for_it(
+        monkeypatch):
+    # The worker's pickle holds seed 6's checkpoint less its last float,
+    # which `_read_model` refuses here.
+    _place(monkeypatch, _generator_of(6))
+    parent, real = os.getpid(), pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda obj: real(obj)
+                        if os.getpid() == parent else real({
+                            key: (v[0][:-8], v[1]) if isinstance(v, tuple)
+                            else v for key, v in obj.items()}))
+    cfg = _small(**dict(_DDPM, methods=_THREE))
+    cells, failures = run_grid(cfg, None, [None], cfg.seeds, workers=1)
+    assert failures == [f"{m} seed=6: the worker sent unreadable bytes"
+                        for m in ("OSIFL", "OSCAR_IL")]
+    _assert_reference_reports(cells)
+    _assert_no_child_left()
+
+
+def test_generators_made_in_the_worker_equal_the_reference_run(
+        monkeypatch):
+    # Both generators cross the pipe as checkpoint bytes, and every
+    # one-shot run here reads them after the worker ends: none is
+    # pretrained here.
+    _place(monkeypatch, lambda job: job[1] == "generator")
+    forks, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real())
+    # A worker's calls append to its own copy of the list.
+    here, pretrain = [], orchestrator.pretrain
+    monkeypatch.setattr(orchestrator, "pretrain", lambda *args, **kw:
+                        here.append(None) or pretrain(*args, **kw))
+    cfg = _small(**dict(_DDPM, methods=_THREE))
+    server = orchestrator.ServerMemo()
+    cells, failures = run_grid(cfg, "w", [1.0, 3.0], cfg.seeds,
+                               server=server, workers=1)
+    assert failures == [] and len(forks) == 1 and here == []
+    assert all(memo_key("generator", cfg, seed) in server
+               for seed in cfg.seeds)
+    _assert_reference_reports(cells)
+    _assert_no_child_left()
