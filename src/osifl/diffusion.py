@@ -103,14 +103,34 @@ def forward_noise(schedule: NoiseSchedule, x0: np.ndarray, z,
 
 def _param_shapes(dim_x: int, dim_cond: int, num_steps: int, hidden: int
                   ) -> dict[str, tuple[int, ...]]:
-    d_in = dim_x + num_steps + dim_cond
-    return {"w1": (hidden, d_in), "b1": (hidden,),
+    """The denoiser's layers; the input is (x_z, one_hot(z), condition)."""
+    return {"w1": (hidden, dim_x + num_steps + dim_cond), "b1": (hidden,),
             "w2": (hidden, hidden), "b2": (hidden,),
             "w3": (dim_x, hidden), "b3": (dim_x,)}
 
 
 def _flat_size(shapes: dict[str, tuple[int, ...]]) -> int:
     return sum(map(math.prod, shapes.values()))
+
+
+def forward_madds_per_row(dim_x: int, dim_cond: int, num_steps: int,
+                          hidden: int) -> int:
+    """Multiply-adds of a denoiser's forward pass on one input: one per
+    parameter, and a tanh per unit of both hidden layers."""
+    shapes = _param_shapes(dim_x, dim_cond, num_steps, hidden)
+    return _flat_size(shapes) + 2 * hidden
+
+
+def pretrain_step_madds(sizes: tuple, batch: int) -> int:
+    """A pretraining step on `batch` rows of a denoiser of `sizes` (see
+    `Denoiser.sizes`): a forward pass, and a backward pass of two."""
+    return 3 * batch * forward_madds_per_row(*sizes)
+
+
+def chain_step_madds(sizes: tuple, rows: int) -> int:
+    """A reverse-chain step on `rows` rows: a forward pass with their
+    conditions and one without."""
+    return 2 * rows * forward_madds_per_row(*sizes)
 
 
 @dataclass(eq=False)
@@ -140,24 +160,19 @@ class Denoiser:
         """The views of a flat vector laid out like the parameters, such
         as a gradient, keyed by parameter name."""
         views, start = {}, 0
-        for name, shape in self._shapes.items():
+        for name, shape in _param_shapes(*self.sizes).items():
             size = math.prod(shape)
             views[name] = flat[start:start + size].reshape(shape)
             start += size
         return views
 
     @property
-    def _shapes(self) -> dict[str, tuple[int, ...]]:
-        return _param_shapes(self.dim_x, self.dim_cond, self.num_steps,
-                             self.hidden)
-
-    @property
-    def input_dim(self) -> int:
-        return self.dim_x + self.num_steps + self.dim_cond
+    def sizes(self) -> tuple[int, int, int, int]:
+        return self.dim_x, self.dim_cond, self.num_steps, self.hidden
 
     @property
     def param_count(self) -> int:
-        return _flat_size(self._shapes)
+        return _flat_size(_param_shapes(*self.sizes))
 
     def _assemble(self, x: np.ndarray, z, cond: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -181,22 +196,6 @@ class Denoiser:
         out = _Passes(self, self._assemble(x, z, cond)).forward()
         return out[0] if np.asarray(x).ndim == 1 else out
 
-    def forward_madds(self, batch: int) -> int:
-        return batch * forward_madds_per_row(self.dim_x, self.dim_cond,
-                                             self.num_steps, self.hidden)
-
-    def backward_madds(self, batch: int) -> int:
-        return 2 * self.forward_madds(batch)
-
-
-def forward_madds_per_row(dim_x: int, dim_cond: int, num_steps: int,
-                          hidden: int) -> int:
-    """Multiply-add count of a denoiser's forward pass on one input.
-    Affine layers count out*in + out each, tanh counts one per unit."""
-    d_in = dim_x + num_steps + dim_cond
-    return (hidden * d_in + 2 * hidden) + (hidden * hidden + 2 * hidden) \
-        + (dim_x * hidden + dim_x)
-
 
 def make_denoiser(dim_x: int, dim_cond: int, num_steps: int, hidden: int,
                   seed: int) -> Denoiser:
@@ -205,8 +204,7 @@ def make_denoiser(dim_x: int, dim_cond: int, num_steps: int, hidden: int,
     rng = stream(seed, "denoiser", "init")
     shapes = _param_shapes(dim_x, dim_cond, num_steps, hidden)
     den = Denoiser(dim_x=dim_x, dim_cond=dim_cond, num_steps=num_steps,
-                   hidden=hidden,
-                   flat=np.zeros(_flat_size(shapes)))
+                   hidden=hidden, flat=np.zeros(_flat_size(shapes)))
     # The weights are drawn in this order; the biases start at zero.
     for name in ("w1", "w2", "w3"):
         shape = shapes[name]
@@ -363,8 +361,8 @@ class DiffusionModel:
                 eps_cond *= root_beta[z - 1]
                 x += eps_cond
         if ledger is not None:
-            ledger.add("diffusion_sampling", sched.num_steps * sum(
-                2 * den.forward_madds(n) for n in counts))
+            ledger.add("diffusion_sampling",
+                       sched.num_steps * chain_step_madds(den.sizes, total))
         return x
 
 
@@ -391,7 +389,8 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, config, seed: int,
                              config.denoiser_hidden, seed)
     rng = stream(seed, "pretrain")
     batch, n_pool = config.pretrain_batch, len(pool)
-    passes = _Passes(denoiser, np.zeros((batch, denoiser.input_dim)))
+    passes = _Passes(denoiser,
+                     np.zeros((batch, denoiser.params["w1"].shape[1])))
     grad = np.empty_like(denoiser.flat)
     grads, adam = denoiser.split(grad), Adam(grad.size)
     eps, coin = np.empty((batch, denoiser.dim_x)), np.empty(batch)
@@ -407,8 +406,8 @@ def pretrain(pool: Batch, encoder: FrozenEncoder, config, seed: int,
             grads))
         adam.update(denoiser.flat, grad, DENOISER_LEARNING_RATE, 0.0)
     if ledger is not None:
-        ledger.add("diffusion_pretrain", train_steps * (
-            denoiser.forward_madds(batch) + denoiser.backward_madds(batch)))
+        ledger.add("diffusion_pretrain",
+                   train_steps * pretrain_step_madds(denoiser.sizes, batch))
     return DiffusionModel(schedule=schedule, denoiser=denoiser,
                           trained=train_steps > 0, loss_history=history)
 

@@ -1,8 +1,8 @@
 """Communication and compute accounting.
 
 Uploads are counted in floats, compute in multiply-adds. The closed
-forms below are the single source of truth for per-operation costs, so
-ledger totals can always be recounted independently.
+forms below, and the denoiser's in `diffusion`, state each bill once:
+the runs charge them, and the grid's plan prices its units with them.
 """
 from __future__ import annotations
 
@@ -27,6 +27,18 @@ def softmax_madds(batch: int, n_classes: int) -> int:
 def encoder_forward_madds(batch: int, dim_e: int, dim_x: int) -> int:
     """Affine map plus bias add plus one tanh per output unit."""
     return batch * (dim_e * dim_x + 2 * dim_e)
+
+
+def training_madds(rows: int, epochs: int, n_classes: int, dim_e: int,
+                   dim_x: int) -> dict[str, int]:
+    """A head's training call on `rows` rows for `epochs` epochs, by kind:
+    an encode per row, and a head forward, softmax and backward per row
+    and epoch, which equals the sum over the minibatch steps."""
+    seen = epochs * rows
+    return {"train_encoder": encoder_forward_madds(rows, dim_e, dim_x),
+            "train_head_forward": head_forward_madds(seen, n_classes, dim_e),
+            "train_softmax": softmax_madds(seen, n_classes),
+            "train_head_backward": head_backward_madds(seen, n_classes, dim_e)}
 
 
 @dataclass

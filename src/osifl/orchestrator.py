@@ -29,7 +29,7 @@ from .trainer import HP_FIELDS, AnchorState, Classifier, Stack, \
     estimate_fisher, train
 
 # bench/traced.py and the tests time and patch head training through these
-# names, one per method, until the program reports its own (ROADMAP item 1).
+# names until the ROADMAP's "Timings from the program" item is done.
 train_naive = train_joint = train_osifl = train_regularized = \
     train_local = train
 

@@ -30,10 +30,11 @@ import numpy as np
 
 from . import ledgers
 from .datagen import DOMAIN_INCREMENTAL, _normalize_counts
-from .diffusion import _read_model, forward_madds_per_row, model_blob
+from .diffusion import _read_model, chain_step_madds, model_blob, \
+    pretrain_step_madds
 from .errors import ProtocolError
 from .orchestrator import FEDERATED_METHODS, Method, RunReport, memo_key
-from .trainer import STACK_EMBEDDING_BYTES
+from .trainer import stack_width
 
 # Seconds per unit of work, fitted once by least squares on a 2-vCPU
 # machine (Python 3.11, NumPy 2.4.6, one OpenBLAS thread): head training
@@ -70,8 +71,7 @@ class Unit(NamedTuple):
 def _sizes(cfg) -> tuple[list[int], list[int]]:
     """The classes each task brings, and the head's classes after it."""
     if cfg.suite_mode == DOMAIN_INCREMENTAL:
-        return [cfg.num_classes] * cfg.num_tasks, \
-            [cfg.num_classes] * cfg.num_tasks
+        return ([cfg.num_classes] * cfg.num_tasks,) * 2
     brought = _normalize_counts(cfg.classes_per_task, cfg.num_tasks)
     return brought, list(itertools.accumulate(brought))
 
@@ -87,13 +87,9 @@ def _training(cfg, rows: int, classes: int, epochs: int, heads: int):
     """A lockstep training call of `heads` heads on `rows` rows each."""
     if not rows:
         return 0.0
-    stacks = -(-heads // max(1, STACK_EMBEDDING_BYTES // (
-        8 * cfg.dim_e * rows)))
-    seen = epochs * rows  # billed as `trainer.charge_training` bills it
-    madds = ledgers.encoder_forward_madds(rows, cfg.dim_e, cfg.dim_x) \
-        + ledgers.head_forward_madds(seen, classes, cfg.dim_e) \
-        + ledgers.head_backward_madds(seen, classes, cfg.dim_e) \
-        + ledgers.softmax_madds(seen, classes)
+    madds = sum(ledgers.training_madds(rows, epochs, classes, cfg.dim_e,
+                                       cfg.dim_x).values())
+    stacks = -(-heads // stack_width(cfg.dim_e, rows))
     return heads * (HEAD_CALL_S + MADD_S * madds) \
         + STEP_S * stacks * epochs * -(-rows // cfg.batch_size)
 
@@ -125,13 +121,12 @@ def _group_seconds(cfg, method, heads: int) -> tuple[float, float, float]:
 
 def _ddpm_seconds(cfg) -> tuple[float, float]:
     """A seed's pretraining, and its synthesis of every task."""
-    per_row = forward_madds_per_row(cfg.dim_x, cfg.dim_e,
-                                    cfg.diffusion_steps, cfg.denoiser_hidden)
-    return cfg.pretrain_steps * (PRETRAIN_STEP_S + PRETRAIN_MADD_S * 3
-                                 * per_row * cfg.pretrain_batch), \
-        cfg.diffusion_steps * (cfg.num_tasks * CHAIN_STEP_S + SAMPLE_MADD_S
-                               * 2 * per_row * cfg.z_per_class
-                               * sum(_sizes(cfg)[0]))
+    sizes = cfg.dim_x, cfg.dim_e, cfg.diffusion_steps, cfg.denoiser_hidden
+    step = pretrain_step_madds(sizes, cfg.pretrain_batch)
+    chains = chain_step_madds(sizes, cfg.z_per_class * sum(_sizes(cfg)[0]))
+    return cfg.pretrain_steps * (PRETRAIN_STEP_S + PRETRAIN_MADD_S * step), \
+        cfg.diffusion_steps * (cfg.num_tasks * CHAIN_STEP_S
+                               + SAMPLE_MADD_S * chains)
 
 
 def units(groups, server) -> list[Unit]:
@@ -190,8 +185,6 @@ def finish(here, there) -> float:
     """The estimated seconds until both processes are done. The worker
     runs `there`; this process runs the units of `here` that read nothing
     the worker makes, then waits for the worker, then runs the others."""
-    if not there:
-        return seconds(here)
     first, wait = phases(here, there)
     return max(seconds(first), seconds(there)) + seconds(
         wait, _made(first) | {u.key for u in there})
@@ -213,13 +206,13 @@ def rebuilt(unit: Unit, here, there) -> float:
                if e not in made and e in built_here)
 
 
-def split(units: list[Unit], fork_s: float = FORK_S):
+def split(units: list[Unit]):
     """`(here, there)`: the units this process and the worker run, each in
     serial order. The unit of most seconds of its own is placed first,
     each where `finish` is earlier, this process on a tie. Then each unit
     whose `rebuilt` entries cost at least its own seconds comes back
     here, until none does. The worker gets nothing unless the estimated
-    saving, `seconds` of all less `finish`, exceeds `fork_s`."""
+    saving, `seconds` of all less `finish`, exceeds `FORK_S`."""
     here, there = [], []
     for unit in sorted(units, key=lambda u: -u.seconds):
         if finish(here, [*there, unit]) < finish([*here, unit], there):
@@ -229,11 +222,12 @@ def split(units: list[Unit], fork_s: float = FORK_S):
     while back := [u for u in there if rebuilt(u, here, there) >= u.seconds]:
         here += back
         there = [u for u in there if u not in back]
-    if seconds(units) - finish(here, there) <= fork_s:
-        return list(units), []
     away = {u.key for u in there}
-    return [u for u in units if u.key not in away], \
+    here, there = [u for u in units if u.key not in away], \
         [u for u in units if u.key in away]
+    if seconds(units) - finish(here, there) <= FORK_S:
+        return list(units), []
+    return here, there
 
 
 def _blas_threads():

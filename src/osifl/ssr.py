@@ -12,8 +12,7 @@ import numpy as np
 
 from .datagen import Batch
 from .errors import ConfigError, ProtocolError
-from .ledgers import encoder_forward_madds, head_backward_madds, \
-    head_forward_madds, softmax_madds
+from .ledgers import training_madds
 from .trainer import Classifier, head_pass, rows_for
 
 
@@ -55,7 +54,7 @@ def select_exemplars(classifier: Classifier, candidates: Batch, p: int,
     """The top p candidates of each class, as one read-only batch with
     classes ascending and candidate order kept within a class. Each
     class's rows are scored together by `exemplar_scores`, and billed
-    to `ledger`, if any."""
+    to `ledger`, if any, as one epoch of training on them costs."""
     if p < 0:
         raise ConfigError(f"p must be >= 0, got {p}")
     keep = []
@@ -66,11 +65,9 @@ def select_exemplars(classifier: Classifier, candidates: Batch, p: int,
             score_by)
         keep += rows[top_p_indices(scores.tolist(), p)].tolist()
     if ledger is not None:
-        n, c, (e, x) = len(candidates), classifier.num_classes, \
-            classifier.encoder.weight.shape
-        ledger.add("exemplar_scoring", encoder_forward_madds(n, e, x)
-                   + head_forward_madds(n, c, e) + softmax_madds(n, c)
-                   + head_backward_madds(n, c, e))
+        ledger.add("exemplar_scoring", sum(training_madds(
+            len(candidates), 1, classifier.num_classes,
+            *classifier.encoder.weight.shape).values()))
     return Batch(candidates.x[keep], candidates.y[keep],
                  candidates.domain[keep], candidates.task)
 

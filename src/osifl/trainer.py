@@ -378,20 +378,17 @@ def _prepare(classifier: Classifier, groups, config, rng, epochs,
 
 
 def charge_training(call: HeadCall) -> None:
-    """Bill one head's training call to its ledger, if any. The madds
-    formulas are linear in the batch size, so one charge for every row
-    of every epoch equals the per-step sum."""
-    if call.ledger is None:
-        return
-    n, (n_out, dim_e) = len(call.rows), call.classifier.weights.shape
-    seen = call.epochs * n
-    call.ledger.add("train_encoder", ledgers.encoder_forward_madds(
-        n, dim_e, call.classifier.encoder.dim_x))
-    call.ledger.add("train_head_forward",
-                    ledgers.head_forward_madds(seen, n_out, dim_e))
-    call.ledger.add("train_softmax", ledgers.softmax_madds(seen, n_out))
-    call.ledger.add("train_head_backward",
-                    ledgers.head_backward_madds(seen, n_out, dim_e))
+    """Bill one head's training call to its ledger, if any."""
+    if call.ledger is not None:
+        for kind, madds in ledgers.training_madds(
+                len(call.rows), call.epochs, *call.classifier.weights.shape,
+                call.classifier.encoder.dim_x).items():
+            call.ledger.add(kind, madds)
+
+
+def stack_width(dim_e: int, rows: int) -> int:
+    """How many heads on `rows` rows of `dim_e` features share a stack."""
+    return max(1, STACK_EMBEDDING_BYTES // (8 * dim_e * rows))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -566,8 +563,7 @@ def train(classifier, groups, config, rng, *, epochs=None, anchor=None,
         stacks.setdefault(key, []).append((s, call))
     for members in stacks.values():
         clf, groups = members[0][1][:2]
-        width = max(1, STACK_EMBEDDING_BYTES // (
-            8 * clf.encoder.dim_e * sum(map(len, groups))))
+        width = stack_width(clf.encoder.dim_e, sum(map(len, groups)))
         for chunk in (members[i:i + width]
                       for i in range(0, len(members), width)):
             try:

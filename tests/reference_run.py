@@ -154,10 +154,20 @@ def denoise_loss_and_grads(denoiser, schedule, x0, cond, p_drop, rng):
     return denoise_loss_fixed(denoiser, schedule, x0, z, eps, cond_used)
 
 
+def denoiser_forward_madds(den, rows: int) -> int:
+    """A denoiser's forward pass on `rows` rows: out * in + out per affine
+    layer, and one tanh per unit of both hidden layers."""
+    d_in = den.dim_x + den.num_steps + den.dim_cond
+    return rows * ((den.hidden * d_in + 2 * den.hidden)
+                   + (den.hidden * den.hidden + 2 * den.hidden)
+                   + (den.dim_x * den.hidden + den.dim_x))
+
+
 def pretrain_reference(pool, encoder, cfg, seed, ledger=None):
     """`pretrain` as a per-array loop: each step's loss and gradients from
     `denoise_loss_and_grads` on one condition row per pool row, stepped
-    by `_ref_adam_step`, and billed to `ledger`, if any."""
+    by `_ref_adam_step`, and billed to `ledger`, if any: a forward pass
+    and a backward pass of two per row and step."""
     den = make_denoiser(pool.x.shape[1], encoder.dim_e, cfg.diffusion_steps,
                         cfg.denoiser_hidden, seed)
     # Each row's condition: the mean embedding of its (class, domain)
@@ -182,8 +192,7 @@ def pretrain_reference(pool, encoder, cfg, seed, ledger=None):
         losses.append(loss)
         if ledger is not None:
             ledger.add("diffusion_pretrain",
-                       den.forward_madds(cfg.pretrain_batch)
-                       + den.backward_madds(cfg.pretrain_batch))
+                       3 * denoiser_forward_madds(den, cfg.pretrain_batch))
     return DiffusionModel(schedule=schedule, denoiser=den,
                           trained=cfg.pretrain_steps > 0, loss_history=losses)
 
@@ -273,9 +282,8 @@ def _sampler(cfg, world, encoder, seed, ledger):
 
     def sample(conds, counts, w, rng):
         for n in counts:
-            ledger.add("diffusion_sampling",
-                       cfg.diffusion_steps * 2
-                       * model.denoiser.forward_madds(n))
+            ledger.add("diffusion_sampling", cfg.diffusion_steps * 2
+                       * denoiser_forward_madds(model.denoiser, n))
         return model.sample_chains(conds, counts, w, rng)
     return sample
 

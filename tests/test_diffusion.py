@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 from osifl.config import ExperimentConfig
 from osifl.datagen import build_world, draw_base_pool
 from osifl.diffusion import (NoiseSchedule, denoise_loss_fixed,
-                             forward_noise, guided_epsilon, load_model,
-                             make_denoiser, make_schedule, make_surrogate,
-                             pretrain, save_model, synthesize_task_data)
+                             forward_madds_per_row, forward_noise,
+                             guided_epsilon, load_model, make_denoiser,
+                             make_schedule, make_surrogate, pretrain,
+                             save_model, synthesize_task_data)
 from osifl.encoder import ClientMessage, make_encoder
 from osifl.errors import ConfigError, ProtocolError
 from osifl.ledgers import ComputeLedger
 from osifl.rng import stream
 from reference_run import _surrogate_per_chain, _synthesize, \
-    denoise_loss_and_grads, pretrain_reference
+    denoise_loss_and_grads, denoiser_forward_madds, pretrain_reference
 
 
 def test_schedule_single_step_value():
@@ -328,6 +329,14 @@ def test_sampling_finite_and_deterministic():
     assert np.array_equal(a, b)
 
 
+@settings(max_examples=50, deadline=None)
+@given(sizes=st.tuples(*[st.integers(1, 40)] * 4))
+def test_the_forward_count_read_off_the_layers_is_the_layer_formula(sizes):
+    den = make_denoiser(*sizes, seed=0)
+    assert den.sizes == sizes
+    assert forward_madds_per_row(*sizes) == denoiser_forward_madds(den, 1)
+
+
 def test_sampling_ledger_counts_forward_passes():
     world, pool = _tiny_pool()
     enc = make_encoder(6, 3, 4)
@@ -336,7 +345,7 @@ def test_sampling_ledger_counts_forward_passes():
     ledger = ComputeLedger()
     model.sample_chains(np.zeros((1, 6)), [4], 2.0, stream(1, "s"),
                         ledger=ledger)
-    per_step = 2 * model.denoiser.forward_madds(4)
+    per_step = 2 * denoiser_forward_madds(model.denoiser, 4)
     assert ledger.madds_by_kind["diffusion_sampling"] == 10 * per_step
 
 
@@ -361,7 +370,8 @@ def _per_chain_reference(model, conds, counts, w, rng, ledger):
                  * eps_hat) / np.sqrt(sched.alphas[z - 1])
             if z > 1:
                 x = x + np.sqrt(beta) * rng.standard_normal(x.shape)
-            ledger.add("diffusion_sampling", 2 * den.forward_madds(n))
+            ledger.add("diffusion_sampling",
+                       2 * denoiser_forward_madds(den, n))
         out.append(x)
     return np.concatenate(out) if out else np.zeros((0, den.dim_x))
 

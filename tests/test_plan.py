@@ -1,15 +1,18 @@
 """The grid's plan: `plan.split` over arbitrary units, and what the
 estimates decide for the default grids."""
+import contextlib
 import dataclasses
 import os
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osifl import cli, plan
 from osifl.config import ExperimentConfig
-from osifl.orchestrator import ONESHOT_METHODS, Method, ServerMemo
+from osifl.orchestrator import FEDERATED_METHODS, ONESHOT_METHODS, \
+    Method, ServerMemo
 
 
 @st.composite
@@ -29,11 +32,23 @@ def _units(draw):
     return units
 
 
+# A saving of FORK_S or less on the returned lists, which once forked
+# because the check summed the units in the order they were placed.
+_KNIFE_EDGE = [plan.Unit(*unit, None) for unit in (
+    ("u0", 0.40789860582892434, {"e0": 1.0094392623686816, "e1": 0.5}),
+    ("u1", 0.0, {}), ("u2", 0.40789860582892434, {"e0": 1.0094392623686816}),
+    ("u3", 0.0001, {}), ("u4", 0.0001, {"e0": 1.0094392623686816}),
+    ("u5", 5.95203091724876e-17, {}))]
+
+
 @settings(max_examples=300, deadline=None)
 @given(units=_units(), fork_s=st.floats(0, 1, allow_nan=False))
+@example(units=_KNIFE_EDGE, fork_s=0.0001)
 def test_the_split_plans_each_unit_once_and_forks_only_for_a_saving(
         units, fork_s):
-    here, there = plan.split(units, fork_s)
+    # Hypothesis refuses a function-scoped fixture such as monkeypatch.
+    with mock.patch.object(plan, "FORK_S", fork_s):
+        here, there = plan.split(units)
     keys = [u.key for u in units]
     # Each unit once, each side in serial order.
     assert sorted(u.key for u in here + there) == sorted(keys)
@@ -52,12 +67,16 @@ def test_the_split_plans_each_unit_once_and_forks_only_for_a_saving(
         plan.seconds(units) - plan.finish(here, there) > fork_s
 
 
+def _grid_units(cfg, axis=None, values=(None,)):
+    """The units of `cfg`'s grid as the command would make them."""
+    server = ServerMemo()
+    return plan.units(cli._pending(cli._axis_configs(cfg, axis, list(values)),
+                                   cfg.seeds, server), server)
+
+
 def _plan(cfg, axis=None, values=(None,)):
     """The plan of `cfg`'s grid as the command would make it."""
-    server = ServerMemo()
-    return plan.split(plan.units(cli._pending(
-        cli._axis_configs(cfg, axis, list(values)), cfg.seeds, server),
-        server))
+    return plan.split(_grid_units(cfg, axis, values))
 
 
 _ONESHOT = tuple(m for m in Method if m in ONESHOT_METHODS)
@@ -108,3 +127,86 @@ def test_the_fork_holds_openblas_to_one_thread_and_restores_it():
     with plan.one_blas_thread():
         assert get() == 1
     assert get() == before
+
+
+# A tiny grid of three tasks; each case below changes one thing.
+_TINY = ExperimentConfig(
+    dim_x=6, num_classes=9, num_domains=3, num_tasks=3, classes_per_task=3,
+    n_per_class=6, test_per_class=4, z_per_class=5, base_pool_total=120,
+    dim_e=8, batch_size=4, epochs_per_task=2, rounds=2, local_epochs=2,
+    diffusion_steps=4, denoiser_hidden=8, pretrain_steps=6,
+    pretrain_batch=8, seeds=(3,))
+
+
+@pytest.mark.parametrize("changes", [
+    {}, {"retain_per_class": 7}, {"clients_per_task": 2},
+    {"suite_mode": "domain_incremental"},
+    {"classes_per_task": (1, 4, 2), "retain_per_class": 2},
+    {"generator": "ddpm"}],
+    ids=["class-inc", "p-over-z", "two-clients", "domain-inc", "uneven",
+         "ddpm"])
+def test_the_plan_prices_the_multiply_adds_the_runs_bill(changes):
+    # At a second per multiply-add, none per call, step or pass, and no
+    # evaluation, scoring or Fisher pass, none of which is a `train_*`
+    # bill, a group of one run costs its `train_*` multiply-adds.
+    cfg = dataclasses.replace(_TINY, **changes)
+    [(_, reports)], failures = cli.run_grid(cfg, None, [None], cfg.seeds)
+    assert failures == [] and len(reports) == len(Method)
+    zero = ("HEAD_CALL_S", "STEP_S", "PRETRAIN_STEP_S", "CHAIN_STEP_S")
+    one = ("MADD_S", "PRETRAIN_MADD_S", "SAMPLE_MADD_S")
+    with contextlib.ExitStack() as stack:
+        for name in zero + one:
+            stack.enter_context(mock.patch.object(plan, name,
+                                                  float(name in one)))
+        stack.enter_context(mock.patch.object(plan, "_pass",
+                                              lambda *args: 0.0))
+        for report in reports:
+            method = Method(report.method)
+            billed = report.madds_by_kind
+            assert sum(plan._group_seconds(cfg, method, 1)) == sum(
+                n for kind, n in billed.items()
+                if kind.startswith("train_")), method
+            if cfg.generator == "ddpm" and method not in FEDERATED_METHODS:
+                assert plan._ddpm_seconds(cfg) == (
+                    billed["diffusion_pretrain"],
+                    billed["diffusion_sampling"])
+
+
+# The benchmark's workloads and the default `ddpm` run, restated (each
+# workload writes the config defaults but for the keys named here): the
+# grid's config, axis and values, the units the worker takes, as (method
+# or "generator", p, seeds), and the estimated serial and finish seconds.
+# These change only on purpose.
+_PINNED = {
+    "class-inc-surrogate": (
+        ExperimentConfig(methods=tuple(Method), seeds=(42, 18, 50)), None,
+        (None,),
+        [("OSCAR_IL", 5, (42, 18, 50)), ("FEDAVG", 5, (42, 18, 50)),
+         ("FEDPROX", 5, (42, 18, 50)), ("FEDEWC", 5, (42, 18, 50))],
+        1.1195638425, 0.56763137),
+    "class-inc-ddpm": (
+        ExperimentConfig(methods=_ONESHOT, seeds=(42,), generator="ddpm"),
+        None, (None,), [], 2.432616295, 2.432616295),
+    "domain-inc-p-sweep": (
+        ExperimentConfig(suite_mode="domain_incremental", seeds=(42,),
+                         methods=(Method.OSIFL, Method.OSCAR_IL,
+                                  Method.FEDAVG)),
+        "p", (0, 5, 10), [("FEDAVG", 0, (42,)), ("OSIFL", 5, (42,))],
+        1.4838169, 0.77091126),
+    "default-ddpm": (
+        ExperimentConfig(generator="ddpm"), None, (None,),
+        [("generator", 5, (18,)), ("FEDAVG", 5, (42, 18, 50)),
+         ("FEDPROX", 5, (42, 18, 50)), ("FEDEWC", 5, (42, 18, 50))],
+        7.4081638425, 5.329148885),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED)
+def test_the_benchmark_and_default_plans_are_pinned(name):
+    cfg, axis, values, taken, serial, finish = _PINNED[name]
+    units = _grid_units(cfg, axis, values)
+    here, there = plan.split(units)
+    assert [(u.job[1], u.job[0].retain_per_class, tuple(u.job[2]))
+            for u in there] == taken
+    assert plan.seconds(units) == pytest.approx(serial, rel=1e-12)
+    assert plan.finish(here, there) == pytest.approx(finish, rel=1e-12)
