@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import os
 import sys
 
@@ -14,7 +15,6 @@ from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
     build_run_inputs, parse_config
 from .encoder import make_encoder
 from .errors import ConfigError
-from .ledgers import ComputeLedger
 # Grids drive `run_steps` through `lockstep`; `run_method`, which drives
 # one run alone, stays bound here for callers that wrap it.
 from .orchestrator import CSV_HEADER, FEDERATED_METHODS, ServerMemo, \
@@ -90,13 +90,13 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
 
     `workers=1` lets the grid, on a machine with `os.fork` and two CPUs,
     give part of its pending work to one forked worker, as `plan.split`
-    places it: lockstep groups across all values and, under `ddpm`, each
-    seed's generator. The worker pipes back each report, or each
-    failure's text, and each generator it made, which are kept in
-    `server`. Reports and failure lines are those of `workers=0`, which
-    runs everything in this process in serial order, so that a wrapper
-    around a module function sees every call. A worker that dies fails
-    each run that needed one of its units."""
+    places it: lockstep groups across all values and, under `ddpm`, a
+    one-shot group's runs of a seed, with the generator they read. The
+    worker pipes back each report, or each failure's text; what it
+    builds stays there. Reports and failure lines are those of
+    `workers=0`, which runs everything in this process in serial order,
+    so that a wrapper around a module function sees every call. A worker
+    that dies fails each run it held."""
     return _run_cells(_axis_configs(config, axis, values), axis, values,
                       seeds, ServerMemo() if server is None else server,
                       workers)
@@ -148,7 +148,6 @@ def _pending(configs, seeds, server: ServerMemo) -> list:
 def _run_groups(groups, server: ServerMemo, workers: int) -> dict:
     """Each run's report or error by `memo_key`, from the lockstep groups
     `(config, method, seeds)` in order, or split by `plan.split`."""
-    results = {}
 
     def inputs(cfg, seed):
         return server.recall(memo_key("inputs", cfg, seed),
@@ -160,29 +159,11 @@ def _run_groups(groups, server: ServerMemo, workers: int) -> dict:
                                      server=server))
 
     def run(jobs) -> dict:
-        """Each job's runs in lockstep, or its generator and the
-        multiply-adds it billed; a run whose generator the worker failed
-        to make fails with that error."""
+        """Each job's runs, adjacent jobs of one config and method in one
+        lockstep."""
         out = {}
-        for cfg, method, ready in jobs:
-            if method == "generator":
-                [seed], ledger = ready, ComputeLedger()
-                try:
-                    world = inputs(cfg, seed)[0]
-                    out[memo_key(method, cfg, seed)] = build_generator(
-                        cfg, seed, world, make_encoder(
-                            cfg.dim_e, world.dim_x, seed),
-                        server, ledger), ledger.madds_by_kind
-                except Exception as err:
-                    out[memo_key(method, cfg, seed)] = err
-                continue
-            lost = {} if method in FEDERATED_METHODS else {
-                seed: err for seed in ready if isinstance(
-                    err := results.get(memo_key("generator", cfg, seed)),
-                    Exception)}
-            ready = [seed for seed in ready if seed not in lost]
-            out.update((memo_key(method, cfg, seed), err)
-                       for seed, err in lost.items())
+        for (cfg, method), same in itertools.groupby(jobs, lambda j: j[:2]):
+            ready = [seed for job in same for seed in job[2]]
             out.update(zip([memo_key(method, cfg, seed) for seed in ready],
                            lockstep([steps(method, cfg, seed)
                                      for seed in ready])))
@@ -204,17 +185,11 @@ def _run_groups(groups, server: ServerMemo, workers: int) -> dict:
                         upload(cfg, seed, encoder, shard, server)
                     if cfg.generator == "surrogate":
                         build_generator(cfg, seed, world, encoder, server)
-    first, wait = plan.phases(here, there)
     with plan.one_blas_thread(), plan.forked(
             lambda: plan.packed(run([u.job for u in there]))) as join:
-        results.update(run([u.job for u in first]))
-        results.update(plan.returned(join, [
-            key for u in there for key in (
-                [u.key] if u.job[1] == "generator" else u.key)]))
-    for key, made in results.items():
-        if isinstance(made, tuple):
-            server.keep(key, *made)
-    results.update(run([u.job for u in wait]))
+        results = run([u.job for u in here])
+        results.update(plan.returned(join, [key for u in there
+                                            for key in u.key]))
     return results
 
 

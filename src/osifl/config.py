@@ -12,6 +12,7 @@ import math
 
 from .datagen import CLASS_INCREMENTAL, DOMAIN_INCREMENTAL, build_world, \
     draw_client_shards, make_task_suite
+from .diffusion import _param_shapes
 from .errors import ConfigError
 from .orchestrator import Method, parse_method
 
@@ -265,12 +266,12 @@ def check_input_sizes(cfg: ExperimentConfig) -> None:
          cfg.z_per_class * classes * dim_e)]
     if cfg.generator == "ddpm":
         hidden = cfg.denoiser_hidden
-        d_in = dim_x + cfg.diffusion_steps + dim_e
+        shapes = _param_shapes(dim_x, dim_e, cfg.diffusion_steps, hidden)
         arrays += [
             (("denoiser_hidden", "diffusion_steps"), "denoiser",
-             hidden * (d_in + hidden)),
+             math.prod(shapes["w1"]) + math.prod(shapes["w2"])),
             (("pretrain_batch",), "pretraining batch buffers",
-             cfg.pretrain_batch * (d_in + hidden)),
+             cfg.pretrain_batch * (shapes["w1"][1] + hidden)),
             (("z_per_class", "denoiser_hidden"), "sampler's buffers",
              cfg.z_per_class * widest_task * hidden)]
     for keys, what, floats in arrays:

@@ -508,21 +508,15 @@ _CKPT_MAGIC = b"OSDM"
 _CKPT_HEAD = struct.Struct("<4sIIIIII")
 
 
-def model_blob(model: DiffusionModel, what: str) -> bytes:
-    """The model as a flat little-endian binary checkpoint. A model that
-    `_read_model` would refuse raises ProtocolError naming it `what`."""
+def save_model(model: DiffusionModel, path: str) -> None:
+    """Write the model as a flat little-endian binary checkpoint. A model
+    that `load_model` would refuse raises ProtocolError and opens no file."""
     den = model.denoiser
     blob = _CKPT_HEAD.pack(_CKPT_MAGIC, 1, den.dim_x, den.dim_cond,
                            den.num_steps, den.hidden, int(model.trained)) \
         + np.ascontiguousarray(model.schedule.betas, dtype="<f8").tobytes() \
         + np.ascontiguousarray(den.flat, dtype="<f8").tobytes()
-    _read_model(blob, what)
-    return blob
-
-
-def save_model(model: DiffusionModel, path: str) -> None:
-    """Write `model_blob`'s checkpoint; a refused model opens no file."""
-    blob = model_blob(model, f"model checkpoint {path}")
+    _read_model(blob, f"model checkpoint {path}")
     with open(path, "wb") as fh:
         fh.write(blob)
 

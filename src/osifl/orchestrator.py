@@ -77,10 +77,6 @@ class ServerMemo:
     def __contains__(self, key) -> bool:
         return key in self._entries
 
-    def keep(self, key, value, madds: dict) -> None:
-        """Keep `value`, computed elsewhere with `madds`, under `key`."""
-        self._entries.setdefault(key, (value, dict(madds)))
-
     def recall(self, key, build, ledger: ComputeLedger | None):
         """The value `build(scratch_ledger)` returns for `key`."""
         entry = self._entries.get(key)

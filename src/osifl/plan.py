@@ -2,16 +2,18 @@
 
 A grid's work comes in units: each lockstep group of runs still to make
 (one method at one axis value, over the seeds that need it, each run
-once per `memo_key` however many values name it) and, under
-`generator = ddpm`, each seed's generator. A unit's seconds are
-estimated from closed forms of its config: minibatch steps, training
-calls and the multiply-adds the ledgers bill. The memo entries that
-units share, the task-1 heads, the `ddpm` synthesis and the generators,
-are each built once by a process that needs them. `split` places the
-units by longest processing time first (LPT, Graham 1969): the largest
-first, each where the estimated finish of both processes is earlier. A
-unit that reads a generator the worker makes runs here after the worker
-ends, and the generator crosses the pipe as `model_blob` bytes.
+once per `memo_key` however many values name it), split under
+`generator = ddpm` into a unit per seed for a one-shot method. A unit's
+seconds are estimated from closed forms of its config: minibatch steps,
+training calls and the multiply-adds the ledgers bill. The memo entries
+that units share, the task-1 heads and, under `ddpm`, each seed's
+generator and synthesis, are each built once by every process that
+needs them. `split` places the units by longest processing time first
+(LPT, Graham 1969): the largest first, each where the estimated finish
+of both processes is earlier. A unit that would rebuild in the worker
+entries that cost as much as its own work comes back here, so a seed's
+generator stays with the runs that read it, and only reports and error
+texts cross the pipe.
 """
 from __future__ import annotations
 
@@ -30,8 +32,7 @@ import numpy as np
 
 from . import ledgers
 from .datagen import DOMAIN_INCREMENTAL, _normalize_counts
-from .diffusion import _read_model, chain_step_madds, model_blob, \
-    pretrain_step_madds
+from .diffusion import chain_step_madds, pretrain_step_madds
 from .errors import ProtocolError
 from .orchestrator import FEDERATED_METHODS, Method, RunReport, memo_key
 from .trainer import stack_width
@@ -57,11 +58,9 @@ FORK_S = 0.005
 
 class Unit(NamedTuple):
     """Work that either process can do. `key` is what it makes: its runs'
-    `memo_key`s, or a generator's, which a unit that reads that generator
-    names in `needs`. `seconds` is its own estimated work, and `needs`
-    each shared memo entry it reads, with the seconds to build it. `job`
-    is `(config, method, seeds)`, with method "generator" for a
-    generator."""
+    `memo_key`s. `seconds` is its own estimated work, and `needs` each
+    shared memo entry it reads, with the seconds to build it. `job` is
+    `(config, method, seeds)`."""
     key: Hashable
     seconds: float
     needs: dict
@@ -131,38 +130,41 @@ def _ddpm_seconds(cfg) -> tuple[float, float]:
 
 def units(groups, server) -> list[Unit]:
     """The grid's units in serial order: each lockstep group `(config,
-    method, seeds)`, and under `ddpm` each generator that `server` lacks,
-    just before the first group that reads it.
+    method, seeds)`, or under `ddpm` a one-shot group's runs of each seed,
+    at its share of the group's stacked seconds. A one-shot unit needs
+    each of its seeds' task-1 heads and, under `ddpm`, synthesis and
+    generator, unless `server` holds the generator.
 
     The one-shot runs of a seed share its task-1 heads. OSCAR_IL, OSIFL
     at p = 0 and OSCAR_R at lambda_ewc = 0 train the same heads at every
     task, so they share their later training too."""
-    out, made = [], set()
+    out = []
     for cfg, method, seeds in groups:
         first, later, rest = _group_seconds(cfg, method, len(seeds))
         pretraining, synthesis = _ddpm_seconds(cfg)
-        needs, trunk_only = {}, method is Method.OSCAR_IL or (
+        trunk_only = method is Method.OSCAR_IL or (
             method is Method.OSIFL and not cfg.retain_per_class) or (
             method is Method.OSCAR_R and not cfg.lambda_ewc)
         if not trunk_only:
             rest += later
-        for seed in () if method in FEDERATED_METHODS else seeds:
-            trunk = memo_key(Method.OSCAR_IL, cfg, seed)
-            needs["head1", trunk] = first / len(seeds)
-            if trunk_only:
-                needs["heads", trunk] = later / len(seeds)
-            if cfg.generator == "ddpm":
-                generator = memo_key("generator", cfg, seed)
-                needs["synthesis", generator, *memo_key(
-                    "synthesis", cfg, seed)] = synthesis
-                if generator not in server:
-                    needs[generator] = pretraining
-                    if generator not in made:
-                        made.add(generator)
-                        out.append(Unit(generator, pretraining, {},
-                                        (cfg, "generator", (seed,))))
-        out.append(Unit(tuple(memo_key(method, cfg, seed) for seed in seeds),
-                        rest, needs, (cfg, method, seeds)))
+        apart = cfg.generator == "ddpm" and method not in FEDERATED_METHODS
+        for part in [(seed,) for seed in seeds] if apart else [seeds]:
+            needs = {}
+            for seed in () if method in FEDERATED_METHODS else part:
+                trunk = memo_key(Method.OSCAR_IL, cfg, seed)
+                needs["head1", trunk] = first / len(seeds)
+                if trunk_only:
+                    needs["heads", trunk] = later / len(seeds)
+                if cfg.generator == "ddpm":
+                    generator = memo_key("generator", cfg, seed)
+                    needs["synthesis", generator, *memo_key(
+                        "synthesis", cfg, seed)] = synthesis
+                    if generator not in server:
+                        needs[generator] = pretraining
+            out.append(Unit(
+                tuple(memo_key(method, cfg, seed) for seed in part),
+                rest / len(seeds) if apart else rest, needs,
+                (cfg, method, part)))
     return out
 
 
@@ -171,39 +173,27 @@ def _made(units) -> set:
     return {u.key for u in units} | {e for u in units for e in u.needs}
 
 
-def seconds(units, have=frozenset()) -> float:
-    """The estimated seconds of `units` in one process that holds `have`:
-    their own, and once each entry they read that none of them makes."""
+def seconds(units) -> float:
+    """The estimated seconds of `units` in one process: their own, and
+    once each entry they read that none of them makes."""
     needs, own = {}, {u.key for u in units}
     for unit in units:
         needs.update(unit.needs)
     return sum(u.seconds for u in units) + sum(
-        s for e, s in needs.items() if e not in own and e not in have)
+        s for e, s in needs.items() if e not in own)
 
 
 def finish(here, there) -> float:
-    """The estimated seconds until both processes are done. The worker
-    runs `there`; this process runs the units of `here` that read nothing
-    the worker makes, then waits for the worker, then runs the others."""
-    first, wait = phases(here, there)
-    return max(seconds(first), seconds(there)) + seconds(
-        wait, _made(first) | {u.key for u in there})
+    """The estimated seconds until both processes are done, the worker
+    running `there` while this process runs `here`."""
+    return max(seconds(here), seconds(there))
 
 
-def phases(here, there) -> tuple[list[Unit], list[Unit]]:
-    """The units of `here` that read nothing `there` makes, and the others,
-    which wait for the worker."""
-    made = {u.key for u in there}
-    return [u for u in here if not made & u.needs.keys()], \
-        [u for u in here if made & u.needs.keys()]
-
-
-def rebuilt(unit: Unit, here, there) -> float:
+def rebuilt(unit: Unit, here) -> float:
     """The seconds of the entries `unit`, placed in the worker, builds
     there that this process builds as well."""
-    made, built_here = {u.key for u in there}, _made(here)
-    return sum(s for e, s in unit.needs.items()
-               if e not in made and e in built_here)
+    built_here = _made(here)
+    return sum(s for e, s in unit.needs.items() if e in built_here)
 
 
 def split(units: list[Unit]):
@@ -219,7 +209,7 @@ def split(units: list[Unit]):
             there.append(unit)
         else:
             here.append(unit)
-    while back := [u for u in there if rebuilt(u, here, there) >= u.seconds]:
+    while back := [u for u in there if rebuilt(u, here) >= u.seconds]:
         here += back
         there = [u for u in there if u not in back]
     away = {u.key for u in there}
@@ -325,38 +315,27 @@ def forked(work):
 
 
 def packed(results: dict) -> bytes:
-    """The worker's results for the pipe: a report as it is, a generator
-    `(model, madds)` as its `model_blob` bytes and the multiply-adds it
-    billed, and an error as its text."""
-    return pickle.dumps({
-        key: (model_blob(r[0], "the worker's generator"), r[1])
-        if isinstance(r, tuple) else r if isinstance(r, RunReport)
-        else str(r) for key, r in results.items()})
-
-
-def _valid(value) -> bool:
-    if isinstance(value, tuple):
-        return len(value) == 2 and isinstance(value[0], bytes) \
-            and isinstance(value[1], dict)
-    return isinstance(value, (RunReport, str))
+    """The worker's results for the pipe: a report as it is, and an error
+    as its text."""
+    return pickle.dumps({key: r if isinstance(r, RunReport) else str(r)
+                         for key, r in results.items()})
 
 
 def returned(join, keys: list) -> dict:
-    """`packed`'s results for each of `keys`, with each generator read
-    back by `_read_model` and each error's text raised as RuntimeError;
-    every key fails alike if the worker died or sent anything else."""
+    """`packed`'s results for each of `keys`, with each error's text
+    raised as RuntimeError; every key fails alike if the worker died or
+    sent anything else."""
     try:
         data = join()
     except ProtocolError as err:
         return dict.fromkeys(keys, err)
     try:
         got = pickle.loads(data)
-        if not (isinstance(got, dict) and set(got) == set(keys)
-                and all(map(_valid, got.values()))):
+        if not (isinstance(got, dict) and set(got) == set(keys) and all(
+                isinstance(v, (RunReport, str)) for v in got.values())):
             raise ValueError(got)
-        return {key: (_read_model(v[0], "the worker's generator"), v[1])
-                if isinstance(v, tuple) else v if isinstance(v, RunReport)
-                else RuntimeError(v) for key, v in got.items()}
+        return {key: v if isinstance(v, RunReport) else RuntimeError(v)
+                for key, v in got.items()}
     except Exception:
         return dict.fromkeys(keys, ProtocolError(
             "the worker sent unreadable bytes"))

@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import itertools
+import math
 import os
 import pathlib
 import re
@@ -11,6 +14,7 @@ from osifl.cli import (SEED_ENV, SWEEP_HEADER, main, resolve_seeds,
                        run_experiment, sweep)
 from osifl.config import (FIELD_SPECS, ExperimentConfig, build_run_inputs,
                           parse_config, serialize_config)
+from osifl.diffusion import _param_shapes
 from osifl.encoder import build_client_message, make_encoder, \
     parse_message, serialize_message
 from osifl.errors import ConfigError
@@ -684,6 +688,25 @@ def test_each_embedded_array_is_counted(body, what):
         parse_config(body + "\n")
 
 
+def test_a_denoiser_just_over_the_cap_is_refused_with_its_weight_count():
+    # The cap counts the denoiser's two hidden-layer weight matrices as
+    # `diffusion._param_shapes` lays them out: the narrowest hidden layer
+    # whose count is over 2^27 is refused, and the one below it is not.
+    cfg = ExperimentConfig(methods=(Method.OSIFL,), seeds=(1,))
+
+    def weights(hidden):
+        shapes = _param_shapes(cfg.dim_x, cfg.dim_e, cfg.diffusion_steps,
+                               hidden)
+        return math.prod(shapes["w1"]) + math.prod(shapes["w2"])
+
+    hidden = next(h for h in itertools.count(1) if weights(h) > 2 ** 27)
+    dataclasses.replace(cfg, generator="ddpm", denoiser_hidden=hidden - 1)
+    with pytest.raises(ConfigError, match=(
+            rf"^denoiser_hidden: the denoiser would hold {weights(hidden)} "
+            r"floats, more than 2\^27 = 134217728$")):
+        dataclasses.replace(cfg, generator="ddpm", denoiser_hidden=hidden)
+
+
 def test_an_embedded_shard_too_large_to_hold_exits_2(tmp_path, capsys):
     # One task's shard of 250 rows, embedded 3,000,000 wide, is 750M
     # floats; the run stops at parse time, before any array exists.
@@ -1083,7 +1106,7 @@ def _count_forks(monkeypatch):
 
 
 def _runs(units) -> int:
-    return sum(len(u.job[2]) for u in units if u.job[1] != "generator")
+    return sum(len(u.job[2]) for u in units)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -1093,16 +1116,19 @@ def _runs(units) -> int:
 def test_a_grid_of_seeds_with_a_worker_equals_the_reference_run(
         monkeypatch, overrides):
     # `test_a_grid_of_seeds_trains_them_stacked_like_a_grid_per_seed` with
-    # `workers=1`: the groups the plan gives the worker train stacked
+    # `workers=1`: the units the plan gives the worker train stacked
     # there, out of the recorders' sight, and the others train stacked
-    # here. Every report is the reference run's.
+    # here, each stack holding every seed of its group kept here. Every
+    # report is the reference run's.
     forks, plans = _count_forks(monkeypatch)
     cfg = _small(**dict(_ALL_SEEDS, **overrides))
     states, sizes = record_states(monkeypatch), _stack_sizes(monkeypatch)
     failures, heads = _assert_grid_matches_reference(
         cfg, None, [None], states, workers=1)
-    assert failures == [] and set(sizes) == {3} and sum(sizes) == heads
     [(here, there)] = plans
+    kept = collections.Counter(u.job[1] for u in here for _ in u.job[2])
+    assert failures == [] and set(sizes) == set(kept.values())
+    assert sum(sizes) == heads
     assert _runs(there) and len(forks) == 1
     assert len(states) == _runs(here) * cfg.num_tasks
 

@@ -84,13 +84,15 @@ _ONESHOT = tuple(m for m in Method if m in ONESHOT_METHODS)
 
 def test_the_default_ddpm_grids_fork_only_for_a_second_generator():
     # One seed: every unit reads its one generator and its synthesis, so
-    # nothing pays for a fork. Three seeds: the worker makes a generator.
+    # nothing pays for a fork. Three seeds: the worker takes one-shot
+    # runs, each unit of them one seed's, whose generator it makes.
     one_seed = ExperimentConfig(generator="ddpm", methods=_ONESHOT,
                                 seeds=(42,))
     assert _plan(one_seed)[1] == []
     _, there = _plan(dataclasses.replace(one_seed, methods=tuple(Method),
                                          seeds=(42, 18, 50)))
-    assert any(u.job[1] == "generator" for u in there)
+    one_shot = [u for u in there if u.job[1] not in FEDERATED_METHODS]
+    assert one_shot and all(len(u.job[2]) == 1 for u in one_shot)
 
 
 def test_a_p_sweep_gives_the_worker_a_later_value():
@@ -174,8 +176,8 @@ def test_the_plan_prices_the_multiply_adds_the_runs_bill(changes):
 
 # The benchmark's workloads and the default `ddpm` run, restated (each
 # workload writes the config defaults but for the keys named here): the
-# grid's config, axis and values, the units the worker takes, as (method
-# or "generator", p, seeds), and the estimated serial and finish seconds.
+# grid's config, axis and values, the units the worker takes, as (method,
+# p, seeds), and the estimated serial and finish seconds.
 # These change only on purpose.
 _PINNED = {
     "class-inc-surrogate": (
@@ -195,9 +197,10 @@ _PINNED = {
         1.4838169, 0.77091126),
     "default-ddpm": (
         ExperimentConfig(generator="ddpm"), None, (None,),
-        [("generator", 5, (18,)), ("FEDAVG", 5, (42, 18, 50)),
-         ("FEDPROX", 5, (42, 18, 50)), ("FEDEWC", 5, (42, 18, 50))],
-        7.4081638425, 5.329148885),
+        [("OSIFL", 5, (18,)), ("OSCAR_IL", 5, (18,)), ("OSCAR_R", 5, (18,)),
+         ("OSCAR_CEILING", 5, (18,)), ("FEDAVG", 5, (42, 18, 50)),
+         ("FEDPROX", 5, (42, 18, 50))],
+        7.4081638425, 4.7965345175),
 }
 
 

@@ -262,21 +262,20 @@ def _assert_reference_reports(cells):
             assert r == reference_run(r.method, cell, r.seed).report
 
 
-def _generator_of(seed):
-    return lambda job: job[1] == "generator" and job[2] == (seed,)
+def _one_shot_of(seed):
+    return lambda job: job[1] not in FEDERATED_METHODS and job[2] == (seed,)
 
 
 # (a) OSCAR_IL does not read p: the worker's one unit fills its cells at
-# both values. (b) The worker makes seed 6's generator, which both
-# one-shot runs of seed 6 read here once the worker ends.
+# both values. (b) The worker holds seed 6's one-shot runs, and pretrains
+# the generator they read.
 _HELD = {
     "sweep_key": (dict(methods=_THREE), "p", [1, 2],
                   lambda job: job[1] is Method.OSCAR_IL, "train_naive",
                   [f"p={p} OSCAR_IL seed={s}" for p in (1, 2)
                    for s in (5, 6)]),
-    "generator": (dict(_DDPM, methods=_THREE), None, [None],
-                  _generator_of(6), "pretrain",
-                  [f"{m} seed=6" for m in ("OSIFL", "OSCAR_IL")])}
+    "seed": (dict(_DDPM, methods=_THREE), None, [None], _one_shot_of(6),
+             "pretrain", [f"{m} seed=6" for m in ("OSIFL", "OSCAR_IL")])}
 
 
 @pytest.mark.parametrize("held", sorted(_HELD))
@@ -304,42 +303,32 @@ def test_a_failed_worker_fails_each_cell_that_needed_its_units(
     _assert_no_child_left()
 
 
-def test_a_generator_sent_truncated_fails_each_run_that_waits_for_it(
-        monkeypatch):
-    # The worker's pickle holds seed 6's checkpoint less its last float,
-    # which `_read_model` refuses here.
-    _place(monkeypatch, _generator_of(6))
-    parent, real = os.getpid(), pickle.dumps
-    monkeypatch.setattr(pickle, "dumps", lambda obj: real(obj)
-                        if os.getpid() == parent else real({
-                            key: (v[0][:-8], v[1]) if isinstance(v, tuple)
-                            else v for key, v in obj.items()}))
-    cfg = _small(**dict(_DDPM, methods=_THREE))
-    cells, failures = run_grid(cfg, None, [None], cfg.seeds, workers=1)
-    assert failures == [f"{m} seed=6: the worker sent unreadable bytes"
-                        for m in ("OSIFL", "OSCAR_IL")]
-    _assert_reference_reports(cells)
-    _assert_no_child_left()
-
-
 def test_generators_made_in_the_worker_equal_the_reference_run(
         monkeypatch):
-    # Both generators cross the pipe as checkpoint bytes, and every
-    # one-shot run here reads them after the worker ends: none is
-    # pretrained here.
-    _place(monkeypatch, lambda job: job[1] == "generator")
+    # The worker holds seed 6's one-shot runs at both values and pretrains
+    # their generator there. This process pretrains only the seeds of the
+    # one-shot runs the plan keeps here, once each for both values, and
+    # keeps only their generators.
+    _place(monkeypatch, _one_shot_of(6))
+    plans, split = [], plan.split
+    monkeypatch.setattr(plan, "split", lambda units: plans.append(
+        split(units)) or plans[-1])
     forks, real = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real())
     # A worker's calls append to its own copy of the list.
     here, pretrain = [], orchestrator.pretrain
     monkeypatch.setattr(orchestrator, "pretrain", lambda *args, **kw:
-                        here.append(None) or pretrain(*args, **kw))
+                        here.append(args[3]) or pretrain(*args, **kw))
     cfg = _small(**dict(_DDPM, methods=_THREE))
     server = orchestrator.ServerMemo()
     cells, failures = run_grid(cfg, "w", [1.0, 3.0], cfg.seeds,
                                server=server, workers=1)
-    assert failures == [] and len(forks) == 1 and here == []
-    assert all(memo_key("generator", cfg, seed) in server
-               for seed in cfg.seeds)
+    [(kept, _)] = plans
+    kept_seeds = sorted({seed for u in kept if u.job[1] not in
+                         FEDERATED_METHODS for seed in u.job[2]})
+    assert failures == [] and len(forks) == 1
+    assert sorted(here) == kept_seeds == [5]
+    assert [seed for seed in cfg.seeds
+            if memo_key("generator", cfg, seed) in server] == kept_seeds
     _assert_reference_reports(cells)
     _assert_no_child_left()
