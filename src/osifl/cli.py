@@ -13,13 +13,11 @@ import numpy as np
 from . import plan
 from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
     build_run_inputs, parse_config
-from .encoder import make_encoder
 from .errors import ConfigError
 # Grids drive `run_steps` through `lockstep`; `run_method`, which drives
 # one run alone, stays bound here for callers that wrap it.
-from .orchestrator import CSV_HEADER, FEDERATED_METHODS, ServerMemo, \
-    build_generator, lockstep, memo_key, rows_to_csv, run_method, \
-    run_steps, upload, write_report_csv
+from .orchestrator import CSV_HEADER, ServerMemo, lockstep, memo_key, \
+    rows_to_csv, run_method, run_steps, write_report_csv
 
 SEED_ENV = "OSIFL_SEED_OVERRIDE"
 
@@ -91,12 +89,12 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
     `workers=1` lets the grid, on a machine with `os.fork` and two CPUs,
     give part of its pending work to one forked worker, as `plan.split`
     places it: lockstep groups across all values and, under `ddpm`, a
-    one-shot group's runs of a seed, with the generator they read. The
-    worker pipes back each report, or each failure's text; what it
-    builds stays there. Reports and failure lines are those of
-    `workers=0`, which runs everything in this process in serial order,
-    so that a wrapper around a module function sees every call. A worker
-    that dies fails each run it held."""
+    one-shot group's runs of a seed. Each process builds what its own
+    runs read, and the worker pipes back only each report, or each
+    failure's text. Reports and failure lines are those of `workers=0`,
+    which runs everything in this process in serial order, so that a
+    wrapper around a module function sees every call. A worker that dies
+    fails each run it held."""
     return _run_cells(_axis_configs(config, axis, values), axis, values,
                       seeds, ServerMemo() if server is None else server,
                       workers)
@@ -149,13 +147,11 @@ def _run_groups(groups, server: ServerMemo, workers: int) -> dict:
     """Each run's report or error by `memo_key`, from the lockstep groups
     `(config, method, seeds)` in order, or split by `plan.split`."""
 
-    def inputs(cfg, seed):
-        return server.recall(memo_key("inputs", cfg, seed),
-                             lambda _: build_run_inputs(cfg, seed), None)
-
     def steps(method, cfg, seed):
         # Inputs are built as the run starts: an error fails it.
-        return (yield from run_steps(method, *inputs(cfg, seed), cfg, seed,
+        inputs = server.recall(memo_key("inputs", cfg, seed),
+                               lambda _: build_run_inputs(cfg, seed), None)
+        return (yield from run_steps(method, *inputs, cfg, seed,
                                      server=server))
 
     def run(jobs) -> dict:
@@ -171,25 +167,14 @@ def _run_groups(groups, server: ServerMemo, workers: int) -> dict:
 
     here, there = [], []
     if workers and groups and plan.can_fork():
-        here, there = plan.split(plan.units(groups, server))
+        here, there = plan.split(plan.units(groups))
     if not there:
         return run(groups)
-    # The worker finds the inputs, uploads and surrogates built.
-    for cfg, method, ready in groups:
-        for seed in ready:
-            with contextlib.suppress(Exception):
-                world, _, shards, _ = inputs(cfg, seed)
-                if method not in FEDERATED_METHODS:
-                    encoder = make_encoder(cfg.dim_e, world.dim_x, seed)
-                    for shard in shards:
-                        upload(cfg, seed, encoder, shard, server)
-                    if cfg.generator == "surrogate":
-                        build_generator(cfg, seed, world, encoder, server)
     with plan.one_blas_thread(), plan.forked(
-            lambda: plan.packed(run([u.job for u in there]))) as join:
+            lambda: run([u.job for u in there]),
+            [key for u in there for key in u.key]) as join:
         results = run([u.job for u in here])
-        results.update(plan.returned(join, [key for u in there
-                                            for key in u.key]))
+        results.update(join())
     return results
 
 

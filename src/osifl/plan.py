@@ -5,15 +5,17 @@ A grid's work comes in units: each lockstep group of runs still to make
 once per `memo_key` however many values name it), split under
 `generator = ddpm` into a unit per seed for a one-shot method. A unit's
 seconds are estimated from closed forms of its config: minibatch steps,
-training calls and the multiply-adds the ledgers bill. The memo entries
+training calls and the multiply-adds the ledgers bill. Each process
+builds, through its memo, what its own runs read. The priced entries
 that units share, the task-1 heads and, under `ddpm`, each seed's
 generator and synthesis, are each built once by every process that
-needs them. `split` places the units by longest processing time first
-(LPT, Graham 1969): the largest first, each where the estimated finish
-of both processes is earlier. A unit that would rebuild in the worker
-entries that cost as much as its own work comes back here, so a seed's
-generator stays with the runs that read it, and only reports and error
-texts cross the pipe.
+needs them; a seed's inputs, uploads and `surrogate` generator are too
+cheap to price. `split` places the units by longest processing time
+first (LPT, Graham 1969): the largest first, each where the estimated
+finish of both processes is earlier. A unit that would rebuild in the
+worker entries that cost as much as its own work comes back here, so a
+seed's generator stays with the runs that read it. `forked` runs the
+worker, and only reports and error texts cross its pipe.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import os
 import pickle
 import signal
 import sys
+import traceback
 import warnings
 from typing import Hashable, NamedTuple
 
@@ -128,12 +131,12 @@ def _ddpm_seconds(cfg) -> tuple[float, float]:
                                + SAMPLE_MADD_S * chains)
 
 
-def units(groups, server) -> list[Unit]:
+def units(groups) -> list[Unit]:
     """The grid's units in serial order: each lockstep group `(config,
     method, seeds)`, or under `ddpm` a one-shot group's runs of each seed,
     at its share of the group's stacked seconds. A one-shot unit needs
     each of its seeds' task-1 heads and, under `ddpm`, synthesis and
-    generator, unless `server` holds the generator.
+    generator.
 
     The one-shot runs of a seed share its task-1 heads. OSCAR_IL, OSIFL
     at p = 0 and OSCAR_R at lambda_ewc = 0 train the same heads at every
@@ -159,8 +162,7 @@ def units(groups, server) -> list[Unit]:
                     generator = memo_key("generator", cfg, seed)
                     needs["synthesis", generator, *memo_key(
                         "synthesis", cfg, seed)] = synthesis
-                    if generator not in server:
-                        needs[generator] = pretraining
+                    needs[generator] = pretraining
             out.append(Unit(
                 tuple(memo_key(method, cfg, seed) for seed in part),
                 rest / len(seeds) if apart else rest, needs,
@@ -168,19 +170,13 @@ def units(groups, server) -> list[Unit]:
     return out
 
 
-def _made(units) -> set:
-    """The units' keys and every entry they read."""
-    return {u.key for u in units} | {e for u in units for e in u.needs}
-
-
 def seconds(units) -> float:
     """The estimated seconds of `units` in one process: their own, and
-    once each entry they read that none of them makes."""
-    needs, own = {}, {u.key for u in units}
+    once each entry they read."""
+    needs = {}
     for unit in units:
         needs.update(unit.needs)
-    return sum(u.seconds for u in units) + sum(
-        s for e, s in needs.items() if e not in own)
+    return sum(u.seconds for u in units) + sum(needs.values())
 
 
 def finish(here, there) -> float:
@@ -192,7 +188,7 @@ def finish(here, there) -> float:
 def rebuilt(unit: Unit, here) -> float:
     """The seconds of the entries `unit`, placed in the worker, builds
     there that this process builds as well."""
-    built_here = _made(here)
+    built_here = {e for u in here for e in u.needs}
     return sum(s for e, s in unit.needs.items() if e in built_here)
 
 
@@ -260,13 +256,16 @@ def can_fork() -> bool:
 
 
 @contextlib.contextmanager
-def forked(work):
-    """Run `work()`, which returns bytes, in a forked worker process that
-    pipes them back. Yields `join`, which waits for the worker and
-    returns those bytes, or raises `ProtocolError` if the worker died.
-    However the block ends, the pipe is closed and the worker reaped,
-    killed first if no `join` reaped it. If the system refuses the fork,
-    `work()` runs here instead."""
+def forked(work, keys: list):
+    """Run `work()`, which returns a report or an error for each of
+    `keys`, in a forked worker process that pipes them back. Yields
+    `join`, which waits for the worker and returns each report as sent,
+    each error as RuntimeError of its text, or every key failing alike
+    with ProtocolError if the worker died or sent anything else; a
+    worker that raises prints its traceback. However the block ends, the
+    pipe is closed and the worker reaped, killed first if no `join`
+    reaped it. If the system refuses the fork, `work()` runs here
+    instead, and `join` returns what it returned."""
     for stream in (sys.stdout, sys.stderr):
         stream.flush()
     r, w = os.pipe()
@@ -279,31 +278,45 @@ def forked(work):
     except OSError:
         os.close(r)
         os.close(w)
-        data = work()
-        yield lambda: data
+        results = work()
+        yield lambda: results
         return
     if pid == 0:
         code = 1
         try:
             os.close(r)
             with os.fdopen(w, "wb") as out:
-                out.write(work())
+                out.write(pickle.dumps({
+                    key: got if isinstance(got, RunReport) else str(got)
+                    for key, got in work().items()}))
             code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
         finally:
             os._exit(code)
     os.close(w)
     status = None
 
-    def join() -> bytes:
+    def join() -> dict:
         nonlocal status
         data = pipe.read()
         _, status = os.waitpid(pid, 0)
         code = os.waitstatus_to_exitcode(status)
         if code:
-            raise ProtocolError(
+            return dict.fromkeys(keys, ProtocolError(
                 "the worker " + (f"was killed by signal {-code}" if code < 0
-                                 else f"exited with code {code}"))
-        return data
+                                 else f"exited with code {code}")))
+        try:
+            got = pickle.loads(data)
+            if not (isinstance(got, dict) and set(got) == set(keys) and all(
+                    isinstance(v, (RunReport, str)) for v in got.values())):
+                raise ValueError(got)
+            return {key: v if isinstance(v, RunReport) else RuntimeError(v)
+                    for key, v in got.items()}
+        except Exception:
+            return dict.fromkeys(keys, ProtocolError(
+                "the worker sent unreadable bytes"))
 
     with os.fdopen(r, "rb") as pipe:
         try:
@@ -312,30 +325,3 @@ def forked(work):
             if status is None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-
-
-def packed(results: dict) -> bytes:
-    """The worker's results for the pipe: a report as it is, and an error
-    as its text."""
-    return pickle.dumps({key: r if isinstance(r, RunReport) else str(r)
-                         for key, r in results.items()})
-
-
-def returned(join, keys: list) -> dict:
-    """`packed`'s results for each of `keys`, with each error's text
-    raised as RuntimeError; every key fails alike if the worker died or
-    sent anything else."""
-    try:
-        data = join()
-    except ProtocolError as err:
-        return dict.fromkeys(keys, err)
-    try:
-        got = pickle.loads(data)
-        if not (isinstance(got, dict) and set(got) == set(keys) and all(
-                isinstance(v, (RunReport, str)) for v in got.values())):
-            raise ValueError(got)
-        return {key: v if isinstance(v, RunReport) else RuntimeError(v)
-                for key, v in got.items()}
-    except Exception:
-        return dict.fromkeys(keys, ProtocolError(
-            "the worker sent unreadable bytes"))

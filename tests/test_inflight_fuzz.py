@@ -7,8 +7,10 @@ fixed call order and changes its bytes: a flipped byte, a truncation, an
 extension, or an earlier blob (another client's or task's) in its place.
 The grid runs in this process (`workers=0`) and with the runs its plan
 gives a forked worker (`workers=1`), which starts one process an
-example. Each failed run's error type crosses the worker's pipe in its
-failure text.
+example. From the fork on, each process builds and counts its own
+uploads: the one-shot runs of either process serialize the grid's blobs
+in the same order, so one index changes the same blob in both. Each
+failed run's error type crosses the worker's pipe in its failure text.
 """
 import functools
 import os
@@ -17,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osifl import cli, orchestrator
+from osifl import cli, orchestrator, plan
 from osifl.config import ExperimentConfig, build_run_inputs
 from osifl.encoder import build_client_message, make_encoder, \
     serialize_message
 from osifl.errors import ProtocolError
-from osifl.orchestrator import ONESHOT_METHODS, Method
+from osifl.orchestrator import ONESHOT_METHODS, Method, ServerMemo
 
 # Two seeds, two tasks of two clients each: 8 blobs, read by the two
 # one-shot methods of their seed, and a federated method that reads none.
@@ -84,7 +86,13 @@ def _grid(workers: int, at: int = -1, change: bytes = b""):
 
 @functools.cache
 def _clean(workers: int):
-    """The unchanged grid's blobs in call order, and its reports."""
+    """The unchanged grid's blobs in this process's call order, and its
+    reports. At `workers=1` the plan gives the worker a one-shot unit, so
+    that a changed blob is read in the worker too."""
+    if workers:
+        _, there = plan.split(plan.units(cli._pending(
+            [_CFG], _CFG.seeds, ServerMemo())))
+        assert any(u.job[1] in ONESHOT_METHODS for u in there)
     made, runs, raised = _grid(workers)
     assert not raised and sorted(made) == sorted(_seed_of_each_blob())
     return made, runs

@@ -17,17 +17,16 @@ from osifl.orchestrator import FEDERATED_METHODS, ONESHOT_METHODS, \
 
 @st.composite
 def _units(draw):
-    """Up to eight units; each needs some of four shared entries and of
-    the units before it, at the seconds of that entry or unit."""
+    """Up to eight units; each needs some of four shared entries, at the
+    seconds of that entry."""
     seconds = st.floats(0, 2, allow_nan=False)
     entries = {f"e{i}": draw(seconds) for i in range(4)}
     units = []
     for i in range(draw(st.integers(0, 8))):
         own = draw(seconds)
-        names = draw(st.lists(st.sampled_from(
-            [*entries, *(u.key for u in units)]), unique=True, max_size=4))
-        costs = {**entries, **{u.key: u.seconds for u in units}}
-        units.append(plan.Unit(f"u{i}", own, {e: costs[e] for e in names},
+        names = draw(st.lists(st.sampled_from(list(entries)), unique=True,
+                              max_size=4))
+        units.append(plan.Unit(f"u{i}", own, {e: entries[e] for e in names},
                                None))
     return units
 
@@ -57,11 +56,10 @@ def test_the_split_plans_each_unit_once_and_forks_only_for_a_saving(
                                          if k in {u.key for u in side}]
     # No unit in the worker rebuilds entries this process builds too
     # that cost as much as its own work.
-    made_there = {u.key for u in there}
-    built_here = {u.key for u in here} | {e for u in here for e in u.needs}
+    built_here = {e for u in here for e in u.needs}
     for unit in there:
-        assert sum(s for e, s in unit.needs.items() if e in built_here
-                   and e not in made_there) < unit.seconds
+        assert sum(s for e, s in unit.needs.items()
+                   if e in built_here) < unit.seconds
     # The worker gets nothing unless the estimated saving beats the fork.
     assert not there or \
         plan.seconds(units) - plan.finish(here, there) > fork_s
@@ -69,9 +67,8 @@ def test_the_split_plans_each_unit_once_and_forks_only_for_a_saving(
 
 def _grid_units(cfg, axis=None, values=(None,)):
     """The units of `cfg`'s grid as the command would make them."""
-    server = ServerMemo()
     return plan.units(cli._pending(cli._axis_configs(cfg, axis, list(values)),
-                                   cfg.seeds, server), server)
+                                   cfg.seeds, ServerMemo()))
 
 
 def _plan(cfg, axis=None, values=(None,)):
@@ -208,6 +205,8 @@ _PINNED = {
 def test_the_benchmark_and_default_plans_are_pinned(name):
     cfg, axis, values, taken, serial, finish = _PINNED[name]
     units = _grid_units(cfg, axis, values)
+    # No unit needs another unit's key.
+    assert not {u.key for u in units} & {e for u in units for e in u.needs}
     here, there = plan.split(units)
     assert [(u.job[1], u.job[0].retain_per_class, tuple(u.job[2]))
             for u in there] == taken

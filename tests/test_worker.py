@@ -16,6 +16,7 @@ import pytest
 from osifl import cli, orchestrator, plan
 from osifl.cli import main, run_experiment, run_grid, sweep
 from osifl.config import ExperimentConfig
+from osifl.encoder import make_encoder
 from osifl.errors import ConfigError, ProtocolError
 from osifl.orchestrator import FEDERATED_METHODS, Method, memo_key
 from reference_run import reference_run
@@ -169,6 +170,25 @@ def test_a_run_failing_in_the_worker_sends_its_text(monkeypatch):
     cfg = _small(methods=(Method.OSIFL, Method.FEDAVG), seeds=(5,))
     _, failures = run_grid(cfg, "p", [1], cfg.seeds, workers=1)
     assert failures == ["p=1 FEDAVG seed=5: no update from this client"]
+    _assert_no_child_left()
+
+
+def test_a_worker_that_raises_prints_its_traceback(monkeypatch, capfd):
+    _place(monkeypatch, _federated)
+    parent, real = os.getpid(), pickle.dumps
+
+    def dumps(obj):
+        if os.getpid() != parent:
+            raise RuntimeError("cannot pickle this report")
+        return real(obj)
+
+    monkeypatch.setattr(pickle, "dumps", dumps)
+    cfg = _small()
+    _, failures = run_grid(cfg, None, [None], cfg.seeds, workers=1)
+    assert failures == [f"{m} seed={s}: the worker exited with code 1"
+                        for s in (5, 6) for m in ("FEDAVG", "FEDPROX")]
+    assert capfd.readouterr().err.endswith(
+        "RuntimeError: cannot pickle this report\n")
     _assert_no_child_left()
 
 
@@ -330,5 +350,27 @@ def test_generators_made_in_the_worker_equal_the_reference_run(
     assert sorted(here) == kept_seeds == [5]
     assert [seed for seed in cfg.seeds
             if memo_key("generator", cfg, seed) in server] == kept_seeds
+    _assert_reference_reports(cells)
+    _assert_no_child_left()
+
+
+def test_each_process_builds_only_the_uploads_its_runs_read(monkeypatch):
+    # The worker holds seed 6's one-shot runs, so this process serializes
+    # no upload of seed 6: each client message it builds is one of seed
+    # 5's shards, told apart by the encoder that encodes it.
+    _place(monkeypatch, _one_shot_of(6))
+    cfg = _small(**dict(_DDPM, methods=_THREE))
+    seed_of = {make_encoder(cfg.dim_e, cfg.dim_x, seed).checksum(): seed
+               for seed in cfg.seeds}
+    # A worker's calls append to its own copy of the list.
+    here, build = [], orchestrator.build_client_message
+    monkeypatch.setattr(orchestrator, "build_client_message",
+                        lambda encoder, shard: here.append(
+                            seed_of[encoder.checksum()])
+                        or build(encoder, shard))
+    cells, failures = run_grid(cfg, None, [None], cfg.seeds, workers=1)
+    assert failures == []
+    assert sorted(set(here)) == [5]
+    assert len(here) == cfg.num_tasks * cfg.clients_per_task
     _assert_reference_reports(cells)
     _assert_no_child_left()
