@@ -89,7 +89,8 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
     `workers=1` lets the grid, on a machine with `os.fork` and two CPUs,
     give part of its pending work to one forked worker, as `plan.split`
     places it: lockstep groups across all values and, under `ddpm`, a
-    one-shot group's runs of a seed. Each process builds what its own
+    one-shot group's runs of a seed. One call, `plan.forked`, runs this
+    process's units and the worker's; each process builds what its own
     runs read, and the worker pipes back only each report, or each
     failure's text. Reports and failure lines are those of `workers=0`,
     which runs everything in this process in serial order, so that a
@@ -170,12 +171,9 @@ def _run_groups(groups, server: ServerMemo, workers: int) -> dict:
         here, there = plan.split(plan.units(groups))
     if not there:
         return run(groups)
-    with plan.one_blas_thread(), plan.forked(
-            lambda: run([u.job for u in there]),
-            [key for u in there for key in u.key]) as join:
-        results = run([u.job for u in here])
-        results.update(join())
-    return results
+    return plan.forked(lambda: run([u.job for u in here]),
+                       lambda: run([u.job for u in there]),
+                       [key for u in there for key in u.key])
 
 
 def _run_into(out_dir: str, configs, axis, values, seeds, workers: int):

@@ -14,8 +14,8 @@ cheap to price. `split` places the units by longest processing time
 first (LPT, Graham 1969): the largest first, each where the estimated
 finish of both processes is earlier. A unit that would rebuild in the
 worker entries that cost as much as its own work comes back here, so a
-seed's generator stays with the runs that read it. `forked` runs the
-worker, and only reports and error texts cross its pipe.
+seed's generator stays with the runs that read it. `forked` runs both
+sides in one call, and only reports and error texts cross its pipe.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ PRETRAIN_STEP_S = 2e-4    # a pretraining step
 PRETRAIN_MADD_S = 7.5e-11
 CHAIN_STEP_S = 1.6e-4     # a step of a task's reverse chains
 SAMPLE_MADD_S = 3.1e-11
-# A fork, its pipe and the join of a worker that pipes back a small
+# A fork, its pipe and the reaping of a worker that pipes back a small
 # pickle, in a 45 MB process, took 2.8 ms (median of 30) to 5 ms (90th
 # percentile) on that machine.
 FORK_S = 0.005
@@ -255,73 +255,70 @@ def can_fork() -> bool:
         and len(os.sched_getaffinity(0)) >= 2
 
 
-@contextlib.contextmanager
-def forked(work, keys: list):
-    """Run `work()`, which returns a report or an error for each of
-    `keys`, in a forked worker process that pipes them back. Yields
-    `join`, which waits for the worker and returns each report as sent,
+def forked(here, there, keys: list) -> dict:
+    """Run `there()`, which returns a report or an error for each of
+    `keys`, in a forked worker process that pipes them back, while this
+    process runs `here()`; both run under `one_blas_thread`. Return
+    `here()`'s results updated with the worker's: each report as sent,
     each error as RuntimeError of its text, or every key failing alike
     with ProtocolError if the worker died or sent anything else; a
-    worker that raises prints its traceback. However the block ends, the
-    pipe is closed and the worker reaped, killed first if no `join`
-    reaped it. If the system refuses the fork, `work()` runs here
-    instead, and `join` returns what it returned."""
+    worker that raises prints its traceback. If this process raises, the
+    worker is killed and reaped first. If the system refuses the fork,
+    `here()` and then `there()` run in this process."""
     for stream in (sys.stdout, sys.stderr):
         stream.flush()
     r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns of a fork with threads running; NumPy's
-            # OpenBLAS threads are shut down across a fork.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        results = work()
-        yield lambda: results
-        return
-    if pid == 0:
-        code = 1
+    with one_blas_thread():
         try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns of a fork with threads running;
+                # NumPy's OpenBLAS threads are shut down across a fork.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
             os.close(r)
-            with os.fdopen(w, "wb") as out:
-                out.write(pickle.dumps({
-                    key: got if isinstance(got, RunReport) else str(got)
-                    for key, got in work().items()}))
-            code = 0
-        except BaseException:
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-    os.close(w)
-    status = None
-
-    def join() -> dict:
-        nonlocal status
-        data = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            return dict.fromkeys(keys, ProtocolError(
-                "the worker " + (f"was killed by signal {-code}" if code < 0
-                                 else f"exited with code {code}")))
+            os.close(w)
+            results = here()
+            results.update(there())
+            return results
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                with os.fdopen(w, "wb") as out:
+                    out.write(pickle.dumps({
+                        key: got if isinstance(got, RunReport) else str(got)
+                        for key, got in there().items()}))
+                code = 0
+            except BaseException:
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        os.close(w)
+        with os.fdopen(r, "rb") as pipe:
+            try:
+                results = here()
+                data = pipe.read()
+                _, status = os.waitpid(pid, 0)
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                raise
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        got = dict.fromkeys(keys, ProtocolError(
+            "the worker " + (f"was killed by signal {-code}" if code < 0
+                             else f"exited with code {code}")))
+    else:
         try:
             got = pickle.loads(data)
             if not (isinstance(got, dict) and set(got) == set(keys) and all(
                     isinstance(v, (RunReport, str)) for v in got.values())):
                 raise ValueError(got)
-            return {key: v if isinstance(v, RunReport) else RuntimeError(v)
-                    for key, v in got.items()}
         except Exception:
-            return dict.fromkeys(keys, ProtocolError(
+            got = dict.fromkeys(keys, ProtocolError(
                 "the worker sent unreadable bytes"))
-
-    with os.fdopen(r, "rb") as pipe:
-        try:
-            yield join
-        finally:
-            if status is None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    results.update({key: RuntimeError(v) if isinstance(v, str) else v
+                    for key, v in got.items()})
+    return results

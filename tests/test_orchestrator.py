@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from osifl import orchestrator, trainer
+from osifl import cli, orchestrator, trainer
 from osifl.config import ExperimentConfig, build_run_inputs
 from osifl.datagen import Batch, draw_base_pool
 from osifl.diffusion import make_surrogate
@@ -351,6 +351,24 @@ def test_lockstep_gives_each_run_its_result_in_any_order(monkeypatch):
 
     shuffled = [runs[i] for i in np.random.default_rng(0).permutation(14)]
     assert shuffled != runs and drive(shuffled) == drive(runs)
+
+
+def test_a_stacked_call_that_raises_fails_each_of_its_runs(monkeypatch):
+    # OSCAR_IL's stacked training call raises: each of its runs fails
+    # with that error, one line per cell at both values of p, which it
+    # does not read, and every other run is the reference run's.
+    def refuse(*args, **kwargs):
+        raise ProtocolError("no head trains in this stack")
+
+    monkeypatch.setattr(orchestrator, "train_naive", refuse)
+    cfg = _small(methods=tuple(Method), seeds=(3, 4))
+    cells, failures = cli.run_grid(cfg, "p", [0, 2], cfg.seeds)
+    assert failures == [f"p={p} OSCAR_IL seed={seed}: no head trains in "
+                        f"this stack" for p in (0, 2) for seed in (3, 4)]
+    for cell, reports in cells:
+        assert len(reports) == (len(Method) - 1) * len(cfg.seeds)
+        for r in reports:
+            assert r == reference_run(r.method, cell, r.seed).report
 
 
 def test_run_report_is_bit_deterministic():

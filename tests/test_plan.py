@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from osifl import cli, plan
+from osifl import cli, orchestrator, plan
 from osifl.config import ExperimentConfig
 from osifl.orchestrator import FEDERATED_METHODS, ONESHOT_METHODS, \
     Method, ServerMemo
@@ -117,15 +117,36 @@ def test_a_one_seed_one_shot_ddpm_grid_forks_nothing(monkeypatch):
     assert failures == [] and forks == []
 
 
-def test_the_fork_holds_openblas_to_one_thread_and_restores_it():
+def test_the_fork_holds_openblas_to_one_thread_and_restores_it(
+        monkeypatch):
+    # At two threads, a forked grid's runs in this process read one
+    # thread, and the grid leaves two.
     found = plan._blas_threads()
     if found is None:
         pytest.skip("NumPy carries no OpenBLAS")
-    get, _ = found
+    get, put = found
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    # The worker takes the federated groups; this process trains OSIFL.
+    monkeypatch.setattr(plan, "split", lambda units: (
+        [u for u in units if u.job[1] not in FEDERATED_METHODS],
+        [u for u in units if u.job[1] in FEDERATED_METHODS]))
+    parent, seen, train = os.getpid(), [], orchestrator.train_osifl
+    monkeypatch.setattr(orchestrator, "train_osifl", lambda *args, **kw: (
+        os.getpid() == parent and seen.append(get())) or train(*args, **kw))
+    cfg = dataclasses.replace(_TINY, methods=(Method.OSIFL, Method.FEDAVG))
     before = get()
-    with plan.one_blas_thread():
-        assert get() == 1
-    assert get() == before
+    put(2)
+    try:
+        assert get() == 2
+        with plan.one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        _, failures = cli.run_grid(cfg, None, [None], cfg.seeds, workers=1)
+        assert failures == [] and set(seen) == {1}
+        assert get() == 2
+    finally:
+        put(before)
 
 
 # A tiny grid of three tasks; each case below changes one thing.

@@ -12,6 +12,7 @@ from osifl.encoder import make_encoder
 from osifl.errors import ConfigError, ProtocolError
 from osifl.ledgers import ComputeLedger, encoder_forward_madds, \
     head_forward_madds
+from osifl.orchestrator import ServerMemo
 from osifl.rng import stream
 from osifl.ssr import ExemplarMemory, select_exemplars
 from osifl.trainer import (Adam, AdamState, AnchorState, Classifier, Stack,
@@ -1004,6 +1005,52 @@ def test_a_stack_over_the_embedding_budget_trains_in_parts(monkeypatch):
     assert widths[3:] == [2, 1]
     for a, b in zip(heads["solo"], heads["stacked"]):
         assert _state_bytes(a) == _state_bytes(b)
+
+
+def test_a_part_that_fails_to_train_fails_only_its_heads(monkeypatch):
+    # Four heads of 10 rows of 6 features train two to a part, and the
+    # second part's `_fit` runs out of memory: its two heads fail with
+    # that error alone. The first part's heads end as they would alone,
+    # and the memo keeps only them: four fresh heads trained through it
+    # restore the first two, and only the failed two train.
+    from osifl import trainer
+    monkeypatch.setattr(trainer, "STACK_EMBEDDING_BYTES", 2 * 10 * 6 * 8)
+    cfg = ExperimentConfig(epochs_per_task=2, batch_size=4)
+    data = [_data_for(h) for h in range(4)]
+
+    def heads():
+        return [_random_head(Classifier(make_encoder(6, 3, 1 + h),
+                                        classes=(3, 4)), 41 + h)
+                for h in range(4)]
+
+    stacked, solo, again = heads(), heads(), heads()
+    widths, real_fit = [], trainer._fit
+
+    def fit(calls):
+        widths.append(len(calls))
+        if calls[0].classifier is stacked[2]:
+            raise MemoryError("no room for this part")
+        return real_fit(calls)
+
+    monkeypatch.setattr(trainer, "_fit", fit)
+    memo = ServerMemo()
+
+    def stack(clfs):
+        return train(Stack(clfs), Stack(data), cfg,
+                     Stack(stream(h, "t") for h in range(4)), memo=memo)
+
+    out = stack(stacked)
+    assert widths == [2, 2]
+    assert list(out[:2]) == stacked[:2]
+    assert [str(err) for err in out[2:] if isinstance(err, MemoryError)] \
+        == ["no room for this part"] * 2
+    for h in range(2):
+        train(solo[h], data[h], cfg, stream(h, "t"))
+        assert _state_bytes(solo[h]) == _state_bytes(stacked[h])
+    del widths[:]
+    assert list(stack(again)) == again and widths == [2]
+    for h in range(2):
+        assert _state_bytes(again[h]) == _state_bytes(stacked[h])
 
 
 def test_head_checkpoint_roundtrip(tmp_path):
