@@ -13,11 +13,13 @@ import numpy as np
 from . import plan
 from .config import FIELD_SPECS, ExperimentConfig, _distinct, \
     build_run_inputs, parse_config
+from .encoder import make_encoder
 from .errors import ConfigError
 # Grids drive `run_steps` through `lockstep`; `run_method`, which drives
 # one run alone, stays bound here for callers that wrap it.
-from .orchestrator import CSV_HEADER, ServerMemo, lockstep, memo_key, \
-    rows_to_csv, run_method, run_steps, write_report_csv
+from .orchestrator import CSV_HEADER, FEDERATED_METHODS, ServerMemo, \
+    build_generator, lockstep, memo_key, rows_to_csv, run_method, \
+    run_steps, task_synthesis, write_report_csv
 
 SEED_ENV = "OSIFL_SEED_OVERRIDE"
 
@@ -92,10 +94,15 @@ def run_grid(config: ExperimentConfig, axis: str | None, values, seeds,
     one-shot group's runs of a seed. One call, `plan.forked`, runs this
     process's units and the worker's; each process builds what its own
     runs read, and the worker pipes back only each report, or each
-    failure's text. Reports and failure lines are those of `workers=0`,
-    which runs everything in this process in serial order, so that a
-    wrapper around a module function sees every call. A worker that dies
-    fails each run it held."""
+    failure's text. If the plan gives the worker nothing, a `ddpm`
+    seed's generator is built here first, and a worker that inherits it
+    synthesizes some of its tasks and pipes back their drawn rows; then
+    the runs are planned again, the built entries priced at 0, and may
+    fork a second worker. Reports and failure lines are those of
+    `workers=0`, which runs everything in this process in serial order,
+    so that a wrapper around a module function sees every call. A worker
+    that dies fails each run it held; a task it held is left to the
+    runs."""
     return _run_cells(_axis_configs(config, axis, values), axis, values,
                       seeds, ServerMemo() if server is None else server,
                       workers)
@@ -146,13 +153,17 @@ def _pending(configs, seeds, server: ServerMemo) -> list:
 
 def _run_groups(groups, server: ServerMemo, workers: int) -> dict:
     """Each run's report or error by `memo_key`, from the lockstep groups
-    `(config, method, seeds)` in order, or split by `plan.split`."""
+    `(config, method, seeds)` in order, or split by `plan.split`. If the
+    plan gives the worker nothing, the `ddpm` synthesis is split by task
+    first (`_synthesize`), and the runs are planned again."""
+
+    def inputs(cfg, seed):
+        return server.recall(memo_key("inputs", cfg, seed),
+                             lambda _: build_run_inputs(cfg, seed), None)
 
     def steps(method, cfg, seed):
         # Inputs are built as the run starts: an error fails it.
-        inputs = server.recall(memo_key("inputs", cfg, seed),
-                               lambda _: build_run_inputs(cfg, seed), None)
-        return (yield from run_steps(method, *inputs, cfg, seed,
+        return (yield from run_steps(method, *inputs(cfg, seed), cfg, seed,
                                      server=server))
 
     def run(jobs) -> dict:
@@ -169,11 +180,63 @@ def _run_groups(groups, server: ServerMemo, workers: int) -> dict:
     here, there = [], []
     if workers and groups and plan.can_fork():
         here, there = plan.split(plan.units(groups))
+        if not there and (built := _synthesize(groups, inputs, server)):
+            here, there = plan.split(plan.units(groups, built))
     if not there:
         return run(groups)
     return plan.forked(lambda: run([u.job for u in here]),
                        lambda: run([u.job for u in there]),
                        [key for u in there for key in u.key])
+
+
+def _synthesize(groups, inputs, server: ServerMemo) -> set:
+    """Build here, through `server`, the generator of each seed of a
+    pending one-shot `ddpm` group; then the synthesis of each of their
+    tasks, this process's and a forked worker's tasks as `plan.split`
+    places `plan.task_units`. The worker inherits the generators and
+    pipes back each task's drawn rows, which this process keeps as the
+    task's synthesis. Return the plan's names of the entries built. What
+    cannot be built, or comes back unreadable, is left for the runs to
+    build, and fail on."""
+    units, built = {}, set()
+    for cfg, method, seeds in groups:
+        if cfg.generator != "ddpm" or method in FEDERATED_METHODS:
+            continue
+        for seed in seeds:
+            # A seed whose generator fails is its runs' to fail on.
+            with contextlib.suppress(Exception):
+                world = inputs(cfg, seed)[0]
+                build_generator(cfg, seed, world,
+                                make_encoder(cfg.dim_e, world.dim_x, seed),
+                                server)
+                built.add(memo_key("generator", cfg, seed))
+                units.update((u.key, u) for u in plan.task_units(cfg, seed))
+    if not units:
+        return built
+    here, there = plan.split(list(units.values()))
+
+    def synthesize(tasks, drawn=None) -> dict:
+        """Each task's rows, or the error that stopped it."""
+        out = {}
+        for unit in tasks:
+            cfg, seed, t = unit.job
+            try:
+                world, _, shards, _ = inputs(cfg, seed)
+                out[unit.key] = task_synthesis(
+                    cfg, seed, world, shards, t, server,
+                    None if drawn is None else drawn[unit.key]).data.x
+            except Exception as err:
+                out[unit.key] = err
+        return out
+
+    if there:
+        got = plan.forked(lambda: synthesize(here), lambda: synthesize(there),
+                          [u.key for u in there])
+        got.update(synthesize([u for u in there if isinstance(
+            got[u.key], np.ndarray)], got))
+        built.update(key for key, rows in got.items()
+                     if isinstance(rows, np.ndarray))
+    return built
 
 
 def _run_into(out_dir: str, configs, axis, values, seeds, workers: int):

@@ -361,9 +361,13 @@ class DiffusionModel:
                 eps_cond *= root_beta[z - 1]
                 x += eps_cond
         if ledger is not None:
-            ledger.add("diffusion_sampling",
-                       sched.num_steps * chain_step_madds(den.sizes, total))
+            ledger.add("diffusion_sampling", self.sampling_madds(total))
         return x
+
+    def sampling_madds(self, rows: int) -> int:
+        """The multiply-adds `sample_chains` bills for `rows` rows."""
+        return self.schedule.num_steps * chain_step_madds(self.denoiser.sizes,
+                                                          rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -464,6 +468,32 @@ class SynthSet(NamedTuple):
     per_class: dict[int, Batch]
 
 
+def _held(messages: list[ClientMessage]) -> tuple:
+    """The task of the messages; the classes each holds, in message order;
+    and the classes they name, ascending, with the messages naming each."""
+    if not messages:
+        raise ProtocolError("synthesis needs a client message with a class")
+    task_id = messages[0].task_id
+    if any(m.task_id != task_id for m in messages):
+        raise ProtocolError("messages from different tasks in one synthesis")
+    held = np.concatenate([m.classes for m in messages])
+    return task_id, held, *np.unique(held, return_counts=True)
+
+
+def _synth_set(xs: np.ndarray, classes: np.ndarray, z_per_class: int,
+               task_id: int) -> SynthSet:
+    """The task's `SynthSet` over `xs`, z_per_class rows per class in
+    ascending class order, made read-only."""
+    xs.flags.writeable = False
+    data = Batch(xs, np.repeat(classes, z_per_class), np.full(len(xs), -1),
+                 task_id)
+    blocks = (slice(i * z_per_class, (i + 1) * z_per_class)
+              for i in range(len(classes)))
+    return SynthSet(data, {k: Batch(data.x[b], data.y[b], data.domain[b],
+                                    task_id)
+                           for k, b in zip(classes.tolist(), blocks)})
+
+
 def synthesize_task_data(generator, messages: list[ClientMessage],
                          z_per_class: int, w: float,
                          rng: np.random.Generator, ledger=None) -> SynthSet:
@@ -475,17 +505,11 @@ def synthesize_task_data(generator, messages: list[ClientMessage],
     i mod n_providers, so the source client alternates. Each (class,
     provider) pair is one chain, in ascending class order.
     """
-    if not messages:
-        raise ProtocolError("synthesis needs a client message with a class")
+    task_id, held, classes, providers = _held(messages)
     if z_per_class < 0:
         raise ConfigError(f"z_per_class must be >= 0, got {z_per_class}")
-    task_id = messages[0].task_id
-    if any(m.task_id != task_id for m in messages):
-        raise ProtocolError("messages from different tasks in one synthesis")
     # The chains: each class's providers in message order, by class.
-    held = np.concatenate([m.classes for m in messages])
     chains = np.argsort(held, kind="stable")
-    classes, providers = np.unique(held, return_counts=True)
     # The rows of each chain in the task's batch.
     rows = [i * z_per_class + np.arange(j, z_per_class, n)
             for i, n in enumerate(providers.tolist()) for j in range(n)]
@@ -494,14 +518,25 @@ def synthesize_task_data(generator, messages: list[ClientMessage],
         [len(r) for r in rows], w, rng, ledger=ledger)
     xs = np.empty_like(drawn)
     xs[np.concatenate(rows)] = drawn
-    xs.flags.writeable = False
-    data = Batch(xs, np.repeat(classes, z_per_class), np.full(len(xs), -1),
-                 task_id)
-    blocks = (slice(i * z_per_class, (i + 1) * z_per_class)
-              for i in range(len(classes)))
-    return SynthSet(data, {k: Batch(data.x[b], data.y[b], data.domain[b],
-                                    task_id)
-                           for k, b in zip(classes.tolist(), blocks)})
+    return _synth_set(xs, classes, z_per_class, task_id)
+
+
+def drawn_task_data(model: DiffusionModel, messages: list[ClientMessage],
+                    z_per_class: int, xs, ledger=None) -> SynthSet:
+    """The `SynthSet` that `synthesize_task_data` returns when `model`'s
+    chains drew `xs`, the rows of its batch, in another process, billed
+    as that sampling. ProtocolError unless `xs` is a float64 array of the
+    batch's shape."""
+    task_id, _, classes, _ = _held(messages)
+    shape = (len(classes) * z_per_class, model.denoiser.dim_x)
+    if not (isinstance(xs, np.ndarray) and xs.dtype == np.float64
+            and xs.shape == shape):
+        raise ProtocolError(
+            f"task {task_id}'s drawn rows are not a float64 array of "
+            f"shape {shape}")
+    if ledger is not None:
+        ledger.add("diffusion_sampling", model.sampling_madds(len(xs)))
+    return _synth_set(xs, classes, z_per_class, task_id)
 
 
 _CKPT_MAGIC = b"OSDM"

@@ -17,8 +17,8 @@ import numpy as np
 
 from .datagen import Batch, ClientShard, TaskSpec, TaskSuite, World, \
     draw_base_pool
-from .diffusion import SynthSet, make_surrogate, pretrain, \
-    synthesize_task_data
+from .diffusion import SynthSet, drawn_task_data, make_surrogate, \
+    pretrain, synthesize_task_data
 from .encoder import build_client_message, make_encoder, parse_message, \
     serialize_message
 from .errors import ConfigError, ProtocolError
@@ -152,16 +152,21 @@ class RunState:
     server: ServerMemo = field(default_factory=ServerMemo)
 
 
-def _synthesized_task(state: RunState, blobs: list[bytes],
-                      messages: list) -> SynthSet:
-    """The task's `SynthSet` from the `messages` parsed from `blobs`, kept
-    under the blobs and the generator object the memo hands out."""
-    cfg, seed, t = state.config, state.seed, messages[0].task_id
-
-    def build(ledger):
-        synth = synthesize_task_data(state.generator, messages,
-                                     cfg.z_per_class, cfg.guidance_w,
-                                     stream(seed, "synth", t), ledger=ledger)
+def synthesized(cfg, seed: int, generator, t: int, blobs: list[bytes],
+                messages: list, server: ServerMemo, ledger=None,
+                drawn=None) -> SynthSet:
+    """Task `t`'s `SynthSet` from the `messages` parsed from `blobs`, kept
+    in `server` under the blobs and the generator object the memo hands
+    out: sampled, or made of `drawn`, the rows a forked worker sampled
+    from that generator (`diffusion.drawn_task_data`)."""
+    def build(scratch):
+        if drawn is None:
+            synth = synthesize_task_data(
+                generator, messages, cfg.z_per_class, cfg.guidance_w,
+                stream(seed, "synth", t), ledger=scratch)
+        else:
+            synth = drawn_task_data(generator, messages, cfg.z_per_class,
+                                    drawn, ledger=scratch)
         for k, batch in synth.per_class.items():
             if not np.isfinite(batch.x).all():
                 raise ProtocolError(
@@ -169,9 +174,22 @@ def _synthesized_task(state: RunState, blobs: list[bytes],
                     f"values for class {k}")
         return synth
 
-    return state.server.recall(memo_key(
-        "synthesis", cfg, seed, state.generator, t, tuple(blobs)), build,
-        state.compute)
+    return server.recall(memo_key("synthesis", cfg, seed, generator, t,
+                                  tuple(blobs)), build, ledger)
+
+
+def task_synthesis(cfg, seed: int, world: World, shards: list[ClientShard],
+                   t: int, server: ServerMemo, drawn=None) -> SynthSet:
+    """Task `t`'s synthesis for `seed`'s one-shot runs, built through
+    `server` as they build it: the generator, the task's uploads, then
+    `synthesized`."""
+    encoder = make_encoder(cfg.dim_e, world.dim_x, seed)
+    generator = build_generator(cfg, seed, world, encoder, server)
+    blobs = [upload(cfg, seed, encoder, shard, server) for shard in shards
+             if shard.task_id == t]
+    return synthesized(cfg, seed, generator, t, blobs,
+                       [parse_message(blob) for blob in blobs], server,
+                       drawn=drawn)
 
 
 def _expand_head(state: RunState, task: TaskSpec) -> Classifier:
@@ -215,7 +233,8 @@ def oneshot_task_phase(state: RunState, task: TaskSpec, blobs: list[bytes]):
         state.events.append(
             f"task{t}:upload client={msg.client_id} "
             f"floats={msg.upload_floats}")
-    data = _synthesized_task(state, blobs, messages).data
+    data = synthesized(cfg, state.seed, state.generator, t, blobs, messages,
+                       state.server, state.compute).data
     state.events.append(f"task{t}:synthesize n={len(data)}")
     clf = _expand_head(state, task)
     rng_t = stream(state.seed, "train", t)

@@ -8,14 +8,18 @@ seconds are estimated from closed forms of its config: minibatch steps,
 training calls and the multiply-adds the ledgers bill. Each process
 builds, through its memo, what its own runs read. The priced entries
 that units share, the task-1 heads and, under `ddpm`, each seed's
-generator and synthesis, are each built once by every process that
-needs them; a seed's inputs, uploads and `surrogate` generator are too
-cheap to price. `split` places the units by longest processing time
-first (LPT, Graham 1969): the largest first, each where the estimated
-finish of both processes is earlier. A unit that would rebuild in the
-worker entries that cost as much as its own work comes back here, so a
-seed's generator stays with the runs that read it. `forked` runs both
-sides in one call, and only reports and error texts cross its pipe.
+generator and each task's synthesis, are each built once by every
+process that needs them; a seed's inputs, uploads and `surrogate`
+generator are too cheap to price. `split` places the units by longest
+processing time first (LPT, Graham 1969): the largest first, each where
+the estimated finish of both processes is earlier. A unit that would
+rebuild in the worker entries that cost as much as its own work comes
+back here, so a seed's generator stays with the runs that read it.
+Where nothing goes to the worker, `task_units` split a `ddpm` seed's
+synthesis by task once its generator is built here, and the runs are
+placed again with the entries built priced at 0. `forked` runs both
+sides in one call, and only reports, error texts and a task's drawn
+rows cross its pipe.
 """
 from __future__ import annotations
 
@@ -121,22 +125,44 @@ def _group_seconds(cfg, method, heads: int) -> tuple[float, float, float]:
     return train[0], train[1], rest
 
 
+def _synthesis_seconds(cfg, brought: int) -> float:
+    """A task's synthesis: the steps and multiply-adds of its reverse
+    chains for `brought` classes."""
+    sizes = cfg.dim_x, cfg.dim_e, cfg.diffusion_steps, cfg.denoiser_hidden
+    chains = chain_step_madds(sizes, cfg.z_per_class * brought)
+    return cfg.diffusion_steps * (CHAIN_STEP_S + SAMPLE_MADD_S * chains)
+
+
 def _ddpm_seconds(cfg) -> tuple[float, float]:
     """A seed's pretraining, and its synthesis of every task."""
     sizes = cfg.dim_x, cfg.dim_e, cfg.diffusion_steps, cfg.denoiser_hidden
     step = pretrain_step_madds(sizes, cfg.pretrain_batch)
-    chains = chain_step_madds(sizes, cfg.z_per_class * sum(_sizes(cfg)[0]))
     return cfg.pretrain_steps * (PRETRAIN_STEP_S + PRETRAIN_MADD_S * step), \
-        cfg.diffusion_steps * (cfg.num_tasks * CHAIN_STEP_S
-                               + SAMPLE_MADD_S * chains)
+        sum(_synthesis_seconds(cfg, k) for k in _sizes(cfg)[0])
 
 
-def units(groups) -> list[Unit]:
+def _synthesis(cfg, seed: int, t: int) -> tuple:
+    """The plan's name of task `t`'s synthesis memo entry for `seed`: its
+    memo key, the generator and the uploads named by their own."""
+    return memo_key("synthesis", cfg, seed, memo_key("generator", cfg, seed),
+                    t, memo_key("message", cfg, seed))
+
+
+def task_units(cfg, seed: int) -> list[Unit]:
+    """`seed`'s `ddpm` synthesis under `cfg`, a unit per task: `key` the
+    entry the one-shot units need, `job` `(config, seed, task)`. Each
+    reads the generator, built before they are placed."""
+    return [Unit(_synthesis(cfg, seed, t), _synthesis_seconds(cfg, k), {},
+                 (cfg, seed, t))
+            for t, k in enumerate(_sizes(cfg)[0], start=1)]
+
+
+def units(groups, built=frozenset()) -> list[Unit]:
     """The grid's units in serial order: each lockstep group `(config,
     method, seeds)`, or under `ddpm` a one-shot group's runs of each seed,
     at its share of the group's stacked seconds. A one-shot unit needs
-    each of its seeds' task-1 heads and, under `ddpm`, synthesis and
-    generator.
+    each of its seeds' task-1 heads and, under `ddpm`, generator and each
+    task's synthesis, priced at 0 if `built` names it.
 
     The one-shot runs of a seed share its task-1 heads. OSCAR_IL, OSIFL
     at p = 0 and OSCAR_R at lambda_ewc = 0 train the same heads at every
@@ -144,7 +170,7 @@ def units(groups) -> list[Unit]:
     out = []
     for cfg, method, seeds in groups:
         first, later, rest = _group_seconds(cfg, method, len(seeds))
-        pretraining, synthesis = _ddpm_seconds(cfg)
+        pretraining = _ddpm_seconds(cfg)[0]
         trunk_only = method is Method.OSCAR_IL or (
             method is Method.OSIFL and not cfg.retain_per_class) or (
             method is Method.OSCAR_R and not cfg.lambda_ewc)
@@ -159,13 +185,13 @@ def units(groups) -> list[Unit]:
                 if trunk_only:
                     needs["heads", trunk] = later / len(seeds)
                 if cfg.generator == "ddpm":
-                    generator = memo_key("generator", cfg, seed)
-                    needs["synthesis", generator, *memo_key(
-                        "synthesis", cfg, seed)] = synthesis
-                    needs[generator] = pretraining
+                    needs.update((u.key, u.seconds)
+                                 for u in task_units(cfg, seed))
+                    needs[memo_key("generator", cfg, seed)] = pretraining
             out.append(Unit(
                 tuple(memo_key(method, cfg, seed) for seed in part),
-                rest / len(seeds) if apart else rest, needs,
+                rest / len(seeds) if apart else rest,
+                {e: 0.0 if e in built else s for e, s in needs.items()},
                 (cfg, method, part)))
     return out
 
@@ -256,15 +282,16 @@ def can_fork() -> bool:
 
 
 def forked(here, there, keys: list) -> dict:
-    """Run `there()`, which returns a report or an error for each of
-    `keys`, in a forked worker process that pipes them back, while this
-    process runs `here()`; both run under `one_blas_thread`. Return
-    `here()`'s results updated with the worker's: each report as sent,
-    each error as RuntimeError of its text, or every key failing alike
-    with ProtocolError if the worker died or sent anything else; a
-    worker that raises prints its traceback. If this process raises, the
-    worker is killed and reaped first. If the system refuses the fork,
-    `here()` and then `there()` run in this process."""
+    """Run `there()`, which returns a report, an array of rows or an
+    error for each of `keys`, in a forked worker process that pipes them
+    back, while this process runs `here()`; both run under
+    `one_blas_thread`. Return `here()`'s results updated with the
+    worker's: each report or array as sent, each error as RuntimeError of
+    its text, or every key failing alike with ProtocolError if the worker
+    died or sent anything else; a worker that raises prints its
+    traceback. If this process raises, the worker is killed and reaped
+    first. If the system refuses the fork, `here()` and then `there()`
+    run in this process."""
     for stream in (sys.stdout, sys.stderr):
         stream.flush()
     r, w = os.pipe()
@@ -287,7 +314,8 @@ def forked(here, there, keys: list) -> dict:
                 os.close(r)
                 with os.fdopen(w, "wb") as out:
                     out.write(pickle.dumps({
-                        key: got if isinstance(got, RunReport) else str(got)
+                        key: got if isinstance(got, (RunReport, np.ndarray))
+                        else str(got)
                         for key, got in there().items()}))
                 code = 0
             except BaseException:
@@ -314,7 +342,8 @@ def forked(here, there, keys: list) -> dict:
         try:
             got = pickle.loads(data)
             if not (isinstance(got, dict) and set(got) == set(keys) and all(
-                    isinstance(v, (RunReport, str)) for v in got.values())):
+                    isinstance(v, (RunReport, np.ndarray, str))
+                    for v in got.values())):
                 raise ValueError(got)
         except Exception:
             got = dict.fromkeys(keys, ProtocolError(

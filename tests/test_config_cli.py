@@ -332,8 +332,10 @@ def _memo_keys(cfg, states, seed=3):
 
     def synthesized():
         build_generator()
-        data = orchestrator._synthesized_task(
-            state, blobs, [parse_message(blob) for blob in blobs]).data
+        data = orchestrator.synthesized(
+            cfg, seed, state.generator, 1, blobs,
+            [parse_message(blob) for blob in blobs], state.server,
+            state.compute).data
         return data.x.tobytes(), data.y.tobytes()
 
     batches = [s.samples for s in shards] + list(test_sets.values())

@@ -509,8 +509,10 @@ def test_synthesized_samples_view_read_only_memo_arrays():
     assert not data.x.base.flags.writeable
     assert data.y.tolist() == [k for k in task.classes
                                for _ in range(cfg.z_per_class)]
-    again, per_class = orchestrator._synthesized_task(
-        state, blobs, [parse_message(blob) for blob in blobs])
+    again, per_class = orchestrator.synthesized(
+        cfg, 4, state.generator, 1, blobs,
+        [parse_message(blob) for blob in blobs], state.server,
+        state.compute)
     assert again is data
     for k, batch in per_class.items():
         assert batch is batches[k]

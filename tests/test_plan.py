@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from osifl import cli, orchestrator, plan
 from osifl.config import ExperimentConfig
 from osifl.orchestrator import FEDERATED_METHODS, ONESHOT_METHODS, \
-    Method, ServerMemo
+    Method, ServerMemo, memo_key
+from reference_run import record_states
 
 
 @st.composite
@@ -101,20 +102,48 @@ def test_a_p_sweep_gives_the_worker_a_later_value():
                for u in there)
 
 
-def test_a_one_seed_one_shot_ddpm_grid_forks_nothing(monkeypatch):
+def test_a_one_seed_ddpm_grid_below_the_gate_forks_nothing(monkeypatch):
+    # The first plan gives the worker nothing, so the generator is built
+    # here and the synthesis planned by task; neither that plan nor the
+    # runs' second one saves more than a fork.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     forks, real = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real())
+    plans, split = [], plan.split
+    monkeypatch.setattr(plan, "split", lambda units: plans.append(
+        split(units)) or plans[-1])
     cfg = ExperimentConfig(
         dim_x=6, num_classes=8, num_domains=2, num_tasks=2,
         classes_per_task=4, n_per_class=8, test_per_class=6, z_per_class=6,
         base_pool_total=240, dim_e=12, epochs_per_task=2, generator="ddpm",
         diffusion_steps=10, denoiser_hidden=16, pretrain_steps=200,
         methods=_ONESHOT, seeds=(5,))
-    assert _plan(cfg)[1] == []
     _, failures = cli.run_grid(cfg, None, [None], cfg.seeds, workers=1)
     assert failures == [] and forks == []
+    assert [len(here + there) for here, there in plans] == [4, 2, 4]
+    assert all(there == [] for _, there in plans)
+
+
+def test_a_one_seed_ddpm_grid_forks_its_synthesis_then_its_runs():
+    # `class-inc-ddpm`: once its generator is built, the worker takes
+    # tasks 2, 4 and 6 of its synthesis; once every task's synthesis is
+    # built too, it takes OSIFL, OSCAR_IL and OSCAR_R, and OSCAR_CEILING
+    # stays here. Each plan's serial and finish estimates.
+    cfg = _PINNED["class-inc-ddpm"][0]
+    [seed] = cfg.seeds
+    tasks = plan.task_units(cfg, seed)
+    here, there = plan.split(tasks)
+    assert [u.job[2] for u in there] == [2, 4, 6]
+    assert plan.seconds(tasks) == pytest.approx(0.4866, rel=1e-12)
+    assert plan.finish(here, there) == pytest.approx(0.2433, rel=1e-12)
+    built = {memo_key("generator", cfg, seed), *(u.key for u in tasks)}
+    units = plan.units(cli._pending([cfg], cfg.seeds, ServerMemo()), built)
+    here, there = plan.split(units)
+    assert [u.job[1] for u in there] == [
+        Method.OSIFL, Method.OSCAR_IL, Method.OSCAR_R]
+    assert plan.seconds(units) == pytest.approx(0.336416295, rel=1e-12)
+    assert plan.finish(here, there) == pytest.approx(0.17164579, rel=1e-12)
 
 
 def test_the_fork_holds_openblas_to_one_thread_and_restores_it(
@@ -165,11 +194,14 @@ _TINY = ExperimentConfig(
     {"generator": "ddpm"}],
     ids=["class-inc", "p-over-z", "two-clients", "domain-inc", "uneven",
          "ddpm"])
-def test_the_plan_prices_the_multiply_adds_the_runs_bill(changes):
+def test_the_plan_prices_the_multiply_adds_the_runs_bill(monkeypatch,
+                                                        changes):
     # At a second per multiply-add, none per call, step or pass, and no
     # evaluation, scoring or Fisher pass, none of which is a `train_*`
-    # bill, a group of one run costs its `train_*` multiply-adds.
+    # bill, a group of one run costs its `train_*` multiply-adds, and a
+    # task unit its task's `diffusion_sampling`.
     cfg = dataclasses.replace(_TINY, **changes)
+    states = record_states(monkeypatch)
     [(_, reports)], failures = cli.run_grid(cfg, None, [None], cfg.seeds)
     assert failures == [] and len(reports) == len(Method)
     zero = ("HEAD_CALL_S", "STEP_S", "PRETRAIN_STEP_S", "CHAIN_STEP_S")
@@ -190,6 +222,12 @@ def test_the_plan_prices_the_multiply_adds_the_runs_bill(changes):
                 assert plan._ddpm_seconds(cfg) == (
                     billed["diffusion_pretrain"],
                     billed["diffusion_sampling"])
+                sampled = [states[method, report.seed, cfg, t][-1].get(
+                    "diffusion_sampling", 0) for t in range(
+                        1, cfg.num_tasks + 1)]
+                assert [u.seconds for u in plan.task_units(
+                    cfg, report.seed)] == [
+                    b - a for a, b in zip([0, *sampled], sampled)]
 
 
 # The benchmark's workloads and the default `ddpm` run, restated (each

@@ -5,14 +5,16 @@ grid fails in the reference run with the same error type.
 
 The grid runs in this process (`workers=0`) or, on two faked CPUs, with
 a drawn subset of its units in one forked worker (`workers=1`), which
-starts at most one process an example. An error's type crosses the
+starts at most two processes an example: where the first plan keeps
+every unit here, a `ddpm` grid's synthesis is placed by task, and its
+runs are planned again. An error's type crosses the
 worker's pipe in its failure text: each run's inputs and steps re-raise
 an error as RuntimeError named after its type, in either process.
 """
 import os
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from osifl import cli, plan
@@ -116,9 +118,21 @@ def test_every_grid_report_is_the_reference_runs(cfg, data):
         label="values")
     workers = data.draw(st.integers(0, 1), label="workers")
 
+    plans = []
+
     def split(units):
-        away = [data.draw(st.booleans(), label=f"unit {i} away")
+        # A task unit's job is (config, seed, task), a run unit's
+        # (config, method, seeds). The first plan may keep every unit
+        # here, so that the synthesis is split by task.
+        keep = not plans and data.draw(st.booleans(), label="keeps all")
+        away = [not keep and data.draw(st.booleans(), label=f"unit {i} away")
                 for i in range(len(units))]
+        tasks = any(not isinstance(u.job[1], Method) for u in units)
+        if any(away) and tasks:
+            event("synthesis split")
+        elif any(away) and any(plans):
+            event("runs split after synthesis")
+        plans.append(tasks)
         return ([u for u, a in zip(units, away) if not a],
                 [u for u, a in zip(units, away) if a])
 

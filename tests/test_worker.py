@@ -11,11 +11,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from osifl import cli, orchestrator, plan
 from osifl.cli import main, run_experiment, run_grid, sweep
 from osifl.config import ExperimentConfig
+from osifl.diffusion import DiffusionModel
 from osifl.encoder import make_encoder
 from osifl.errors import ConfigError, ProtocolError
 from osifl.orchestrator import FEDERATED_METHODS, Method, memo_key
@@ -50,13 +52,25 @@ def _two_cpus(monkeypatch):
                         raising=False)
 
 
-def _place(monkeypatch, away):
-    """Give the grid two CPUs, and have the worker take each unit whose
-    `job`, `(config, method, seeds)`, satisfies `away`."""
+def _place(monkeypatch, away, tasks=None):
+    """Give the grid two CPUs, and have the worker take each run unit
+    whose `job`, `(config, method, seeds)`, satisfies `away`, and each
+    task unit whose `job`, `(config, seed, task)`, satisfies `tasks`.
+    Given `tasks`, the first plan gives the worker nothing, so that the
+    `ddpm` synthesis splits by task before the runs are planned again.
+    Return the `(here, there)` plans made."""
     _two_cpus(monkeypatch)
-    monkeypatch.setattr(plan, "split", lambda units: (
-        [u for u in units if not away(u.job)],
-        [u for u in units if away(u.job)]))
+    plans = []
+
+    def gone(unit):
+        if not isinstance(unit.job[1], Method):
+            return tasks(unit.job)
+        return away(unit.job) and not (tasks and not plans)
+
+    monkeypatch.setattr(plan, "split", lambda units: plans.append((
+        [u for u in units if not gone(u)],
+        [u for u in units if gone(u)])) or plans[-1])
+    return plans
 
 
 def _federated(job):
@@ -170,6 +184,26 @@ def test_a_run_failing_in_the_worker_sends_its_text(monkeypatch):
     cfg = _small(methods=(Method.OSIFL, Method.FEDAVG), seeds=(5,))
     _, failures = run_grid(cfg, "p", [1], cfg.seeds, workers=1)
     assert failures == ["p=1 FEDAVG seed=5: no update from this client"]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("sent", [
+    "no rows", np.array([0.5, 1.5]), [0.5, 1.5]],
+    ids=["text", "array", "list"])
+def test_the_pipe_takes_texts_and_arrays_and_refuses_the_rest(
+        monkeypatch, sent):
+    # What the worker pickles for a key, and what this process reads.
+    parent, real = os.getpid(), pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda obj: real(obj)
+                        if os.getpid() == parent else real({"rows": sent}))
+    got = plan.forked(dict, dict, ["rows"])["rows"]
+    if isinstance(sent, list):
+        assert isinstance(got, ProtocolError)
+        assert str(got) == "the worker sent unreadable bytes"
+    elif isinstance(sent, str):
+        assert isinstance(got, RuntimeError) and str(got) == sent
+    else:
+        assert got.tolist() == sent.tolist()
     _assert_no_child_left()
 
 
@@ -373,4 +407,142 @@ def test_each_process_builds_only_the_uploads_its_runs_read(monkeypatch):
     assert sorted(set(here)) == [5]
     assert len(here) == cfg.num_tasks * cfg.clients_per_task
     _assert_reference_reports(cells)
+    _assert_no_child_left()
+
+
+_ONE_SEED = dict(_DDPM, seeds=(5,), num_tasks=3, classes_per_task=2,
+                 methods=(Method.OSIFL, Method.OSCAR_IL, Method.OSCAR_R))
+
+
+def _even_task(job):
+    return job[2] % 2 == 0
+
+
+def _synthesis_of(cfg, workers):
+    """Each task's kept synthesis, rows and bill, of a grid of `cfg`."""
+    server = orchestrator.ServerMemo()
+    cells, failures = run_grid(cfg, None, [None], cfg.seeds, server=server,
+                               workers=workers)
+    # A key ends with the task and its uploads.
+    return cells, failures, sorted(
+        (key[-2], synth.data.x.tobytes(), madds)
+        for key, (synth, madds) in server._entries.items()
+        if key[0] == "synthesis")
+
+
+def _logged(monkeypatch, path, name, what):
+    """Wrap the orchestrator's `name` to append `<pid> <what(args)>` to
+    `path`: a line from either process."""
+    real = getattr(orchestrator, name)
+
+    def wrapped(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {what(args)}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, name, wrapped)
+
+
+def test_a_one_seed_grid_splits_its_synthesis_then_its_runs(
+        tmp_path, monkeypatch):
+    # The first plan gives the worker nothing. The parent pretrains the
+    # one generator; the worker inherits it and synthesizes task 2, this
+    # process tasks 1 and 3, each once. Then OSCAR_IL's runs go to a
+    # second worker, which synthesizes nothing: both forks' runs read the
+    # synthesis this process keeps, the rows and bill of `workers=0`.
+    cfg = _small(**_ONE_SEED)
+    *_, alone = _synthesis_of(cfg, 0)
+    plans = _place(monkeypatch, lambda job: job[1] is Method.OSCAR_IL,
+                   _even_task)
+    forks, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real())
+    log = tmp_path / "calls.log"
+    _logged(monkeypatch, log, "pretrain", lambda args: "pretrain")
+    _logged(monkeypatch, log, "synthesize_task_data",
+            lambda args: f"task {args[1][0].task_id}")
+    cells, failures, kept = _synthesis_of(cfg, 1)
+    assert failures == [] and len(forks) == 2 and kept == alone
+    assert [[u.job[1:] for u in there] for _, there in plans] == [
+        [], [(5, 2)], [(Method.OSCAR_IL, (5,))]]
+    parent = str(os.getpid())
+    calls = sorted((pid == parent, what) for pid, what in (
+        line.split(" ", 1) for line in log.read_text().splitlines()))
+    assert calls == [(False, "task 2"), (True, "pretrain"), (True, "task 1"),
+                     (True, "task 3")]
+    _assert_reference_reports(cells)
+    _assert_no_child_left()
+
+
+def _piped(change):
+    """A worker's `pickle.dumps`, after `real`, with each array it pipes
+    changed."""
+    return lambda real, obj: real({
+        key: change(got) if isinstance(got, np.ndarray) else got
+        for key, got in obj.items()})
+
+
+_PIPED = {
+    "unreadable": lambda real, obj: b"not a pickle",
+    "short": _piped(lambda rows: rows[:-1]),
+    "narrow": _piped(lambda rows: rows[:, :-1]),
+    "dtype": _piped(lambda rows: rows.astype(np.float32)),
+    "non_finite": _piped(lambda rows: np.full_like(rows, np.nan)),
+    "list": _piped(lambda rows: rows.tolist())}
+
+
+@pytest.mark.parametrize("fault", ["killed", *_PIPED])
+def test_a_worker_whose_synthesis_fails_leaves_it_to_the_runs(
+        monkeypatch, capfd, fault):
+    # The worker holds task 2's synthesis and no run. Whether it dies in
+    # `synthesize_task_data`, garbles its pickle or pipes rows of the
+    # wrong shape, dtype, values or type, this process leaves task 2 to
+    # the runs, which build it: every report, and each task's kept rows
+    # and bill, are the in-process grid's, and no run fails.
+    cfg = _small(**_ONE_SEED)
+    [(_, alone)], _, synthesis = _synthesis_of(cfg, 0)
+    plans = _place(monkeypatch, lambda job: False, _even_task)
+    parent = os.getpid()
+    if fault == "killed":
+        monkeypatch.setattr(orchestrator, "synthesize_task_data", _in_worker(
+            parent, _kill, "synthesize_task_data"))
+    else:
+        real = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps", lambda obj: real(obj)
+                            if os.getpid() == parent
+                            else _PIPED[fault](real, obj))
+    [(_, reports)], failures, kept = _synthesis_of(cfg, 1)
+    assert [[u.job[1:] for u in there] for _, there in plans] == [
+        [], [(5, 2)], []]
+    assert failures == [] and reports == alone and kept == synthesis
+    assert capfd.readouterr().err == ""
+    _assert_no_child_left()
+
+
+def test_a_generator_that_synthesizes_nan_fails_its_runs_alike(
+        monkeypatch):
+    # The worker's task 2 and this process's tasks 1 and 3 all come out
+    # non-finite; each run fails at task 1 with the text it fails with
+    # in process, and the runs' second plan keeps OSIFL here.
+    class NaNModel(DiffusionModel):
+        def sample_chains(self, *args, **kwargs):
+            return np.full_like(super().sample_chains(*args, **kwargs),
+                                np.nan)
+
+    real = orchestrator.pretrain
+
+    def pretrain(*args, **kwargs):
+        model = real(*args, **kwargs)
+        model.__class__ = NaNModel
+        return model
+
+    monkeypatch.setattr(orchestrator, "pretrain", pretrain)
+    cfg = _small(**_ONE_SEED)
+    alone = run_grid(cfg, None, [None], cfg.seeds)
+    plans = _place(monkeypatch, lambda job: job[1] is not Method.OSIFL,
+                   _even_task)
+    assert run_grid(cfg, None, [None], cfg.seeds, workers=1) == alone
+    assert len(plans) == 3
+    assert [line.split(" for class ")[0] for line in alone[1]] == [
+        f"{m.value} seed=5: synthesis (seed 5, task 1) produced non-finite "
+        "values" for m in cfg.methods]
     _assert_no_child_left()
