@@ -377,7 +377,10 @@ def main(argv=None, workers: int = 0) -> int:
 
 def command() -> int:
     """The `osifl` console script, and `python -m osifl.cli`: the command
-    owns its process, so a grid may fork its worker."""
+    owns its process, so it holds NumPy's OpenBLAS to one thread for the
+    whole run (`plan.one_blas_thread`), and a grid may fork its worker,
+    which inherits the one thread. Library calls leave the count alone."""
+    plan.one_blas_thread()
     return main(workers=1)
 
 

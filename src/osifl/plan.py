@@ -23,7 +23,6 @@ rows cross its pipe.
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import glob
 import itertools
@@ -83,7 +82,7 @@ def _sizes(cfg) -> tuple[list[int], list[int]]:
 
 
 def _pass(cfg, rows: int, classes: int, heads: int) -> float:
-    """`heads` heads' evaluation, scoring or Fisher pass on `rows` rows."""
+    """`heads` heads' evaluation or Fisher pass on `rows` rows."""
     return heads * (PASS_S + MADD_S * (
         ledgers.encoder_forward_madds(rows, cfg.dim_e, cfg.dim_x)
         + ledgers.head_forward_madds(rows, classes, cfg.dim_e)))
@@ -120,7 +119,11 @@ def _group_seconds(cfg, method, heads: int) -> tuple[float, float, float]:
         rows = {Method.OSIFL: z * k + min(p, z) * sum(brought[:t]),
                 Method.OSCAR_CEILING: history}.get(method, z * k)
         train[t > 0] += _training(cfg, rows, c, cfg.epochs_per_task, heads)
-        if (method is Method.OSIFL and p) or method is Method.OSCAR_R:
+        if method is Method.OSIFL and p:
+            # Scoring, billed as one epoch of training on its rows.
+            rest += heads * (PASS_S + MADD_S * sum(ledgers.training_madds(
+                z * k, 1, c, cfg.dim_e, cfg.dim_x).values()))
+        if method is Method.OSCAR_R:
             rest += _pass(cfg, z * k, c, heads)
     return train[0], train[1], rest
 
@@ -256,23 +259,17 @@ def _blas_threads():
     return None
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Hold NumPy's OpenBLAS to one thread for the block, in which this
-    process and the worker compute at once. With a BLAS thread per CPU in
-    each, their idle threads spin on the CPUs the other needs: the default
-    `ddpm` run took 11-17 s so, and 5 s with one thread."""
+def one_blas_thread() -> None:
+    """Set NumPy's bundled OpenBLAS to one thread for the rest of this
+    process and of the workers it forks; nothing where NumPy carries
+    none. With a BLAS thread per CPU, idle threads spin: on the CPU a
+    worker needs (the default `ddpm` run took 11-17 s so, against 5 s),
+    and on a free one, as in the pretraining a one-seed `ddpm` grid runs
+    before its first fork. One thread also keeps the arithmetic off the
+    machine's CPU count."""
     found = _blas_threads()
-    if found is None:
-        yield
-        return
-    get, put = found
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
+    if found is not None:
+        found[1](1)
 
 
 def can_fork() -> bool:
@@ -284,55 +281,53 @@ def can_fork() -> bool:
 def forked(here, there, keys: list) -> dict:
     """Run `there()`, which returns a report, an array of rows or an
     error for each of `keys`, in a forked worker process that pipes them
-    back, while this process runs `here()`; both run under
-    `one_blas_thread`. Return `here()`'s results updated with the
-    worker's: each report or array as sent, each error as RuntimeError of
-    its text, or every key failing alike with ProtocolError if the worker
-    died or sent anything else; a worker that raises prints its
-    traceback. If this process raises, the worker is killed and reaped
-    first. If the system refuses the fork, `here()` and then `there()`
-    run in this process."""
+    back, while this process runs `here()`. Return `here()`'s results
+    updated with the worker's: each report or array as sent, each error
+    as RuntimeError of its text, or every key failing alike with
+    ProtocolError if the worker died or sent anything else; a worker that
+    raises prints its traceback. If this process raises, the worker is
+    killed and reaped first. If the system refuses the fork, `here()` and
+    then `there()` run in this process."""
     for stream in (sys.stdout, sys.stderr):
         stream.flush()
     r, w = os.pipe()
-    with one_blas_thread():
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns of a fork with threads running;
-                # NumPy's OpenBLAS threads are shut down across a fork.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            results = here()
-            results.update(there())
-            return results
-        if pid == 0:
-            code = 1
-            try:
-                os.close(r)
-                with os.fdopen(w, "wb") as out:
-                    out.write(pickle.dumps({
-                        key: got if isinstance(got, (RunReport, np.ndarray))
-                        else str(got)
-                        for key, got in there().items()}))
-                code = 0
-            except BaseException:
-                traceback.print_exc()
-                sys.stderr.flush()
-            finally:
-                os._exit(code)
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of a fork with threads running;
+            # NumPy's OpenBLAS threads are shut down across a fork.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
         os.close(w)
-        with os.fdopen(r, "rb") as pipe:
-            try:
-                results = here()
-                data = pipe.read()
-                _, status = os.waitpid(pid, 0)
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                raise
+        results = here()
+        results.update(there())
+        return results
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as out:
+                out.write(pickle.dumps({
+                    key: got if isinstance(got, (RunReport, np.ndarray))
+                    else str(got)
+                    for key, got in there().items()}))
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    os.close(w)
+    with os.fdopen(r, "rb") as pipe:
+        try:
+            results = here()
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
     code = os.waitstatus_to_exitcode(status)
     if code:
         got = dict.fromkeys(keys, ProtocolError(

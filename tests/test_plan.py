@@ -3,6 +3,7 @@ estimates decide for the default grids."""
 import contextlib
 import dataclasses
 import os
+import sys
 from unittest import mock
 
 import pytest
@@ -142,40 +143,8 @@ def test_a_one_seed_ddpm_grid_forks_its_synthesis_then_its_runs():
     here, there = plan.split(units)
     assert [u.job[1] for u in there] == [
         Method.OSIFL, Method.OSCAR_IL, Method.OSCAR_R]
-    assert plan.seconds(units) == pytest.approx(0.336416295, rel=1e-12)
-    assert plan.finish(here, there) == pytest.approx(0.17164579, rel=1e-12)
-
-
-def test_the_fork_holds_openblas_to_one_thread_and_restores_it(
-        monkeypatch):
-    # At two threads, a forked grid's runs in this process read one
-    # thread, and the grid leaves two.
-    found = plan._blas_threads()
-    if found is None:
-        pytest.skip("NumPy carries no OpenBLAS")
-    get, put = found
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    # The worker takes the federated groups; this process trains OSIFL.
-    monkeypatch.setattr(plan, "split", lambda units: (
-        [u for u in units if u.job[1] not in FEDERATED_METHODS],
-        [u for u in units if u.job[1] in FEDERATED_METHODS]))
-    parent, seen, train = os.getpid(), [], orchestrator.train_osifl
-    monkeypatch.setattr(orchestrator, "train_osifl", lambda *args, **kw: (
-        os.getpid() == parent and seen.append(get())) or train(*args, **kw))
-    cfg = dataclasses.replace(_TINY, methods=(Method.OSIFL, Method.FEDAVG))
-    before = get()
-    put(2)
-    try:
-        assert get() == 2
-        with plan.one_blas_thread():
-            assert get() == 1
-        assert get() == 2
-        _, failures = cli.run_grid(cfg, None, [None], cfg.seeds, workers=1)
-        assert failures == [] and set(seen) == {1}
-        assert get() == 2
-    finally:
-        put(before)
+    assert plan.seconds(units) == pytest.approx(0.3366801075, rel=1e-12)
+    assert plan.finish(here, there) == pytest.approx(0.1719096025, rel=1e-12)
 
 
 # A tiny grid of three tasks; each case below changes one thing.
@@ -187,24 +156,144 @@ _TINY = ExperimentConfig(
     pretrain_batch=8, seeds=(3,))
 
 
+def _blas_threads():
+    """The getter and setter of NumPy's OpenBLAS thread count; the test
+    skips where NumPy carries none."""
+    found = plan._blas_threads()
+    if found is None:
+        pytest.skip("NumPy carries no OpenBLAS")
+    return found
+
+
+def _log_threads(monkeypatch, path, names, get):
+    """Wrap each orchestrator function of `names`, and `os.fork`, to
+    append `<pid> <name> <threads>` to `path`: a line from either
+    process."""
+    def logged(name, real):
+        def wrapped(*args, **kwargs):
+            with open(path, "a") as fh:
+                fh.write(f"{os.getpid()} {name} {get()}\n")
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(orchestrator, name,
+                            logged(name, getattr(orchestrator, name)))
+    monkeypatch.setattr(os, "fork", logged("fork", os.fork))
+
+
+def _read_log(path):
+    """The log's lines as `(in this process, name, threads)`."""
+    return [(int(pid) == os.getpid(), name, int(threads)) for pid, name,
+            threads in (line.split() for line in path.read_text().splitlines())]
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_library_calls_leave_the_blas_thread_count_alone(
+        tmp_path, monkeypatch, workers):
+    # At two threads, a grid's training reads two threads in this process
+    # and in the worker, and the grid leaves two: only the command sets
+    # the count.
+    get, put = _blas_threads()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    # The worker takes the federated groups; this process trains OSIFL.
+    monkeypatch.setattr(plan, "split", lambda units: (
+        [u for u in units if u.job[1] not in FEDERATED_METHODS],
+        [u for u in units if u.job[1] in FEDERATED_METHODS]))
+    log = tmp_path / "threads.log"
+    _log_threads(monkeypatch, log, ("train_osifl", "train_local"), get)
+    cfg = dataclasses.replace(_TINY, methods=(Method.OSIFL, Method.FEDAVG))
+    before = get()
+    put(2)
+    try:
+        _, failures = cli.run_grid(cfg, None, [None], cfg.seeds,
+                                   workers=workers)
+        assert failures == [] and get() == 2
+    finally:
+        put(before)
+    forks = {(True, "fork", 2)} if workers else set()
+    assert set(_read_log(log)) == {(True, "train_osifl", 2),
+                                   (not workers, "train_local", 2), *forks}
+
+
+def _command(tmp_path, monkeypatch, cfg):
+    """`osifl run` on `cfg` through the console script's function."""
+    path = tmp_path / "grid.cfg"
+    path.write_text(cfg.canonical())
+    monkeypatch.setattr(sys, "argv", ["osifl", "run", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+    return cli.command()
+
+
+# A one-seed `ddpm` grid of two one-shot methods, which pretrains its one
+# generator here when its first plan gives the worker nothing.
+_TINY_DDPM = dataclasses.replace(_TINY, generator="ddpm", methods=(
+    Method.OSIFL, Method.OSCAR_IL))
+
+
+def test_the_command_holds_one_blas_thread_for_its_whole_run(
+        tmp_path, monkeypatch):
+    # From two threads, the command's pretraining reads one thread here,
+    # before its first fork, and the worker's sampling of task 2 and its
+    # OSCAR_IL runs read one too.
+    get, put = _blas_threads()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    plans = []
+    away = (lambda job: False, lambda job: job[2] == 2,
+            lambda job: job[1] is Method.OSCAR_IL)
+    monkeypatch.setattr(plan, "split", lambda units: plans.append((
+        [u for u in units if not away[len(plans)](u.job)],
+        [u for u in units if away[len(plans)](u.job)])) or plans[-1])
+    log = tmp_path / "threads.log"
+    _log_threads(monkeypatch, log,
+                 ("pretrain", "synthesize_task_data", "train_naive"), get)
+    before = get()
+    put(2)
+    try:
+        assert _command(tmp_path, monkeypatch, _TINY_DDPM) == 0
+    finally:
+        put(before)
+    calls = _read_log(log)
+    assert {threads for *_, threads in calls} == {1}
+    assert (True, "pretrain", 1) in calls[:calls.index((True, "fork", 1))]
+    assert {(False, "synthesize_task_data", 1),
+            (False, "train_naive", 1)} <= set(calls)
+    assert [len(there) for _, there in plans] == [0, 1, 1]
+
+
+def test_the_command_runs_where_numpy_carries_no_openblas(
+        tmp_path, monkeypatch):
+    found = plan._blas_threads()
+    before = found and found[0]()
+    monkeypatch.setattr(plan, "_blas_threads", lambda: None)
+    assert plan.one_blas_thread() is None
+    assert _command(tmp_path, monkeypatch, _TINY_DDPM) == 0
+    assert (tmp_path / "out" / "summary.csv").exists()
+    assert found is None or found[0]() == before
+
+
 @pytest.mark.parametrize("changes", [
     {}, {"retain_per_class": 7}, {"clients_per_task": 2},
     {"suite_mode": "domain_incremental"},
     {"classes_per_task": (1, 4, 2), "retain_per_class": 2},
-    {"generator": "ddpm"}],
+    {"generator": "ddpm"}, {"scoring_point": "post_update"},
+    {"score_by": "loss"}],
     ids=["class-inc", "p-over-z", "two-clients", "domain-inc", "uneven",
-         "ddpm"])
+         "ddpm", "post-update", "loss"])
 def test_the_plan_prices_the_multiply_adds_the_runs_bill(monkeypatch,
                                                         changes):
     # At a second per multiply-add, none per call, step or pass, and no
-    # evaluation, scoring or Fisher pass, none of which is a `train_*`
-    # bill, a group of one run costs its `train_*` multiply-adds, and a
+    # evaluation or Fisher pass, which nothing bills, a group of one run
+    # costs its `train_*` and `exemplar_scoring` multiply-adds, and a
     # task unit its task's `diffusion_sampling`.
     cfg = dataclasses.replace(_TINY, **changes)
     states = record_states(monkeypatch)
     [(_, reports)], failures = cli.run_grid(cfg, None, [None], cfg.seeds)
     assert failures == [] and len(reports) == len(Method)
-    zero = ("HEAD_CALL_S", "STEP_S", "PRETRAIN_STEP_S", "CHAIN_STEP_S")
+    zero = ("HEAD_CALL_S", "STEP_S", "PASS_S", "PRETRAIN_STEP_S",
+            "CHAIN_STEP_S")
     one = ("MADD_S", "PRETRAIN_MADD_S", "SAMPLE_MADD_S")
     with contextlib.ExitStack() as stack:
         for name in zero + one:
@@ -217,7 +306,7 @@ def test_the_plan_prices_the_multiply_adds_the_runs_bill(monkeypatch,
             billed = report.madds_by_kind
             assert sum(plan._group_seconds(cfg, method, 1)) == sum(
                 n for kind, n in billed.items()
-                if kind.startswith("train_")), method
+                if kind.startswith(("train_", "exemplar_scoring"))), method
             if cfg.generator == "ddpm" and method not in FEDERATED_METHODS:
                 assert plan._ddpm_seconds(cfg) == (
                     billed["diffusion_pretrain"],
@@ -241,22 +330,22 @@ _PINNED = {
         (None,),
         [("OSCAR_IL", 5, (42, 18, 50)), ("FEDAVG", 5, (42, 18, 50)),
          ("FEDPROX", 5, (42, 18, 50)), ("FEDEWC", 5, (42, 18, 50))],
-        1.1195638425, 0.56763137),
+        1.12035528, 0.5684228075),
     "class-inc-ddpm": (
         ExperimentConfig(methods=_ONESHOT, seeds=(42,), generator="ddpm"),
-        None, (None,), [], 2.432616295, 2.432616295),
+        None, (None,), [], 2.4328801075, 2.4328801075),
     "domain-inc-p-sweep": (
         ExperimentConfig(suite_mode="domain_incremental", seeds=(42,),
                          methods=(Method.OSIFL, Method.OSCAR_IL,
                                   Method.FEDAVG)),
         "p", (0, 5, 10), [("FEDAVG", 0, (42,)), ("OSIFL", 5, (42,))],
-        1.4838169, 0.77091126),
+        1.4892439, 0.77362476),
     "default-ddpm": (
         ExperimentConfig(generator="ddpm"), None, (None,),
         [("OSIFL", 5, (18,)), ("OSCAR_IL", 5, (18,)), ("OSCAR_R", 5, (18,)),
          ("OSCAR_CEILING", 5, (18,)), ("FEDAVG", 5, (42, 18, 50)),
          ("FEDPROX", 5, (42, 18, 50))],
-        7.4081638425, 4.7965345175),
+        7.40895528, 4.7970621425),
 }
 
 
