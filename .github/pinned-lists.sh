@@ -8,9 +8,13 @@
 #       Each count line of a `--trace 1` log, labelled with its workload,
 #       against .github/trace-counts.txt; the counts do not depend on the
 #       seed set, so every log must equal the one list.
+#   .github/pinned-lists.sh correct LOG...
+#       Each log's last line parses as JSON with "correct": true; a log
+#       cut short, which ends before that line, fails.
 #
-# Prints each list read, and any difference from the committed list on
-# stderr. Exits 1 on a difference, 2 on a wrong call.
+# Prints each list read, and any difference from the committed list, or
+# each log that is not correct, on stderr. Exits 1 on a difference or an
+# incorrect log, 2 on a wrong call.
 set -uo pipefail
 
 pinned=$(dirname "$0")
@@ -40,8 +44,21 @@ case $mode in
     done
     exit $status
     ;;
+  correct)
+    status=0
+    for log in "$@"; do
+      tail -n 1 "$log" | python3 -c 'import json, sys
+try:
+    sys.exit(json.load(sys.stdin)["correct"] is not True)
+except (ValueError, TypeError, KeyError):
+    sys.exit(1)' ||
+        { echo "$log: last line is not JSON with \"correct\": true" >&2
+          status=1; }
+    done
+    exit $status
+    ;;
   *)
-    echo "usage: $0 digests|counts LOG..." >&2
+    echo "usage: $0 digests|counts|correct LOG..." >&2
     exit 2
     ;;
 esac

@@ -22,7 +22,7 @@ from .encoder import ClientMessage, FrozenEncoder, build_client_message, \
 from .errors import ConfigError, ProtocolError
 from .ledgers import CommsLedger, ComputeLedger
 from .orchestrator import Method, RunReport, ServerMemo, evaluate, \
-    forgetting, report_rows, rows_to_csv, run_method, write_report_csv
+    forgetting, report_rows, rows_to_csv, run_method
 from .rng import stream
 from .ssr import ExemplarMemory, select_exemplars, top_p_indices
 from .trainer import Adam, AnchorState, Classifier, ce_loss_and_grads, \
@@ -45,5 +45,5 @@ __all__ = [
     "make_task_suite", "parse_config", "parse_message", "pretrain",
     "report_rows", "rows_to_csv", "run_method", "save_head", "save_model",
     "select_exemplars", "serialize_config", "serialize_message", "stream",
-    "top_p_indices", "train", "write_report_csv",
+    "top_p_indices", "train",
 ]

@@ -18,8 +18,8 @@ from .errors import ConfigError
 # Grids drive `run_steps` through `lockstep`; `run_method`, which drives
 # one run alone, stays bound here for callers that wrap it.
 from .orchestrator import CSV_HEADER, FEDERATED_METHODS, ServerMemo, \
-    build_generator, lockstep, memo_key, rows_to_csv, run_method, \
-    run_steps, task_synthesis, write_report_csv
+    build_generator, lockstep, memo_key, report_rows, rows_to_csv, \
+    run_method, run_steps, task_synthesis
 
 SEED_ENV = "OSIFL_SEED_OVERRIDE"
 
@@ -249,21 +249,36 @@ def _run_into(out_dir: str, configs, axis, values, seeds, workers: int):
     return _run_cells(configs, axis, values, seeds, ServerMemo(), workers)
 
 
-def _write_summary(out_dir: str, stem: str, header: str, rows: list,
-                   failures: list[str], label: str) -> int:
-    """Write `<stem>.csv`, or `<stem>.partial.csv` and print each failure
-    if a run failed; remove the other name, so an earlier run's summary
-    cannot read as this one's. Exit code 1 if a run failed."""
-    name, stale = f"{stem}.csv", f"{stem}.partial.csv"
-    if failures:
-        name, stale = stale, name
-    with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
-        fh.write(rows_to_csv(rows, header=header))
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, stale))
-    for failure in failures:
-        print(f"{label}: {failure}", file=sys.stderr)
+def _write(out_dir: str, files: dict, failures: list, label: str) -> int:
+    """Write each of `files`' texts in order under its name in `out_dir`,
+    or remove the file where the text is None; then print each failed
+    run's line after `label`. Exit code 1 if a run failed. A refused file
+    raises `ConfigError` naming it, the failed runs' lines after it."""
+    lines = [f"{label}: {failure}" for failure in failures]
+    for name, text in files.items():
+        path = os.path.join(out_dir, name)
+        try:
+            if text is None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+            else:
+                with open(path, "w", newline="\n") as fh:
+                    fh.write(text)
+        except OSError as err:
+            why = err.strerror or err
+            raise ConfigError("\n".join(
+                [f"cannot write {path}: {why}", *lines])) from None
+    for line in lines:
+        print(line, file=sys.stderr)
     return 1 if failures else 0
+
+
+def _summary(stem: str, header: str, rows: list, failures: list) -> dict:
+    """`<stem>.csv`'s text and `<stem>.partial.csv` removed, swapped if a
+    run failed, so that an earlier summary cannot read as this run's."""
+    names = f"{stem}.csv", f"{stem}.partial.csv"
+    name, stale = names[::-1] if failures else names
+    return {name: rows_to_csv(rows, header=header), stale: None}
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str,
@@ -272,25 +287,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
     plus a seed-averaged summary. Nonzero exit if any run failed, with
     whatever completed written under a 'partial' summary name, and an
     earlier run's CSV under a failed run's name removed, so that it
-    cannot read as this run's. `workers` is `run_grid`'s."""
+    cannot read as this run's. A file it cannot write raises
+    `ConfigError` (`_write`). `workers` is `run_grid`'s."""
     seeds = resolve_seeds(config)
     [(_, reports)], failures = _run_into(out_dir, [config], None, [None],
                                          seeds, workers)
-    by_cell = {(r.method, r.seed): r for r in reports}
-    for seed in seeds:
-        for method in config.methods:
-            path = os.path.join(out_dir, f"run_{method.value}_seed{seed}.csv")
-            report = by_cell.get((method.value, seed))
-            if report is None:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(path)
-            else:
-                write_report_csv(path, [report])
+    done = {(r.method, r.seed): rows_to_csv(report_rows(r)) for r in reports}
+    files = {f"run_{m.value}_seed{seed}.csv": done.get((m.value, seed))
+             for seed in seeds for m in config.methods}
     rows = [[method.value, -1, t_idx + 1, -1, avg, avg, forg, ups, madds]
             for method, means in _seed_means(config, reports)
             for t_idx, (avg, forg, ups, madds) in enumerate(means)]
-    return _write_summary(out_dir, "summary", CSV_HEADER, rows, failures,
-                          "run failed")
+    files.update(_summary("summary", CSV_HEADER, rows, failures))
+    return _write(out_dir, files, failures, "run failed")
 
 
 def sweep(config: ExperimentConfig, axis: str, values, out_dir: str,
@@ -300,8 +309,8 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir: str,
     are checked with the config file's parser for the axis key, for a
     value listed twice, and by building each value's config, before any
     run starts. A method that does not read the axis runs once per
-    seed and its report is reused for every value. `workers` is
-    `run_grid`'s."""
+    seed and its report is reused for every value. A file it cannot
+    write raises `ConfigError` (`_write`). `workers` is `run_grid`'s."""
     _check_axis(axis)
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -323,8 +332,8 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir: str,
                     for r in reports)
         rows.extend([axis, value, method.value, -1] + means[-1]
                     for method, means in _seed_means(cfg, reports))
-    return _write_summary(out_dir, f"sweep_{axis}", SWEEP_HEADER, rows,
-                          failures, "sweep run failed")
+    return _write(out_dir, _summary(f"sweep_{axis}", SWEEP_HEADER, rows,
+                                    failures), failures, "sweep run failed")
 
 
 def _load_config(path: str) -> ExperimentConfig:

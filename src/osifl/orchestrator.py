@@ -565,9 +565,3 @@ def rows_to_csv(rows: list[list], header: str = CSV_HEADER) -> str:
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def write_report_csv(path: str, reports: list[RunReport]) -> None:
-    rows = [row for report in reports for row in report_rows(report)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(rows_to_csv(rows))

@@ -136,12 +136,11 @@ def _synthesis_seconds(cfg, brought: int) -> float:
     return cfg.diffusion_steps * (CHAIN_STEP_S + SAMPLE_MADD_S * chains)
 
 
-def _ddpm_seconds(cfg) -> tuple[float, float]:
-    """A seed's pretraining, and its synthesis of every task."""
+def _pretrain_seconds(cfg) -> float:
+    """A seed's `ddpm` pretraining."""
     sizes = cfg.dim_x, cfg.dim_e, cfg.diffusion_steps, cfg.denoiser_hidden
     step = pretrain_step_madds(sizes, cfg.pretrain_batch)
-    return cfg.pretrain_steps * (PRETRAIN_STEP_S + PRETRAIN_MADD_S * step), \
-        sum(_synthesis_seconds(cfg, k) for k in _sizes(cfg)[0])
+    return cfg.pretrain_steps * (PRETRAIN_STEP_S + PRETRAIN_MADD_S * step)
 
 
 def _synthesis(cfg, seed: int, t: int) -> tuple:
@@ -173,7 +172,7 @@ def units(groups, built=frozenset()) -> list[Unit]:
     out = []
     for cfg, method, seeds in groups:
         first, later, rest = _group_seconds(cfg, method, len(seeds))
-        pretraining = _ddpm_seconds(cfg)[0]
+        pretraining = _pretrain_seconds(cfg)
         trunk_only = method is Method.OSCAR_IL or (
             method is Method.OSIFL and not cfg.retain_per_class) or (
             method is Method.OSCAR_R and not cfg.lambda_ewc)

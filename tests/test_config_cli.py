@@ -798,6 +798,48 @@ def test_a_failed_rerun_removes_the_earlier_runs_csv(tmp_path, capsys):
                                             "summary.partial.csv"]
 
 
+# A file the command cannot write or remove, refused by a directory in
+# its place (tier-1 may run as root, past any mode bit): the name, the
+# command, and the config's changes; the last makes OSIFL fail.
+_REFUSED = {
+    "summary": ("summary.csv", ["run"], {}),
+    "run-csv": ("run_FEDAVG_seed3.csv", ["run"], {}),
+    "failed-run": ("run_OSIFL_seed3.csv", ["run"],
+                   dict(generator="ddpm", pretrain_steps=0)),
+    "sweep": ("sweep_p.csv", ["sweep", "--axis", "p", "--values", "0,2"],
+              {})}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_a_file_the_command_cannot_write_exits_2_naming_it(
+        tmp_path, capsys, case):
+    # After the runs: exit 2 and `error: ...` naming the file, then each
+    # failed run's line, and no traceback; called directly, `ConfigError`.
+    name, command, changes = _REFUSED[case]
+    cfg = _small(methods=(Method.OSIFL, Method.FEDAVG), seeds=(3,),
+                 **changes)
+    path, out = tmp_path / "exp.cfg", tmp_path / "out"
+    path.write_text(serialize_config(cfg))
+    (out / name).mkdir(parents=True)
+    assert main([command[0], "--config", str(path), *command[1:],
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    refused = f"cannot write {out / name}: "
+    assert err.startswith(f"error: {refused}") and "Traceback" not in err
+    failed = ["run failed: OSIFL seed=3: "] if changes else []
+    lines = err.splitlines()[1:]
+    assert len(lines) == len(failed)
+    assert all(map(str.startswith, lines, failed))
+    with pytest.raises(ConfigError) as raised:
+        if command[0] == "run":
+            run_experiment(cfg, str(out))
+        else:
+            sweep(cfg, "p", ["0", "2"], str(out))
+    assert str(raised.value).startswith(refused)
+    assert str(raised.value).splitlines()[1:] == lines
+    assert capsys.readouterr().err == ""
+
+
 def test_main_sweep_and_selftest_wiring(tmp_path, monkeypatch):
     path = tmp_path / "exp.cfg"
     path.write_text("num_tasks = 2\nnum_classes = 8\nclasses_per_task = 4\n"

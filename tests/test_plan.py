@@ -286,8 +286,9 @@ def test_the_plan_prices_the_multiply_adds_the_runs_bill(monkeypatch,
                                                         changes):
     # At a second per multiply-add, none per call, step or pass, and no
     # evaluation or Fisher pass, which nothing bills, a group of one run
-    # costs its `train_*` and `exemplar_scoring` multiply-adds, and a
-    # task unit its task's `diffusion_sampling`.
+    # costs its `train_*` and `exemplar_scoring` multiply-adds, a seed's
+    # pretraining its `diffusion_pretrain`, and a task unit its task's
+    # `diffusion_sampling`.
     cfg = dataclasses.replace(_TINY, **changes)
     states = record_states(monkeypatch)
     [(_, reports)], failures = cli.run_grid(cfg, None, [None], cfg.seeds)
@@ -308,9 +309,8 @@ def test_the_plan_prices_the_multiply_adds_the_runs_bill(monkeypatch,
                 n for kind, n in billed.items()
                 if kind.startswith(("train_", "exemplar_scoring"))), method
             if cfg.generator == "ddpm" and method not in FEDERATED_METHODS:
-                assert plan._ddpm_seconds(cfg) == (
-                    billed["diffusion_pretrain"],
-                    billed["diffusion_sampling"])
+                assert plan._pretrain_seconds(cfg) == \
+                    billed["diffusion_pretrain"]
                 sampled = [states[method, report.seed, cfg, t][-1].get(
                     "diffusion_sampling", 0) for t in range(
                         1, cfg.num_tasks + 1)]

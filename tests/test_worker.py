@@ -187,6 +187,35 @@ def test_a_run_failing_in_the_worker_sends_its_text(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("workers", [0, 1])
+def test_a_run_whose_encoder_is_written_fails_alone(monkeypatch, workers):
+    # The run's last check: OSIFL seed 5's frozen encoder, written into
+    # after task 1, fails that run with the check's text, here or in the
+    # worker, and leaves every other run's report as it was.
+    cfg = _small(methods=(Method.OSIFL, Method.FEDAVG))
+    [(_, clean)], _ = run_grid(cfg, None, [None], cfg.seeds)
+    plans = _place(monkeypatch, lambda job: job[1] is Method.OSIFL) \
+        if workers else []
+    real = orchestrator.evaluate
+
+    def evaluate(classifier, test_sets):
+        run = sys._getframe(1).f_locals  # `run_steps`
+        if (run["method"], run["seed"], run["t"]) == (Method.OSIFL, 5, 1):
+            run["encoder"].weight.flags.writeable = True
+            run["encoder"].weight[0, 0] += 1.0
+        return real(classifier, test_sets)
+
+    monkeypatch.setattr(orchestrator, "evaluate", evaluate)
+    [(_, reports)], failures = run_grid(cfg, None, [None], cfg.seeds,
+                                        workers=workers)
+    assert failures == [
+        "OSIFL seed=5: frozen encoder was mutated during the run"]
+    assert reports == [r for r in clean if (r.method, r.seed) != ("OSIFL", 5)]
+    assert [[u.job[1] for u in there] for _, there in plans] == \
+        [[Method.OSIFL]] * workers
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("sent", [
     "no rows", np.array([0.5, 1.5]), [0.5, 1.5]],
     ids=["text", "array", "list"])
